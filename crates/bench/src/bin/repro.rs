@@ -538,7 +538,7 @@ fn run(opts: &Options) -> Result<i32, CliError> {
         .validate()
         .map_err(|e| CliError::Usage(format!("invalid configuration: {e}")))?;
     if let Some(threads) = opts.threads {
-        aro_sim::parallel::set_thread_override(threads);
+        aro_par::set_thread_override(threads);
     }
     if let Some(replicas) = opts.replicas {
         aro_sim::servefleet::set_replica_override(replicas);

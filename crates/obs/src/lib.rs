@@ -12,7 +12,7 @@
 //!   thread-local scratch registry. Parallel code hands worker scratches
 //!   back to the spawning thread, which merges them in worker-index order,
 //!   so aggregates are byte-identical for any thread count (see
-//!   `aro-sim::parallel`).
+//!   `aro-par`).
 //! - **Telemetry sink** ([`sink`]): a process-wide JSON-lines writer (file
 //!   or in-memory) receiving span events and a final metrics flush.
 //!

@@ -12,7 +12,7 @@
 //!
 //! This crate sits below `aro-puf` in the dependency graph so that
 //! `Population::fabricate` can fan out without `aro-puf` depending on the
-//! experiment engine; `aro_sim::parallel` re-exports everything here.
+//! experiment engine; the umbrella crate re-exports it as `par`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

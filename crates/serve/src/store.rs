@@ -270,20 +270,12 @@ pub struct ShardedStore {
 }
 
 impl ShardedStore {
-    /// An unreplicated store laid out for `capacity` devices across
-    /// `n_shards` fixed index chunks (`aro-par`'s `div_ceil` discipline).
-    /// Ids at or past `capacity` clamp to the last shard.
-    ///
-    /// # Panics
-    /// Panics if `n_shards` is zero.
-    #[must_use]
-    pub fn for_fleet(capacity: usize, n_shards: usize) -> Self {
-        Self::for_fleet_replicated(capacity, n_shards, 1)
-    }
-
-    /// A store keeping `n_replicas` copies of every record, replica `k`
-    /// of a device placed in shard `(home + k) mod n_shards` so each
-    /// copy sits in a different failure domain.
+    /// A store laid out for `capacity` devices across `n_shards` fixed
+    /// index chunks (`aro-par`'s `div_ceil` discipline), keeping
+    /// `n_replicas` copies of every record. Ids at or past `capacity`
+    /// clamp to the last shard. Replica `k` of a device is placed in
+    /// shard `(home + k) mod n_shards` so each copy sits in a different
+    /// failure domain.
     ///
     /// # Panics
     /// Panics if `n_shards` is zero, `n_replicas` is zero, or
@@ -635,7 +627,7 @@ mod tests {
 
     #[test]
     fn fresh_records_read_back_intact() {
-        let mut store = ShardedStore::for_fleet(8, 3);
+        let mut store = ShardedStore::for_fleet_replicated(8, 3, 1);
         for id in 0..8 {
             store.insert(record(id));
         }
@@ -648,7 +640,7 @@ mod tests {
 
     #[test]
     fn sharding_follows_the_div_ceil_chunk_discipline() {
-        let store = ShardedStore::for_fleet(10, 4);
+        let store = ShardedStore::for_fleet_replicated(10, 4, 1);
         // chunk = ceil(10 / 4) = 3: ids 0..3 -> shard 0, 3..6 -> 1, ...
         assert_eq!(store.shard_of(0), 0);
         assert_eq!(store.shard_of(2), 0);
@@ -677,7 +669,7 @@ mod tests {
 
     #[test]
     fn erosion_is_detected_on_read_and_flagged() {
-        let mut store = ShardedStore::for_fleet(4, 2);
+        let mut store = ShardedStore::for_fleet_replicated(4, 2, 1);
         for id in 0..4 {
             store.insert(record(id));
         }
@@ -794,7 +786,7 @@ mod tests {
 
     #[test]
     fn repair_reseals_the_record_and_bumps_the_generation() {
-        let mut store = ShardedStore::for_fleet(2, 1);
+        let mut store = ShardedStore::for_fleet_replicated(2, 1, 1);
         store.insert(record(0));
         let inj = FaultInjector::new(FaultPlan::storm(), 3);
         let mut window = 0;

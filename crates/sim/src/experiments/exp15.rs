@@ -109,12 +109,11 @@ impl StyleWorkspace {
         let env = Environment::nominal(design.tech());
         let profile = MissionProfile::typical(design.tech());
         let pairs = PairingStrategy::Neighbor.pairs(n_ros);
-        // Chips and goldens come from the population cache: EXP-8 already
-        // fabricated and enrolled exactly this silicon (same design seed),
-        // so the sweep reads the cached population back instead of
-        // re-deriving process variation and enrollment responses.
+        // Goldens come from the population cache: EXP-8 already enrolled
+        // exactly this silicon (same design seed), so the sweep reads its
+        // enrollment responses back instead of re-deriving them.
         let chips: Vec<Chip> = (0..chips as u64)
-            .map(|id| crate::popcache::fabricated_chip(&design, id))
+            .map(|id| Chip::fabricate(&design, id))
             .collect();
         let goldens: Vec<BitString> = chips
             .iter()

@@ -213,92 +213,21 @@ fn refresh_known(known: &mut Erasures, accumulated: &[(usize, usize)]) {
     known.helper.dedup();
 }
 
-/// Runs one (intensity, interval) point of the maintained mission.
-/// Deterministic in its arguments: the injector is coordinate-addressed
-/// and every measurement event has a stable id.
-#[must_use]
-pub fn run_trial(
-    cfg: &SimConfig,
-    generator: &KeyGenerator,
-    intensity: f64,
-    interval_years: f64,
-    chips: usize,
-    attempts_per_chip: usize,
-) -> LifecycleTrial {
-    let mut workspace = SweepWorkspace::new(cfg, generator, chips);
-    run_trial_on(
-        cfg,
-        generator,
-        &mut workspace,
-        intensity,
-        interval_years,
-        attempts_per_chip,
-    )
-}
-
-/// [`run_trial`] on a reusable [`SweepWorkspace`]. Aging goes through the
-/// aged-state snapshot store ([`age_chip_snapshotted`]): all three
-/// intensities walk the same per-interval aging prefixes, so only the
-/// first trial to reach a given window pays the wear physics.
-fn run_trial_on(
-    cfg: &SimConfig,
-    generator: &KeyGenerator,
-    workspace: &mut SweepWorkspace,
-    intensity: f64,
-    interval_years: f64,
-    attempts_per_chip: usize,
-) -> LifecycleTrial {
-    run_replicated_trial_on(
-        cfg,
-        generator,
-        workspace,
-        intensity,
-        interval_years,
-        1,
-        attempts_per_chip,
-        0,
-    )
-    .lifecycle
-}
-
-/// One (intensity, interval, replicas) point of the replicated
-/// maintained mission, on its own workspace (EXP-19's unit trial).
-#[allow(clippy::too_many_arguments)]
-#[must_use]
-pub fn run_replicated_trial(
-    cfg: &SimConfig,
-    generator: &KeyGenerator,
-    intensity: f64,
-    interval_years: f64,
-    replicas: usize,
-    chips: usize,
-    attempts_per_chip: usize,
-    impostor_attempts_per_chip: usize,
-) -> ReplicatedLifecycleTrial {
-    let mut workspace = SweepWorkspace::new(cfg, generator, chips);
-    run_replicated_trial_on(
-        cfg,
-        generator,
-        &mut workspace,
-        intensity,
-        interval_years,
-        replicas,
-        attempts_per_chip,
-        impostor_attempts_per_chip,
-    )
-}
-
-/// The generalized lifecycle: the helper block is stored in `replicas`
-/// independently-eroding copies. Every gate and every reconstruction
-/// reads the silicon once, then tries the replicas in index order —
-/// lowest intact lineage serves, exactly the quorum-read discipline of
-/// `aro_serve`'s store — and a successful refresh rewrites *all*
-/// replicas pristine (the lifecycle's anti-entropy scrub). With
+/// Runs one (intensity, interval, replicas) point of the maintained
+/// mission on a reusable [`SweepWorkspace`]: the helper block is stored
+/// in `replicas` independently-eroding copies. Every gate and every
+/// reconstruction reads the silicon once, then tries the replicas in
+/// index order — lowest intact lineage serves, exactly the quorum-read
+/// discipline of `aro_serve`'s store — and a successful refresh rewrites
+/// *all* replicas pristine (the lifecycle's anti-entropy scrub). With
 /// `impostor_attempts_per_chip > 0`, chip *i* additionally attacks chip
 /// *i+1 mod n*'s final enrollment to measure the false-accept side.
-/// Deterministic in its arguments; `replicas = 1,
-/// impostor_attempts_per_chip = 0` reproduces [`run_trial`] byte for
-/// byte.
+///
+/// Deterministic in its arguments: the injector is coordinate-addressed
+/// and every measurement event has a stable id. Aging goes through the
+/// aged-state snapshot store ([`age_chip_snapshotted`]): every intensity
+/// walks the same per-interval aging prefixes, so only the first trial to
+/// reach a given window pays the wear physics.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub fn run_replicated_trial_on(
     cfg: &SimConfig,
@@ -567,14 +496,17 @@ pub fn run(cfg: &SimConfig) -> Report {
     for intensity in INTENSITIES {
         let mut trials = Vec::new();
         for interval_years in INTERVALS_YEARS {
-            let trial = run_trial_on(
+            let trial = run_replicated_trial_on(
                 cfg,
                 &generator,
                 &mut workspace,
                 intensity,
                 interval_years,
+                1,
                 attempts,
-            );
+                0,
+            )
+            .lifecycle;
             table.push_row(vec![
                 format!("{intensity:.2}"),
                 interval_label(interval_years),
@@ -640,11 +572,34 @@ mod tests {
             .expect("feasible")
     }
 
+    /// One trial on a fresh `chips`-chip workspace, two attempts per chip.
+    fn fresh_trial(
+        cfg: &SimConfig,
+        generator: &KeyGenerator,
+        intensity: f64,
+        interval_years: f64,
+        replicas: usize,
+        chips: usize,
+        impostor_attempts_per_chip: usize,
+    ) -> ReplicatedLifecycleTrial {
+        let mut workspace = SweepWorkspace::new(cfg, generator, chips);
+        run_replicated_trial_on(
+            cfg,
+            generator,
+            &mut workspace,
+            intensity,
+            interval_years,
+            replicas,
+            2,
+            impostor_attempts_per_chip,
+        )
+    }
+
     #[test]
     fn never_refreshing_schedules_no_gates() {
         let cfg = tiny_cfg();
         let generator = tiny_generator(&cfg);
-        let trial = run_trial(&cfg, &generator, 0.5, f64::INFINITY, 3, 2);
+        let trial = fresh_trial(&cfg, &generator, 0.5, f64::INFINITY, 1, 3, 0).lifecycle;
         assert_eq!(trial.refreshes_scheduled, 0);
         assert_eq!(trial.refreshes_succeeded, 0);
     }
@@ -653,12 +608,14 @@ mod tests {
     fn refreshing_schedules_gates_and_is_replayable() {
         let cfg = tiny_cfg();
         let generator = tiny_generator(&cfg);
-        let trial = run_trial(&cfg, &generator, 0.5, 2.5, 3, 2);
-        assert_eq!(trial.refreshes_scheduled, 3 * 3, "3 gates per chip");
-        assert!(trial.refreshes_succeeded > 0, "some gate must pass");
+        let trial = fresh_trial(&cfg, &generator, 0.5, 2.5, 1, 3, 0);
+        assert_eq!(trial.lifecycle.refreshes_scheduled, 3 * 3, "3 gates per chip");
+        assert!(trial.lifecycle.refreshes_succeeded > 0, "some gate must pass");
+        assert_eq!(trial.replica_fallbacks, 0);
+        assert_eq!(trial.impostor_attempts, 0);
         assert_eq!(
             trial,
-            run_trial(&cfg, &generator, 0.5, 2.5, 3, 2),
+            fresh_trial(&cfg, &generator, 0.5, 2.5, 1, 3, 0),
             "the lifecycle must be replayable"
         );
     }
@@ -667,8 +624,8 @@ mod tests {
     fn refreshing_never_recovers_fewer_keys_than_the_static_control() {
         let cfg = tiny_cfg();
         let generator = tiny_generator(&cfg);
-        let never = run_trial(&cfg, &generator, 1.0, f64::INFINITY, 4, 2);
-        let maintained = run_trial(&cfg, &generator, 1.0, 2.5, 4, 2);
+        let never = fresh_trial(&cfg, &generator, 1.0, f64::INFINITY, 1, 4, 0).lifecycle;
+        let maintained = fresh_trial(&cfg, &generator, 1.0, 2.5, 1, 4, 0).lifecycle;
         assert!(
             maintained.recovered >= never.recovered,
             "maintained {} vs static {}",
@@ -678,22 +635,11 @@ mod tests {
     }
 
     #[test]
-    fn single_replica_lifecycle_matches_the_unreplicated_trial() {
-        let cfg = tiny_cfg();
-        let generator = tiny_generator(&cfg);
-        let plain = run_trial(&cfg, &generator, 0.5, 2.5, 3, 2);
-        let replicated = run_replicated_trial(&cfg, &generator, 0.5, 2.5, 1, 3, 2, 0);
-        assert_eq!(replicated.lifecycle, plain, "replicas=1 must be byte-identical");
-        assert_eq!(replicated.replica_fallbacks, 0);
-        assert_eq!(replicated.impostor_attempts, 0);
-    }
-
-    #[test]
     fn replication_never_recovers_fewer_keys_and_rejects_impostors() {
         let cfg = tiny_cfg();
         let generator = tiny_generator(&cfg);
-        let one = run_replicated_trial(&cfg, &generator, 1.0, 2.5, 1, 4, 2, 1);
-        let three = run_replicated_trial(&cfg, &generator, 1.0, 2.5, 3, 4, 2, 1);
+        let one = fresh_trial(&cfg, &generator, 1.0, 2.5, 1, 4, 1);
+        let three = fresh_trial(&cfg, &generator, 1.0, 2.5, 3, 4, 1);
         assert!(
             three.lifecycle.recovered >= one.lifecycle.recovered,
             "3 replicas {} vs 1 replica {}",
@@ -705,7 +651,7 @@ mod tests {
         assert_eq!(three.impostor_accepts, 0, "FAR must be zero");
         assert_eq!(
             three,
-            run_replicated_trial(&cfg, &generator, 1.0, 2.5, 3, 4, 2, 1),
+            fresh_trial(&cfg, &generator, 1.0, 2.5, 3, 4, 1),
             "the replicated lifecycle must be replayable"
         );
     }

@@ -14,7 +14,7 @@ use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;
 use aro_device::units::YEAR;
 use aro_ecc::keygen::KeyGenerator;
-use aro_puf::{MissionProfile, PairingStrategy, PufDesign};
+use aro_puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
 
 use crate::config::SimConfig;
 use crate::experiments::exp2;
@@ -65,9 +65,9 @@ pub fn run_trial(
 
     let mut failures = 0;
     for id in 0..chips as u64 {
-        // Chip and golden come from the population cache: EXP-15's chaos
-        // sweep re-enrolls the same silicon and reads them back.
-        let mut chip = crate::popcache::fabricated_chip(&design, id);
+        // The golden comes from the population cache: EXP-15's chaos
+        // sweep re-enrolls the same silicon and reads it back.
+        let mut chip = Chip::fabricate(&design, id);
         let mut enroll_rng = design.seed_domain().child("keygen").rng(id);
         let enrollment_response = crate::popcache::golden_response(&chip, &design, &env, &pairs);
         let (key, helper) = generator.enroll(&enrollment_response, &mut enroll_rng);

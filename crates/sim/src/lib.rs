@@ -36,7 +36,6 @@ pub mod experiments;
 pub mod faultctx;
 pub mod fingerprint;
 pub mod harness;
-pub mod parallel;
 pub mod popcache;
 pub mod report;
 pub mod runner;

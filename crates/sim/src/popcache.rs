@@ -1,38 +1,40 @@
-//! Cross-experiment population cache.
+//! Run-scoped memo of pure, expensive results.
 //!
-//! `run_all` used to refabricate identical chip populations over and over:
-//! every experiment that calls [`crate::runner::build_population`] (or
-//! `Population::fabricate` directly) re-sampled the same deterministic
-//! RNG streams into the same silicon. Fabrication is a pure function of
-//! *(design, n_chips)*, so one baseline build per distinct key suffices —
-//! callers get a clone of an [`Rc`]'d pristine population and mutate that.
+//! The experiments fabricate the same silicon, measure the same standard
+//! flip timeline, solve the same ECC provisioning problem and walk the
+//! same ten-year aging prefix again and again. Each of those is a pure
+//! function of its key, so one build per key suffices and later callers
+//! get a copy.
 //!
-//! The cache is **scoped, not global**: it exists only inside a
-//! [`scoped`] region (installed by `experiments::run_all`, `run_by_id`,
-//! and the `repro` binary's experiment loop) and is dropped when the
-//! outermost scope exits. Every run therefore starts cold, which keeps
-//! repeated runs — and the observability suite's thread-count determinism
-//! comparison — byte-identical. The cache is also thread-local; worker
-//! threads inside `par_map_mut` never touch it.
+//! Every cached result lives in one `Memo`: `(key, value)` pairs in
+//! least-recently-used order with a capacity and a hit and a miss
+//! counter. A scope holds five of them:
 //!
-//! Keying compares the **full design** (style, seed domain, technology,
-//! readout, pairing bias — everything `PufDesign::eq` sees) plus the chip
-//! count. exp6's duty sweep shares a seed and style across designs that
-//! differ only in one `TechParams` field, so a narrower key would alias
-//! them; a linear scan over at most [`CAPACITY`] entries is cheaper than
-//! hashing the design anyway.
+//! | memo | key (cheap fields first) | capacity | counters |
+//! |---|---|---|---|
+//! | populations | chip count, design | [`CAPACITY`] | `sim.popcache_*` |
+//! | flip timelines | style, fault fingerprint, config | unbounded | `sim.popcache_timeline_*` |
+//! | ECC specs | BER, key bits, failure target, area params | unbounded | `sim.provision_*` |
+//! | aged-step snapshots | chip id, step prefix, design | [`SNAPSHOT_CAPACITY`] | `sim.snapshot_*` |
+//! | golden responses | chip id, environment, pairing, design | 64 | `sim.popcache_*` |
 //!
-//! Caching is **lazy**: the first request for a key passes straight
-//! through to `Population::fabricate` and only records the key; a baseline
-//! is built and retained when the *second* request for the same key
-//! arrives. Single-use designs — exp13's per-seed populations, exp6's six
-//! duty-sweep designs — therefore pay nothing (no retained copy, no extra
-//! clone), while every key that is actually reused costs one extra
-//! fabrication amortized over all subsequent hits.
+//! Keys compare the **full design** (style, seed domain, technology,
+//! readout, pairing bias — everything `PufDesign::eq` sees): exp6's duty
+//! sweep shares a seed and style across designs that differ only in one
+//! `TechParams` field, so a narrower key would alias them. A linear scan
+//! over a few dozen entries is cheaper than hashing the design anyway.
+//!
+//! The memo is **scoped, not global**: it exists only inside a [`scoped`]
+//! region (installed by `experiments::run_all`, `run_by_id`, and the
+//! `repro` binary's experiment loop) and is dropped when the outermost
+//! scope exits. Every run therefore starts cold, which keeps repeated
+//! runs — and the observability suite's thread-count determinism
+//! comparison — byte-identical. It is also thread-local; worker threads
+//! inside `par_map_mut` never touch it. Outside a scope every function
+//! here is exactly the computation it wraps.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;
@@ -43,112 +45,152 @@ use aro_puf::snapshot::{age_step_recorded, age_step_replayed, AgedStepSnapshot};
 use aro_puf::{Chip, MissionProfile, MissionStepKey, Population, PufDesign};
 
 use crate::config::SimConfig;
-use crate::runner::{build_population, measure_flip_timeline, FlipTimeline};
+use crate::runner::{design_for, measure_flip_timeline, FlipTimeline};
 
-/// Maximum retained baselines per scope (LRU beyond this). Only keys
-/// requested at least twice are ever retained; at paper scale the working
+/// Maximum retained populations per scope. At paper scale the working
 /// set is the two main-config populations plus exp6's two half-size
 /// temperature-sweep populations.
 pub const CAPACITY: usize = 8;
 
-/// Maximum remembered seen-once keys (FIFO beyond this). A key holds a
-/// `PufDesign` clone, not a population, so this bound is about lookup
-/// cost, not memory.
-const SEEN_CAPACITY: usize = 32;
-
-/// Maximum retained aged-step snapshots per scope (LRU beyond this). The
-/// lifecycle sweeps' shared ten-year timeline needs ~160 live entries
-/// (15 distinct aging prefixes × 8 chips for EXP-16, plus the single
-/// ten-year step of the EXP-8/15 population); an entry is ~20 KB of wear
-/// plus its telemetry tape (empty on un-instrumented runs).
+/// Maximum retained aged-step snapshots per scope. The lifecycle sweeps'
+/// shared ten-year timeline needs ~160 live entries (15 distinct aging
+/// prefixes × 8 chips for EXP-16, plus the single ten-year step of the
+/// EXP-8/15 population); an entry is ~20 KB of wear plus its telemetry
+/// tape (empty on un-instrumented runs).
 pub const SNAPSHOT_CAPACITY: usize = 256;
 
-/// Maximum retained single-chip baselines per scope (LRU beyond this).
-/// The lifecycle sweeps share one ~20-chip population across EXP-8 and
-/// EXP-15; a chip is a few MB of ring state, so the bound keeps the
-/// cache within one population's footprint.
-pub const CHIP_CAPACITY: usize = 24;
-
-/// Maximum retained golden responses per scope (LRU beyond this).
+/// Maximum retained golden responses per scope.
 const GOLDEN_CAPACITY: usize = 64;
 
-type Entry = (PufDesign, usize, Rc<Population>);
+/// `(key, value)` pairs, least recently used first, holding at most
+/// `capacity` entries; lookups and inserts bump the `hits` and `misses`
+/// counters.
+struct Memo<K, V> {
+    entries: Vec<(K, V)>,
+    capacity: usize,
+    hits: &'static str,
+    misses: &'static str,
+}
+
+impl<K: PartialEq, V: Clone> Memo<K, V> {
+    const fn new(capacity: usize, hits: &'static str, misses: &'static str) -> Self {
+        Self {
+            entries: Vec::new(),
+            capacity,
+            hits,
+            misses,
+        }
+    }
+
+    /// The value stored for `key`, marked most recently used.
+    fn get(&mut self, key: &K) -> Option<V> {
+        let index = self.entries.iter().position(|(k, _)| k == key)?;
+        aro_obs::counter(self.hits, 1);
+        let entry = self.entries.remove(index);
+        let value = entry.1.clone();
+        self.entries.push(entry);
+        Some(value)
+    }
+
+    /// The value stored for `key`, without touching the LRU order or the
+    /// counters.
+    fn peek(&self, key: &K) -> Option<&V> {
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Stores a freshly built value, evicting the least recently used
+    /// entry at capacity.
+    fn insert(&mut self, key: K, value: V) {
+        aro_obs::counter(self.misses, 1);
+        if self.entries.len() >= self.capacity {
+            self.entries.remove(0);
+        }
+        self.entries.push((key, value));
+    }
+}
 
 /// Identity of one ECC provisioning problem. Exact float bit patterns:
 /// provisioning is deterministic in its inputs, and two BERs that differ
 /// in the last ulp are legitimately different problems.
 type ProvisionKey = (u64, usize, u64, PufAreaParams);
 
-fn provision_key(p_bit: f64, key_bits: usize, p_fail_target: f64, puf: &PufAreaParams) -> ProvisionKey {
-    (p_bit.to_bits(), key_bits, p_fail_target.to_bits(), *puf)
-}
+/// Chip id, environment, pairing, design.
+type GoldenKey = (u64, Environment, Vec<(usize, usize)>, PufDesign);
 
-#[derive(Default)]
 struct Scope {
-    /// Baselines for keys requested at least twice, LRU-ordered (oldest
-    /// first).
-    entries: Vec<Entry>,
-    /// Keys requested exactly once, FIFO-ordered, awaiting promotion.
-    seen_once: Vec<(PufDesign, usize)>,
-    /// Memoized standard flip timelines, keyed by (config, style, fault
-    /// fingerprint) — the fingerprint is 0 when no live fault context is
-    /// installed, so zero-intensity runs share the fault-free entries. A
-    /// timeline is a few hundred bytes, so these are kept unconditionally
-    /// (no lazy promotion, no eviction) for the scope's lifetime.
-    timelines: Vec<((SimConfig, RoStyle, u64), FlipTimeline)>,
-    /// Memoized ECC design-space searches (exp5 sweeps four points; exp8
-    /// and exp14 re-derive exp5's worst-case ARO point).
-    specs: Vec<(ProvisionKey, Option<KeyGenSpec>)>,
-    /// Memoized key generators built from those searches (shared by exp8
-    /// and exp14, which provision for the same measured BER).
-    generators: Vec<(ProvisionKey, Option<KeyGenerator>)>,
-    /// Recorded aging steps, LRU-ordered (oldest first). Keyed by the
-    /// silicon identity *(design, chip id)* plus the **full step-prefix
-    /// sequence** — BTI equivalent-time accumulation is not additive, so
-    /// two different partitions of the same calendar time are different
-    /// wear histories. Fault plans are deliberately *not* part of the
-    /// key: a snapshot records per-ring coverage, and replay ages any
-    /// ring the recording and replaying trials disagree on live (see
-    /// `aro_puf::snapshot`).
-    snapshots: Vec<SnapshotEntry>,
-    /// Pristine single-chip baselines, LRU-ordered. Fabrication is a
-    /// pure function of *(design, id)*; EXP-8 and EXP-15 walk the same
-    /// chips of the same design, so the second sweep clones instead of
-    /// re-sampling the whole array.
-    chips: Vec<(PufDesign, u64, Rc<Chip>)>,
-    /// Memoized golden (noiseless) responses of pristine chips, keyed by
-    /// *(design, chip id, environment, pairing)*, LRU-ordered.
-    goldens: Vec<GoldenEntry>,
+    populations: Memo<(usize, PufDesign), Population>,
+    /// Keyed by fault fingerprint too: it is 0 when no live fault context
+    /// is installed, so zero-intensity runs share the fault-free entries.
+    timelines: Memo<(RoStyle, u64, SimConfig), FlipTimeline>,
+    specs: Memo<ProvisionKey, Option<KeyGenSpec>>,
+    /// Keyed by the silicon identity *(chip id, design)* plus the **full
+    /// step-prefix sequence** — BTI equivalent-time accumulation is not
+    /// additive, so two different partitions of the same calendar time
+    /// are different wear histories. Fault plans are deliberately *not*
+    /// part of the key: a snapshot records per-ring coverage, and replay
+    /// ages any ring the recording and replaying trials disagree on live
+    /// (see `aro_puf::snapshot`).
+    snapshots: Memo<(u64, Vec<MissionStepKey>, PufDesign), Rc<AgedStepSnapshot>>,
+    goldens: Memo<GoldenKey, BitString>,
 }
 
-struct GoldenEntry {
-    design: PufDesign,
-    chip_id: u64,
-    env: Environment,
-    pairs: Vec<(usize, usize)>,
-    golden: BitString,
-}
-
-struct SnapshotEntry {
-    design: PufDesign,
-    chip_id: u64,
-    steps: Vec<MissionStepKey>,
-    snapshot: Rc<AgedStepSnapshot>,
+impl Scope {
+    const fn new() -> Self {
+        Self {
+            populations: Memo::new(CAPACITY, "sim.popcache_hits", "sim.popcache_misses"),
+            timelines: Memo::new(
+                usize::MAX,
+                "sim.popcache_timeline_hits",
+                "sim.popcache_timeline_misses",
+            ),
+            specs: Memo::new(usize::MAX, "sim.provision_hits", "sim.provision_misses"),
+            snapshots: Memo::new(SNAPSHOT_CAPACITY, "sim.snapshot_hits", "sim.snapshot_misses"),
+            goldens: Memo::new(GOLDEN_CAPACITY, "sim.popcache_hits", "sim.popcache_misses"),
+        }
+    }
 }
 
 thread_local! {
-    /// `None` = no scope active (plain fabrication, no caching).
+    /// `None` = no scope active (plain computation, no caching).
     static CACHE: RefCell<Option<Scope>> = const { RefCell::new(None) };
 }
 
-/// Runs `f` with a population cache installed. Re-entrant: nested scopes
-/// join the outermost one instead of shadowing it, so `run_all` keeps its
+/// `build()` memoized in the active scope's `select` memo: a hit is
+/// counted on lookup, a miss on insert. Outside a scope this just builds.
+/// The cache borrow is released while building, so a build may itself
+/// use the cache.
+fn memoized<K: PartialEq, V: Clone>(
+    select: fn(&mut Scope) -> &mut Memo<K, V>,
+    key: K,
+    build: impl FnOnce() -> V,
+) -> V {
+    let cached = CACHE.with(|cache| {
+        let mut slot = cache.borrow_mut();
+        slot.as_mut().map(|scope| select(scope).get(&key))
+    });
+    match cached {
+        None => build(),
+        Some(Some(value)) => value,
+        Some(None) => {
+            let value = build();
+            CACHE.with(|cache| {
+                if let Some(scope) = cache.borrow_mut().as_mut() {
+                    select(scope).insert(key, value.clone());
+                }
+            });
+            value
+        }
+    }
+}
+
+/// Runs `f` with a cache installed. Re-entrant: nested scopes join the
+/// outermost one instead of shadowing it, so `run_all` keeps its
 /// cross-experiment cache even though each `run_by_id` opens its own scope.
 pub fn scoped<R>(f: impl FnOnce() -> R) -> R {
     let installed = CACHE.with(|cache| {
         let mut slot = cache.borrow_mut();
         if slot.is_none() {
-            *slot = Some(Scope::default());
+            *slot = Some(Scope::new());
             true
         } else {
             false
@@ -174,82 +216,47 @@ pub fn is_active() -> bool {
 }
 
 /// Fabricates (or re-uses) the population of `design` with `n_chips`
-/// chips. Inside a [`scoped`] region the second request per key builds a
-/// pristine baseline and every later request returns a clone of it;
-/// outside any scope — and on any key's first request — this is exactly
+/// chips. Inside a [`scoped`] region the first request per key retains a
+/// pristine baseline and every later request returns a clone of it —
+/// bit-identical to refabricating: same seed-derived streams, no
+/// accumulated wear. Outside any scope this is exactly
 /// `Population::fabricate`.
 #[must_use]
 pub fn fabricate(design: &PufDesign, n_chips: usize) -> Population {
-    CACHE.with(|cache| {
-        let mut slot = cache.borrow_mut();
-        let Some(scope) = slot.as_mut() else {
-            return Population::fabricate(design, n_chips);
-        };
-        if let Some(index) = scope
-            .entries
-            .iter()
-            .position(|(d, n, _)| *n == n_chips && d == design)
-        {
-            aro_obs::counter("sim.popcache_hits", 1);
-            // LRU: refresh the entry's position before handing out a clone.
-            let entry = scope.entries.remove(index);
-            let population = (*entry.2).clone();
-            scope.entries.push(entry);
-            return population;
-        }
-        aro_obs::counter("sim.popcache_misses", 1);
-        if let Some(index) = scope
-            .seen_once
-            .iter()
-            .position(|(d, n)| *n == n_chips && d == design)
-        {
-            // Second request: the key earns a retained baseline.
-            scope.seen_once.remove(index);
-            let baseline = Rc::new(Population::fabricate(design, n_chips));
-            let population = (*baseline).clone();
-            if scope.entries.len() >= CAPACITY {
-                scope.entries.remove(0);
-            }
-            scope.entries.push((design.clone(), n_chips, baseline));
-            return population;
-        }
-        // First sighting: remember the key, don't pay for a copy.
-        if scope.seen_once.len() >= SEEN_CAPACITY {
-            scope.seen_once.remove(0);
-        }
-        scope.seen_once.push((design.clone(), n_chips));
-        Population::fabricate(design, n_chips)
-    })
+    memoized(
+        |scope| &mut scope.populations,
+        (n_chips, design.clone()),
+        || Population::fabricate(design, n_chips),
+    )
 }
 
-/// Empties the active scope without tearing it down: retained baselines,
-/// seen-once keys, memoized timelines, and provisioning results are all
-/// dropped; later requests rebuild from scratch. The experiment harness
-/// calls this after catching a panic — an experiment that died mid-build
-/// may have left the cache holding entries whose construction it never
-/// finished observing, and a cold cache is always correct (every entry is
-/// a pure function of its key). No-op outside a scope.
+/// Empties the active scope without tearing it down: later requests
+/// rebuild from scratch. The experiment harness calls this after catching
+/// a panic — an experiment that died mid-build may have left the cache
+/// holding entries whose construction it never finished observing, and a
+/// cold cache is always correct (every entry is a pure function of its
+/// key). No-op outside a scope.
 pub fn reset() {
     CACHE.with(|cache| {
         if let Some(scope) = cache.borrow_mut().as_mut() {
-            *scope = Scope::default();
+            *scope = Scope::new();
             aro_obs::counter("sim.popcache_resets", 1);
         }
     });
 }
 
-/// Number of retained baselines in the active scope (0 without a scope).
-/// Exposed for cache-behavior tests.
+/// Number of retained populations in the active scope (0 without a
+/// scope). Exposed for cache-behavior tests.
 #[must_use]
 pub fn retained_baselines() -> usize {
-    CACHE.with(|cache| cache.borrow().as_ref().map_or(0, |s| s.entries.len()))
+    CACHE.with(|cache| cache.borrow().as_ref().map_or(0, |s| s.populations.entries.len()))
 }
 
 /// Number of retained aged-step snapshots in the active scope (0 without
 /// a scope). Exposed for cache-behavior tests.
 #[must_use]
 pub fn retained_snapshots() -> usize {
-    CACHE.with(|cache| cache.borrow().as_ref().map_or(0, |s| s.snapshots.len()))
+    CACHE.with(|cache| cache.borrow().as_ref().map_or(0, |s| s.snapshots.entries.len()))
 }
 
 /// The aging history a chip has walked since fabrication (or its last
@@ -279,39 +286,24 @@ impl AgeCursor {
 }
 
 thread_local! {
-    /// Per-thread override of the snapshot kill switch (tests toggle it
-    /// mid-process; the env default is read once).
-    static SNAPSHOTS_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+    /// Per-thread snapshot switch (tests toggle it mid-process).
+    static SNAPSHOTS_ENABLED: Cell<bool> = const { Cell::new(true) };
 }
 
-fn snapshots_env_default() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("ARO_SNAPSHOTS").as_deref(),
-            Ok("off" | "0" | "false")
-        )
-    })
-}
-
-/// Whether the aged-state snapshot store is live. Defaults to on; the
-/// `ARO_SNAPSHOTS=off` environment variable (or a thread-local
-/// [`set_snapshots_enabled`] override) disables it, turning
+/// Whether the aged-state snapshot store is live. Defaults to on; a
+/// thread-local [`set_snapshots_enabled`] override disables it, turning
 /// [`age_chip_snapshotted`] into a plain cold [`MissionProfile::age_chip`]
-/// — the determinism smokes byte-compare the two modes.
+/// — the snapshot-equivalence tests byte-compare the two modes.
 #[must_use]
 pub fn snapshots_enabled() -> bool {
-    SNAPSHOTS_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or_else(snapshots_env_default)
+    SNAPSHOTS_ENABLED.with(Cell::get)
 }
 
-/// Overrides the snapshot kill switch on this thread: `Some(false)`
-/// forces cold aging, `Some(true)` forces the store on, `None` restores
-/// the `ARO_SNAPSHOTS` environment default. Test-only control surface —
-/// production callers use the environment variable.
-pub fn set_snapshots_enabled(on: Option<bool>) {
-    SNAPSHOTS_OVERRIDE.with(|cell| cell.set(on));
+/// Sets the snapshot switch on this thread (on by default); `false`
+/// forces cold aging, the reference path of the snapshot-equivalence
+/// tests.
+pub fn set_snapshots_enabled(on: bool) {
+    SNAPSHOTS_ENABLED.with(|cell| cell.set(on));
 }
 
 /// [`MissionProfile::age_chip`] routed through the aged-state snapshot
@@ -342,57 +334,29 @@ pub fn age_chip_snapshotted(
         profile.age_chip(chip, design, duration_s);
         return;
     }
-    let chip_id = chip.id();
-    let hit = CACHE.with(|cache| {
-        let mut slot = cache.borrow_mut();
-        let scope = slot.as_mut()?;
-        let index = scope.snapshots.iter().position(|entry| {
-            entry.chip_id == chip_id && entry.steps == cursor.steps && entry.design == *design
-        })?;
-        // LRU: refresh the entry's position before handing out the Rc.
-        let entry = scope.snapshots.remove(index);
-        let snapshot = Rc::clone(&entry.snapshot);
-        scope.snapshots.push(entry);
-        Some(snapshot)
-    });
     // Counters stay outside the recorded tape: the tap only runs inside
-    // `age_step_recorded`, after the miss has been counted.
-    if let Some(snapshot) = hit {
-        aro_obs::counter("sim.snapshot_hits", 1);
+    // `age_step_recorded`, and the miss is counted after it returns.
+    let mut recorded = false;
+    let snapshot = memoized(
+        |scope| &mut scope.snapshots,
+        (chip.id(), cursor.steps.clone(), design.clone()),
+        || {
+            recorded = true;
+            Rc::new(age_step_recorded(chip, design, profile, duration_s))
+        },
+    );
+    if !recorded {
         age_step_replayed(chip, design, profile, duration_s, &snapshot);
-        return;
     }
-    aro_obs::counter("sim.snapshot_misses", 1);
-    let snapshot = age_step_recorded(chip, design, profile, duration_s);
-    CACHE.with(|cache| {
-        if let Some(scope) = cache.borrow_mut().as_mut() {
-            if scope.snapshots.len() >= SNAPSHOT_CAPACITY {
-                scope.snapshots.remove(0);
-            }
-            scope.snapshots.push(SnapshotEntry {
-                design: design.clone(),
-                chip_id,
-                steps: cursor.steps.clone(),
-                snapshot: Rc::new(snapshot),
-            });
-        }
-    });
 }
 
 /// Offers a chip's warm kernels to the snapshot stored for `steps`
 /// (no-op when no such snapshot exists or its hints are already filled).
 fn offer_kernel_hints(chip: &Chip, design: &PufDesign, steps: &[MissionStepKey]) {
-    let chip_id = chip.id();
+    let key = (chip.id(), steps.to_vec(), design.clone());
     let snapshot = CACHE.with(|cache| {
         let slot = cache.borrow();
-        let scope = slot.as_ref()?;
-        scope
-            .snapshots
-            .iter()
-            .find(|entry| {
-                entry.chip_id == chip_id && entry.steps == steps && entry.design == *design
-            })
-            .map(|entry| Rc::clone(&entry.snapshot))
+        slot.as_ref()?.snapshots.peek(&key).map(Rc::clone)
     });
     if let Some(snapshot) = snapshot {
         snapshot.harvest_kernel_hints(chip);
@@ -411,42 +375,6 @@ pub fn harvest_kernel_hints(chip: &Chip, design: &PufDesign, cursor: &AgeCursor)
     }
 }
 
-/// Fabricates (or clones) one chip of `design`. Inside a [`scoped`]
-/// region the first request per *(design, id)* retains a pristine
-/// baseline and every request returns a clone of it; outside a scope
-/// this is exactly [`Chip::fabricate`]. EXP-8 and EXP-15 walk the same
-/// chips of the same design, so the second sweep skips re-sampling the
-/// whole array. Active in both snapshot modes — the clone is bitwise the
-/// fabricated chip, so outputs are unchanged either way.
-#[must_use]
-pub fn fabricated_chip(design: &PufDesign, id: u64) -> Chip {
-    CACHE.with(|cache| {
-        let mut slot = cache.borrow_mut();
-        let Some(scope) = slot.as_mut() else {
-            return Chip::fabricate(design, id);
-        };
-        if let Some(index) = scope
-            .chips
-            .iter()
-            .position(|(d, i, _)| *i == id && d == design)
-        {
-            aro_obs::counter("sim.popcache_hits", 1);
-            let entry = scope.chips.remove(index);
-            let chip = (*entry.2).clone();
-            scope.chips.push(entry);
-            return chip;
-        }
-        aro_obs::counter("sim.popcache_misses", 1);
-        let baseline = Rc::new(Chip::fabricate(design, id));
-        let chip = (*baseline).clone();
-        if scope.chips.len() >= CHIP_CAPACITY {
-            scope.chips.remove(0);
-        }
-        scope.chips.push((design.clone(), id, baseline));
-        chip
-    })
-}
-
 /// [`Chip::golden_response`] memoized per scope for *pristine* chips
 /// (fresh silicon, no faults). The golden response is a pure function of
 /// *(design, chip id, environment, pairing)*; EXP-8 computes it for the
@@ -463,86 +391,39 @@ pub fn golden_response(
     if chip.age_s() != 0.0 || chip.faulted_ro_count() != 0 {
         return chip.golden_response(design, env, pairs);
     }
-    let chip_id = chip.id();
-    let cached = CACHE.with(|cache| {
-        let mut slot = cache.borrow_mut();
-        let scope = slot.as_mut()?;
-        let index = scope.goldens.iter().position(|entry| {
-            entry.chip_id == chip_id
-                && entry.env == *env
-                && entry.pairs == pairs
-                && entry.design == *design
-        })?;
-        aro_obs::counter("sim.popcache_hits", 1);
-        let entry = scope.goldens.remove(index);
-        let golden = entry.golden.clone();
-        scope.goldens.push(entry);
-        Some(golden)
-    });
-    if let Some(golden) = cached {
-        return golden;
-    }
-    let golden = chip.golden_response(design, env, pairs);
-    CACHE.with(|cache| {
-        if let Some(scope) = cache.borrow_mut().as_mut() {
-            aro_obs::counter("sim.popcache_misses", 1);
-            if scope.goldens.len() >= GOLDEN_CAPACITY {
-                scope.goldens.remove(0);
-            }
-            scope.goldens.push(GoldenEntry {
-                design: design.clone(),
-                chip_id,
-                env: *env,
-                pairs: pairs.to_vec(),
-                golden: golden.clone(),
-            });
-        }
-    });
-    golden
+    memoized(
+        |scope| &mut scope.goldens,
+        (chip.id(), *env, pairs.to_vec(), design.clone()),
+        || chip.golden_response(design, env, pairs),
+    )
 }
 
 /// The ten-year flip timeline of a style under a config — the
 /// paper-standard measurement (typical mission, standard checkpoints) that
 /// exp2, exp5, exp8, exp13 and exp14 all start from. Deterministic in
-/// *(config, style)*: the population comes from [`fabricate`] (a pristine
-/// clone or a fresh build, bit-identical either way) and every noise
-/// stream is seeded from the design, so inside a [`scoped`] region the
-/// measurement runs once per key and later callers get a memoized copy.
+/// *(config, style)*: every noise stream is seeded from the design, so
+/// inside a [`scoped`] region the measurement runs once per key and later
+/// callers get a memoized copy. Its population is fabricated directly,
+/// not through [`fabricate`]: the timeline is the result worth keeping.
 #[must_use]
 pub fn standard_flip_timeline(cfg: &SimConfig, style: RoStyle) -> FlipTimeline {
     // Fault schedules change the measurement, so a live fault context gets
     // its own cache entries (fingerprint 0 = fault-free, shared with
     // zero-intensity plans, which `faultctx::current` reports as `None`).
     let fault_fp = crate::faultctx::current().map_or(0, |inj| inj.fingerprint());
-    let cached = CACHE.with(|cache| {
-        cache.borrow().as_ref().and_then(|scope| {
-            scope
-                .timelines
-                .iter()
-                .find(|(key, _)| key.1 == style && key.2 == fault_fp && key.0 == *cfg)
-                .map(|(_, timeline)| timeline.clone())
-        })
-    });
-    if let Some(timeline) = cached {
-        aro_obs::counter("sim.popcache_timeline_hits", 1);
-        return timeline;
-    }
-    let mut population = build_population(cfg, style);
-    let profile = MissionProfile::typical(population.design().tech());
-    let timeline = measure_flip_timeline(
-        &mut population,
-        &profile,
-        &aro_puf::lifetime::standard_checkpoints(),
-    );
-    CACHE.with(|cache| {
-        if let Some(scope) = cache.borrow_mut().as_mut() {
-            aro_obs::counter("sim.popcache_timeline_misses", 1);
-            scope
-                .timelines
-                .push(((cfg.clone(), style, fault_fp), timeline.clone()));
-        }
-    });
-    timeline
+    memoized(
+        |scope| &mut scope.timelines,
+        (style, fault_fp, cfg.clone()),
+        || {
+            let mut population = Population::fabricate(&design_for(cfg, style), cfg.n_chips);
+            let profile = MissionProfile::typical(population.design().tech());
+            measure_flip_timeline(
+                &mut population,
+                &profile,
+                &aro_puf::lifetime::standard_checkpoints(),
+            )
+        },
+    )
 }
 
 /// [`search_design`] memoized per scope. The search sweeps hundreds of
@@ -555,34 +436,16 @@ pub fn provisioned_spec(
     p_fail_target: f64,
     puf: &PufAreaParams,
 ) -> Option<KeyGenSpec> {
-    let key = provision_key(p_bit, key_bits, p_fail_target, puf);
-    let cached = CACHE.with(|cache| {
-        cache.borrow().as_ref().and_then(|scope| {
-            scope
-                .specs
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, spec)| spec.clone())
-        })
-    });
-    if let Some(spec) = cached {
-        aro_obs::counter("sim.provision_hits", 1);
-        return spec;
-    }
-    let spec = search_design(p_bit, key_bits, p_fail_target, puf);
-    CACHE.with(|cache| {
-        if let Some(scope) = cache.borrow_mut().as_mut() {
-            aro_obs::counter("sim.provision_misses", 1);
-            scope.specs.push((key, spec.clone()));
-        }
-    });
-    spec
+    memoized(
+        |scope| &mut scope.specs,
+        (p_bit.to_bits(), key_bits, p_fail_target.to_bits(), *puf),
+        || search_design(p_bit, key_bits, p_fail_target, puf),
+    )
 }
 
-/// [`KeyGenerator::for_bit_error_rate`] memoized per scope, with its
-/// internal searches also routed through [`provisioned_spec`]. exp8 and
-/// exp14 both provision for the ARO design's worst-case ten-year BER;
-/// inside one run the second caller gets a clone.
+/// [`KeyGenerator::for_bit_error_rate`] with its design searches routed
+/// through [`provisioned_spec`]: exp8, exp14, exp15 and exp16 provision
+/// for the same measured BER, and only the first pays for the search.
 #[must_use]
 pub fn provisioned_generator(
     p_bit: f64,
@@ -590,66 +453,102 @@ pub fn provisioned_generator(
     p_fail_target: f64,
     puf: &PufAreaParams,
 ) -> Option<KeyGenerator> {
-    let key = provision_key(p_bit, key_bits, p_fail_target, puf);
-    let cached = CACHE.with(|cache| {
-        cache.borrow().as_ref().and_then(|scope| {
-            scope
-                .generators
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, generator)| generator.clone())
-        })
-    });
-    if let Some(generator) = cached {
-        aro_obs::counter("sim.provision_hits", 1);
-        return generator;
-    }
-    let generator =
-        KeyGenerator::for_bit_error_rate_via(provisioned_spec, p_bit, key_bits, p_fail_target, puf);
-    CACHE.with(|cache| {
-        if let Some(scope) = cache.borrow_mut().as_mut() {
-            scope.generators.push((key, generator.clone()));
-        }
-    });
-    generator
+    KeyGenerator::for_bit_error_rate_via(provisioned_spec, p_bit, key_bits, p_fail_target, puf)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use aro_circuit::ring::RoStyle;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     fn design(style: RoStyle, seed: u64) -> PufDesign {
         PufDesign::builder(style).n_ros(8).seed(seed).build()
+    }
+
+    /// Turns instrumentation on (it is process-wide) for the tests that
+    /// read counters, one at a time, and off again on drop. Counters
+    /// themselves are per thread, so each test reads only its own.
+    struct Counting {
+        _lock: MutexGuard<'static, ()>,
+    }
+    impl Counting {
+        fn start() -> Self {
+            static LOCK: Mutex<()> = Mutex::new(());
+            let _lock = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+            aro_obs::set_enabled(true);
+            let _ = aro_obs::take_scratch();
+            Self { _lock }
+        }
+    }
+    impl Drop for Counting {
+        fn drop(&mut self) {
+            aro_obs::set_enabled(false);
+        }
+    }
+
+    #[test]
+    fn memo_evicts_the_least_recently_used_counts_and_retains_nothing_unscoped() {
+        let counting = Counting::start();
+        let mut memo = Memo::new(2, "test.memo_hits", "test.memo_misses");
+        memo.insert(1, 'a');
+        memo.insert(2, 'b');
+        assert_eq!(memo.get(&1), Some('a'));
+        // 1 is the oldest insert but 2 the least recently used.
+        memo.insert(3, 'c');
+        assert_eq!(memo.get(&2), None, "the least recently used entry goes");
+        assert_eq!(memo.get(&1), Some('a'));
+        assert_eq!(memo.get(&3), Some('c'));
+        let counters = aro_obs::take_scratch();
+        assert_eq!(counters.counter("test.memo_hits"), 3);
+        assert_eq!(counters.counter("test.memo_misses"), 3);
+        drop(counting);
+
+        let d = design(RoStyle::Conventional, 10);
+        let mut builds = 0;
+        let mut request = || {
+            memoized(
+                |scope| &mut scope.populations,
+                (2, d.clone()),
+                || {
+                    builds += 1;
+                    Population::fabricate(&d, 2)
+                },
+            )
+        };
+        let _ = request();
+        let _ = request();
+        scoped(|| {
+            let _ = request();
+            let _ = request();
+            assert_eq!(retained_baselines(), 1);
+        });
+        assert_eq!(builds, 3, "unscoped requests build every time, scoped ones once");
     }
 
     #[test]
     fn scoped_reuse_is_bit_identical_to_fresh_fabrication() {
         let d = design(RoStyle::Conventional, 7);
         let fresh = Population::fabricate(&d, 3);
-        let (first, second, third) = scoped(|| {
-            let first = fabricate(&d, 3); // passthrough (first sighting)
-            let second = fabricate(&d, 3); // promotion (baseline retained)
-            let third = fabricate(&d, 3); // hit (clone of the baseline)
-            (first, second, third)
-        });
+        let (first, second) = scoped(|| (fabricate(&d, 3), fabricate(&d, 3)));
         assert_eq!(first, fresh);
         assert_eq!(second, fresh);
-        assert_eq!(third, fresh);
     }
 
     #[test]
-    fn baselines_are_retained_only_on_the_second_request() {
+    fn a_population_is_built_once_and_retained_on_its_first_request() {
+        let _counting = Counting::start();
         let d = design(RoStyle::Conventional, 8);
         scoped(|| {
-            let _ = fabricate(&d, 3);
-            assert_eq!(retained_baselines(), 0, "first sighting must not retain");
-            let _ = fabricate(&d, 3);
-            assert_eq!(retained_baselines(), 1, "second request must promote");
-            let _ = fabricate(&d, 3);
-            assert_eq!(retained_baselines(), 1);
+            for _ in 0..3 {
+                let _ = fabricate(&d, 3);
+                assert_eq!(retained_baselines(), 1);
+            }
         });
         assert_eq!(retained_baselines(), 0);
+        let counters = aro_obs::take_scratch();
+        assert_eq!(counters.counter("sim.popcache_misses"), 1);
+        assert_eq!(counters.counter("sim.popcache_hits"), 2);
     }
 
     #[test]
@@ -728,13 +627,11 @@ mod tests {
         let d = design(RoStyle::Conventional, 9);
         scoped(|| {
             let before = fabricate(&d, 2);
-            let _ = fabricate(&d, 2);
             assert_eq!(retained_baselines(), 1);
             reset();
             assert_eq!(retained_baselines(), 0);
             assert!(is_active(), "reset must not tear the scope down");
             // The cache refills and still produces identical silicon.
-            let _ = fabricate(&d, 2);
             let after = fabricate(&d, 2);
             assert_eq!(retained_baselines(), 1);
             assert_eq!(before, after);
@@ -802,12 +699,8 @@ mod tests {
     #[test]
     fn capacity_is_bounded_lru() {
         scoped(|| {
-            // Request every key twice so each one gets promoted; the LRU
-            // must still never hold more than CAPACITY baselines.
             for seed in 0..(CAPACITY as u64 + 3) {
-                let d = design(RoStyle::Conventional, seed);
-                let _ = fabricate(&d, 2);
-                let _ = fabricate(&d, 2);
+                let _ = fabricate(&design(RoStyle::Conventional, seed), 2);
             }
             assert_eq!(retained_baselines(), CAPACITY);
             // The oldest entry was evicted; requesting it again must still

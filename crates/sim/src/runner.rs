@@ -25,8 +25,7 @@ pub fn design_for(cfg: &SimConfig, style: RoStyle) -> PufDesign {
 
 /// Fabricates the population of a style under a config. Inside a
 /// [`crate::popcache::scoped`] region (every `run_all`/`run_by_id` call)
-/// repeated requests past the second clone one cached baseline instead of
-/// refabricating.
+/// repeated requests clone one cached baseline instead of refabricating.
 #[must_use]
 pub fn build_population(cfg: &SimConfig, style: RoStyle) -> Population {
     crate::popcache::fabricate(&design_for(cfg, style), cfg.n_chips)
@@ -131,7 +130,7 @@ pub fn measure_flip_timeline(
         // Aging and re-reading are per-chip independent (each chip owns
         // its RNG streams), so fan both out across cores; results land by
         // index, keeping the run bit-identical to sequential.
-        let rates: Vec<f64> = crate::parallel::par_map_mut(population.chips_mut(), |i, chip| {
+        let rates: Vec<f64> = aro_par::par_map_mut(population.chips_mut(), |i, chip| {
             profile.age_chip(chip, &design, step);
             // Transient faults for THIS chip's re-read at THIS checkpoint.
             let (burst_design, meas_env) = match inj {

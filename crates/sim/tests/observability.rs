@@ -7,7 +7,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use aro_obs::json::{self, Value};
 use aro_sim::experiments::run_by_id;
-use aro_sim::parallel::set_thread_override;
+use aro_par::set_thread_override;
 use aro_sim::SimConfig;
 
 /// Enablement, the sink, the span timing table and the thread override are

@@ -19,6 +19,11 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark package (benchmark/, its own workspace) calls into the
+# crates' public API; its tests fail when a crate change breaks a call.
+echo "==> cargo test (benchmark package)"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 # Bench smoke: run each microbenchmark once (the vendored criterion runs a
 # single iteration when invoked without `--bench`), proving the bench
 # harness still compiles and executes. Full timing comparisons live in
@@ -56,24 +61,6 @@ if [[ "$lifecycle" -ne 0 && "$lifecycle" -ne 3 ]]; then
     exit 1
 fi
 echo "lifecycle smoke exit: $lifecycle"
-
-# Snapshot-determinism smoke: the aged-state snapshot store must be
-# invisible in the output bytes. Run the snapshot-heavy lifecycle sweep
-# once through the store and once with it killed (ARO_SNAPSHOTS=off
-# routes every step through plain cold aging) and require identical
-# stdout. See docs/PERFORMANCE.md ("Aged-state snapshots").
-echo "==> snapshot smoke (ARO_SNAPSHOTS=off vs on, byte-compare)"
-snap_dir="$(mktemp -d /tmp/aro-verify-snap.XXXXXX)"
-./target/release/repro --quick exp16 > "$snap_dir/snapshotted.md"
-ARO_SNAPSHOTS=off ./target/release/repro --quick exp16 > "$snap_dir/cold.md"
-if ! cmp -s "$snap_dir/snapshotted.md" "$snap_dir/cold.md"; then
-    echo "verify: snapshotted exp16 differs from cold-aged exp16" >&2
-    diff "$snap_dir/snapshotted.md" "$snap_dir/cold.md" | head -20 >&2
-    rm -rf "$snap_dir"
-    exit 1
-fi
-rm -rf "$snap_dir"
-echo "snapshot smoke: snapshotted run byte-identical to cold run"
 
 # Ledger smoke: the checkpoint/resume contract, end to end on the real
 # binary. Run two experiments with a fresh ledger but "interrupt" after

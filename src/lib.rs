@@ -18,6 +18,7 @@
 //! * [`ledger`] — the crash-safe run journal behind `repro --ledger` /
 //!   `--resume` and the `repro report` analyses (see
 //!   `docs/OBSERVABILITY.md`).
+//! * [`par`] — deterministic data parallelism (`--threads N`).
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the architecture.
 
@@ -27,6 +28,7 @@ pub use aro_ecc as ecc;
 pub use aro_faults as faults;
 pub use aro_ledger as ledger;
 pub use aro_metrics as metrics;
+pub use aro_par as par;
 pub use aro_puf as puf;
 pub use aro_serve as serve;
 pub use aro_sim as sim;

@@ -12,7 +12,7 @@ use aro_puf_repro::faults::{FaultInjector, FaultPlan};
 use aro_puf_repro::puf::MissionProfile;
 use aro_puf_repro::sim::experiments::{run_by_id, ALL_IDS};
 use aro_puf_repro::sim::harness::{run_experiments, HarnessOptions};
-use aro_puf_repro::sim::parallel::set_thread_override;
+use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::sim::runner::{build_population, measure_flip_timeline, FlipTimeline};
 use aro_puf_repro::sim::{faultctx, popcache, SimConfig};
 use proptest::prelude::*;

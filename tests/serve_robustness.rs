@@ -18,7 +18,7 @@ use aro_puf_repro::serve::{
     ShardedStore, StoredRecord, Verdict,
 };
 use aro_puf_repro::sim::experiments::run_by_id;
-use aro_puf_repro::sim::parallel::set_thread_override;
+use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::sim::servefleet::FleetWorkspace;
 use aro_puf_repro::sim::{faultctx, popcache, SimConfig};
 use proptest::prelude::*;

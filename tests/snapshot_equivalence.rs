@@ -16,7 +16,7 @@ use aro_puf_repro::ledger::record::LedgerRecord;
 use aro_puf_repro::puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
 use aro_puf_repro::sim::experiments::run_by_id;
 use aro_puf_repro::sim::fingerprint::experiment_fingerprint;
-use aro_puf_repro::sim::parallel::set_thread_override;
+use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::sim::popcache::{self, age_chip_snapshotted, AgeCursor};
 use aro_puf_repro::sim::{faultctx, SimConfig};
 use proptest::prelude::*;
@@ -34,7 +34,7 @@ struct Cleanup;
 impl Drop for Cleanup {
     fn drop(&mut self) {
         set_thread_override(0);
-        popcache::set_snapshots_enabled(None);
+        popcache::set_snapshots_enabled(true);
         aro_obs::set_enabled(false);
         aro_obs::reset();
     }
@@ -74,7 +74,7 @@ fn experiment_run(
     snapshots: bool,
 ) -> (String, String) {
     set_thread_override(threads);
-    popcache::set_snapshots_enabled(Some(snapshots));
+    popcache::set_snapshots_enabled(snapshots);
     aro_obs::reset();
     aro_obs::set_enabled(true);
     let injector = (!plan.is_off()).then(|| Arc::new(FaultInjector::new(plan, cfg.seed)));
@@ -84,7 +84,7 @@ fn experiment_run(
     aro_obs::set_enabled(false);
     let dump = dump_sans_snapshot_counters();
     set_thread_override(0);
-    popcache::set_snapshots_enabled(None);
+    popcache::set_snapshots_enabled(true);
     (format!("{report}"), dump)
 }
 
@@ -122,8 +122,8 @@ fn exp16_snapshotted_matches_cold_at_every_thread_count_and_plan() {
     }
 }
 
-/// EXP-8 and EXP-15 share the snapshot store (and the chip/golden
-/// caches) with EXP-16; the same on-vs-off contract holds for them.
+/// EXP-8 and EXP-15 share the snapshot store (and the golden memo) with
+/// EXP-16; the same on-vs-off contract holds for them.
 #[test]
 fn exp8_and_exp15_snapshotted_match_cold() {
     let _guard = lock();
@@ -149,7 +149,7 @@ fn ledger_fingerprints_are_snapshot_mode_invariant() {
     let cfg = small_cfg();
 
     let fingerprint_with = |snapshots: bool| {
-        popcache::set_snapshots_enabled(Some(snapshots));
+        popcache::set_snapshots_enabled(snapshots);
         let fp = experiment_fingerprint(&cfg, 0, "exp16");
         let record = LedgerRecord::success(
             fp,
@@ -160,7 +160,7 @@ fn ledger_fingerprints_are_snapshot_mode_invariant() {
             Vec::new(),
             std::collections::BTreeMap::new(),
         );
-        popcache::set_snapshots_enabled(None);
+        popcache::set_snapshots_enabled(true);
         (fp, record.fingerprint)
     };
     assert_eq!(fingerprint_with(true), fingerprint_with(false));
@@ -178,7 +178,7 @@ fn walk(
     chip_id: u64,
     faults: &[(usize, RoHealth)],
 ) -> (Chip, Vec<Vec<(bool, f64)>>) {
-    let mut chip = popcache::fabricated_chip(design, chip_id);
+    let mut chip = Chip::fabricate(design, chip_id);
     for &(slot, health) in faults {
         chip.set_ro_health(slot, health);
     }
@@ -214,7 +214,7 @@ proptest! {
         let steps = vec![10.0 * YEAR / granularity as f64; granularity];
 
         let run = |snapshots: bool| {
-            popcache::set_snapshots_enabled(Some(snapshots));
+            popcache::set_snapshots_enabled(snapshots);
             aro_obs::reset();
             aro_obs::set_enabled(true);
             let out = popcache::scoped(|| {
@@ -227,7 +227,7 @@ proptest! {
             });
             aro_obs::set_enabled(false);
             let dump = dump_sans_snapshot_counters();
-            popcache::set_snapshots_enabled(None);
+            popcache::set_snapshots_enabled(true);
             (out, dump)
         };
         let cold = run(false);
@@ -261,16 +261,16 @@ proptest! {
         ];
 
         // Cold truth: a fault-free walk with the store disabled.
-        popcache::set_snapshots_enabled(Some(false));
+        popcache::set_snapshots_enabled(false);
         let cold = popcache::scoped(|| walk(&design, &profile, &env, &pairs, &steps, 0, &[]));
 
         // Snapshotted: record under the faulted "plan", replay fault-free.
-        popcache::set_snapshots_enabled(Some(true));
+        popcache::set_snapshots_enabled(true);
         let replayed = popcache::scoped(|| {
             let _ = walk(&design, &profile, &env, &pairs, &steps, 0, &faults);
             walk(&design, &profile, &env, &pairs, &steps, 0, &[])
         });
-        popcache::set_snapshots_enabled(None);
+        popcache::set_snapshots_enabled(true);
         prop_assert_eq!(&replayed, &cold, "stale faulted wear leaked into a fault-free replay");
     }
 }
