@@ -2,9 +2,9 @@
 //! the precomputed frequency kernel (cached query vs forced rebuild),
 //! parallel population fabrication, and one aging-timeline checkpoint.
 //!
-//! Compare against `BENCH_baseline.json` at the workspace root with
-//! `scripts/bench_check.sh`; the end-to-end numbers live in
-//! `docs/PERFORMANCE.md`.
+//! Run with `cargo bench -p aro-bench --bench perf_hotpath`. These time
+//! unit operations; end-to-end wall, CPU and memory come from the
+//! `aro-perf` benchmark (`benchmark/`, see `docs/PERFORMANCE.md`).
 
 use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;

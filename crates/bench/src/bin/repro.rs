@@ -9,7 +9,6 @@
 //! repro --telemetry run.jsonl    # JSON-lines span/metric telemetry
 //! repro --audit --telemetry run.jsonl exp18  # request-scoped serve audit trail
 //! repro --metrics                # print the instrumented run summary
-//! repro --bench-json BENCH_run.json  # per-experiment wall-time dump
 //! repro --threads 4              # force the worker-thread count
 //! repro --replicas 3             # store replication factor (serve modes)
 //! repro --faults smoke           # run under an injected-fault plan
@@ -22,9 +21,8 @@
 //! repro --resume run.ledger      # resume: replay completed experiments
 //!                                # from the journal, run only the rest
 //! repro report profile run.jsonl # span-tree profile of a telemetry file
-//! repro report diff OLD NEW      # wall-time/metric deltas, exit 5 on
-//!                                # regression past --threshold
-//! repro report trajectory DIR    # fold BENCH_*.json into a time series
+//! repro report diff OLD NEW      # ledger wall-time/metric deltas, exit 5
+//!                                # on regression past --threshold
 //! repro report incidents run.jsonl  # serve-audit forensics (root causes,
 //!                                # quarantine post-mortems, timelines)
 //! repro report slo run.jsonl     # windowed availability & latency burn
@@ -166,7 +164,6 @@ fn usage() -> String {
          \x20                      per verification, byte-identical at any\n\
          \x20                      --threads N; requires --telemetry\n\
          \x20 --metrics            print the instrumented run summary tables\n\
-         \x20 --bench-json PATH    write per-experiment wall times as JSON\n\
          \x20 --threads N          force N worker threads (1 = sequential,\n\
          \x20                      results are bit-identical at any count)\n\
          \x20 --replicas N         enrollment-store replication factor for\n\
@@ -196,8 +193,8 @@ fn usage() -> String {
          \n\
          analysis (see `repro report --help`):\n\
          \x20 report profile PATH [--top K]     span-tree telemetry profile\n\
-         \x20 report diff OLD NEW [--threshold F]  wall-time/metric deltas\n\
-         \x20 report trajectory DIR             BENCH_*.json time series\n\
+         \x20 report diff OLD NEW [--threshold F]  ledger wall-time/metric\n\
+         \x20                                   deltas\n\
          \x20 report health PATH...             deterministic fleet-health\n\
          \x20                                   tables (BER / decode-margin /\n\
          \x20                                   HD percentiles, cache rates)\n\
@@ -228,7 +225,6 @@ struct Options {
     csv_dir: Option<PathBuf>,
     telemetry: Option<PathBuf>,
     audit: bool,
-    bench_json: Option<PathBuf>,
     threads: Option<usize>,
     replicas: Option<usize>,
     faults: Option<FaultPlan>,
@@ -256,7 +252,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
         csv_dir: None,
         telemetry: None,
         audit: false,
-        bench_json: None,
         threads: None,
         replicas: None,
         faults: None,
@@ -296,12 +291,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
                 opts.telemetry = Some(PathBuf::from(path));
             }
             "--audit" => opts.audit = true,
-            "--bench-json" => {
-                let path = args
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--bench-json expects a path".into()))?;
-                opts.bench_json = Some(PathBuf::from(path));
-            }
             "--threads" => {
                 let value = args
                     .next()
@@ -451,78 +440,6 @@ fn ledger_header(cfg: &SimConfig, quick: bool, fault_spec: Option<&str>) -> Stri
     )
 }
 
-/// The `BENCH_*.json` perf-trajectory dump: schema tag, configuration,
-/// per-experiment wall times in nanoseconds, and derived cache hit rates
-/// (consumers tolerate unknown keys, so `derived` is schema-compatible).
-fn bench_json(
-    cfg: &SimConfig,
-    quick: bool,
-    wall: &[(String, u128)],
-    registry: &aro_obs::Registry,
-) -> String {
-    let mut out = String::from("{\n  \"schema\": \"aro-bench-v1\",\n");
-    out.push_str(&format!(
-        "  \"config\": {{\"chips\": {}, \"ros\": {}, \"seed\": {}, \"quick\": {}}},\n",
-        cfg.n_chips, cfg.n_ros, cfg.seed, quick
-    ));
-    out.push_str("  \"experiments\": [\n");
-    for (i, (id, ns)) in wall.iter().enumerate() {
-        let comma = if i + 1 == wall.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"id\": {}, \"wall_ns\": {ns}}}{comma}\n",
-            aro_obs::json::escape(id)
-        ));
-    }
-    let total: u128 = wall.iter().map(|(_, ns)| ns).sum();
-    out.push_str(&format!("  ],\n  \"total_wall_ns\": {total}"));
-    let rates: Vec<(&str, String)> = [
-        ("popcache_hit_rate", "sim.popcache_hits", "sim.popcache_misses"),
-        (
-            "popcache_timeline_hit_rate",
-            "sim.popcache_timeline_hits",
-            "sim.popcache_timeline_misses",
-        ),
-        ("provision_hit_rate", "sim.provision_hits", "sim.provision_misses"),
-        ("snapshot_hit_rate", "sim.snapshot_hits", "sim.snapshot_misses"),
-    ]
-    .into_iter()
-    .filter_map(|(key, hits_name, misses_name)| {
-        let hits = registry.counter(hits_name);
-        let misses = registry.counter(misses_name);
-        #[allow(clippy::cast_precision_loss)]
-        ((hits + misses) > 0)
-            .then(|| (key, format!("{:.4}", hits as f64 / (hits + misses) as f64)))
-    })
-    .collect();
-    if !rates.is_empty() {
-        out.push_str(",\n  \"derived\": {");
-        for (i, (key, rate)) in rates.iter().enumerate() {
-            let comma = if i + 1 == rates.len() { "" } else { "," };
-            out.push_str(&format!("\n    \"{key}\": {rate}{comma}"));
-        }
-        out.push_str("\n  }");
-    }
-    // serve-bench sweep points publish `serve.bench.*` gauges (auths/sec,
-    // exact p50/p99 simulated µs, quarantine/re-admit tallies); surfacing
-    // them here lets `report diff` / `report trajectory` track service
-    // throughput alongside wall times. Name-sorted for byte-stable dumps.
-    let mut serve: Vec<(&str, f64)> = registry
-        .gauges()
-        .filter(|(name, _)| name.starts_with("serve.bench."))
-        .collect();
-    serve.sort_by(|a, b| a.0.cmp(b.0));
-    if !serve.is_empty() {
-        out.push_str(",\n  \"serve\": {");
-        for (i, (name, value)) in serve.iter().enumerate() {
-            let comma = if i + 1 == serve.len() { "" } else { "," };
-            out.push_str(&format!("\n    \"{name}\": {value}{comma}"));
-        }
-        out.push_str("\n  }");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 /// Prints one line to stdout, exiting quietly with the conventional
 /// SIGPIPE status when a downstream consumer (e.g. `| head`) has closed
 /// the pipe — `println!` would panic instead.
@@ -551,10 +468,7 @@ fn run(opts: &Options) -> Result<i32, CliError> {
         (None, Some(path)) => Some(Ledger::open(path).map_err(CliError::io("open ledger", path))?),
         _ => None,
     };
-    let instrumented = opts.telemetry.is_some()
-        || opts.bench_json.is_some()
-        || opts.metrics
-        || ledger.is_some();
+    let instrumented = opts.telemetry.is_some() || opts.metrics || ledger.is_some();
     if instrumented {
         aro_obs::set_enabled(true);
         aro_obs::reset();
@@ -643,13 +557,11 @@ fn run(opts: &Options) -> Result<i32, CliError> {
         eprintln!("repro: ledger append failed (run unaffected): {error}");
     }
 
-    let mut wall: Vec<(String, u128)> = Vec::with_capacity(outcome.successes.len());
     // `serve-bench` reports carry a marker note when the service finished
     // a sweep point outside its healthy state; that maps to exit 3
     // (degraded-but-served) for fresh and ledger-replayed runs alike.
     let mut serve_degraded = false;
     for success in &outcome.successes {
-        wall.push((success.id.clone(), success.wall.as_nanos()));
         if success.id == "serve-bench"
             && success
                 .report
@@ -692,12 +604,6 @@ fn run(opts: &Options) -> Result<i32, CliError> {
             }
         }
     }
-
-    if let Some(path) = &opts.bench_json {
-        // Scratch is still populated: the flush above copies, not drains.
-        let json = bench_json(&opts.cfg, opts.quick, &wall, &aro_obs::snapshot());
-        std::fs::write(path, json).map_err(CliError::io("write bench json", path))?;
-    }
     Ok(if outcome.is_total_failure() {
         4
     } else if outcome.is_degraded() || serve_degraded {
@@ -710,7 +616,7 @@ fn run(opts: &Options) -> Result<i32, CliError> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // `repro report …` is a separate, run-free mode: offline analysis
-    // over ledgers, telemetry captures, and bench dumps.
+    // over ledgers and telemetry captures.
     if args.first().map(String::as_str) == Some("report") {
         std::process::exit(aro_bench::report_cli::run(&args[1..]));
     }

@@ -1,35 +1,9 @@
-//! Shared helpers for the ARO-PUF benchmark harness.
+//! The `repro` binary and its offline `repro report` analyses.
 //!
-//! The real deliverables live next door: the [`repro`
-//! binary](../src/bin/repro.rs) regenerates every table and figure of the
-//! paper (`cargo run --release -p aro-bench --bin repro`), and the
-//! Criterion benches (`cargo bench -p aro-bench`) time each experiment's
-//! kernel at a reduced scale — one bench target per paper table/figure,
-//! plus microbenches of the hot kernels.
+//! The [`repro` binary](../src/bin/repro.rs) regenerates every table and
+//! figure of the paper (`cargo run --release -p aro-bench --bin repro`).
+//! The Criterion benches (`cargo bench -p aro-bench`) time unit operations
+//! of the hot kernels; end-to-end timing lives in the `aro-perf`
+//! benchmark (`benchmark/`).
 
 pub mod report_cli;
-
-use aro_sim::SimConfig;
-
-/// The configuration benches run at: quick scale, so `cargo bench`
-/// completes in minutes while still executing the full physics.
-#[must_use]
-pub fn bench_config() -> SimConfig {
-    SimConfig::quick()
-}
-
-/// The configuration the `repro` binary runs at: paper scale.
-#[must_use]
-pub fn paper_config() -> SimConfig {
-    SimConfig::paper()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_config_is_quick() {
-        assert!(bench_config().n_chips < paper_config().n_chips);
-    }
-}

@@ -1,23 +1,20 @@
 //! `repro report` — offline analysis over the artefacts a run leaves
-//! behind: telemetry JSONL captures, run ledgers, and `BENCH_*.json`
-//! wall-time dumps.
+//! behind: telemetry JSONL captures and run ledgers.
 //!
 //! ```text
 //! repro report profile run.jsonl [--top K]
 //! repro report diff OLD NEW [--threshold F]
-//! repro report trajectory DIR
 //! repro report health PATH...
 //! repro report trace run.jsonl
 //! repro report incidents run.jsonl
 //! repro report slo run.jsonl [--window N] [--availability-slo F] [--latency-slo-us N]
 //! ```
 //!
-//! `diff` is the regression gate: it exits 5 when any experiment's wall
-//! time regressed past the threshold (default +20 %), which is what
-//! `scripts/bench_check.sh` keys on. Either side may be a bench JSON or a
-//! ledger; ledger sides additionally contribute per-experiment metric
-//! drift to the output, and health drift when both carry summaries
-//! (degradations warn on stderr — the exit code stays wall-time-driven).
+//! `diff` compares two run ledgers: it exits 5 when any experiment's wall
+//! time regressed past the threshold (default +20 %), and it also lists
+//! per-experiment metric drift and, when both sides carry summaries,
+//! health drift (degradations warn on stderr — the exit code stays
+//! wall-time-driven). A non-ledger input exits 1.
 //!
 //! `health` folds telemetry captures and/or ledgers into the fleet-health
 //! tables (streaming percentiles, per-experiment summaries, cache hit
@@ -34,7 +31,7 @@
 
 use std::path::{Path, PathBuf};
 
-use aro_ledger::{diff, health, incidents, profile, slo, trace, trajectory};
+use aro_ledger::{diff, health, incidents, profile, slo, trace};
 
 /// Exit code `repro report diff` uses for "regression past threshold".
 pub const EXIT_REGRESSION: i32 = 5;
@@ -48,13 +45,10 @@ fn usage() -> String {
      \x20                               self vs child time, top-K hot spans\n\
      \x20                               (default K = 10)\n\
      \x20 diff OLD NEW [--threshold F]  per-experiment wall-time and metric\n\
-     \x20                               deltas between two runs; OLD/NEW are\n\
-     \x20                               BENCH_*.json dumps or run ledgers.\n\
+     \x20                               deltas between two run ledgers.\n\
      \x20                               Exits 5 when any experiment's wall\n\
      \x20                               time exceeds OLD * (1 + F)\n\
      \x20                               (default F = 0.2)\n\
-     \x20 trajectory DIR                fold the BENCH_*.json captures in\n\
-     \x20                               DIR into a perf time-series table\n\
      \x20 health PATH...                deterministic fleet-health tables\n\
      \x20                               (BER / decode-margin / HD\n\
      \x20                               percentiles, cache hit rates) from\n\
@@ -105,7 +99,6 @@ pub fn run(args: &[String]) -> i32 {
     match sub.as_str() {
         "profile" => run_profile(&args[1..]),
         "diff" => run_diff(&args[1..]),
-        "trajectory" => run_trajectory(&args[1..]),
         "health" => run_health(&args[1..]),
         "trace" => run_trace(&args[1..]),
         "incidents" => run_incidents(&args[1..]),
@@ -320,22 +313,6 @@ fn run_slo(args: &[String]) -> i32 {
     match slo::slo_file(&path) {
         Ok(report) => {
             emit(report.to_markdown(&policy));
-            0
-        }
-        Err(e) => {
-            eprintln!("repro report: {e}");
-            1
-        }
-    }
-}
-
-fn run_trajectory(args: &[String]) -> i32 {
-    let [dir] = args else {
-        return fail_usage("trajectory expects exactly one directory");
-    };
-    match trajectory::scan_dir(Path::new(dir)) {
-        Ok(trajectory) => {
-            emit(trajectory.to_markdown());
             0
         }
         Err(e) => {

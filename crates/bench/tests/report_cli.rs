@@ -1,7 +1,8 @@
-//! End-to-end tests for `repro report health` and `repro report trace`:
-//! the fleet-health table must be byte-identical at any `--threads N`
-//! and across reruns, and the trace export must be valid Chrome-trace
-//! JSON.
+//! End-to-end tests for `repro report`: the fleet-health table must be
+//! byte-identical at any `--threads N` and across reruns, the trace
+//! export must be valid Chrome-trace JSON, and the serve audit capture
+//! behind `incidents`/`slo` must hold its schema invariants and render
+//! identically at any thread count.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -177,12 +178,89 @@ fn audited_capture(dir: &std::path::Path, threads: &str) -> PathBuf {
     telemetry
 }
 
+/// Checks the audit JSONL's schema invariants: `seq` strictly increases,
+/// every request chain (`request`/`store_read`/`attempt`/`verdict` lines
+/// sharing a 16-hex-digit `req`) opens with its one `request` and holds
+/// at most one `verdict`, and verdicts, scrub outcomes and store-health
+/// states come from their closed sets, with at least one verdict.
+fn assert_audit_chains_well_formed(jsonl: &str) {
+    const VERDICTS: [&str; 6] = [
+        "accepted",
+        "rejected",
+        "timed_out",
+        "corrupt_record",
+        "missing",
+        "malformed",
+    ];
+    const SCRUB_OUTCOMES: [&str; 2] = ["read_repair", "unrecoverable"];
+    const STORE_HEALTH: [&str; 3] = ["intact", "replica-degraded", "quorum-critical"];
+    let field = |ev: &Value, key: &str| -> String {
+        ev.get(key)
+            .and_then(Value::as_str)
+            .unwrap_or_else(|| panic!("audit line without string `{key}`"))
+            .to_string()
+    };
+    let mut last_seq: Option<u64> = None;
+    let mut chains: std::collections::BTreeMap<String, Vec<String>> = Default::default();
+    let mut verdicts = 0;
+    for line in jsonl.lines().filter(|l| l.contains("\"event\":\"audit\"")) {
+        let ev = json::parse(line).unwrap_or_else(|e| panic!("bad audit line {line:?}: {e}"));
+        let seq = ev.get("seq").and_then(Value::as_u64).expect("audit seq");
+        assert!(Some(seq) > last_seq, "seq {seq} after {last_seq:?}");
+        last_seq = Some(seq);
+        let stage = field(&ev, "stage");
+        match stage.as_str() {
+            "request" | "store_read" | "attempt" | "verdict" => {
+                let req = field(&ev, "req");
+                assert!(
+                    req.len() == 16 && req.chars().all(|c| c.is_ascii_hexdigit()),
+                    "bad request id {req:?}"
+                );
+                if stage == "verdict" {
+                    verdicts += 1;
+                    let verdict = field(&ev, "verdict");
+                    assert!(VERDICTS.contains(&verdict.as_str()), "verdict {verdict}");
+                }
+                chains.entry(req).or_default().push(stage);
+            }
+            "scrub" => {
+                let outcome = field(&ev, "outcome");
+                assert!(
+                    SCRUB_OUTCOMES.contains(&outcome.as_str()),
+                    "scrub outcome {outcome}"
+                );
+            }
+            "store_health" => {
+                for key in ["from", "to"] {
+                    let state = field(&ev, key);
+                    assert!(
+                        STORE_HEALTH.contains(&state.as_str()),
+                        "store health {state}"
+                    );
+                }
+            }
+            _ => {}
+        }
+    }
+    for (req, stages) in &chains {
+        assert_eq!(
+            stages[0], "request",
+            "{req} must open with its request: {stages:?}"
+        );
+        let count = |name: &str| stages.iter().filter(|s| *s == name).count();
+        assert_eq!(count("request"), 1, "{req}: {stages:?}");
+        assert!(count("verdict") <= 1, "{req}: {stages:?}");
+    }
+    assert!(verdicts > 0, "the audit capture carried no verdicts");
+}
+
 #[test]
 fn report_incidents_and_slo_are_byte_identical_across_thread_counts() {
     let dir1 = scratch_dir("audit1");
     let dir4 = scratch_dir("audit4");
     let t1 = audited_capture(&dir1, "1");
     let t4 = audited_capture(&dir4, "4");
+    assert_audit_chains_well_formed(&std::fs::read_to_string(&t1).expect("audit capture"));
 
     let inc1 = repro(&["report", "incidents", t1.to_str().unwrap()]);
     let inc4 = repro(&["report", "incidents", t4.to_str().unwrap()]);

@@ -1,8 +1,16 @@
 //! End-to-end tests for the `repro` binary: exit codes, usage output, and
-//! the telemetry / bench-json artifacts.
+//! the telemetry artifact.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use aro_sim::experiments::ALL_IDS;
+use aro_sim::servefleet::N_SHARDS;
+
+/// Every id `repro` runs: the paper experiments plus the serve mode.
+fn every_id() -> impl Iterator<Item = &'static str> {
+    ALL_IDS.iter().copied().chain(["serve-bench"])
+}
 
 fn repro(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -23,8 +31,14 @@ fn unknown_option_exits_2_with_usage() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown option `--bogus`"), "{err}");
-    assert!(err.contains("usage: repro"), "{err}");
-    assert!(err.contains("exp17"), "usage must list exp1..exp17: {err}");
+    let usage = err
+        .lines()
+        .find(|l| l.starts_with("usage: repro"))
+        .unwrap_or_else(|| panic!("no usage line: {err}"));
+    let listed: Vec<&str> = usage.split([' ', '[', ']', '|']).collect();
+    for id in every_id() {
+        assert!(listed.contains(&id), "usage must list {id}: {usage}");
+    }
 }
 
 #[test]
@@ -41,6 +55,22 @@ fn bad_seed_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--seed expects an integer"), "{err}");
+}
+
+#[test]
+fn out_of_range_replicas_exit_2_naming_the_bound() {
+    let out = repro(&["--quick", "--quiet", "--replicas", "0", "serve-bench"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--replicas expects a positive count"), "{err}");
+
+    let out = repro(&["--quick", "--quiet", "--replicas", "9", "serve-bench"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains(&format!("--replicas expects at most {N_SHARDS}")),
+        "{err}"
+    );
 }
 
 #[test]
@@ -64,25 +94,22 @@ fn list_names_every_experiment() {
     let out = repro(&["--list"]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for i in 1..=17 {
+    for id in every_id() {
         assert!(
-            stdout.lines().any(|l| l.starts_with(&format!("exp{i} "))),
-            "missing exp{i} in --list output"
+            stdout.lines().any(|l| l.starts_with(&format!("{id} "))),
+            "missing {id} in --list output"
         );
     }
 }
 
 #[test]
-fn quick_run_emits_telemetry_and_bench_json() {
+fn quick_run_emits_telemetry() {
     let telemetry = temp_path("t.jsonl");
-    let bench = temp_path("bench.json");
     let out = repro(&[
         "--quick",
         "exp1",
         "--telemetry",
         telemetry.to_str().unwrap(),
-        "--bench-json",
-        bench.to_str().unwrap(),
         "--quiet",
     ]);
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
@@ -93,15 +120,13 @@ fn quick_run_emits_telemetry_and_bench_json() {
     for line in jsonl.lines() {
         aro_obs::json::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
     }
-
-    let bench_text = std::fs::read_to_string(&bench).expect("bench json written");
-    let doc = aro_obs::json::parse(&bench_text).expect("bench json parses");
-    assert_eq!(
-        doc.get("schema").and_then(aro_obs::json::Value::as_str),
-        Some("aro-bench-v1")
-    );
-    assert!(doc.get("total_wall_ns").is_some());
-
     let _ = std::fs::remove_file(telemetry);
-    let _ = std::fs::remove_file(bench);
+}
+
+#[test]
+fn removed_wall_time_capture_and_trajectory_are_usage_errors() {
+    let out = repro(&["--quick", "exp1", "--bench-json", "x"]);
+    assert_eq!(out.status.code(), Some(2));
+    let out = repro(&["report", "trajectory", "."]);
+    assert_eq!(out.status.code(), Some(2));
 }

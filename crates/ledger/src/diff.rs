@@ -1,35 +1,32 @@
 //! `repro report diff` — per-experiment wall-time and metric deltas
-//! between two runs, with a configurable regression threshold.
+//! between two run ledgers, with a configurable regression threshold.
 //!
-//! Either side may be a `BENCH_*.json` capture (wall times only) or a run
-//! ledger JSONL (wall times **and** per-experiment metric aggregates).
-//! Wall-time comparisons drive the regression verdict; metric deltas are
-//! reported so run-to-run drift in *work done* (counter changes) is
-//! machine-visible even when timing noise hides it.
+//! Each side is a run ledger JSONL: per-experiment wall times, counter
+//! aggregates and health summaries. Wall-time comparisons drive the
+//! regression verdict; metric deltas are reported so run-to-run drift in
+//! *work done* (counter changes) is machine-visible even when timing
+//! noise hides it.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use crate::bench::parse_bench;
 use crate::health::{fmt_stat, HealthStat};
 use crate::journal::parse_records;
 use crate::md::{ms, pct_delta, MdTable};
 use crate::record::RecordStatus;
 
-/// One side of a diff: per-experiment wall times (order preserved) and,
-/// for ledgers, per-experiment metric aggregates.
+/// One side of a diff: per-experiment wall times (order preserved),
+/// metric aggregates and health summaries.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WallSet {
     /// Display label (the file name).
     pub label: String,
     /// `(experiment id, wall_ns)` in source order.
     pub experiments: Vec<(String, u64)>,
-    /// Per-experiment counter aggregates (ledger sources only).
+    /// Per-experiment counter aggregates.
     pub metrics: BTreeMap<String, BTreeMap<String, u64>>,
-    /// Per-experiment health summaries (ledger sources with health only).
+    /// Per-experiment health summaries (records that carry health only).
     pub health: BTreeMap<String, BTreeMap<String, HealthStat>>,
-    /// Serve-bench numbers (bench captures with a `"serve"` section only).
-    pub serve: Vec<(String, f64)>,
 }
 
 impl WallSet {
@@ -47,31 +44,22 @@ impl WallSet {
     }
 }
 
-/// Loads one diff side, sniffing the format: a single JSON document with
-/// `"schema": "aro-bench-v1"` is a bench capture; anything else is read
-/// as a ledger JSONL (tolerating crash debris, like resume does).
+/// Loads one diff side: a ledger JSONL, tolerating crash debris like
+/// resume does.
 ///
 /// # Errors
-/// Returns a description when the file is unreadable or matches neither
-/// format.
+/// Returns a description when the file is unreadable or holds no
+/// experiment record.
 pub fn load_wall_set(path: &Path) -> Result<WallSet, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let label = path
         .file_name()
         .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned());
-    if let Ok(bench) = parse_bench(&text) {
-        return Ok(WallSet {
-            label,
-            experiments: bench.experiments,
-            serve: bench.serve,
-            ..WallSet::default()
-        });
-    }
     let (records, _skipped) = parse_records(&text);
     if records.is_empty() {
         return Err(format!(
-            "{}: neither a BENCH_*.json capture nor a ledger with experiment records",
+            "{}: not a run ledger (no experiment records)",
             path.display()
         ));
     }
@@ -242,22 +230,6 @@ fn health_degraded(name: &str, old: &HealthStat, new: &HealthStat) -> bool {
     }
 }
 
-/// One serve-bench metric compared between two bench captures.
-///
-/// Always advisory: serve numbers ride the wall-time diff for trend
-/// visibility (`auths_per_sec` dropping, `p99_us` creeping) but never
-/// trip the exit-5 regression gate — `bench_check.sh` applies its own
-/// advisory thresholds on top of these rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeDelta {
-    /// Gauge name (`serve.bench.aro_puf.age0y.p99_us`, …).
-    pub name: String,
-    /// Old value (absent when the metric is new).
-    pub old: Option<f64>,
-    /// New value (absent when the metric disappeared).
-    pub new: Option<f64>,
-}
-
 /// The full diff of two runs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffReport {
@@ -269,12 +241,10 @@ pub struct DiffReport {
     pub threshold: f64,
     /// Per-experiment wall-time rows, old-side order then added ids.
     pub rows: Vec<DiffRow>,
-    /// Counters whose aggregates drifted (both sides ledgers only).
+    /// Counters whose aggregates drifted.
     pub metric_deltas: Vec<MetricDelta>,
-    /// Health summaries that drifted (both sides ledgers with health).
+    /// Health summaries that drifted (both sides with health).
     pub health_deltas: Vec<HealthDelta>,
-    /// Serve-bench metrics that changed (bench captures with serve data).
-    pub serve_deltas: Vec<ServeDelta>,
 }
 
 impl DiffReport {
@@ -360,27 +330,6 @@ impl DiffReport {
                     delta.name.clone(),
                     delta.old.to_string(),
                     delta.new.to_string(),
-                ]);
-            }
-            out.push('\n');
-            out.push_str(&drift.to_markdown());
-        }
-        if !self.serve_deltas.is_empty() {
-            let mut drift = MdTable::new(
-                "Serve drift — serve-bench metrics that changed (advisory)",
-                &["metric", "old", "new", "delta"],
-            );
-            let fmt_v = |v: Option<f64>| v.map_or_else(|| "-".to_string(), |v| format!("{v:.1}"));
-            for delta in &self.serve_deltas {
-                let pct = match (delta.old, delta.new) {
-                    (Some(old), Some(new)) => pct_delta(old, new),
-                    _ => "-".to_string(),
-                };
-                drift.push_row(vec![
-                    delta.name.clone(),
-                    fmt_v(delta.old),
-                    fmt_v(delta.new),
-                    pct,
                 ]);
             }
             out.push('\n');
@@ -489,26 +438,6 @@ pub fn diff(old: &WallSet, new: &WallSet, threshold: f64) -> DiffReport {
             }
         }
     }
-    let mut serve_deltas = Vec::new();
-    if !old.serve.is_empty() || !new.serve.is_empty() {
-        let old_serve: BTreeMap<&String, f64> =
-            old.serve.iter().map(|(n, v)| (n, *v)).collect();
-        let new_serve: BTreeMap<&String, f64> =
-            new.serve.iter().map(|(n, v)| (n, *v)).collect();
-        let names: std::collections::BTreeSet<&String> =
-            old_serve.keys().chain(new_serve.keys()).copied().collect();
-        for name in names {
-            let old_v = old_serve.get(name).copied();
-            let new_v = new_serve.get(name).copied();
-            if old_v != new_v {
-                serve_deltas.push(ServeDelta {
-                    name: name.clone(),
-                    old: old_v,
-                    new: new_v,
-                });
-            }
-        }
-    }
     DiffReport {
         old_label: old.label.clone(),
         new_label: new.label.clone(),
@@ -516,7 +445,6 @@ pub fn diff(old: &WallSet, new: &WallSet, threshold: f64) -> DiffReport {
         rows,
         metric_deltas,
         health_deltas,
-        serve_deltas,
     }
 }
 
@@ -603,34 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn serve_bench_drift_is_advisory_only() {
-        let mut old = set("old", &[("serve-bench", 1000)]);
-        let mut new = set("new", &[("serve-bench", 1000)]);
-        old.serve = vec![
-            ("serve.bench.aro_puf.age0y.auths_per_sec".to_string(), 100_000.0),
-            ("serve.bench.aro_puf.age0y.p99_us".to_string(), 800.0),
-        ];
-        new.serve = vec![
-            ("serve.bench.aro_puf.age0y.auths_per_sec".to_string(), 50_000.0),
-            ("serve.bench.aro_puf.age0y.p99_us".to_string(), 800.0),
-            ("serve.bench.aro_puf.age0y.quarantines".to_string(), 3.0),
-        ];
-        let report = diff(&old, &new, 0.2);
-        assert_eq!(report.serve_deltas.len(), 2, "unchanged p99 is not drift");
-        assert_eq!(report.serve_deltas[0].name, "serve.bench.aro_puf.age0y.auths_per_sec");
-        assert_eq!(report.serve_deltas[1].old, None, "new metric shows as added");
-        assert!(
-            !report.has_regression(),
-            "halved throughput warns via bench_check.sh, never exit-5"
-        );
-        let md = report.to_markdown();
-        assert!(md.contains("Serve drift"));
-        assert!(md.contains("-50.0 %") || md.contains("-50"), "delta rendered: {md}");
-        // No serve data on either side: no table at all.
-        assert!(!diff(&set("a", &[]), &set("b", &[]), 0.2).to_markdown().contains("Serve drift"));
-    }
-
-    #[test]
     fn decode_margin_p1_collapse_flags_but_never_trips_the_gate() {
         let mut old = set("old", &[("exp1", 1000)]);
         let mut new = set("new", &[("exp1", 1000)]);
@@ -704,30 +604,52 @@ mod tests {
         assert!(report.health_degradations().is_empty());
     }
 
-    #[test]
-    fn loads_bench_and_ledger_files() {
-        use crate::record::LedgerRecord;
-        let dir = std::env::temp_dir();
-        let bench_path = dir.join(format!("aro-diff-bench-{}.json", std::process::id()));
-        let ledger_path = dir.join(format!("aro-diff-ledger-{}.jsonl", std::process::id()));
-        std::fs::write(&bench_path, crate::bench::sample(&[("exp1", 100)])).unwrap();
-        let record = LedgerRecord::success(
+    fn ledger_line(wall_ns: u64, chips: u64) -> String {
+        let record = crate::record::LedgerRecord::success(
             1,
             "exp1",
-            150,
+            wall_ns,
             1,
             "## EXP-1\n".to_string(),
             vec![],
-            BTreeMap::from([("sim.chips_simulated".to_string(), 10)]),
+            BTreeMap::from([("sim.chips_simulated".to_string(), chips)]),
         );
-        std::fs::write(&ledger_path, format!("{}\n", record.to_jsonl())).unwrap();
-        let report = diff_files(&bench_path, &ledger_path, 0.2).unwrap();
+        format!("{}\n", record.to_jsonl())
+    }
+
+    #[test]
+    fn diffs_two_ledger_files() {
+        let dir = std::env::temp_dir();
+        let old_path = dir.join(format!("aro-diff-old-{}.jsonl", std::process::id()));
+        let new_path = dir.join(format!("aro-diff-new-{}.jsonl", std::process::id()));
+        std::fs::write(&old_path, ledger_line(100, 10)).unwrap();
+        std::fs::write(&new_path, ledger_line(150, 12)).unwrap();
+        let report = diff_files(&old_path, &new_path, 0.2).unwrap();
         assert_eq!(report.rows.len(), 1);
         assert_eq!(report.rows[0].verdict, Verdict::Regressed, "+50 % wall");
-        // An empty / garbage file is neither format.
-        std::fs::write(&bench_path, "garbage").unwrap();
-        assert!(diff_files(&bench_path, &ledger_path, 0.2).is_err());
-        std::fs::remove_file(&bench_path).unwrap();
+        assert_eq!(report.metric_deltas.len(), 1, "the ledgers' counters drift");
+        std::fs::remove_file(&old_path).unwrap();
+        std::fs::remove_file(&new_path).unwrap();
+    }
+
+    #[test]
+    fn a_non_ledger_input_is_an_error() {
+        let dir = std::env::temp_dir();
+        let ledger_path = dir.join(format!("aro-diff-ledger-{}.jsonl", std::process::id()));
+        let other_path = dir.join(format!("aro-diff-other-{}.json", std::process::id()));
+        std::fs::write(&ledger_path, ledger_line(100, 10)).unwrap();
+        // A wall-time capture in the old `aro-bench-v1` shape, garbage,
+        // and an empty file are all refused, on either side.
+        let capture = "{\n  \"schema\": \"aro-bench-v1\",\n  \"config\": {\"chips\": 10, \
+                       \"ros\": 64, \"seed\": 2014, \"quick\": true},\n  \"experiments\": [\n    \
+                       {\"id\": \"exp1\", \"wall_ns\": 100}\n  ],\n  \"total_wall_ns\": 100\n}\n";
+        for text in [capture, "garbage", ""] {
+            std::fs::write(&other_path, text).unwrap();
+            let err = diff_files(&other_path, &ledger_path, 0.2).unwrap_err();
+            assert!(err.contains("not a run ledger"), "{err}");
+            assert!(diff_files(&ledger_path, &other_path, 0.2).is_err());
+        }
         std::fs::remove_file(&ledger_path).unwrap();
+        std::fs::remove_file(&other_path).unwrap();
     }
 }

@@ -14,11 +14,9 @@
 //! - **Profile** ([`profile`]): span-tree aggregation over a telemetry
 //!   JSONL stream — per-phase wall time, self-time vs child-time, top-k
 //!   hot spans.
-//! - **Diff** ([`diff`]): two ledgers or `BENCH_*.json` captures compared
-//!   per experiment, with configurable wall-time regression thresholds
-//!   and machine-checked metric drift.
-//! - **Trajectory** ([`trajectory`]): a directory of `BENCH_*.json`
-//!   captures folded into a time-series table.
+//! - **Diff** ([`diff`]): two ledgers compared per experiment, with a
+//!   configurable wall-time regression threshold, machine-checked metric
+//!   drift and advisory health drift.
 //! - **Health** ([`health`]): fleet-health tables from the streaming
 //!   sketches — BER / decode-margin / HD percentiles and cache hit
 //!   rates, deterministic at any `--threads N`.
@@ -34,7 +32,6 @@
 //! resume", "Analysis (`repro report`)", and "Serve audit trail &
 //! incident forensics").
 
-pub mod bench;
 pub mod diff;
 pub mod health;
 pub mod incidents;
@@ -44,7 +41,6 @@ pub mod profile;
 pub mod record;
 pub mod slo;
 pub mod trace;
-pub mod trajectory;
 
 pub use health::HealthStat;
 pub use journal::Ledger;

@@ -23,16 +23,12 @@
 //!   erodes are quarantined and re-anchored through the continuity-
 //!   gated helper refresh, then re-admitted.
 
-use aro_circuit::ring::RoStyle;
 use aro_faults::{FaultInjector, FaultPlan};
 use aro_serve::{BenchPlan, HealthState};
 
 use crate::config::SimConfig;
-use crate::experiments::exp2;
 use crate::report::Report;
-use crate::runner::puf_area_params;
-use crate::servefleet::{stats_row, table_columns, FleetWorkspace};
-use crate::table::Table;
+use crate::servefleet::sweep;
 
 /// Swept fleet ages in years (fresh silicon and the paper's ten-year
 /// mission end).
@@ -49,66 +45,34 @@ const PLAN: BenchPlan = BenchPlan {
 
 /// Runs EXP-18.
 #[must_use]
-#[allow(clippy::too_many_lines)]
 pub fn run(cfg: &SimConfig) -> Report {
     let mut report = Report::new(
         "EXP-18",
         "Fleet authentication service under fault storms",
     );
-    let fleet = cfg.n_chips.clamp(4, 8);
-    let mut table = Table::new(
+    let faults: Vec<_> = INTENSITIES
+        .iter()
+        .map(|&intensity| {
+            let inj = (intensity > 0.0)
+                .then(|| FaultInjector::new(FaultPlan::storm().scaled(intensity), cfg.seed));
+            (format!("storm@{intensity}"), inj)
+        })
+        .collect();
+    let trials = sweep(
+        &mut report,
+        cfg,
         "Fleet auth service vs. cell style, fleet age, and storm intensity",
-        &table_columns(),
+        &FLEET_AGES_YEARS,
+        &faults,
+        &PLAN,
     );
-    let mut degraded_points = 0u64;
-    let mut false_accepts = 0u64;
-    let mut reenrolled = 0u64;
-    let mut quarantines = 0u64;
-    for style in [RoStyle::Conventional, RoStyle::AgingResistant] {
-        // Per-style provisioning, as everywhere: the ECC is sized for the
-        // style's own fault-free ten-year BER.
-        let timeline = exp2::flip_timeline(cfg, style);
-        let ber = timeline.final_quantile(0.99);
-        let params = puf_area_params(style, 5);
-        let Some(generator) = crate::popcache::provisioned_generator(
-            ber,
-            cfg.key_bits,
-            cfg.key_fail_target,
-            &params,
-        ) else {
-            report.push_note(format!(
-                "{}: no feasible design point — increase the code search space",
-                style.label()
-            ));
-            continue;
-        };
-        let mut workspace = FleetWorkspace::new(cfg, &generator, style, fleet);
-        for age_years in FLEET_AGES_YEARS {
-            for intensity in INTENSITIES {
-                let inj = (intensity > 0.0)
-                    .then(|| FaultInjector::new(FaultPlan::storm().scaled(intensity), cfg.seed));
-                let scope = format!(
-                    "EXP-18 {} age={age_years:.0}y faults=storm@{intensity}",
-                    style.label()
-                );
-                let stats =
-                    workspace.run_trial(cfg, &generator, inj.as_ref(), age_years, &PLAN, &scope);
-                if stats.final_state != HealthState::Healthy {
-                    degraded_points += 1;
-                }
-                false_accepts += stats.impostor_accepted;
-                reenrolled += stats.tallies.reenrolled;
-                quarantines += stats.tallies.quarantines;
-                table.push_row(stats_row(
-                    style,
-                    age_years,
-                    &format!("storm@{intensity}"),
-                    &stats,
-                ));
-            }
-        }
-    }
-    report.push_table(table);
+    let degraded_points = trials
+        .iter()
+        .filter(|stats| stats.final_state != HealthState::Healthy)
+        .count() as u64;
+    let false_accepts: u64 = trials.iter().map(|stats| stats.impostor_accepted).sum();
+    let reenrolled: u64 = trials.iter().map(|stats| stats.tallies.reenrolled).sum();
+    let quarantines: u64 = trials.iter().map(|stats| stats.tallies.quarantines).sum();
     report.push_note(format!(
         "false accepts across all traffic (genuine + impostor + storms): {false_accepts} \
          — corrupt store records, malformed answers, and timed-out reads all fail closed"

@@ -15,15 +15,11 @@
 //! marker to exit code 3 (degraded-but-served), distinct from both
 //! success (0) and crash.
 
-use aro_circuit::ring::RoStyle;
 use aro_serve::{BenchPlan, HealthState};
 
 use crate::config::SimConfig;
-use crate::experiments::exp2;
 use crate::report::Report;
-use crate::runner::puf_area_params;
-use crate::servefleet::{stats_row, table_columns, FleetWorkspace};
-use crate::table::Table;
+use crate::servefleet::sweep;
 
 /// Note prefix the `repro` binary greps for to exit 3 when the service
 /// finished a bench point degraded or read-only. Stable across
@@ -51,65 +47,22 @@ pub fn run(cfg: &SimConfig) -> Report {
         || "off".to_string(),
         |inj| format!("ambient#{:08x}", inj.fingerprint() as u32),
     );
-    let fleet = cfg.n_chips.clamp(4, 8);
-    let replicas = crate::servefleet::replicas();
-    let mut table = Table::new(
-        format!(
-            "Fleet auth service throughput/accuracy (faults: {faults_label}, \
-             {replicas}-way replicated store)"
-        ),
-        &table_columns(),
+    let title = format!(
+        "Fleet auth service throughput/accuracy (faults: {faults_label}, \
+         {}-way replicated store)",
+        crate::servefleet::replicas()
     );
-    let mut degraded_points = 0u64;
-    let mut false_accepts = 0u64;
-    let mut total_served = 0u64;
-    for style in [RoStyle::Conventional, RoStyle::AgingResistant] {
-        let timeline = exp2::flip_timeline(cfg, style);
-        let ber = timeline.final_quantile(0.99);
-        let params = puf_area_params(style, 5);
-        let Some(generator) = crate::popcache::provisioned_generator(
-            ber,
-            cfg.key_bits,
-            cfg.key_fail_target,
-            &params,
-        ) else {
-            report.push_note(format!(
-                "{}: no feasible design point — increase the code search space",
-                style.label()
-            ));
-            continue;
-        };
-        let mut workspace = FleetWorkspace::new(cfg, &generator, style, fleet);
-        for age_years in FLEET_AGES_YEARS {
-            let scope = format!(
-                "SERVE-BENCH {} age={age_years:.0}y faults={faults_label}",
-                style.label()
-            );
-            let stats =
-                workspace.run_trial(cfg, &generator, inj.as_deref(), age_years, &PLAN, &scope);
-            if stats.final_state != HealthState::Healthy {
-                degraded_points += 1;
-            }
-            false_accepts += stats.impostor_accepted;
-            total_served += stats.genuine_served + stats.impostor_served;
-            // Per-point gauges feeding the `--bench-json` "serve" section
-            // (picked up by `report diff`/trajectory across PRs).
-            let cell = style.label().to_lowercase().replace('-', "_");
-            let point = format!("serve.bench.{cell}.age{age_years:.0}y");
-            aro_obs::gauge(&format!("{point}.auths_per_sec"), stats.auths_per_sec());
-            aro_obs::gauge(&format!("{point}.p50_us"), stats.p50_us as f64);
-            aro_obs::gauge(&format!("{point}.p99_us"), stats.p99_us as f64);
-            aro_obs::gauge(&format!("{point}.quarantines"), stats.tallies.quarantines as f64);
-            aro_obs::gauge(&format!("{point}.reenrolled"), stats.tallies.reenrolled as f64);
-            aro_obs::gauge(&format!("{point}.scrub_repairs"), stats.scrub_repairs as f64);
-            aro_obs::gauge(
-                &format!("{point}.replica_fallbacks"),
-                stats.tallies.replica_fallbacks as f64,
-            );
-            table.push_row(stats_row(style, age_years, &faults_label, &stats));
-        }
-    }
-    report.push_table(table);
+    let faults = [(faults_label, inj.as_deref().cloned())];
+    let trials = sweep(&mut report, cfg, &title, &FLEET_AGES_YEARS, &faults, &PLAN);
+    let degraded_points = trials
+        .iter()
+        .filter(|stats| stats.final_state != HealthState::Healthy)
+        .count() as u64;
+    let false_accepts: u64 = trials.iter().map(|stats| stats.impostor_accepted).sum();
+    let total_served: u64 = trials
+        .iter()
+        .map(|stats| stats.genuine_served + stats.impostor_served)
+        .sum();
     report.push_note(format!(
         "{total_served} authentications served, {false_accepts} false accepts — every \
          untrustworthy read (corrupt record, malformed answer, timeout) fails closed"

@@ -1,5 +1,6 @@
-//! Shared fleet-authentication trial runner behind EXP-18 and the
-//! `repro serve-bench` mode.
+//! The fleet-authentication sweep behind EXP-18 and the `repro
+//! serve-bench` mode: both are one [`sweep`] call with their own fleet
+//! ages, fault points and traffic plan.
 //!
 //! A trial stands up one [`aro_serve::AuthService`] for a small fleet:
 //! factory enrollment on fresh silicon (CRP reference + key/helper
@@ -26,7 +27,9 @@ use aro_serve::{
 
 use crate::config::SimConfig;
 use crate::popcache::{age_chip_snapshotted, AgeCursor};
-use crate::runner::pct;
+use crate::report::Report;
+use crate::runner::{pct, puf_area_params};
+use crate::table::Table;
 
 /// CRP response width served per authentication request. 64 bits keeps
 /// the impostor acceptance tail negligible: at a 0.25 fractional-HD
@@ -221,28 +224,75 @@ impl FleetWorkspace {
     }
 }
 
-/// The shared serve-table column set (EXP-18 and `serve-bench`).
-#[must_use]
-pub fn table_columns() -> [&'static str; 12] {
-    [
-        "cell",
-        "fleet age",
-        "faults",
-        "auths/s",
-        "p50 µs",
-        "p99 µs",
-        "FAR",
-        "FRR",
-        "shed",
-        "quarantined (healed)",
-        "health",
-        "store (scrubbed)",
-    ]
+/// The serve sweep behind EXP-18 and `serve-bench`. Per cell style it
+/// provisions the ECC for the style's own fault-free ten-year BER,
+/// fabricates one [`FleetWorkspace`] of `cfg.n_chips` clamped to 4..=8
+/// devices, and runs one `plan` trial per fleet age × fault point (ages
+/// outermost). A fault point is a label, carried by its rows and by the
+/// audit scope `"{report id} {cell} age={age}y faults={label}"`, and the
+/// injector its trials run under (`None` = fault-free). Pushes the table
+/// titled `title` onto `report`, plus a note for any style with no
+/// feasible design point, and returns every trial's stats in row order.
+pub fn sweep(
+    report: &mut Report,
+    cfg: &SimConfig,
+    title: &str,
+    ages: &[f64],
+    faults: &[(String, Option<FaultInjector>)],
+    plan: &BenchPlan,
+) -> Vec<BenchStats> {
+    let fleet = cfg.n_chips.clamp(4, 8);
+    let mut table = Table::new(title, &TABLE_COLUMNS);
+    let mut trials = Vec::new();
+    for style in [RoStyle::Conventional, RoStyle::AgingResistant] {
+        let ber = crate::popcache::standard_flip_timeline(cfg, style).final_quantile(0.99);
+        let params = puf_area_params(style, 5);
+        let Some(generator) =
+            crate::popcache::provisioned_generator(ber, cfg.key_bits, cfg.key_fail_target, &params)
+        else {
+            report.push_note(format!(
+                "{}: no feasible design point — increase the code search space",
+                style.label()
+            ));
+            continue;
+        };
+        let mut workspace = FleetWorkspace::new(cfg, &generator, style, fleet);
+        for &age_years in ages {
+            for (label, inj) in faults {
+                let scope = format!(
+                    "{} {} age={age_years:.0}y faults={label}",
+                    report.id(),
+                    style.label()
+                );
+                let stats =
+                    workspace.run_trial(cfg, &generator, inj.as_ref(), age_years, plan, &scope);
+                table.push_row(stats_row(style, age_years, label, &stats));
+                trials.push(stats);
+            }
+        }
+    }
+    report.push_table(table);
+    trials
 }
 
-/// Renders one trial as a table row under [`table_columns`].
-#[must_use]
-pub fn stats_row(style: RoStyle, age_years: f64, faults: &str, stats: &BenchStats) -> Vec<String> {
+/// The serve-table column set.
+const TABLE_COLUMNS: [&str; 12] = [
+    "cell",
+    "fleet age",
+    "faults",
+    "auths/s",
+    "p50 µs",
+    "p99 µs",
+    "FAR",
+    "FRR",
+    "shed",
+    "quarantined (healed)",
+    "health",
+    "store (scrubbed)",
+];
+
+/// Renders one trial as a table row under [`TABLE_COLUMNS`].
+fn stats_row(style: RoStyle, age_years: f64, faults: &str, stats: &BenchStats) -> Vec<String> {
     vec![
         style.label().to_string(),
         format!("{age_years:.0} y"),
@@ -263,7 +313,6 @@ pub fn stats_row(style: RoStyle, age_years: f64, faults: &str, stats: &BenchStat
 mod tests {
     use super::*;
     use crate::experiments::exp2;
-    use crate::runner::puf_area_params;
     use aro_serve::HealthState;
 
     fn tiny_cfg() -> SimConfig {
