@@ -18,10 +18,12 @@ fn bench(c: &mut Criterion) {
     let design = PufDesign::standard(RoStyle::AgingResistant, 7);
     let tech = design.tech();
     let nominal = Environment::nominal(tech);
-    // A second environment forces a kernel identity mismatch on every
-    // other query, so alternating between the two measures the full
-    // rebuild, not the cache hit.
+    // The ring keeps two warm kernels (most recently used first), so
+    // alternating two environments would time cache hits. Cycling three
+    // evicts the next environment's kernel before every query, so each
+    // one measures the full rebuild.
     let hot = Environment::new(85.0, tech.vdd_nominal);
+    let cold = Environment::new(-20.0, tech.vdd_nominal);
     let chip = Chip::fabricate(&design, 0);
 
     c.bench_function("freq_kernel_cached_query", |b| {
@@ -31,11 +33,11 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("freq_kernel_rebuild", |b| {
-        let mut flip = false;
+        let envs = [&nominal, &hot, &cold];
+        let mut next = 0;
         b.iter(|| {
-            flip = !flip;
-            let env = if flip { &hot } else { &nominal };
-            black_box(chip.frequency(&design, env, black_box(0)))
+            next = (next + 1) % envs.len();
+            black_box(chip.frequency(&design, envs[next], black_box(0)))
         })
     });
 

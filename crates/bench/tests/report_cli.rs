@@ -348,6 +348,31 @@ fn report_health_and_trace_reject_bad_inputs() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("no audit verdict events"), "{err}");
 
+    // A sketch event naming any bucket layout but the built-in one fails
+    // closed: the parser never sizes a sketch from the input.
+    let mut sketch = aro_obs::Sketch::new();
+    sketch.observe(0.5);
+    let valid = sketch.to_jsonl("puf.ber");
+    let layout = r#""per_decade":8,"min_exp":-9,"max_exp":10"#;
+    assert!(valid.contains(layout), "{valid}");
+    for (bad, expected) in [
+        (layout, 0),
+        (r#""per_decade":0,"min_exp":-9,"max_exp":10"#, 1),
+        (
+            r#""per_decade":4000000000,"min_exp":-2000000000,"max_exp":2000000000"#,
+            1,
+        ),
+    ] {
+        let capture = dir.join("layout.jsonl");
+        std::fs::write(&capture, valid.replace(layout, bad) + "\n").unwrap();
+        let out = repro(&["report", "health", capture.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(expected), "{bad}");
+        if expected == 1 {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("no sketch/counter events"), "{err}");
+        }
+    }
+
     let out = repro(&["report", "health"]);
     assert_eq!(out.status.code(), Some(2), "missing paths is a usage error");
     let out = repro(&["report", "trace", "a", "b"]);

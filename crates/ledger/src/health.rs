@@ -97,7 +97,8 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Feeds one JSONL line (ignores span/fault/gauge/histogram events).
+    /// Feeds one JSONL line; only `sketch`, `counter` and ledger
+    /// `experiment` events carry health inputs.
     pub fn feed_line(&mut self, line: &str) {
         if line.trim().is_empty() {
             return;
@@ -111,9 +112,7 @@ impl HealthReport {
                 if let Some((name, sketch)) = Sketch::from_json(&value) {
                     // Re-flushed captures concatenate: merge, don't clobber.
                     if let Some(existing) = self.sketches.get_mut(&name) {
-                        if existing.config() == sketch.config() {
-                            existing.merge(&sketch);
-                        }
+                        existing.merge(&sketch);
                     } else {
                         self.sketches.insert(name, sketch);
                     }
@@ -143,7 +142,7 @@ impl HealthReport {
                     }
                 }
             }
-            _ => {} // spans, faults, gauges, histograms: not health inputs
+            _ => {}
         }
     }
 

@@ -6,13 +6,13 @@
 //!   per-thread span stack, emitted as `span_open`/`span_close` telemetry
 //!   events and aggregated into a wall-clock timing table for run
 //!   summaries.
-//! - **Metrics** ([`metrics::Registry`]): counters, gauges, fixed-bucket
-//!   histograms and streaming [`sketch::Sketch`] accumulators (mean /
-//!   variance / quantiles over unbounded streams) recorded into a
+//! - **Metrics** ([`metrics::Registry`]): counters and streaming
+//!   [`sketch::Sketch`] accumulators (mean / variance / quantiles over
+//!   unbounded streams, one fixed bucket layout) recorded into a
 //!   thread-local scratch registry. Parallel code hands worker scratches
-//!   back to the spawning thread, which merges them in worker-index order,
-//!   so aggregates are byte-identical for any thread count (see
-//!   `aro-par`).
+//!   back to the spawning thread, which merges them in worker-index order;
+//!   both kinds commute, so aggregates are byte-identical for any thread
+//!   count (see `aro-par`).
 //! - **Telemetry sink** ([`sink`]): a process-wide JSON-lines writer (file
 //!   or in-memory) receiving span events and a final metrics flush.
 //!
@@ -32,8 +32,8 @@ pub mod span;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 
-pub use metrics::{Histogram, Registry};
-pub use sketch::{Sketch, SketchConfig};
+pub use metrics::Registry;
+pub use sketch::Sketch;
 pub use span::{timing_snapshot, Span, SpanStats};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -204,24 +204,8 @@ pub fn counter(name: &'static str, delta: u64) {
     }
 }
 
-/// Sets the named gauge (last write wins under deterministic merge order).
-#[inline]
-pub fn gauge(name: &str, value: f64) {
-    if enabled() {
-        SCRATCH.with(|r| r.borrow_mut().set_gauge(name, value));
-    }
-}
-
-/// Records a histogram observation (default bucket layout).
-#[inline]
-pub fn observe(name: &str, value: f64) {
-    if enabled() {
-        SCRATCH.with(|r| r.borrow_mut().observe(name, value));
-    }
-}
-
-/// Records an observation into the named streaming sketch (default
-/// layout) on this thread's scratch registry. Sketches ride the same
+/// Records an observation into the named streaming sketch on this
+/// thread's scratch registry. Sketches ride the same
 /// worker-index-order merge as every other metric, so fleet-health
 /// percentiles are byte-identical at any thread count.
 ///
@@ -241,7 +225,7 @@ pub fn sketch(name: &'static str, value: f64) {
                     return;
                 }
             }
-            let mut sketch = Sketch::new(SketchConfig::DEFAULT);
+            let mut sketch = Sketch::new();
             sketch.observe(value);
             slots.push((name, sketch));
         });
@@ -377,8 +361,6 @@ mod tests {
         set_enabled(false);
         reset();
         counter("x", 1);
-        gauge("g", 2.0);
-        observe("h", 3.0);
         sketch("s", 4.0);
         sketch_dyn("sd", 5.0);
         {
@@ -397,13 +379,9 @@ mod tests {
         {
             let _span = span("phase");
             counter("sim.chips", 3);
-            observe("sim.rate", 0.25);
         }
-        gauge("sim.progress", 1.0);
         let snap = snapshot();
         assert_eq!(snap.counter("sim.chips"), 5);
-        assert_eq!(snap.gauge("sim.progress"), Some(1.0));
-        assert_eq!(snap.histogram("sim.rate").map(Histogram::count), Some(1));
         assert_eq!(timing_snapshot().get("phase").map(|s| s.count), Some(1));
 
         let taken = take_scratch();
@@ -457,8 +435,6 @@ mod tests {
         for i in 0..100u64 {
             counter("work.items", 1);
             #[allow(clippy::cast_precision_loss)]
-            observe("work.size", i as f64);
-            #[allow(clippy::cast_precision_loss)]
             sketch("work.ber", i as f64 / 100.0);
         }
         let sequential = take_scratch();
@@ -470,8 +446,6 @@ mod tests {
                     scope.spawn(move || {
                         for i in (w * 25)..((w + 1) * 25) {
                             counter("work.items", 1);
-                            #[allow(clippy::cast_precision_loss)]
-                            observe("work.size", i as f64);
                             #[allow(clippy::cast_precision_loss)]
                             sketch("work.ber", i as f64 / 100.0);
                         }

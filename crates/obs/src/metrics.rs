@@ -1,15 +1,13 @@
-//! Deterministic metrics: counters, gauges and fixed-bucket histograms.
+//! Deterministic metrics: counters and streaming sketches.
 //!
-//! Every accumulator is chosen so that merging per-worker registries in
-//! **worker-index order** yields byte-identical results regardless of how
+//! Both accumulators are exactly associative and commutative, so merging
+//! per-worker registries yields byte-identical results regardless of how
 //! work was partitioned across threads:
 //!
-//! - counters are `u64` sums (exactly associative and commutative);
-//! - histograms store `u64` bucket counts plus an `i128` fixed-point sum
-//!   (scale 2^20) and `f64` min/max — all exactly associative — never a raw
-//!   `f64` running sum, whose value would depend on addition order;
-//! - gauges are last-write-wins, resolved by merge order, which the caller
-//!   fixes to worker-index order.
+//! - counters are `u64` sums;
+//! - sketches share one bucket layout and merge field by field (see
+//!   [`crate::sketch`]); none holds a raw `f64` running sum, whose value
+//!   would depend on addition order.
 //!
 //! Wall-clock span durations are deliberately **not** part of the registry
 //! (see [`crate::span`]) so a registry snapshot can be compared bit-for-bit
@@ -19,148 +17,12 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::json;
-use crate::sketch::{Sketch, SketchConfig};
+use crate::sketch::Sketch;
 
-/// Fixed-point scale for histogram sums: values are accumulated as
-/// `round(v * 2^20)` in an `i128`, making the sum exactly order-independent.
-pub const FIXED_POINT_SCALE: f64 = (1u64 << 20) as f64;
-
-/// Default histogram bucket upper bounds (inclusive), spanning the
-/// magnitudes this workspace observes: probabilities, rates and
-/// nanosecond-scale durations. The 2/5/10/20/50 steps resolve the 1–100
-/// band (decode margins, small counts) that a pure decade ladder would
-/// collapse into a single bucket.
-pub const DEFAULT_BUCKETS: [f64; 21] = [
-    0.0, 1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0,
-    1e2, 1e4, 1e6, 1e8, 1e10,
-];
-
-/// A fixed-bucket histogram with order-independent accumulators.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Inclusive upper bounds for each bucket; values above the last bound
-    /// land in the implicit overflow bucket.
-    bounds: Vec<f64>,
-    /// `counts[i]` observations with `value <= bounds[i]` (first match);
-    /// `counts[bounds.len()]` is the overflow bucket.
-    counts: Vec<u64>,
-    count: u64,
-    sum_fp: i128,
-    min: f64,
-    max: f64,
-}
-
-impl Histogram {
-    /// An empty histogram over the given inclusive upper bounds, which must
-    /// be strictly increasing.
-    #[must_use]
-    pub fn new(bounds: &[f64]) -> Self {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Self {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum_fp: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&mut self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|b| value <= *b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.count += 1;
-        #[allow(clippy::cast_possible_truncation)]
-        {
-            self.sum_fp += (value * FIXED_POINT_SCALE).round() as i128;
-        }
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Total number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact order-independent sum, recovered from fixed point.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.sum_fp as f64 / FIXED_POINT_SCALE
-        }
-    }
-
-    /// Mean observation, or 0 when empty.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.sum() / self.count as f64
-            }
-        }
-    }
-
-    /// Smallest observation (`+inf` when empty).
-    #[must_use]
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`-inf` when empty).
-    #[must_use]
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Bucket `(upper_bound, count)` pairs; the overflow bucket reports
-    /// `+inf` as its bound.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.bounds
-            .iter()
-            .copied()
-            .chain(std::iter::once(f64::INFINITY))
-            .zip(self.counts.iter().copied())
-    }
-
-    /// Folds `other` into `self`. Both must share bucket bounds.
-    ///
-    /// # Panics
-    /// Panics if the bucket layouts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bucket layouts"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += *b;
-        }
-        self.count += other.count;
-        self.sum_fp += other.sum_fp;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A set of named counters, gauges, histograms and streaming sketches.
+/// A set of named counters and streaming sketches.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Registry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
     sketches: BTreeMap<String, Sketch>,
 }
 
@@ -174,10 +36,7 @@ impl Registry {
     /// True when nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.sketches.is_empty()
+        self.counters.is_empty() && self.sketches.is_empty()
     }
 
     /// Adds `delta` to the named counter.
@@ -189,46 +48,13 @@ impl Registry {
         }
     }
 
-    /// Sets the named gauge (last write wins).
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        if let Some(v) = self.gauges.get_mut(name) {
-            *v = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
-    }
-
-    /// Records an observation in the named histogram, created with
-    /// [`DEFAULT_BUCKETS`] on first use.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        self.observe_with(name, value, &DEFAULT_BUCKETS);
-    }
-
-    /// Records an observation, creating the histogram with the given bounds
-    /// on first use (later calls reuse the existing layout).
-    pub fn observe_with(&mut self, name: &str, value: f64, bounds: &[f64]) {
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.observe(value);
-        } else {
-            let mut h = Histogram::new(bounds);
-            h.observe(value);
-            self.histograms.insert(name.to_string(), h);
-        }
-    }
-
     /// Records an observation into the named streaming sketch, created
-    /// with [`SketchConfig::DEFAULT`] on first use.
+    /// on first use.
     pub fn sketch_observe(&mut self, name: &str, value: f64) {
-        self.sketch_observe_with(name, value, SketchConfig::DEFAULT);
-    }
-
-    /// Records a sketch observation, creating the sketch with the given
-    /// layout on first use (later calls reuse the existing layout).
-    pub fn sketch_observe_with(&mut self, name: &str, value: f64, config: SketchConfig) {
         if let Some(s) = self.sketches.get_mut(name) {
             s.observe(value);
         } else {
-            let mut s = Sketch::new(config);
+            let mut s = Sketch::new();
             s.observe(value);
             self.sketches.insert(name.to_string(), s);
         }
@@ -252,31 +78,9 @@ impl Registry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Current value of a gauge.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// The named histogram, if any observation was recorded.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// All histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// The named sketch, if any observation was recorded.
@@ -290,31 +94,14 @@ impl Registry {
         self.sketches.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Folds `other` into `self`.
-    ///
-    /// Callers aggregating per-worker registries must invoke this in
-    /// worker-index order so gauge last-write-wins resolution (the only
-    /// order-sensitive piece) is reproducible.
+    /// Folds `other` into `self`. Every accumulator commutes, so the
+    /// result does not depend on merge order.
     pub fn merge(&mut self, other: &Registry) {
         for (name, delta) in &other.counters {
             self.add_counter(name, *delta);
         }
-        for (name, value) in &other.gauges {
-            self.set_gauge(name, *value);
-        }
-        for (name, hist) in &other.histograms {
-            if let Some(existing) = self.histograms.get_mut(name) {
-                existing.merge(hist);
-            } else {
-                self.histograms.insert(name.clone(), hist.clone());
-            }
-        }
         for (name, sketch) in &other.sketches {
-            if let Some(existing) = self.sketches.get_mut(name) {
-                existing.merge(sketch);
-            } else {
-                self.sketches.insert(name.clone(), sketch.clone());
-            }
+            self.fold_sketch(name, sketch);
         }
     }
 
@@ -325,16 +112,6 @@ impl Registry {
         let mut out = String::new();
         for (name, value) in &self.counters {
             let _ = writeln!(out, "counter {name} = {value}");
-        }
-        for (name, value) in &self.gauges {
-            let _ = writeln!(out, "gauge {name} = {value:?}");
-        }
-        for (name, h) in &self.histograms {
-            let _ = writeln!(
-                out,
-                "histogram {name} count={} sum_fp={} min={:?} max={:?} buckets={:?}",
-                h.count, h.sum_fp, h.min, h.max, h.counts
-            );
         }
         for (name, s) in &self.sketches {
             s.dump_into(&mut out, name);
@@ -349,36 +126,6 @@ impl Registry {
             let mut line = String::from("{\"event\":\"counter\",\"name\":");
             json::escape_into(&mut line, name);
             let _ = write!(line, ",\"value\":{value}}}");
-            lines.push(line);
-        }
-        for (name, value) in &self.gauges {
-            let mut line = String::from("{\"event\":\"gauge\",\"name\":");
-            json::escape_into(&mut line, name);
-            line.push_str(",\"value\":");
-            json::number_into(&mut line, *value);
-            line.push('}');
-            lines.push(line);
-        }
-        for (name, h) in &self.histograms {
-            let mut line = String::from("{\"event\":\"histogram\",\"name\":");
-            json::escape_into(&mut line, name);
-            let _ = write!(line, ",\"count\":{}", h.count);
-            line.push_str(",\"sum\":");
-            json::number_into(&mut line, h.sum());
-            line.push_str(",\"min\":");
-            json::number_into(&mut line, if h.count == 0 { 0.0 } else { h.min });
-            line.push_str(",\"max\":");
-            json::number_into(&mut line, if h.count == 0 { 0.0 } else { h.max });
-            line.push_str(",\"buckets\":[");
-            for (i, (bound, count)) in h.buckets().enumerate() {
-                if i > 0 {
-                    line.push(',');
-                }
-                line.push_str("{\"le\":");
-                json::number_into(&mut line, bound);
-                let _ = write!(line, ",\"count\":{count}}}");
-            }
-            line.push_str("]}");
             lines.push(line);
         }
         for (name, s) in &self.sketches {
@@ -406,41 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_merge_is_last_write_wins_in_merge_order() {
-        let mut total = Registry::new();
-        let mut w0 = Registry::new();
-        w0.set_gauge("sim.progress", 0.5);
-        let mut w1 = Registry::new();
-        w1.set_gauge("sim.progress", 1.0);
-        total.merge(&w0);
-        total.merge(&w1);
-        assert_eq!(total.gauge("sim.progress"), Some(1.0));
-    }
-
-    #[test]
-    fn histogram_buckets_and_stats() {
-        let mut h = Histogram::new(&[1.0, 2.0, 4.0]);
-        for v in [0.5, 1.5, 1.5, 3.0, 100.0] {
-            h.observe(v);
-        }
-        let buckets: Vec<(f64, u64)> = h.buckets().collect();
-        assert_eq!(buckets[0], (1.0, 1));
-        assert_eq!(buckets[1], (2.0, 2));
-        assert_eq!(buckets[2], (4.0, 1));
-        assert_eq!(buckets[3].1, 1);
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 106.5).abs() < 1e-6);
-        assert_eq!(h.min(), 0.5);
-        assert_eq!(h.max(), 100.0);
-    }
-
-    #[test]
     fn partitioned_merge_is_byte_identical_to_sequential() {
         let values: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.0137).collect();
 
         let mut sequential = Registry::new();
         for v in &values {
-            sequential.observe("h", *v);
             sequential.add_counter("c", 1);
             sequential.sketch_observe("s", *v);
         }
@@ -450,7 +167,6 @@ mod tests {
             for chunk in values.chunks(values.len().div_ceil(parts)) {
                 let mut worker = Registry::new();
                 for v in chunk {
-                    worker.observe("h", *v);
                     worker.add_counter("c", 1);
                     worker.sketch_observe("s", *v);
                 }
@@ -464,12 +180,10 @@ mod tests {
     fn emit_jsonl_is_valid_json() {
         let mut r = Registry::new();
         r.add_counter("a.count", 2);
-        r.set_gauge("b.gauge", 1.25);
-        r.observe("c.hist", 0.3);
-        r.sketch_observe("d.sketch", 0.125);
+        r.sketch_observe("b.sketch", 0.125);
         let mut lines = Vec::new();
         r.emit_jsonl(&mut lines);
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 2);
         for line in &lines {
             let v = crate::json::parse(line).expect("valid JSON");
             assert!(v.get("event").is_some());

@@ -23,15 +23,16 @@
 //!   absorbing and prefix sums are monotone);
 //! - `min`/`max` are `f64` under `min`/`max`, both commutative.
 //!
-//! **Quantiles.** Positive values land in log-spaced buckets,
-//! `per_decade` per factor of ten between `10^min_exp` and `10^max_exp`;
+//! **Quantiles.** Every sketch shares one bucket layout, so any two merge.
+//! Positive values land in log-spaced buckets, [`PER_DECADE`] per factor
+//! of ten between `10^MIN_EXP` and `10^MAX_EXP`;
 //! values below, at, or beyond the covered range increment the `low`,
 //! `zero`/`neg`, and `high` tail counters. A quantile query walks the
 //! cumulative counts (nearest-rank rule) and reports the selected bucket's
 //! geometric lower edge clamped to the observed `[min, max]`, so exact
 //! powers of ten report exactly, a single-valued sketch reports that value
 //! at every quantile, and the relative error is bounded by one bucket
-//! ratio (`10^(1/per_decade)`, ≈1.33× at the default resolution).
+//! ratio (`10^(1/PER_DECADE)`, ≈1.33×).
 
 use std::fmt::Write as _;
 
@@ -40,56 +41,29 @@ use crate::json;
 /// Fixed-point scale for the first moment: `round(v * 2^20)`.
 pub const SKETCH_SUM_SCALE: f64 = (1u64 << 20) as f64;
 
-/// Resolution and coverage of a sketch's quantile buckets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SketchConfig {
-    /// Buckets per factor of ten. Higher = finer quantiles, more memory.
-    pub per_decade: u32,
-    /// Lower coverage edge is `10^min_exp`; positive values below it count
-    /// in the `low` tail.
-    pub min_exp: i32,
-    /// Upper coverage edge is `10^max_exp`; values at or above it count in
-    /// the `high` tail.
-    pub max_exp: i32,
-}
+/// Quantile buckets per factor of ten (≤33 % quantile resolution).
+pub const PER_DECADE: u32 = 8;
+/// Lower coverage edge is `10^MIN_EXP`; positive values below it count in
+/// the `low` tail.
+pub const MIN_EXP: i32 = -9;
+/// Upper coverage edge is `10^MAX_EXP`; values at or above it count in the
+/// `high` tail.
+pub const MAX_EXP: i32 = 10;
 
-impl SketchConfig {
-    /// Default coverage: 8 buckets/decade from `1e-9` to `1e10` — spans
-    /// BERs (~1e-6), Hamming distances (~0.5), decode margins (1–10) and
-    /// frequencies in GHz, at ≤33 % quantile resolution, in 152 buckets.
-    pub const DEFAULT: SketchConfig = SketchConfig {
-        per_decade: 8,
-        min_exp: -9,
-        max_exp: 10,
-    };
+/// 152 buckets from `1e-9` to `1e10`: spans BERs (~1e-6), Hamming
+/// distances (~0.5), decode margins (1–10) and frequencies in GHz.
+const N_BUCKETS: usize = (MAX_EXP - MIN_EXP) as usize * PER_DECADE as usize;
 
-    fn n_buckets(self) -> usize {
-        assert!(
-            self.per_decade > 0 && self.min_exp < self.max_exp,
-            "sketch config must cover a positive range"
-        );
-        (self.max_exp - self.min_exp) as usize * self.per_decade as usize
-    }
-
-    /// Geometric lower edge of bucket `i`.
-    #[must_use]
-    pub fn bucket_lower(self, i: usize) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        10f64.powf(f64::from(self.min_exp) + i as f64 / f64::from(self.per_decade))
-    }
-}
-
-impl Default for SketchConfig {
-    fn default() -> Self {
-        Self::DEFAULT
-    }
+/// Geometric lower edge of bucket `i`.
+fn bucket_lower(i: usize) -> f64 {
+    #[allow(clippy::cast_precision_loss)]
+    10f64.powf(f64::from(MIN_EXP) + i as f64 / f64::from(PER_DECADE))
 }
 
 /// An order-independent, mergeable streaming summary of a value stream.
 /// See the module docs for the determinism contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sketch {
-    config: SketchConfig,
     count: u64,
     sum_fp: i128,
     sumsq_fp: i128,
@@ -99,19 +73,18 @@ pub struct Sketch {
     neg: u64,
     /// Tail: observations exactly `0`.
     zero: u64,
-    /// Tail: observations in `(0, 10^min_exp)`.
+    /// Tail: observations in `(0, 10^MIN_EXP)`.
     low: u64,
-    /// Tail: observations `>= 10^max_exp`.
+    /// Tail: observations `>= 10^MAX_EXP`.
     high: u64,
-    buckets: Vec<u64>,
+    buckets: [u64; N_BUCKETS],
 }
 
 impl Sketch {
-    /// An empty sketch with the given bucket layout.
+    /// An empty sketch.
     #[must_use]
-    pub fn new(config: SketchConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            config,
             count: 0,
             sum_fp: 0,
             sumsq_fp: 0,
@@ -121,7 +94,7 @@ impl Sketch {
             zero: 0,
             low: 0,
             high: 0,
-            buckets: vec![0; config.n_buckets()],
+            buckets: [0; N_BUCKETS],
         }
     }
 
@@ -146,12 +119,12 @@ impl Sketch {
         } else if value.is_infinite() {
             self.high += 1;
         } else {
-            let exp = value.log10() - f64::from(self.config.min_exp);
+            let exp = value.log10() - f64::from(MIN_EXP);
             #[allow(clippy::cast_possible_truncation)]
-            let idx = (exp * f64::from(self.config.per_decade)).floor() as i64;
+            let idx = (exp * f64::from(PER_DECADE)).floor() as i64;
             if idx < 0 {
                 self.low += 1;
-            } else if idx as usize >= self.buckets.len() {
+            } else if idx as usize >= N_BUCKETS {
                 self.high += 1;
             } else {
                 self.buckets[idx as usize] += 1;
@@ -160,14 +133,7 @@ impl Sketch {
     }
 
     /// Folds `other` into `self`.
-    ///
-    /// # Panics
-    /// Panics if the bucket layouts differ.
     pub fn merge(&mut self, other: &Sketch) {
-        assert_eq!(
-            self.config, other.config,
-            "cannot merge sketches with different bucket layouts"
-        );
         self.count += other.count;
         self.sum_fp = self.sum_fp.wrapping_add(other.sum_fp);
         self.sumsq_fp = self.sumsq_fp.saturating_add(other.sumsq_fp);
@@ -189,20 +155,15 @@ impl Sketch {
     /// delta inherits the later snapshot's values, which bound the window.
     ///
     /// # Panics
-    /// Panics if the layouts differ or `earlier` is not a prefix of `self`
-    /// (any counter would go negative).
+    /// Panics if `earlier` is not a prefix of `self` (any counter would go
+    /// negative).
     #[must_use]
     pub fn delta_since(&self, earlier: &Sketch) -> Sketch {
-        assert_eq!(
-            self.config, earlier.config,
-            "cannot delta sketches with different bucket layouts"
-        );
         let sub = |a: u64, b: u64| {
             a.checked_sub(b)
                 .expect("sketch delta: earlier snapshot is not a prefix")
         };
         Sketch {
-            config: self.config,
             count: sub(self.count, earlier.count),
             sum_fp: self.sum_fp.wrapping_sub(earlier.sum_fp),
             sumsq_fp: self.sumsq_fp.saturating_sub(earlier.sumsq_fp),
@@ -212,19 +173,8 @@ impl Sketch {
             zero: sub(self.zero, earlier.zero),
             low: sub(self.low, earlier.low),
             high: sub(self.high, earlier.high),
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&earlier.buckets)
-                .map(|(a, b)| sub(*a, *b))
-                .collect(),
+            buckets: std::array::from_fn(|i| sub(self.buckets[i], earlier.buckets[i])),
         }
-    }
-
-    /// Bucket layout of this sketch.
-    #[must_use]
-    pub fn config(&self) -> SketchConfig {
-        self.config
     }
 
     /// Total number of observations (including tails).
@@ -334,18 +284,18 @@ impl Sketch {
         }
         seen += self.low;
         if rank <= seen {
-            return clamp(self.config.bucket_lower(0));
+            return clamp(bucket_lower(0));
         }
         for (i, c) in self.buckets.iter().enumerate() {
             seen += c;
             if rank <= seen {
-                return clamp(self.config.bucket_lower(i));
+                return clamp(bucket_lower(i));
             }
         }
         if self.max.is_finite() {
             self.max
         } else {
-            self.config.bucket_lower(self.buckets.len())
+            bucket_lower(N_BUCKETS)
         }
     }
 
@@ -362,10 +312,11 @@ impl Sketch {
         );
     }
 
-    /// Serializes as one `{"event":"sketch",…}` JSONL object. The `i128`
-    /// moments are carried as decimal strings (JSON numbers are f64 and
-    /// would silently lose their exactness); buckets are sparse
-    /// `[index, count]` pairs.
+    /// Serializes as one `{"event":"sketch",…}` JSONL object. The layout
+    /// constants ride along so a capture names the layout it was recorded
+    /// under. The `i128` moments are carried as decimal strings (JSON
+    /// numbers are f64 and would silently lose their exactness); buckets
+    /// are sparse `[index, count]` pairs.
     #[must_use]
     pub fn to_jsonl(&self, name: &str) -> String {
         let mut line = String::from("{\"event\":\"sketch\",\"name\":");
@@ -373,7 +324,7 @@ impl Sketch {
         let _ = write!(
             line,
             ",\"per_decade\":{},\"min_exp\":{},\"max_exp\":{},\"count\":{}",
-            self.config.per_decade, self.config.min_exp, self.config.max_exp, self.count
+            PER_DECADE, MIN_EXP, MAX_EXP, self.count
         );
         let _ = write!(
             line,
@@ -401,20 +352,22 @@ impl Sketch {
     }
 
     /// Reconstructs a named sketch from a parsed `{"event":"sketch",…}`
-    /// object; `None` when the object is not a well-formed sketch event.
+    /// object; `None` when the object is not a well-formed sketch event or
+    /// names a bucket layout other than this one.
     #[must_use]
     pub fn from_json(v: &json::Value) -> Option<(String, Sketch)> {
         if v.get("event").and_then(json::Value::as_str) != Some("sketch") {
             return None;
         }
         let name = v.get("name").and_then(json::Value::as_str)?.to_string();
-        #[allow(clippy::cast_possible_truncation)]
-        let config = SketchConfig {
-            per_decade: v.get("per_decade").and_then(json::Value::as_u64)? as u32,
-            min_exp: v.get("min_exp").and_then(json::Value::as_f64)? as i32,
-            max_exp: v.get("max_exp").and_then(json::Value::as_f64)? as i32,
-        };
-        let mut sketch = Sketch::new(config);
+        let layout = |key| v.get(key).and_then(json::Value::as_f64);
+        if layout("per_decade")? != f64::from(PER_DECADE)
+            || layout("min_exp")? != f64::from(MIN_EXP)
+            || layout("max_exp")? != f64::from(MAX_EXP)
+        {
+            return None;
+        }
+        let mut sketch = Sketch::new();
         sketch.count = v.get("count").and_then(json::Value::as_u64)?;
         sketch.sum_fp = v
             .get("sum_fp")
@@ -459,7 +412,7 @@ impl Sketch {
 
 impl Default for Sketch {
     fn default() -> Self {
-        Self::new(SketchConfig::DEFAULT)
+        Self::new()
     }
 }
 
@@ -511,7 +464,7 @@ mod tests {
     fn quantiles_resolve_within_one_bucket_ratio() {
         let values: Vec<f64> = (1..=1000).map(|i| f64::from(i) * 1e-5).collect();
         let s = filled(&values);
-        let ratio = 10f64.powf(1.0 / f64::from(SketchConfig::DEFAULT.per_decade));
+        let ratio = 10f64.powf(1.0 / f64::from(PER_DECADE));
         for (q, exact) in [(0.01, 1e-4), (0.5, 5e-3), (0.99, 9.9e-3)] {
             let got = s.quantile(q);
             assert!(
@@ -568,18 +521,6 @@ mod tests {
         let a = filled(&[0.1]);
         let b = filled(&[0.1, 0.2]);
         let _ = a.delta_since(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket layouts")]
-    fn merge_rejects_mismatched_layouts() {
-        let mut a = Sketch::new(SketchConfig {
-            per_decade: 4,
-            min_exp: -3,
-            max_exp: 3,
-        });
-        let b = Sketch::default();
-        a.merge(&b);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! accumulation — the guarantee `repro report health` leans on to stay
 //! reproducible at any `--threads N`.
 
-use aro_obs::{Registry, Sketch, SketchConfig};
+use aro_obs::json::{self, Value};
+use aro_obs::{Registry, Sketch};
 use proptest::prelude::*;
 
 /// Values spanning every regime a sketch distinguishes: negatives, exact
@@ -21,6 +22,33 @@ fn stream_value(seed: u64) -> f64 {
         _ => mantissa * 10f64.powi(exp),
     }
 }
+
+/// Any JSON number: small integers around the layout constants,
+/// full-range integers, and arbitrary `f64` bit patterns (fractions,
+/// subnormals, infinities and NaN included).
+#[allow(clippy::cast_precision_loss)]
+fn any_number() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        (-20i64..200).prop_map(|n| n as f64),
+        any::<i64>().prop_map(|n| n as f64),
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+/// The numeric fields of a sketch event the corruption property targets;
+/// the last two address the first sparse bucket's `[index, count]` pair.
+const FIELDS: [&str; 10] = [
+    "per_decade",
+    "min_exp",
+    "max_exp",
+    "count",
+    "neg",
+    "zero",
+    "low",
+    "high",
+    "bucket index",
+    "bucket count",
+];
 
 fn dump(s: &Sketch) -> String {
     let mut out = String::new();
@@ -129,12 +157,55 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `from_json` reads captures from outside the program: overwriting
+    /// one numeric field of a valid sketch event with any number yields
+    /// `None` or `Some`, never a panic, and a layout field other than the
+    /// built-in constant always yields `None`.
+    #[test]
+    fn from_json_fails_closed_on_a_corrupted_field(
+        seeds in prop::collection::vec(any::<u64>(), 0..100),
+        field in 0..FIELDS.len(),
+        x in any_number(),
+    ) {
+        let mut s = Sketch::default();
+        s.observe(0.5); // at least one bucket to corrupt
+        for &seed in &seeds {
+            s.observe(stream_value(seed));
+        }
+        let Ok(Value::Object(mut event)) = json::parse(&s.to_jsonl("prop.metric")) else {
+            panic!("sketch JSONL parses to an object");
+        };
+        let target = match FIELDS[field] {
+            "bucket index" | "bucket count" => {
+                let Some(Value::Array(pairs)) = event.get_mut("buckets") else {
+                    panic!("buckets is an array");
+                };
+                let Value::Array(pair) = &mut pairs[0] else {
+                    panic!("a bucket is an [index, count] pair");
+                };
+                &mut pair[usize::from(FIELDS[field] == "bucket count")]
+            }
+            name => event.get_mut(name).expect("every field is present"),
+        };
+        let original = target.as_f64();
+        *target = Value::Number(x);
+        let parsed = Sketch::from_json(&Value::Object(event));
+        let layout = matches!(FIELDS[field], "per_decade" | "min_exp" | "max_exp");
+        if layout && original != Some(x) {
+            prop_assert!(parsed.is_none(), "{} = {x} must be refused", FIELDS[field]);
+        }
+    }
+}
+
 #[test]
 fn delta_since_then_remerge_is_identity() {
     // delta_since must be the exact inverse of merge on every counter:
     // re-merging the delta onto the earlier snapshot restores the final
     // sketch (up to the documented run-cumulative min/max).
-    let mut s = Sketch::new(SketchConfig::DEFAULT);
+    let mut s = Sketch::new();
     for i in 0..500u64 {
         s.observe(stream_value(i.wrapping_mul(0x9e37_79b9)));
     }

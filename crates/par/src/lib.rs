@@ -93,8 +93,8 @@ where
                 })
             })
             .collect();
-        // Join (and merge) in worker-index order — never completion order —
-        // so gauge last-write-wins resolution is reproducible.
+        // Join and fold worker metrics in worker-index order — never
+        // completion order — so every run folds in the same sequence.
         for worker in workers {
             let harvested = worker.join().expect("parallel worker panicked");
             aro_obs::merge_scratch(&harvested);

@@ -226,27 +226,6 @@ struct KernelHints {
     results: Vec<Option<(f64, f64)>>,
 }
 
-impl AgedStepSnapshot {
-    /// Approximate heap footprint, for store accounting.
-    #[must_use]
-    pub fn approx_bytes(&self) -> usize {
-        let tape = self.tape.events.len() * std::mem::size_of::<TapEvent>()
-            + (self.tape.active_spans.len() + self.tape.idle_spans.len()) * 8
-            + self.tape.agg_counters.len() * 24
-            + self.tape.agg_sketches.len() * 24;
-        let hints = self
-            .hints
-            .borrow()
-            .as_ref()
-            .map_or(0, |h| h.results.len() * std::mem::size_of::<Option<(f64, f64)>>());
-        let wear = match &self.wear {
-            WearStore::Uniform { bti, hci } => (bti.len() + hci.len()) * 8,
-            WearStore::Dense(levels) => levels.len() * std::mem::size_of::<WearLevel>(),
-        };
-        tape + wear + hints + self.covered.len()
-    }
-}
-
 /// Ages `chip` through one mission step exactly as
 /// [`MissionProfile::age_chip`] would — same batches, same per-ring
 /// order, bit-identical wear and telemetry — while recording a snapshot

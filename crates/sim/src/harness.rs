@@ -341,8 +341,8 @@ fn health_delta(before: &Registry) -> BTreeMap<String, HealthStat> {
     let mut health = BTreeMap::new();
     for (name, sketch) in now.sketches() {
         let delta = match before.sketch(name) {
-            Some(prev) if prev.config() == sketch.config() => sketch.delta_since(prev),
-            _ => sketch.clone(),
+            Some(prev) => sketch.delta_since(prev),
+            None => sketch.clone(),
         };
         if delta.count() > 0 {
             health.insert(name.to_string(), HealthStat::of(&delta));

@@ -149,10 +149,8 @@ pub fn measure_flip_timeline(
             aro_obs::counter("sim.bits_evaluated", bits);
             #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
             aro_obs::counter("sim.flips_observed", (rate * bits as f64).round() as u64);
-            aro_obs::observe("sim.flip_rate", rate);
             rate
         });
-        aro_obs::gauge("sim.age_seconds", age);
         if aro_obs::enabled() {
             // Drift-vs-age: a per-checkpoint BER sketch keyed by the age
             // in years (zero-padded so name order is age order). Streamed

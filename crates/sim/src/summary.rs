@@ -35,29 +35,13 @@ pub fn span_table(timings: &BTreeMap<String, SpanStats>) -> Table {
     t
 }
 
-/// The metrics table (counters, then gauges, then histogram summaries,
-/// then sketch summaries, each block in name order).
+/// The metrics table (counters, then sketch summaries, each block in name
+/// order).
 #[must_use]
 pub fn metrics_table(registry: &Registry) -> Table {
     let mut t = Table::new("Run summary — metrics", &["metric", "kind", "value"]);
     for (name, value) in registry.counters() {
         t.push_row(vec![name.to_string(), "counter".into(), value.to_string()]);
-    }
-    for (name, value) in registry.gauges() {
-        t.push_row(vec![name.to_string(), "gauge".into(), format!("{value:.6}")]);
-    }
-    for (name, h) in registry.histograms() {
-        t.push_row(vec![
-            name.to_string(),
-            "histogram".into(),
-            format!(
-                "count={} mean={:.6} min={:.6} max={:.6}",
-                h.count(),
-                h.mean(),
-                if h.count() == 0 { 0.0 } else { h.min() },
-                if h.count() == 0 { 0.0 } else { h.max() },
-            ),
-        ]);
     }
     for (name, s) in registry.sketches() {
         t.push_row(vec![
@@ -114,9 +98,7 @@ mod tests {
     fn summary_lists_each_metric_kind_and_span() {
         let mut registry = Registry::new();
         registry.add_counter("sim.chips_simulated", 42);
-        registry.set_gauge("sim.age_seconds", 3.5);
-        registry.observe("sim.flip_rate", 0.125);
-        registry.sketch_observe("puf.ber", 0.01);
+        registry.sketch_observe("puf.ber", 0.125);
         let mut timings = BTreeMap::new();
         timings.insert(
             "exp.exp2".to_string(),
@@ -132,10 +114,8 @@ mod tests {
         assert!(md.contains("2.500"));
         assert!(md.contains("sim.chips_simulated"));
         assert!(md.contains("counter"));
-        assert!(md.contains("gauge"));
-        assert!(md.contains("histogram"));
-        assert!(md.contains("count=1 mean=0.125"));
         assert!(md.contains("sketch"));
+        assert!(md.contains("count=1 mean=0.125"));
         assert!(md.contains("puf.ber"));
     }
 }
