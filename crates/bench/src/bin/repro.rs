@@ -12,9 +12,6 @@
 //! repro --threads 4              # force the worker-thread count
 //! repro --replicas 3             # store replication factor (serve modes)
 //! repro --faults smoke           # run under an injected-fault plan
-//! repro --max-retries 2          # retry failed experiments (reseeding
-//!                                # only the flaky-tolerant ones)
-//! repro --watchdog 600           # abandon any experiment past 600 s
 //! repro --fail exp3              # force exp3 to panic (chaos testing)
 //! repro --quiet                  # suppress report output (for timing runs)
 //! repro --ledger run.ledger      # journal every experiment outcome
@@ -41,12 +38,11 @@
 use aro_faults::{FaultInjector, FaultPlan};
 use aro_ledger::Ledger;
 use aro_sim::experiments::ALL_IDS;
-use aro_sim::harness::{self, HarnessOptions};
+use aro_sim::harness;
 use aro_sim::SimConfig;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
 
 const EXPERIMENTS: [(&str, &str); 19] = [
     ("exp1", "RO frequency degradation vs. time"),
@@ -173,11 +169,6 @@ fn usage() -> String {
          \x20 --faults PLAN        inject deterministic faults; PLAN is\n\
          \x20                      off | smoke | storm, optionally scaled\n\
          \x20                      as PLAN@INTENSITY (e.g. storm@0.5)\n\
-         \x20 --max-retries N      retry a failed experiment up to N times\n\
-         \x20                      (flaky-tolerant experiments reseed,\n\
-         \x20                      headline ones keep their seed)\n\
-         \x20 --watchdog SECS      abandon any experiment attempt that is\n\
-         \x20                      still running after SECS seconds\n\
          \x20 --fail ID            force experiment ID to panic (repeatable;\n\
          \x20                      exercises degraded mode end to end)\n\
          \x20 --ledger PATH        start a fresh run ledger at PATH: every\n\
@@ -229,8 +220,6 @@ struct Options {
     replicas: Option<usize>,
     faults: Option<FaultPlan>,
     fault_spec: Option<String>,
-    max_retries: usize,
-    watchdog: Option<Duration>,
     forced_panics: Vec<String>,
     ledger: Option<PathBuf>,
     resume: Option<PathBuf>,
@@ -256,8 +245,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
         replicas: None,
         faults: None,
         fault_spec: None,
-        max_retries: 0,
-        watchdog: None,
         forced_panics: Vec::new(),
         ledger: None,
         resume: None,
@@ -334,28 +321,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
                 let plan = FaultPlan::parse(&spec).map_err(|e| CliError::Usage(e.to_string()))?;
                 opts.faults = Some(plan);
                 opts.fault_spec = Some(spec);
-            }
-            "--max-retries" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--max-retries expects a value".into()))?;
-                opts.max_retries = value.parse().map_err(|_| {
-                    CliError::Usage(format!("--max-retries expects an integer, got `{value}`"))
-                })?;
-            }
-            "--watchdog" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--watchdog expects seconds".into()))?;
-                let secs: f64 = value.parse().map_err(|_| {
-                    CliError::Usage(format!("--watchdog expects seconds, got `{value}`"))
-                })?;
-                if !(secs.is_finite() && secs > 0.0) {
-                    return Err(CliError::Usage(
-                        "--watchdog expects a positive number of seconds".into(),
-                    ));
-                }
-                opts.watchdog = Some(Duration::from_secs_f64(secs));
             }
             "--fail" => {
                 let id = args
@@ -517,11 +482,6 @@ fn run(opts: &Options) -> Result<i32, CliError> {
         opts.ids.iter().map(String::as_str).collect()
     };
 
-    let harness_opts = HarnessOptions {
-        max_retries: opts.max_retries,
-        watchdog: opts.watchdog,
-        forced_panics: opts.forced_panics.clone(),
-    };
     let injector = opts
         .faults
         .map(|plan| Arc::new(FaultInjector::new(plan, opts.cfg.seed)));
@@ -533,7 +493,7 @@ fn run(opts: &Options) -> Result<i32, CliError> {
     let outcome = aro_sim::popcache::scoped(|| {
         let _run_span = aro_obs::span("run");
         aro_sim::faultctx::scoped(injector, || {
-            harness::run_experiments_ledgered(&opts.cfg, &ids, &harness_opts, ledger.as_mut())
+            harness::run_experiments(&opts.cfg, &ids, &opts.forced_panics, ledger.as_mut())
         })
     });
 
@@ -578,10 +538,7 @@ fn run(opts: &Options) -> Result<i32, CliError> {
         }
     }
     for failure in &outcome.failures {
-        eprintln!(
-            "repro: {} failed after {} attempt(s): {}",
-            failure.id, failure.attempts, failure.error
-        );
+        eprintln!("repro: {} failed: {}", failure.id, failure.error);
     }
     if let Some(table) = outcome.failure_table() {
         if !opts.quiet {

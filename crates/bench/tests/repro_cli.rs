@@ -130,3 +130,13 @@ fn removed_wall_time_capture_and_trajectory_are_usage_errors() {
     let out = repro(&["report", "trajectory", "."]);
     assert_eq!(out.status.code(), Some(2));
 }
+
+#[test]
+fn removed_retry_and_watchdog_flags_are_unknown_options() {
+    for (flag, value) in [("--max-retries", "1"), ("--watchdog", "5")] {
+        let out = repro(&[flag, value, "--list"]);
+        assert_eq!(out.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+    }
+}

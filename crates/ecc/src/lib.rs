@@ -10,13 +10,9 @@
 //! * [`poly`] — polynomials over GF(2^m) and over GF(2).
 //! * [`bch`] — binary BCH codes: generator construction from cyclotomic
 //!   cosets, systematic encoding, Berlekamp–Massey + Chien decoding.
-//! * [`golay`] — the perfect (23, 12, 7) Golay code with a syndrome-table
-//!   decoder.
 //! * [`repetition`] — repetition codes with majority decoding.
 //! * [`mod@concat`] — the standard PUF construction: inner repetition ⊗ outer
 //!   BCH, with analytic key-failure probability.
-//! * [`shortened`] — shortened wrappers that fit a code's dimension to a
-//!   key exactly.
 //! * [`code`] — the [`code::Code`] trait tying them together.
 //! * [`fuzzy`] — the code-offset fuzzy extractor (secure sketch + key
 //!   derivation), the construction PUF key generators actually use.
@@ -55,21 +51,17 @@ pub mod code;
 pub mod concat;
 pub mod fuzzy;
 pub mod gf;
-pub mod golay;
 pub mod hash;
 pub mod keygen;
 pub mod poly;
 pub mod refresh;
 pub mod repetition;
-pub mod shortened;
 pub mod soft;
 
 pub use bch::BchCode;
 pub use code::Code;
 pub use concat::ConcatenatedCode;
 pub use fuzzy::FuzzyExtractor;
-pub use golay::GolayCode;
-pub use repetition::RepetitionCode;
-pub use shortened::ShortenedCode;
 pub use refresh::{continuity_gate, refresh_enrollment, RefreshSchedule};
+pub use repetition::RepetitionCode;
 pub use soft::{Erasures, SoftBit, SoftConcatDecoder};

@@ -609,7 +609,6 @@ mod tests {
             1,
             "exp1",
             wall_ns,
-            1,
             "## EXP-1\n".to_string(),
             vec![],
             BTreeMap::from([("sim.chips_simulated".to_string(), chips)]),

@@ -200,7 +200,6 @@ mod tests {
             fingerprint,
             id,
             42,
-            1,
             format!("## {id}\n"),
             vec![],
             BTreeMap::new(),
@@ -287,8 +286,7 @@ mod tests {
     fn failures_are_recorded_but_never_replayed() {
         let path = temp_path("failure");
         let mut ledger = Ledger::create(&path).unwrap();
-        let failure =
-            LedgerRecord::failure(6, "exp6", 9, 2, "boom", BTreeMap::new());
+        let failure = LedgerRecord::failure(6, "exp6", 9, "boom", BTreeMap::new());
         ledger.append(&failure).unwrap();
         assert_eq!(ledger.records().len(), 1);
         assert!(ledger.cached_success(6).is_none());

@@ -1,4 +1,4 @@
-//! One ledger record: the durable trace of one experiment attempt chain.
+//! One ledger record: the durable trace of one experiment run.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -7,14 +7,14 @@ use aro_obs::json::{self, Value};
 
 use crate::health::HealthStat;
 
-/// How the experiment's attempt budget ended.
+/// How the experiment ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecordStatus {
     /// The experiment completed; the record carries its exact rendered
     /// report (and CSV dumps) for byte-identical replay.
     Success,
-    /// Every attempt failed; the record carries the attempt count and the
-    /// last error so a degraded run is reconstructable post-mortem.
+    /// The experiment did not complete; the record carries its error so a
+    /// degraded run is reconstructable post-mortem.
     Failure,
 }
 
@@ -40,11 +40,10 @@ pub struct LedgerRecord {
     pub id: String,
     /// Success or failure.
     pub status: RecordStatus,
-    /// Wall-clock nanoseconds spent on this experiment (all attempts).
+    /// Wall-clock nanoseconds spent on this experiment.
     pub wall_ns: u64,
-    /// Attempts consumed (1 + retries).
-    pub attempts: usize,
-    /// Last panic/watchdog error (failures only).
+    /// Why the experiment failed, usually its panic message (failures
+    /// only).
     pub error: Option<String>,
     /// The exact rendered markdown report (successes only) — replayed
     /// byte-identically by `repro --resume`.
@@ -69,7 +68,6 @@ impl LedgerRecord {
         fingerprint: u64,
         id: impl Into<String>,
         wall_ns: u64,
-        attempts: usize,
         report_md: String,
         csv: Vec<String>,
         metrics: BTreeMap<String, u64>,
@@ -79,7 +77,6 @@ impl LedgerRecord {
             id: id.into(),
             status: RecordStatus::Success,
             wall_ns,
-            attempts,
             error: None,
             report_md: Some(report_md),
             csv,
@@ -102,7 +99,6 @@ impl LedgerRecord {
         fingerprint: u64,
         id: impl Into<String>,
         wall_ns: u64,
-        attempts: usize,
         error: impl Into<String>,
         metrics: BTreeMap<String, u64>,
     ) -> Self {
@@ -111,7 +107,6 @@ impl LedgerRecord {
             id: id.into(),
             status: RecordStatus::Failure,
             wall_ns,
-            attempts,
             error: Some(error.into()),
             report_md: None,
             csv: Vec::new(),
@@ -139,10 +134,9 @@ impl LedgerRecord {
         json::escape_into(&mut line, &self.id);
         let _ = write!(
             line,
-            ",\"status\":\"{}\",\"wall_ns\":{},\"attempts\":{}",
+            ",\"status\":\"{}\",\"wall_ns\":{}",
             self.status.label(),
-            self.wall_ns,
-            self.attempts
+            self.wall_ns
         );
         if let Some(error) = &self.error {
             line.push_str(",\"error\":");
@@ -187,7 +181,9 @@ impl LedgerRecord {
 
     /// Deserializes a parsed JSONL line; `None` when the value is not an
     /// `experiment` event or is missing a required field (a truncated or
-    /// foreign line — callers skip it).
+    /// foreign line — callers skip it). Unknown fields, such as the
+    /// `attempts` count older ledgers carry, are ignored, so those ledgers
+    /// still resume.
     #[must_use]
     pub fn from_json(value: &Value) -> Option<Self> {
         if value.get("event").and_then(Value::as_str) != Some("experiment") {
@@ -202,7 +198,6 @@ impl LedgerRecord {
             _ => return None,
         };
         let wall_ns = value.get("wall_ns").and_then(Value::as_u64)?;
-        let attempts = value.get("attempts").and_then(Value::as_u64)? as usize;
         let error = value
             .get("error")
             .and_then(Value::as_str)
@@ -238,7 +233,6 @@ impl LedgerRecord {
             id,
             status,
             wall_ns,
-            attempts,
             error,
             report_md,
             csv,
@@ -260,7 +254,6 @@ mod tests {
             0x0123_4567_89ab_cdef,
             "exp2",
             1_234_567,
-            1,
             "## EXP-2 — title\n\n| a |\n".to_string(),
             vec!["a\n1\n".to_string()],
             metrics,
@@ -277,19 +270,17 @@ mod tests {
     }
 
     #[test]
-    fn failure_round_trips_and_keeps_attempts() {
+    fn failure_round_trips_and_keeps_its_error() {
         let record = LedgerRecord::failure(
             7,
             "exp3",
             99,
-            3,
             "forced panic requested for exp3",
             BTreeMap::new(),
         );
         let line = record.to_jsonl();
         let back = LedgerRecord::from_json(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(back, record);
-        assert_eq!(back.attempts, 3);
         assert!(back.error.unwrap().contains("forced panic"));
         assert!(back.report_md.is_none());
     }

@@ -4,8 +4,7 @@
 //! `span_close` events to the sink (if one is installed) and folds its
 //! duration into a process-wide timing table keyed by span name. Durations
 //! are wall-clock and therefore **not** part of the deterministic metrics
-//! registry — they feed the human-readable run summary and the bench JSON
-//! dump only.
+//! registry — they feed the human-readable run summary only.
 //!
 //! Nesting is tracked per thread: each span records its depth at open, and
 //! guards close in LIFO order by construction, so a telemetry stream's

@@ -47,7 +47,8 @@ pub use audit::{AttemptAudit, AttemptFaults, RequestAudit, StoreAudit};
 pub use bench::{run_bench, BenchPlan, BenchStats, FleetContext};
 pub use pipeline::{LatencyModel, RetryPolicy};
 pub use service::{
-    AuthService, HealthState, RequestOutcome, ServicePolicy, StoreHealth, Tallies, Verdict,
+    faulted_read, AuthService, HealthState, RequestOutcome, ServicePolicy, StoreHealth, Tallies,
+    Verdict,
 };
 pub use store::{
     ReadOutcome, ReplicaSummary, ScrubRepair, ScrubReport, ShardedStore, StoredRecord,

@@ -31,6 +31,7 @@ use aro_ecc::keygen::KeyGenerator;
 use aro_ecc::refresh::continuity_gate;
 use aro_ecc::soft::{Erasures, SoftBit};
 use aro_faults::FaultInjector;
+use aro_metrics::bits::BitString;
 use aro_metrics::quality::fractional_hd;
 use aro_puf::{Chip, PufDesign};
 
@@ -308,11 +309,14 @@ fn slot(device: u64, event: u64) -> u64 {
         .wrapping_add(event)
 }
 
-/// One (possibly faulted) hard read: environment excursion, noise burst,
-/// and response glitches applied exactly as the device-side experiments
-/// apply them. Returns the answer and which faults fired — the audit
-/// trail's link from a verdict back to its injected causes.
-fn faulted_response(
+/// One (possibly faulted) field read: the fault plan's environment
+/// excursion, then a noise-burst readout, then counter glitches, applied
+/// to a soft measurement. Returns the soft bits and which faults fired —
+/// the audit trail's link from a verdict back to its injected causes.
+/// Without an injector this is a plain soft read. The bit values are the
+/// hard [`Chip::response`] of the same read: both draw the same noise
+/// nonces.
+pub fn faulted_read(
     chip: &mut Chip,
     design: &PufDesign,
     env: &Environment,
@@ -320,40 +324,7 @@ fn faulted_response(
     inj: Option<&FaultInjector>,
     chip_id: u64,
     event: u64,
-) -> (aro_metrics::bits::BitString, AttemptFaults) {
-    let Some(inj) = inj else {
-        return (chip.response(design, env, pairs), AttemptFaults::default());
-    };
-    let meas_env = inj.measurement_env(chip_id, event, env);
-    let excursion = meas_env != *env;
-    let burst = inj.noise_burst(chip_id, event);
-    let burst_design =
-        burst.map(|factor| design.with_readout(design.readout().with_noise_burst(factor)));
-    let meas_design = burst_design.as_ref().unwrap_or(design);
-    let mut answer = chip.response(meas_design, &meas_env, pairs);
-    let glitches = inj.response_glitches(chip_id, event, answer.len());
-    for &bit in &glitches {
-        answer.flip(bit);
-    }
-    let faults = AttemptFaults {
-        excursion,
-        burst: burst.is_some(),
-        glitches: glitches.len() as u64,
-    };
-    (answer, faults)
-}
-
-/// One (possibly faulted) soft read for the re-enrollment gate — the
-/// same excursion/burst/glitch plumbing as the lifecycle experiments.
-fn faulted_soft_response(
-    chip: &mut Chip,
-    design: &PufDesign,
-    env: &Environment,
-    pairs: &[(usize, usize)],
-    inj: Option<&FaultInjector>,
-    chip_id: u64,
-    event: u64,
-) -> Vec<SoftBit> {
+) -> (Vec<SoftBit>, AttemptFaults) {
     let read = |chip: &mut Chip, design: &PufDesign, env: &Environment| -> Vec<SoftBit> {
         chip.response_soft(design, env, pairs)
             .into_iter()
@@ -361,18 +332,23 @@ fn faulted_soft_response(
             .collect()
     };
     let Some(inj) = inj else {
-        return read(chip, design, env);
+        return (read(chip, design, env), AttemptFaults::default());
     };
     let meas_env = inj.measurement_env(chip_id, event, env);
-    let burst_design = inj
-        .noise_burst(chip_id, event)
-        .map(|factor| design.with_readout(design.readout().with_noise_burst(factor)));
-    let meas_design = burst_design.as_ref().unwrap_or(design);
-    let mut soft = read(chip, meas_design, &meas_env);
-    for bit in inj.response_glitches(chip_id, event, soft.len()) {
+    let burst = inj.noise_burst(chip_id, event);
+    let burst_design =
+        burst.map(|factor| design.with_readout(design.readout().with_noise_burst(factor)));
+    let mut soft = read(chip, burst_design.as_ref().unwrap_or(design), &meas_env);
+    let glitches = inj.response_glitches(chip_id, event, soft.len());
+    for &bit in &glitches {
         soft[bit].value = !soft[bit].value;
     }
-    soft
+    let faults = AttemptFaults {
+        excursion: meas_env != *env,
+        burst: burst.is_some(),
+        glitches: glitches.len() as u64,
+    };
+    (soft, faults)
 }
 
 impl AuthService {
@@ -565,8 +541,9 @@ impl AuthService {
         for attempt in 0..self.policy.retry.max_attempts {
             let event = event_base + u64::from(attempt);
             let mut rng = self.domain.child("request").rng(slot(target_id, event));
-            let (answer, faults) =
-                faulted_response(chip, design, env, record.challenge_pairs(), inj, probe_id, event);
+            let (soft, faults) =
+                faulted_read(chip, design, env, record.challenge_pairs(), inj, probe_id, event);
+            let answer: BitString = soft.iter().map(|s| s.value).collect();
             let cost = self
                 .policy
                 .latency
@@ -951,7 +928,7 @@ impl AuthService {
         let mut rng = self.domain.child("reenroll").rng(slot(target_id, event_base));
         for attempt in 0..u64::from(self.policy.retry.max_attempts) {
             let event = event_base + attempt;
-            let soft = faulted_soft_response(chip, design, env, key_pairs, inj, probe_id, event);
+            let (soft, _) = faulted_read(chip, design, env, key_pairs, inj, probe_id, event);
             // Gate first: the multi-vote anchor and reference reads below
             // are the expensive half of maintenance, so they only happen
             // once the continuity gate has passed — a broken chain costs

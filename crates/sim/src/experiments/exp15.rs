@@ -26,10 +26,11 @@ use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;
 use aro_device::units::YEAR;
 use aro_ecc::keygen::KeyGenerator;
-use aro_ecc::soft::{Erasures, SoftBit};
+use aro_ecc::soft::Erasures;
 use aro_faults::{FaultInjector, FaultPlan};
 use aro_metrics::bits::BitString;
 use aro_puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
+use aro_serve::faulted_read;
 
 use crate::config::SimConfig;
 use crate::experiments::exp2;
@@ -223,19 +224,7 @@ fn run_trial_on(
             // counters may glitch. The soft reading consumes the exact
             // nonce stream `Chip::response` would, so the hard-decode
             // column is byte-identical to the original flow.
-            let meas_env = inj.measurement_env(id, attempt, env);
-            let burst_design = inj
-                .noise_burst(id, attempt)
-                .map(|factor| design.with_readout(design.readout().with_noise_burst(factor)));
-            let meas_design = burst_design.as_ref().unwrap_or(design);
-            let mut soft: Vec<SoftBit> = chip
-                .response_soft(meas_design, &meas_env, pairs)
-                .into_iter()
-                .map(|(bit, confidence)| SoftBit::new(bit, confidence))
-                .collect();
-            for bit in inj.response_glitches(id, attempt, soft.len()) {
-                soft[bit].value = !soft[bit].value;
-            }
+            let (soft, _) = faulted_read(chip, design, env, pairs, Some(&inj), id, attempt);
             let noisy: BitString = soft.iter().map(|s| s.value).collect();
             if generator.reconstruct(&noisy, &helper) == Some(key.clone()) {
                 recovered += 1;

@@ -40,10 +40,11 @@ use aro_device::units::YEAR;
 use aro_ecc::fuzzy::HelperData;
 use aro_ecc::keygen::KeyGenerator;
 use aro_ecc::refresh::{refresh_enrollment, RefreshSchedule};
-use aro_ecc::soft::{Erasures, SoftBit};
+use aro_ecc::soft::Erasures;
 use aro_faults::{FaultInjector, FaultPlan};
 use aro_metrics::bits::BitString;
 use aro_puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
+use aro_serve::faulted_read;
 
 use crate::config::SimConfig;
 use crate::experiments::exp2;
@@ -128,33 +129,6 @@ pub struct ReplicatedLifecycleTrial {
     /// Impostor attempts that recovered the victim's key — the
     /// false-accept count, which must stay zero.
     pub impostor_accepts: usize,
-}
-
-/// One faulted soft measurement event (the same excursion/burst/glitch
-/// plumbing as EXP-15's attempts).
-fn faulted_soft_reading(
-    inj: &FaultInjector,
-    chip: &mut Chip,
-    design: &PufDesign,
-    env: &Environment,
-    pairs: &[(usize, usize)],
-    chip_id: u64,
-    event: u64,
-) -> Vec<SoftBit> {
-    let meas_env = inj.measurement_env(chip_id, event, env);
-    let burst_design = inj
-        .noise_burst(chip_id, event)
-        .map(|factor| design.with_readout(design.readout().with_noise_burst(factor)));
-    let meas_design = burst_design.as_ref().unwrap_or(design);
-    let mut soft: Vec<SoftBit> = chip
-        .response_soft(meas_design, &meas_env, pairs)
-        .into_iter()
-        .map(|(bit, confidence)| SoftBit::new(bit, confidence))
-        .collect();
-    for bit in inj.response_glitches(chip_id, event, soft.len()) {
-        soft[bit].value = !soft[bit].value;
-    }
-    soft
 }
 
 /// The sweep's reusable chip bench: the design and its fabricated chips
@@ -324,7 +298,7 @@ pub fn run_replicated_trial_on(
             refreshes_scheduled += 1;
             'gate: for retry in 0..READ_RETRIES as u64 {
                 let event = REFRESH_EVENT_BASE + window as u64 * READ_RETRIES as u64 + retry;
-                let soft = faulted_soft_reading(&inj, chip, design, env, pairs, id, event);
+                let (soft, _) = faulted_read(chip, design, env, pairs, Some(&inj), id, event);
                 let anchor = chip.response_voted(design, env, pairs, 5);
                 // One silicon read, then the replicas in index order:
                 // the gate passes on the first replica whose lineage
@@ -370,7 +344,7 @@ pub fn run_replicated_trial_on(
         for attempt in 0..attempts_per_chip as u64 {
             'attempt: for retry in 0..READ_RETRIES as u64 {
                 let event = attempt * READ_RETRIES as u64 + retry;
-                let soft = faulted_soft_reading(&inj, chip, design, env, pairs, id, event);
+                let (soft, _) = faulted_read(chip, design, env, pairs, Some(&inj), id, event);
                 for (k, (eroded, flags)) in stored.iter().enumerate() {
                     if generator.reconstruct_soft_erasure_aware(&soft, eroded, flags)
                         == Some(key.clone())
@@ -404,8 +378,8 @@ pub fn run_replicated_trial_on(
                 impostor_attempts += 1;
                 'probe: for retry in 0..READ_RETRIES as u64 {
                     let event = IMPOSTOR_EVENT_BASE + attempt * READ_RETRIES as u64 + retry;
-                    let soft =
-                        faulted_soft_reading(&inj, chip, design, env, pairs, slot as u64, event);
+                    let (soft, _) =
+                        faulted_read(chip, design, env, pairs, Some(&inj), slot as u64, event);
                     for (eroded, flags) in victim_stored {
                         if generator.reconstruct_soft_erasure_aware(&soft, eroded, flags)
                             == Some(victim_key.clone())

@@ -31,9 +31,7 @@ pub const ALL_IDS: [&str; 19] = [
     "exp12", "exp13", "exp14", "exp15", "exp16", "exp17", "exp18", "exp19",
 ];
 
-/// Wraps one experiment run in its phase span and progress counter, so
-/// every entry path (`run_all`, `run_by_id`, direct module calls routed
-/// here) reports identically.
+/// Wraps one experiment run in its phase span and progress counter.
 fn traced(id: &str, cfg: &SimConfig, run: fn(&SimConfig) -> Report) -> Report {
     let _span = aro_obs::span(&format!("exp.{id}"));
     let report = run(cfg);
@@ -41,25 +39,11 @@ fn traced(id: &str, cfg: &SimConfig, run: fn(&SimConfig) -> Report) -> Report {
     report
 }
 
-/// Runs every experiment at the given configuration, in order. The whole
-/// sweep shares one population cache, so each reused (design, chip count)
-/// key fabricates at most twice — once to detect reuse, once for the
-/// retained baseline — no matter how many experiments request it.
-#[must_use]
-pub fn run_all(cfg: &SimConfig) -> Vec<Report> {
-    crate::popcache::scoped(|| {
-        ALL_IDS
-            .iter()
-            .map(|id| run_by_id(id, cfg).expect("ALL_IDS entries are valid"))
-            .collect()
-    })
-}
-
 /// Runs one experiment by id (`"exp1"`…`"exp19"`, plus the
 /// `"serve-bench"` mode, which is not in [`ALL_IDS`] — it only runs when
 /// asked for by name), or `None` for an unknown id. Opens a
 /// population-cache scope of its own (a no-op when the caller — e.g.
-/// [`run_all`] — already holds one).
+/// the experiment harness — already holds one).
 #[must_use]
 pub fn run_by_id(id: &str, cfg: &SimConfig) -> Option<Report> {
     let run: fn(&SimConfig) -> Report = match id {

@@ -25,7 +25,7 @@
 //! over a few dozen entries is cheaper than hashing the design anyway.
 //!
 //! The memo is **scoped, not global**: it exists only inside a [`scoped`]
-//! region (installed by `experiments::run_all`, `run_by_id`, and the
+//! region (installed by `experiments::run_by_id`, the harness and the
 //! `repro` binary's experiment loop) and is dropped when the outermost
 //! scope exits. Every run therefore starts cold, which keeps repeated
 //! runs — and the observability suite's thread-count determinism
@@ -184,8 +184,9 @@ fn memoized<K: PartialEq, V: Clone>(
 }
 
 /// Runs `f` with a cache installed. Re-entrant: nested scopes join the
-/// outermost one instead of shadowing it, so `run_all` keeps its
-/// cross-experiment cache even though each `run_by_id` opens its own scope.
+/// outermost one instead of shadowing it, so a multi-experiment run keeps
+/// its cross-experiment cache even though each `run_by_id` opens its own
+/// scope.
 pub fn scoped<R>(f: impl FnOnce() -> R) -> R {
     let installed = CACHE.with(|cache| {
         let mut slot = cache.borrow_mut();

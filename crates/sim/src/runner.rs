@@ -24,7 +24,7 @@ pub fn design_for(cfg: &SimConfig, style: RoStyle) -> PufDesign {
 }
 
 /// Fabricates the population of a style under a config. Inside a
-/// [`crate::popcache::scoped`] region (every `run_all`/`run_by_id` call)
+/// [`crate::popcache::scoped`] region (every `run_by_id` call)
 /// repeated requests clone one cached baseline instead of refabricating.
 #[must_use]
 pub fn build_population(cfg: &SimConfig, style: RoStyle) -> Population {

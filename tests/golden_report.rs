@@ -13,7 +13,7 @@
 
 use aro_puf_repro::ledger::Ledger;
 use aro_puf_repro::sim::experiments::{run_by_id, ALL_IDS};
-use aro_puf_repro::sim::harness::{run_experiments_ledgered, HarnessOptions};
+use aro_puf_repro::sim::harness::run_experiments;
 use aro_puf_repro::sim::{popcache, SimConfig};
 use std::fmt::Write;
 
@@ -76,7 +76,7 @@ fn render_harness_run(ids: &[&str], ledger: Option<&mut Ledger>) -> String {
         cfg.n_chips, cfg.n_ros, cfg.seed
     )
     .expect("writing to a String cannot fail");
-    let outcome = run_experiments_ledgered(&cfg, ids, &HarnessOptions::default(), ledger);
+    let outcome = run_experiments(&cfg, ids, &[], ledger);
     assert!(outcome.failures.is_empty(), "quick run never fails");
     assert!(outcome.ledger_errors.is_empty(), "ledger appends succeed");
     for success in &outcome.successes {

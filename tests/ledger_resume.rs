@@ -1,7 +1,8 @@
 //! Integration tests for the run ledger and `--resume` semantics beyond
 //! the byte-identity proof in `golden_report.rs`: fingerprint mismatches
-//! must force re-runs, crash debris must be tolerated, and failure
-//! records must reconstruct a degraded run post-mortem.
+//! must force re-runs, crash debris must be tolerated, older ledgers must
+//! still resume, and failure records must reconstruct a degraded run
+//! post-mortem.
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -9,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use aro_puf_repro::ledger::journal::parse_records;
 use aro_puf_repro::ledger::{Ledger, RecordStatus};
-use aro_puf_repro::sim::harness::{run_experiments_ledgered, HarnessOptions};
+use aro_puf_repro::sim::harness::{run_experiments, RunOutcome};
 use aro_puf_repro::sim::SimConfig;
 
 fn temp_ledger(tag: &str) -> PathBuf {
@@ -25,13 +26,12 @@ fn temp_ledger(tag: &str) -> PathBuf {
 fn replayed_and_fresh_runs_render_identical_bytes() {
     let path = temp_ledger("replay");
     let cfg = SimConfig::quick();
-    let opts = HarnessOptions::default();
     let fresh = {
         let mut ledger = Ledger::create(&path).unwrap();
-        run_experiments_ledgered(&cfg, &["exp1"], &opts, Some(&mut ledger))
+        run_experiments(&cfg, &["exp1"], &[], Some(&mut ledger))
     };
     let mut reopened = Ledger::open(&path).unwrap();
-    let replayed = run_experiments_ledgered(&cfg, &["exp1"], &opts, Some(&mut reopened));
+    let replayed = run_experiments(&cfg, &["exp1"], &[], Some(&mut reopened));
     drop(reopened);
     std::fs::remove_file(&path).unwrap();
 
@@ -52,18 +52,64 @@ fn replayed_and_fresh_runs_render_identical_bytes() {
     assert_eq!(fresh.successes[0].wall, replayed.successes[0].wall);
 }
 
+/// Rewrites a journal line into the format of ledgers written before
+/// the driver stopped retrying: an `"attempts":1` field after `wall_ns`.
+fn with_attempts_field(line: &str) -> String {
+    let key = "\"wall_ns\":";
+    let digits = line.find(key).expect("an experiment record") + key.len();
+    let end = digits + line[digits..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    format!("{},\"attempts\":1{}", &line[..end], &line[end..])
+}
+
+#[test]
+fn a_ledger_with_legacy_attempt_counts_still_resumes_byte_identically() {
+    let path = temp_ledger("legacy");
+    let cfg = SimConfig::quick();
+    let ids = ["exp1", "exp3"];
+    let fresh = {
+        let mut ledger = Ledger::create(&path).unwrap();
+        run_experiments(&cfg, &ids, &[], Some(&mut ledger))
+    };
+    let legacy: String = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(|line| with_attempts_field(line) + "\n")
+        .collect();
+    assert_eq!(legacy.matches("\"attempts\":1").count(), ids.len());
+    std::fs::write(&path, legacy).unwrap();
+
+    let mut reopened = Ledger::open(&path).unwrap();
+    assert_eq!(
+        reopened.skipped_lines(),
+        0,
+        "legacy lines are records, not debris"
+    );
+    let resumed = run_experiments(&cfg, &ids, &[], Some(&mut reopened));
+    drop(reopened);
+    std::fs::remove_file(&path).unwrap();
+
+    assert!(resumed.successes.iter().all(|s| s.report.is_replayed()));
+    let render = |outcome: &RunOutcome| -> String {
+        outcome
+            .successes
+            .iter()
+            .map(|s| format!("{}\n", s.report))
+            .collect()
+    };
+    assert_eq!(render(&fresh), render(&resumed));
+}
+
 #[test]
 fn a_different_seed_changes_the_fingerprint_and_forces_a_rerun() {
     let path = temp_ledger("mismatch");
-    let opts = HarnessOptions::default();
     let cfg = SimConfig::quick();
     {
         let mut ledger = Ledger::create(&path).unwrap();
-        let _ = run_experiments_ledgered(&cfg, &["exp1"], &opts, Some(&mut ledger));
+        let _ = run_experiments(&cfg, &["exp1"], &[], Some(&mut ledger));
     }
     let reseeded = cfg.clone().with_seed(cfg.seed + 1);
     let mut reopened = Ledger::open(&path).unwrap();
-    let outcome = run_experiments_ledgered(&reseeded, &["exp1"], &opts, Some(&mut reopened));
+    let outcome = run_experiments(&reseeded, &["exp1"], &[], Some(&mut reopened));
     assert!(
         !outcome.successes[0].report.is_replayed(),
         "a seed change must invalidate the cached record"
@@ -90,7 +136,6 @@ fn an_erasure_only_plan_fingerprints_apart_from_off_and_forces_a_rerun() {
 
     let path = temp_ledger("erasure");
     let cfg = SimConfig::quick();
-    let opts = HarnessOptions::default();
     let plan_at = |rate: f64| FaultPlan {
         helper_erasure_rate: rate,
         ..FaultPlan::off()
@@ -101,13 +146,13 @@ fn an_erasure_only_plan_fingerprints_apart_from_off_and_forces_a_rerun() {
     // live fault model, so the cached record must NOT be replayed.
     {
         let mut ledger = Ledger::create(&path).unwrap();
-        let _ = run_experiments_ledgered(&cfg, &["exp1"], &opts, Some(&mut ledger));
+        let _ = run_experiments(&cfg, &["exp1"], &[], Some(&mut ledger));
     }
     let eroded = {
         let inj = Arc::new(FaultInjector::new(plan_at(0.002), cfg.seed));
         let mut reopened = Ledger::open(&path).unwrap();
         let outcome = faultctx::scoped(Some(inj), || {
-            run_experiments_ledgered(&cfg, &["exp1"], &opts, Some(&mut reopened))
+            run_experiments(&cfg, &["exp1"], &[], Some(&mut reopened))
         });
         assert!(
             !outcome.successes[0].report.is_replayed(),
@@ -125,7 +170,7 @@ fn an_erasure_only_plan_fingerprints_apart_from_off_and_forces_a_rerun() {
         let inj = Arc::new(FaultInjector::new(plan_at(0.002), cfg.seed));
         let mut reopened = Ledger::open(&path).unwrap();
         let outcome = faultctx::scoped(Some(inj), || {
-            run_experiments_ledgered(&cfg, &["exp1"], &opts, Some(&mut reopened))
+            run_experiments(&cfg, &["exp1"], &[], Some(&mut reopened))
         });
         assert!(outcome.successes[0].report.is_replayed());
         drop(reopened);
@@ -134,7 +179,7 @@ fn an_erasure_only_plan_fingerprints_apart_from_off_and_forces_a_rerun() {
         let inj = Arc::new(FaultInjector::new(plan_at(0.004), cfg.seed));
         let mut reopened = Ledger::open(&path).unwrap();
         let outcome = faultctx::scoped(Some(inj), || {
-            run_experiments_ledgered(&cfg, &["exp1"], &opts, Some(&mut reopened))
+            run_experiments(&cfg, &["exp1"], &[], Some(&mut reopened))
         });
         assert!(
             !outcome.successes[0].report.is_replayed(),
@@ -149,10 +194,9 @@ fn an_erasure_only_plan_fingerprints_apart_from_off_and_forces_a_rerun() {
 fn a_crash_truncated_trailing_line_does_not_poison_resume() {
     let path = temp_ledger("truncated");
     let cfg = SimConfig::quick();
-    let opts = HarnessOptions::default();
     {
         let mut ledger = Ledger::create(&path).unwrap();
-        let _ = run_experiments_ledgered(&cfg, &["exp1"], &opts, Some(&mut ledger));
+        let _ = run_experiments(&cfg, &["exp1"], &[], Some(&mut ledger));
     }
     // Simulate a kill mid-append: an unterminated half-record.
     {
@@ -163,7 +207,7 @@ fn a_crash_truncated_trailing_line_does_not_poison_resume() {
     let mut reopened = Ledger::open(&path).unwrap();
     assert_eq!(reopened.skipped_lines(), 1, "debris is counted, not fatal");
     let outcome =
-        run_experiments_ledgered(&cfg, &["exp1", "exp3"], &opts, Some(&mut reopened));
+        run_experiments(&cfg, &["exp1", "exp3"], &[], Some(&mut reopened));
     assert!(outcome.successes[0].report.is_replayed(), "exp1 survives");
     assert!(!outcome.successes[1].report.is_replayed(), "exp3 is fresh");
     drop(reopened);
@@ -182,14 +226,10 @@ fn failure_records_reconstruct_a_degraded_run() {
 
     let path = temp_ledger("failure");
     let cfg = SimConfig::quick();
-    let opts = HarnessOptions {
-        max_retries: 2,
-        forced_panics: vec!["exp3".to_string()],
-        ..HarnessOptions::default()
-    };
+    let forced = ["exp3".to_string()];
     let outcome = {
         let mut ledger = Ledger::create(&path).unwrap();
-        run_experiments_ledgered(&cfg, &["exp1", "exp3"], &opts, Some(&mut ledger))
+        run_experiments(&cfg, &["exp1", "exp3"], &forced, Some(&mut ledger))
     };
     let _ = std::panic::take_hook();
     assert!(outcome.is_degraded());
@@ -198,11 +238,9 @@ fn failure_records_reconstruct_a_degraded_run() {
     let records = reopened.records();
     assert_eq!(records.len(), 2);
     assert_eq!(records[0].status, RecordStatus::Success);
-    assert_eq!(records[0].attempts, 1);
     let failure = &records[1];
     assert_eq!(failure.id, "exp3");
     assert_eq!(failure.status, RecordStatus::Failure);
-    assert_eq!(failure.attempts, 3, "1 try + 2 retries, journalled");
     assert!(failure.error.as_deref().unwrap().contains("forced panic"));
     // Failures are never replay candidates: a resumed run re-attempts.
     assert!(reopened.cached_success(failure.fingerprint).is_none());

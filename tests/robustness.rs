@@ -11,7 +11,7 @@ use aro_puf_repro::circuit::ring::RoStyle;
 use aro_puf_repro::faults::{FaultInjector, FaultPlan};
 use aro_puf_repro::puf::MissionProfile;
 use aro_puf_repro::sim::experiments::{run_by_id, ALL_IDS};
-use aro_puf_repro::sim::harness::{run_experiments, HarnessOptions};
+use aro_puf_repro::sim::harness::run_experiments;
 use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::sim::runner::{build_population, measure_flip_timeline, FlipTimeline};
 use aro_puf_repro::sim::{faultctx, popcache, SimConfig};
@@ -107,12 +107,8 @@ fn a_panicking_experiment_leaves_the_other_experiments_and_the_cache_intact() {
     std::panic::set_hook(Box::new(|_| {}));
 
     let cfg = SimConfig::quick();
-    let opts = HarnessOptions {
-        forced_panics: vec!["exp1".to_string()],
-        ..HarnessOptions::default()
-    };
     let all: Vec<&str> = ALL_IDS.to_vec();
-    let outcome = run_experiments(&cfg, &all, &opts);
+    let outcome = run_experiments(&cfg, &all, &["exp1".to_string()], None);
     let _ = std::panic::take_hook();
 
     assert_eq!(outcome.failures.len(), 1);

@@ -155,7 +155,6 @@ fn ledger_fingerprints_are_snapshot_mode_invariant() {
             fp,
             "exp16",
             1,
-            1,
             String::new(),
             Vec::new(),
             std::collections::BTreeMap::new(),
