@@ -8,7 +8,6 @@
 //! repro --csv out/               # additionally dump every table as CSV
 //! repro --telemetry run.jsonl    # JSON-lines span/metric telemetry
 //! repro --audit --telemetry run.jsonl exp18  # request-scoped serve audit trail
-//! repro --metrics                # print the instrumented run summary
 //! repro --threads 4              # force the worker-thread count
 //! repro --replicas 3             # store replication factor (serve modes)
 //! repro --faults smoke           # run under an injected-fault plan
@@ -159,7 +158,6 @@ fn usage() -> String {
          \x20                      --telemetry file: one causal JSONL chain\n\
          \x20                      per verification, byte-identical at any\n\
          \x20                      --threads N; requires --telemetry\n\
-         \x20 --metrics            print the instrumented run summary tables\n\
          \x20 --threads N          force N worker threads (1 = sequential,\n\
          \x20                      results are bit-identical at any count)\n\
          \x20 --replicas N         enrollment-store replication factor for\n\
@@ -188,7 +186,8 @@ fn usage() -> String {
          \x20                                   deltas\n\
          \x20 report health PATH...             deterministic fleet-health\n\
          \x20                                   tables (BER / decode-margin /\n\
-         \x20                                   HD percentiles, cache rates)\n\
+         \x20                                   HD percentiles, counter totals,\n\
+         \x20                                   cache rates)\n\
          \x20 report trace PATH                 Chrome-trace JSON export\n\
          \x20 report incidents PATH             serve-audit forensics: causal\n\
          \x20                                   timelines, top root causes,\n\
@@ -223,7 +222,6 @@ struct Options {
     forced_panics: Vec<String>,
     ledger: Option<PathBuf>,
     resume: Option<PathBuf>,
-    metrics: bool,
     quiet: bool,
     quick: bool,
 }
@@ -248,7 +246,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
         forced_panics: Vec::new(),
         ledger: None,
         resume: None,
-        metrics: false,
         quiet: false,
         quick: false,
     };
@@ -343,7 +340,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
                     .ok_or_else(|| CliError::Usage("--resume expects a path".into()))?;
                 opts.resume = Some(PathBuf::from(path));
             }
-            "--metrics" => opts.metrics = true,
             "--quiet" => opts.quiet = true,
             "--list" => return Ok(Parsed::List),
             "--help" | "-h" => return Ok(Parsed::Help),
@@ -426,14 +422,14 @@ fn run(opts: &Options) -> Result<i32, CliError> {
         aro_sim::servefleet::set_replica_override(replicas);
     }
     // A ledger needs obs enabled so records carry the per-experiment
-    // counter deltas (incl. the faults.* tallies); stdout is unchanged —
-    // the run summary still only prints under --metrics/--telemetry.
+    // counter deltas (incl. the faults.* tallies). Instrumentation never
+    // writes to stdout: spans and metrics leave only through the sink.
     let mut ledger = match (&opts.ledger, &opts.resume) {
         (Some(path), None) => Some(Ledger::create(path).map_err(CliError::io("create ledger", path))?),
         (None, Some(path)) => Some(Ledger::open(path).map_err(CliError::io("open ledger", path))?),
         _ => None,
     };
-    let instrumented = opts.telemetry.is_some() || opts.metrics || ledger.is_some();
+    let instrumented = opts.telemetry.is_some() || ledger.is_some();
     if instrumented {
         aro_obs::set_enabled(true);
         aro_obs::reset();
@@ -550,16 +546,8 @@ fn run(opts: &Options) -> Result<i32, CliError> {
     }
 
     if instrumented {
-        let registry = aro_obs::snapshot();
-        aro_obs::flush_metrics_to_sink(&registry);
+        aro_obs::flush_metrics_to_sink(&aro_obs::snapshot());
         aro_obs::sink::close();
-        if (opts.metrics || opts.telemetry.is_some()) && !opts.quiet {
-            let summary =
-                aro_sim::summary::render_run_summary(&registry, &aro_obs::timing_snapshot());
-            if !summary.is_empty() {
-                emit(&summary);
-            }
-        }
     }
     Ok(if outcome.is_total_failure() {
         4

@@ -17,8 +17,9 @@
 //! wall-time-driven). A non-ledger input exits 1.
 //!
 //! `health` folds telemetry captures and/or ledgers into the fleet-health
-//! tables (streaming percentiles, per-experiment summaries, cache hit
-//! rates); the output is deterministic at any `--threads N`. `trace`
+//! tables (streaming percentiles, counter run totals, per-experiment
+//! summaries, cache hit rates); the output is deterministic at any
+//! `--threads N`. `trace`
 //! exports a capture's spans, fault events, and serve audit verdicts as
 //! Chrome-trace JSON for `chrome://tracing` / Perfetto.
 //!
@@ -51,7 +52,8 @@ fn usage() -> String {
      \x20                               (default F = 0.2)\n\
      \x20 health PATH...                deterministic fleet-health tables\n\
      \x20                               (BER / decode-margin / HD\n\
-     \x20                               percentiles, cache hit rates) from\n\
+     \x20                               percentiles, counter totals, cache\n\
+     \x20                               hit rates) from\n\
      \x20                               telemetry captures and/or ledgers;\n\
      \x20                               byte-identical at any --threads N\n\
      \x20 trace PATH                    export a telemetry capture's spans,\n\

@@ -4,6 +4,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use aro_obs::json::{self, Value};
 use aro_sim::experiments::ALL_IDS;
 use aro_sim::servefleet::N_SHARDS;
 
@@ -118,7 +119,7 @@ fn quick_run_emits_telemetry() {
     let jsonl = std::fs::read_to_string(&telemetry).expect("telemetry written");
     assert!(jsonl.lines().count() > 2);
     for line in jsonl.lines() {
-        aro_obs::json::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
+        json::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}"));
     }
     let _ = std::fs::remove_file(telemetry);
 }
@@ -132,11 +133,48 @@ fn removed_wall_time_capture_and_trajectory_are_usage_errors() {
 }
 
 #[test]
-fn removed_retry_and_watchdog_flags_are_unknown_options() {
-    for (flag, value) in [("--max-retries", "1"), ("--watchdog", "5")] {
-        let out = repro(&[flag, value, "--list"]);
+fn removed_flags_are_unknown_options() {
+    for removed in [&["--max-retries", "1"][..], &["--watchdog", "5"], &["--metrics"]] {
+        let flag = removed[0];
+        let out = repro(&[removed, &["--list"]].concat());
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("unknown option `{flag}`")), "{err}");
+    }
+}
+
+#[test]
+fn telemetry_never_changes_stdout() {
+    let plain = repro(&["--quick", "exp2"]);
+    assert_eq!(plain.status.code(), Some(0), "{}", String::from_utf8_lossy(&plain.stderr));
+    for threads in ["1", "4"] {
+        let telemetry = temp_path(&format!("stdout_{threads}.jsonl"));
+        let out = repro(&[
+            "--quick",
+            "--threads",
+            threads,
+            "exp2",
+            "--telemetry",
+            telemetry.to_str().unwrap(),
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.stdout == plain.stdout,
+            "--threads {threads}: --telemetry changed stdout:\n{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+
+        let jsonl = std::fs::read_to_string(&telemetry).expect("telemetry written");
+        let events: Vec<Value> = jsonl
+            .lines()
+            .map(|line| json::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}")))
+            .collect();
+        for wanted in ["span_open", "span_close", "counter"] {
+            assert!(
+                events.iter().any(|e| e.get("event").and_then(Value::as_str) == Some(wanted)),
+                "--threads {threads}: no {wanted} event in the capture"
+            );
+        }
+        let _ = std::fs::remove_file(telemetry);
     }
 }

@@ -1,6 +1,7 @@
-//! `repro report health` — the deterministic fleet-health table: BER,
-//! decode-margin and Hamming-distance percentiles, drift-vs-age, and
-//! cache hit rates, rendered from a telemetry capture or a run ledger.
+//! `repro report health` — the deterministic fleet-health tables: BER,
+//! decode-margin and Hamming-distance percentiles, drift-vs-age, counter
+//! run totals and cache hit rates, rendered from a telemetry capture or a
+//! run ledger.
 //!
 //! **Determinism contract.** The parser consumes only order-independent
 //! inputs: the final metrics flush (`counter` / `sketch` events, merged in
@@ -12,7 +13,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
 
 use aro_obs::json::{self, Value};
 use aro_obs::Sketch;
@@ -155,7 +155,7 @@ impl HealthReport {
     /// Renders the fleet-health tables as markdown.
     #[must_use]
     pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
+        let mut tables = Vec::new();
         if !self.sketches.is_empty() {
             let mut fleet = MdTable::new(
                 format!("Fleet health — streaming percentiles ({})", self.label),
@@ -173,7 +173,17 @@ impl HealthReport {
                     fmt_stat(if s.count() == 0 { 0.0 } else { s.max() }),
                 ]);
             }
-            out.push_str(&fleet.to_markdown());
+            tables.push(fleet);
+        }
+        if !self.counters.is_empty() {
+            let mut counters = MdTable::new(
+                format!("Counters — run totals ({})", self.label),
+                &["counter", "value"],
+            );
+            for (name, v) in &self.counters {
+                counters.push_row(vec![name.clone(), v.to_string()]);
+            }
+            tables.push(counters);
         }
         if !self.per_experiment.is_empty() {
             let mut per_exp = MdTable::new(
@@ -194,24 +204,16 @@ impl HealthReport {
                 }
             }
             if per_exp.n_rows() > 0 {
-                if !out.is_empty() {
-                    out.push('\n');
-                }
-                out.push_str(&per_exp.to_markdown());
+                tables.push(per_exp);
             }
         }
-        if let Some(caches) = self.cache_table() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&caches.to_markdown());
-        }
-        if let Some(serve) = self.serve_table() {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&serve.to_markdown());
-        }
+        tables.extend(self.cache_table());
+        tables.extend(self.serve_table());
+        let mut out: String = tables
+            .iter()
+            .map(MdTable::to_markdown)
+            .collect::<Vec<_>>()
+            .join("\n");
         if self.skipped_lines > 0 {
             let _ = write!(
                 out,
@@ -320,28 +322,6 @@ pub fn parse_health(text: &str, label: &str) -> HealthReport {
     report
 }
 
-/// Loads and parses one file.
-///
-/// # Errors
-/// Returns a description when the file is unreadable or carries no
-/// health inputs (no sketches, counters, or experiment records).
-pub fn health_file(path: &Path) -> Result<HealthReport, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let label = path
-        .file_name()
-        .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned());
-    let report = parse_health(&text, &label);
-    if report.is_empty() {
-        return Err(format!(
-            "{}: no sketch/counter events or experiment records — capture with \
-             `repro --telemetry <file>` or `--ledger <file>`",
-            path.display()
-        ));
-    }
-    Ok(report)
-}
-
 /// Loads several files into one report — e.g. a telemetry capture plus
 /// the run's ledger — folding sketches/counters across all of them. The
 /// label joins the file names with ` + `.
@@ -413,6 +393,15 @@ mod tests {
         assert!(md.contains("puf.ber"));
         assert!(md.contains("Cache effectiveness"));
         assert!(md.contains("75.0 %"), "9/(9+3) hit rate:\n{md}");
+        assert!(md.contains("Counters — run totals (cap.jsonl)"));
+        let counter_value = |name: &str| {
+            md.lines()
+                .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
+                .find(|cells| cells.get(1) == Some(&name))
+                .map(|cells| cells[2].to_string())
+        };
+        assert_eq!(counter_value("sim.popcache_hits").as_deref(), Some("9"), "{md}");
+        assert_eq!(counter_value("sim.popcache_misses").as_deref(), Some("3"), "{md}");
         assert!(md.contains("skipped 1 non-JSON line(s)"));
     }
 
@@ -438,7 +427,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("aro-health-empty-{}.jsonl", std::process::id()));
         std::fs::write(&path, "not json at all\n").unwrap();
-        let err = health_file(&path).unwrap_err();
+        let err = health_files(std::slice::from_ref(&path)).unwrap_err();
         assert!(err.contains("no sketch/counter events"), "{err}");
         std::fs::remove_file(&path).unwrap();
     }

@@ -171,15 +171,6 @@ pub fn parse_records(text: &str) -> (Vec<LedgerRecord>, usize) {
     (records, skipped)
 }
 
-/// Reads the records of a ledger without opening it for append (the
-/// `repro report diff` consumer). Returns `(records, skipped_lines)`.
-///
-/// # Errors
-/// Propagates file read errors.
-pub fn read_records(path: &Path) -> std::io::Result<(Vec<LedgerRecord>, usize)> {
-    Ok(parse_records(&std::fs::read_to_string(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

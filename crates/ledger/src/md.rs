@@ -1,9 +1,8 @@
-//! A minimal aligned-pipe markdown table, visually identical to
-//! `aro-sim::table::Table` output so `repro report` analyses read like
-//! experiment reports. Duplicated rather than imported: the dependency
-//! arrow runs `aro-sim -> aro-ledger`, not the other way.
+//! The one aligned-pipe markdown table renderer. `aro-sim` re-exports
+//! [`MdTable`] as its experiment `Table`, so `repro report` analyses and
+//! experiment reports render through the same code.
 
-/// A titled table with a header row, rendered as GitHub markdown.
+/// A titled table with a header row, rendered as GitHub markdown or CSV.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MdTable {
     title: String,
@@ -31,10 +30,37 @@ impl MdTable {
         self.rows.push(cells);
     }
 
+    /// The table title.
+    #[must_use]
+    pub fn title(&self) -> &str {
+        &self.title
+    }
+
     /// Number of data rows.
     #[must_use]
     pub fn n_rows(&self) -> usize {
         self.rows.len()
+    }
+
+    /// The data rows.
+    #[must_use]
+    pub fn rows(&self) -> &[Vec<String>] {
+        &self.rows
+    }
+
+    /// The header row.
+    #[must_use]
+    pub fn headers(&self) -> &[String] {
+        &self.headers
+    }
+
+    /// A cell by (row, column).
+    ///
+    /// # Panics
+    /// Panics if out of range.
+    #[must_use]
+    pub fn cell(&self, row: usize, col: usize) -> &str {
+        &self.rows[row][col]
     }
 
     /// Renders as a GitHub-style markdown table (aligned pipes).
@@ -69,6 +95,18 @@ impl MdTable {
         }
         out
     }
+
+    /// Renders as CSV (header first).
+    #[must_use]
+    pub fn to_csv(&self) -> String {
+        let mut out = self.headers.join(",");
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&row.join(","));
+            out.push('\n');
+        }
+        out
+    }
 }
 
 /// Formats nanoseconds as milliseconds with three decimals.
@@ -99,7 +137,24 @@ mod tests {
         let md = t.to_markdown();
         assert!(md.starts_with("### T\n\n| a | long-header |\n"));
         assert!(md.contains("| 1 | 2           |"));
-        assert_eq!(t.n_rows(), 1);
+        t.push_row(vec!["333".into(), "4".into()]);
+        assert!(t.to_markdown().contains("| 333 | 4           |"));
+        assert_eq!(t.n_rows(), 2);
+        assert_eq!(t.cell(1, 0), "333");
+    }
+
+    #[test]
+    fn table_csv() {
+        let mut t = MdTable::new("Demo", &["x", "y"]);
+        t.push_row(vec!["1".into(), "2".into()]);
+        assert_eq!(t.to_csv(), "x,y\n1,2\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "row width mismatch")]
+    fn mismatched_row_panics() {
+        let mut t = MdTable::new("Demo", &["x", "y"]);
+        t.push_row(vec!["1".into()]);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //!
 //! - **Spans** ([`span`]): RAII guards with monotonic timing and a
 //!   per-thread span stack, emitted as `span_open`/`span_close` telemetry
-//!   events and aggregated into a wall-clock timing table for run
-//!   summaries.
+//!   events; [`span::SpanAgg`] replays a capture into a profile.
 //! - **Metrics** ([`metrics::Registry`]): counters and streaming
 //!   [`sketch::Sketch`] accumulators (mean / variance / quantiles over
 //!   unbounded streams, one fixed bucket layout) recorded into a
@@ -34,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 pub use metrics::Registry;
 pub use sketch::Sketch;
-pub use span::{timing_snapshot, Span, SpanStats};
+pub use span::Span;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -324,13 +323,12 @@ pub fn snapshot() -> Registry {
     SCRATCH.with(|r| r.borrow().clone())
 }
 
-/// Clears this thread's metrics and the global span timing table
-/// (between runs or tests). Does not touch the sink or enablement.
+/// Clears this thread's metrics (between runs or tests). Does not touch
+/// the sink or enablement.
 pub fn reset() {
     HOT_COUNTERS.with(|h| h.borrow_mut().clear());
     HOT_SKETCHES.with(|h| h.borrow_mut().clear());
     SCRATCH.with(|r| *r.borrow_mut() = Registry::new());
-    span::reset_timings();
 }
 
 /// Writes every metric in `registry` to the telemetry sink as one
@@ -348,8 +346,8 @@ pub fn flush_metrics_to_sink(registry: &Registry) {
 mod tests {
     use super::*;
 
-    // Global state (enablement, sink, timing table) is shared across the
-    // test binary's threads; serialize the tests that touch it.
+    // Global state (enablement, sink) is shared across the test binary's
+    // threads; serialize the tests that touch it.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
         LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -367,7 +365,6 @@ mod tests {
             let _span = span("quiet");
         }
         assert!(snapshot().is_empty());
-        assert!(timing_snapshot().is_empty());
     }
 
     #[test]
@@ -382,7 +379,6 @@ mod tests {
         }
         let snap = snapshot();
         assert_eq!(snap.counter("sim.chips"), 5);
-        assert_eq!(timing_snapshot().get("phase").map(|s| s.count), Some(1));
 
         let taken = take_scratch();
         assert!(snapshot().is_empty());

@@ -1,10 +1,10 @@
 //! Scoped spans with monotonic timing and a per-thread span stack.
 //!
 //! A [`Span`] guard opened while telemetry is enabled emits `span_open` /
-//! `span_close` events to the sink (if one is installed) and folds its
-//! duration into a process-wide timing table keyed by span name. Durations
-//! are wall-clock and therefore **not** part of the deterministic metrics
-//! registry — they feed the human-readable run summary only.
+//! `span_close` events to the sink (if one is installed). Durations are
+//! wall-clock and therefore **not** part of the deterministic metrics
+//! registry: they leave the process only as telemetry, and [`SpanAgg`]
+//! replays a capture into per-name statistics for profiling.
 //!
 //! Nesting is tracked per thread: each span records its depth at open, and
 //! guards close in LIFO order by construction, so a telemetry stream's
@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::{json, sink};
@@ -42,45 +42,6 @@ fn thread_id() -> u64 {
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Aggregated wall-clock statistics for one span name.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStats {
-    /// Number of completed spans with this name.
-    pub count: u64,
-    /// Total nanoseconds across all completions.
-    pub total_ns: u128,
-    /// Longest single completion in nanoseconds.
-    pub max_ns: u128,
-}
-
-impl SpanStats {
-    /// Mean duration in nanoseconds (0 when no spans completed).
-    #[must_use]
-    pub fn mean_ns(&self) -> u128 {
-        if self.count == 0 {
-            0
-        } else {
-            self.total_ns / u128::from(self.count)
-        }
-    }
-}
-
-fn timings() -> &'static Mutex<BTreeMap<String, SpanStats>> {
-    static TIMINGS: OnceLock<Mutex<BTreeMap<String, SpanStats>>> = OnceLock::new();
-    TIMINGS.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// A snapshot of per-span-name wall-clock statistics.
-#[must_use]
-pub fn timing_snapshot() -> BTreeMap<String, SpanStats> {
-    timings().lock().expect("span timing table poisoned").clone()
-}
-
-/// Clears the per-span-name timing table (between runs / tests).
-pub fn reset_timings() {
-    timings().lock().expect("span timing table poisoned").clear();
 }
 
 struct ActiveSpan {
@@ -141,13 +102,6 @@ impl Drop for Span {
             );
             s.pop();
         });
-        {
-            let mut table = timings().lock().expect("span timing table poisoned");
-            let stats = table.entry(span.name.clone()).or_default();
-            stats.count += 1;
-            stats.total_ns += dur_ns;
-            stats.max_ns = stats.max_ns.max(dur_ns);
-        }
         if sink::installed() {
             let ts = epoch().elapsed().as_nanos();
             let mut line = String::from("{\"event\":\"span_close\",\"name\":");
@@ -164,18 +118,12 @@ impl Drop for Span {
     }
 }
 
-/// Current span nesting depth on this thread.
-#[must_use]
-pub fn current_depth() -> usize {
-    SPAN_STACK.with(|s| s.borrow().len())
-}
-
 /// Self-time-aware statistics for one span name, built by [`SpanAgg`]
 /// from a `span_open`/`span_close` event stream.
 ///
-/// Unlike [`SpanStats`] (live in-process totals), these separate the time
-/// a span spent in its *children* from the time spent in its own body, so
-/// a profile can rank phases by where the cycles actually went.
+/// These separate the time a span spent in its *children* from the time
+/// spent in its own body, so a profile can rank phases by where the cycles
+/// actually went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProfileStats {
     /// Number of completed spans with this name.

@@ -23,6 +23,7 @@
 //! | [`experiments::exp16`] | self-healing helper-data refresh (interval sweep) |
 //! | [`experiments::exp17`] | fault-aware provisioning envelope |
 //! | [`experiments::exp18`] | fleet authentication service under fault storms |
+//! | [`experiments::exp19`] | cheapest (code area, refresh, replication) triple surviving the storm |
 //! | [`experiments::serve_bench`] | `repro serve-bench` — fleet auth throughput/accuracy |
 //!
 //! Every experiment consumes a [`config::SimConfig`] (use
@@ -40,7 +41,6 @@ pub mod popcache;
 pub mod report;
 pub mod runner;
 pub mod servefleet;
-pub mod summary;
 pub mod table;
 
 pub use config::SimConfig;

@@ -3,112 +3,9 @@
 
 use aro_metrics::stats::Histogram;
 
-/// A titled table with a header row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table {
-    title: String,
-    headers: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// An empty table.
-    #[must_use]
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
-        Self {
-            title: title.into(),
-            headers: headers.iter().map(|s| (*s).to_string()).collect(),
-            rows: Vec::new(),
-        }
-    }
-
-    /// Appends a row.
-    ///
-    /// # Panics
-    /// Panics if the cell count does not match the header count.
-    pub fn push_row(&mut self, cells: Vec<String>) {
-        assert_eq!(cells.len(), self.headers.len(), "row width mismatch");
-        self.rows.push(cells);
-    }
-
-    /// The table title.
-    #[must_use]
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// Number of data rows.
-    #[must_use]
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The data rows.
-    #[must_use]
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// The header row.
-    #[must_use]
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// A cell by (row, column).
-    ///
-    /// # Panics
-    /// Panics if out of range.
-    #[must_use]
-    pub fn cell(&self, row: usize, col: usize) -> &str {
-        &self.rows[row][col]
-    }
-
-    /// Renders as a GitHub-style markdown table.
-    #[must_use]
-    pub fn to_markdown(&self) -> String {
-        let widths: Vec<usize> = (0..self.headers.len())
-            .map(|c| {
-                self.rows
-                    .iter()
-                    .map(|r| r[c].len())
-                    .chain(std::iter::once(self.headers[c].len()))
-                    .max()
-                    .unwrap_or(0)
-            })
-            .collect();
-        let render_row = |cells: &[String]| -> String {
-            let padded: Vec<String> = cells
-                .iter()
-                .zip(&widths)
-                .map(|(cell, w)| format!("{cell:<w$}"))
-                .collect();
-            format!("| {} |", padded.join(" | "))
-        };
-        let mut out = format!("### {}\n\n", self.title);
-        out.push_str(&render_row(&self.headers));
-        out.push('\n');
-        let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        out.push_str(&format!("|-{}-|\n", dashes.join("-|-")));
-        for row in &self.rows {
-            out.push_str(&render_row(row));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders as CSV (header first).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
-}
+/// A titled table with a header row: the ledger's markdown/CSV renderer,
+/// shared so experiment reports and `repro report` analyses render alike.
+pub use aro_ledger::md::MdTable as Table;
 
 /// A named data series (one curve of a figure).
 #[derive(Debug, Clone, PartialEq)]
@@ -233,33 +130,6 @@ impl Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_markdown_round_trip() {
-        let mut t = Table::new("Demo", &["a", "bee"]);
-        t.push_row(vec!["1".into(), "2".into()]);
-        t.push_row(vec!["333".into(), "4".into()]);
-        let md = t.to_markdown();
-        assert!(md.contains("### Demo"));
-        assert!(md.contains("| a "));
-        assert!(md.contains("| 333 | 4"));
-        assert_eq!(t.n_rows(), 2);
-        assert_eq!(t.cell(1, 0), "333");
-    }
-
-    #[test]
-    fn table_csv() {
-        let mut t = Table::new("Demo", &["x", "y"]);
-        t.push_row(vec!["1".into(), "2".into()]);
-        assert_eq!(t.to_csv(), "x,y\n1,2\n");
-    }
-
-    #[test]
-    #[should_panic(expected = "row width mismatch")]
-    fn mismatched_row_panics() {
-        let mut t = Table::new("Demo", &["x", "y"]);
-        t.push_row(vec!["1".into()]);
-    }
 
     #[test]
     fn series_last_y() {

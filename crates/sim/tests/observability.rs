@@ -10,8 +10,8 @@ use aro_sim::experiments::run_by_id;
 use aro_par::set_thread_override;
 use aro_sim::SimConfig;
 
-/// Enablement, the sink, the span timing table and the thread override are
-/// process-global; run these tests one at a time.
+/// Enablement, the sink and the thread override are process-global; run
+/// these tests one at a time.
 fn lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -151,9 +151,5 @@ fn disabled_instrumentation_emits_and_records_nothing() {
     assert!(
         aro_obs::snapshot().is_empty(),
         "disabled run must record no metrics"
-    );
-    assert!(
-        aro_obs::timing_snapshot().is_empty(),
-        "disabled run must record no span timings"
     );
 }
