@@ -1,9 +1,8 @@
-//! Microbenches of the hot kernels under every experiment: ring frequency
-//! evaluation, chip fabrication, BCH encode/decode, Hamming distance, and
-//! SHA-256.
+//! Microbenches of the hot kernels under every experiment: chip
+//! fabrication, BCH encode/decode, Hamming distance, and SHA-256. Ring
+//! frequency reads are timed in `perf_hotpath`.
 
 use aro_circuit::ring::RoStyle;
-use aro_device::environment::Environment;
 use aro_ecc::bch::BchCode;
 use aro_ecc::code::Code;
 use aro_ecc::hash::sha256;
@@ -14,12 +13,6 @@ use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let design = PufDesign::standard(RoStyle::Conventional, 1);
-    let env = Environment::nominal(design.tech());
-    let chip = Chip::fabricate(&design, 0);
-
-    c.bench_function("ro_frequency_eval", |b| {
-        b.iter(|| black_box(chip.frequency(&design, &env, black_box(0))))
-    });
 
     c.bench_function("chip_fabricate_256_ros", |b| {
         let mut id = 0u64;

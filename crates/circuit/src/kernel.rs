@@ -1,27 +1,23 @@
-//! The precomputed frequency kernel for the ring-oscillator hot path.
+//! The frequency derivation of the ring-oscillator hot path.
 //!
-//! `RingOscillator::frequency` used to rederive everything on every call:
-//! the `HciModel`, the mobility factor, the switched load, the systematic
-//! ΔVth at the ring's die position, and — per stage, per polarity — the
-//! effective threshold, overdrive, drive factor and the `powf` of the
-//! alpha-power law. All of those are pure functions of
-//! *(technology, environment, die process, wear state)*, and a Monte Carlo
-//! sweep evaluates the same ring thousands of times between wear events
-//! (enrollment reads, majority votes, flip-rate scans). A [`FreqKernel`]
-//! folds that whole derivation into one precomputation, stored per ring and
-//! invalidated by a wear epoch counter plus an identity check on the inputs.
+//! A ring's frequency is a pure function of *(technology, environment,
+//! die process, ring silicon, wear state)*: the systematic ΔVth at the
+//! ring's die position, and — per stage, per polarity — the effective
+//! threshold, overdrive, drive factor and the `powf` of the alpha-power
+//! law. A [`FreqContext`] holds what every ring of one die shares under
+//! one read — the `HciModel`, the mobility factor and the switched load —
+//! so a chip-wide read derives them once instead of once per ring.
 //!
-//! The kernel deliberately stores only the *result* (period and frequency)
-//! plus the identity key — no per-stage intermediates. Populations fabricate
-//! hundreds of thousands of rings per run, and each ring's first `frequency`
-//! call builds a kernel; a flat, allocation-free struct keeps that first
-//! build as cheap as the arithmetic itself.
+//! The context does not cache results. The chip that owns a ring array
+//! and its die process keeps the per-ring results (`aro_puf::Chip`, see
+//! docs/PERFORMANCE.md, Layer 1); [`RingOscillator::frequency`] is the
+//! uncached reference derivation.
 //!
-//! **Bit-identity contract:** the kernel evaluates the *same floating-point
-//! expression chain, in the same order*, as the original per-call path
-//! (`InverterStage::period_contribution` →
-//! `Mosfet::drive_current_with_mismatch`), so a cache hit returns a value
-//! bitwise equal to what a cold computation would produce. The golden-output
+//! **Bit-identity contract:** [`FreqContext::derive`] evaluates the *same
+//! floating-point expression chain, in the same order*, as the per-stage
+//! path (`InverterStage::period_contribution` →
+//! `Mosfet::drive_current_with_mismatch`), so a cached result is bitwise
+//! equal to what a cold computation would produce. The golden-output
 //! regression test in the workspace root pins this down end to end.
 
 use aro_device::aging::HciModel;
@@ -29,231 +25,88 @@ use aro_device::environment::Environment;
 use aro_device::params::TechParams;
 use aro_device::process::ChipProcess;
 
-use crate::gates::InverterStage;
-use crate::ring::RoStyle;
+use crate::ring::{RingOscillator, RoStyle};
 
-/// The cached result of one full frequency derivation, together with the
-/// identity of the inputs it was derived from.
-///
-/// Built once per *(tech, env, chip process, wear epoch, layout bias,
-/// correlated ΔVth)* tuple; [`FreqKernel::is_valid`] re-checks that tuple so
-/// a stale kernel can never leak a frequency across an aging step or an
-/// environment change.
-#[derive(Debug, Clone)]
-pub struct FreqKernel {
-    // --- identity key ---
-    tech: TechParams,
+/// Everything a frequency derivation shares across the rings of one die
+/// under one *(technology, environment)*, resolved once per read.
+#[derive(Debug)]
+pub struct FreqContext<'a> {
+    style: RoStyle,
+    tech: &'a TechParams,
     env: Environment,
     chip: ChipProcess,
-    wear_epoch: u64,
-    freq_bias_rel: f64,
-    correlated_dvth: f64,
-    // --- precomputed result ---
-    period_s: f64,
-    freq_hz: f64,
-    /// Set on kernels installed from a cached result
-    /// ([`FreqKernel::from_cached`]) whose rebuild was *skipped*, not
-    /// performed. The first warm hit books the skipped rebuild against
-    /// `circuit.kernel_rebuilds` and clears the flag, so counter totals
-    /// match a cold run exactly: a preloaded kernel that is never read
-    /// (or is invalidated first) books nothing — just like the cold
-    /// rebuild that would never have happened.
-    phantom: bool,
+    hci: HciModel,
+    mobility: f64,
+    c_load: f64,
 }
 
-impl FreqKernel {
-    /// Derives the kernel for one ring. See [`FreqKernel::recompute`] for
-    /// the arithmetic.
-    #[allow(clippy::too_many_arguments)]
+impl<'a> FreqContext<'a> {
+    /// Resolves the read context for rings of `style` on die `chip`.
     #[must_use]
-    pub fn build(
+    pub fn new(
         style: RoStyle,
-        stages: &[InverterStage],
-        position_systematic: f64,
-        correlated_dvth: f64,
-        freq_bias_rel: f64,
-        tech: &TechParams,
+        tech: &'a TechParams,
         env: &Environment,
         chip: &ChipProcess,
-        wear_epoch: u64,
-    ) -> Self {
-        let mut kernel = Self {
-            tech: tech.clone(),
-            env: *env,
-            chip: *chip,
-            wear_epoch,
-            freq_bias_rel,
-            correlated_dvth,
-            period_s: 0.0,
-            freq_hz: 0.0,
-            phantom: false,
-        };
-        kernel.recompute(
-            style,
-            stages,
-            position_systematic,
-            correlated_dvth,
-            freq_bias_rel,
-            tech,
-            env,
-            chip,
-            wear_epoch,
-        );
-        kernel
-    }
-
-    /// Rederives the kernel in place for new inputs (the aging hot path
-    /// rebuilds a ring's kernel on every epoch bump). The float expression
-    /// chain mirrors `period_contribution` / `drive_current_with_mismatch`
-    /// term for term — do not "simplify" the arithmetic here, associativity
-    /// changes bits.
-    #[allow(clippy::too_many_arguments)]
-    pub fn recompute(
-        &mut self,
-        style: RoStyle,
-        stages: &[InverterStage],
-        position_systematic: f64,
-        correlated_dvth: f64,
-        freq_bias_rel: f64,
-        tech: &TechParams,
-        env: &Environment,
-        chip: &ChipProcess,
-        wear_epoch: u64,
-    ) {
-        let hci = HciModel::new(tech);
-        let mobility = env.mobility_factor(tech);
-        let c_load = tech.c_stage * style.load_factor(tech);
-        let systematic = position_systematic + correlated_dvth;
-
-        let mut period_s = 0.0f64;
-        // Every device of the ring has accumulated the same HCI cycle
-        // count, so the raw HCI power law is evaluated once per rebuild and
-        // replayed for the other stages (bit-exact: same input → same
-        // memoized output).
-        let mut hci_memo: Option<(f64, f64)> = None;
-        for stage in stages {
-            let pmos = stage.pmos();
-            let dvth_p =
-                chip.dvth_interdie_p() + pmos.dvth_total_memoized(systematic, &hci, &mut hci_memo);
-            let vth_p = pmos.device().vth_effective(tech, env, dvth_p);
-            let od_p = tech.overdrive(env.vdd(), vth_p);
-            let b_p = pmos.device().beta0()
-                * (1.0 + (pmos.variation().dbeta_rel + chip.dbeta_interdie_rel()))
-                * mobility;
-            let cur_p = b_p * od_p.powf(tech.alpha);
-
-            let nmos = stage.nmos();
-            let dvth_n =
-                chip.dvth_interdie_n() + nmos.dvth_total_memoized(systematic, &hci, &mut hci_memo);
-            let vth_n = nmos.device().vth_effective(tech, env, dvth_n);
-            let od_n = tech.overdrive(env.vdd(), vth_n);
-            let b_n = nmos.device().beta0()
-                * (1.0 + (nmos.variation().dbeta_rel + chip.dbeta_interdie_rel()))
-                * mobility;
-            let cur_n = b_n * od_n.powf(tech.alpha);
-
-            let half_swing = c_load * env.vdd() / 2.0;
-            period_s += half_swing / cur_p + stage.kind().pulldown_penalty() * half_swing / cur_n;
-        }
-
-        self.tech.clone_from(tech);
-        self.env = *env;
-        self.chip = *chip;
-        self.wear_epoch = wear_epoch;
-        self.freq_bias_rel = freq_bias_rel;
-        self.correlated_dvth = correlated_dvth;
-        self.period_s = period_s;
-        self.freq_hz = (1.0 / period_s) * (1.0 + freq_bias_rel);
-        self.phantom = false;
-        aro_obs::counter("circuit.kernel_rebuilds", 1);
-    }
-
-    /// Installs a kernel from a previously computed *(period, frequency)*
-    /// result without rederiving it — the aged-state snapshot layer
-    /// harvests these from a chip that already walked the same aging
-    /// prefix and preloads them after a replay.
-    ///
-    /// The caller asserts the result was produced by [`FreqKernel::build`]
-    /// for exactly this identity tuple on identical silicon. No rebuild
-    /// counter is booked here: the kernel is marked phantom and the first
-    /// warm hit books it (see the `phantom` field), keeping
-    /// `circuit.kernel_rebuilds` bit-identical to a cold run under every
-    /// read sequence.
-    #[allow(clippy::too_many_arguments)]
-    #[must_use]
-    pub fn from_cached(
-        tech: &TechParams,
-        env: &Environment,
-        chip: &ChipProcess,
-        wear_epoch: u64,
-        freq_bias_rel: f64,
-        correlated_dvth: f64,
-        period_s: f64,
-        freq_hz: f64,
     ) -> Self {
         Self {
-            tech: tech.clone(),
+            style,
+            tech,
             env: *env,
             chip: *chip,
-            wear_epoch,
-            freq_bias_rel,
-            correlated_dvth,
-            period_s,
-            freq_hz,
-            phantom: true,
+            hci: HciModel::new(tech),
+            mobility: env.mobility_factor(tech),
+            c_load: tech.c_stage * style.load_factor(tech),
         }
     }
 
-    /// Clears the phantom flag, returning whether it was set — the warm
-    /// path in `RingOscillator::frequency` books the deferred rebuild
-    /// counter exactly once per preloaded kernel.
-    pub fn take_phantom(&mut self) -> bool {
-        std::mem::take(&mut self.phantom)
-    }
-
-    /// The environment this kernel was derived for.
+    /// The environment of this read.
     #[must_use]
     pub fn env(&self) -> &Environment {
         &self.env
     }
 
-    /// Whether this kernel still describes the ring under the given inputs.
-    /// The wear epoch is the cheap first gate; the environment, die process
-    /// and technology identity checks guard the rare case of the same ring
-    /// being interrogated under different conditions.
+    /// The oscillation frequency in hertz of a *healthy* `ring` — hard
+    /// faults are the caller's short-circuit. The float expression chain
+    /// mirrors `period_contribution` / `drive_current_with_mismatch` term
+    /// for term — do not "simplify" the arithmetic here, associativity
+    /// changes bits.
     #[must_use]
-    pub fn is_valid(
-        &self,
-        tech: &TechParams,
-        env: &Environment,
-        chip: &ChipProcess,
-        wear_epoch: u64,
-        freq_bias_rel: f64,
-        correlated_dvth: f64,
-    ) -> bool {
-        self.wear_epoch == wear_epoch
-            && self.env == *env
-            && self.chip == *chip
-            && self.freq_bias_rel == freq_bias_rel
-            && self.correlated_dvth == correlated_dvth
-            && self.tech == *tech
-    }
+    pub fn derive(&self, ring: &RingOscillator) -> f64 {
+        debug_assert_eq!(ring.style(), self.style, "context built for another style");
+        let (tech, env, chip) = (self.tech, &self.env, &self.chip);
+        let systematic = chip.systematic_dvth(ring.position()) + ring.correlated_dvth();
 
-    /// The cached oscillation frequency in hertz.
-    #[must_use]
-    pub fn frequency(&self) -> f64 {
-        self.freq_hz
-    }
+        let mut period_s = 0.0f64;
+        // Every device of the ring has accumulated the same HCI cycle
+        // count, so the raw HCI power law is evaluated once per derivation
+        // and replayed for the other stages (bit-exact: same input → same
+        // memoized output).
+        let mut hci_memo: Option<(f64, f64)> = None;
+        for stage in ring.stages() {
+            let pmos = stage.pmos();
+            let dvth_p = chip.dvth_interdie_p()
+                + pmos.dvth_total_memoized(systematic, &self.hci, &mut hci_memo);
+            let vth_p = pmos.device().vth_effective(tech, env, dvth_p);
+            let od_p = tech.overdrive(env.vdd(), vth_p);
+            let b_p = pmos.device().beta0()
+                * (1.0 + (pmos.variation().dbeta_rel + chip.dbeta_interdie_rel()))
+                * self.mobility;
+            let cur_p = b_p * od_p.powf(tech.alpha);
 
-    /// The cached oscillation period in seconds.
-    #[must_use]
-    pub fn period_s(&self) -> f64 {
-        self.period_s
-    }
+            let nmos = stage.nmos();
+            let dvth_n = chip.dvth_interdie_n()
+                + nmos.dvth_total_memoized(systematic, &self.hci, &mut hci_memo);
+            let vth_n = nmos.device().vth_effective(tech, env, dvth_n);
+            let od_n = tech.overdrive(env.vdd(), vth_n);
+            let b_n = nmos.device().beta0()
+                * (1.0 + (nmos.variation().dbeta_rel + chip.dbeta_interdie_rel()))
+                * self.mobility;
+            let cur_n = b_n * od_n.powf(tech.alpha);
 
-    /// The wear epoch this kernel was built at.
-    #[must_use]
-    pub fn wear_epoch(&self) -> u64 {
-        self.wear_epoch
+            let half_swing = self.c_load * env.vdd() / 2.0;
+            period_s += half_swing / cur_p + stage.kind().pulldown_penalty() * half_swing / cur_n;
+        }
+        (1.0 / period_s) * (1.0 + ring.freq_bias_rel())
     }
 }

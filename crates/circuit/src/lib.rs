@@ -12,6 +12,8 @@
 //!   transistors decouple the supply and equalize internal nodes when idle,
 //!   so BTI stress shrinks to a leakage-level duty factor and recovery runs
 //!   almost all the time).
+//! * [`kernel`] — the frequency derivation, with the per-read context a
+//!   chip-wide read shares across its rings.
 //! * [`readout`] — the counter-based frequency measurement: finite gate
 //!   time (quantization) plus accumulated-jitter noise, and the pairwise
 //!   comparison that yields a response bit.
@@ -54,7 +56,7 @@ pub mod ring;
 pub mod transient;
 
 pub use gates::{InverterStage, StageKind, TransistorInst};
-pub use kernel::FreqKernel;
+pub use kernel::FreqContext;
 pub use logic::{GateKind, LogicCircuit, NetId, RippleCounter};
 pub use netlist::{CellArea, RoCell};
 pub use readout::{Measurement, ReadoutConfig};

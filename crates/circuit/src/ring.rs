@@ -20,8 +20,6 @@
 //! with it also suppresses the per-position bias that hurts the
 //! conventional array's uniqueness.
 
-use std::cell::RefCell;
-
 use aro_device::aging::{BtiBatch, BtiModel, HciModel, StressInterval, WearLevel};
 use aro_device::environment::Environment;
 use aro_device::mosfet::Geometry;
@@ -30,7 +28,7 @@ use aro_device::process::{ChipProcess, DiePosition};
 use rand::Rng;
 
 use crate::gates::{InverterStage, StageKind};
-use crate::kernel::FreqKernel;
+use crate::kernel::FreqContext;
 
 /// The three wear-out models bundled, so callers don't rebuild them per
 /// stress call.
@@ -211,29 +209,13 @@ impl RoHealth {
     }
 }
 
-/// The ring's lazily built frequency kernels: two slots with
-/// most-recently-used preference, so a read sequence that alternates
-/// between two environments (the lifecycle sweeps interleave faulted
-/// measurement excursions with nominal maintenance reads) keeps both
-/// derivations warm instead of thrashing one slot with full alpha-power
-/// rebuilds. Slots are boxed so an idle cache costs two pointers per
-/// ring — populations hold tens of thousands of rings and clone often.
-#[derive(Debug, Default)]
-struct KernelCache {
-    slots: [Option<Box<FreqKernel>>; 2],
-    /// Index of the most-recently hit or filled slot; misses evict the
-    /// other one.
-    mru: usize,
-}
-
 /// One fabricated ring oscillator.
 ///
-/// Carries a lazily built [`KernelCache`] so repeated frequency queries
-/// between wear events cost one cached load instead of a full alpha-power
-/// rederivation. The kernels are interior state: two rings compare equal
-/// iff their fabricated silicon and wear histories match, regardless of
-/// what either has cached.
-#[derive(Debug)]
+/// A ring keeps no derived state: [`RingOscillator::frequency`] rederives
+/// the frequency on every call. The chip that owns a ring array and its
+/// die process caches the results per ring (`aro_puf::Chip`), keyed by the
+/// ring's [`wear epoch`](RingOscillator::wear_epoch).
+#[derive(Debug, Clone)]
 pub struct RingOscillator {
     style: RoStyle,
     stages: Vec<InverterStage>,
@@ -241,33 +223,15 @@ pub struct RingOscillator {
     freq_bias_rel: f64,
     correlated_dvth: f64,
     health: RoHealth,
-    /// Bumped by every wear mutation; each kernel stores the epoch it was
-    /// built at, so a bump invalidates without touching the cache itself.
+    /// Bumped by every wear mutation, so a cached result keyed by the
+    /// epoch it was derived at goes stale without being touched.
     wear_epoch: u64,
-    kernel: RefCell<KernelCache>,
-}
-
-impl Clone for RingOscillator {
-    fn clone(&self) -> Self {
-        // The kernels are a derived cache — rebuilding them in the clone
-        // is cheaper than deep-copying them on every population clone.
-        Self {
-            style: self.style,
-            stages: self.stages.clone(),
-            position: self.position,
-            freq_bias_rel: self.freq_bias_rel,
-            correlated_dvth: self.correlated_dvth,
-            health: self.health,
-            wear_epoch: self.wear_epoch,
-            kernel: RefCell::new(KernelCache::default()),
-        }
-    }
 }
 
 impl PartialEq for RingOscillator {
     fn eq(&self, other: &Self) -> bool {
-        // The kernel cache and the epoch counter are performance state, not
-        // silicon: `stages` already carries the full wear history.
+        // The epoch counter is cache-invalidation state, not silicon:
+        // `stages` already carries the full wear history.
         self.style == other.style
             && self.stages == other.stages
             && self.position == other.position
@@ -315,7 +279,6 @@ impl RingOscillator {
             correlated_dvth: 0.0,
             health: RoHealth::Healthy,
             wear_epoch: 0,
-            kernel: RefCell::new(KernelCache::default()),
         }
     }
 
@@ -325,17 +288,10 @@ impl RingOscillator {
     }
 
     /// The current wear epoch: increments on every stress application and
-    /// wear reset. Exposed for cache-invalidation tests.
+    /// wear reset. Frequency caches key on it.
     #[must_use]
     pub fn wear_epoch(&self) -> u64 {
         self.wear_epoch
-    }
-
-    /// Whether any frequency kernel is currently cached (it may still be
-    /// stale for a given query). Exposed for cache-invalidation tests.
-    #[must_use]
-    pub fn kernel_is_cached(&self) -> bool {
-        self.kernel.borrow().slots.iter().any(Option::is_some)
     }
 
     /// The cell style.
@@ -403,155 +359,18 @@ impl RingOscillator {
 
     /// The oscillation frequency in hertz under environment `env` on a die
     /// with process realization `chip`, including mismatch, systematic
-    /// variation, layout bias, and all accumulated wear.
+    /// variation, layout bias, and all accumulated wear — the uncached
+    /// reference derivation (see [`FreqContext`]). It books no telemetry.
     ///
     /// A hard-faulted ring short-circuits the physical model: `Dead` reads
     /// 0 Hz, `Stuck` reads its fixed frequency.
     #[must_use]
     pub fn frequency(&self, tech: &TechParams, env: &Environment, chip: &ChipProcess) -> f64 {
         match self.health {
-            RoHealth::Healthy => {}
-            RoHealth::Dead => return 0.0,
-            RoHealth::Stuck(freq_hz) => return freq_hz,
+            RoHealth::Healthy => FreqContext::new(self.style, tech, env, chip).derive(self),
+            RoHealth::Dead => 0.0,
+            RoHealth::Stuck(freq_hz) => freq_hz,
         }
-        let mut cache = self.kernel.borrow_mut();
-        // MRU slot first: a run of same-environment reads stays on one
-        // comparison; an alternating pattern (faulted measurement env vs
-        // nominal anchor reads) hits the second slot instead of rebuilding.
-        for offset in 0..2 {
-            let idx = (cache.mru + offset) % 2;
-            let Some(kernel) = cache.slots[idx].as_deref_mut() else {
-                continue;
-            };
-            if kernel.is_valid(
-                tech,
-                env,
-                chip,
-                self.wear_epoch,
-                self.freq_bias_rel,
-                self.correlated_dvth,
-            ) {
-                if kernel.take_phantom() {
-                    // Preloaded kernel, first use: book the rebuild the
-                    // preload skipped, at the moment the cold path would
-                    // have performed it.
-                    aro_obs::counter("circuit.kernel_rebuilds", 1);
-                }
-                let freq = kernel.frequency();
-                cache.mru = idx;
-                return freq;
-            }
-        }
-        // Miss: rebuild into an empty slot if there is one, else evict the
-        // least-recently used. A stale kernel can never revalidate (wear
-        // epochs only move forward between cache clears), so eviction
-        // order never changes which future reads hit.
-        let victim = match cache.slots.iter().position(Option::is_none) {
-            Some(empty) => empty,
-            None => (cache.mru + 1) % 2,
-        };
-        let freq = match cache.slots[victim].as_deref_mut() {
-            Some(kernel) => {
-                // Rederive in place, reusing the allocation.
-                kernel.recompute(
-                    self.style,
-                    &self.stages,
-                    chip.systematic_dvth(self.position),
-                    self.correlated_dvth,
-                    self.freq_bias_rel,
-                    tech,
-                    env,
-                    chip,
-                    self.wear_epoch,
-                );
-                kernel.frequency()
-            }
-            None => {
-                let kernel = Box::new(FreqKernel::build(
-                    self.style,
-                    &self.stages,
-                    chip.systematic_dvth(self.position),
-                    self.correlated_dvth,
-                    self.freq_bias_rel,
-                    tech,
-                    env,
-                    chip,
-                    self.wear_epoch,
-                ));
-                let freq = kernel.frequency();
-                cache.slots[victim] = Some(kernel);
-                freq
-            }
-        };
-        cache.mru = victim;
-        // Sketch points come from rebuilds only (distinct physical
-        // states, unweighted by cache re-reads), thinned through the
-        // deterministic 1-in-16 gate — see `obs_sampled`.
-        if self.obs_sampled() {
-            aro_obs::sketch("circuit.ring_freq_ghz", freq * 1e-9);
-        }
-        freq
-    }
-
-    /// The most recent kernel's *(environment, period, frequency)* if it
-    /// describes this ring's present wear state — what the aged-state
-    /// snapshot layer harvests after a recorded step's reads so replays
-    /// of the same step can preload instead of rebuilding. Returns
-    /// `None` for faulted rings and for kernels left stale by a later
-    /// wear event.
-    #[must_use]
-    pub fn cached_kernel_result(&self) -> Option<(Environment, f64, f64)> {
-        if !self.health.is_healthy() {
-            return None;
-        }
-        let cache = self.kernel.borrow();
-        for offset in 0..2 {
-            let idx = (cache.mru + offset) % 2;
-            if let Some(kernel) = cache.slots[idx].as_deref() {
-                if kernel.wear_epoch() == self.wear_epoch {
-                    return Some((*kernel.env(), kernel.period_s(), kernel.frequency()));
-                }
-            }
-        }
-        None
-    }
-
-    /// Installs a harvested kernel result for this ring's *current* wear
-    /// state, skipping the rebuild a first read would pay. Returns `false`
-    /// without installing for faulted rings and for rings the 1-in-16
-    /// observability gate samples — a sampled ring must rebuild live so
-    /// its `circuit.ring_freq_ghz` sketch point is emitted exactly as on
-    /// the cold path. (Non-sampled rebuilds emit only the order-free
-    /// rebuild counter, which the phantom kernel books on first use.)
-    ///
-    /// The caller asserts `(period_s, freq_hz)` came from a kernel built
-    /// for identical silicon at this exact wear state under `env`.
-    pub fn preload_kernel(
-        &self,
-        tech: &TechParams,
-        env: &Environment,
-        chip: &ChipProcess,
-        period_s: f64,
-        freq_hz: f64,
-    ) -> bool {
-        if !self.health.is_healthy() || self.obs_sampled() {
-            return false;
-        }
-        let kernel = FreqKernel::from_cached(
-            tech,
-            env,
-            chip,
-            self.wear_epoch,
-            self.freq_bias_rel,
-            self.correlated_dvth,
-            period_s,
-            freq_hz,
-        );
-        let mut cache = self.kernel.borrow_mut();
-        let slot = cache.slots.iter().position(Option::is_none).unwrap_or(0);
-        cache.slots[slot] = Some(Box::new(kernel));
-        cache.mru = slot;
-        true
     }
 
     /// Keep-1-in-16 gate for the per-state observability streams
@@ -567,7 +386,8 @@ impl RingOscillator {
     /// checkpoints. (A plain per-ring stride counter would alias with the
     /// periodic checkpoint schedule: every ring would keep the same early
     /// ages and the fleet drift sketch would under-represent late life.)
-    fn obs_sampled(&self) -> bool {
+    #[must_use]
+    pub fn obs_sampled(&self) -> bool {
         if !aro_obs::enabled() {
             return false;
         }
@@ -657,7 +477,7 @@ impl RingOscillator {
         duration_s: f64,
     ) {
         let mut batch = ActiveStressBatch::new(models, env, duration_s);
-        self.stress_active_with(tech, env, chip, &mut batch);
+        self.stress_active_with(&mut batch, |ro| ro.frequency(tech, env, chip));
     }
 
     /// [`RingOscillator::stress_active`] driven by a prebuilt, possibly
@@ -665,17 +485,20 @@ impl RingOscillator {
     /// its rings (see [`RingOscillator::stress_idle_with`]); the HCI cycle
     /// count still depends on this ring's own frequency, so only the BTI
     /// transitions and the acceleration prefactors are shared.
+    ///
+    /// `frequency` supplies the ring's frequency under the interval's
+    /// environment — a chip reads it through its kernel cache. It is
+    /// called once, before the wear epoch moves, and not at all for an
+    /// empty interval.
     pub fn stress_active_with(
         &mut self,
-        tech: &TechParams,
-        env: &Environment,
-        chip: &ChipProcess,
         batch: &mut ActiveStressBatch,
+        frequency: impl FnOnce(&Self) -> f64,
     ) {
         if batch.duration_s <= 0.0 {
             return;
         }
-        let freq = self.frequency(tech, env, chip);
+        let freq = frequency(self);
         self.bump_wear_epoch();
         let cycles = freq * batch.duration_s;
         // Tally applies locally; one counter bump per interval (see
@@ -746,10 +569,10 @@ impl RingOscillator {
 
     /// Restores per-device wear captured by
     /// [`RingOscillator::capture_wear_levels`] and pins the wear epoch.
-    /// The kernel cache is dropped unconditionally: a restored ring's next
-    /// frequency query must rederive from the restored wear (the epoch
-    /// counter alone cannot distinguish two histories that happen to share
-    /// an epoch value, e.g. across reused workspace chips).
+    /// A caller that caches this ring's frequency must drop the ring's
+    /// entries: the epoch counter alone cannot distinguish two histories
+    /// that happen to share an epoch value, e.g. across reused workspace
+    /// chips.
     ///
     /// # Panics
     /// Panics if `levels` does not hold exactly two entries per stage.
@@ -764,11 +587,11 @@ impl RingOscillator {
             stage.nmos_mut().aging_mut().set_wear(levels[2 * i + 1]);
         }
         self.wear_epoch = wear_epoch;
-        *self.kernel.borrow_mut() = KernelCache::default();
     }
 
     /// Returns the ring to its exact post-fabrication state: zero wear,
-    /// epoch 0, healthy, no cached kernel. The fabricated silicon
+    /// epoch 0, healthy. Like a wear restore, this rewinds the epoch, so a
+    /// frequency cache must drop the ring's entries. The fabricated silicon
     /// (variation, bias, correlated offset) is untouched, so a reused
     /// workspace ring is bitwise indistinguishable from a fresh
     /// fabrication of the same design and id.
@@ -779,7 +602,6 @@ impl RingOscillator {
         }
         self.health = RoHealth::Healthy;
         self.wear_epoch = 0;
-        *self.kernel.borrow_mut() = KernelCache::default();
     }
 
     /// Mean BTI threshold shift over all devices in the ring, in volts —
@@ -1071,45 +893,15 @@ mod tests {
     }
 
     #[test]
-    fn kernel_caches_after_first_query_and_hits_are_bitwise_stable() {
-        let (tech, env, chip, _) = setup();
-        let (ro, _) = make_ring(RoStyle::Conventional, 43);
-        assert!(!ro.kernel_is_cached(), "fresh ring has no kernel");
-        let first = ro.frequency(&tech, &env, &chip);
-        assert!(ro.kernel_is_cached(), "first query builds the kernel");
-        assert_eq!(
-            first.to_bits(),
-            ro.frequency(&tech, &env, &chip).to_bits(),
-            "cache hit must be bitwise identical to the cold computation"
-        );
-    }
-
-    #[test]
-    fn aging_invalidates_the_kernel() {
+    fn frequency_is_a_pure_function_of_ring_and_conditions() {
         let (tech, env, chip, models) = setup();
-        let (mut ro, _) = make_ring(RoStyle::Conventional, 44);
-        let fresh = ro.frequency(&tech, &env, &chip);
+        let (mut ro, _) = make_ring(RoStyle::Conventional, 43);
+        let first = ro.frequency(&tech, &env, &chip);
+        assert_eq!(first.to_bits(), ro.frequency(&tech, &env, &chip).to_bits());
         let epoch = ro.wear_epoch();
         ro.stress_idle(&tech, &models, 85.0, tech.vdd_nominal, YEAR);
         assert!(ro.wear_epoch() > epoch, "stress must bump the wear epoch");
-        assert!(
-            ro.frequency(&tech, &env, &chip) < fresh,
-            "a stale kernel must not survive an aging step"
-        );
-    }
-
-    #[test]
-    fn environment_change_invalidates_the_kernel() {
-        let (tech, env, chip, _) = setup();
-        let (ro, _) = make_ring(RoStyle::Conventional, 45);
-        let nominal = ro.frequency(&tech, &env, &chip);
-        let hot = ro.frequency(&tech, &env.with_temp_celsius(85.0), &chip);
-        assert!(hot < nominal, "the hot query must not reuse the cold kernel");
-        assert_eq!(
-            nominal.to_bits(),
-            ro.frequency(&tech, &env, &chip).to_bits(),
-            "returning to the first environment must rebuild exactly"
-        );
+        assert!(ro.frequency(&tech, &env, &chip) < first);
     }
 
     #[test]
@@ -1131,7 +923,6 @@ mod tests {
         ro.restore_wear_levels(&levels, epoch);
         assert_eq!(ro, pristine);
         assert_eq!(ro.wear_epoch(), epoch);
-        assert!(!ro.kernel_is_cached(), "restore must drop the kernel");
         assert_eq!(ro.frequency(&tech, &env, &chip).to_bits(), aged_freq.to_bits());
     }
 
@@ -1176,7 +967,7 @@ mod tests {
             }
             let mut active = ActiveStressBatch::new(&models, &env, 30.0);
             for ro in &mut batched {
-                ro.stress_active_with(&tech, &env, &chip, &mut active);
+                ro.stress_active_with(&mut active, |ro| ro.frequency(&tech, &env, &chip));
             }
             let mut idle =
                 IdleStressBatch::new(style, &tech, &models, 45.0, tech.vdd_nominal, YEAR);

@@ -2,6 +2,7 @@
 
 use aro_circuit::readout::Measurement;
 use aro_circuit::ring::{ActiveStressBatch, AgingModels, IdleStressBatch, RingOscillator};
+use aro_device::aging::WearLevel;
 use aro_device::environment::Environment;
 use aro_device::process::{ChipProcess, DiePosition};
 use aro_device::rng::SeedDomain;
@@ -9,6 +10,7 @@ use aro_metrics::bits::BitString;
 use rand::rngs::StdRng;
 
 use crate::design::PufDesign;
+use crate::kernels::{KernelCache, KernelRead};
 
 /// One fabricated chip of a [`PufDesign`].
 ///
@@ -17,14 +19,33 @@ use crate::design::PufDesign;
 /// noise from a per-chip nonce stream, so re-running an experiment
 /// reproduces it bit for bit while repeated measurements still see fresh
 /// noise.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The chip caches its rings' derived frequencies (see
+/// `crate::kernels`): every read resolves its technology and environment
+/// once and hits or fills each ring's slots. The cache is interior state —
+/// a clone starts cold, and two chips compare equal iff their silicon,
+/// wear and noise streams match.
+#[derive(Debug, Clone)]
 pub struct Chip {
     id: u64,
     process: ChipProcess,
     ros: Vec<RingOscillator>,
+    /// Read by the snapshot layer's kernel-hint harvest and preload.
+    pub(crate) kernels: KernelCache,
     noise_domain: SeedDomain,
     measure_nonce: u64,
     age_s: f64,
+}
+
+impl PartialEq for Chip {
+    fn eq(&self, other: &Self) -> bool {
+        self.id == other.id
+            && self.process == other.process
+            && self.ros == other.ros
+            && self.noise_domain == other.noise_domain
+            && self.measure_nonce == other.measure_nonce
+            && self.age_s == other.age_s
+    }
 }
 
 impl Chip {
@@ -57,10 +78,11 @@ impl Chip {
                 }
                 ro
             })
-            .collect();
+            .collect::<Vec<_>>();
         Self {
             id,
             process,
+            kernels: KernelCache::new(ros.len()),
             ros,
             noise_domain: chip_domain.child("noise"),
             measure_nonce: id << 32,
@@ -92,13 +114,6 @@ impl Chip {
         &self.ros
     }
 
-    /// Mutable ring access for the aged-state snapshot layer (same
-    /// crate only — external callers go through `set_ro_health` and the
-    /// stress entry points).
-    pub(crate) fn ros_mut(&mut self) -> &mut [RingOscillator] {
-        &mut self.ros
-    }
-
     pub(crate) fn add_age(&mut self, seconds: f64) {
         self.age_s += seconds;
     }
@@ -113,6 +128,7 @@ impl Chip {
         for ro in &mut self.ros {
             ro.reset_to_fabricated();
         }
+        self.kernels.clear();
         self.measure_nonce = self.id << 32;
         self.age_s = 0.0;
     }
@@ -132,7 +148,20 @@ impl Chip {
     /// Number of rings whose hard-fault state is not `Healthy`.
     #[must_use]
     pub fn faulted_ro_count(&self) -> usize {
-        self.ros.iter().filter(|ro| !ro.health().is_healthy()).count()
+        self.ros
+            .iter()
+            .filter(|ro| !ro.health().is_healthy())
+            .count()
+    }
+
+    /// Resolves one read of this chip under `(design.tech(), env)`.
+    pub(crate) fn kernel_read<'d>(
+        &self,
+        design: &'d PufDesign,
+        env: &Environment,
+    ) -> KernelRead<'d> {
+        self.kernels
+            .read(design.style(), design.tech(), env, &self.process)
     }
 
     /// The *true* (noiseless) frequency of ring `index` under `env`.
@@ -141,23 +170,30 @@ impl Chip {
     /// Panics if `index` is out of range.
     #[must_use]
     pub fn frequency(&self, design: &PufDesign, env: &Environment, index: usize) -> f64 {
-        self.ros[index].frequency(design.tech(), env, &self.process)
+        let read = self.kernel_read(design, env);
+        self.kernels.frequency(&read, index, &self.ros[index])
     }
 
     /// The true frequencies of every ring under `env`.
     #[must_use]
     pub fn frequencies(&self, design: &PufDesign, env: &Environment) -> Vec<f64> {
-        (0..self.ros.len())
-            .map(|i| self.frequency(design, env, i))
-            .collect()
+        let mut buf = Vec::new();
+        self.frequencies_into(design, env, &mut buf);
+        buf
     }
 
     /// Writes the true frequencies of every ring under `env` into `buf`,
     /// reusing its allocation — the per-checkpoint variant of
     /// [`Chip::frequencies`] for tight timeline loops.
     pub fn frequencies_into(&self, design: &PufDesign, env: &Environment, buf: &mut Vec<f64>) {
+        let read = self.kernel_read(design, env);
         buf.clear();
-        buf.extend((0..self.ros.len()).map(|i| self.frequency(design, env, i)));
+        buf.extend(
+            self.ros
+                .iter()
+                .enumerate()
+                .map(|(i, ro)| self.kernels.frequency(&read, i, ro)),
+        );
     }
 
     /// A fresh deterministic noise stream for the next measurement.
@@ -178,7 +214,22 @@ impl Chip {
         env: &Environment,
         index: usize,
     ) -> Measurement {
-        let f_true = self.frequency(design, env, index);
+        let read = self.kernel_read(design, env);
+        self.measure_with(&read, design, index)
+    }
+
+    /// Measures every ring once, in index order — one enrollment read of
+    /// the whole array.
+    pub fn measure_all(&mut self, design: &PufDesign, env: &Environment) -> Vec<Measurement> {
+        let read = self.kernel_read(design, env);
+        (0..self.ros.len())
+            .map(|i| self.measure_with(&read, design, i))
+            .collect()
+    }
+
+    /// [`Chip::measure_ro`] under an already resolved read.
+    fn measure_with(&mut self, read: &KernelRead, design: &PufDesign, index: usize) -> Measurement {
+        let f_true = self.kernels.frequency(read, index, &self.ros[index]);
         let mut rng = self.next_noise_rng();
         design.readout().measure(f_true, &mut rng)
     }
@@ -191,9 +242,7 @@ impl Chip {
         env: &Environment,
         pair: (usize, usize),
     ) -> bool {
-        let a = self.measure_ro(design, env, pair.0);
-        let b = self.measure_ro(design, env, pair.1);
-        a.bit_against(&b)
+        self.response(design, env, &[pair]).get(0)
     }
 
     /// Generates the response for a list of pairs with real measurement
@@ -204,9 +253,14 @@ impl Chip {
         env: &Environment,
         pairs: &[(usize, usize)],
     ) -> BitString {
+        let read = self.kernel_read(design, env);
         pairs
             .iter()
-            .map(|&p| self.measure_pair(design, env, p))
+            .map(|&(i, j)| {
+                let a = self.measure_with(&read, design, i);
+                let b = self.measure_with(&read, design, j);
+                a.bit_against(&b)
+            })
             .collect()
     }
 
@@ -221,11 +275,12 @@ impl Chip {
         env: &Environment,
         pairs: &[(usize, usize)],
     ) -> Vec<(bool, f64)> {
+        let read = self.kernel_read(design, env);
         pairs
             .iter()
             .map(|&(i, j)| {
-                let a = self.measure_ro(design, env, i);
-                let b = self.measure_ro(design, env, j);
+                let a = self.measure_with(&read, design, i);
+                let b = self.measure_with(&read, design, j);
                 let confidence = a.count().abs_diff(b.count()) as f64;
                 (a.bit_against(&b), confidence)
             })
@@ -251,15 +306,15 @@ impl Chip {
         // True frequencies are vote-invariant (noise enters at the
         // readout), so resolve each ring once per call instead of
         // re-walking the kernel cache `2 * votes` times per pair. The
-        // noise-draw order and count are unchanged, and `frequency`
-        // emits only on kernel rebuilds — first touch per ring, exactly
-        // as in the unhoisted loop — so responses and telemetry are
+        // noise-draw order and count are unchanged, and the cache emits
+        // only on kernel rebuilds — first touch per ring, exactly as in
+        // the unhoisted loop — so responses and telemetry are
         // byte-identical.
+        let read = self.kernel_read(design, env);
         let mut freqs: Vec<Option<f64>> = vec![None; self.ros.len()];
         let mut freq_of = |chip: &Self, index: usize| -> f64 {
-            *freqs[index].get_or_insert_with(|| {
-                chip.ros[index].frequency(design.tech(), env, &chip.process)
-            })
+            *freqs[index]
+                .get_or_insert_with(|| chip.kernels.frequency(&read, index, &chip.ros[index]))
         };
         let majority = votes / 2 + 1;
         pairs
@@ -350,12 +405,42 @@ impl Chip {
         env: &Environment,
         duration_s: f64,
     ) {
-        let process = self.process;
+        let read = self.kernel_read(design, env);
         // Chip-wide batch, as in `stress_idle`.
         let mut batch = ActiveStressBatch::new(models, env, duration_s);
-        for ro in &mut self.ros {
-            ro.stress_active_with(design.tech(), env, &process, &mut batch);
+        for index in 0..self.ros.len() {
+            self.stress_active_ring(&read, index, &mut batch);
         }
+    }
+
+    /// Idle stress on ring `index` through a shared batch.
+    pub(crate) fn stress_idle_ring(&mut self, index: usize, batch: &mut IdleStressBatch) {
+        self.ros[index].stress_idle_with(batch);
+    }
+
+    /// Oscillation stress on ring `index` through a shared batch: the HCI
+    /// cycle count comes from the ring's frequency under `read`, read
+    /// through the cache before the wear epoch moves.
+    pub(crate) fn stress_active_ring(
+        &mut self,
+        read: &KernelRead,
+        index: usize,
+        batch: &mut ActiveStressBatch,
+    ) {
+        let kernels = &self.kernels;
+        self.ros[index].stress_active_with(batch, |ro| kernels.frequency(read, index, ro));
+    }
+
+    /// Restores ring `index`'s wear and wear epoch from a snapshot,
+    /// dropping its cached frequencies (the epoch may rewind).
+    pub(crate) fn restore_ring_wear(
+        &mut self,
+        index: usize,
+        levels: &[WearLevel],
+        wear_epoch: u64,
+    ) {
+        self.ros[index].restore_wear_levels(levels, wear_epoch);
+        self.kernels.forget(index);
     }
 }
 

@@ -54,8 +54,8 @@ impl Enrollment {
         let n_ros = design.n_ros();
         let mut mean_freqs = vec![0.0; n_ros];
         for _ in 0..reads {
-            for (i, mean) in mean_freqs.iter_mut().enumerate() {
-                *mean += chip.measure_ro(design, env, i).frequency();
+            for (mean, m) in mean_freqs.iter_mut().zip(chip.measure_all(design, env)) {
+                *mean += m.frequency();
             }
         }
         for mean in &mut mean_freqs {

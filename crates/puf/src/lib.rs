@@ -45,6 +45,7 @@ pub mod challenge;
 pub mod chip;
 pub mod design;
 pub mod enrollment;
+mod kernels;
 pub mod lifetime;
 pub mod pairing;
 pub mod population;

@@ -39,6 +39,7 @@ use std::cell::RefCell;
 use aro_circuit::ring::{ActiveStressBatch, IdleStressBatch};
 use aro_device::aging::WearLevel;
 use aro_device::environment::Environment;
+use aro_device::params::TechParams;
 use aro_obs::TapEvent;
 
 use crate::chip::Chip;
@@ -217,13 +218,15 @@ pub struct AgedStepSnapshot {
     hints: RefCell<Option<KernelHints>>,
 }
 
-/// Harvested per-ring kernel results, all derived under one environment.
+/// Harvested per-ring kernel results, all derived under one technology
+/// and environment.
 #[derive(Debug, Clone)]
 struct KernelHints {
+    tech: TechParams,
     env: Environment,
-    /// Per-ring `(period_s, freq_hz)`; `None` where no warm kernel was
-    /// available at harvest time.
-    results: Vec<Option<(f64, f64)>>,
+    /// Per-ring frequency; `None` where no warm kernel was available at
+    /// harvest time, and for rings the snapshot does not cover.
+    results: Vec<Option<f64>>,
 }
 
 /// Ages `chip` through one mission step exactly as
@@ -239,14 +242,14 @@ pub fn age_step_recorded(
     let step = profile.step(design, duration_s);
     let n = chip.ros().len();
     let covered: Vec<bool> = chip.ros().iter().map(|ro| ro.health().is_healthy()).collect();
-    let process = *chip.process();
     aro_obs::tap_begin();
     let mut active_spans = Vec::with_capacity(n);
     {
+        let read = chip.kernel_read(design, &step.env);
         let mut batch = ActiveStressBatch::new(&step.models, &step.env, step.active_s);
-        for ro in chip.ros_mut() {
+        for i in 0..n {
             let start = aro_obs::tap_position() as u32;
-            ro.stress_active_with(design.tech(), &step.env, &process, &mut batch);
+            chip.stress_active_ring(&read, i, &mut batch);
             active_spans.push((start, aro_obs::tap_position() as u32));
         }
     }
@@ -260,9 +263,9 @@ pub fn age_step_recorded(
             step.vdd,
             step.idle_s,
         );
-        for ro in chip.ros_mut() {
+        for i in 0..n {
             let start = aro_obs::tap_position() as u32;
-            ro.stress_idle_with(&mut batch);
+            chip.stress_idle_ring(i, &mut batch);
             idle_spans.push((start, aro_obs::tap_position() as u32));
         }
     }
@@ -305,7 +308,6 @@ pub fn age_step_replayed(
     let step = profile.step(design, duration_s);
     let n = chip.ros().len();
     assert_eq!(snapshot.covered.len(), n, "snapshot recorded for another array");
-    let process = *chip.process();
     let fast: Vec<bool> = chip
         .ros()
         .iter()
@@ -320,21 +322,22 @@ pub fn age_step_replayed(
         // restore below is the same loop the mixed path runs.
         snapshot.tape.replay_all();
         let mut scratch: Vec<WearLevel> = Vec::with_capacity(snapshot.devices);
-        for (i, ro) in chip.ros_mut().iter_mut().enumerate() {
+        for i in 0..n {
             snapshot.wear_levels_for(i, &mut scratch);
-            ro.restore_wear_levels(&scratch, snapshot.epoch_after);
+            chip.restore_ring_wear(i, &scratch, snapshot.epoch_after);
         }
         chip.add_age(step.duration_s);
-        snapshot.preload_kernel_hints(chip, design);
+        snapshot.preload_kernel_hints(chip);
         return;
     }
     {
+        let read = chip.kernel_read(design, &step.env);
         let mut batch = ActiveStressBatch::new(&step.models, &step.env, step.active_s);
-        for (i, ro) in chip.ros_mut().iter_mut().enumerate() {
-            if fast[i] {
+        for (i, &fast) in fast.iter().enumerate() {
+            if fast {
                 snapshot.tape.replay(&snapshot.tape.active_spans, i);
             } else {
-                ro.stress_active_with(design.tech(), &step.env, &process, &mut batch);
+                chip.stress_active_ring(&read, i, &mut batch);
             }
         }
     }
@@ -347,81 +350,76 @@ pub fn age_step_replayed(
             step.vdd,
             step.idle_s,
         );
-        for (i, ro) in chip.ros_mut().iter_mut().enumerate() {
-            if fast[i] {
+        for (i, &fast) in fast.iter().enumerate() {
+            if fast {
                 snapshot.tape.replay(&snapshot.tape.idle_spans, i);
             } else {
-                ro.stress_idle_with(&mut batch);
+                chip.stress_idle_ring(i, &mut batch);
             }
         }
     }
     let mut scratch: Vec<WearLevel> = Vec::with_capacity(snapshot.devices);
-    for (i, ro) in chip.ros_mut().iter_mut().enumerate() {
-        if fast[i] {
+    for (i, &fast) in fast.iter().enumerate() {
+        if fast {
             snapshot.wear_levels_for(i, &mut scratch);
-            ro.restore_wear_levels(&scratch, snapshot.epoch_after);
+            chip.restore_ring_wear(i, &scratch, snapshot.epoch_after);
         }
     }
     chip.add_age(step.duration_s);
-    snapshot.preload_kernel_hints(chip, design);
+    snapshot.preload_kernel_hints(chip);
 }
 
 impl AgedStepSnapshot {
     /// Harvests warm frequency-kernel results from a chip standing at
     /// this snapshot's post-step state — typically the recording chip,
     /// after the reads that followed the step warmed its kernels. The
-    /// harvest keeps one environment cohort (the first one seen) and only
-    /// covered rings whose kernel matches their current wear epoch, so a
-    /// hint can never describe anything but the recorded post-step wear
-    /// of identical silicon. Idempotent: once filled, later calls return
-    /// immediately. No-op if the chip holds no harvestable kernels.
+    /// harvest keeps one *(technology, environment)* cohort (the first one
+    /// seen) and only covered rings whose kernel matches their current
+    /// wear epoch, so a hint can never describe anything but the recorded
+    /// post-step wear of identical silicon. Idempotent: once filled, later
+    /// calls return immediately. No-op if the chip holds no harvestable
+    /// kernels.
     pub fn harvest_kernel_hints(&self, chip: &Chip) {
         let mut slot = self.hints.borrow_mut();
         if slot.is_some() {
             return;
         }
-        let mut env: Option<Environment> = None;
-        let mut results: Vec<Option<(f64, f64)>> = vec![None; self.covered.len()];
+        let mut cohort: Option<(u32, Environment)> = None;
+        let mut results: Vec<Option<f64>> = vec![None; self.covered.len()];
         for (i, ro) in chip.ros().iter().enumerate() {
             if !self.covered[i] || ro.wear_epoch() != self.epoch_after {
                 continue;
             }
-            let Some((ring_env, period_s, freq_hz)) = ro.cached_kernel_result() else {
+            let Some((tech, ring_env, freq_hz)) = chip.kernels.current(i, ro) else {
                 continue;
             };
-            match env {
-                None => env = Some(ring_env),
-                Some(e) if e == ring_env => {}
+            match cohort {
+                None => cohort = Some((tech, ring_env)),
+                Some(c) if c == (tech, ring_env) => {}
                 Some(_) => continue,
             }
-            results[i] = Some((period_s, freq_hz));
+            results[i] = Some(freq_hz);
         }
-        if let Some(env) = env {
-            *slot = Some(KernelHints { env, results });
+        if let Some((tech, env)) = cohort {
+            *slot = Some(KernelHints {
+                tech: chip.kernels.tech(tech),
+                env,
+                results,
+            });
         }
     }
 
     /// Installs harvested kernel results on a chip that just replayed
     /// this step, so its first post-step read skips the rebuild. Only
-    /// covered rings receive hints (an uncovered ring was aged live and
-    /// its wear may differ from the recorded state), and
-    /// `RingOscillator::preload_kernel` further refuses faulted and
-    /// observability-sampled rings — the preload is therefore invisible
-    /// to every output and telemetry stream (see the phantom-kernel
-    /// bookkeeping in `aro_circuit::kernel`).
-    fn preload_kernel_hints(&self, chip: &Chip, design: &PufDesign) {
-        let slot = self.hints.borrow();
-        let Some(hints) = slot.as_ref() else {
-            return;
-        };
-        let process = *chip.process();
-        for (i, ro) in chip.ros().iter().enumerate() {
-            if !self.covered[i] {
-                continue;
-            }
-            if let Some((period_s, freq_hz)) = hints.results[i] {
-                let _ = ro.preload_kernel(design.tech(), &hints.env, &process, period_s, freq_hz);
-            }
+    /// covered rings hold hints (an uncovered ring was aged live and its
+    /// wear may differ from the recorded state), and the chip further
+    /// refuses faulted and observability-sampled rings — the preload is
+    /// therefore invisible to every output and telemetry stream (see the
+    /// phantom-kernel bookkeeping in `crate::kernels`).
+    fn preload_kernel_hints(&self, chip: &Chip) {
+        if let Some(hints) = self.hints.borrow().as_ref() {
+            chip.kernels
+                .preload(&hints.tech, &hints.env, &hints.results, chip.ros());
         }
     }
 

@@ -28,38 +28,71 @@ impl Drop for Cleanup {
     }
 }
 
+/// The work counters each experiment books at quick scale: kernel
+/// rebuilds (real and phantom), BTI applies, HCI applies. exp16 exercises
+/// every kernel-cache path: faulted soft reads under excursions, snapshot
+/// replays and preloaded phantom kernels. A change to the cache key, its
+/// eviction rule or the phantom bookkeeping moves these.
+const PINNED_WORK: [(&str, [(&str, u64); 3]); 2] = [
+    (
+        "exp2",
+        [
+            ("circuit.kernel_rebuilds", 16_640),
+            ("device.bti_applies", 134_400),
+            ("device.hci_applies", 76_800),
+        ],
+    ),
+    (
+        "exp16",
+        [
+            ("circuit.kernel_rebuilds", 2_125_374),
+            ("device.bti_applies", 18_436_800),
+            ("device.hci_applies", 9_001_950),
+        ],
+    ),
+];
+
 #[test]
 fn aggregates_and_results_identical_across_thread_counts() {
     let _guard = lock();
     let _cleanup = Cleanup;
     let cfg = SimConfig::quick();
 
-    let mut runs = Vec::new();
-    for threads in [1usize, 2, 8] {
-        set_thread_override(threads);
-        aro_obs::reset();
-        aro_obs::set_enabled(true);
-        let report = run_by_id("exp2", &cfg).expect("exp2 exists");
-        aro_obs::set_enabled(false);
-        let metrics = aro_obs::take_scratch();
-        runs.push((threads, metrics.dump(), report));
-    }
-    set_thread_override(0);
+    for (id, pinned) in PINNED_WORK {
+        let mut runs = Vec::new();
+        for threads in [1usize, 2, 8] {
+            set_thread_override(threads);
+            aro_obs::reset();
+            aro_obs::set_enabled(true);
+            let report = run_by_id(id, &cfg).expect("experiment exists");
+            aro_obs::set_enabled(false);
+            let metrics = aro_obs::take_scratch();
+            for (counter, value) in pinned {
+                assert_eq!(
+                    metrics.counter(counter),
+                    value,
+                    "{id} at {threads} threads: {counter} moved"
+                );
+            }
+            runs.push((threads, metrics.dump(), report));
+        }
+        set_thread_override(0);
 
-    let (_, reference_dump, reference_report) = &runs[0];
-    assert!(
-        reference_dump.contains("sim.chips_simulated"),
-        "instrumentation recorded nothing:\n{reference_dump}"
-    );
-    for (threads, dump, report) in &runs[1..] {
-        assert_eq!(
-            dump, reference_dump,
-            "metric aggregates differ at {threads} threads"
+        let (_, reference_dump, reference_report) = &runs[0];
+        assert!(
+            reference_dump.contains("sim.chips_simulated"),
+            "instrumentation recorded nothing:\n{reference_dump}"
         );
-        assert_eq!(
-            report, reference_report,
-            "experiment results differ at {threads} threads"
-        );
+        for (threads, dump, report) in &runs[1..] {
+            assert_eq!(
+                dump, reference_dump,
+                "{id}: metric aggregates differ at {threads} threads"
+            );
+            assert_eq!(
+                report, reference_report,
+                "{id}: experiment results differ at {threads} threads"
+            );
+        }
     }
 }
 
