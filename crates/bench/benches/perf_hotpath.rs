@@ -81,6 +81,7 @@ fn bench(c: &mut Criterion) {
                 &mut population,
                 &profile,
                 &[10.0 * YEAR],
+                None,
             ))
         })
     });

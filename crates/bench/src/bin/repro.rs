@@ -34,58 +34,14 @@
 //! failure, 2 usage error, 3 partial failure (degraded report emitted),
 //! 4 total failure (no experiment completed), 141 closed output pipe.
 
-use aro_faults::{FaultInjector, FaultPlan};
+use aro_faults::FaultPlan;
 use aro_ledger::Ledger;
-use aro_sim::experiments::ALL_IDS;
+use aro_sim::experiments::{ALL_IDS, REGISTRY};
 use aro_sim::harness;
 use aro_sim::SimConfig;
+use std::ffi::OsString;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-const EXPERIMENTS: [(&str, &str); 19] = [
-    ("exp1", "RO frequency degradation vs. time"),
-    (
-        "exp2",
-        "Percentage of flipped bits vs. time (paper: 32 % vs 7.7 %)",
-    ),
-    (
-        "exp3",
-        "Inter-chip Hamming distance (paper: ~45 % vs 49.67 %)",
-    ),
-    ("exp4", "Randomness and environmental reliability"),
-    ("exp5", "PUF + ECC area for a 128-bit key (paper: ~24x)"),
-    ("exp6", "Ablation: stress duty and temperature sweep"),
-    ("exp7", "Ablation: pairing / masking strategies"),
-    ("exp8", "End-to-end key generation over ten years"),
-    (
-        "exp9",
-        "Ablation: temporal majority voting vs. the aging floor",
-    ),
-    ("exp10", "Ablation: margin-threshold masking trade-off"),
-    (
-        "exp11",
-        "Ablation: spatially correlated variation vs. pairing distance",
-    ),
-    ("exp12", "Authentication FAR/FRR after ten years"),
-    ("exp13", "Seed robustness of the headline claims"),
-    ("exp14", "Soft-decision decoding gain"),
-    ("exp15", "Key recovery under injected faults (chaos sweep)"),
-    ("exp16", "Self-healing helper-data refresh (interval sweep)"),
-    ("exp17", "Fault-aware provisioning envelope"),
-    ("exp18", "Fleet authentication service under fault storms"),
-    (
-        "exp19",
-        "Full-storm survival: cheapest (area, refresh, replication) triple",
-    ),
-];
-
-/// Run modes that are not paper experiments (never part of a bare
-/// `repro` run; only run when named on the command line).
-const MODES: [(&str, &str); 1] = [(
-    "serve-bench",
-    "Fleet authentication service benchmark (auths/sec, p50/p99, FAR/FRR; exits 3 if the service ended degraded)",
-)];
 
 /// Everything that can go wrong, with the exit code it maps to.
 #[derive(Debug)]
@@ -216,8 +172,6 @@ struct Options {
     telemetry: Option<PathBuf>,
     audit: bool,
     threads: Option<usize>,
-    replicas: Option<usize>,
-    faults: Option<FaultPlan>,
     fault_spec: Option<String>,
     forced_panics: Vec<String>,
     ledger: Option<PathBuf>,
@@ -240,8 +194,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
         telemetry: None,
         audit: false,
         threads: None,
-        replicas: None,
-        faults: None,
         fault_spec: None,
         forced_panics: Vec::new(),
         ledger: None,
@@ -250,6 +202,8 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
         quick: false,
     };
     let mut seed: Option<u64> = None;
+    let mut replicas: Option<usize> = None;
+    let mut faults: Option<FaultPlan> = None;
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -294,29 +248,28 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
                 let value = args
                     .next()
                     .ok_or_else(|| CliError::Usage("--replicas expects a value".into()))?;
-                let replicas: usize = value.parse().map_err(|_| {
+                let count: usize = value.parse().map_err(|_| {
                     CliError::Usage(format!("--replicas expects an integer, got `{value}`"))
                 })?;
-                if replicas == 0 {
+                if count == 0 {
                     return Err(CliError::Usage(
                         "--replicas expects a positive count (a record needs at least one copy)"
                             .into(),
                     ));
                 }
-                if replicas > aro_sim::servefleet::N_SHARDS {
+                if count > aro_sim::servefleet::N_SHARDS {
                     return Err(CliError::Usage(format!(
                         "--replicas expects at most {} (replicas cannot outnumber store shards)",
                         aro_sim::servefleet::N_SHARDS
                     )));
                 }
-                opts.replicas = Some(replicas);
+                replicas = Some(count);
             }
             "--faults" => {
                 let spec = args
                     .next()
                     .ok_or_else(|| CliError::Usage("--faults expects a plan".into()))?;
-                let plan = FaultPlan::parse(&spec).map_err(|e| CliError::Usage(e.to_string()))?;
-                opts.faults = Some(plan);
+                faults = Some(FaultPlan::parse(&spec).map_err(|e| CliError::Usage(e.to_string()))?);
                 opts.fault_spec = Some(spec);
             }
             "--fail" => {
@@ -344,9 +297,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
             "--list" => return Ok(Parsed::List),
             "--help" | "-h" => return Ok(Parsed::Help),
             id if !id.starts_with('-') => {
-                let known =
-                    ALL_IDS.contains(&id) || MODES.iter().any(|&(mode, _)| mode == id);
-                if !known {
+                if !REGISTRY.iter().any(|&(known, _, _)| known == id) {
                     return Err(CliError::UnknownExperiment(id.to_string()));
                 }
                 opts.ids.push(id.to_string());
@@ -370,6 +321,13 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Parsed, CliError> {
     }
     if let Some(seed) = seed {
         opts.cfg = opts.cfg.with_seed(seed);
+    }
+    if let Some(replicas) = replicas {
+        opts.cfg.replicas = replicas;
+    }
+    // Attached last, so the fault schedule derives from the final seed.
+    if let Some(plan) = faults {
+        opts.cfg = opts.cfg.with_faults(plan);
     }
     Ok(Parsed::Run(Box::new(opts)))
 }
@@ -418,9 +376,6 @@ fn run(opts: &Options) -> Result<i32, CliError> {
     if let Some(threads) = opts.threads {
         aro_par::set_thread_override(threads);
     }
-    if let Some(replicas) = opts.replicas {
-        aro_sim::servefleet::set_replica_override(replicas);
-    }
     // A ledger needs obs enabled so records carry the per-experiment
     // counter deltas (incl. the faults.* tallies). Instrumentation never
     // writes to stdout: spans and metrics leave only through the sink.
@@ -463,12 +418,11 @@ fn run(opts: &Options) -> Result<i32, CliError> {
             opts.cfg.n_chips, opts.cfg.n_ros, opts.cfg.seed
         ));
         // A live fault plan changes the bytes anyway, so it may announce
-        // itself; a zero-intensity plan must stay byte-identical to a run
-        // with no --faults at all, so it stays silent.
-        if let (Some(plan), Some(spec)) = (&opts.faults, &opts.fault_spec) {
-            if !plan.is_off() {
-                emit(format_args!("> fault plan: {spec}\n"));
-            }
+        // itself; a zero-intensity plan attaches no faults and must stay
+        // byte-identical to a run with no --faults at all, so it stays
+        // silent.
+        if let (Some(_), Some(spec)) = (opts.cfg.injector(), &opts.fault_spec) {
+            emit(format_args!("> fault plan: {spec}\n"));
         }
     }
 
@@ -478,19 +432,12 @@ fn run(opts: &Options) -> Result<i32, CliError> {
         opts.ids.iter().map(String::as_str).collect()
     };
 
-    let injector = opts
-        .faults
-        .map(|plan| Arc::new(FaultInjector::new(plan, opts.cfg.seed)));
-
     // One population cache for the whole invocation: experiments sharing
     // a (design, chip count) fabricate it once and clone thereafter. The
-    // fault context (if any) wraps the same scope; the harness isolates
-    // each experiment and collects whatever survives.
+    // harness isolates each experiment and collects whatever survives.
     let outcome = aro_sim::popcache::scoped(|| {
         let _run_span = aro_obs::span("run");
-        aro_sim::faultctx::scoped(injector, || {
-            harness::run_experiments(&opts.cfg, &ids, &opts.forced_panics, ledger.as_mut())
-        })
+        harness::run_experiments(&opts.cfg, &ids, &opts.forced_panics, ledger.as_mut())
     });
 
     if let Some(ledger) = &mut ledger {
@@ -559,7 +506,13 @@ fn run(opts: &Options) -> Result<i32, CliError> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = match std::env::args_os().skip(1).map(OsString::into_string).collect() {
+        Ok(args) => args,
+        Err(arg) => {
+            eprintln!("repro: argument {arg:?} is not valid UTF-8\n\n{}", usage());
+            std::process::exit(2);
+        }
+    };
     // `repro report …` is a separate, run-free mode: offline analysis
     // over ledgers and telemetry captures.
     if args.first().map(String::as_str) == Some("report") {
@@ -567,7 +520,7 @@ fn main() {
     }
     match parse_args(args.into_iter()) {
         Ok(Parsed::List) => {
-            for (id, title) in EXPERIMENTS.into_iter().chain(MODES) {
+            for (id, title, _) in REGISTRY {
                 emit(format_args!("{id}  {title}"));
             }
         }

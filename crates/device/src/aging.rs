@@ -361,20 +361,6 @@ impl TransistorAging {
         model.dvth(self.hci_eq_cycles, model.vdd_ref) * self.hci_multiplier
     }
 
-    /// Total threshold shift in volts, using the HCI model the cycles were
-    /// accumulated against.
-    #[must_use]
-    pub fn total_dvth_with(&self, hci: &HciModel) -> f64 {
-        self.dvth_bti() + self.dvth_hci_with(hci)
-    }
-
-    /// Total threshold shift in volts counting only BTI. Convenient where
-    /// the HCI model is not at hand; HCI is added by the circuit layer.
-    #[must_use]
-    pub fn total_dvth(&self) -> f64 {
-        self.dvth_bti()
-    }
-
     /// Clears accumulated wear (not the variability multipliers): the
     /// "fresh silicon" state for what-if re-runs.
     pub fn reset_wear(&mut self) {

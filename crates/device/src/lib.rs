@@ -45,12 +45,12 @@
 //! // a PMOS inside an idle *conventional* RO.
 //! let stress = StressInterval::static_dc(10.0 * YEAR, 25.0, tech.vdd_nominal);
 //! aging.apply_bti(&nbti, &stress);
-//! assert!(aging.total_dvth() > 0.01, "ten-year NBTI should exceed 10 mV");
+//! assert!(aging.dvth_bti() > 0.01, "ten-year NBTI should exceed 10 mV");
 //!
 //! let env = Environment::nominal(&tech);
 //! let pmos = Mosfet::new(MosType::Pmos, Geometry::default(), &tech);
 //! let fresh = pmos.drive_current(&tech, &env, 0.0);
-//! let aged = pmos.drive_current(&tech, &env, aging.total_dvth());
+//! let aged = pmos.drive_current(&tech, &env, aging.dvth_bti());
 //! assert!(aged < fresh, "aging reduces drive current");
 //! ```
 
@@ -68,6 +68,6 @@ pub use aging::{BtiModel, HciModel, StressInterval, TransistorAging};
 pub use environment::Environment;
 pub use mosfet::{Geometry, MosType, Mosfet};
 pub use params::TechParams;
-pub use process::{ChipProcess, DeviceVariation, DiePosition, PositionBias, VariationModel};
+pub use process::{ChipProcess, DeviceVariation, DiePosition, PositionBias};
 pub use rng::SeedDomain;
 pub use spatial::CorrelatedField;

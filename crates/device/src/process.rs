@@ -203,41 +203,6 @@ impl PositionBias {
     }
 }
 
-/// Convenience facade bundling a technology with its samplers, for callers
-/// that build whole populations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VariationModel {
-    tech: TechParams,
-}
-
-impl VariationModel {
-    /// Creates a variation model over a technology.
-    #[must_use]
-    pub fn new(tech: TechParams) -> Self {
-        Self { tech }
-    }
-
-    /// The underlying technology parameters.
-    #[must_use]
-    pub fn tech(&self) -> &TechParams {
-        &self.tech
-    }
-
-    /// Samples one die's shared process realization.
-    pub fn sample_chip<R: Rng + ?Sized>(&self, rng: &mut R) -> ChipProcess {
-        ChipProcess::sample(&self.tech, rng)
-    }
-
-    /// Samples one transistor's random mismatch.
-    pub fn sample_device<R: Rng + ?Sized>(
-        &self,
-        geometry: Geometry,
-        rng: &mut R,
-    ) -> DeviceVariation {
-        DeviceVariation::sample(&self.tech, geometry, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,17 +315,5 @@ mod tests {
         let bias = PositionBias::none(8);
         assert!((0..8).all(|i| bias.offset_rel(i) == 0.0));
         assert!(PositionBias::none(0).is_empty());
-    }
-
-    #[test]
-    fn variation_model_facade_round_trips_tech() {
-        let tech = TechParams::default();
-        let model = VariationModel::new(tech.clone());
-        assert_eq!(model.tech(), &tech);
-        let mut rng = StdRng::seed_from_u64(15);
-        let chip = model.sample_chip(&mut rng);
-        let dev = model.sample_device(Geometry::default(), &mut rng);
-        assert!(chip.dvth_interdie_n().is_finite());
-        assert!(dev.dvth.is_finite());
     }
 }

@@ -65,17 +65,6 @@ impl RtnTraps {
         self.amplitudes_v.len()
     }
 
-    /// Mean threshold offset contributed by the traps, in volts
-    /// (Σ aᵢ·pᵢ — the DC part, absorbed into the device's mismatch).
-    #[must_use]
-    pub fn mean_dvth(&self) -> f64 {
-        self.amplitudes_v
-            .iter()
-            .zip(&self.occupancy_prob)
-            .map(|(a, p)| a * p)
-            .sum()
-    }
-
     /// Standard deviation of the instantaneous threshold around its mean,
     /// in volts (`sqrt(Σ aᵢ²·pᵢ·(1−pᵢ))`).
     #[must_use]

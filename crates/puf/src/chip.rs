@@ -234,17 +234,6 @@ impl Chip {
         design.readout().measure(f_true, &mut rng)
     }
 
-    /// Measures a pair and returns its response bit
-    /// (`1` iff ring `pair.0` counts strictly higher than ring `pair.1`).
-    pub fn measure_pair(
-        &mut self,
-        design: &PufDesign,
-        env: &Environment,
-        pair: (usize, usize),
-    ) -> bool {
-        self.response(design, env, &[pair]).get(0)
-    }
-
     /// Generates the response for a list of pairs with real measurement
     /// noise.
     pub fn response(

@@ -1,5 +1,9 @@
 //! Simulation configuration shared by every experiment.
 
+use aro_faults::{FaultInjector, FaultPlan};
+
+use crate::servefleet::DEFAULT_REPLICAS;
+
 /// A [`SimConfig`] that cannot drive a meaningful run, with the field
 /// that broke it. Returned by [`SimConfig::validate`]; the `repro` CLI and
 /// the experiment harness reject such configs up front instead of letting
@@ -38,7 +42,8 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Population sizes, seeds, and scale knobs for an experiment run.
+/// Population sizes, seeds, scale knobs and the fault plan of an
+/// experiment run: every input that can change a report's bytes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Chips per population (the paper simulates 100).
@@ -51,6 +56,12 @@ pub struct SimConfig {
     pub key_bits: usize,
     /// Key-failure target for ECC provisioning.
     pub key_fail_target: f64,
+    /// Enrollment-store replication factor of the serve sweeps (EXP-18,
+    /// `serve-bench`).
+    pub replicas: usize,
+    /// The attached fault plan and the master seed it was attached
+    /// under; `None` for a fault-free run. Never holds an off plan.
+    pub(crate) faults: Option<(FaultPlan, u64)>,
 }
 
 impl SimConfig {
@@ -64,6 +75,8 @@ impl SimConfig {
             seed: 2014,
             key_bits: 128,
             key_fail_target: 1e-6,
+            replicas: DEFAULT_REPLICAS,
+            faults: None,
         }
     }
 
@@ -74,17 +87,33 @@ impl SimConfig {
         Self {
             n_chips: 10,
             n_ros: 64,
-            seed: 2014,
-            key_bits: 128,
-            key_fail_target: 1e-6,
+            ..Self::paper()
         }
     }
 
     /// Returns a copy with a different seed (for seed-sensitivity runs).
+    /// An attached fault plan keeps the seed it was attached under.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// Returns a copy that runs under `plan`, its faults drawn from the
+    /// current seed. An off plan ([`FaultPlan::is_off`]) detaches faults,
+    /// so a zero-intensity run equals a fault-free one.
+    #[must_use]
+    pub fn with_faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = (!plan.is_off()).then_some((plan, self.seed));
+        self
+    }
+
+    /// The injector of the attached fault plan, or `None` for a
+    /// fault-free run.
+    #[must_use]
+    pub fn injector(&self) -> Option<FaultInjector> {
+        self.faults
+            .map(|(plan, seed)| FaultInjector::new(plan, seed))
     }
 
     /// Response bits per chip with neighbour pairing.
@@ -147,6 +176,29 @@ mod tests {
         let cfg = SimConfig::paper().with_seed(7);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.n_chips, 100);
+    }
+
+    #[test]
+    fn off_plans_attach_as_no_faults() {
+        for spec in ["off", "smoke@0", "storm@0"] {
+            let cfg = SimConfig::quick().with_faults(FaultPlan::parse(spec).unwrap());
+            assert_eq!(cfg, SimConfig::quick(), "{spec}");
+            assert!(cfg.injector().is_none(), "{spec}");
+        }
+        let smoke = SimConfig::quick().with_faults(FaultPlan::smoke());
+        assert!(smoke.injector().is_some());
+    }
+
+    #[test]
+    fn with_seed_leaves_the_fault_schedule_in_place() {
+        let cfg = SimConfig::quick().with_faults(FaultPlan::smoke());
+        let fingerprint = |cfg: &SimConfig| cfg.injector().unwrap().fingerprint();
+        let reseeded = cfg.clone().with_seed(cfg.seed + 1);
+        assert_eq!(fingerprint(&reseeded), fingerprint(&cfg));
+        assert_eq!(
+            fingerprint(&cfg),
+            FaultInjector::new(FaultPlan::smoke(), cfg.seed).fingerprint()
+        );
     }
 
     #[test]

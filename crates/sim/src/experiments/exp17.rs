@@ -21,11 +21,9 @@
 //! provisioning-complete: codes buy response-side margin, the lifecycle
 //! buys stored-bit integrity.
 
-use std::sync::Arc;
-
 use aro_circuit::ring::RoStyle;
 use aro_ecc::area::{compose_error_rates, KeyGenSpec};
-use aro_faults::{FaultInjector, FaultPlan};
+use aro_faults::FaultPlan;
 
 use crate::config::SimConfig;
 use crate::experiments::exp2;
@@ -54,17 +52,14 @@ pub struct EnvelopePoint {
 }
 
 /// Measures the faulted flip timeline and provisions the ARO design for
-/// one intensity. The measurement runs inside a scoped fault context, so
-/// the population cache keys it by the injector fingerprint — the
-/// fault-free cache entries are never aliased.
+/// one intensity. The measurement runs under a config carrying the
+/// intensity's plan in place of the run's own, so the population cache
+/// keys it by that plan — intensity 0 attaches no faults and shares
+/// EXP-2's fault-free entry, and no other entry is aliased.
 #[must_use]
 pub fn provision_for_intensity(cfg: &SimConfig, intensity: f64) -> EnvelopePoint {
     let plan = FaultPlan::storm().scaled(intensity);
-    let inj = FaultInjector::new(plan, cfg.seed);
-    let injector = if inj.is_off() { None } else { Some(Arc::new(inj)) };
-    let timeline = crate::faultctx::scoped(injector, || {
-        exp2::flip_timeline(cfg, RoStyle::AgingResistant)
-    });
+    let timeline = exp2::flip_timeline(&cfg.clone().with_faults(plan), RoStyle::AgingResistant);
     let measured_ber = timeline.final_quantile(0.99);
     let glitch_rate = plan.glitch_prob;
     let envelope_ber = compose_error_rates(measured_ber, glitch_rate);

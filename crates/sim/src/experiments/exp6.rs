@@ -42,7 +42,8 @@ pub fn flip_rate_at_duty(cfg: &SimConfig, duty: f64) -> f64 {
         .build();
     let mut population = crate::popcache::fabricate(&design, sweep_chips(cfg));
     let profile = MissionProfile::typical(design.tech());
-    measure_flip_timeline(&mut population, &profile, &[10.0 * YEAR])
+    let injector = cfg.injector();
+    measure_flip_timeline(&mut population, &profile, &[10.0 * YEAR], injector.as_ref())
         .final_mean()
         .expect("one checkpoint")
 }
@@ -58,7 +59,8 @@ pub fn flip_rate_at_temp(cfg: &SimConfig, style: RoStyle, temp_celsius: f64) -> 
     let mut population = crate::popcache::fabricate(&design, sweep_chips(cfg));
     let mut profile = MissionProfile::typical(design.tech());
     profile.temp_celsius = temp_celsius;
-    measure_flip_timeline(&mut population, &profile, &[10.0 * YEAR])
+    let injector = cfg.injector();
+    measure_flip_timeline(&mut population, &profile, &[10.0 * YEAR], injector.as_ref())
         .final_mean()
         .expect("one checkpoint")
 }

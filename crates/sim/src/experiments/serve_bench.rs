@@ -1,14 +1,13 @@
 //! `repro serve-bench` — the fleet authentication service benchmark.
 //!
 //! Unlike EXP-18 (which sweeps its *own* storm intensities), this mode
-//! runs under the **ambient** fault plan installed by `repro --faults`
-//! (see [`crate::faultctx`]): the operator picks one storm and the
+//! runs under the **ambient** fault plan of its config (`repro --faults`,
+//! [`SimConfig::with_faults`]): the operator picks one storm and the
 //! benchmark reports what the service delivers under it — auths/sec,
 //! p50/p99 simulated latency, and FAR/FRR across cell styles and fleet
 //! ages. All latency is simulated integer µs and every random draw is
 //! seed-derived, so the whole report is byte-identical at any
-//! `--threads N` — which is exactly what lets `verify.sh` diff a
-//! 1-thread run against a 4-thread run.
+//! `--threads N`.
 //!
 //! When any sweep point ends with the service out of its healthy state,
 //! the report carries [`DEGRADED_MARKER`]; the `repro` binary maps that
@@ -35,14 +34,15 @@ const PLAN: BenchPlan = BenchPlan {
     impostor_rounds: 3,
 };
 
-/// Runs the serve benchmark under the ambient fault plan.
+/// Runs the serve benchmark under the config's fault plan and
+/// replication factor.
 #[must_use]
 pub fn run(cfg: &SimConfig) -> Report {
     let mut report = Report::new("SERVE-BENCH", "Fleet authentication service benchmark");
-    let inj = crate::faultctx::current();
-    // The context only carries the injector, not the operator's spec
-    // string; tag rows with the plan fingerprint (stable for a given
-    // `--faults` spec and seed, so thread-count diffs still match).
+    let inj = cfg.injector();
+    // The config carries the plan, not the operator's spec string; tag
+    // rows with the injector fingerprint (stable for a given `--faults`
+    // spec and seed, so thread-count diffs still match).
     let faults_label = inj.as_ref().map_or_else(
         || "off".to_string(),
         |inj| format!("ambient#{:08x}", inj.fingerprint() as u32),
@@ -50,9 +50,9 @@ pub fn run(cfg: &SimConfig) -> Report {
     let title = format!(
         "Fleet auth service throughput/accuracy (faults: {faults_label}, \
          {}-way replicated store)",
-        crate::servefleet::replicas()
+        cfg.replicas
     );
-    let faults = [(faults_label, inj.as_deref().cloned())];
+    let faults = [(faults_label, inj)];
     let trials = sweep(&mut report, cfg, &title, &FLEET_AGES_YEARS, &faults, &PLAN);
     let degraded_points = trials
         .iter()
@@ -86,8 +86,7 @@ pub fn run(cfg: &SimConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aro_faults::{FaultInjector, FaultPlan};
-    use std::sync::Arc;
+    use aro_faults::FaultPlan;
 
     fn tiny_cfg() -> SimConfig {
         let mut cfg = SimConfig::quick();
@@ -108,9 +107,7 @@ mod tests {
 
     #[test]
     fn full_storm_degrades_without_false_accepts() {
-        let cfg = tiny_cfg();
-        let inj = Arc::new(FaultInjector::new(FaultPlan::storm(), cfg.seed));
-        let report = crate::faultctx::scoped(Some(inj), || run(&cfg));
+        let report = run(&tiny_cfg().with_faults(FaultPlan::storm()));
         assert!(
             report.notes().iter().any(|n| n.contains(DEGRADED_MARKER)),
             "storm@1 must end degraded: {:?}",

@@ -3,7 +3,7 @@
 //!
 //! [`run_experiments`] runs each requested experiment on the calling
 //! thread inside [`std::panic::catch_unwind`], within the caller's
-//! population-cache and fault scopes. A caught panic resets the
+//! population-cache scope. A caught panic resets the
 //! population cache (a half-built run must not poison later experiments)
 //! and becomes an [`ExperimentFailure`]; the sweep carries on, so a run
 //! with one broken experiment still reports the others plus an explicit
@@ -175,10 +175,9 @@ pub fn run_experiments(
     mut ledger: Option<&mut Ledger>,
 ) -> RunOutcome {
     crate::popcache::scoped(|| {
-        let fault_fp = fingerprint::current_fault_fingerprint();
         let mut outcome = RunOutcome::default();
         for &id in ids {
-            let fp = fingerprint::experiment_fingerprint(cfg, fault_fp, id);
+            let fp = fingerprint::experiment_fingerprint(cfg, id);
             if let Some(record) = ledger.as_deref().and_then(|l| l.cached_success(fp)) {
                 aro_obs::counter("sim.experiments_replayed", 1);
                 outcome.successes.push(ExperimentSuccess {

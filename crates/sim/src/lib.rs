@@ -34,7 +34,6 @@
 
 pub mod config;
 pub mod experiments;
-pub mod faultctx;
 pub mod fingerprint;
 pub mod harness;
 pub mod popcache;

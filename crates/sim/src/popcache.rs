@@ -13,7 +13,7 @@
 //! | memo | key (cheap fields first) | capacity | counters |
 //! |---|---|---|---|
 //! | populations | chip count, design | [`CAPACITY`] | `sim.popcache_*` |
-//! | flip timelines | style, fault fingerprint, config | unbounded | `sim.popcache_timeline_*` |
+//! | flip timelines | style, config (fault plan included) | unbounded | `sim.popcache_timeline_*` |
 //! | ECC specs | BER, key bits, failure target, area params | unbounded | `sim.provision_*` |
 //! | aged-step snapshots | chip id, step prefix, design | [`SNAPSHOT_CAPACITY`] | `sim.snapshot_*` |
 //! | golden responses | chip id, environment, pairing, design | 64 | `sim.popcache_*` |
@@ -119,9 +119,9 @@ type GoldenKey = (u64, Environment, Vec<(usize, usize)>, PufDesign);
 
 struct Scope {
     populations: Memo<(usize, PufDesign), Population>,
-    /// Keyed by fault fingerprint too: it is 0 when no live fault context
-    /// is installed, so zero-intensity runs share the fault-free entries.
-    timelines: Memo<(RoStyle, u64, SimConfig), FlipTimeline>,
+    /// The config carries the exact fault plan; off plans never attach,
+    /// so zero-intensity runs share the fault-free entries.
+    timelines: Memo<(RoStyle, SimConfig), FlipTimeline>,
     specs: Memo<ProvisionKey, Option<KeyGenSpec>>,
     /// Keyed by the silicon identity *(chip id, design)* plus the **full
     /// step-prefix sequence** — BTI equivalent-time accumulation is not
@@ -401,20 +401,17 @@ pub fn golden_response(
 
 /// The ten-year flip timeline of a style under a config — the
 /// paper-standard measurement (typical mission, standard checkpoints) that
-/// exp2, exp5, exp8, exp13 and exp14 all start from. Deterministic in
-/// *(config, style)*: every noise stream is seeded from the design, so
-/// inside a [`scoped`] region the measurement runs once per key and later
-/// callers get a memoized copy. Its population is fabricated directly,
-/// not through [`fabricate`]: the timeline is the result worth keeping.
+/// exp2, exp5, exp8, exp13 and exp14 all start from, under the config's
+/// fault plan. Deterministic in *(config, style)*: every noise stream is
+/// seeded from the design, so inside a [`scoped`] region the measurement
+/// runs once per key and later callers get a memoized copy. Its
+/// population is fabricated directly, not through [`fabricate`]: the
+/// timeline is the result worth keeping.
 #[must_use]
 pub fn standard_flip_timeline(cfg: &SimConfig, style: RoStyle) -> FlipTimeline {
-    // Fault schedules change the measurement, so a live fault context gets
-    // its own cache entries (fingerprint 0 = fault-free, shared with
-    // zero-intensity plans, which `faultctx::current` reports as `None`).
-    let fault_fp = crate::faultctx::current().map_or(0, |inj| inj.fingerprint());
     memoized(
         |scope| &mut scope.timelines,
-        (style, fault_fp, cfg.clone()),
+        (style, cfg.clone()),
         || {
             let mut population = Population::fabricate(&design_for(cfg, style), cfg.n_chips);
             let profile = MissionProfile::typical(population.design().tech());
@@ -422,6 +419,7 @@ pub fn standard_flip_timeline(cfg: &SimConfig, style: RoStyle) -> FlipTimeline {
                 &mut population,
                 &profile,
                 &aro_puf::lifetime::standard_checkpoints(),
+                cfg.injector().as_ref(),
             )
         },
     )

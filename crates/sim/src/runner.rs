@@ -6,6 +6,7 @@ use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;
 use aro_device::rng::SeedDomain;
 use aro_ecc::area::PufAreaParams;
+use aro_faults::FaultInjector;
 use aro_metrics::stats::quantile;
 use aro_puf::{Enrollment, MissionProfile, PairingStrategy, Population, PufDesign};
 
@@ -79,12 +80,11 @@ impl FlipTimeline {
 /// each checkpoint, and measures the flip rate against enrollment at every
 /// stop.
 ///
-/// When a fault context is installed ([`crate::faultctx`]), the re-reads
-/// run under injected physics: hard RO faults strike each chip after
-/// factory enrollment (a fielded chip loses rings the factory never saw
-/// fail), and every per-checkpoint measurement may see a transient
-/// environment excursion and/or an RTN noise burst. The injector is read
-/// **once** on this thread and shared by reference into the parallel
+/// Under an `injector` the re-reads run under injected physics: hard RO
+/// faults strike each chip after factory enrollment (a fielded chip loses
+/// rings the factory never saw fail), and every per-checkpoint
+/// measurement may see a transient environment excursion and/or an RTN
+/// noise burst. The injector is shared by reference into the parallel
 /// workers; every fault event is addressed by `(chip id, checkpoint)`, so
 /// the schedule is byte-identical at any `--threads N`.
 #[must_use]
@@ -92,6 +92,7 @@ pub fn measure_flip_timeline(
     population: &mut Population,
     profile: &MissionProfile,
     checkpoints: &[f64],
+    injector: Option<&FaultInjector>,
 ) -> FlipTimeline {
     let design = population.design().clone();
     let env = Environment::nominal(design.tech());
@@ -103,11 +104,7 @@ pub fn measure_flip_timeline(
         enrollments
     };
 
-    // Fault context: captured here, on the spawning thread (the context is
-    // thread-local and invisible to `par_map_mut` workers).
-    let injector = crate::faultctx::current();
-    let inj = injector.as_deref();
-    if let Some(inj) = inj {
+    if let Some(inj) = injector {
         // Hard faults land after enrollment: the factory enrolled healthy
         // silicon, the field kills rings behind its back.
         let n_ros = design.n_ros();
@@ -133,7 +130,7 @@ pub fn measure_flip_timeline(
         let rates: Vec<f64> = aro_par::par_map_mut(population.chips_mut(), |i, chip| {
             profile.age_chip(chip, &design, step);
             // Transient faults for THIS chip's re-read at THIS checkpoint.
-            let (burst_design, meas_env) = match inj {
+            let (burst_design, meas_env) = match injector {
                 None => (None, env),
                 Some(inj) => (
                     inj.noise_burst(chip.id(), ck_event as u64).map(|factor| {
@@ -228,7 +225,7 @@ mod tests {
         let run = |style| {
             let mut population = build_population(&cfg, style);
             let profile = MissionProfile::typical(population.design().tech());
-            measure_flip_timeline(&mut population, &profile, &checkpoints)
+            measure_flip_timeline(&mut population, &profile, &checkpoints, None)
         };
         let conv = run(RoStyle::Conventional);
         let aro = run(RoStyle::AgingResistant);
@@ -257,29 +254,26 @@ mod tests {
         );
         let mut population = build_population(&SimConfig::quick(), RoStyle::Conventional);
         let profile = MissionProfile::typical(population.design().tech());
-        let measured = measure_flip_timeline(&mut population, &profile, &[]);
+        let measured = measure_flip_timeline(&mut population, &profile, &[], None);
         assert_eq!(measured.final_mean(), Err(EmptyTimeline));
     }
 
     #[test]
-    fn fault_context_degrades_the_timeline_deterministically() {
-        use aro_faults::{FaultInjector, FaultPlan};
-        use std::sync::Arc;
+    fn an_injector_degrades_the_timeline_deterministically() {
+        use aro_faults::FaultPlan;
         let cfg = SimConfig::quick();
         let checkpoints = [YEAR, 10.0 * YEAR];
-        let run = |injector: Option<Arc<FaultInjector>>| {
-            crate::faultctx::scoped(injector, || {
-                let mut population = build_population(&cfg, RoStyle::Conventional);
-                let profile = MissionProfile::typical(population.design().tech());
-                measure_flip_timeline(&mut population, &profile, &checkpoints)
-            })
+        let run = |injector: Option<&FaultInjector>| {
+            let mut population = build_population(&cfg, RoStyle::Conventional);
+            let profile = MissionProfile::typical(population.design().tech());
+            measure_flip_timeline(&mut population, &profile, &checkpoints, injector)
         };
         let clean = run(None);
-        let off = run(Some(Arc::new(FaultInjector::new(FaultPlan::off(), cfg.seed))));
+        let off = run(Some(&FaultInjector::new(FaultPlan::off(), cfg.seed)));
         assert_eq!(clean, off, "zero-intensity must be byte-identical");
-        let storm = Arc::new(FaultInjector::new(FaultPlan::storm(), cfg.seed));
-        let faulted = run(Some(Arc::clone(&storm)));
-        let faulted_again = run(Some(storm));
+        let storm = FaultInjector::new(FaultPlan::storm(), cfg.seed);
+        let faulted = run(Some(&storm));
+        let faulted_again = run(Some(&storm));
         assert_eq!(faulted, faulted_again, "chaos must be replayable");
         assert!(
             faulted.final_mean().unwrap() > clean.final_mean().unwrap(),

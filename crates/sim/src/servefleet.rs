@@ -8,11 +8,9 @@
 //! NVM erosion via [`aro_serve::ShardedStore::erode`], and aging
 //! through the aged-state snapshot store — and finally
 //! [`aro_serve::run_bench`] traffic. Everything is deterministic in
-//! `(config seed, style, age, fault plan)`: the same
+//! `(config, style, age, fault plan)`: the same
 //! plan-parallel-fold discipline as every other sweep, so reports are
 //! byte-identical at any `--threads N`.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;
@@ -42,33 +40,14 @@ pub const CRP_BITS: usize = 64;
 /// Store shards (`aro-par`'s fixed-index chunk discipline).
 pub const N_SHARDS: usize = 4;
 
-/// Default store replication factor: two replicas per record survive
-/// any single replica wipe or whole-shard loss per group, and the
-/// maintenance scrub heals the survivor back to full strength.
+/// Default store replication factor ([`SimConfig::replicas`]): two
+/// replicas per record survive any single replica wipe or whole-shard
+/// loss per group, and the maintenance scrub heals the survivor back to
+/// full strength.
 pub const DEFAULT_REPLICAS: usize = 2;
 
 /// Mission length the store-erosion fraction is normalized against.
 const MISSION_YEARS: f64 = 10.0;
-
-static REPLICA_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Forces the store replication factor for subsequent trials
-/// (`repro --replicas N`). 0 restores [`DEFAULT_REPLICAS`].
-pub fn set_replica_override(replicas: usize) {
-    REPLICA_OVERRIDE.store(replicas, Ordering::Relaxed);
-}
-
-/// The replication factor trials run with: the override if set, else
-/// [`DEFAULT_REPLICAS`].
-#[must_use]
-pub fn replicas() -> usize {
-    let forced = REPLICA_OVERRIDE.load(Ordering::Relaxed);
-    if forced == 0 {
-        DEFAULT_REPLICAS
-    } else {
-        forced
-    }
-}
 
 /// The reusable bench for one cell style: fabricated fleet, per-device
 /// challenge pair sets, and cached golden responses. Each trial rewinds
@@ -141,7 +120,8 @@ impl FleetWorkspace {
         self.chips.len()
     }
 
-    /// Runs one (fleet age, fault plan) trial: rewind the silicon,
+    /// Runs one (fleet age, fault plan) trial at the config's replication
+    /// factor: rewind the silicon,
     /// enroll the service at the factory, apply field damage (hard ring
     /// faults, store erosion scaled to the age fraction of the mission,
     /// snapshot-store aging), then drive `plan`'s traffic through
@@ -161,7 +141,7 @@ impl FleetWorkspace {
         let _span = aro_obs::span("serve.trial");
         let _trial = aro_serve::audit::scope_begin(scope);
         let policy = ServicePolicy {
-            replicas: replicas(),
+            replicas: cfg.replicas,
             ..ServicePolicy::default()
         };
         let mut service = AuthService::new(policy, self.chips.len(), N_SHARDS, cfg.seed);

@@ -89,48 +89,4 @@ grep -c '"event":"experiment"' "$ledger_dir/run.ledger" | {
 }
 echo "ledger smoke: resumed run byte-identical to fresh run"
 
-# Replica smoke: the N-way replicated enrollment store, end to end on
-# the real binary. A full storm with replication on must end honestly
-# (exit 0, or 3 when the fleet degrades) with zero false accepts, and
-# the replicated serve-bench report — quorum reads, scrub repairs,
-# replica-hop latencies included — must stay byte-identical at 1 and 4
-# worker threads. `--replicas` is a process-global override, so this
-# run cannot share a test process. See docs/ROBUSTNESS.md ("Replicated
-# enrollment store").
-echo "==> replica smoke (replicated storm determinism)"
-replica_dir="$ledger_dir/replicas"
-mkdir -p "$replica_dir"
-set +e
-./target/release/repro --quick --faults storm --replicas 3 --threads 1 serve-bench \
-    > "$replica_dir/bench_1.md"
-rep_t1=$?
-./target/release/repro --quick --faults storm --replicas 3 --threads 4 serve-bench \
-    > "$replica_dir/bench_4.md"
-rep_t4=$?
-set -e
-for code in "$rep_t1" "$rep_t4"; do
-    if [[ "$code" -ne 0 && "$code" -ne 3 ]]; then
-        echo "verify: replicated serve-bench exited $code (expected 0 or 3)" >&2
-        exit 1
-    fi
-done
-if [[ "$rep_t1" -ne "$rep_t4" ]]; then
-    echo "verify: replicated serve-bench exit codes differ between threads" >&2
-    exit 1
-fi
-if ! cmp -s "$replica_dir/bench_1.md" "$replica_dir/bench_4.md"; then
-    echo "verify: replicated serve-bench differs between --threads 1 and 4" >&2
-    diff "$replica_dir/bench_1.md" "$replica_dir/bench_4.md" | head -20 >&2
-    exit 1
-fi
-if ! grep -q "3-way replicated store" "$replica_dir/bench_1.md"; then
-    echo "verify: replicated serve-bench report does not name its replication factor" >&2
-    exit 1
-fi
-if ! grep -q "0 false accepts" "$replica_dir/bench_1.md"; then
-    echo "verify: replicated storm run must keep zero false accepts" >&2
-    exit 1
-fi
-echo "replica smoke: replicated storm deterministic"
-
 echo "==> verify OK"

@@ -129,16 +129,15 @@ fn a_different_seed_changes_the_fingerprint_and_forces_a_rerun() {
 
 #[test]
 fn an_erasure_only_plan_fingerprints_apart_from_off_and_forces_a_rerun() {
-    use std::sync::Arc;
-
-    use aro_puf_repro::faults::{FaultInjector, FaultPlan};
-    use aro_puf_repro::sim::faultctx;
+    use aro_puf_repro::faults::FaultPlan;
 
     let path = temp_ledger("erasure");
     let cfg = SimConfig::quick();
-    let plan_at = |rate: f64| FaultPlan {
-        helper_erasure_rate: rate,
-        ..FaultPlan::off()
+    let eroded_at = |rate: f64| {
+        cfg.clone().with_faults(FaultPlan {
+            helper_erasure_rate: rate,
+            ..FaultPlan::off()
+        })
     };
 
     // Seed the ledger with a fault-free record, then run the same
@@ -149,11 +148,8 @@ fn an_erasure_only_plan_fingerprints_apart_from_off_and_forces_a_rerun() {
         let _ = run_experiments(&cfg, &["exp1"], &[], Some(&mut ledger));
     }
     let eroded = {
-        let inj = Arc::new(FaultInjector::new(plan_at(0.002), cfg.seed));
         let mut reopened = Ledger::open(&path).unwrap();
-        let outcome = faultctx::scoped(Some(inj), || {
-            run_experiments(&cfg, &["exp1"], &[], Some(&mut reopened))
-        });
+        let outcome = run_experiments(&eroded_at(0.002), &["exp1"], &[], Some(&mut reopened));
         assert!(
             !outcome.successes[0].report.is_replayed(),
             "helper erosion alone must invalidate the fault-free record"
@@ -167,20 +163,14 @@ fn an_erasure_only_plan_fingerprints_apart_from_off_and_forces_a_rerun() {
 
     // Same plan again: replay. Different erasure rate: re-run.
     {
-        let inj = Arc::new(FaultInjector::new(plan_at(0.002), cfg.seed));
         let mut reopened = Ledger::open(&path).unwrap();
-        let outcome = faultctx::scoped(Some(inj), || {
-            run_experiments(&cfg, &["exp1"], &[], Some(&mut reopened))
-        });
+        let outcome = run_experiments(&eroded_at(0.002), &["exp1"], &[], Some(&mut reopened));
         assert!(outcome.successes[0].report.is_replayed());
         drop(reopened);
     }
     {
-        let inj = Arc::new(FaultInjector::new(plan_at(0.004), cfg.seed));
         let mut reopened = Ledger::open(&path).unwrap();
-        let outcome = faultctx::scoped(Some(inj), || {
-            run_experiments(&cfg, &["exp1"], &[], Some(&mut reopened))
-        });
+        let outcome = run_experiments(&eroded_at(0.004), &["exp1"], &[], Some(&mut reopened));
         assert!(
             !outcome.successes[0].report.is_replayed(),
             "an erasure-rate change must force a re-run, not a replay"
@@ -188,6 +178,46 @@ fn an_erasure_only_plan_fingerprints_apart_from_off_and_forces_a_rerun() {
         drop(reopened);
     }
     std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn a_replication_change_forces_a_rerun() {
+    // The serve-bench config of tests/serve_robustness.rs: 4 chips, a
+    // 32-bit key.
+    let mut cfg = SimConfig::quick();
+    cfg.n_chips = 4;
+    cfg.key_bits = 32;
+    let mut replicated = cfg.clone();
+    replicated.replicas = 3;
+    let ids = ["serve-bench"];
+    let path = temp_ledger("replicas");
+    {
+        let mut ledger = Ledger::create(&path).unwrap();
+        let _ = run_experiments(&cfg, &ids, &[], Some(&mut ledger));
+    }
+    let resumed = {
+        let mut reopened = Ledger::open(&path).unwrap();
+        run_experiments(&replicated, &ids, &[], Some(&mut reopened))
+    };
+    let again = {
+        let mut reopened = Ledger::open(&path).unwrap();
+        run_experiments(&replicated, &ids, &[], Some(&mut reopened))
+    };
+    std::fs::remove_file(&path).unwrap();
+    let fresh = run_experiments(&replicated, &ids, &[], None);
+
+    let resumed = &resumed.successes[0].report;
+    assert!(
+        !resumed.is_replayed(),
+        "a replication change must invalidate the default-factor record"
+    );
+    assert!(resumed.to_string().contains("3-way replicated store"));
+    assert_eq!(resumed.to_string(), fresh.successes[0].report.to_string());
+    assert!(
+        again.successes[0].report.is_replayed(),
+        "the 3-replica record must replay"
+    );
+    assert_eq!(again.successes[0].report.to_string(), resumed.to_string());
 }
 
 #[test]

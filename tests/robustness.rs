@@ -5,16 +5,15 @@
 //! See `docs/ROBUSTNESS.md` for the contract these tests enforce.
 
 use std::fmt::Write;
-use std::sync::Arc;
 
 use aro_puf_repro::circuit::ring::RoStyle;
-use aro_puf_repro::faults::{FaultInjector, FaultPlan};
+use aro_puf_repro::faults::FaultPlan;
 use aro_puf_repro::puf::MissionProfile;
 use aro_puf_repro::sim::experiments::{run_by_id, ALL_IDS};
 use aro_puf_repro::sim::harness::run_experiments;
 use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::sim::runner::{build_population, measure_flip_timeline, FlipTimeline};
-use aro_puf_repro::sim::{faultctx, popcache, SimConfig};
+use aro_puf_repro::sim::{popcache, SimConfig};
 use proptest::prelude::*;
 
 const FIXTURE: &str = include_str!("fixtures/golden_quick.md");
@@ -26,13 +25,16 @@ fn timeline_at(plan: FaultPlan, seed: u64, style: RoStyle, threads: usize) -> Fl
     cfg.n_chips = 4;
     cfg.n_ros = 16;
     cfg.seed = seed;
+    let cfg = cfg.with_faults(plan);
     set_thread_override(threads);
-    let injector = Some(Arc::new(FaultInjector::new(plan, cfg.seed)));
-    let timeline = faultctx::scoped(injector, || {
-        let mut population = build_population(&cfg, style);
-        let profile = MissionProfile::typical(population.design().tech());
-        measure_flip_timeline(&mut population, &profile, &[YEAR, 5.0 * YEAR, 10.0 * YEAR])
-    });
+    let mut population = build_population(&cfg, style);
+    let profile = MissionProfile::typical(population.design().tech());
+    let timeline = measure_flip_timeline(
+        &mut population,
+        &profile,
+        &[YEAR, 5.0 * YEAR, 10.0 * YEAR],
+        cfg.injector().as_ref(),
+    );
     set_thread_override(0);
     timeline
 }
@@ -74,11 +76,10 @@ fn rendered(report: &impl std::fmt::Display) -> String {
 #[test]
 fn a_zero_intensity_plan_reproduces_the_golden_fixture_exactly() {
     // `smoke@0` parses to a plan with non-trivial magnitudes but all-zero
-    // rates; the injector must be indistinguishable from no fault layer.
+    // rates; the run must be indistinguishable from no fault layer.
     let plan = FaultPlan::parse("smoke@0").unwrap();
     assert!(plan.is_off());
-    let cfg = SimConfig::quick();
-    let injector = Some(Arc::new(FaultInjector::new(plan, cfg.seed)));
+    let cfg = SimConfig::quick().with_faults(plan);
     let mut out = String::new();
     writeln!(
         out,
@@ -86,13 +87,11 @@ fn a_zero_intensity_plan_reproduces_the_golden_fixture_exactly() {
         cfg.n_chips, cfg.n_ros, cfg.seed
     )
     .expect("writing to a String cannot fail");
-    faultctx::scoped(injector, || {
-        popcache::scoped(|| {
-            for id in ALL_IDS {
-                let report = run_by_id(id, &cfg).expect("every ALL_IDS entry runs");
-                out.push_str(&rendered(&report));
-            }
-        });
+    popcache::scoped(|| {
+        for id in ALL_IDS {
+            let report = run_by_id(id, &cfg).expect("every ALL_IDS entry runs");
+            out.push_str(&rendered(&report));
+        }
     });
     assert_eq!(
         out, FIXTURE,

@@ -6,8 +6,6 @@
 //! See `docs/ROBUSTNESS.md` ("Fleet authentication service") for the
 //! contract these tests enforce.
 
-use std::sync::Arc;
-
 use aro_puf_repro::circuit::ring::RoStyle;
 use aro_puf_repro::ecc::area::PufAreaParams;
 use aro_puf_repro::ecc::keygen::KeyGenerator;
@@ -18,9 +16,10 @@ use aro_puf_repro::serve::{
     ShardedStore, StoredRecord, Verdict,
 };
 use aro_puf_repro::sim::experiments::run_by_id;
+use aro_puf_repro::sim::experiments::serve_bench::DEGRADED_MARKER;
 use aro_puf_repro::par::set_thread_override;
-use aro_puf_repro::sim::servefleet::FleetWorkspace;
-use aro_puf_repro::sim::{faultctx, popcache, SimConfig};
+use aro_puf_repro::sim::servefleet::{FleetWorkspace, DEFAULT_REPLICAS};
+use aro_puf_repro::sim::{popcache, SimConfig};
 use proptest::prelude::*;
 
 /// A small configuration that keeps each serve-bench run around a
@@ -34,19 +33,17 @@ fn tiny_cfg(seed: u64) -> SimConfig {
 }
 
 /// Renders the `serve-bench` report at a forced worker-thread count
-/// under `plan`, exactly as `repro --faults PLAN serve-bench` would.
-fn serve_bench_at(plan: &str, seed: u64, threads: usize) -> String {
-    let cfg = tiny_cfg(seed);
-    let plan = FaultPlan::parse(plan).expect("valid plan");
-    // `repro` installs no ambient injector when faults are off.
-    let injector = (!plan.is_off()).then(|| Arc::new(FaultInjector::new(plan, cfg.seed)));
+/// under `plan` with a `replicas`-way store, exactly as `repro --faults
+/// PLAN --replicas N serve-bench` would.
+fn serve_bench_at(plan: &str, seed: u64, threads: usize, replicas: usize) -> String {
+    let mut cfg = tiny_cfg(seed);
+    cfg.replicas = replicas;
+    let cfg = cfg.with_faults(FaultPlan::parse(plan).expect("valid plan"));
     set_thread_override(threads);
-    let out = faultctx::scoped(injector, || {
-        popcache::scoped(|| {
-            run_by_id("serve-bench", &cfg)
-                .expect("serve-bench is a known id")
-                .to_string()
-        })
+    let out = popcache::scoped(|| {
+        run_by_id("serve-bench", &cfg)
+            .expect("serve-bench is a known id")
+            .to_string()
     });
     set_thread_override(0);
     out
@@ -64,12 +61,27 @@ proptest! {
         plan in prop::sample::select(vec!["off", "storm@0.5"]),
         seed in 0u64..100,
     ) {
-        let t1 = serve_bench_at(plan, seed, 1);
-        let t2 = serve_bench_at(plan, seed, 2);
-        let t8 = serve_bench_at(plan, seed, 8);
+        let t1 = serve_bench_at(plan, seed, 1, DEFAULT_REPLICAS);
+        let t2 = serve_bench_at(plan, seed, 2, DEFAULT_REPLICAS);
+        let t8 = serve_bench_at(plan, seed, 8, DEFAULT_REPLICAS);
         prop_assert_eq!(&t1, &t2, "1 vs 2 threads under {}", plan);
         prop_assert_eq!(&t1, &t8, "1 vs 8 threads under {}", plan);
     }
+}
+
+/// A full storm against a 3-way replicated store: the report — quorum
+/// reads, scrub repairs and replica-hop latencies included — is
+/// byte-identical at 1 and 4 worker threads, names its replication
+/// factor, keeps zero false accepts, and agrees on the degraded marker
+/// that decides `repro`'s exit 3.
+#[test]
+fn replicated_full_storm_is_byte_identical_across_thread_counts() {
+    let t1 = serve_bench_at("storm", 2014, 1, 3);
+    let t4 = serve_bench_at("storm", 2014, 4, 3);
+    assert_eq!(t1, t4, "1 vs 4 threads under a replicated storm");
+    assert!(t1.contains("3-way replicated store"), "{t1}");
+    assert!(t1.contains("0 false accepts"), "{t1}");
+    assert_eq!(t1.contains(DEGRADED_MARKER), t4.contains(DEGRADED_MARKER));
 }
 
 proptest! {
@@ -86,9 +98,9 @@ proptest! {
     ) {
         for threads in [1usize, 2, 8] {
             audit::set_enabled(false);
-            let off = serve_bench_at(plan, seed, threads);
+            let off = serve_bench_at(plan, seed, threads, DEFAULT_REPLICAS);
             audit::set_enabled(true);
-            let on = serve_bench_at(plan, seed, threads);
+            let on = serve_bench_at(plan, seed, threads, DEFAULT_REPLICAS);
             audit::set_enabled(false);
             prop_assert_eq!(
                 &off, &on,

@@ -6,19 +6,19 @@
 //! See docs/PERFORMANCE.md ("Aged-state snapshots") for the design and
 //! the invalidation rules these tests pin down.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use aro_puf_repro::circuit::ring::{RoHealth, RoStyle};
 use aro_puf_repro::device::environment::Environment;
 use aro_puf_repro::device::units::YEAR;
-use aro_puf_repro::faults::{FaultInjector, FaultPlan};
+use aro_puf_repro::faults::FaultPlan;
 use aro_puf_repro::ledger::record::LedgerRecord;
 use aro_puf_repro::puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
 use aro_puf_repro::sim::experiments::run_by_id;
 use aro_puf_repro::sim::fingerprint::experiment_fingerprint;
 use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::sim::popcache::{self, age_chip_snapshotted, AgeCursor};
-use aro_puf_repro::sim::{faultctx, SimConfig};
+use aro_puf_repro::sim::SimConfig;
 use proptest::prelude::*;
 
 /// Obs enablement, the thread override, and the popcache/snapshot
@@ -77,10 +77,8 @@ fn experiment_run(
     popcache::set_snapshots_enabled(snapshots);
     aro_obs::reset();
     aro_obs::set_enabled(true);
-    let injector = (!plan.is_off()).then(|| Arc::new(FaultInjector::new(plan, cfg.seed)));
-    let report = faultctx::scoped(injector, || {
-        popcache::scoped(|| run_by_id(id, cfg).expect("experiment exists"))
-    });
+    let cfg = cfg.clone().with_faults(plan);
+    let report = popcache::scoped(|| run_by_id(id, &cfg).expect("experiment exists"));
     aro_obs::set_enabled(false);
     let dump = dump_sans_snapshot_counters();
     set_thread_override(0);
@@ -150,7 +148,7 @@ fn ledger_fingerprints_are_snapshot_mode_invariant() {
 
     let fingerprint_with = |snapshots: bool| {
         popcache::set_snapshots_enabled(snapshots);
-        let fp = experiment_fingerprint(&cfg, 0, "exp16");
+        let fp = experiment_fingerprint(&cfg, "exp16");
         let record = LedgerRecord::success(
             fp,
             "exp16",
