@@ -178,3 +178,92 @@ fn telemetry_never_changes_stdout() {
         let _ = std::fs::remove_file(telemetry);
     }
 }
+
+/// Whether `out` exited 0 (every experiment completed) or 3 (degraded
+/// mode: survivors reported beside a failure table). Anything else — a
+/// panic escaping the harness, a total failure, a signal — is a crash.
+fn completed_or_degraded(out: &Output) -> bool {
+    matches!(out.status.code(), Some(0 | 3))
+}
+
+#[test]
+fn quick_run_survives_the_smoke_fault_plan() {
+    let out = repro(&["--quick", "--quiet", "--faults", "smoke"]);
+    assert!(
+        completed_or_degraded(&out),
+        "exit {:?}: {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(out.stdout.is_empty(), "--quiet must silence the report");
+}
+
+#[test]
+fn key_lifecycle_survives_a_quarter_storm() {
+    let out = repro(&["--quick", "--quiet", "--faults", "storm@0.25", "exp16"]);
+    assert!(
+        completed_or_degraded(&out),
+        "exit {:?}: {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn interrupted_then_resumed_ledger_run_matches_a_fresh_run() {
+    let fresh = repro(&["--quick", "exp1", "exp3"]);
+    assert_eq!(
+        fresh.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&fresh.stderr)
+    );
+
+    // "Interrupt" after exp1 by asking only for it, then resume both.
+    let ledger = temp_path("resume.ledger");
+    let path = ledger.to_str().unwrap();
+    let first = repro(&["--quick", "--quiet", "exp1", "--ledger", path]);
+    assert_eq!(
+        first.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    let resumed = repro(&["--quick", "exp1", "exp3", "--resume", path]);
+    assert_eq!(
+        resumed.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert!(
+        resumed.stdout == fresh.stdout,
+        "resumed stdout differs from an uninterrupted run:\n{}",
+        String::from_utf8_lossy(&resumed.stdout)
+    );
+
+    let events: Vec<Value> = std::fs::read_to_string(&ledger)
+        .expect("ledger written")
+        .lines()
+        .map(|line| json::parse(line).unwrap_or_else(|e| panic!("bad line {line:?}: {e}")))
+        .collect();
+    let of_kind = |kind: &'static str| {
+        events
+            .iter()
+            .filter(move |e| e.get("event").and_then(Value::as_str) == Some(kind))
+    };
+    assert_eq!(
+        of_kind("experiment").count(),
+        2,
+        "exp1 from the first run, exp3 from the resume"
+    );
+    let summary = of_kind("run_summary")
+        .next_back()
+        .expect("the resume journals a summary");
+    assert_eq!(
+        summary.get("replayed").and_then(Value::as_u64),
+        Some(1),
+        "the resume must replay exp1, not rerun it"
+    );
+    let _ = std::fs::remove_file(ledger);
+}

@@ -130,34 +130,15 @@ impl KeyGenerator {
     /// Soft-decision reconstruction: the inner repetition majority is
     /// confidence-weighted (see [`crate::soft`]), recovering keys that a
     /// hard reading at the same silicon would lose. Feed it the readout's
-    /// `(bit, |Δcount|)` pairs.
+    /// `(bit, |Δcount|)` pairs. Positions the caller knows to be
+    /// unreliable (NVM-flagged helper bits, BIST-flagged rings) decode as
+    /// zero-confidence erasures — see
+    /// [`crate::soft::SoftConcatDecoder::reproduce_soft`]; pass
+    /// [`Erasures::none`](crate::soft::Erasures::none) to decode blind.
+    /// `None` on a key failure, including a response shorter than
+    /// [`Self::response_bits`].
     #[must_use]
     pub fn reconstruct_soft(
-        &self,
-        response: &[crate::soft::SoftBit],
-        helper: &HelperData,
-    ) -> Option<BitString> {
-        let decoder = crate::soft::SoftConcatDecoder::new(
-            BchCode::new(self.spec.bch_m, self.spec.bch_t),
-            RepetitionCode::new(self.spec.rep_r),
-        );
-        aro_obs::counter("ecc.key_reconstructions_soft", 1);
-        let key = decoder
-            .reproduce_soft(response, helper)
-            .map(|key: Key| key.truncated(self.key_bits));
-        if key.is_none() {
-            aro_obs::counter("ecc.key_failures", 1);
-        }
-        key
-    }
-
-    /// Erasure-aware soft reconstruction: like [`Self::reconstruct_soft`],
-    /// but positions the caller knows to be unreliable (NVM-flagged helper
-    /// bits, BIST-flagged rings) decode as zero-confidence erasures — see
-    /// [`crate::soft::SoftConcatDecoder::reproduce_soft_erasure_aware`].
-    /// With empty `erasures` this is exactly [`Self::reconstruct_soft`].
-    #[must_use]
-    pub fn reconstruct_soft_erasure_aware(
         &self,
         response: &[crate::soft::SoftBit],
         helper: &HelperData,
@@ -172,7 +153,7 @@ impl KeyGenerator {
             aro_obs::counter("ecc.erasure_aware_reconstructions", 1);
         }
         let key = decoder
-            .reproduce_soft_erasure_aware(response, helper, erasures)
+            .reproduce_soft(response, helper, erasures)
             .map(|key: Key| key.truncated(self.key_bits));
         if key.is_none() {
             aro_obs::counter("ecc.key_failures", 1);
@@ -286,6 +267,22 @@ mod tests {
             successes, trials,
             "a 1e-6 design point must not fail in 25 trials"
         );
+    }
+
+    #[test]
+    fn short_soft_response_fails_closed() {
+        use crate::soft::{Erasures, SoftBit};
+        let kg = KeyGenerator::for_bit_error_rate(0.08, 128, 1e-6, &puf_params()).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        let response = random_bits(kg.response_bits(), &mut rng);
+        let (key, helper) = kg.enroll(&response, &mut rng);
+        let soft: Vec<SoftBit> = response.iter().map(|bit| SoftBit::new(bit, 1.0)).collect();
+        assert_eq!(
+            kg.reconstruct_soft(&soft, &helper, &Erasures::none()),
+            Some(key)
+        );
+        let short = &soft[..soft.len() - 1];
+        assert_eq!(kg.reconstruct_soft(short, &helper, &Erasures::none()), None);
     }
 
     #[test]

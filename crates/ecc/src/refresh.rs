@@ -148,7 +148,7 @@ pub fn continuity_gate(
     // Continuity stream: 1 per refresh that held the key chain together,
     // 0 per gap. The sketch mean is the fleet's refresh-continuity rate;
     // its p1 collapsing to 0 flags chains that are starting to break.
-    match generator.reconstruct_soft_erasure_aware(reading, helper, erasures) {
+    match generator.reconstruct_soft(reading, helper, erasures) {
         Some(key) if key == *current_key => {
             aro_obs::counter("ecc.helper_refreshes", 1);
             aro_obs::sketch("ecc.refresh_continuity", 1.0);

@@ -100,7 +100,7 @@ pub fn soft_majority(group: &[SoftBit]) -> bool {
 /// knowledge a fielded key generator actually has about its own damage:
 /// NVM integrity checks flag corrupted stored helper bits, and ring BIST
 /// flags dead/stuck oscillators behind response bits. Feeding these to
-/// [`SoftConcatDecoder::reproduce_soft_erasure_aware`] turns a guaranteed
+/// [`SoftConcatDecoder::reproduce_soft`] turns a guaranteed
 /// key loss (a surviving offset flip) into an ordinary correctable error.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Erasures {
@@ -191,9 +191,14 @@ impl SoftConcatDecoder {
         )
     }
 
-    /// Erasure-aware soft reconstruction: like [`Self::reproduce_soft`],
-    /// but positions the caller *knows* to be unreliable are decoded as
-    /// zero-confidence erasures instead of poisoning the weighted vote.
+    /// Soft-decision key reconstruction through a code-offset helper: the
+    /// offset flips hard values (weights are unaffected), the soft
+    /// decoder recovers each block's codeword, and the enrollment
+    /// response and key are re-derived exactly as in
+    /// [`crate::fuzzy::FuzzyExtractor::reproduce`]. Positions the caller
+    /// *knows* to be unreliable are decoded as zero-confidence erasures
+    /// instead of poisoning the weighted vote; with
+    /// [`Erasures::none`] this is plain soft decoding.
     ///
     /// Two erasure kinds, matching where the knowledge comes from:
     ///
@@ -213,7 +218,7 @@ impl SoftConcatDecoder {
     /// capability, or when the response is shorter than `blocks · n`
     /// (fails closed, like [`Self::decode_soft`]).
     #[must_use]
-    pub fn reproduce_soft_erasure_aware(
+    pub fn reproduce_soft(
         &self,
         response: &[SoftBit],
         helper: &HelperData,
@@ -256,33 +261,6 @@ impl SoftConcatDecoder {
                 })
                 .collect();
             w = w.concat(&recovered);
-        }
-        Some(helper.derive_key_for(&w))
-    }
-
-    /// Soft-decision key reconstruction through a code-offset helper: the
-    /// offset flips hard values (weights are unaffected), the soft
-    /// decoder recovers each block's codeword, and the enrollment
-    /// response and key are re-derived exactly as in
-    /// [`crate::fuzzy::FuzzyExtractor::reproduce`].
-    ///
-    /// # Panics
-    /// Panics if the response is shorter than `blocks · n` or the helper
-    /// block count differs.
-    #[must_use]
-    pub fn reproduce_soft(&self, response: &[SoftBit], helper: &HelperData) -> Option<Key> {
-        use crate::code::Code;
-        let n = self.code.n();
-        assert!(response.len() >= helper.blocks() * n, "response too short");
-        let mut w = BitString::zeros(0);
-        for (block_index, offset) in helper.offsets().iter().enumerate() {
-            let shifted: Vec<SoftBit> = response[block_index * n..(block_index + 1) * n]
-                .iter()
-                .enumerate()
-                .map(|(i, soft)| if offset.get(i) { soft.flipped() } else { *soft })
-                .collect();
-            let codeword = self.decode_soft(&shifted)?;
-            w = w.concat(&codeword.xor(offset));
         }
         Some(helper.derive_key_for(&w))
     }
@@ -387,7 +365,10 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(decoder.reproduce_soft(&soft_reading, &helper), Some(key));
+        assert_eq!(
+            decoder.reproduce_soft(&soft_reading, &helper, &Erasures::none()),
+            Some(key)
+        );
     }
 
     #[test]
@@ -438,10 +419,9 @@ mod tests {
         let (key, helper) = fe.generate(&w, &mut rng);
         let reading: Vec<SoftBit> = w.iter().map(|bit| SoftBit::new(bit, 1.0)).collect();
         assert_eq!(
-            decoder.reproduce_soft_erasure_aware(&reading, &helper, &Erasures::none()),
+            decoder.reproduce_soft(&reading, &helper, &Erasures::none()),
             Some(key)
         );
-        assert_eq!(decoder.reproduce_soft(&reading, &helper), Some(key));
     }
 
     #[test]
@@ -462,16 +442,12 @@ mod tests {
         let reading: Vec<SoftBit> = w.iter().map(|bit| SoftBit::new(bit, 1.0)).collect();
 
         assert_ne!(
-            decoder.reproduce_soft(&reading, &eroded),
+            decoder.reproduce_soft(&reading, &eroded, &Erasures::none()),
             Some(key),
             "a surviving offset flip must defeat blind decoding"
         );
         assert_eq!(
-            decoder.reproduce_soft_erasure_aware(
-                &reading,
-                &eroded,
-                &Erasures::from_helper(eroded_positions),
-            ),
+            decoder.reproduce_soft(&reading, &eroded, &Erasures::from_helper(eroded_positions)),
             Some(key)
         );
     }
@@ -504,7 +480,7 @@ mod tests {
             response: vec![0, 1],
         };
         assert_eq!(
-            decoder.reproduce_soft_erasure_aware(&reading, &helper, &erasures),
+            decoder.reproduce_soft(&reading, &helper, &erasures),
             Some(key)
         );
     }
@@ -518,7 +494,7 @@ mod tests {
         let (_, helper) = fe.generate(&w, &mut rng);
         let short = vec![SoftBit::new(true, 1.0); fe.response_bits() - 1];
         assert_eq!(
-            decoder.reproduce_soft_erasure_aware(&short, &helper, &Erasures::none()),
+            decoder.reproduce_soft(&short, &helper, &Erasures::none()),
             None
         );
     }

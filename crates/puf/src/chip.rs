@@ -154,6 +154,20 @@ impl Chip {
             .count()
     }
 
+    /// Ring BIST: the response bits of `pairs` that compare a dead or
+    /// stuck ring. The device knows these are unreliable, so its decoder
+    /// treats them as erasures (`aro_ecc::soft::Erasures::response`).
+    #[must_use]
+    pub fn bist_erasures(&self, pairs: &[(usize, usize)]) -> Vec<usize> {
+        let faulted = |ring: usize| !self.ros[ring].health().is_healthy();
+        pairs
+            .iter()
+            .enumerate()
+            .filter(|&(_, &(a, b))| faulted(a) || faulted(b))
+            .map(|(bit, _)| bit)
+            .collect()
+    }
+
     /// Resolves one read of this chip under `(design.tech(), env)`.
     pub(crate) fn kernel_read<'d>(
         &self,
@@ -614,6 +628,18 @@ mod tests {
         assert_eq!(chip.measure_ro(&design, &env, 0).count(), 0);
         chip.set_ro_health(0, RoHealth::Healthy);
         assert_eq!(chip.golden_response(&design, &env, &pairs), golden);
+    }
+
+    #[test]
+    fn bist_erases_exactly_the_pairs_that_touch_a_faulted_ring() {
+        use aro_circuit::ring::RoHealth;
+        let design = small_design(RoStyle::AgingResistant);
+        let mut chip = Chip::fabricate(&design, 2);
+        let pairs = [(0, 1), (1, 2), (2, 3), (4, 0), (5, 6)];
+        assert!(chip.bist_erasures(&pairs).is_empty());
+        chip.set_ro_health(0, RoHealth::Dead);
+        chip.set_ro_health(6, RoHealth::Stuck(1e9));
+        assert_eq!(chip.bist_erasures(&pairs), vec![0, 3, 4]);
     }
 
     #[test]

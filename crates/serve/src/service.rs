@@ -913,17 +913,9 @@ impl AuthService {
         };
         // Device-side BIST: response bits backed by a dead/stuck ring
         // are erasures for the gate's decoder.
-        let bist: Vec<usize> = key_pairs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(a, b))| {
-                !chip.ros()[a].health().is_healthy() || !chip.ros()[b].health().is_healthy()
-            })
-            .map(|(bit, _)| bit)
-            .collect();
         let known = Erasures {
             helper: flagged,
-            response: bist,
+            response: chip.bist_erasures(key_pairs),
         };
         let mut rng = self.domain.child("reenroll").rng(slot(target_id, event_base));
         for attempt in 0..u64::from(self.policy.retry.max_attempts) {

@@ -9,18 +9,16 @@
 //! soft decoder still recovers — i.e. soft decision buys back code area.
 
 use aro_circuit::ring::RoStyle;
-use aro_device::environment::Environment;
 use aro_device::units::YEAR;
 use aro_ecc::keygen::KeyGenerator;
 use aro_ecc::soft::{Erasures, SoftBit};
 use aro_faults::{FaultInjector, FaultPlan};
 use aro_metrics::bits::BitString;
-use aro_puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
 
 use crate::config::SimConfig;
-use crate::experiments::exp2;
+use crate::keybench::{provision, KeyBench};
 use crate::report::Report;
-use crate::runner::{pct, puf_area_params};
+use crate::runner::pct;
 use crate::table::Table;
 
 /// Outcome of the hard-vs-soft comparison.
@@ -43,12 +41,9 @@ pub struct SoftGain {
 pub fn measure(cfg: &SimConfig, chips: usize, attempts_per_chip: usize) -> SoftGain {
     // Provision properly, then under-provision the inner repetition so
     // failures become observable at trial scale.
-    let timeline = exp2::flip_timeline(cfg, RoStyle::AgingResistant);
-    let ber = timeline.final_quantile(0.99);
-    let params = puf_area_params(RoStyle::AgingResistant, 5);
-    let provisioned =
-        crate::popcache::provisioned_generator(ber, cfg.key_bits, cfg.key_fail_target, &params)
-            .expect("feasible ARO design point");
+    let provisioned = provision(cfg, RoStyle::AgingResistant)
+        .1
+        .expect("feasible ARO design point");
     // Under-provision both layers: the thinnest soft-capable inner code
     // (r = 3) and a quarter of the outer correction capability. Hard
     // decoding now fails visibly at ten years; the soft decoder sees the
@@ -59,29 +54,27 @@ pub fn measure(cfg: &SimConfig, chips: usize, attempts_per_chip: usize) -> SoftG
     spec.raw_bits = spec.blocks * spec.bch_n * spec.rep_r;
     let generator = KeyGenerator::from_spec(&spec, cfg.key_bits);
 
-    let n_ros = 2 * generator.response_bits();
-    let design = PufDesign::builder(RoStyle::AgingResistant)
-        .n_ros(n_ros)
-        .seed(cfg.seed ^ 0xe14)
-        .build();
-    let env = Environment::nominal(design.tech());
-    let profile = MissionProfile::typical(design.tech());
-    let pairs = PairingStrategy::Neighbor.pairs(n_ros);
+    let bench = KeyBench::new(cfg, RoStyle::AgingResistant, &generator, 0xe14);
+    let KeyBench {
+        design,
+        env,
+        profile,
+        pairs,
+    } = &bench;
 
     let mut hard_failures = 0;
     let mut soft_failures = 0;
     let mut conf_correct = (0.0, 0usize);
     let mut conf_flipped = (0.0, 0usize);
     for id in 0..chips as u64 {
-        let mut chip = Chip::fabricate(&design, id);
+        let (mut chip, enrolled) = bench.chip(id);
         let mut rng = design.seed_domain().child("exp14").rng(id);
-        let enrolled = chip.golden_response(&design, &env, &pairs);
         let (key, helper) = generator.enroll(&enrolled, &mut rng);
 
-        profile.age_chip(&mut chip, &design, 10.0 * YEAR);
+        profile.age_chip(&mut chip, design, 10.0 * YEAR);
 
         for _ in 0..attempts_per_chip {
-            let soft_reading = chip.response_soft(&design, &env, &pairs);
+            let soft_reading = chip.response_soft(design, env, pairs);
             for (i, &(bit, confidence)) in soft_reading.iter().enumerate() {
                 if bit == enrolled.get(i) {
                     conf_correct.0 += confidence;
@@ -99,7 +92,7 @@ pub fn measure(cfg: &SimConfig, chips: usize, attempts_per_chip: usize) -> SoftG
                 .iter()
                 .map(|&(b, w)| SoftBit::new(b, w))
                 .collect();
-            if generator.reconstruct_soft(&soft, &helper) != Some(key.clone()) {
+            if generator.reconstruct_soft(&soft, &helper, &Erasures::none()) != Some(key.clone()) {
                 soft_failures += 1;
             }
         }
@@ -139,30 +132,25 @@ pub struct ErasureGain {
 /// for ordinary noise.
 #[must_use]
 pub fn measure_erasure_gain(cfg: &SimConfig, chips: usize, attempts_per_chip: usize) -> ErasureGain {
-    let timeline = exp2::flip_timeline(cfg, RoStyle::AgingResistant);
-    let ber = timeline.final_quantile(0.99);
-    let params = puf_area_params(RoStyle::AgingResistant, 5);
-    let generator =
-        crate::popcache::provisioned_generator(ber, cfg.key_bits, cfg.key_fail_target, &params)
-            .expect("feasible ARO design point");
+    let generator = provision(cfg, RoStyle::AgingResistant)
+        .1
+        .expect("feasible ARO design point");
     let inj = FaultInjector::new(FaultPlan::storm(), cfg.seed);
 
-    let n_ros = 2 * generator.response_bits();
-    let design = PufDesign::builder(RoStyle::AgingResistant)
-        .n_ros(n_ros)
-        .seed(cfg.seed ^ 0x14e5)
-        .build();
-    let env = Environment::nominal(design.tech());
-    let profile = MissionProfile::typical(design.tech());
-    let pairs = PairingStrategy::Neighbor.pairs(n_ros);
+    let bench = KeyBench::new(cfg, RoStyle::AgingResistant, &generator, 0x14e5);
+    let KeyBench {
+        design,
+        env,
+        profile,
+        pairs,
+    } = &bench;
 
     let mut blind_failures = 0;
     let mut aware_failures = 0;
     let mut helper_bits_erased = 0;
     for id in 0..chips as u64 {
-        let mut chip = Chip::fabricate(&design, id);
+        let (mut chip, enrolled) = bench.chip(id);
         let mut rng = design.seed_domain().child("exp14-erasure").rng(id);
-        let enrolled = chip.golden_response(&design, &env, &pairs);
         let (key, helper) = generator.enroll(&enrolled, &mut rng);
 
         let erased = inj.helper_erasures(id, &helper.block_lens());
@@ -170,19 +158,18 @@ pub fn measure_erasure_gain(cfg: &SimConfig, chips: usize, attempts_per_chip: us
         let eroded = helper.with_flipped_bits(&erased);
         let known = Erasures::from_helper(erased);
 
-        profile.age_chip(&mut chip, &design, 10.0 * YEAR);
+        profile.age_chip(&mut chip, design, 10.0 * YEAR);
 
         for _ in 0..attempts_per_chip {
             let soft: Vec<SoftBit> = chip
-                .response_soft(&design, &env, &pairs)
+                .response_soft(design, env, pairs)
                 .into_iter()
                 .map(|(bit, confidence)| SoftBit::new(bit, confidence))
                 .collect();
-            if generator.reconstruct_soft(&soft, &eroded) != Some(key.clone()) {
+            if generator.reconstruct_soft(&soft, &eroded, &Erasures::none()) != Some(key.clone()) {
                 blind_failures += 1;
             }
-            if generator.reconstruct_soft_erasure_aware(&soft, &eroded, &known) != Some(key.clone())
-            {
+            if generator.reconstruct_soft(&soft, &eroded, &known) != Some(key.clone()) {
                 aware_failures += 1;
             }
         }

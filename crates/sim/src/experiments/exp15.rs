@@ -23,20 +23,20 @@
 //! *stored bits*, so this experiment is where they bite.
 
 use aro_circuit::ring::RoStyle;
-use aro_device::environment::Environment;
 use aro_device::units::YEAR;
 use aro_ecc::keygen::KeyGenerator;
 use aro_ecc::soft::Erasures;
 use aro_faults::{FaultInjector, FaultPlan};
 use aro_metrics::bits::BitString;
-use aro_puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
+use aro_puf::Chip;
 use aro_serve::faulted_read;
 
 use crate::config::SimConfig;
-use crate::experiments::exp2;
+use crate::experiments::exp8;
+use crate::keybench::{provision, KeyBench};
 use crate::popcache::{age_chip_snapshotted, AgeCursor};
 use crate::report::Report;
-use crate::runner::{pct, puf_area_params};
+use crate::runner::pct;
 use crate::table::Table;
 
 /// The swept intensity points (fractions of the full `storm` plan).
@@ -88,49 +88,6 @@ impl FaultedKeyTrial {
     }
 }
 
-/// The chaos sweep's reusable chip bench for one style: fabricated once
-/// with cached golden (enrollment) responses, rewound to fresh silicon
-/// per intensity point (see EXP-16's workspace for the pattern).
-struct StyleWorkspace {
-    design: PufDesign,
-    env: Environment,
-    profile: MissionProfile,
-    pairs: Vec<(usize, usize)>,
-    chips: Vec<Chip>,
-    goldens: Vec<BitString>,
-}
-
-impl StyleWorkspace {
-    fn new(cfg: &SimConfig, style: RoStyle, generator: &KeyGenerator, chips: usize) -> Self {
-        let n_ros = 2 * generator.response_bits();
-        let design = PufDesign::builder(style)
-            .n_ros(n_ros)
-            .seed(cfg.seed ^ 0xe2e)
-            .build();
-        let env = Environment::nominal(design.tech());
-        let profile = MissionProfile::typical(design.tech());
-        let pairs = PairingStrategy::Neighbor.pairs(n_ros);
-        // Goldens come from the population cache: EXP-8 already enrolled
-        // exactly this silicon (same design seed), so the sweep reads its
-        // enrollment responses back instead of re-deriving them.
-        let chips: Vec<Chip> = (0..chips as u64)
-            .map(|id| Chip::fabricate(&design, id))
-            .collect();
-        let goldens: Vec<BitString> = chips
-            .iter()
-            .map(|chip| crate::popcache::golden_response(chip, &design, &env, &pairs))
-            .collect();
-        Self {
-            design,
-            env,
-            profile,
-            pairs,
-            chips,
-            goldens,
-        }
-    }
-}
-
 /// Runs the faulted end-to-end flow for one style at one intensity.
 /// Deterministic in `(cfg, style, generator, intensity)`: the injector is
 /// coordinate-addressed, so the schedule does not depend on thread count
@@ -145,18 +102,27 @@ pub fn run_trial(
     chips: usize,
     attempts_per_chip: usize,
 ) -> FaultedKeyTrial {
-    let mut workspace = StyleWorkspace::new(cfg, style, generator, chips);
-    run_trial_on(cfg, &mut workspace, intensity, generator, attempts_per_chip)
+    let bench = KeyBench::new(cfg, style, generator, exp8::DESIGN_SALT);
+    let mut chips = bench.chips(chips);
+    run_trial_on(
+        cfg,
+        &bench,
+        &mut chips,
+        intensity,
+        generator,
+        attempts_per_chip,
+    )
 }
 
-/// [`run_trial`] on a reusable [`StyleWorkspace`]. The ten-year aging
-/// step goes through the aged-state snapshot store
+/// [`run_trial`] on `chips` of `bench`, rewound to fresh silicon first.
+/// The ten-year aging step goes through the aged-state snapshot store
 /// ([`age_chip_snapshotted`]): inside one run, EXP-8 has already walked
 /// the same silicon through the same step, so every intensity replays
 /// its wear instead of re-deriving it.
 fn run_trial_on(
     cfg: &SimConfig,
-    workspace: &mut StyleWorkspace,
+    bench: &KeyBench,
+    chips: &mut [(Chip, BitString)],
     intensity: f64,
     generator: &KeyGenerator,
     attempts_per_chip: usize,
@@ -164,14 +130,12 @@ fn run_trial_on(
     let plan = FaultPlan::storm().scaled(intensity);
     let inj = FaultInjector::new(plan, cfg.seed);
 
-    let StyleWorkspace {
+    let KeyBench {
         design,
         env,
         profile,
         pairs,
-        chips,
-        goldens,
-    } = workspace;
+    } = bench;
     let style = design.style();
     let n_ros = design.n_ros();
     let chip_count = chips.len();
@@ -181,13 +145,13 @@ fn run_trial_on(
     let mut recovered_erasure_aware = 0;
     let mut hard_faulted_ros = 0;
     let mut helper_bits_erased = 0;
-    for (slot, chip) in chips.iter_mut().enumerate() {
+    for (slot, (chip, golden)) in chips.iter_mut().enumerate() {
         let id = slot as u64;
         // Factory: healthy silicon, nominal conditions, pristine NVM.
         chip.reset_to_fabricated();
         let mut cursor = AgeCursor::new();
         let mut enroll_rng = design.seed_domain().child("keygen").rng(id);
-        let (key, helper) = generator.enroll(&goldens[slot], &mut enroll_rng);
+        let (key, helper) = generator.enroll(golden, &mut enroll_rng);
 
         // Field: rings die behind the factory's back, stored helper bits
         // erode once (NVM damage persists across attempts).
@@ -206,14 +170,7 @@ fn run_trial_on(
         // decoding only gets knowledge the hardware actually has.
         let known = Erasures {
             helper: erasures.clone(),
-            response: pairs
-                .iter()
-                .enumerate()
-                .filter(|&(_, &(a, b))| {
-                    !chip.ros()[a].health().is_healthy() || !chip.ros()[b].health().is_healthy()
-                })
-                .map(|(bit, _)| bit)
-                .collect(),
+            response: chip.bist_erasures(pairs),
         };
 
         age_chip_snapshotted(chip, design, profile, 10.0 * YEAR, &mut cursor);
@@ -229,11 +186,10 @@ fn run_trial_on(
             if generator.reconstruct(&noisy, &helper) == Some(key.clone()) {
                 recovered += 1;
             }
-            if generator.reconstruct_soft(&soft, &helper) == Some(key.clone()) {
+            if generator.reconstruct_soft(&soft, &helper, &Erasures::none()) == Some(key.clone()) {
                 recovered_soft += 1;
             }
-            if generator.reconstruct_soft_erasure_aware(&soft, &helper, &known) == Some(key.clone())
-            {
+            if generator.reconstruct_soft(&soft, &helper, &known) == Some(key.clone()) {
                 recovered_erasure_aware += 1;
             }
         }
@@ -263,12 +219,8 @@ pub fn run(cfg: &SimConfig) -> Report {
     // Same provisioning as exp8: the ECC sized for the ARO design's
     // measured worst-case ten-year BER — the sweep then measures how much
     // *fault* margin that aging margin left behind.
-    let timeline = exp2::flip_timeline(cfg, RoStyle::AgingResistant);
-    let ber = timeline.final_quantile(0.99);
-    let params = puf_area_params(RoStyle::AgingResistant, 5);
-    let Some(generator) =
-        crate::popcache::provisioned_generator(ber, cfg.key_bits, cfg.key_fail_target, &params)
-    else {
+    let (ber, generator) = provision(cfg, RoStyle::AgingResistant);
+    let Some(generator) = generator else {
         report.push_note("no feasible ARO design point — increase the code search space");
         return report;
     };
@@ -295,11 +247,19 @@ pub fn run(cfg: &SimConfig) -> Report {
     let mut anchors = Vec::new();
     let mut trials = Vec::new();
     for style in [RoStyle::AgingResistant, RoStyle::Conventional] {
-        // One fabricated bench per style for the whole intensity sweep,
-        // rewound to fresh silicon at each point.
-        let mut workspace = StyleWorkspace::new(cfg, style, &generator, chips);
+        // One fabricated chip set per style for the whole intensity
+        // sweep, rewound to fresh silicon at each point.
+        let bench = KeyBench::new(cfg, style, &generator, exp8::DESIGN_SALT);
+        let mut bench_chips = bench.chips(chips);
         for intensity in INTENSITIES {
-            let trial = run_trial_on(cfg, &mut workspace, intensity, &generator, attempts);
+            let trial = run_trial_on(
+                cfg,
+                &bench,
+                &mut bench_chips,
+                intensity,
+                &generator,
+                attempts,
+            );
             if intensity == 0.0 {
                 anchors.push(trial.clone());
             }
@@ -386,11 +346,7 @@ mod tests {
     }
 
     fn tiny_generator(cfg: &SimConfig) -> KeyGenerator {
-        let timeline = exp2::flip_timeline(cfg, RoStyle::AgingResistant);
-        let ber = timeline.final_quantile(0.99);
-        let params = puf_area_params(RoStyle::AgingResistant, 5);
-        KeyGenerator::for_bit_error_rate(ber, cfg.key_bits, cfg.key_fail_target, &params)
-            .expect("feasible")
+        provision(cfg, RoStyle::AgingResistant).1.expect("feasible")
     }
 
     #[test]

@@ -35,7 +35,6 @@
 //!   needs.
 
 use aro_circuit::ring::RoStyle;
-use aro_device::environment::Environment;
 use aro_device::units::YEAR;
 use aro_ecc::fuzzy::HelperData;
 use aro_ecc::keygen::KeyGenerator;
@@ -43,14 +42,14 @@ use aro_ecc::refresh::{refresh_enrollment, RefreshSchedule};
 use aro_ecc::soft::Erasures;
 use aro_faults::{FaultInjector, FaultPlan};
 use aro_metrics::bits::BitString;
-use aro_puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
+use aro_puf::Chip;
 use aro_serve::faulted_read;
 
 use crate::config::SimConfig;
-use crate::experiments::exp2;
+use crate::keybench::{provision, KeyBench};
 use crate::popcache::{age_chip_snapshotted, AgeCursor};
 use crate::report::Report;
-use crate::runner::{pct, puf_area_params};
+use crate::runner::pct;
 use crate::table::Table;
 
 /// Swept refresh intervals in years (`INFINITY` = never refresh — the
@@ -74,6 +73,9 @@ const REFRESH_EVENT_BASE: u64 = 1 << 32;
 /// Event-id base for impostor reconstruction attempts (EXP-19's
 /// false-accept probe), disjoint from gates and genuine attempts.
 const IMPOSTOR_EVENT_BASE: u64 = 1 << 33;
+
+/// The lifecycle bench's design salt, shared by EXP-16 and EXP-19.
+pub(crate) const DESIGN_SALT: u64 = 0xe16;
 
 /// Per-replica helper-erosion window stride — the same failure-domain
 /// discipline as `aro_serve::REPLICA_WINDOW_STRIDE`: sibling replicas of
@@ -131,51 +133,6 @@ pub struct ReplicatedLifecycleTrial {
     pub impostor_accepts: usize,
 }
 
-/// The sweep's reusable chip bench: the design and its fabricated chips
-/// plus their golden (enrollment) responses, built once for all twelve
-/// (intensity, interval) points. Fabrication and the golden read are
-/// pure per *(design, chip id)*, so each trial rewinds the silicon with
-/// [`Chip::reset_to_fabricated`] instead of re-sampling it, and re-uses
-/// the cached goldens instead of re-deriving every ring's frequency.
-pub struct SweepWorkspace {
-    design: PufDesign,
-    env: Environment,
-    profile: MissionProfile,
-    pairs: Vec<(usize, usize)>,
-    chips: Vec<Chip>,
-    goldens: Vec<BitString>,
-}
-
-impl SweepWorkspace {
-    /// Fabricates the bench: `chips` chips sized for `generator`.
-    #[must_use]
-    pub fn new(cfg: &SimConfig, generator: &KeyGenerator, chips: usize) -> Self {
-        let n_ros = 2 * generator.response_bits();
-        let design = PufDesign::builder(RoStyle::AgingResistant)
-            .n_ros(n_ros)
-            .seed(cfg.seed ^ 0xe16)
-            .build();
-        let env = Environment::nominal(design.tech());
-        let profile = MissionProfile::typical(design.tech());
-        let pairs = PairingStrategy::Neighbor.pairs(n_ros);
-        let chips: Vec<Chip> = (0..chips as u64)
-            .map(|id| Chip::fabricate(&design, id))
-            .collect();
-        let goldens: Vec<BitString> = chips
-            .iter()
-            .map(|chip| chip.golden_response(&design, &env, &pairs))
-            .collect();
-        Self {
-            design,
-            env,
-            profile,
-            pairs,
-            chips,
-            goldens,
-        }
-    }
-}
-
 /// Rebuilds the device's own damage knowledge in place: the dedup'd
 /// erosion backlog replaces the helper flags while the BIST response
 /// flags (constant for the whole mission) stay put — no per-window
@@ -188,7 +145,8 @@ fn refresh_known(known: &mut Erasures, accumulated: &[(usize, usize)]) {
 }
 
 /// Runs one (intensity, interval, replicas) point of the maintained
-/// mission on a reusable [`SweepWorkspace`]: the helper block is stored
+/// mission on `chips` of an ARO `bench` (salted [`DESIGN_SALT`]),
+/// rewound to fresh silicon first: the helper block is stored
 /// in `replicas` independently-eroding copies. Every gate and every
 /// reconstruction reads the silicon once, then tries the replicas in
 /// index order — lowest intact lineage serves, exactly the quorum-read
@@ -203,10 +161,11 @@ fn refresh_known(known: &mut Erasures, accumulated: &[(usize, usize)]) {
 /// walks the same per-interval aging prefixes, so only the first trial to
 /// reach a given window pays the wear physics.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
-pub fn run_replicated_trial_on(
+pub(crate) fn run_replicated_trial_on(
     cfg: &SimConfig,
     generator: &KeyGenerator,
-    workspace: &mut SweepWorkspace,
+    bench: &KeyBench,
+    chips: &mut [(Chip, BitString)],
     intensity: f64,
     interval_years: f64,
     replicas: usize,
@@ -219,14 +178,12 @@ pub fn run_replicated_trial_on(
     let inj = FaultInjector::new(plan, cfg.seed);
     let schedule = RefreshSchedule::new(interval_years * YEAR, mission_s);
 
-    let SweepWorkspace {
+    let KeyBench {
         design,
         env,
         profile,
         pairs,
-        chips,
-        goldens,
-    } = workspace;
+    } = bench;
     let n_ros = design.n_ros();
     let chip_count = chips.len();
 
@@ -240,12 +197,12 @@ pub fn run_replicated_trial_on(
     // impostor pass below.
     let mut finals: Vec<(Vec<(HelperData, Erasures)>, BitString)> =
         Vec::with_capacity(chip_count);
-    for (slot, chip) in chips.iter_mut().enumerate() {
+    for (slot, (chip, golden)) in chips.iter_mut().enumerate() {
         let id = slot as u64;
         chip.reset_to_fabricated();
         let mut cursor = AgeCursor::new();
         let mut rng = design.seed_domain().child("exp16").rng(id);
-        let (mut key, mut helper) = generator.enroll(&goldens[slot], &mut rng);
+        let (mut key, mut helper) = generator.enroll(golden, &mut rng);
         let block_lens = helper.block_lens();
 
         // The field kills rings up front (worst case for a lifecycle:
@@ -254,14 +211,6 @@ pub fn run_replicated_trial_on(
         for (slot, health) in inj.hard_faults(id, n_ros) {
             chip.set_ro_health(slot, health);
         }
-        let bist: Vec<usize> = pairs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(a, b))| {
-                !chip.ros()[a].health().is_healthy() || !chip.ros()[b].health().is_healthy()
-            })
-            .map(|(bit, _)| bit)
-            .collect();
 
         // Erosion accumulates per replica between refreshes (sibling
         // replicas erode at disjoint fault coordinates — the window
@@ -272,7 +221,7 @@ pub fn run_replicated_trial_on(
         let mut accumulated: Vec<Vec<(usize, usize)>> = vec![Vec::new(); replicas];
         let mut known = Erasures {
             helper: Vec::new(),
-            response: bist,
+            response: chip.bist_erasures(pairs),
         };
 
         let mut boundaries = schedule.refresh_times();
@@ -346,9 +295,7 @@ pub fn run_replicated_trial_on(
                 let event = attempt * READ_RETRIES as u64 + retry;
                 let (soft, _) = faulted_read(chip, design, env, pairs, Some(&inj), id, event);
                 for (k, (eroded, flags)) in stored.iter().enumerate() {
-                    if generator.reconstruct_soft_erasure_aware(&soft, eroded, flags)
-                        == Some(key.clone())
-                    {
+                    if generator.reconstruct_soft(&soft, eroded, flags) == Some(key.clone()) {
                         if k > 0 {
                             replica_fallbacks += 1;
                         }
@@ -372,7 +319,7 @@ pub fn run_replicated_trial_on(
     let mut impostor_attempts = 0;
     let mut impostor_accepts = 0;
     if impostor_attempts_per_chip > 0 && chip_count >= 2 {
-        for (slot, chip) in chips.iter_mut().enumerate() {
+        for (slot, (chip, _)) in chips.iter_mut().enumerate() {
             let (victim_stored, victim_key) = &finals[(slot + 1) % chip_count];
             for attempt in 0..impostor_attempts_per_chip as u64 {
                 impostor_attempts += 1;
@@ -381,7 +328,7 @@ pub fn run_replicated_trial_on(
                     let (soft, _) =
                         faulted_read(chip, design, env, pairs, Some(&inj), slot as u64, event);
                     for (eroded, flags) in victim_stored {
-                        if generator.reconstruct_soft_erasure_aware(&soft, eroded, flags)
+                        if generator.reconstruct_soft(&soft, eroded, flags)
                             == Some(victim_key.clone())
                         {
                             impostor_accepts += 1;
@@ -432,12 +379,8 @@ pub fn run(cfg: &SimConfig) -> Report {
     // Same provisioning as EXP-15: the ECC sized for the ARO design's
     // fault-free ten-year BER. The lifecycle — not a bigger code — has to
     // supply the storm margin.
-    let timeline = exp2::flip_timeline(cfg, RoStyle::AgingResistant);
-    let ber = timeline.final_quantile(0.99);
-    let params = puf_area_params(RoStyle::AgingResistant, 5);
-    let Some(generator) =
-        crate::popcache::provisioned_generator(ber, cfg.key_bits, cfg.key_fail_target, &params)
-    else {
+    let (ber, generator) = provision(cfg, RoStyle::AgingResistant);
+    let Some(generator) = generator else {
         report.push_note("no feasible ARO design point — increase the code search space");
         return report;
     };
@@ -450,10 +393,11 @@ pub fn run(cfg: &SimConfig) -> Report {
 
     let chips = cfg.n_chips.clamp(4, 8);
     let attempts = 2;
-    // One fabricated bench for the whole 12-point sweep; every trial
+    // One fabricated chip set for the whole 12-point sweep; every trial
     // rewinds it to fresh silicon and re-ages it through the snapshot
     // store (the sweep's aging prefixes repeat across intensities).
-    let mut workspace = SweepWorkspace::new(cfg, &generator, chips);
+    let bench = KeyBench::new(cfg, RoStyle::AgingResistant, &generator, DESIGN_SALT);
+    let mut bench_chips = bench.chips(chips);
     let mut table = Table::new(
         "Ten-year key recovery vs. refresh interval (ARO-PUF, storm-scaled faults)",
         &[
@@ -473,7 +417,8 @@ pub fn run(cfg: &SimConfig) -> Report {
             let trial = run_replicated_trial_on(
                 cfg,
                 &generator,
-                &mut workspace,
+                &bench,
+                &mut bench_chips,
                 intensity,
                 interval_years,
                 1,
@@ -539,14 +484,10 @@ mod tests {
     }
 
     fn tiny_generator(cfg: &SimConfig) -> KeyGenerator {
-        let timeline = exp2::flip_timeline(cfg, RoStyle::AgingResistant);
-        let ber = timeline.final_quantile(0.99);
-        let params = puf_area_params(RoStyle::AgingResistant, 5);
-        KeyGenerator::for_bit_error_rate(ber, cfg.key_bits, cfg.key_fail_target, &params)
-            .expect("feasible")
+        provision(cfg, RoStyle::AgingResistant).1.expect("feasible")
     }
 
-    /// One trial on a fresh `chips`-chip workspace, two attempts per chip.
+    /// One trial on `chips` fresh bench chips, two attempts per chip.
     fn fresh_trial(
         cfg: &SimConfig,
         generator: &KeyGenerator,
@@ -556,11 +497,12 @@ mod tests {
         chips: usize,
         impostor_attempts_per_chip: usize,
     ) -> ReplicatedLifecycleTrial {
-        let mut workspace = SweepWorkspace::new(cfg, generator, chips);
+        let bench = KeyBench::new(cfg, RoStyle::AgingResistant, generator, DESIGN_SALT);
         run_replicated_trial_on(
             cfg,
             generator,
-            &mut workspace,
+            &bench,
+            &mut bench.chips(chips),
             intensity,
             interval_years,
             replicas,

@@ -34,9 +34,10 @@ use aro_ecc::refresh::RefreshSchedule;
 
 use crate::config::SimConfig;
 use crate::experiments::exp16::{
-    self, interval_label, run_replicated_trial_on, ReplicatedLifecycleTrial, SweepWorkspace,
+    self, interval_label, run_replicated_trial_on, ReplicatedLifecycleTrial,
 };
 use crate::experiments::exp17;
+use crate::keybench::KeyBench;
 use crate::report::Report;
 use crate::runner::{pct, puf_area_params};
 use crate::table::Table;
@@ -169,10 +170,10 @@ pub fn sweep(cfg: &SimConfig) -> Vec<IntensityOutcome> {
             .then(a.1.cmp(&b.1))
     });
 
-    // One fabricated bench per candidate code, shared across every
+    // One fabricated chip set per candidate code, shared across every
     // intensity and triple that uses it (the aged-state snapshot store
     // makes repeated aging prefixes cheap).
-    let mut workspaces: BTreeMap<usize, SweepWorkspace> = BTreeMap::new();
+    let mut benches: BTreeMap<usize, (KeyBench, Vec<_>)> = BTreeMap::new();
     INTENSITIES
         .iter()
         .map(|&intensity| {
@@ -180,13 +181,21 @@ pub fn sweep(cfg: &SimConfig) -> Vec<IntensityOutcome> {
             let mut survived = false;
             for &(ci, replicas, interval_years, area_ge, _) in &triples {
                 let candidate = &candidates[ci];
-                let workspace = workspaces
-                    .entry(ci)
-                    .or_insert_with(|| SweepWorkspace::new(cfg, &candidate.generator, chips));
+                let (bench, bench_chips) = benches.entry(ci).or_insert_with(|| {
+                    let bench = KeyBench::new(
+                        cfg,
+                        RoStyle::AgingResistant,
+                        &candidate.generator,
+                        exp16::DESIGN_SALT,
+                    );
+                    let bench_chips = bench.chips(chips);
+                    (bench, bench_chips)
+                });
                 let trial = run_replicated_trial_on(
                     cfg,
                     &candidate.generator,
-                    workspace,
+                    bench,
+                    bench_chips,
                     intensity,
                     interval_years,
                     replicas,

@@ -11,17 +11,19 @@
 //! lost — the concrete failure the paper's area table prices in.
 
 use aro_circuit::ring::RoStyle;
-use aro_device::environment::Environment;
 use aro_device::units::YEAR;
 use aro_ecc::keygen::KeyGenerator;
-use aro_puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
 
 use crate::config::SimConfig;
-use crate::experiments::exp2;
+use crate::keybench::{provision, KeyBench};
 use crate::popcache::{age_chip_snapshotted, AgeCursor};
 use crate::report::Report;
-use crate::runner::{pct, puf_area_params};
+use crate::runner::pct;
 use crate::table::Table;
+
+/// EXP-8's design salt. EXP-15 enrolls the same silicon, so its
+/// zero-intensity trial walks exactly this flow.
+pub(crate) const DESIGN_SALT: u64 = 0xe2e;
 
 /// Outcome of the end-to-end run for one style.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,33 +55,28 @@ pub fn run_trial(
     chips: usize,
     attempts_per_chip: usize,
 ) -> KeyTrial {
-    // The array must supply the code's raw-bit budget via neighbour pairs.
-    let n_ros = 2 * generator.response_bits();
-    let design = PufDesign::builder(style)
-        .n_ros(n_ros)
-        .seed(cfg.seed ^ 0xe2e)
-        .build();
-    let env = Environment::nominal(design.tech());
-    let profile = MissionProfile::typical(design.tech());
-    let pairs = PairingStrategy::Neighbor.pairs(n_ros);
+    let bench = KeyBench::new(cfg, style, generator, DESIGN_SALT);
+    let KeyBench {
+        design,
+        env,
+        profile,
+        pairs,
+    } = &bench;
 
     let mut failures = 0;
     for id in 0..chips as u64 {
-        // The golden comes from the population cache: EXP-15's chaos
-        // sweep re-enrolls the same silicon and reads it back.
-        let mut chip = Chip::fabricate(&design, id);
+        let (mut chip, golden) = bench.chip(id);
         let mut enroll_rng = design.seed_domain().child("keygen").rng(id);
-        let enrollment_response = crate::popcache::golden_response(&chip, &design, &env, &pairs);
-        let (key, helper) = generator.enroll(&enrollment_response, &mut enroll_rng);
+        let (key, helper) = generator.enroll(&golden, &mut enroll_rng);
 
         // Through the aged-state snapshot store: this is the first walk
         // of the shared ten-year step inside a run, so it records the
         // wear that EXP-15's intensity sweep later replays per chip.
         let mut cursor = AgeCursor::new();
-        age_chip_snapshotted(&mut chip, &design, &profile, 10.0 * YEAR, &mut cursor);
+        age_chip_snapshotted(&mut chip, design, profile, 10.0 * YEAR, &mut cursor);
 
         for _ in 0..attempts_per_chip {
-            let noisy = chip.response(&design, &env, &pairs);
+            let noisy = chip.response(design, env, pairs);
             if generator.reconstruct(&noisy, &helper) != Some(key.clone()) {
                 failures += 1;
             }
@@ -87,7 +84,7 @@ pub fn run_trial(
         // The reads above warmed this chip's kernels at the post-step
         // state; donate them so EXP-15's replays preload instead of
         // rebuilding.
-        crate::popcache::harvest_kernel_hints(&chip, &design, &cursor);
+        crate::popcache::harvest_kernel_hints(&chip, design, &cursor);
     }
     KeyTrial {
         style,
@@ -103,12 +100,8 @@ pub fn run(cfg: &SimConfig) -> Report {
     let mut report = Report::new("EXP-8", "End-to-end 128-bit key generation over ten years");
 
     // Provision the code for the ARO-PUF's measured worst-case BER.
-    let timeline = exp2::flip_timeline(cfg, RoStyle::AgingResistant);
-    let ber = timeline.final_quantile(0.99);
-    let params = puf_area_params(RoStyle::AgingResistant, 5);
-    let Some(generator) =
-        crate::popcache::provisioned_generator(ber, cfg.key_bits, cfg.key_fail_target, &params)
-    else {
+    let (ber, generator) = provision(cfg, RoStyle::AgingResistant);
+    let Some(generator) = generator else {
         report.push_note("no feasible ARO design point — increase the code search space");
         return report;
     };
@@ -181,12 +174,9 @@ mod tests {
     #[test]
     fn aro_keys_survive_ten_years_and_the_control_fails() {
         let cfg = tiny_cfg();
-        let timeline = exp2::flip_timeline(&cfg, RoStyle::AgingResistant);
-        let ber = timeline.final_quantile(0.99);
-        let params = puf_area_params(RoStyle::AgingResistant, 5);
-        let generator =
-            KeyGenerator::for_bit_error_rate(ber, cfg.key_bits, cfg.key_fail_target, &params)
-                .expect("feasible");
+        let generator = provision(&cfg, RoStyle::AgingResistant)
+            .1
+            .expect("feasible");
 
         let aro = run_trial(&cfg, RoStyle::AgingResistant, &generator, 4, 2);
         assert_eq!(

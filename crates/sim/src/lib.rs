@@ -36,6 +36,7 @@ pub mod config;
 pub mod experiments;
 pub mod fingerprint;
 pub mod harness;
+pub(crate) mod keybench;
 pub mod popcache;
 pub mod report;
 pub mod runner;

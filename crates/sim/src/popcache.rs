@@ -8,7 +8,7 @@
 //!
 //! Every cached result lives in one `Memo`: `(key, value)` pairs in
 //! least-recently-used order with a capacity and a hit and a miss
-//! counter. A scope holds five of them:
+//! counter. A scope holds four of them:
 //!
 //! | memo | key (cheap fields first) | capacity | counters |
 //! |---|---|---|---|
@@ -16,7 +16,9 @@
 //! | flip timelines | style, config (fault plan included) | unbounded | `sim.popcache_timeline_*` |
 //! | ECC specs | BER, key bits, failure target, area params | unbounded | `sim.provision_*` |
 //! | aged-step snapshots | chip id, step prefix, design | [`SNAPSHOT_CAPACITY`] | `sim.snapshot_*` |
-//! | golden responses | chip id, environment, pairing, design | 64 | `sim.popcache_*` |
+//!
+//! Golden responses are not memoized: every key bench reads them
+//! directly (`crate::keybench`).
 //!
 //! Keys compare the **full design** (style, seed domain, technology,
 //! readout, pairing bias — everything `PufDesign::eq` sees): exp6's duty
@@ -37,10 +39,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use aro_circuit::ring::RoStyle;
-use aro_device::environment::Environment;
 use aro_ecc::area::{search_design, KeyGenSpec, PufAreaParams};
 use aro_ecc::keygen::KeyGenerator;
-use aro_metrics::bits::BitString;
 use aro_puf::snapshot::{age_step_recorded, age_step_replayed, AgedStepSnapshot};
 use aro_puf::{Chip, MissionProfile, MissionStepKey, Population, PufDesign};
 
@@ -58,9 +58,6 @@ pub const CAPACITY: usize = 8;
 /// EXP-8/15 population); an entry is ~20 KB of wear plus its telemetry
 /// tape (empty on un-instrumented runs).
 pub const SNAPSHOT_CAPACITY: usize = 256;
-
-/// Maximum retained golden responses per scope.
-const GOLDEN_CAPACITY: usize = 64;
 
 /// `(key, value)` pairs, least recently used first, holding at most
 /// `capacity` entries; lookups and inserts bump the `hits` and `misses`
@@ -114,9 +111,6 @@ impl<K: PartialEq, V: Clone> Memo<K, V> {
 /// in the last ulp are legitimately different problems.
 type ProvisionKey = (u64, usize, u64, PufAreaParams);
 
-/// Chip id, environment, pairing, design.
-type GoldenKey = (u64, Environment, Vec<(usize, usize)>, PufDesign);
-
 struct Scope {
     populations: Memo<(usize, PufDesign), Population>,
     /// The config carries the exact fault plan; off plans never attach,
@@ -131,7 +125,6 @@ struct Scope {
     /// ages any ring the recording and replaying trials disagree on live
     /// (see `aro_puf::snapshot`).
     snapshots: Memo<(u64, Vec<MissionStepKey>, PufDesign), Rc<AgedStepSnapshot>>,
-    goldens: Memo<GoldenKey, BitString>,
 }
 
 impl Scope {
@@ -145,7 +138,6 @@ impl Scope {
             ),
             specs: Memo::new(usize::MAX, "sim.provision_hits", "sim.provision_misses"),
             snapshots: Memo::new(SNAPSHOT_CAPACITY, "sim.snapshot_hits", "sim.snapshot_misses"),
-            goldens: Memo::new(GOLDEN_CAPACITY, "sim.popcache_hits", "sim.popcache_misses"),
         }
     }
 }
@@ -376,29 +368,6 @@ pub fn harvest_kernel_hints(chip: &Chip, design: &PufDesign, cursor: &AgeCursor)
     }
 }
 
-/// [`Chip::golden_response`] memoized per scope for *pristine* chips
-/// (fresh silicon, no faults). The golden response is a pure function of
-/// *(design, chip id, environment, pairing)*; EXP-8 computes it for the
-/// chips EXP-15 re-enrolls, so the second sweep reads it back instead of
-/// re-deriving 2 500 ring frequencies. Aged or faulted chips bypass the
-/// cache (their "golden" would not be the enrollment-time one).
-#[must_use]
-pub fn golden_response(
-    chip: &Chip,
-    design: &PufDesign,
-    env: &Environment,
-    pairs: &[(usize, usize)],
-) -> BitString {
-    if chip.age_s() != 0.0 || chip.faulted_ro_count() != 0 {
-        return chip.golden_response(design, env, pairs);
-    }
-    memoized(
-        |scope| &mut scope.goldens,
-        (chip.id(), *env, pairs.to_vec(), design.clone()),
-        || chip.golden_response(design, env, pairs),
-    )
-}
-
 /// The ten-year flip timeline of a style under a config — the
 /// paper-standard measurement (typical mission, standard checkpoints) that
 /// exp2, exp5, exp8, exp13 and exp14 all start from, under the config's
@@ -443,8 +412,9 @@ pub fn provisioned_spec(
 }
 
 /// [`KeyGenerator::for_bit_error_rate`] with its design searches routed
-/// through [`provisioned_spec`]: exp8, exp14, exp15 and exp16 provision
-/// for the same measured BER, and only the first pays for the search.
+/// through [`provisioned_spec`]: every key bench provisions for the same
+/// measured BER (`crate::keybench::provision`), and only the first pays
+/// for the search.
 #[must_use]
 pub fn provisioned_generator(
     p_bit: f64,

@@ -13,20 +13,20 @@
 //! byte-identical at any `--threads N`.
 
 use aro_circuit::ring::RoStyle;
-use aro_device::environment::Environment;
 use aro_device::units::YEAR;
 use aro_ecc::keygen::KeyGenerator;
 use aro_faults::FaultInjector;
 use aro_metrics::bits::BitString;
-use aro_puf::{Challenge, Chip, MissionProfile, PairingStrategy, PufDesign};
+use aro_puf::{Challenge, Chip};
 use aro_serve::{
     run_bench, AuthService, BenchPlan, BenchStats, FleetContext, ServicePolicy, StoredRecord,
 };
 
 use crate::config::SimConfig;
+use crate::keybench::{provision, KeyBench};
 use crate::popcache::{age_chip_snapshotted, AgeCursor};
 use crate::report::Report;
-use crate::runner::{pct, puf_area_params};
+use crate::runner::pct;
 use crate::table::Table;
 
 /// CRP response width served per authentication request. 64 bits keeps
@@ -49,19 +49,15 @@ pub const DEFAULT_REPLICAS: usize = 2;
 /// Mission length the store-erosion fraction is normalized against.
 const MISSION_YEARS: f64 = 10.0;
 
-/// The reusable bench for one cell style: fabricated fleet, per-device
-/// challenge pair sets, and cached golden responses. Each trial rewinds
-/// the silicon with [`Chip::reset_to_fabricated`] instead of
-/// re-fabricating, exactly like EXP-16's sweep workspace.
+/// The reusable fleet for one cell style: a [`KeyBench`] (salt `0xe18`)
+/// with its chips and key goldens, plus each device's CRP challenge and
+/// golden reference. Each trial rewinds the silicon with
+/// [`Chip::reset_to_fabricated`] instead of re-fabricating.
 pub struct FleetWorkspace {
-    style: RoStyle,
-    design: PufDesign,
-    env: Environment,
-    profile: MissionProfile,
-    key_pairs: Vec<(usize, usize)>,
-    challenge_pairs: Vec<Vec<(usize, usize)>>,
+    bench: KeyBench,
     chips: Vec<Chip>,
     key_goldens: Vec<BitString>,
+    challenge_pairs: Vec<Vec<(usize, usize)>>,
     crp_goldens: Vec<BitString>,
 }
 
@@ -71,39 +67,24 @@ impl FleetWorkspace {
     #[must_use]
     pub fn new(cfg: &SimConfig, generator: &KeyGenerator, style: RoStyle, fleet: usize) -> Self {
         let _span = aro_obs::span("serve.workspace");
-        let n_ros = 2 * generator.response_bits();
-        let design = PufDesign::builder(style)
-            .n_ros(n_ros)
-            .seed(cfg.seed ^ 0xe18)
-            .build();
-        let env = Environment::nominal(design.tech());
-        let profile = MissionProfile::typical(design.tech());
-        let key_pairs = PairingStrategy::Neighbor.pairs(n_ros);
-        let chips: Vec<Chip> = (0..fleet as u64)
-            .map(|id| Chip::fabricate(&design, id))
-            .collect();
+        let bench = KeyBench::new(cfg, style, generator, 0xe18);
+        let (chips, key_goldens): (Vec<Chip>, Vec<BitString>) =
+            bench.chips(fleet).into_iter().unzip();
+        let n_ros = bench.design.n_ros();
         let crp_bits = CRP_BITS.min(n_ros / 2);
         let challenge_pairs: Vec<Vec<(usize, usize)>> = (0..fleet as u64)
             .map(|id| Challenge(cfg.seed ^ (0x5e7e << 16) ^ id).pairs(n_ros, crp_bits))
             .collect();
-        let key_goldens: Vec<BitString> = chips
-            .iter()
-            .map(|chip| chip.golden_response(&design, &env, &key_pairs))
-            .collect();
         let crp_goldens: Vec<BitString> = chips
             .iter()
             .zip(&challenge_pairs)
-            .map(|(chip, pairs)| chip.golden_response(&design, &env, pairs))
+            .map(|(chip, pairs)| chip.golden_response(&bench.design, &bench.env, pairs))
             .collect();
         Self {
-            style,
-            design,
-            env,
-            profile,
-            key_pairs,
-            challenge_pairs,
+            bench,
             chips,
             key_goldens,
+            challenge_pairs,
             crp_goldens,
         }
     }
@@ -111,7 +92,7 @@ impl FleetWorkspace {
     /// The fleet's cell style.
     #[must_use]
     pub fn style(&self) -> RoStyle {
-        self.style
+        self.bench.design.style()
     }
 
     /// Fleet size.
@@ -140,6 +121,12 @@ impl FleetWorkspace {
     ) -> BenchStats {
         let _span = aro_obs::span("serve.trial");
         let _trial = aro_serve::audit::scope_begin(scope);
+        let KeyBench {
+            design,
+            env,
+            profile,
+            pairs,
+        } = &self.bench;
         let policy = ServicePolicy {
             replicas: cfg.replicas,
             ..ServicePolicy::default()
@@ -151,7 +138,7 @@ impl FleetWorkspace {
         for (slot, chip) in self.chips.iter_mut().enumerate() {
             let id = slot as u64;
             chip.reset_to_fabricated();
-            let mut rng = self.design.seed_domain().child("serve-enroll").rng(id);
+            let mut rng = design.seed_domain().child("serve-enroll").rng(id);
             let (key, helper) = generator.enroll(&self.key_goldens[slot], &mut rng);
             service.enroll(StoredRecord::new(
                 id,
@@ -167,7 +154,7 @@ impl FleetWorkspace {
         // storage time, so the eroded fraction tracks the fleet age.
         if let Some(inj) = inj {
             for (slot, chip) in self.chips.iter_mut().enumerate() {
-                for (ro, health) in inj.hard_faults(slot as u64, self.design.n_ros()) {
+                for (ro, health) in inj.hard_faults(slot as u64, design.n_ros()) {
                     chip.set_ro_health(ro, health);
                 }
             }
@@ -183,21 +170,21 @@ impl FleetWorkspace {
         if age_years > 0.0 {
             let _age_span = aro_obs::span("serve.age_fleet");
             for (chip, cursor) in self.chips.iter_mut().zip(&mut cursors) {
-                age_chip_snapshotted(chip, &self.design, &self.profile, age_years * YEAR, cursor);
+                age_chip_snapshotted(chip, design, profile, age_years * YEAR, cursor);
             }
         }
         let ctx = FleetContext {
-            design: &self.design,
-            env: &self.env,
+            design,
+            env,
             generator,
-            key_pairs: &self.key_pairs,
+            key_pairs: pairs,
         };
         let bench_span = aro_obs::span("serve.bench");
         let stats = run_bench(&mut service, &mut self.chips, &ctx, plan, inj);
         drop(bench_span);
         if age_years > 0.0 {
             for (chip, cursor) in self.chips.iter().zip(&cursors) {
-                crate::popcache::harvest_kernel_hints(chip, &self.design, cursor);
+                crate::popcache::harvest_kernel_hints(chip, design, cursor);
             }
         }
         stats
@@ -225,11 +212,7 @@ pub fn sweep(
     let mut table = Table::new(title, &TABLE_COLUMNS);
     let mut trials = Vec::new();
     for style in [RoStyle::Conventional, RoStyle::AgingResistant] {
-        let ber = crate::popcache::standard_flip_timeline(cfg, style).final_quantile(0.99);
-        let params = puf_area_params(style, 5);
-        let Some(generator) =
-            crate::popcache::provisioned_generator(ber, cfg.key_bits, cfg.key_fail_target, &params)
-        else {
+        let Some(generator) = provision(cfg, style).1 else {
             report.push_note(format!(
                 "{}: no feasible design point — increase the code search space",
                 style.label()
@@ -292,7 +275,6 @@ fn stats_row(style: RoStyle, age_years: f64, faults: &str, stats: &BenchStats) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::exp2;
     use aro_serve::HealthState;
 
     fn tiny_cfg() -> SimConfig {
@@ -302,11 +284,7 @@ mod tests {
     }
 
     fn tiny_generator(cfg: &SimConfig) -> KeyGenerator {
-        let timeline = exp2::flip_timeline(cfg, RoStyle::AgingResistant);
-        let ber = timeline.final_quantile(0.99);
-        let params = puf_area_params(RoStyle::AgingResistant, 5);
-        KeyGenerator::for_bit_error_rate(ber, cfg.key_bits, cfg.key_fail_target, &params)
-            .expect("feasible")
+        provision(cfg, RoStyle::AgingResistant).1.expect("feasible")
     }
 
     #[test]

@@ -32,8 +32,26 @@ impl Drop for Cleanup {
 /// rebuilds (real and phantom), BTI applies, HCI applies. exp16 exercises
 /// every kernel-cache path: faulted soft reads under excursions, snapshot
 /// replays and preloaded phantom kernels. A change to the cache key, its
-/// eviction rule or the phantom bookkeeping moves these.
-const PINNED_WORK: [(&str, [(&str, u64); 3]); 2] = [
+/// eviction rule or the phantom bookkeeping moves these. exp8 and exp15
+/// pin the key bench: each fabricates, enrolls, ages and reads its own
+/// chips when run alone.
+const PINNED_WORK: [(&str, [(&str, u64); 3]); 4] = [
+    (
+        "exp8",
+        [
+            ("circuit.kernel_rebuilds", 161_320),
+            ("device.bti_applies", 969_300),
+            ("device.hci_applies", 548_400),
+        ],
+    ),
+    (
+        "exp15",
+        [
+            ("circuit.kernel_rebuilds", 405_626),
+            ("device.bti_applies", 2_932_800),
+            ("device.hci_applies", 1_641_540),
+        ],
+    ),
     (
         "exp2",
         [

@@ -14,7 +14,8 @@
 //!   `docs/ROBUSTNESS.md`).
 //! * [`serve`] — the fault-tolerant fleet authentication service
 //!   (`repro serve-bench`, see `docs/ROBUSTNESS.md`).
-//! * [`sim`] — the EXP-1..EXP-18 paper experiments.
+//! * [`sim`] — the EXP-1..EXP-19 paper experiments and the
+//!   `serve-bench` mode.
 //! * [`ledger`] — the crash-safe run journal behind `repro --ledger` /
 //!   `--resume` and the `repro report` analyses (see
 //!   `docs/OBSERVABILITY.md`).
