@@ -66,10 +66,7 @@ impl CliError {
         }
     }
 
-    fn io<'a>(
-        what: &'static str,
-        path: &'a Path,
-    ) -> impl FnOnce(std::io::Error) -> CliError + 'a {
+    fn io<'a>(what: &'static str, path: &'a Path) -> impl FnOnce(std::io::Error) -> CliError + 'a {
         move |source| CliError::Io {
             what,
             path: path.to_path_buf(),
@@ -380,7 +377,9 @@ fn run(opts: &Options) -> Result<i32, CliError> {
     // counter deltas (incl. the faults.* tallies). Instrumentation never
     // writes to stdout: spans and metrics leave only through the sink.
     let mut ledger = match (&opts.ledger, &opts.resume) {
-        (Some(path), None) => Some(Ledger::create(path).map_err(CliError::io("create ledger", path))?),
+        (Some(path), None) => {
+            Some(Ledger::create(path).map_err(CliError::io("create ledger", path))?)
+        }
         (None, Some(path)) => Some(Ledger::open(path).map_err(CliError::io("open ledger", path))?),
         _ => None,
     };
@@ -506,7 +505,11 @@ fn run(opts: &Options) -> Result<i32, CliError> {
 }
 
 fn main() {
-    let args: Vec<String> = match std::env::args_os().skip(1).map(OsString::into_string).collect() {
+    let args: Vec<String> = match std::env::args_os()
+        .skip(1)
+        .map(OsString::into_string)
+        .collect()
+    {
         Ok(args) => args,
         Err(arg) => {
             eprintln!("repro: argument {arg:?} is not valid UTF-8\n\n{}", usage());

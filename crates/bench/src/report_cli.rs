@@ -125,7 +125,11 @@ fn run_profile(args: &[String]) -> i32 {
                 };
                 match value.parse() {
                     Ok(k) if k > 0 => top = k,
-                    _ => return fail_usage(&format!("--top expects a positive integer, got `{value}`")),
+                    _ => {
+                        return fail_usage(&format!(
+                            "--top expects a positive integer, got `{value}`"
+                        ))
+                    }
                 }
             }
             other if !other.starts_with('-') && path.is_none() => {

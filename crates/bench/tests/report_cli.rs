@@ -82,7 +82,10 @@ fn report_health_is_byte_identical_across_thread_counts_and_reruns() {
         text.contains("Per-experiment health"),
         "ledger records must contribute per-experiment stats:\n{text}"
     );
-    assert!(text.contains("puf.ber"), "exp2 must feed the BER sketch:\n{text}");
+    assert!(
+        text.contains("puf.ber"),
+        "exp2 must feed the BER sketch:\n{text}"
+    );
 
     assert_eq!(at1, at2, "--threads 1 vs 2 must render identical health");
     assert_eq!(at2, at8, "--threads 2 vs 8 must render identical health");
@@ -135,7 +138,10 @@ fn report_trace_exports_valid_chrome_trace_json() {
     };
     assert!(!events.is_empty(), "a quick run must produce span events");
     for event in events {
-        let ph = event.get("ph").and_then(Value::as_str).expect("event phase");
+        let ph = event
+            .get("ph")
+            .and_then(Value::as_str)
+            .expect("event phase");
         assert!(matches!(ph, "X" | "i"), "unexpected phase {ph}");
         assert!(event.get("name").and_then(Value::as_str).is_some());
         assert!(event.get("ts").and_then(Value::as_f64).is_some());
@@ -270,7 +276,10 @@ fn report_incidents_and_slo_are_byte_identical_across_thread_counts() {
         "report incidents failed: {}",
         String::from_utf8_lossy(&inc1.stderr)
     );
-    assert_eq!(inc1.stdout, inc4.stdout, "incidents must not depend on --threads");
+    assert_eq!(
+        inc1.stdout, inc4.stdout,
+        "incidents must not depend on --threads"
+    );
     let text = String::from_utf8_lossy(&inc1.stdout);
     assert!(text.contains("Incident report"), "{text}");
     assert!(text.contains("Top root causes"), "{text}");
@@ -306,7 +315,10 @@ fn report_incidents_and_slo_are_byte_identical_across_thread_counts() {
     ]);
     assert_eq!(tight.status.code(), Some(0));
     let tight_text = String::from_utf8_lossy(&tight.stdout);
-    assert!(tight_text.contains("availability ≥ 99.90 %"), "{tight_text}");
+    assert!(
+        tight_text.contains("availability ≥ 99.90 %"),
+        "{tight_text}"
+    );
     assert!(tight_text.contains("p99 ≤ 200 µs"), "{tight_text}");
 
     for dir in [dir1, dir4] {
@@ -317,7 +329,11 @@ fn report_incidents_and_slo_are_byte_identical_across_thread_counts() {
 #[test]
 fn audit_flag_requires_telemetry() {
     let out = repro(&["--quick", "--audit", "exp18"]);
-    assert_eq!(out.status.code(), Some(2), "--audit without --telemetry is a usage error");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "--audit without --telemetry is a usage error"
+    );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--telemetry"), "{err}");
 }
@@ -378,7 +394,11 @@ fn report_health_and_trace_reject_bad_inputs() {
     let out = repro(&["report", "trace", "a", "b"]);
     assert_eq!(out.status.code(), Some(2), "trace takes exactly one path");
     let out = repro(&["report", "incidents", "a", "b"]);
-    assert_eq!(out.status.code(), Some(2), "incidents takes exactly one path");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "incidents takes exactly one path"
+    );
     let out = repro(&["report", "slo", "a", "--window", "0"]);
     assert_eq!(out.status.code(), Some(2), "--window 0 is a usage error");
     let _ = std::fs::remove_dir_all(dir);

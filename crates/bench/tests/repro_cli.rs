@@ -113,7 +113,12 @@ fn quick_run_emits_telemetry() {
         telemetry.to_str().unwrap(),
         "--quiet",
     ]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(out.stdout.is_empty(), "--quiet must silence the report");
 
     let jsonl = std::fs::read_to_string(&telemetry).expect("telemetry written");
@@ -134,7 +139,11 @@ fn removed_wall_time_capture_and_trajectory_are_usage_errors() {
 
 #[test]
 fn removed_flags_are_unknown_options() {
-    for removed in [&["--max-retries", "1"][..], &["--watchdog", "5"], &["--metrics"]] {
+    for removed in [
+        &["--max-retries", "1"][..],
+        &["--watchdog", "5"],
+        &["--metrics"],
+    ] {
         let flag = removed[0];
         let out = repro(&[removed, &["--list"]].concat());
         assert_eq!(out.status.code(), Some(2), "{flag}");
@@ -146,7 +155,12 @@ fn removed_flags_are_unknown_options() {
 #[test]
 fn telemetry_never_changes_stdout() {
     let plain = repro(&["--quick", "exp2"]);
-    assert_eq!(plain.status.code(), Some(0), "{}", String::from_utf8_lossy(&plain.stderr));
+    assert_eq!(
+        plain.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&plain.stderr)
+    );
     for threads in ["1", "4"] {
         let telemetry = temp_path(&format!("stdout_{threads}.jsonl"));
         let out = repro(&[
@@ -157,7 +171,12 @@ fn telemetry_never_changes_stdout() {
             "--telemetry",
             telemetry.to_str().unwrap(),
         ]);
-        assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         assert!(
             out.stdout == plain.stdout,
             "--threads {threads}: --telemetry changed stdout:\n{}",
@@ -171,7 +190,9 @@ fn telemetry_never_changes_stdout() {
             .collect();
         for wanted in ["span_open", "span_close", "counter"] {
             assert!(
-                events.iter().any(|e| e.get("event").and_then(Value::as_str) == Some(wanted)),
+                events
+                    .iter()
+                    .any(|e| e.get("event").and_then(Value::as_str) == Some(wanted)),
                 "--threads {threads}: no {wanted} event in the capture"
             );
         }

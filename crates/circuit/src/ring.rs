@@ -98,8 +98,16 @@ impl IdleStressBatch {
         Self {
             style,
             duration_s,
-            nbti: BtiBatch::new(models.nbti.time_exp(), models.nbti.k_eff(&interval), duration_s),
-            pbti: BtiBatch::new(models.pbti.time_exp(), models.pbti.k_eff(&interval), duration_s),
+            nbti: BtiBatch::new(
+                models.nbti.time_exp(),
+                models.nbti.k_eff(&interval),
+                duration_s,
+            ),
+            pbti: BtiBatch::new(
+                models.pbti.time_exp(),
+                models.pbti.k_eff(&interval),
+                duration_s,
+            ),
         }
     }
 }
@@ -125,12 +133,19 @@ impl ActiveStressBatch {
     /// Prefactors one oscillation interval under `env`.
     #[must_use]
     pub fn new(models: &AgingModels, env: &Environment, duration_s: f64) -> Self {
-        let interval =
-            StressInterval::oscillating(duration_s, env.temp_celsius(), env.vdd());
+        let interval = StressInterval::oscillating(duration_s, env.temp_celsius(), env.vdd());
         Self {
             duration_s,
-            nbti: BtiBatch::new(models.nbti.time_exp(), models.nbti.k_eff(&interval), duration_s),
-            pbti: BtiBatch::new(models.pbti.time_exp(), models.pbti.k_eff(&interval), duration_s),
+            nbti: BtiBatch::new(
+                models.nbti.time_exp(),
+                models.nbti.k_eff(&interval),
+                duration_s,
+            ),
+            pbti: BtiBatch::new(
+                models.pbti.time_exp(),
+                models.pbti.k_eff(&interval),
+                duration_s,
+            ),
             hci_factor: models.hci.equivalent_cycle_factor(env.vdd()),
         }
     }
@@ -923,7 +938,10 @@ mod tests {
         ro.restore_wear_levels(&levels, epoch);
         assert_eq!(ro, pristine);
         assert_eq!(ro.wear_epoch(), epoch);
-        assert_eq!(ro.frequency(&tech, &env, &chip).to_bits(), aged_freq.to_bits());
+        assert_eq!(
+            ro.frequency(&tech, &env, &chip).to_bits(),
+            aged_freq.to_bits()
+        );
     }
 
     #[test]
@@ -953,9 +971,7 @@ mod tests {
             let mut rng_b = SeedDomain::new(46).rng(0);
             let make = |rng: &mut _| {
                 (0..4)
-                    .map(|_| {
-                        RingOscillator::new(style, 5, DiePosition::new(0.5, 0.5), &tech, rng)
-                    })
+                    .map(|_| RingOscillator::new(style, 5, DiePosition::new(0.5, 0.5), &tech, rng))
                     .collect::<Vec<_>>()
             };
             let mut solo = make(&mut rng_a);

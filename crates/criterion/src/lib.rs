@@ -54,7 +54,10 @@ fn run_one(id: &str, bench_mode: bool, sample_size: usize, f: &mut dyn FnMut(&mu
     f(&mut b);
     match b.median() {
         Some(med) if bench_mode => {
-            println!("{id:<40} median {med:>12.3?} over {} samples", b.samples.len());
+            println!(
+                "{id:<40} median {med:>12.3?} over {} samples",
+                b.samples.len()
+            );
         }
         Some(_) => println!("{id:<40} ok (smoke)"),
         None => println!("{id:<40} no samples recorded"),
@@ -118,7 +121,12 @@ impl BenchmarkGroup<'_> {
         mut f: F,
     ) -> &mut Self {
         let full = format!("{}/{}", self.name, id.as_ref());
-        run_one(&full, self.parent.bench_mode, self.parent.sample_size, &mut f);
+        run_one(
+            &full,
+            self.parent.bench_mode,
+            self.parent.sample_size,
+            &mut f,
+        );
         self
     }
 

@@ -426,10 +426,7 @@ mod tests {
         let one = replicated_helper_ge(&spec, 1);
         assert_eq!(one, spec.raw_bits as f64 * GE_NVM_BIT);
         assert_eq!(replicated_helper_ge(&spec, 3), 3.0 * one);
-        assert_eq!(
-            replicated_total_ge(&spec, 2),
-            spec.total_ge() + 2.0 * one
-        );
+        assert_eq!(replicated_total_ge(&spec, 2), spec.total_ge() + 2.0 * one);
     }
 
     #[test]

@@ -398,7 +398,10 @@ mod tests {
     #[test]
     fn all_erasure_group_ties_to_zero() {
         let group = vec![SoftBit::erasure(true); 5];
-        assert!(!soft_majority(&group), "tie resolves to 0, like the comparator");
+        assert!(
+            !soft_majority(&group),
+            "tie resolves to 0, like the comparator"
+        );
     }
 
     #[test]

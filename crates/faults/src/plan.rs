@@ -263,7 +263,10 @@ mod tests {
         assert_eq!(wild.glitch_prob, 1.0);
         // Magnitudes are untouched by intensity.
         assert_eq!(wild.temp_spike_c, FaultPlan::storm().temp_spike_c);
-        assert_eq!(wild.noise_burst_factor, FaultPlan::storm().noise_burst_factor);
+        assert_eq!(
+            wild.noise_burst_factor,
+            FaultPlan::storm().noise_burst_factor
+        );
     }
 
     #[test]

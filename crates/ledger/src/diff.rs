@@ -53,9 +53,10 @@ impl WallSet {
 pub fn load_wall_set(path: &Path) -> Result<WallSet, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let label = path
-        .file_name()
-        .map_or_else(|| path.display().to_string(), |n| n.to_string_lossy().into_owned());
+    let label = path.file_name().map_or_else(
+        || path.display().to_string(),
+        |n| n.to_string_lossy().into_owned(),
+    );
     let (records, _skipped) = parse_records(&text);
     if records.is_empty() {
         return Err(format!(
@@ -73,11 +74,7 @@ pub fn load_wall_set(path: &Path) -> Result<WallSet, String> {
         }
         // Latest record wins, keeping first-seen order (a resumed run may
         // append a re-run of an experiment recorded earlier).
-        if let Some(slot) = set
-            .experiments
-            .iter_mut()
-            .find(|(id, _)| *id == record.id)
-        {
+        if let Some(slot) = set.experiments.iter_mut().find(|(id, _)| *id == record.id) {
             slot.1 = record.wall_ns;
         } else {
             set.experiments.push((record.id.clone(), record.wall_ns));
@@ -338,7 +335,15 @@ impl DiffReport {
         if !self.health_deltas.is_empty() {
             let mut drift = MdTable::new(
                 "Health drift — streaming-summary percentiles that changed",
-                &["experiment", "metric", "old p1", "new p1", "old p99", "new p99", "verdict"],
+                &[
+                    "experiment",
+                    "metric",
+                    "old p1",
+                    "new p1",
+                    "old p99",
+                    "new p99",
+                    "verdict",
+                ],
             );
             for delta in &self.health_deltas {
                 drift.push_row(vec![
@@ -502,7 +507,10 @@ mod tests {
         let report = diff(&old, &new, 0.2);
         assert!(!report.has_regression());
         let verdicts: Vec<Verdict> = report.rows.iter().map(|r| r.verdict).collect();
-        assert_eq!(verdicts, vec![Verdict::Ok, Verdict::Removed, Verdict::Added]);
+        assert_eq!(
+            verdicts,
+            vec![Verdict::Ok, Verdict::Removed, Verdict::Added]
+        );
         let md = report.to_markdown();
         assert!(md.contains("added"));
         assert!(md.contains("removed"));
@@ -527,7 +535,10 @@ mod tests {
         let report = diff(&old, &new, 0.2);
         assert_eq!(report.metric_deltas.len(), 2);
         assert!(report.to_markdown().contains("Metric drift"));
-        assert!(!report.has_regression(), "metric drift is not a wall regression");
+        assert!(
+            !report.has_regression(),
+            "metric drift is not a wall regression"
+        );
     }
 
     #[test]

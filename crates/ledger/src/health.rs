@@ -56,8 +56,12 @@ impl HealthStat {
     /// Appends the JSON object form (`{"count":…,"mean":…,…}`).
     pub fn jsonl_into(&self, line: &mut String) {
         let _ = write!(line, "{{\"count\":{}", self.count);
-        for (key, v) in [("mean", self.mean), ("p01", self.p01), ("p50", self.p50), ("p99", self.p99)]
-        {
+        for (key, v) in [
+            ("mean", self.mean),
+            ("p01", self.p01),
+            ("p50", self.p50),
+            ("p99", self.p99),
+        ] {
             let _ = write!(line, ",\"{key}\":");
             json::number_into(line, v);
         }
@@ -159,7 +163,9 @@ impl HealthReport {
         if !self.sketches.is_empty() {
             let mut fleet = MdTable::new(
                 format!("Fleet health — streaming percentiles ({})", self.label),
-                &["metric", "count", "mean", "stddev", "p1", "p50", "p99", "max"],
+                &[
+                    "metric", "count", "mean", "stddev", "p1", "p50", "p99", "max",
+                ],
             );
             for (name, s) in &self.sketches {
                 fleet.push_row(vec![
@@ -227,7 +233,11 @@ impl HealthReport {
     /// The cache-effectiveness table, when any cache counter is present.
     fn cache_table(&self) -> Option<MdTable> {
         let caches = [
-            ("population cache", "sim.popcache_hits", "sim.popcache_misses"),
+            (
+                "population cache",
+                "sim.popcache_hits",
+                "sim.popcache_misses",
+            ),
             (
                 "timeline cache",
                 "sim.popcache_timeline_hits",
@@ -400,8 +410,16 @@ mod tests {
                 .find(|cells| cells.get(1) == Some(&name))
                 .map(|cells| cells[2].to_string())
         };
-        assert_eq!(counter_value("sim.popcache_hits").as_deref(), Some("9"), "{md}");
-        assert_eq!(counter_value("sim.popcache_misses").as_deref(), Some("3"), "{md}");
+        assert_eq!(
+            counter_value("sim.popcache_hits").as_deref(),
+            Some("9"),
+            "{md}"
+        );
+        assert_eq!(
+            counter_value("sim.popcache_misses").as_deref(),
+            Some("3"),
+            "{md}"
+        );
         assert!(md.contains("skipped 1 non-JSON line(s)"));
     }
 

@@ -591,7 +591,9 @@ impl Incidents {
                     ),
                 };
             }
-            if !scope.health.is_empty() || !scope.store_health.is_empty() || !scope.scrubs.is_empty()
+            if !scope.health.is_empty()
+                || !scope.store_health.is_empty()
+                || !scope.scrubs.is_empty()
             {
                 out.push('\n');
             }
@@ -614,7 +616,11 @@ impl Incidents {
                     let _ = writeln!(out, "- {}", Self::describe_attempt(attempt));
                 }
                 if let Some(faults) = self.device_fault_summary(request.device) {
-                    let _ = writeln!(out, "- injected faults on device {}: {faults}", request.device);
+                    let _ = writeln!(
+                        out,
+                        "- injected faults on device {}: {faults}",
+                        request.device
+                    );
                 }
                 let followup = scope
                     .reenrolls
@@ -764,7 +770,10 @@ mod tests {
         assert!(request.attempts[0].timed_out);
         assert_eq!(request.attempts[1].distance, Some(0.375));
         assert!(request.quarantined);
-        assert_eq!(request.root_cause(), "margin erosion (distance past threshold)");
+        assert_eq!(
+            request.root_cause(),
+            "margin erosion (distance past threshold)"
+        );
         assert_eq!(scope.health.len(), 1);
         assert_eq!(scope.store_health.len(), 1);
         assert_eq!(scope.store_health[0].1, "quorum-critical");
@@ -772,9 +781,15 @@ mod tests {
         assert_eq!(scope.scrubs[0].outcome, "read_repair");
         assert_eq!(scope.scrubs[1].outcome, "unrecoverable");
         assert_eq!(scope.reenrolls[0].outcome, "readmitted");
-        assert_eq!(scope.reenrolls[0].generation, 2, "repair lineage is carried");
+        assert_eq!(
+            scope.reenrolls[0].generation, 2,
+            "repair lineage is carried"
+        );
         assert_eq!(incidents.fault_totals.get("env_excursion"), Some(&2));
-        assert_eq!(incidents.device_fault_summary(3).as_deref(), Some("env_excursion×2"));
+        assert_eq!(
+            incidents.device_fault_summary(3).as_deref(),
+            Some("env_excursion×2")
+        );
         assert_eq!(incidents.device_fault_summary(4), None);
     }
 

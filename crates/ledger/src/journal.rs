@@ -85,7 +85,8 @@ impl Ledger {
 
     fn index(&mut self, record: LedgerRecord) {
         if record.status == RecordStatus::Success {
-            self.successes.insert(record.fingerprint, self.records.len());
+            self.successes
+                .insert(record.fingerprint, self.records.len());
         }
         self.records.push(record);
     }
@@ -156,9 +157,7 @@ pub fn parse_records(text: &str) -> (Vec<LedgerRecord>, usize) {
             Ok(value) => {
                 if let Some(record) = LedgerRecord::from_json(&value) {
                     records.push(record);
-                } else if value.get("event").and_then(json::Value::as_str)
-                    == Some("experiment")
-                {
+                } else if value.get("event").and_then(json::Value::as_str) == Some("experiment") {
                     // An experiment line missing required fields: debris.
                     skipped += 1;
                 }
@@ -202,7 +201,9 @@ mod tests {
         let path = temp_path("roundtrip");
         {
             let mut ledger = Ledger::create(&path).unwrap();
-            ledger.append_raw_event(r#"{"event":"ledger_open","schema":"aro-ledger-v1"}"#).unwrap();
+            ledger
+                .append_raw_event(r#"{"event":"ledger_open","schema":"aro-ledger-v1"}"#)
+                .unwrap();
             ledger.append(&record(1, "exp1")).unwrap();
             ledger.append(&record(2, "exp2")).unwrap();
         }
@@ -243,8 +244,7 @@ mod tests {
         // Appending after the seal produces a parseable journal.
         reopened.append(&record(2, "exp2")).unwrap();
         drop(reopened);
-        let (records, skipped) =
-            parse_records(&std::fs::read_to_string(&path).unwrap());
+        let (records, skipped) = parse_records(&std::fs::read_to_string(&path).unwrap());
         assert_eq!(records.len(), 2);
         assert_eq!(skipped, 1);
         std::fs::remove_file(&path).unwrap();

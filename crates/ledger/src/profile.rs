@@ -49,10 +49,7 @@ impl Profile {
             }
             Some("span_close") => {
                 if let Some((thread, name)) = fields() {
-                    let dur_ns = value
-                        .get("dur_ns")
-                        .and_then(Value::as_u64)
-                        .unwrap_or(0);
+                    let dur_ns = value.get("dur_ns").and_then(Value::as_u64).unwrap_or(0);
                     self.agg.close(thread, name, u128::from(dur_ns));
                     self.closes += 1;
                 }
@@ -118,7 +115,10 @@ impl Profile {
             self.closes
         ));
         if self.skipped_lines > 0 {
-            out.push_str(&format!(" ({} unparsable lines skipped)", self.skipped_lines));
+            out.push_str(&format!(
+                " ({} unparsable lines skipped)",
+                self.skipped_lines
+            ));
         }
         out.push('\n');
         out
@@ -194,15 +194,16 @@ mod tests {
         assert!(ranking.contains("top 2"));
         assert!(ranking.contains("| 1    | hot"), "{ranking}");
         assert!(ranking.contains("| 2    | warm"), "{ranking}");
-        assert!(!ranking.contains("cold"), "cold is cut by top-k in the ranking");
+        assert!(
+            !ranking.contains("cold"),
+            "cold is cut by top-k in the ranking"
+        );
     }
 
     #[test]
     fn profile_file_rejects_span_free_captures() {
-        let path = std::env::temp_dir().join(format!(
-            "aro-profile-test-{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("aro-profile-test-{}.jsonl", std::process::id()));
         std::fs::write(&path, "{\"event\":\"metric\"}\n").unwrap();
         assert!(profile_file(&path).is_err());
         std::fs::write(&path, format!("{}\n{}\n", open("run"), close("run", 7))).unwrap();

@@ -294,8 +294,7 @@ mod tests {
             p50: 0.01,
             p99: 0.05,
         };
-        let record = sample_success()
-            .with_health(BTreeMap::from([("puf.ber".to_string(), stat)]));
+        let record = sample_success().with_health(BTreeMap::from([("puf.ber".to_string(), stat)]));
         let line = record.to_jsonl();
         assert!(line.contains("\"health\""));
         let back = LedgerRecord::from_json(&json::parse(&line).unwrap()).unwrap();
@@ -331,8 +330,7 @@ mod tests {
     fn report_bytes_survive_escaping() {
         let mut record = sample_success();
         record.report_md = Some("pipes | and\nnewlines\tand \"quotes\"\\".to_string());
-        let back =
-            LedgerRecord::from_json(&json::parse(&record.to_jsonl()).unwrap()).unwrap();
+        let back = LedgerRecord::from_json(&json::parse(&record.to_jsonl()).unwrap()).unwrap();
         assert_eq!(back.report_md, record.report_md);
     }
 }

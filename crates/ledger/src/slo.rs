@@ -162,7 +162,11 @@ impl SloReport {
                 events: Vec::new(),
             });
         }
-        self.scopes.last_mut().expect("pushed above").events.push(event);
+        self.scopes
+            .last_mut()
+            .expect("pushed above")
+            .events
+            .push(event);
     }
 
     /// Whether the capture carried any scoreable events.
@@ -219,7 +223,10 @@ impl SloReport {
             .iter()
             .filter(|w| w.burn_rate(policy.availability) > 1.0)
             .count();
-        let latency_breaches = windows.iter().filter(|w| w.p99_us > policy.latency_p99_us).count();
+        let latency_breaches = windows
+            .iter()
+            .filter(|w| w.p99_us > policy.latency_p99_us)
+            .count();
         let worst_burn = windows
             .iter()
             .map(|w| w.burn_rate(policy.availability))
@@ -236,7 +243,9 @@ impl SloReport {
         out.push('\n');
         let mut table = MdTable::new(
             "Availability & latency burn per window",
-            &["scope", "win", "req", "avail", "burn", "p50 µs", "p99 µs", "slo"],
+            &[
+                "scope", "win", "req", "avail", "burn", "p50 µs", "p99 µs", "slo",
+            ],
         );
         for w in &windows {
             let burn = w.burn_rate(policy.availability);
@@ -290,8 +299,9 @@ mod tests {
     use super::*;
 
     fn capture(verdicts: &[(&str, u64)], sheds: usize) -> String {
-        let mut text =
-            String::from("{\"event\":\"audit\",\"stage\":\"scope\",\"seq\":0,\"trial\":1,\"label\":\"cell\"}\n");
+        let mut text = String::from(
+            "{\"event\":\"audit\",\"stage\":\"scope\",\"seq\":0,\"trial\":1,\"label\":\"cell\"}\n",
+        );
         for (i, (verdict, us)) in verdicts.iter().enumerate() {
             let _ = writeln!(
                 text,
@@ -340,7 +350,10 @@ mod tests {
         assert_eq!(w.requests, 8);
         assert_eq!(w.errors, 2, "timeout + shed, not the rejects");
         assert!((w.availability() - 0.75).abs() < 1e-12);
-        assert!((w.burn_rate(0.99) - 25.0).abs() < 1e-9, "25× the 1 % budget");
+        assert!(
+            (w.burn_rate(0.99) - 25.0).abs() < 1e-9,
+            "25× the 1 % budget"
+        );
         // Same floor-indexed order statistic as serve-bench: with 7
         // served samples, index (7-1)*99/100 = 5 → 150 (the 900 µs
         // timeout only surfaces at larger window populations).

@@ -256,9 +256,15 @@ mod tests {
         assert_eq!(events[0].get("dur").and_then(Value::as_f64), Some(3.0));
         let fault = &events[2];
         assert_eq!(fault.get("ph").and_then(Value::as_str), Some("i"));
-        assert_eq!(fault.get("name").and_then(Value::as_str), Some("fault:dead_ro"));
         assert_eq!(
-            fault.get("args").and_then(|a| a.get("chip")).and_then(Value::as_u64),
+            fault.get("name").and_then(Value::as_str),
+            Some("fault:dead_ro")
+        );
+        assert_eq!(
+            fault
+                .get("args")
+                .and_then(|a| a.get("chip"))
+                .and_then(Value::as_u64),
             Some(7)
         );
     }
@@ -287,9 +293,20 @@ mod tests {
         };
         assert_eq!(events.len(), 3);
         let auth = &events[0];
-        assert_eq!(auth.get("name").and_then(Value::as_str), Some("auth:rejected"));
-        assert_eq!(auth.get("pid").and_then(Value::as_u64), Some(1), "audit track is pid 1");
-        assert_eq!(auth.get("tid").and_then(Value::as_u64), Some(3), "one lane per device");
+        assert_eq!(
+            auth.get("name").and_then(Value::as_str),
+            Some("auth:rejected")
+        );
+        assert_eq!(
+            auth.get("pid").and_then(Value::as_u64),
+            Some(1),
+            "audit track is pid 1"
+        );
+        assert_eq!(
+            auth.get("tid").and_then(Value::as_u64),
+            Some(3),
+            "one lane per device"
+        );
         assert_eq!(auth.get("ts").and_then(Value::as_f64), Some(105.0));
         assert!(doc.contains("health:healthy→degraded"), "{doc}");
     }

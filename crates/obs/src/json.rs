@@ -152,12 +152,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Str
     }
 }
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    lit: &str,
-    value: Value,
-) -> Result<Value, String> {
+fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
@@ -171,7 +166,8 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len() && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+    while *pos < bytes.len()
+        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
     {
         *pos += 1;
     }
@@ -302,7 +298,9 @@ mod tests {
         assert_eq!(v.get("dur_ns").and_then(Value::as_u64), Some(1234));
         assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
         assert_eq!(
-            v.get("nested").and_then(|n| n.get("x")).and_then(Value::as_f64),
+            v.get("nested")
+                .and_then(|n| n.get("x"))
+                .and_then(Value::as_f64),
             Some(-1500.0)
         );
         assert_eq!(v.get("none"), Some(&Value::Null));

@@ -350,7 +350,8 @@ mod tests {
     // threads; serialize the tests that touch it.
     fn lock() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
@@ -404,7 +405,9 @@ mod tests {
         }
         sketch_dyn(&String::from("hot.metric"), 1000.0);
         let snap = snapshot();
-        let folded = snap.sketch("hot.metric").expect("fast path must fold on read");
+        let folded = snap
+            .sketch("hot.metric")
+            .expect("fast path must fold on read");
         assert_eq!(folded.count(), 101);
         // The moment sums are exact; the median only to bucket resolution
         // (8 buckets/decade, lower-edge representative: 10^(13/8) ≈ 42.2).
@@ -415,7 +418,10 @@ mod tests {
         // A second read after more observations keeps accumulating rather
         // than double-counting the already-folded slots.
         sketch("hot.metric", 2.0);
-        assert_eq!(snapshot().sketch("hot.metric").map(Sketch::count), Some(102));
+        assert_eq!(
+            snapshot().sketch("hot.metric").map(Sketch::count),
+            Some(102)
+        );
 
         set_enabled(false);
         reset();
@@ -539,10 +545,22 @@ mod tests {
             .collect();
         assert_eq!(
             kinds,
-            ["span_open", "span_open", "span_close", "span_close", "counter"]
+            [
+                "span_open",
+                "span_open",
+                "span_close",
+                "span_close",
+                "counter"
+            ]
         );
         // Inner closes before outer; depths mirror.
-        assert_eq!(events[1].get("depth").and_then(json::Value::as_u64), Some(2));
-        assert_eq!(events[3].get("depth").and_then(json::Value::as_u64), Some(1));
+        assert_eq!(
+            events[1].get("depth").and_then(json::Value::as_u64),
+            Some(2)
+        );
+        assert_eq!(
+            events[3].get("depth").and_then(json::Value::as_u64),
+            Some(1)
+        );
     }
 }

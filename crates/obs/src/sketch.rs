@@ -263,7 +263,11 @@ impl Sketch {
         if self.count == 0 {
             return 0.0;
         }
-        #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        #[allow(
+            clippy::cast_precision_loss,
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss
+        )]
         let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).clamp(1, self.count);
         let clamp = |v: f64| {
             if self.min.is_finite() {
@@ -307,8 +311,15 @@ impl Sketch {
             out,
             "sketch {name} count={} sum_fp={} sumsq_fp={} min={:?} max={:?} \
              neg={} zero={} low={} high={} buckets={sparse:?}",
-            self.count, self.sum_fp, self.sumsq_fp, self.min, self.max, self.neg, self.zero,
-            self.low, self.high,
+            self.count,
+            self.sum_fp,
+            self.sumsq_fp,
+            self.min,
+            self.max,
+            self.neg,
+            self.zero,
+            self.low,
+            self.high,
         );
     }
 

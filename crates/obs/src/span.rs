@@ -73,7 +73,11 @@ impl Span {
             let ts = epoch().elapsed().as_nanos();
             let mut line = String::from("{\"event\":\"span_open\",\"name\":");
             json::escape_into(&mut line, name);
-            let _ = write!(line, ",\"thread\":{},\"depth\":{depth},\"ts_ns\":{ts}", thread_id());
+            let _ = write!(
+                line,
+                ",\"thread\":{},\"depth\":{depth},\"ts_ns\":{ts}",
+                thread_id()
+            );
             line.push('}');
             sink::write_line(&line);
         }
@@ -177,7 +181,9 @@ pub struct SpanAgg {
 
 impl std::fmt::Debug for AggFrame {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AggFrame").field("name", &self.name).finish()
+        f.debug_struct("AggFrame")
+            .field("name", &self.name)
+            .finish()
     }
 }
 

@@ -220,7 +220,9 @@ mod tests {
 
     #[test]
     fn par_build_matches_sequential_build() {
-        let seq: Vec<u64> = (0..97).map(|i| (i as u64).wrapping_mul(0x9e3779b9)).collect();
+        let seq: Vec<u64> = (0..97)
+            .map(|i| (i as u64).wrapping_mul(0x9e3779b9))
+            .collect();
         for t in [0, 1, 2, 8] {
             set_thread_override(t);
             let par = par_build(97, |i| (i as u64).wrapping_mul(0x9e3779b9));

@@ -346,8 +346,8 @@ pub mod prelude {
     //! Everything a property-test file needs.
 
     pub use crate::{
-        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_compose, prop_oneof, proptest,
-        Just, ProptestConfig, Strategy,
+        any, prop_assert, prop_assert_eq, prop_assert_ne, prop_compose, prop_oneof, proptest, Just,
+        ProptestConfig, Strategy,
     };
 
     pub mod prop {

@@ -268,7 +268,10 @@ mod tests {
             let bogus = BitString::zeros(len);
             let outcome = db.decide(record, &bogus, 0.25);
             assert!(!outcome.accepted, "length {len} must reject");
-            assert_eq!(outcome.distance, 1.0, "length {len} rejects at worst distance");
+            assert_eq!(
+                outcome.distance, 1.0,
+                "length {len} rejects at worst distance"
+            );
         }
         // A well-formed answer still decides on distance.
         let honest = record.response().clone();

@@ -118,7 +118,13 @@ impl MissionProfile {
     pub fn age_chip(&self, chip: &mut Chip, design: &PufDesign, duration_s: f64) {
         let step = self.step(design, duration_s);
         chip.stress_active(design, &step.models, &step.env, step.active_s);
-        chip.stress_idle(design, &step.models, step.temp_celsius, step.vdd, step.idle_s);
+        chip.stress_idle(
+            design,
+            &step.models,
+            step.temp_celsius,
+            step.vdd,
+            step.idle_s,
+        );
         chip.add_age(step.duration_s);
     }
 }

@@ -68,7 +68,11 @@ struct StepTape {
 }
 
 impl StepTape {
-    fn new(events: Vec<TapEvent>, active_spans: Vec<(u32, u32)>, idle_spans: Vec<(u32, u32)>) -> Self {
+    fn new(
+        events: Vec<TapEvent>,
+        active_spans: Vec<(u32, u32)>,
+        idle_spans: Vec<(u32, u32)>,
+    ) -> Self {
         let mut agg_counters: Vec<(&'static str, u64)> = Vec::new();
         let mut agg_sketches: Vec<(&'static str, f64)> = Vec::new();
         for spans in [&active_spans, &idle_spans] {
@@ -76,9 +80,10 @@ impl StepTape {
                 for event in &events[start as usize..end as usize] {
                     match *event {
                         TapEvent::Counter(name, delta) => {
-                            match agg_counters.iter_mut().find(|(n, _)| {
-                                n.as_ptr() == name.as_ptr() && n.len() == name.len()
-                            }) {
+                            match agg_counters
+                                .iter_mut()
+                                .find(|(n, _)| n.as_ptr() == name.as_ptr() && n.len() == name.len())
+                            {
                                 Some(slot) => slot.1 += delta,
                                 None => agg_counters.push((name, delta)),
                             }
@@ -161,10 +166,7 @@ impl WearStore {
                     bti = Some(scratch.iter().map(|w| w.bti_dvth).collect());
                     true
                 }
-                Some(template) => template
-                    .iter()
-                    .zip(&scratch)
-                    .all(|(t, w)| *t == w.bti_dvth),
+                Some(template) => template.iter().zip(&scratch).all(|(t, w)| *t == w.bti_dvth),
             };
             if !(uniform_hci && uniform_bti) {
                 return Self::capture_dense(chip, covered);
@@ -195,7 +197,6 @@ impl WearStore {
         }
         Self::Dense(levels)
     }
-
 }
 
 /// One recorded aging step: everything needed to bring a chip that holds
@@ -241,7 +242,11 @@ pub fn age_step_recorded(
 ) -> AgedStepSnapshot {
     let step = profile.step(design, duration_s);
     let n = chip.ros().len();
-    let covered: Vec<bool> = chip.ros().iter().map(|ro| ro.health().is_healthy()).collect();
+    let covered: Vec<bool> = chip
+        .ros()
+        .iter()
+        .map(|ro| ro.health().is_healthy())
+        .collect();
     aro_obs::tap_begin();
     let mut active_spans = Vec::with_capacity(n);
     {
@@ -307,7 +312,11 @@ pub fn age_step_replayed(
 ) {
     let step = profile.step(design, duration_s);
     let n = chip.ros().len();
-    assert_eq!(snapshot.covered.len(), n, "snapshot recorded for another array");
+    assert_eq!(
+        snapshot.covered.len(),
+        n,
+        "snapshot recorded for another array"
+    );
     let fast: Vec<bool> = chip
         .ros()
         .iter()

@@ -321,7 +321,11 @@ pub fn emit_request(
     let mut line = String::with_capacity(160);
     write_head(&mut line, "verdict");
     write_req(&mut line, req);
-    let _ = write!(line, ",\"device\":{},\"verdict\":\"{verdict}\"", audit.probe_id);
+    let _ = write!(
+        line,
+        ",\"device\":{},\"verdict\":\"{verdict}\"",
+        audit.probe_id
+    );
     if let Some(d) = distance {
         line.push_str(",\"distance\":");
         json::number_into(&mut line, d);
@@ -450,7 +454,15 @@ mod tests {
     #[test]
     fn attempt_faults_any() {
         assert!(!AttemptFaults::default().any());
-        assert!(AttemptFaults { excursion: true, ..Default::default() }.any());
-        assert!(AttemptFaults { glitches: 2, ..Default::default() }.any());
+        assert!(AttemptFaults {
+            excursion: true,
+            ..Default::default()
+        }
+        .any());
+        assert!(AttemptFaults {
+            glitches: 2,
+            ..Default::default()
+        }
+        .any());
     }
 }

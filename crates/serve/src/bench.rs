@@ -153,10 +153,10 @@ pub fn run_bench(
     // meaning of the `negative` tally: denials for genuine traffic,
     // accepts for impostor traffic.
     let admit_round = |service: &mut AuthService,
-                           actions: &[Action],
-                           outcomes: &[Option<RequestOutcome>],
-                           latencies: &mut Vec<u64>,
-                           genuine: bool| {
+                       actions: &[Action],
+                       outcomes: &[Option<RequestOutcome>],
+                       latencies: &mut Vec<u64>,
+                       genuine: bool| {
         let mut shard_us = vec![0u64; service.store().n_shards()];
         let mut served = 0u64;
         let mut negative = 0u64;
@@ -169,8 +169,7 @@ pub fn run_bench(
                         negative += 1;
                     }
                     latencies.push(outcome.latency_us);
-                    shard_us[service.store().shard_of(outcome.target_id)] +=
-                        outcome.latency_us;
+                    shard_us[service.store().shard_of(outcome.target_id)] += outcome.latency_us;
                     service.admit(outcome, genuine);
                 }
                 _ => {}
@@ -193,20 +192,13 @@ pub fn run_bench(
             })
             .collect();
         let svc: &AuthService = service;
-        let outcomes: Vec<Option<RequestOutcome>> = aro_par::par_map_mut(fleet, |i, chip| {
-            match actions[i] {
+        let outcomes: Vec<Option<RequestOutcome>> =
+            aro_par::par_map_mut(fleet, |i, chip| match actions[i] {
                 Action::Probe(event_base) => Some(svc.probe(
-                    chip,
-                    i as u64,
-                    i as u64,
-                    event_base,
-                    ctx.design,
-                    ctx.env,
-                    inj,
+                    chip, i as u64, i as u64, event_base, ctx.design, ctx.env, inj,
                 )),
                 _ => None,
-            }
-        });
+            });
         let (served, denied, round_wall) =
             admit_round(service, &actions, &outcomes, &mut latencies, true);
         genuine_served += served;
@@ -257,8 +249,8 @@ pub fn run_bench(
                 })
                 .collect();
             let svc: &AuthService = service;
-            let outcomes: Vec<Option<RequestOutcome>> = aro_par::par_map_mut(fleet, |i, chip| {
-                match actions[i] {
+            let outcomes: Vec<Option<RequestOutcome>> =
+                aro_par::par_map_mut(fleet, |i, chip| match actions[i] {
                     Action::Probe(event_base) => Some(svc.probe(
                         chip,
                         i as u64,
@@ -269,8 +261,7 @@ pub fn run_bench(
                         inj,
                     )),
                     _ => None,
-                }
-            });
+                });
             let (served, accepted, round_wall) =
                 admit_round(service, &actions, &outcomes, &mut latencies, false);
             impostor_served += served;

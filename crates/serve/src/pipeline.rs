@@ -114,7 +114,13 @@ mod tests {
         let mut rng = SeedDomain::new(4).child("t").rng(0);
         let clean = latency.attempt_us(32, false, &mut rng);
         let slow = latency.attempt_us(32, true, &mut rng);
-        assert!(clean <= policy.attempt_timeout_us, "clean read fits: {clean}");
-        assert!(slow > policy.attempt_timeout_us, "excursion times out: {slow}");
+        assert!(
+            clean <= policy.attempt_timeout_us,
+            "clean read fits: {clean}"
+        );
+        assert!(
+            slow > policy.attempt_timeout_us,
+            "excursion times out: {slow}"
+        );
     }
 }

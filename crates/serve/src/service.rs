@@ -492,8 +492,8 @@ impl AuthService {
         // damaged siblings before it costs one store hop each.
         let served = summary.served.unwrap_or(0);
         let shard = self.store.replica_shard(target_id, served);
-        let read_latency_us = self.policy.latency.base_us
-            + u64::from(served) * self.policy.latency.replica_hop_us;
+        let read_latency_us =
+            self.policy.latency.base_us + u64::from(served) * self.policy.latency.replica_hop_us;
         let record = match read {
             ReadOutcome::Missing => {
                 return outcome(
@@ -522,7 +522,7 @@ impl AuthService {
                         wiped: summary.wiped,
                     },
                     Vec::new(),
-                )
+                );
             }
             ReadOutcome::Intact(record) => record,
         };
@@ -541,8 +541,15 @@ impl AuthService {
         for attempt in 0..self.policy.retry.max_attempts {
             let event = event_base + u64::from(attempt);
             let mut rng = self.domain.child("request").rng(slot(target_id, event));
-            let (soft, faults) =
-                faulted_read(chip, design, env, record.challenge_pairs(), inj, probe_id, event);
+            let (soft, faults) = faulted_read(
+                chip,
+                design,
+                env,
+                record.challenge_pairs(),
+                inj,
+                probe_id,
+                event,
+            );
             let answer: BitString = soft.iter().map(|s| s.value).collect();
             let cost = self
                 .policy
@@ -671,7 +678,10 @@ impl AuthService {
         }
         self.tallies.attempt_timeouts += u64::from(outcome.attempt_timeouts);
         if outcome.attempt_timeouts > 0 {
-            aro_obs::counter("serve.attempt_timeouts", u64::from(outcome.attempt_timeouts));
+            aro_obs::counter(
+                "serve.attempt_timeouts",
+                u64::from(outcome.attempt_timeouts),
+            );
         }
         if outcome.served_replica.is_some_and(|replica| replica > 0) {
             self.tallies.replica_fallbacks += 1;
@@ -729,7 +739,11 @@ impl AuthService {
             audit::emit_request(
                 trail,
                 outcome.target_id,
-                if maintenance_eligible { "genuine" } else { "impostor" },
+                if maintenance_eligible {
+                    "genuine"
+                } else {
+                    "impostor"
+                },
                 outcome.verdict.label(),
                 outcome.verdict.distance(),
                 routed,
@@ -828,9 +842,7 @@ impl AuthService {
     }
 
     fn push_health(&mut self, error: bool) {
-        if self.window.len() == self.policy.health_window
-            && self.window.pop_front() == Some(true)
-        {
+        if self.window.len() == self.policy.health_window && self.window.pop_front() == Some(true) {
             self.window_errors -= 1;
         }
         self.window.push_back(error);
@@ -893,7 +905,14 @@ impl AuthService {
         if self.state == HealthState::ReadOnly {
             self.tallies.reenroll_refusals += 1;
             aro_obs::counter("serve.reenroll_refused", 1);
-            audit::emit_reenroll(target_id, event_base, "refused_read_only", 0, 0, self.clock_us);
+            audit::emit_reenroll(
+                target_id,
+                event_base,
+                "refused_read_only",
+                0,
+                0,
+                self.clock_us,
+            );
             return false;
         }
         let _span = aro_obs::span("serve.reenroll");
@@ -917,7 +936,10 @@ impl AuthService {
             helper: flagged,
             response: chip.bist_erasures(key_pairs),
         };
-        let mut rng = self.domain.child("reenroll").rng(slot(target_id, event_base));
+        let mut rng = self
+            .domain
+            .child("reenroll")
+            .rng(slot(target_id, event_base));
         for attempt in 0..u64::from(self.policy.retry.max_attempts) {
             let event = event_base + attempt;
             let (soft, _) = faulted_read(chip, design, env, key_pairs, inj, probe_id, event);

@@ -496,11 +496,16 @@ impl ShardedStore {
         }
         let mut wiped = 0u64;
         for device_id in self.device_ids() {
-            for replica in
-                inj.replica_wipes(device_id, STORE_WINDOW_BASE + window, self.n_replicas as usize)
-            {
+            for replica in inj.replica_wipes(
+                device_id,
+                STORE_WINDOW_BASE + window,
+                self.n_replicas as usize,
+            ) {
                 let replica = replica as u32;
-                if self.slot(device_id, replica).is_some_and(|s| s.record.is_some()) {
+                if self
+                    .slot(device_id, replica)
+                    .is_some_and(|s| s.record.is_some())
+                {
                     self.put_slot(device_id, replica, None);
                     wiped += 1;
                 }
@@ -618,8 +623,9 @@ mod tests {
         )
         .expect("feasible");
         let mut rng = StdRng::seed_from_u64(id);
-        let response =
-            BitString::from_fn(generator.response_bits(), |i| (i + id as usize).is_multiple_of(3));
+        let response = BitString::from_fn(generator.response_bits(), |i| {
+            (i + id as usize).is_multiple_of(3)
+        });
         let (key, helper) = generator.enroll(&response, &mut rng);
         let reference = BitString::from_fn(16, |i| i.is_multiple_of(2));
         StoredRecord::new(id, vec![(0, 1), (2, 3)], reference, helper, key)
@@ -810,7 +816,11 @@ mod tests {
         store.insert(record(0));
         store.put_slot(0, 0, None);
         store.put_slot(0, 1, None);
-        assert_eq!(store.repair(record(0)), 1, "no surviving lineage restarts at 1");
+        assert_eq!(
+            store.repair(record(0)),
+            1,
+            "no surviving lineage restarts at 1"
+        );
         let summary = store.replica_summary(0);
         assert_eq!((summary.intact, summary.corrupt, summary.wiped), (2, 0, 0));
     }

@@ -234,6 +234,8 @@ mod tests {
     fn config_errors_render_for_cli_use() {
         assert!(ConfigError::NoChips.to_string().contains("chip"));
         assert!(ConfigError::BadRingCount(7).to_string().contains('7'));
-        assert!(ConfigError::EmptyCheckpoints.to_string().contains("checkpoint"));
+        assert!(ConfigError::EmptyCheckpoints
+            .to_string()
+            .contains("checkpoint"));
     }
 }

@@ -131,7 +131,11 @@ pub struct ErasureGain {
 /// measured bit at flagged positions and keeps the rest of the code budget
 /// for ordinary noise.
 #[must_use]
-pub fn measure_erasure_gain(cfg: &SimConfig, chips: usize, attempts_per_chip: usize) -> ErasureGain {
+pub fn measure_erasure_gain(
+    cfg: &SimConfig,
+    chips: usize,
+    attempts_per_chip: usize,
+) -> ErasureGain {
     let generator = provision(cfg, RoStyle::AgingResistant)
         .1
         .expect("feasible ARO design point");

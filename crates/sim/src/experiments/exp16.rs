@@ -195,8 +195,7 @@ pub(crate) fn run_replicated_trial_on(
     // Each chip's end-of-mission stored state — per-replica (eroded
     // helper, erasure flags) plus the current key — kept for the
     // impostor pass below.
-    let mut finals: Vec<(Vec<(HelperData, Erasures)>, BitString)> =
-        Vec::with_capacity(chip_count);
+    let mut finals: Vec<(Vec<(HelperData, Erasures)>, BitString)> = Vec::with_capacity(chip_count);
     for (slot, (chip, golden)) in chips.iter_mut().enumerate() {
         let id = slot as u64;
         chip.reset_to_fabricated();
@@ -429,7 +428,10 @@ pub fn run(cfg: &SimConfig) -> Report {
             table.push_row(vec![
                 format!("{intensity:.2}"),
                 interval_label(interval_years),
-                format!("{}/{}", trial.refreshes_succeeded, trial.refreshes_scheduled),
+                format!(
+                    "{}/{}",
+                    trial.refreshes_succeeded, trial.refreshes_scheduled
+                ),
                 trial.helper_bits_eroded.to_string(),
                 (trial.chips * trial.attempts_per_chip).to_string(),
                 trial.recovered.to_string(),
@@ -525,8 +527,15 @@ mod tests {
         let cfg = tiny_cfg();
         let generator = tiny_generator(&cfg);
         let trial = fresh_trial(&cfg, &generator, 0.5, 2.5, 1, 3, 0);
-        assert_eq!(trial.lifecycle.refreshes_scheduled, 3 * 3, "3 gates per chip");
-        assert!(trial.lifecycle.refreshes_succeeded > 0, "some gate must pass");
+        assert_eq!(
+            trial.lifecycle.refreshes_scheduled,
+            3 * 3,
+            "3 gates per chip"
+        );
+        assert!(
+            trial.lifecycle.refreshes_succeeded > 0,
+            "some gate must pass"
+        );
         assert_eq!(trial.replica_fallbacks, 0);
         assert_eq!(trial.impostor_attempts, 0);
         assert_eq!(

@@ -64,12 +64,8 @@ pub fn provision_for_intensity(cfg: &SimConfig, intensity: f64) -> EnvelopePoint
     let glitch_rate = plan.glitch_prob;
     let envelope_ber = compose_error_rates(measured_ber, glitch_rate);
     let params = puf_area_params(RoStyle::AgingResistant, 5);
-    let spec = crate::popcache::provisioned_spec(
-        envelope_ber,
-        cfg.key_bits,
-        cfg.key_fail_target,
-        &params,
-    );
+    let spec =
+        crate::popcache::provisioned_spec(envelope_ber, cfg.key_bits, cfg.key_fail_target, &params);
     EnvelopePoint {
         intensity,
         measured_ber,
@@ -143,10 +139,7 @@ pub fn run(cfg: &SimConfig) -> Report {
     }
     report.push_table(table);
 
-    match (
-        baseline_ge,
-        points.last().and_then(|p| p.spec.as_ref()),
-    ) {
+    match (baseline_ge, points.last().and_then(|p| p.spec.as_ref())) {
         (Some(baseline), Some(storm_spec)) => report.push_note(format!(
             "storm tolerance is a provisioning line item: rating the same silicon for the \
              full-storm envelope costs {:.2}x the fault-free key generator's area \
@@ -159,9 +152,9 @@ pub fn run(cfg: &SimConfig) -> Report {
             "the full-storm envelope exceeds the swept code space — no repetition ⊗ BCH \
              point meets 1e-6 there; pair a lighter rating with the EXP-16 lifecycle instead",
         ),
-        (None, _) => report.push_note(
-            "no feasible fault-free baseline — increase the code search space",
-        ),
+        (None, _) => {
+            report.push_note("no feasible fault-free baseline — increase the code search space")
+        }
     }
     report.push_note(
         "the envelope covers response-side faults only (excursions, bursts, hard rings in \

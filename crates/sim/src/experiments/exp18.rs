@@ -46,10 +46,7 @@ const PLAN: BenchPlan = BenchPlan {
 /// Runs EXP-18.
 #[must_use]
 pub fn run(cfg: &SimConfig) -> Report {
-    let mut report = Report::new(
-        "EXP-18",
-        "Fleet authentication service under fault storms",
-    );
+    let mut report = Report::new("EXP-18", "Fleet authentication service under fault storms");
     let faults: Vec<_> = INTENSITIES
         .iter()
         .map(|&intensity| {
@@ -122,7 +119,11 @@ mod tests {
             .notes()
             .iter()
             .any(|n| n.contains("false accepts across all traffic") && n.contains(": 0 "));
-        assert!(zero_fa, "the zero-false-accept note must hold: {:?}", report.notes());
+        assert!(
+            zero_fa,
+            "the zero-false-accept note must hold: {:?}",
+            report.notes()
+        );
     }
 
     #[test]

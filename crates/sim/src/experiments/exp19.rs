@@ -164,11 +164,7 @@ pub fn sweep(cfg: &SimConfig) -> Vec<IntensityOutcome> {
             }
         }
     }
-    triples.sort_by(|a, b| {
-        a.3.total_cmp(&b.3)
-            .then(a.4.cmp(&b.4))
-            .then(a.1.cmp(&b.1))
-    });
+    triples.sort_by(|a, b| a.3.total_cmp(&b.3).then(a.4.cmp(&b.4)).then(a.1.cmp(&b.1)));
 
     // One fabricated chip set per candidate code, shared across every
     // intensity and triple that uses it (the aged-state snapshot store

@@ -32,8 +32,12 @@ pub fn run(cfg: &SimConfig) -> Report {
     let mut report = Report::new("EXP-2", "Percentage of flipped bits vs. operation time");
     report.push_note(format!(
         "ten-year average flipped bits: RO-PUF {} (paper: 32 %), ARO-PUF {} (paper: 7.7 %)",
-        pct(conv.final_mean().expect("standard checkpoints are non-empty")),
-        pct(aro.final_mean().expect("standard checkpoints are non-empty"))
+        pct(conv
+            .final_mean()
+            .expect("standard checkpoints are non-empty")),
+        pct(aro
+            .final_mean()
+            .expect("standard checkpoints are non-empty"))
     ));
     report.push_note(format!(
         "99th-percentile chip at ten years: RO-PUF {}, ARO-PUF {} — the BER an ECC must be \

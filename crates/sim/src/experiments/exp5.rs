@@ -38,7 +38,8 @@ pub fn provision(cfg: &SimConfig, quantile: f64) -> Option<(ProvisionedDesign, P
         let timeline = exp2::flip_timeline(cfg, style);
         let ber = timeline.final_quantile(quantile);
         let params = puf_area_params(style, 5);
-        let spec = crate::popcache::provisioned_spec(ber, cfg.key_bits, cfg.key_fail_target, &params)?;
+        let spec =
+            crate::popcache::provisioned_spec(ber, cfg.key_bits, cfg.key_fail_target, &params)?;
         out.push(ProvisionedDesign { style, ber, spec });
     }
     let aro = out.pop()?;

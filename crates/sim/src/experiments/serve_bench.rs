@@ -114,10 +114,7 @@ mod tests {
             report.notes()
         );
         assert!(
-            report
-                .notes()
-                .iter()
-                .any(|n| n.contains("0 false accepts")),
+            report.notes().iter().any(|n| n.contains("0 false accepts")),
             "zero false accepts even at storm@1: {:?}",
             report.notes()
         );

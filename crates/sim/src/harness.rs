@@ -63,9 +63,7 @@ impl ExperimentOutput {
     #[must_use]
     pub fn csv_tables(&self) -> Vec<String> {
         match self {
-            ExperimentOutput::Fresh(report) => {
-                report.tables().iter().map(Table::to_csv).collect()
-            }
+            ExperimentOutput::Fresh(report) => report.tables().iter().map(Table::to_csv).collect(),
             ExperimentOutput::Replayed { csv, .. } => csv.clone(),
         }
     }
@@ -339,9 +337,7 @@ mod tests {
     #[test]
     fn clean_run_matches_the_plain_driver_byte_for_byte() {
         let cfg = SimConfig::quick();
-        let plain = crate::popcache::scoped(|| {
-            experiments::run_by_id("exp1", &cfg).unwrap()
-        });
+        let plain = crate::popcache::scoped(|| experiments::run_by_id("exp1", &cfg).unwrap());
         let outcome = run_experiments(&cfg, &["exp1"], &[], None);
         assert!(outcome.failures.is_empty());
         assert!(!outcome.is_degraded() && !outcome.is_total_failure());

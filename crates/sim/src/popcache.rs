@@ -137,7 +137,11 @@ impl Scope {
                 "sim.popcache_timeline_misses",
             ),
             specs: Memo::new(usize::MAX, "sim.provision_hits", "sim.provision_misses"),
-            snapshots: Memo::new(SNAPSHOT_CAPACITY, "sim.snapshot_hits", "sim.snapshot_misses"),
+            snapshots: Memo::new(
+                SNAPSHOT_CAPACITY,
+                "sim.snapshot_hits",
+                "sim.snapshot_misses",
+            ),
         }
     }
 }
@@ -242,14 +246,24 @@ pub fn reset() {
 /// scope). Exposed for cache-behavior tests.
 #[must_use]
 pub fn retained_baselines() -> usize {
-    CACHE.with(|cache| cache.borrow().as_ref().map_or(0, |s| s.populations.entries.len()))
+    CACHE.with(|cache| {
+        cache
+            .borrow()
+            .as_ref()
+            .map_or(0, |s| s.populations.entries.len())
+    })
 }
 
 /// Number of retained aged-step snapshots in the active scope (0 without
 /// a scope). Exposed for cache-behavior tests.
 #[must_use]
 pub fn retained_snapshots() -> usize {
-    CACHE.with(|cache| cache.borrow().as_ref().map_or(0, |s| s.snapshots.entries.len()))
+    CACHE.with(|cache| {
+        cache
+            .borrow()
+            .as_ref()
+            .map_or(0, |s| s.snapshots.entries.len())
+    })
 }
 
 /// The aging history a chip has walked since fabrication (or its last
@@ -492,7 +506,10 @@ mod tests {
             let _ = request();
             assert_eq!(retained_baselines(), 1);
         });
-        assert_eq!(builds, 3, "unscoped requests build every time, scoped ones once");
+        assert_eq!(
+            builds, 3,
+            "unscoped requests build every time, scoped ones once"
+        );
     }
 
     #[test]

@@ -144,7 +144,11 @@ pub fn measure_flip_timeline(
             let bits = enrollments[i].bits() as u64;
             aro_obs::counter("sim.chips_simulated", 1);
             aro_obs::counter("sim.bits_evaluated", bits);
-            #[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+            #[allow(
+                clippy::cast_precision_loss,
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss
+            )]
             aro_obs::counter("sim.flips_observed", (rate * bits as f64).round() as u64);
             rate
         });

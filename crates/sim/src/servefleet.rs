@@ -266,9 +266,16 @@ fn stats_row(style: RoStyle, age_years: f64, faults: &str, stats: &BenchStats) -
         pct(stats.far()),
         pct(stats.frr()),
         stats.tallies.shed.to_string(),
-        format!("{} ({})", stats.tallies.quarantines, stats.tallies.reenrolled),
+        format!(
+            "{} ({})",
+            stats.tallies.quarantines, stats.tallies.reenrolled
+        ),
         stats.final_state.label().to_string(),
-        format!("{} ({})", stats.final_store_health.label(), stats.scrub_repairs),
+        format!(
+            "{} ({})",
+            stats.final_store_health.label(),
+            stats.scrub_repairs
+        ),
     ]
 }
 
@@ -299,7 +306,10 @@ mod tests {
         let stats = ws.run_trial(&cfg, &generator, None, 0.0, &plan, "test fresh");
         assert_eq!(stats.final_state, HealthState::Healthy);
         assert_eq!(stats.impostor_accepted, 0, "FAR must be zero");
-        assert_eq!(stats.genuine_denied, 0, "fresh fault-free fleet: no denials");
+        assert_eq!(
+            stats.genuine_denied, 0,
+            "fresh fault-free fleet: no denials"
+        );
         assert!(stats.genuine_served > 0);
         assert!(stats.wall_us > 0 && stats.p99_us >= stats.p50_us);
     }

@@ -6,8 +6,8 @@ use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use aro_obs::json::{self, Value};
-use aro_sim::experiments::run_by_id;
 use aro_par::set_thread_override;
+use aro_sim::experiments::run_by_id;
 use aro_sim::SimConfig;
 
 /// Enablement, the sink and the thread override are process-global; run
@@ -171,7 +171,10 @@ fn telemetry_stream_is_valid_jsonl_with_wellformed_nesting() {
     }
     assert!(span_events >= 4, "expected spans, saw {span_events} events");
     for (thread, stack) in stacks {
-        assert!(stack.is_empty(), "unclosed spans on thread {thread}: {stack:?}");
+        assert!(
+            stack.is_empty(),
+            "unclosed spans on thread {thread}: {stack:?}"
+        );
     }
 
     // The final metrics flush made it into the stream.

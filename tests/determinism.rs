@@ -24,8 +24,16 @@ fn different_seeds_change_the_noise_not_the_conclusion() {
     let mut aro_rates = Vec::new();
     for seed in [1u64, 2, 3] {
         let cfg = base.clone().with_seed(seed);
-        conv_rates.push(exp2::flip_timeline(&cfg, RoStyle::Conventional).final_mean().unwrap());
-        aro_rates.push(exp2::flip_timeline(&cfg, RoStyle::AgingResistant).final_mean().unwrap());
+        conv_rates.push(
+            exp2::flip_timeline(&cfg, RoStyle::Conventional)
+                .final_mean()
+                .unwrap(),
+        );
+        aro_rates.push(
+            exp2::flip_timeline(&cfg, RoStyle::AgingResistant)
+                .final_mean()
+                .unwrap(),
+        );
     }
     // Noise: seeds differ.
     assert!(conv_rates.windows(2).any(|w| w[0] != w[1]));

@@ -91,10 +91,8 @@ fn render_harness_run(ids: &[&str], ledger: Option<&mut Ledger>) -> String {
 /// process rendered, fresh ones recompute deterministically.
 #[test]
 fn interrupted_then_resumed_run_matches_the_fixture_byte_for_byte() {
-    let path = std::env::temp_dir().join(format!(
-        "aro-golden-resume-{}.ledger",
-        std::process::id()
-    ));
+    let path =
+        std::env::temp_dir().join(format!("aro-golden-resume-{}.ledger", std::process::id()));
     // First process: completes only the first 5 experiments, then dies.
     // Dropping the ledger is an honest kill simulation — every append
     // was already flushed when the experiment finished.

@@ -230,14 +230,16 @@ fn a_crash_truncated_trailing_line_does_not_poison_resume() {
     }
     // Simulate a kill mid-append: an unterminated half-record.
     {
-        let mut file = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
         file.write_all(br#"{"event":"experiment","fingerprint":"dead"#)
             .unwrap();
     }
     let mut reopened = Ledger::open(&path).unwrap();
     assert_eq!(reopened.skipped_lines(), 1, "debris is counted, not fatal");
-    let outcome =
-        run_experiments(&cfg, &["exp1", "exp3"], &[], Some(&mut reopened));
+    let outcome = run_experiments(&cfg, &["exp1", "exp3"], &[], Some(&mut reopened));
     assert!(outcome.successes[0].report.is_replayed(), "exp1 survives");
     assert!(!outcome.successes[1].report.is_replayed(), "exp3 is fresh");
     drop(reopened);

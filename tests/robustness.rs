@@ -8,10 +8,10 @@ use std::fmt::Write;
 
 use aro_puf_repro::circuit::ring::RoStyle;
 use aro_puf_repro::faults::FaultPlan;
+use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::puf::MissionProfile;
 use aro_puf_repro::sim::experiments::{run_by_id, ALL_IDS};
 use aro_puf_repro::sim::harness::run_experiments;
-use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::sim::runner::{build_population, measure_flip_timeline, FlipTimeline};
 use aro_puf_repro::sim::{popcache, SimConfig};
 use proptest::prelude::*;

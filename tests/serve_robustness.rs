@@ -10,6 +10,7 @@ use aro_puf_repro::circuit::ring::RoStyle;
 use aro_puf_repro::ecc::area::PufAreaParams;
 use aro_puf_repro::ecc::keygen::KeyGenerator;
 use aro_puf_repro::faults::{FaultInjector, FaultPlan};
+use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::puf::{Challenge, Chip, PairingStrategy, PufDesign};
 use aro_puf_repro::serve::{
     audit, AuthService, BenchPlan, HealthState, ReadOutcome, RequestOutcome, ServicePolicy,
@@ -17,7 +18,6 @@ use aro_puf_repro::serve::{
 };
 use aro_puf_repro::sim::experiments::run_by_id;
 use aro_puf_repro::sim::experiments::serve_bench::DEGRADED_MARKER;
-use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::sim::servefleet::{FleetWorkspace, DEFAULT_REPLICAS};
 use aro_puf_repro::sim::{popcache, SimConfig};
 use proptest::prelude::*;
@@ -289,7 +289,11 @@ fn health_machine_hysteresis_transition_table() {
     let mut service = AuthService::new(policy, 1, 1, 42);
     service.admit(&synthetic(Verdict::TimedOut, 2), false);
     service.admit(&ok(), false);
-    assert_eq!(service.state(), HealthState::ReadOnly, "3/4 from one request");
+    assert_eq!(
+        service.state(),
+        HealthState::ReadOnly,
+        "3/4 from one request"
+    );
 }
 
 /// Store corruption is recovered deterministically: an aged fleet under
@@ -304,8 +308,9 @@ fn store_corruption_recovery_tallies_are_deterministic() {
         readout_per_ro_ge: 3.0,
         ros_per_bit: 2.0,
     };
-    let generator = KeyGenerator::for_bit_error_rate(0.05, cfg.key_bits, cfg.key_fail_target, &params)
-        .expect("feasible");
+    let generator =
+        KeyGenerator::for_bit_error_rate(0.05, cfg.key_bits, cfg.key_fail_target, &params)
+            .expect("feasible");
     let inj = FaultInjector::new(FaultPlan::storm().scaled(0.5), cfg.seed);
     let plan = BenchPlan {
         genuine_rounds: 4,
@@ -317,13 +322,19 @@ fn store_corruption_recovery_tallies_are_deterministic() {
     };
     let first = run();
     let second = run();
-    assert_eq!(first, second, "recovery must not depend on run order or timing");
+    assert_eq!(
+        first, second,
+        "recovery must not depend on run order or timing"
+    );
     assert!(
         first.tallies.corrupt_reads + first.tallies.quarantines > 0,
         "a ten-year half-storm fleet must exercise the recovery path: {:?}",
         first.tallies
     );
-    assert_eq!(first.impostor_accepted, 0, "recovery never opens a false accept");
+    assert_eq!(
+        first.impostor_accepted, 0,
+        "recovery never opens a false accept"
+    );
 }
 
 /// The full quarantine → refresh → re-admit round trip: a device whose
@@ -338,8 +349,7 @@ fn quarantined_device_is_reenrolled_and_readmitted() {
         readout_per_ro_ge: 3.0,
         ros_per_bit: 2.0,
     };
-    let generator =
-        KeyGenerator::for_bit_error_rate(0.05, 32, 1e-6, &params).expect("feasible");
+    let generator = KeyGenerator::for_bit_error_rate(0.05, 32, 1e-6, &params).expect("feasible");
     let n_ros = 2 * generator.response_bits();
     let design = PufDesign::builder(RoStyle::AgingResistant)
         .n_ros(n_ros)
@@ -352,7 +362,8 @@ fn quarantined_device_is_reenrolled_and_readmitted() {
 
     let mut service = AuthService::new(ServicePolicy::default(), 1, 1, 42);
     let mut rng = design.seed_domain().child("test-enroll").rng(0);
-    let (key, helper) = generator.enroll(&chip.golden_response(&design, &env, &key_pairs), &mut rng);
+    let (key, helper) =
+        generator.enroll(&chip.golden_response(&design, &env, &key_pairs), &mut rng);
     let reference = chip.golden_response(&design, &env, &crp_pairs);
     service.enroll(StoredRecord::new(0, crp_pairs, reference, helper, key));
 
@@ -362,7 +373,10 @@ fn quarantined_device_is_reenrolled_and_readmitted() {
     let inj = FaultInjector::new(FaultPlan::storm().scaled(0.5), 42);
     let mut window = 0;
     while matches!(service.store().read(0), ReadOutcome::Intact(_)) {
-        assert!(window < 1_000, "storm@0.5 must corrupt the record eventually");
+        assert!(
+            window < 1_000,
+            "storm@0.5 must corrupt the record eventually"
+        );
         service.store_mut().erode(&inj, window, 1.0);
         window += 1;
     }

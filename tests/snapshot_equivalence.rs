@@ -13,10 +13,10 @@ use aro_puf_repro::device::environment::Environment;
 use aro_puf_repro::device::units::YEAR;
 use aro_puf_repro::faults::FaultPlan;
 use aro_puf_repro::ledger::record::LedgerRecord;
+use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::puf::{Chip, MissionProfile, PairingStrategy, PufDesign};
 use aro_puf_repro::sim::experiments::run_by_id;
 use aro_puf_repro::sim::fingerprint::experiment_fingerprint;
-use aro_puf_repro::par::set_thread_override;
 use aro_puf_repro::sim::popcache::{self, age_chip_snapshotted, AgeCursor};
 use aro_puf_repro::sim::SimConfig;
 use proptest::prelude::*;
@@ -133,7 +133,10 @@ fn exp8_and_exp15_snapshotted_match_cold() {
         let cold = experiment_run(id, &cfg, plan, 1, false);
         let warm = experiment_run(id, &cfg, plan, 1, true);
         assert_eq!(warm.0, cold.0, "{id} report differs between snapshot modes");
-        assert_eq!(warm.1, cold.1, "{id} sketches differ between snapshot modes");
+        assert_eq!(
+            warm.1, cold.1,
+            "{id} sketches differ between snapshot modes"
+        );
     }
 }
 
