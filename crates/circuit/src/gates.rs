@@ -8,7 +8,7 @@
 //! temperature, supply droop) propagates into ring frequency with no extra
 //! fitting.
 
-use aro_device::aging::{BtiModel, HciModel, StressInterval, TransistorAging};
+use aro_device::aging::{HciModel, TransistorAging};
 use aro_device::environment::Environment;
 use aro_device::mosfet::{Geometry, MosType, Mosfet};
 use aro_device::params::TechParams;
@@ -110,20 +110,6 @@ impl TransistorInst {
         let dbeta = self.variation.dbeta_rel + interdie_dbeta_rel;
         self.device
             .drive_current_with_mismatch(tech, env, dvth, dbeta)
-    }
-
-    /// Applies one BTI stress interval to this transistor, using the model
-    /// matching its polarity (NBTI for PMOS, PBTI for NMOS).
-    pub fn stress_bti(&mut self, nbti: &BtiModel, pbti: &BtiModel, interval: &StressInterval) {
-        match self.device.mos_type() {
-            MosType::Pmos => self.aging.apply_bti(nbti, interval),
-            MosType::Nmos => self.aging.apply_bti(pbti, interval),
-        }
-    }
-
-    /// Applies HCI wear for `cycles` output transitions at supply `vdd`.
-    pub fn stress_hci(&mut self, hci: &HciModel, cycles: f64, vdd: f64) {
-        self.aging.apply_hci(hci, cycles, vdd);
     }
 }
 
@@ -250,6 +236,7 @@ impl InverterStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aro_device::aging::{BtiModel, StressInterval};
     use aro_device::rng::SeedDomain;
 
     fn setup() -> (TechParams, Environment, HciModel) {
@@ -278,38 +265,12 @@ mod tests {
         let mut rng = SeedDomain::new(22).rng(0);
         let mut t = TransistorInst::fabricate(MosType::Pmos, Geometry::default(), &tech, &mut rng);
         let fresh = t.drive_current(&tech, &env, &hci, 0.0, 0.0, 0.0);
-        let nbti = BtiModel::nbti(&tech);
-        let pbti = BtiModel::pbti(&tech);
-        t.stress_bti(
-            &nbti,
-            &pbti,
+        t.aging_mut().apply_bti(
+            &BtiModel::nbti(&tech),
             &StressInterval::static_dc(3.15e8, 25.0, tech.vdd_nominal),
         );
         let aged = t.drive_current(&tech, &env, &hci, 0.0, 0.0, 0.0);
         assert!(aged < fresh);
-    }
-
-    #[test]
-    fn pbti_routes_to_nmos_and_nbti_to_pmos() {
-        let (tech, ..) = setup();
-        let nbti = BtiModel::nbti(&tech);
-        let pbti = BtiModel::pbti(&tech);
-        let mut rng = SeedDomain::new(23).rng(0);
-        let interval = StressInterval::static_dc(1e8, 25.0, tech.vdd_nominal);
-
-        let mut p = TransistorInst::fabricate(MosType::Pmos, Geometry::default(), &tech, &mut rng);
-        let mut n = TransistorInst::fabricate(MosType::Nmos, Geometry::default(), &tech, &mut rng);
-        // Strip variability so the comparison is purely model strength.
-        *p.aging_mut() = TransistorAging::new();
-        *n.aging_mut() = TransistorAging::new();
-        p.stress_bti(&nbti, &pbti, &interval);
-        n.stress_bti(&nbti, &pbti, &interval);
-        assert!(
-            p.aging().dvth_bti() > n.aging().dvth_bti(),
-            "PMOS suffers the stronger NBTI: {} vs {}",
-            p.aging().dvth_bti(),
-            n.aging().dvth_bti()
-        );
     }
 
     #[test]
@@ -318,7 +279,7 @@ mod tests {
         let mut rng = SeedDomain::new(24).rng(0);
         let mut t = TransistorInst::fabricate(MosType::Nmos, Geometry::default(), &tech, &mut rng);
         let fresh = t.drive_current(&tech, &env, &hci, 0.0, 0.0, 0.0);
-        t.stress_hci(&hci, 1e12, tech.vdd_nominal);
+        t.aging_mut().apply_hci(&hci, 1e12, tech.vdd_nominal);
         assert!(t.drive_current(&tech, &env, &hci, 0.0, 0.0, 0.0) < fresh);
     }
 

@@ -17,8 +17,9 @@
 //! floating-point expression chain, in the same order*, as the per-stage
 //! path (`InverterStage::period_contribution` →
 //! `Mosfet::drive_current_with_mismatch`), so a cached result is bitwise
-//! equal to what a cold computation would produce. The golden-output
-//! regression test in the workspace root pins this down end to end.
+//! equal to what a cold computation would produce. A unit test below
+//! compares the two bit for bit; the golden-output regression test in the
+//! workspace root pins the end-to-end bytes.
 
 use aro_device::aging::HciModel;
 use aro_device::environment::Environment;
@@ -108,5 +109,58 @@ impl<'a> FreqContext<'a> {
             period_s += half_swing / cur_p + stage.kind().pulldown_penalty() * half_swing / cur_n;
         }
         (1.0 / period_s) * (1.0 + ring.freq_bias_rel())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ring::AgingModels;
+    use aro_device::process::DiePosition;
+    use aro_device::rng::SeedDomain;
+    use aro_device::units::YEAR;
+
+    /// The bit-identity contract: `derive` equals the per-stage path
+    /// summed stage by stage, to the last bit, on a sampled die, fresh
+    /// and after idle BTI plus oscillation (HCI), cool and hot.
+    #[test]
+    fn derive_is_bitwise_the_per_stage_path() {
+        let tech = TechParams::default();
+        let models = AgingModels::new(&tech);
+        let hci = HciModel::new(&tech);
+        let nominal = Environment::nominal(&tech);
+        let hot = Environment::new(85.0, tech.vdd_nominal);
+        for (style, seed) in [(RoStyle::Conventional, 90), (RoStyle::AgingResistant, 91)] {
+            let mut rng = SeedDomain::new(seed).rng(0);
+            let chip = ChipProcess::sample(&tech, &mut rng);
+            let position = DiePosition::new(0.3, 0.7);
+            let mut ring = RingOscillator::new(style, 5, position, &tech, &mut rng);
+            ring.set_freq_bias_rel(0.003);
+            ring.set_correlated_dvth(0.002);
+            for _ in 0..3 {
+                for env in [nominal, hot] {
+                    let systematic = chip.systematic_dvth(position) + ring.correlated_dvth();
+                    let c_load = tech.c_stage * style.load_factor(&tech);
+                    let period = ring.stages().iter().fold(0.0f64, |period, stage| {
+                        period
+                            + stage.period_contribution(
+                                &tech,
+                                &env,
+                                &hci,
+                                c_load,
+                                chip.dvth_interdie_p(),
+                                chip.dvth_interdie_n(),
+                                chip.dbeta_interdie_rel(),
+                                systematic,
+                            )
+                    });
+                    let reference = (1.0 / period) * (1.0 + ring.freq_bias_rel());
+                    let derived = FreqContext::new(style, &tech, &env, &chip).derive(&ring);
+                    assert_eq!(derived.to_bits(), reference.to_bits(), "{style:?} at {env}");
+                }
+                ring.stress_idle(&tech, &models, 45.0, tech.vdd_nominal, YEAR);
+                ring.stress_active(&tech, &models, &hot, &chip, 1.0);
+            }
+        }
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! The paper (like Suh & Devadas) reads all pairs with two shared counters
 //! behind muxes, so a ring only oscillates — and only *ages by HCI* —
-//! during its own measurement windows. [`ReadoutConfig::active_time_per_ro`]
-//! exposes exactly that duration to the mission-profile scheduler.
+//! during its own measurement windows: one gate time per readout, which is
+//! what the mission-profile scheduler charges.
 
 use rand::Rng;
 
@@ -56,24 +56,6 @@ impl ReadoutConfig {
         }
     }
 
-    /// The default readout with its environmental floor widened by the
-    /// RTN (random-telegraph-noise) contribution of the ring's devices —
-    /// trap occupancy does not average out within a gate window, so it
-    /// adds in quadrature to the floor. See [`aro_device::rtn`].
-    #[must_use]
-    pub fn with_rtn_floor(
-        tech: &aro_device::params::TechParams,
-        geometry: aro_device::mosfet::Geometry,
-        n_transistors: usize,
-    ) -> Self {
-        let base = Self::default();
-        let rtn = aro_device::rtn::frequency_sigma_rel(tech, geometry, n_transistors);
-        Self {
-            sigma_meas_rel: (base.sigma_meas_rel.powi(2) + rtn.powi(2)).sqrt(),
-            ..base
-        }
-    }
-
     /// Relative 1-sigma error of a frequency estimate for a ring running
     /// at `freq` hertz.
     #[must_use]
@@ -83,17 +65,12 @@ impl ReadoutConfig {
             .sqrt()
     }
 
-    /// How long one ring oscillates (and accrues HCI) per response bit it
-    /// participates in: the gate time.
-    #[must_use]
-    pub fn active_time_per_ro(&self) -> f64 {
-        self.gate_time_s
-    }
-
     /// Returns this readout with both noise contributions (cycle jitter
     /// and the environmental floor) amplified by `factor` — the
-    /// fault-injection hook for RTN bursts, where a trap ensemble briefly
-    /// multiplies the non-averaging noise floor (see [`aro_device::rtn`]).
+    /// fault-injection hook for RTN (random-telegraph-noise) bursts, where
+    /// a trap ensemble briefly multiplies the non-averaging noise floor.
+    /// These bursts are the only place RTN enters the model: the steady
+    /// readout has no RTN term.
     ///
     /// # Panics
     /// Panics if `factor` is not finite and `>= 1.0` (a burst never
@@ -151,30 +128,10 @@ impl Measurement {
         self.count
     }
 
-    /// The gate time used, in seconds.
-    #[must_use]
-    pub fn gate_time_s(&self) -> f64 {
-        self.gate_time_s
-    }
-
     /// The frequency estimate in hertz.
     #[must_use]
     pub fn frequency(&self) -> f64 {
         self.count as f64 / self.gate_time_s
-    }
-
-    /// Returns this measurement with `xor_mask` xored into the raw count —
-    /// the fault-injection hook for counter glitches, where a single-event
-    /// upset flips counter flip-flops mid-window. The gate time is
-    /// unchanged; the corrupted count propagates into
-    /// [`Measurement::frequency`] and [`Measurement::bit_against`] exactly
-    /// like a genuine miscounting.
-    #[must_use]
-    pub fn glitched(&self, xor_mask: u64) -> Self {
-        Self {
-            count: self.count ^ xor_mask,
-            gate_time_s: self.gate_time_s,
-        }
     }
 
     /// The response bit of a pair: `1` iff `self` counted strictly more
@@ -271,26 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn rtn_floor_widens_the_default_noise() {
-        let tech = aro_device::params::TechParams::default();
-        let base = ReadoutConfig::default();
-        let with_rtn =
-            ReadoutConfig::with_rtn_floor(&tech, aro_device::mosfet::Geometry::default(), 10);
-        assert!(with_rtn.sigma_meas_rel > base.sigma_meas_rel);
-        assert!(
-            with_rtn.sigma_meas_rel < 10.0 * base.sigma_meas_rel,
-            "RTN is a floor, not a wall"
-        );
-        assert_eq!(with_rtn.gate_time_s, base.gate_time_s);
-    }
-
-    #[test]
-    fn active_time_per_ro_is_the_gate_time() {
-        let cfg = ReadoutConfig::default();
-        assert_eq!(cfg.active_time_per_ro(), cfg.gate_time_s);
-    }
-
-    #[test]
     #[should_panic(expected = "frequency must be non-negative")]
     fn measuring_negative_frequency_panics() {
         let cfg = ReadoutConfig::default();
@@ -311,16 +248,6 @@ mod tests {
             cfg.measure(1e9, &mut rng).count(),
             cfg.measure(1e9, &mut fresh).count()
         );
-    }
-
-    #[test]
-    fn glitch_xors_the_count_and_keeps_the_gate_time() {
-        let m = Measurement::new(0b1010, 1e-4);
-        let g = m.glitched(0b0110);
-        assert_eq!(g.count(), 0b1100);
-        assert_eq!(g.gate_time_s(), m.gate_time_s());
-        assert_eq!(g.glitched(0b0110), m, "xor is self-inverse");
-        assert_eq!(m.glitched(0), m, "zero mask is the identity");
     }
 
     #[test]

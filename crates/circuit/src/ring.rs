@@ -618,18 +618,6 @@ impl RingOscillator {
         self.health = RoHealth::Healthy;
         self.wear_epoch = 0;
     }
-
-    /// Mean BTI threshold shift over all devices in the ring, in volts —
-    /// a diagnostic for degradation plots.
-    #[must_use]
-    pub fn mean_dvth_bti(&self) -> f64 {
-        let sum: f64 = self
-            .stages
-            .iter()
-            .map(|s| s.pmos().aging().dvth_bti() + s.nmos().aging().dvth_bti())
-            .sum();
-        sum / (2.0 * self.stages.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -846,19 +834,14 @@ mod tests {
         let (tech, env, chip, _) = setup();
         let (ro, _) = make_ring(RoStyle::Conventional, 41);
         let nominal = ro.frequency(&tech, &env, &chip);
-        let hot = ro.frequency(&tech, &env.with_temp_celsius(85.0), &chip);
-        let droop = ro.frequency(&tech, &env.with_vdd(tech.vdd_nominal * 0.9), &chip);
+        let hot = ro.frequency(&tech, &Environment::new(85.0, env.vdd()), &chip);
+        let droop = ro.frequency(
+            &tech,
+            &Environment::new(env.temp_celsius(), tech.vdd_nominal * 0.9),
+            &chip,
+        );
         assert!(hot < nominal);
         assert!(droop < nominal);
-    }
-
-    #[test]
-    fn mean_dvth_diagnostic_tracks_stress() {
-        let (tech, _, _, models) = setup();
-        let (mut ro, _) = make_ring(RoStyle::Conventional, 42);
-        assert_eq!(ro.mean_dvth_bti(), 0.0);
-        ro.stress_idle(&tech, &models, 25.0, tech.vdd_nominal, YEAR);
-        assert!(ro.mean_dvth_bti() > 0.0);
     }
 
     #[test]
@@ -891,7 +874,7 @@ mod tests {
         assert_eq!(ro.frequency(&tech, &env, &chip), 1.0e9);
         ro.stress_idle(&tech, &models, 85.0, tech.vdd_nominal, YEAR);
         assert_eq!(
-            ro.frequency(&tech, &env.with_temp_celsius(85.0), &chip),
+            ro.frequency(&tech, &Environment::new(85.0, env.vdd()), &chip),
             1.0e9
         );
     }

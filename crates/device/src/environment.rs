@@ -53,46 +53,15 @@ impl Environment {
         self.vdd
     }
 
-    /// Sets the supply voltage in volts.
-    ///
-    /// # Panics
-    /// Panics if `vdd` is not strictly positive.
-    pub fn set_vdd(&mut self, vdd: f64) {
-        assert!(vdd > 0.0, "supply voltage must be positive");
-        self.vdd = vdd;
-    }
-
-    /// Sets the die temperature in degrees Celsius.
-    ///
-    /// # Panics
-    /// Panics if the temperature is below absolute zero.
-    pub fn set_temp_celsius(&mut self, temp_celsius: f64) {
-        assert!(temp_celsius > -273.15, "temperature below absolute zero");
-        self.temp_celsius = temp_celsius;
-    }
-
-    /// Returns a copy of this operating point with a different temperature.
-    #[must_use]
-    pub fn with_temp_celsius(mut self, temp_celsius: f64) -> Self {
-        self.set_temp_celsius(temp_celsius);
-        self
-    }
-
-    /// Returns a copy of this operating point with a different supply.
-    #[must_use]
-    pub fn with_vdd(mut self, vdd: f64) -> Self {
-        self.set_vdd(vdd);
-        self
-    }
-
     /// Returns a copy of this operating point shifted by a transient
     /// excursion of `d_temp_c` degrees and `d_vdd` volts — the
     /// fault-injection hook for supply droops and temperature spikes
-    /// (`aro-faults`). Unlike the panicking setters, the result is clamped
-    /// into the physically representable range (supply floored at
-    /// [`Environment::MIN_FAULT_VDD`], temperature floored just above
-    /// absolute zero), so an arbitrarily violent injected excursion still
-    /// yields a valid operating point instead of aborting the simulation.
+    /// (`aro-faults`). Unlike the panicking [`Environment::new`], the
+    /// result is clamped into the physically representable range (supply
+    /// floored at [`Environment::MIN_FAULT_VDD`], temperature floored just
+    /// above absolute zero), so an arbitrarily violent injected excursion
+    /// still yields a valid operating point instead of aborting the
+    /// simulation.
     #[must_use]
     pub fn perturbed(&self, d_temp_c: f64, d_vdd: f64) -> Self {
         Self {
@@ -147,16 +116,6 @@ mod tests {
         let cold = Environment::new(-20.0, tech.vdd_nominal);
         assert!(hot.mobility_factor(&tech) < 1.0);
         assert!(cold.mobility_factor(&tech) > 1.0);
-    }
-
-    #[test]
-    fn builder_style_updates() {
-        let tech = TechParams::default();
-        let env = Environment::nominal(&tech)
-            .with_temp_celsius(85.0)
-            .with_vdd(1.08);
-        assert_eq!(env.temp_celsius(), 85.0);
-        assert_eq!(env.vdd(), 1.08);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //! * [`aging`] — long-term **NBTI/PBTI** (reaction–diffusion power law with
 //!   duty-cycle-dependent recovery) and **HCI** wear-out, including
 //!   per-device aging variability — the mechanism that flips PUF bits.
+//! * [`spatial`] — the exponentially correlated within-die variation
+//!   field (Cholesky-factored) behind the systematic component.
 //! * [`environment`] — operating temperature and supply voltage and their
 //!   effect on threshold voltage and carrier mobility.
 //! * [`rng`] — deterministic, reproducible random sampling (Gaussian and
@@ -24,6 +26,9 @@
 //! * [`params`] — all physical constants in one place, each documented with
 //!   its provenance (published 90 nm-class values, or `CALIBRATED` against
 //!   the paper's headline numbers).
+//! * [`units`] — time constants (`HOUR` … `YEAR`), the Boltzmann constant,
+//!   the Celsius-to-kelvin conversion and the duration formatter of the
+//!   experiment tables.
 //!
 //! # Example
 //!
@@ -60,7 +65,6 @@ pub mod mosfet;
 pub mod params;
 pub mod process;
 pub mod rng;
-pub mod rtn;
 pub mod spatial;
 pub mod units;
 

@@ -21,17 +21,6 @@ pub enum MosType {
     Pmos,
 }
 
-impl MosType {
-    /// Returns the opposite polarity.
-    #[must_use]
-    pub fn complement(self) -> Self {
-        match self {
-            Self::Nmos => Self::Pmos,
-            Self::Pmos => Self::Nmos,
-        }
-    }
-}
-
 /// Drawn device geometry in nanometres.
 ///
 /// The geometry sets the Pelgrom random-mismatch sigma
@@ -186,12 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn complement_flips_polarity() {
-        assert_eq!(MosType::Nmos.complement(), MosType::Pmos);
-        assert_eq!(MosType::Pmos.complement(), MosType::Nmos);
-    }
-
-    #[test]
     #[should_panic(expected = "geometry must be positive")]
     fn zero_width_geometry_panics() {
         let _ = Geometry::new(0.0, 100.0);
@@ -224,11 +207,11 @@ mod tests {
 
     #[test]
     fn drive_current_increases_with_supply() {
-        let (tech, mut env) = setup();
+        let (tech, env) = setup();
         let dev = Mosfet::new(MosType::Pmos, Geometry::default(), &tech);
         let nominal = dev.drive_current(&tech, &env, 0.0);
-        env.set_vdd(1.32);
-        assert!(dev.drive_current(&tech, &env, 0.0) > nominal);
+        let high = Environment::new(env.temp_celsius(), 1.32);
+        assert!(dev.drive_current(&tech, &high, 0.0) > nominal);
     }
 
     #[test]

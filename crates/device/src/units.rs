@@ -4,10 +4,6 @@
 //! **kelvin** unless a function name says otherwise. The constants here keep
 //! mission-profile code readable (`10.0 * YEAR` instead of `3.15e8`).
 
-/// One second, the base time unit.
-pub const SECOND: f64 = 1.0;
-/// One minute in seconds.
-pub const MINUTE: f64 = 60.0;
 /// One hour in seconds.
 pub const HOUR: f64 = 3_600.0;
 /// One day in seconds.
@@ -33,18 +29,6 @@ pub const KELVIN_AT_0C: f64 = 273.15;
 #[must_use]
 pub fn celsius_to_kelvin(celsius: f64) -> f64 {
     celsius + KELVIN_AT_0C
-}
-
-/// Converts a temperature in kelvin to degrees Celsius.
-///
-/// # Example
-/// ```
-/// use aro_device::units::kelvin_to_celsius;
-/// assert!((kelvin_to_celsius(298.15) - 25.0).abs() < 1e-12);
-/// ```
-#[must_use]
-pub fn kelvin_to_celsius(kelvin: f64) -> f64 {
-    kelvin - KELVIN_AT_0C
 }
 
 /// Formats a duration in seconds as a short human-readable string
@@ -90,14 +74,6 @@ mod tests {
     #[test]
     fn month_is_a_twelfth_of_a_year() {
         assert!((12.0 * MONTH - YEAR).abs() < 1e-6);
-    }
-
-    #[test]
-    fn celsius_kelvin_roundtrip() {
-        for c in [-40.0, 0.0, 25.0, 85.0, 125.0] {
-            let back = kelvin_to_celsius(celsius_to_kelvin(c));
-            assert!((back - c).abs() < 1e-12);
-        }
     }
 
     #[test]

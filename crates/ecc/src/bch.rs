@@ -364,7 +364,7 @@ mod tests {
         for _ in 0..10 {
             let message = random_message(code.k(), &mut rng);
             let codeword = code.encode(&message);
-            let as_poly = BinPoly::from_bits(codeword.to_bools());
+            let as_poly = BinPoly::from_bits(codeword.iter().collect());
             assert_eq!(as_poly.rem(code.generator()).degree(), None);
         }
     }

@@ -164,13 +164,6 @@ impl<C: Code> FuzzyExtractor<C> {
         self.blocks * self.code.n()
     }
 
-    /// Upper bound on helper-data entropy leakage in bits
-    /// (`blocks · (n − k)`).
-    #[must_use]
-    pub fn max_leakage_bits(&self) -> usize {
-        self.blocks * (self.code.n() - self.code.k())
-    }
-
     /// Enrollment: derives a key and public helper data from response `w`.
     ///
     /// # Panics
@@ -359,10 +352,9 @@ mod tests {
     }
 
     #[test]
-    fn leakage_accounting() {
+    fn response_bits_span_every_block() {
         let fe = FuzzyExtractor::new(BchCode::new(5, 3), 4);
         assert_eq!(fe.response_bits(), 4 * 31);
-        assert_eq!(fe.max_leakage_bits(), 4 * (31 - 16));
     }
 
     #[test]

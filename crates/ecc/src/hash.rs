@@ -84,15 +84,13 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     digest
 }
 
-/// Hex rendering of a digest (for display and tests).
-#[must_use]
-pub fn to_hex(digest: &[u8]) -> String {
-    digest.iter().map(|b| format!("{b:02x}")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn to_hex(digest: &[u8]) -> String {
+        digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     #[test]
     fn fips_vector_empty() {

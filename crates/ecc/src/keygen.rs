@@ -160,58 +160,6 @@ impl KeyGenerator {
         }
         key
     }
-
-    /// Helper-data security accounting for a source with `min_entropy_per_bit`
-    /// bits of min-entropy per response bit (from
-    /// `aro_metrics::entropy::min_entropy_from_aliasing`).
-    #[must_use]
-    pub fn security_accounting(&self, min_entropy_per_bit: f64) -> SecurityAccounting {
-        let entropy_in = self.response_bits() as f64 * min_entropy_per_bit;
-        let leakage = self.extractor.max_leakage_bits() as f64;
-        SecurityAccounting {
-            entropy_in_bits: entropy_in,
-            helper_leakage_bits: leakage,
-            key_bits: self.key_bits,
-        }
-    }
-}
-
-/// The entropy budget of a key generator: what the PUF delivers, what the
-/// public helper data gives away (worst case), and what the key needs.
-///
-/// A *negative* [`Self::residual_entropy_bits`] is the well-known
-/// repetition-code leakage problem (Koeberl et al., 2014): the
-/// code-offset sketch over a low-rate inner code can leak more than the
-/// source provides, so an information-theoretic adversary is not excluded.
-/// The original ARO-PUF paper — like most 2014 PUF key generators — does
-/// its area comparison without this accounting; we surface it because a
-/// downstream user should see it (and because the ARO-PUF's *higher*
-/// per-bit entropy and *lighter* code make its budget strictly better
-/// than the conventional design's).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SecurityAccounting {
-    /// Min-entropy the PUF response delivers, in bits.
-    pub entropy_in_bits: f64,
-    /// Worst-case helper-data leakage `blocks · (n − k)`, in bits.
-    pub helper_leakage_bits: f64,
-    /// Key width in bits.
-    pub key_bits: usize,
-}
-
-impl SecurityAccounting {
-    /// Entropy left after helper-data leakage (may be negative — see the
-    /// type-level docs).
-    #[must_use]
-    pub fn residual_entropy_bits(&self) -> f64 {
-        self.entropy_in_bits - self.helper_leakage_bits
-    }
-
-    /// Whether the residual entropy covers the key width — the
-    /// information-theoretic bar a conservative design aims for.
-    #[must_use]
-    pub fn covers_key(&self) -> bool {
-        self.residual_entropy_bits() >= self.key_bits as f64
-    }
 }
 
 #[cfg(test)]
@@ -296,39 +244,6 @@ mod tests {
         let high = KeyGenerator::for_bit_error_rate(0.30, 128, 1e-6, &puf_params()).unwrap();
         assert!(high.response_bits() > low.response_bits());
         assert!(high.spec().total_ge() > low.spec().total_ge());
-    }
-
-    #[test]
-    fn security_accounting_adds_up() {
-        let kg = KeyGenerator::for_bit_error_rate(0.08, 128, 1e-6, &puf_params()).unwrap();
-        let acct = kg.security_accounting(1.0);
-        assert_eq!(acct.entropy_in_bits, kg.response_bits() as f64);
-        assert!(acct.helper_leakage_bits > 0.0);
-        assert!(
-            (acct.residual_entropy_bits() - (acct.entropy_in_bits - acct.helper_leakage_bits))
-                .abs()
-                < 1e-9
-        );
-        // A perfect source through any code leaves exactly blocks·k bits,
-        // which covers a 128-bit key whenever blocks·k >= 128.
-        let spec = kg.spec();
-        let expected_residual = (spec.blocks * spec.bch_k) as f64;
-        assert!((acct.residual_entropy_bits() - expected_residual).abs() < 1e-6);
-        assert!(acct.covers_key());
-    }
-
-    #[test]
-    fn repetition_heavy_codes_leak_more_than_biased_sources_provide() {
-        // The Koeberl effect: at realistic per-bit entropy, a large inner
-        // repetition factor drives the residual negative.
-        let kg = KeyGenerator::for_bit_error_rate(0.30, 128, 1e-6, &puf_params()).unwrap();
-        assert!(kg.spec().rep_r >= 15, "a 30 % BER forces heavy repetition");
-        let acct = kg.security_accounting(0.65); // conventional RO-PUF entropy
-        assert!(
-            !acct.covers_key(),
-            "residual {} should expose the leakage problem",
-            acct.residual_entropy_bits()
-        );
     }
 
     #[test]

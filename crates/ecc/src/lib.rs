@@ -20,8 +20,7 @@
 //!   derivation.
 //! * [`area`] — gate-equivalent area models for the decoders and the PUF
 //!   array, plus the design-space search behind the paper's area table.
-//! * [`keygen`] — end-to-end 128-bit key enrollment and reconstruction,
-//!   plus helper-data security accounting.
+//! * [`keygen`] — end-to-end 128-bit key enrollment and reconstruction.
 //! * [`soft`] — soft-decision decoding (confidence-weighted inner
 //!   majority) and erasure-aware key reconstruction.
 //! * [`refresh`] — the self-healing key lifecycle: periodic helper-data

@@ -52,12 +52,6 @@ impl SoftBit {
         Self { value, weight: 0.0 }
     }
 
-    /// Whether this bit carries no confidence at all.
-    #[must_use]
-    pub fn is_erasure(&self) -> bool {
-        self.weight == 0.0
-    }
-
     /// The bit as a signed weight (+w for 1, −w for 0).
     #[must_use]
     pub fn signed(&self) -> f64 {
@@ -380,10 +374,9 @@ mod tests {
     #[test]
     fn erasure_carries_no_confidence() {
         let e = SoftBit::erasure(true);
-        assert!(e.is_erasure());
         assert_eq!(e.signed(), 0.0);
-        assert!(e.flipped().is_erasure());
-        assert!(!SoftBit::new(true, 0.1).is_erasure());
+        assert_eq!(e.flipped().signed(), 0.0);
+        assert_ne!(SoftBit::new(true, 0.1).signed(), 0.0);
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //! The hooks it feeds live in the layers that own the physics:
 //! [`aro_device::environment::Environment::perturbed`],
 //! [`aro_circuit::ring::RoHealth`],
-//! [`aro_circuit::readout::ReadoutConfig::with_noise_burst`],
-//! [`aro_circuit::readout::Measurement::glitched`], and
-//! `aro_ecc::fuzzy::HelperData::with_flipped_bits`. Every fault that fires
-//! is tallied through `aro-obs` (`faults.*` counters).
+//! [`aro_circuit::readout::ReadoutConfig::with_noise_burst`], and
+//! `aro_ecc::fuzzy::HelperData::with_flipped_bits`; counter glitches flip
+//! response bits where the read happens (`aro_serve::faulted_read`).
+//! Every fault that fires is tallied through `aro-obs` (`faults.*`
+//! counters).
 //!
 //! See `docs/ROBUSTNESS.md` for the taxonomy and the determinism contract.
 //!

@@ -319,19 +319,6 @@ pub(crate) fn fmt_stat(v: f64) -> String {
     }
 }
 
-/// Parses a whole capture/ledger text.
-#[must_use]
-pub fn parse_health(text: &str, label: &str) -> HealthReport {
-    let mut report = HealthReport {
-        label: label.to_string(),
-        ..HealthReport::default()
-    };
-    for line in text.lines() {
-        report.feed_line(line);
-    }
-    report
-}
-
 /// Loads several files into one report — e.g. a telemetry capture plus
 /// the run's ledger — folding sketches/counters across all of them. The
 /// label joins the file names with ` + `.
@@ -368,6 +355,17 @@ pub fn health_files(paths: &[std::path::PathBuf]) -> Result<HealthReport, String
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_health(text: &str, label: &str) -> HealthReport {
+        let mut report = HealthReport {
+            label: label.to_string(),
+            ..HealthReport::default()
+        };
+        for line in text.lines() {
+            report.feed_line(line);
+        }
+        report
+    }
 
     fn sample_sketch(values: &[f64]) -> Sketch {
         let mut s = Sketch::default();

@@ -115,15 +115,6 @@ impl LedgerRecord {
         }
     }
 
-    /// The `faults.*` slice of the metric aggregates — the injection audit
-    /// trail of a `--faults` run.
-    pub fn fault_events(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.metrics
-            .iter()
-            .filter(|(name, _)| name.starts_with("faults."))
-            .map(|(name, v)| (name.as_str(), *v))
-    }
-
     /// Serializes as one JSONL line (no trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
@@ -305,13 +296,6 @@ mod tests {
         assert!(!legacy.contains("\"health\""));
         let back = LedgerRecord::from_json(&json::parse(&legacy).unwrap()).unwrap();
         assert!(back.health.is_empty());
-    }
-
-    #[test]
-    fn fault_events_filter_the_faults_prefix() {
-        let record = sample_success();
-        let events: Vec<_> = record.fault_events().collect();
-        assert_eq!(events, vec![("faults.env_excursions", 3)]);
     }
 
     #[test]

@@ -135,12 +135,6 @@ impl BitString {
         (0..self.len).map(move |i| self.get(i))
     }
 
-    /// Copies the bits out as booleans.
-    #[must_use]
-    pub fn to_bools(&self) -> Vec<bool> {
-        self.iter().collect()
-    }
-
     /// The sub-string `[start, start + len)`.
     ///
     /// # Panics
@@ -228,10 +222,10 @@ mod tests {
     }
 
     #[test]
-    fn from_bools_and_to_bools_roundtrip() {
+    fn from_bools_round_trips_through_iter() {
         let pattern: Vec<bool> = (0..150).map(|i| i % 3 == 0).collect();
         let s = BitString::from_bools(&pattern);
-        assert_eq!(s.to_bools(), pattern);
+        assert_eq!(s.iter().collect::<Vec<_>>(), pattern);
     }
 
     #[test]

@@ -4,21 +4,6 @@
 //! input (minus the helper-data leakage). These estimators quantify how
 //! much a biased or aliased PUF response actually delivers.
 
-use crate::bits::BitString;
-
-/// Binary Shannon entropy `H(p)` in bits.
-///
-/// # Panics
-/// Panics if `p` is outside `[0, 1]`.
-#[must_use]
-pub fn binary_shannon(p: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "probability out of range");
-    if p == 0.0 || p == 1.0 {
-        return 0.0;
-    }
-    -(p * p.log2() + (1.0 - p) * (1.0 - p).log2())
-}
-
 /// Binary min-entropy `−log2(max(p, 1−p))` in bits.
 ///
 /// # Panics
@@ -37,46 +22,19 @@ pub fn min_entropy_from_aliasing(aliasing: &[f64]) -> f64 {
     aliasing.iter().map(|&p| binary_min_entropy(p)).sum()
 }
 
-/// Total Shannon entropy from the aliasing vector (independent-bit model).
-#[must_use]
-pub fn shannon_entropy_from_aliasing(aliasing: &[f64]) -> f64 {
-    aliasing.iter().map(|&p| binary_shannon(p)).sum()
-}
-
-/// Empirical per-bit entropy rate of one long bit string using the
-/// plug-in estimator over `block_len`-bit blocks, in bits per bit.
-///
-/// # Panics
-/// Panics if `block_len` is 0, greater than 24, or longer than the string.
-#[must_use]
-pub fn block_entropy_rate(bits: &BitString, block_len: usize) -> f64 {
-    assert!(
-        block_len > 0 && block_len <= 24,
-        "block length out of range"
-    );
-    assert!(bits.len() >= block_len, "string shorter than one block");
-    let n_blocks = bits.len() / block_len;
-    let mut counts = std::collections::HashMap::new();
-    for b in 0..n_blocks {
-        let mut value = 0usize;
-        for i in 0..block_len {
-            value = (value << 1) | usize::from(bits.get(b * block_len + i));
-        }
-        *counts.entry(value).or_insert(0usize) += 1;
-    }
-    let h: f64 = counts
-        .values()
-        .map(|&c| {
-            let p = c as f64 / n_blocks as f64;
-            -p * p.log2()
-        })
-        .sum();
-    h / block_len as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Binary Shannon entropy `H(p)` in bits: the bound min-entropy is
+    /// checked against.
+    fn binary_shannon(p: f64) -> f64 {
+        assert!((0.0..=1.0).contains(&p), "probability out of range");
+        if p == 0.0 || p == 1.0 {
+            return 0.0;
+        }
+        -(p * p.log2() + (1.0 - p) * (1.0 - p).log2())
+    }
 
     #[test]
     fn shannon_peaks_at_half() {
@@ -103,7 +61,6 @@ mod tests {
     fn aliasing_entropy_sums_positions() {
         let aliasing = vec![0.5, 0.5, 1.0, 0.0];
         assert_eq!(min_entropy_from_aliasing(&aliasing), 2.0);
-        assert_eq!(shannon_entropy_from_aliasing(&aliasing), 2.0);
     }
 
     #[test]
@@ -113,27 +70,6 @@ mod tests {
         assert_eq!(min_entropy_from_aliasing(&ideal), 128.0);
         let b = min_entropy_from_aliasing(&biased);
         assert!(b < 128.0 && b > 64.0, "biased entropy = {b}");
-    }
-
-    #[test]
-    fn block_entropy_of_constant_string_is_zero() {
-        let bits = BitString::zeros(256);
-        assert_eq!(block_entropy_rate(&bits, 4), 0.0);
-    }
-
-    #[test]
-    fn block_entropy_of_alternating_string_is_low() {
-        let bits = BitString::from_fn(256, |i| i % 2 == 0);
-        // Only two distinct 4-bit blocks appear... actually one: 1010.
-        assert!(block_entropy_rate(&bits, 4) < 0.3);
-    }
-
-    #[test]
-    fn block_entropy_of_counter_pattern_is_high() {
-        // 8-bit counter values 0..=255 laid out bit by bit: every 8-bit
-        // block distinct → plug-in entropy = 8 bits per block = 1 per bit.
-        let bits = BitString::from_fn(2048, |i| (i / 8) >> (7 - i % 8) & 1 == 1);
-        assert!((block_entropy_rate(&bits, 8) - 1.0).abs() < 1e-9);
     }
 
     #[test]

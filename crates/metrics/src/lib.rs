@@ -10,8 +10,7 @@
 //!   **reliability** (intra-chip HD across environments/time, ideal 0 %),
 //!   **uniformity** (fraction of 1s, ideal 50 %), **bit-aliasing**
 //!   (per-position bias across chips, ideal 50 %), and aging **flip rate**.
-//! * [`entropy`] — Shannon and min-entropy estimators for key-strength
-//!   accounting.
+//! * [`entropy`] — min-entropy estimators for key-strength accounting.
 //! * [`special`] — the special functions (`erfc`, regularized incomplete
 //!   gamma) behind real p-values.
 //! * [`nist`] — a NIST SP 800-22-lite randomness battery (monobit, block

@@ -110,50 +110,6 @@ pub fn flip_rate(reference: &BitString, aged: &BitString) -> f64 {
     fractional_hd(reference, aged)
 }
 
-/// Normalized autocorrelation of one response at lag `lag`:
-/// the correlation between `bit[i]` and `bit[i+lag]` mapped to ±1
-/// (ideal 0 everywhere except lag 0). Detects sequential structure —
-/// e.g. the correlated bits of chained (sequential) pairing.
-///
-/// # Panics
-/// Panics if `lag == 0` or fewer than two overlapping bits remain.
-#[must_use]
-pub fn autocorrelation(response: &BitString, lag: usize) -> f64 {
-    assert!(lag >= 1, "lag must be at least 1");
-    let n = response.len();
-    assert!(n > lag + 1, "response too short for this lag");
-    let overlap = n - lag;
-    let to_pm = |b: bool| if b { 1.0 } else { -1.0 };
-    let mean: f64 = response.iter().map(to_pm).sum::<f64>() / n as f64;
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for i in 0..n {
-        let x = to_pm(response.get(i)) - mean;
-        den += x * x;
-        if i < overlap {
-            num += x * (to_pm(response.get(i + lag)) - mean);
-        }
-    }
-    if den == 0.0 {
-        return 1.0; // constant sequence: perfectly self-similar
-    }
-    num / den
-}
-
-/// Worst-case (maximum) intra-chip HD across a set of resamples, the
-/// number an ECC must be provisioned for.
-///
-/// # Panics
-/// Panics if `resamples` is empty.
-#[must_use]
-pub fn worst_case_intra_hd(reference: &BitString, resamples: &[BitString]) -> f64 {
-    assert!(!resamples.is_empty(), "needs at least one resample");
-    resamples
-        .iter()
-        .map(|r| fractional_hd(reference, r))
-        .fold(f64::NEG_INFINITY, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +155,6 @@ mod tests {
         let resamples = vec![bs("00000001"), bs("00000011"), bs("00000000")];
         let s = intra_chip_hd(&reference, &resamples);
         assert!((s.mean() - (1.0 + 2.0 + 0.0) / 3.0 / 8.0).abs() < 1e-12);
-        assert_eq!(worst_case_intra_hd(&reference, &resamples), 0.25);
     }
 
     #[test]
@@ -227,40 +182,5 @@ mod tests {
     #[should_panic(expected = "at least two chips")]
     fn uniqueness_of_one_chip_panics() {
         let _ = pairwise_hds(&[bs("01")]);
-    }
-
-    #[test]
-    fn autocorrelation_of_alternation_is_minus_one_at_lag_one() {
-        let alternating = BitString::from_fn(200, |i| i % 2 == 0);
-        let r1 = autocorrelation(&alternating, 1);
-        assert!((r1 + 1.0).abs() < 0.05, "lag-1 autocorrelation {r1}");
-        let r2 = autocorrelation(&alternating, 2);
-        assert!(r2 > 0.9, "lag-2 autocorrelation {r2}");
-    }
-
-    #[test]
-    fn autocorrelation_of_pseudorandom_is_near_zero() {
-        let mut state = 0x1357_9bdf_u64;
-        let bits = BitString::from_fn(4096, |_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 62) & 1 == 1
-        });
-        for lag in [1, 2, 7, 32] {
-            let r = autocorrelation(&bits, lag);
-            assert!(r.abs() < 0.06, "lag {lag}: {r}");
-        }
-    }
-
-    #[test]
-    fn autocorrelation_of_constant_is_one() {
-        assert_eq!(autocorrelation(&BitString::zeros(64), 3), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "lag must be at least 1")]
-    fn zero_lag_panics() {
-        let _ = autocorrelation(&BitString::zeros(16), 0);
     }
 }

@@ -32,23 +32,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     -tmp + (2.506_628_274_631_000_5 * ser / x).ln()
 }
 
-/// Regularized lower incomplete gamma function `P(a, x)`.
-///
-/// # Panics
-/// Panics if `a <= 0` or `x < 0`.
-#[must_use]
-pub fn gamma_p(a: f64, x: f64) -> f64 {
-    assert!(a > 0.0 && x >= 0.0, "invalid incomplete gamma arguments");
-    if x == 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_continued_fraction(a, x)
-    }
-}
-
 /// Regularized upper incomplete gamma function `Q(a, x) = 1 − P(a, x)` —
 /// the chi-squared tail probability used by several NIST tests.
 ///
@@ -157,21 +140,53 @@ mod tests {
         assert!((ln_gamma(0.5) - std::f64::consts::PI.sqrt().ln()).abs() < 1e-9);
     }
 
+    /// `Q(k, x) = e^−x Σ_{i<k} xⁱ/i!` for integer `k` (the Poisson tail).
+    fn q_integer(k: u32, x: f64) -> f64 {
+        let mut term = 1.0;
+        let mut sum = 0.0;
+        for i in 0..k {
+            if i > 0 {
+                term *= x / f64::from(i);
+            }
+            sum += term;
+        }
+        (-x).exp() * sum
+    }
+
+    /// Arguments on both sides of the series / continued-fraction switch
+    /// at `x = a + 1`, plus a far tail.
+    fn straddle(a: f64) -> [f64; 6] {
+        let s = a + 1.0;
+        [0.1, 0.5 * s, s - 1e-3, s, s + 1e-3, 3.0 * s + 10.0]
+    }
+
     #[test]
-    fn gamma_p_and_q_are_complementary() {
-        for &(a, x) in &[(0.5, 0.3), (1.0, 1.0), (2.5, 4.0), (10.0, 3.0), (3.0, 12.0)] {
-            let p = gamma_p(a, x);
-            let q = gamma_q(a, x);
-            assert!((p + q - 1.0).abs() < 1e-10, "a={a} x={x}: p+q = {}", p + q);
-            assert!((0.0..=1.0).contains(&p));
+    fn gamma_q_of_integer_a_is_the_poisson_tail() {
+        // a = 2: the battery's serial (m = 3) and approximate-entropy
+        // (m = 2) tests; 4, 8 and 16: block frequency over 128, 256 and
+        // 512 bits (a = n / 32), and the template test's 8 blocks at 4.
+        for k in [1u32, 2, 3, 4, 8, 16] {
+            for x in straddle(f64::from(k)) {
+                let (q, exact) = (gamma_q(f64::from(k), x), q_integer(k, x));
+                assert!(
+                    (q - exact).abs() <= 1e-9 * exact,
+                    "Q({k}, {x}) = {q}, closed form {exact}"
+                );
+            }
         }
     }
 
     #[test]
-    fn gamma_p_of_exponential_is_known() {
-        // P(1, x) = 1 - exp(-x).
-        for x in [0.1, 0.5, 1.0, 2.0, 5.0] {
-            assert!((gamma_p(1.0, x) - (1.0 - (-x).exp())).abs() < 1e-10);
+    fn gamma_q_of_half_integer_a_matches_erfc() {
+        // Q(1/2, x) = erfc(sqrt x); Q(3/2, x) adds 2 sqrt(x/pi) e^-x (the
+        // longest-run test's a). erfc is good to ~1e-7, so 1e-6 here.
+        for x in straddle(0.5) {
+            let exact = erfc(x.sqrt());
+            assert!((gamma_q(0.5, x) - exact).abs() < 1e-6, "Q(1/2, {x})");
+        }
+        for x in straddle(1.5) {
+            let exact = erfc(x.sqrt()) + 2.0 * (x / std::f64::consts::PI).sqrt() * (-x).exp();
+            assert!((gamma_q(1.5, x) - exact).abs() < 1e-6, "Q(3/2, {x})");
         }
     }
 

@@ -194,20 +194,6 @@ impl Histogram {
             .map(|(i, &c)| (self.bin_center(i), c as f64 / denom))
             .collect()
     }
-
-    /// A simple ASCII bar rendering (for `repro`'s figure output).
-    #[must_use]
-    pub fn ascii(&self, width: usize) -> String {
-        let max = self.counts.iter().copied().max().unwrap_or(0).max(1);
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let bar = "#".repeat(c * width / max);
-                format!("{:>8.3} | {:<width$} {}\n", self.bin_center(i), bar, c)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -270,14 +256,5 @@ mod tests {
         h.add_all(&[1.0, 2.0, 3.0, 4.0]);
         let total: f64 = h.normalized().iter().map(|(_, f)| f).sum();
         assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_ascii_contains_a_row_per_bin() {
-        let mut h = Histogram::new(0.0, 1.0, 5);
-        h.add_all(&[0.1, 0.1, 0.5]);
-        let art = h.ascii(20);
-        assert_eq!(art.lines().count(), 5);
-        assert!(art.contains('#'));
     }
 }

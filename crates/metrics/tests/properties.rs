@@ -2,9 +2,9 @@
 //! hold for arbitrary bit strings.
 
 use aro_metrics::bits::BitString;
-use aro_metrics::special::{erfc, gamma_p, gamma_q, normal_cdf};
+use aro_metrics::special::{erfc, gamma_q, normal_cdf};
 use aro_metrics::stats::{quantile, Histogram, Summary};
-use aro_metrics::{bit_aliasing, fractional_hd, nist, quality, uniformity};
+use aro_metrics::{bit_aliasing, fractional_hd, nist, uniformity};
 use proptest::prelude::*;
 
 fn arb_bits(len: std::ops::Range<usize>) -> impl Strategy<Value = BitString> {
@@ -89,13 +89,26 @@ proptest! {
         prop_assert_eq!(h.total(), xs.len());
     }
 
-    /// Special functions: gamma_p + gamma_q = 1, erfc in [0, 2], CDF
-    /// monotone.
+    /// Special functions: the chi-squared tail `gamma_q` equals its closed
+    /// forms — the Poisson tail `e^-x Σ_{i<k} x^i/i!` at integer `k`
+    /// (relative 1e-9) and `erfc(√x) + 2√(x/π)·e^-x` at `a = 3/2` (erfc's
+    /// 1e-6) — with `x` on both sides of the series / continued-fraction
+    /// switch at `a + 1`; erfc stays in [0, 2].
     #[test]
-    fn special_function_identities(a in 0.1..50.0f64, x in 0.0..100.0f64) {
-        prop_assert!((gamma_p(a, x) + gamma_q(a, x) - 1.0).abs() < 1e-8);
-        let e = erfc(x / 10.0 - 5.0);
-        prop_assert!((0.0..=2.0).contains(&e));
+    fn special_function_identities(k in 1u32..=16, x in 0.0..60.0f64) {
+        let mut term = 1.0;
+        let mut poisson = 0.0;
+        for i in 0..k {
+            if i > 0 {
+                term *= x / f64::from(i);
+            }
+            poisson += term;
+        }
+        let exact = (-x).exp() * poisson;
+        prop_assert!((gamma_q(f64::from(k), x) - exact).abs() <= 1e-9 * exact);
+        let half = erfc(x.sqrt()) + 2.0 * (x / std::f64::consts::PI).sqrt() * (-x).exp();
+        prop_assert!((gamma_q(1.5, x) - half).abs() < 1e-6);
+        prop_assert!((0.0..=2.0).contains(&erfc(x / 6.0 - 5.0)));
     }
 
     #[test]
@@ -111,22 +124,5 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&r.p_value), "{}: {}", r.name, r.p_value);
             prop_assert_eq!(r.pass, r.p_value >= nist::ALPHA);
         }
-    }
-
-    /// Worst-case intra HD dominates the mean intra HD.
-    #[test]
-    fn worst_case_dominates_mean(reference in arb_bits(32..64),
-                                 flips in prop::collection::vec(any::<prop::sample::Index>(), 1..5)) {
-        let resamples: Vec<BitString> = flips
-            .iter()
-            .map(|idx| {
-                let mut r = reference.clone();
-                r.flip(idx.index(reference.len()));
-                r
-            })
-            .collect();
-        let mean = quality::intra_chip_hd(&reference, &resamples).mean();
-        let worst = quality::worst_case_intra_hd(&reference, &resamples);
-        prop_assert!(worst >= mean - 1e-12);
     }
 }

@@ -239,13 +239,6 @@ impl Sketch {
         self.max
     }
 
-    /// Tail counters `(neg, zero, low, high)`: observations below zero, at
-    /// zero, between zero and the lowest bucket, and at/above the highest.
-    #[must_use]
-    pub fn tails(&self) -> (u64, u64, u64, u64) {
-        (self.neg, self.zero, self.low, self.high)
-    }
-
     /// Sparse `(bucket_index, count)` pairs for the non-empty buckets.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
@@ -456,8 +449,7 @@ mod tests {
         let mut s = filled(&[-3.0, 0.0, 1e-12, 1e15]);
         s.observe(f64::NAN);
         s.observe(f64::INFINITY);
-        let (neg, zero, low, high) = s.tails();
-        assert_eq!((neg, zero, low, high), (1, 2, 1, 2));
+        assert_eq!((s.neg, s.zero, s.low, s.high), (1, 2, 1, 2));
         assert_eq!(s.count(), 6);
         // Non-finite values are excluded from the moments.
         assert!(s.mean().is_finite());

@@ -43,17 +43,6 @@ impl MissionProfile {
         }
     }
 
-    /// A harsh corner: 85 °C always-on, frequent readouts.
-    #[must_use]
-    pub fn harsh(tech: &TechParams) -> Self {
-        Self {
-            temp_celsius: 85.0,
-            vdd: tech.vdd_nominal,
-            readouts_per_day: 1000.0,
-            powered_fraction: 1.0,
-        }
-    }
-
     /// Accumulated oscillation time per ring over `duration_s` of calendar
     /// time: one gate window per readout.
     #[must_use]
@@ -292,22 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn harsh_profile_ages_faster_than_typical() {
-        let (design, _) = setup(RoStyle::Conventional);
-        let env = Environment::nominal(design.tech());
-        let run = |profile: &MissionProfile| {
-            let mut chip = Chip::fabricate(&design, 1);
-            let fresh = chip.frequencies(&design, &env);
-            profile.age_chip(&mut chip, &design, YEAR);
-            let aged = chip.frequencies(&design, &env);
-            (fresh[0] - aged[0]) / fresh[0]
-        };
-        let typical = run(&MissionProfile::typical(design.tech()));
-        let harsh = run(&MissionProfile::harsh(design.tech()));
-        assert!(harsh > typical);
-    }
-
-    #[test]
     fn unpowered_device_barely_ages() {
         let (design, mut chip) = setup(RoStyle::Conventional);
         let env = Environment::nominal(design.tech());
@@ -367,7 +340,7 @@ mod tests {
         let tech = TechParams::default();
         let _ = MissionSchedule::new(vec![
             (0.5, MissionProfile::typical(&tech)),
-            (0.2, MissionProfile::harsh(&tech)),
+            (0.2, MissionProfile::typical(&tech)),
         ]);
     }
 

@@ -34,24 +34,6 @@ pub enum PairingStrategy {
 }
 
 impl PairingStrategy {
-    /// Number of response bits this strategy extracts from `n_ros` rings.
-    ///
-    /// # Panics
-    /// Panics if `n_ros < 2`, or `k < 2` for 1-out-of-k.
-    #[must_use]
-    pub fn bits_from(&self, n_ros: usize) -> usize {
-        assert!(n_ros >= 2, "need at least two rings");
-        match *self {
-            Self::Neighbor => n_ros / 2,
-            Self::Sequential => n_ros - 1,
-            Self::Distant => n_ros / 2,
-            Self::SortedOneOutOfK { k } => {
-                assert!(k >= 2, "1-out-of-k needs k >= 2");
-                n_ros / k
-            }
-        }
-    }
-
     /// Whether this strategy needs enrollment frequencies to choose pairs.
     #[must_use]
     pub fn needs_enrollment(&self) -> bool {
@@ -133,14 +115,12 @@ mod tests {
     fn neighbor_pairs_are_disjoint() {
         let pairs = PairingStrategy::Neighbor.pairs(8);
         assert_eq!(pairs, vec![(0, 1), (2, 3), (4, 5), (6, 7)]);
-        assert_eq!(PairingStrategy::Neighbor.bits_from(8), 4);
     }
 
     #[test]
     fn sequential_pairs_chain() {
         let pairs = PairingStrategy::Sequential.pairs(4);
         assert_eq!(pairs, vec![(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(PairingStrategy::Sequential.bits_from(4), 3);
     }
 
     #[test]
@@ -154,7 +134,6 @@ mod tests {
         let freqs = [1.0, 5.0, 3.0, 2.0, /* group 2 */ 9.0, 8.0, 7.0, 6.5];
         let pairs = PairingStrategy::SortedOneOutOfK { k: 4 }.pairs_with_enrollment(&freqs);
         assert_eq!(pairs, vec![(0, 1), (4, 7)]);
-        assert_eq!(PairingStrategy::SortedOneOutOfK { k: 4 }.bits_from(8), 2);
     }
 
     #[test]

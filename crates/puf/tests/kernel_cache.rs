@@ -458,8 +458,8 @@ proptest! {
         let nominal = Environment::nominal(designs[0].tech());
         let env_of = |kind: EnvKind| match kind {
             EnvKind::Nominal => nominal,
-            EnvKind::Hot => nominal.with_temp_celsius(85.0),
-            EnvKind::Cold => nominal.with_temp_celsius(-20.0),
+            EnvKind::Hot => Environment::new(85.0, nominal.vdd()),
+            EnvKind::Cold => Environment::new(-20.0, nominal.vdd()),
             #[allow(clippy::cast_precision_loss)]
             EnvKind::Excursion(dt, dv) => nominal.perturbed(dt as f64, dv as f64 * 1e-3),
         };

@@ -26,8 +26,8 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Every pairing strategy emits the advertised bit count and only
-    /// in-range, non-self pairs.
+    /// Every pairing strategy emits its documented bit count (`n/2`,
+    /// `n−1`, `n/2`, `n/k`) and only in-range, non-self pairs.
     #[test]
     fn pairing_emits_valid_pairs(n_half in 2usize..40, k in 2usize..9) {
         let n_ros = 2 * n_half;
@@ -41,8 +41,13 @@ proptest! {
             if matches!(strategy, PairingStrategy::SortedOneOutOfK { .. }) && n_ros < k {
                 continue;
             }
+            let bits = match strategy {
+                PairingStrategy::Neighbor | PairingStrategy::Distant => n_ros / 2,
+                PairingStrategy::Sequential => n_ros - 1,
+                PairingStrategy::SortedOneOutOfK { k } => n_ros / k,
+            };
             let pairs = strategy.pairs_with_enrollment(&freqs);
-            prop_assert_eq!(pairs.len(), strategy.bits_from(n_ros), "{}", strategy.label());
+            prop_assert_eq!(pairs.len(), bits, "{}", strategy.label());
             for (a, b) in pairs {
                 prop_assert!(a < n_ros && b < n_ros && a != b);
             }
@@ -94,7 +99,7 @@ proptest! {
         let chip = Chip::fabricate(&design, 0);
         let pairs = PairingStrategy::Neighbor.pairs(32);
         let nominal = Environment::nominal(design.tech());
-        let hot = nominal.with_temp_celsius(85.0);
+        let hot = Environment::new(85.0, nominal.vdd());
         let a = chip.golden_response(&design, &nominal, &pairs);
         let b = chip.golden_response(&design, &hot, &pairs);
         let hd = a.hamming_distance(&b);

@@ -243,14 +243,6 @@ pub struct ScrubReport {
     pub unrecoverable: Vec<u64>,
 }
 
-impl ScrubReport {
-    /// Whether the pass changed nothing and found nothing unrecoverable.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.repairs.is_empty() && self.unrecoverable.is_empty()
-    }
-}
-
 /// One stored copy of a device's record. The slot outlives its record:
 /// a wiped replica keeps its `(device, replica)` address so scrub knows
 /// what to rebuild.
@@ -435,22 +427,6 @@ impl ShardedStore {
         } else {
             (ReadOutcome::Missing, summary)
         }
-    }
-
-    /// The replica health of a group without serving a read (no
-    /// counters; pure observation for health reporting).
-    #[must_use]
-    pub fn replica_summary(&self, device_id: u64) -> ReplicaSummary {
-        let mut summary = ReplicaSummary::default();
-        for replica in 0..self.n_replicas {
-            match self.slot(device_id, replica).map(|slot| &slot.record) {
-                None => {}
-                Some(None) => summary.wiped += 1,
-                Some(Some(record)) if record.is_intact() => summary.intact += 1,
-                Some(Some(_)) => summary.corrupt += 1,
-            }
-        }
-        summary
     }
 
     /// Erodes the store in place with the fault plan's storage
@@ -694,7 +670,7 @@ mod tests {
             }
         }
         let any_damage = (0..4).any(|id| {
-            let s = store.replica_summary(id);
+            let s = store.read_with_replicas(id).1;
             s.corrupt + s.wiped > 0
         });
         assert!(
@@ -717,7 +693,11 @@ mod tests {
         let (a, b) = (build(), build());
         for id in 0..4 {
             assert_eq!(a.read(id), b.read(id), "device {id}");
-            assert_eq!(a.replica_summary(id), b.replica_summary(id), "device {id}");
+            assert_eq!(
+                a.read_with_replicas(id).1,
+                b.read_with_replicas(id).1,
+                "device {id}"
+            );
         }
     }
 
@@ -732,7 +712,7 @@ mod tests {
         // Across four devices and three replicas each, at least one group
         // must be partially damaged (degraded, not uniformly dead): that
         // is what independent per-replica erosion streams buy.
-        let degraded = (0..4).any(|id| store.replica_summary(id).is_degraded());
+        let degraded = (0..4).any(|id| store.read_with_replicas(id).1.is_degraded());
         assert!(degraded, "independent erosion must leave mixed groups");
     }
 
@@ -772,9 +752,16 @@ mod tests {
             assert_eq!(repair.generation, 0, "scrub propagates the lineage");
         }
         // Convergence: all replicas byte-identical and intact.
-        let summary = store.replica_summary(2);
+        let summary = store.read_with_replicas(2).1;
         assert_eq!((summary.intact, summary.corrupt, summary.wiped), (3, 0, 0));
-        assert!(store.scrub().is_clean(), "a second pass finds nothing");
+        assert_eq!(
+            store.scrub(),
+            ScrubReport {
+                groups: 6,
+                ..ScrubReport::default()
+            },
+            "a second pass finds nothing"
+        );
     }
 
     #[test]
@@ -821,7 +808,7 @@ mod tests {
             1,
             "no surviving lineage restarts at 1"
         );
-        let summary = store.replica_summary(0);
+        let summary = store.read_with_replicas(0).1;
         assert_eq!((summary.intact, summary.corrupt, summary.wiped), (2, 0, 0));
     }
 }

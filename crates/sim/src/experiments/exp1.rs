@@ -77,6 +77,10 @@ pub fn run(cfg: &SimConfig) -> Report {
 mod tests {
     use super::*;
 
+    fn last_y(series: &Series) -> f64 {
+        series.points.last().expect("empty series").1
+    }
+
     #[test]
     fn conventional_degrades_much_more_and_both_are_monotone() {
         let report = run(&SimConfig::quick());
@@ -89,15 +93,12 @@ mod tests {
         );
         assert!(aro.points.windows(2).all(|w| w[1].1 >= w[0].1 - 1e-12));
         assert!(
-            conv.last_y() > 0.04,
+            last_y(conv) > 0.04,
             "conventional ten-year decay {:.4}",
-            conv.last_y()
+            last_y(conv)
         );
-        assert!(conv.last_y() < 0.20);
-        assert!(
-            aro.last_y() < 0.35 * conv.last_y(),
-            "ARO must decay far less"
-        );
+        assert!(last_y(conv) < 0.20);
+        assert!(last_y(aro) < 0.35 * last_y(conv), "ARO must decay far less");
         assert_eq!(report.tables()[0].n_rows(), 9);
     }
 
@@ -107,7 +108,7 @@ mod tests {
         let report = run(&SimConfig::quick());
         let conv = &report.figures()[0].series()[0];
         let first_year = conv.points[3].1; // 1 y
-        let last_five = conv.last_y() - conv.points[6].1; // 5 y → 10 y
+        let last_five = last_y(conv) - conv.points[6].1; // 5 y → 10 y
         assert!(
             first_year > last_five,
             "aging must decelerate: {first_year} vs {last_five}"

@@ -242,30 +242,6 @@ pub fn reset() {
     });
 }
 
-/// Number of retained populations in the active scope (0 without a
-/// scope). Exposed for cache-behavior tests.
-#[must_use]
-pub fn retained_baselines() -> usize {
-    CACHE.with(|cache| {
-        cache
-            .borrow()
-            .as_ref()
-            .map_or(0, |s| s.populations.entries.len())
-    })
-}
-
-/// Number of retained aged-step snapshots in the active scope (0 without
-/// a scope). Exposed for cache-behavior tests.
-#[must_use]
-pub fn retained_snapshots() -> usize {
-    CACHE.with(|cache| {
-        cache
-            .borrow()
-            .as_ref()
-            .map_or(0, |s| s.snapshots.entries.len())
-    })
-}
-
 /// The aging history a chip has walked since fabrication (or its last
 /// [`Chip::reset_to_fabricated`]) — the snapshot store's step-prefix key.
 ///
@@ -444,6 +420,28 @@ mod tests {
     use super::*;
     use aro_circuit::ring::RoStyle;
     use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Number of retained populations in the active scope (0 without a
+    /// scope).
+    fn retained_baselines() -> usize {
+        CACHE.with(|cache| {
+            cache
+                .borrow()
+                .as_ref()
+                .map_or(0, |s| s.populations.entries.len())
+        })
+    }
+
+    /// Number of retained aged-step snapshots in the active scope (0
+    /// without a scope).
+    fn retained_snapshots() -> usize {
+        CACHE.with(|cache| {
+            cache
+                .borrow()
+                .as_ref()
+                .map_or(0, |s| s.snapshots.entries.len())
+        })
+    }
 
     fn design(style: RoStyle, seed: u64) -> PufDesign {
         PufDesign::builder(style).n_ros(8).seed(seed).build()

@@ -25,15 +25,6 @@ impl Series {
             points,
         }
     }
-
-    /// The final y value.
-    ///
-    /// # Panics
-    /// Panics if the series is empty.
-    #[must_use]
-    pub fn last_y(&self) -> f64 {
-        self.points.last().expect("empty series").1
-    }
 }
 
 /// A figure: axis labels plus one or more series, optionally backed by a
@@ -130,12 +121,6 @@ impl Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn series_last_y() {
-        let s = Series::new("curve", vec![(0.0, 1.0), (1.0, 3.0)]);
-        assert_eq!(s.last_y(), 3.0);
-    }
 
     #[test]
     fn figure_data_listing_includes_every_series() {

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the ARO-PUF reproduction workspace.
 #
-# Runs the release build, the full test suite, and clippy with warnings
-# denied. Every gate is a cargo command: the end-to-end smokes of the
-# `repro` binary (chaos, key lifecycle, ledger resume) are tests in
-# crates/bench/tests/repro_cli.rs, which `cargo test --workspace` runs.
+# Runs the rustfmt check, the release build, the full test suite, and
+# clippy with warnings denied. Every gate is a cargo command: the
+# end-to-end smokes of the `repro` binary (chaos, key lifecycle, ledger
+# resume) are tests in crates/bench/tests/repro_cli.rs, which
+# `cargo test --workspace` runs.
 # The workspace has no network dependencies (rand / proptest /
 # criterion resolve to vendored path crates), so everything is forced
 # offline to fail fast if a registry dependency ever sneaks back in.
@@ -12,6 +13,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
+
+echo "==> cargo fmt --all -- --check"
+cargo fmt --all -- --check
 
 echo "==> cargo build --release"
 cargo build --release --workspace

@@ -162,12 +162,12 @@ proptest! {
         }
 
         let recoverable: Vec<u64> = (0..n as u64)
-            .filter(|&id| store.replica_summary(id).intact > 0)
+            .filter(|&id| store.read_with_replicas(id).1.intact > 0)
             .collect();
         let report = store.scrub();
 
         for &id in &recoverable {
-            let summary = store.replica_summary(id);
+            let summary = store.read_with_replicas(id).1;
             prop_assert_eq!(summary.intact, 3, "device {} fully healed", id);
             prop_assert_eq!(summary.corrupt + summary.wiped, 0);
             prop_assert!(
