@@ -266,6 +266,29 @@ fn report_incidents_and_slo_are_byte_identical_across_thread_counts() {
     let dir4 = scratch_dir("audit4");
     let t1 = audited_capture(&dir1, "1");
     let t4 = audited_capture(&dir4, "4");
+    let audit_lines = |path: &PathBuf| -> Vec<String> {
+        std::fs::read_to_string(path)
+            .expect("audit capture")
+            .lines()
+            .filter(|line| line.contains("\"event\":\"audit\""))
+            .map(str::to_string)
+            .collect()
+    };
+    let audit1 = audit_lines(&t1);
+    // The reports below would not show a reordering of the audit stream
+    // (re-enrollment events are committed after a parallel prepare), so
+    // the lines themselves are compared.
+    assert!(
+        audit1
+            .iter()
+            .any(|line| line.contains("\"stage\":\"reenroll\"")),
+        "a quarter storm must re-enroll someone"
+    );
+    assert_eq!(
+        audit1,
+        audit_lines(&t4),
+        "audit lines must not depend on --threads"
+    );
     assert_audit_chains_well_formed(&std::fs::read_to_string(&t1).expect("audit capture"));
 
     let inc1 = repro(&["report", "incidents", t1.to_str().unwrap()]);

@@ -169,6 +169,11 @@ struct AggFrame {
 /// [`ProfileStats`], reconstructing each thread's bracket structure so
 /// child time can be attributed to parents.
 ///
+/// Root time is counted on the capture's first thread only: that thread
+/// drives the run, and a worker thread only ever runs inside one of its
+/// spans, so a worker span that closes on its own empty stack adds no
+/// wall time.
+///
 /// Tolerant of truncated streams (a killed run): opens that never close
 /// simply contribute nothing, and a close whose open was lost before the
 /// capture started is folded in as a root-level span.
@@ -176,6 +181,8 @@ struct AggFrame {
 pub struct SpanAgg {
     stacks: BTreeMap<u64, Vec<AggFrame>>,
     stats: BTreeMap<String, ProfileStats>,
+    /// The thread of the first span event fed in.
+    first_thread: Option<u64>,
     root_ns: u128,
 }
 
@@ -196,6 +203,7 @@ impl SpanAgg {
 
     /// Feeds one `span_open` event.
     pub fn open(&mut self, thread: u64, name: &str) {
+        self.first_thread.get_or_insert(thread);
         self.stacks.entry(thread).or_default().push(AggFrame {
             name: name.to_string(),
             child_ns: 0,
@@ -204,6 +212,7 @@ impl SpanAgg {
 
     /// Feeds one `span_close` event.
     pub fn close(&mut self, thread: u64, name: &str, dur_ns: u128) {
+        let first_thread = *self.first_thread.get_or_insert(thread);
         let stack = self.stacks.entry(thread).or_default();
         let child_ns = match stack.iter().rposition(|f| f.name == name) {
             Some(pos) => {
@@ -221,7 +230,8 @@ impl SpanAgg {
         stats.max_ns = stats.max_ns.max(dur_ns);
         match stack.last_mut() {
             Some(parent) => parent.child_ns += dur_ns,
-            None => self.root_ns += dur_ns,
+            None if thread == first_thread => self.root_ns += dur_ns,
+            None => {}
         }
     }
 
@@ -231,8 +241,8 @@ impl SpanAgg {
         &self.stats
     }
 
-    /// Total nanoseconds covered by root-level (depth-1) spans — the
-    /// traced wall time of the capture.
+    /// Total nanoseconds covered by the first thread's root-level
+    /// (depth-1) spans — the traced wall time of the capture.
     #[must_use]
     pub fn root_total_ns(&self) -> u128 {
         self.root_ns
@@ -272,7 +282,17 @@ mod agg_tests {
         agg.close(1, "b", 10);
         agg.close(0, "a", 20);
         assert_eq!(agg.stats()["a"].child_ns, 0, "b ran on another thread");
-        assert_eq!(agg.root_total_ns(), 30);
+    }
+
+    #[test]
+    fn worker_spans_are_not_wall_time() {
+        let mut agg = SpanAgg::new();
+        agg.open(0, "run");
+        agg.open(1, "serve.reenroll");
+        agg.close(1, "serve.reenroll", 600);
+        agg.close(0, "run", 1000);
+        assert_eq!(agg.root_total_ns(), 1000);
+        assert_eq!(agg.stats()["serve.reenroll"].self_ns(), 600);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! healthy-ring work and recomputes precisely the rings the plans
 //! disagree on, staying byte-identical to a cold run under its own plan.
 
-use std::cell::RefCell;
+use std::sync::OnceLock;
 
 use aro_circuit::ring::{ActiveStressBatch, IdleStressBatch};
 use aro_device::aging::WearLevel;
@@ -216,7 +216,7 @@ pub struct AgedStepSnapshot {
     /// finished this step's post-step reads (lazily filled, see
     /// [`AgedStepSnapshot::harvest_kernel_hints`]). Replays preload these
     /// so the first read after the step skips its kernel rebuild.
-    hints: RefCell<Option<KernelHints>>,
+    hints: OnceLock<KernelHints>,
 }
 
 /// Harvested per-ring kernel results, all derived under one technology
@@ -287,7 +287,7 @@ pub fn age_step_recorded(
         devices: chip.ros().first().map_or(0, |ro| 2 * ro.n_stages()),
         covered,
         epoch_after,
-        hints: RefCell::new(None),
+        hints: OnceLock::new(),
     }
 }
 
@@ -389,8 +389,7 @@ impl AgedStepSnapshot {
     /// calls return immediately. No-op if the chip holds no harvestable
     /// kernels.
     pub fn harvest_kernel_hints(&self, chip: &Chip) {
-        let mut slot = self.hints.borrow_mut();
-        if slot.is_some() {
+        if self.hints.get().is_some() {
             return;
         }
         let mut cohort: Option<(u32, Environment)> = None;
@@ -410,7 +409,7 @@ impl AgedStepSnapshot {
             results[i] = Some(freq_hz);
         }
         if let Some((tech, env)) = cohort {
-            *slot = Some(KernelHints {
+            let _ = self.hints.set(KernelHints {
                 tech: chip.kernels.tech(tech),
                 env,
                 results,
@@ -426,7 +425,7 @@ impl AgedStepSnapshot {
     /// therefore invisible to every output and telemetry stream (see the
     /// phantom-kernel bookkeeping in `crate::kernels`).
     fn preload_kernel_hints(&self, chip: &Chip) {
-        if let Some(hints) = self.hints.borrow().as_ref() {
+        if let Some(hints) = self.hints.get() {
             chip.kernels
                 .preload(&hints.tech, &hints.env, &hints.results, chip.ros());
         }

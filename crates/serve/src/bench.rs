@@ -12,9 +12,15 @@
 //! re-enrollment keeps failing: a broken device is retried after 2,
 //! then 4, then 8… rounds instead of every round, so an unhealable
 //! fleet costs logarithmically many maintenance reads, not one full
-//! re-enrollment attempt per device per round. Each maintenance pass
-//! ends with one anti-entropy scrub of the replicated store, so replica
-//! damage is healed within a round of being inflicted.
+//! re-enrollment attempt per device per round. Maintenance follows the
+//! same discipline: plan the due devices from the service state at the
+//! end of the round, fan their device-side work out
+//! ([`AuthService::prepare_reenroll`]: store read, BIST, gate reads,
+//! anchor and reference reads, new enrollment), then commit each one
+//! in id order ([`AuthService::commit_reenroll`]: store repair,
+//! re-admission, tallies, audit). Each maintenance pass ends with one
+//! anti-entropy scrub of the replicated store, so replica damage is
+//! healed within a round of being inflicted.
 //!
 //! Impostor rounds make device `i` answer record `i+1 (mod n)`: the
 //! false-accept side of the ROC, with its failures kept out of the
@@ -205,30 +211,39 @@ pub fn run_bench(
         genuine_denied += denied;
         wall_us += round_wall;
         // Maintenance: quarantined devices come in for re-enrollment,
-        // skipping any still inside their failure backoff window.
-        for id in service.quarantined_ids() {
-            if retry_after.get(&id).is_some_and(|&(next, _)| round < next) {
-                continue;
-            }
-            let Some(chip) = fleet.get_mut(id as usize) else {
-                continue;
-            };
-            let event_base = REENROLL_EVENT_BASE + (round * n as u64 + id) * EVENT_STRIDE;
-            if service.reenroll(
+        // skipping any still inside their failure backoff window. Their
+        // device-side reads fan out; the store writes, tallies and audit
+        // events are committed in id order.
+        let mut due: Vec<(u64, &mut Chip)> = fleet
+            .iter_mut()
+            .enumerate()
+            .map(|(i, chip)| (i as u64, chip))
+            .filter(|(id, _)| {
+                service.is_quarantined(*id)
+                    && retry_after.get(id).is_none_or(|&(next, _)| round >= next)
+            })
+            .collect();
+        let svc: &AuthService = service;
+        let prepared = aro_par::par_map_mut(&mut due, |_, (id, chip)| {
+            let event_base = REENROLL_EVENT_BASE + (round * n as u64 + *id) * EVENT_STRIDE;
+            svc.prepare_reenroll(
                 chip,
-                id,
-                id,
+                *id,
+                *id,
                 ctx.key_pairs,
                 ctx.generator,
                 ctx.design,
                 ctx.env,
                 inj,
                 event_base,
-            ) {
-                retry_after.remove(&id);
+            )
+        });
+        for ((id, _), prepared) in due.iter().zip(prepared) {
+            if service.commit_reenroll(prepared) {
+                retry_after.remove(id);
             } else {
-                let failures = retry_after.get(&id).map_or(0, |&(_, f)| f) + 1;
-                retry_after.insert(id, (round + (1u64 << failures.min(16)), failures));
+                let failures = retry_after.get(id).map_or(0, |&(_, f)| f) + 1;
+                retry_after.insert(*id, (round + (1u64 << failures.min(16)), failures));
             }
         }
         // Anti-entropy scrub closes the maintenance pass: any replica

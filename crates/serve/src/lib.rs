@@ -25,7 +25,8 @@
 //!   the watermark.
 //! * [`bench`] — the round-based fleet driver behind EXP-18 and
 //!   `repro serve-bench`: plan a round deterministically, fan probes
-//!   out through `aro-par`, fold outcomes in device-index order.
+//!   and re-enrollment reads out through `aro-par`, fold outcomes in
+//!   device-index order.
 //! * [`audit`] — the request-scoped audit trail: a seed-derived request
 //!   id per verification, its full causal chain (store read → attempts
 //!   with fault linkage → verdict → quarantine/health/re-enrollment)
@@ -47,8 +48,8 @@ pub use audit::{AttemptAudit, AttemptFaults, RequestAudit, StoreAudit};
 pub use bench::{run_bench, BenchPlan, BenchStats, FleetContext};
 pub use pipeline::{LatencyModel, RetryPolicy};
 pub use service::{
-    faulted_read, AuthService, HealthState, RequestOutcome, ServicePolicy, StoreHealth, Tallies,
-    Verdict,
+    faulted_read, AuthService, HealthState, Reenrollment, RequestOutcome, ServicePolicy,
+    StoreHealth, Tallies, Verdict,
 };
 pub use store::{
     ReadOutcome, ReplicaSummary, ScrubRepair, ScrubReport, ShardedStore, StoredRecord,

@@ -283,6 +283,29 @@ pub struct RequestOutcome {
     pub audit: Option<Box<RequestAudit>>,
 }
 
+/// A re-enrollment whose device-side work is done
+/// ([`AuthService::prepare_reenroll`]) and whose store write, tallies
+/// and audit event wait for [`AuthService::commit_reenroll`].
+#[derive(Debug)]
+pub struct Reenrollment {
+    target_id: u64,
+    event_base: u64,
+    outcome: ReenrollOutcome,
+}
+
+#[derive(Debug)]
+enum ReenrollOutcome {
+    /// The service was read-only: re-enrollment is a store write.
+    Refused,
+    /// No record to recover from.
+    Missing,
+    /// The continuity gate never passed.
+    GateFailed,
+    /// The gate passed after `attempts` reads; `record` re-anchors the
+    /// enrollment on today's silicon.
+    Readmitted { attempts: u64, record: StoredRecord },
+}
+
 /// The simulated verifier backend.
 #[derive(Debug, Clone)]
 pub struct AuthService {
@@ -889,6 +912,9 @@ impl AuthService {
     /// silicon and reseal the record. Returns whether the device was
     /// re-admitted. Refused outright in read-only state: re-enrollment
     /// is a store write.
+    ///
+    /// The composition of [`AuthService::prepare_reenroll`] and
+    /// [`AuthService::commit_reenroll`].
     #[allow(clippy::too_many_arguments)]
     pub fn reenroll(
         &mut self,
@@ -902,25 +928,43 @@ impl AuthService {
         inj: Option<&FaultInjector>,
         event_base: u64,
     ) -> bool {
+        let prepared = self.prepare_reenroll(
+            chip, probe_id, target_id, key_pairs, generator, design, env, inj, event_base,
+        );
+        self.commit_reenroll(prepared)
+    }
+
+    /// The per-device half of [`AuthService::reenroll`]: the store read,
+    /// the device-side BIST, the faulted gate reads, and on a passing
+    /// gate the 5-vote anchor and reference reads and the new
+    /// enrollment. Pure per device given the event base — `&self`, safe
+    /// to fan out across `aro-par` workers; nothing is written until
+    /// [`AuthService::commit_reenroll`].
+    #[must_use]
+    #[allow(clippy::too_many_arguments)]
+    pub fn prepare_reenroll(
+        &self,
+        chip: &mut Chip,
+        probe_id: u64,
+        target_id: u64,
+        key_pairs: &[(usize, usize)],
+        generator: &KeyGenerator,
+        design: &PufDesign,
+        env: &Environment,
+        inj: Option<&FaultInjector>,
+        event_base: u64,
+    ) -> Reenrollment {
+        let prepared = |outcome| Reenrollment {
+            target_id,
+            event_base,
+            outcome,
+        };
         if self.state == HealthState::ReadOnly {
-            self.tallies.reenroll_refusals += 1;
-            aro_obs::counter("serve.reenroll_refused", 1);
-            audit::emit_reenroll(
-                target_id,
-                event_base,
-                "refused_read_only",
-                0,
-                0,
-                self.clock_us,
-            );
-            return false;
+            return prepared(ReenrollOutcome::Refused);
         }
         let _span = aro_obs::span("serve.reenroll");
         let (challenge_pairs, helper, key, flagged) = match self.store.read(target_id) {
-            ReadOutcome::Missing => {
-                audit::emit_reenroll(target_id, event_base, "missing", 0, 0, self.clock_us);
-                return false;
-            }
+            ReadOutcome::Missing => return prepared(ReenrollOutcome::Missing),
             // Recovery reads the record even when its checksum fails —
             // that is the whole point of the erasure flags.
             ReadOutcome::Intact(r) | ReadOutcome::Corrupt(r) => (
@@ -956,36 +1000,59 @@ impl AuthService {
             let anchor = chip.response_voted(design, env, key_pairs, 5);
             let (new_key, new_helper) = generator.enroll(&anchor, &mut rng);
             let reference = chip.response_voted(design, env, &challenge_pairs, 5);
-            let generation = self.store.repair(StoredRecord::new(
-                target_id,
-                challenge_pairs,
-                reference,
-                new_helper,
-                new_key,
-            ));
-            self.quarantine.remove(&target_id);
-            self.tallies.reenrolled += 1;
-            aro_obs::counter("serve.reenrolled", 1);
-            audit::emit_reenroll(
-                target_id,
-                event_base,
-                "readmitted",
-                attempt + 1,
-                generation,
-                self.clock_us,
-            );
-            return true;
+            return prepared(ReenrollOutcome::Readmitted {
+                attempts: attempt + 1,
+                record: StoredRecord::new(
+                    target_id,
+                    challenge_pairs,
+                    reference,
+                    new_helper,
+                    new_key,
+                ),
+            });
         }
-        self.tallies.reenroll_failures += 1;
-        aro_obs::counter("serve.reenroll_failures", 1);
+        prepared(ReenrollOutcome::GateFailed)
+    }
+
+    /// The service half of [`AuthService::reenroll`]: the store repair,
+    /// re-admission, tallies, counters and audit event of a prepared
+    /// re-enrollment. Returns whether the device was re-admitted. Call
+    /// sequentially, in device-id order within a maintenance pass.
+    pub fn commit_reenroll(&mut self, prepared: Reenrollment) -> bool {
+        let Reenrollment {
+            target_id,
+            event_base,
+            outcome,
+        } = prepared;
+        let readmitted = matches!(outcome, ReenrollOutcome::Readmitted { .. });
+        let (label, attempts, generation) = match outcome {
+            ReenrollOutcome::Refused => {
+                self.tallies.reenroll_refusals += 1;
+                aro_obs::counter("serve.reenroll_refused", 1);
+                ("refused_read_only", 0, 0)
+            }
+            ReenrollOutcome::Missing => ("missing", 0, 0),
+            ReenrollOutcome::GateFailed => {
+                self.tallies.reenroll_failures += 1;
+                aro_obs::counter("serve.reenroll_failures", 1);
+                ("gate_failed", u64::from(self.policy.retry.max_attempts), 0)
+            }
+            ReenrollOutcome::Readmitted { attempts, record } => {
+                let generation = self.store.repair(record);
+                self.quarantine.remove(&target_id);
+                self.tallies.reenrolled += 1;
+                aro_obs::counter("serve.reenrolled", 1);
+                ("readmitted", attempts, generation)
+            }
+        };
         audit::emit_reenroll(
             target_id,
             event_base,
-            "gate_failed",
-            u64::from(self.policy.retry.max_attempts),
-            0,
+            label,
+            attempts,
+            generation,
             self.clock_us,
         );
-        false
+        readmitted
     }
 }

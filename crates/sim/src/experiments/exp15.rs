@@ -34,7 +34,7 @@ use aro_serve::faulted_read;
 use crate::config::SimConfig;
 use crate::experiments::exp8;
 use crate::keybench::{provision, KeyBench};
-use crate::popcache::{age_chip_snapshotted, AgeCursor};
+use crate::popcache::{age_chip_snapshotted, harvest_kernel_hints, par_map_chips, AgeCursor};
 use crate::report::Report;
 use crate::runner::pct;
 use crate::table::Table;
@@ -114,11 +114,22 @@ pub fn run_trial(
     )
 }
 
+/// One chip's share of a [`FaultedKeyTrial`].
+#[derive(Default)]
+struct ChipTally {
+    recovered: usize,
+    recovered_soft: usize,
+    recovered_erasure_aware: usize,
+    hard_faulted_ros: usize,
+    helper_bits_erased: usize,
+}
+
 /// [`run_trial`] on `chips` of `bench`, rewound to fresh silicon first.
 /// The ten-year aging step goes through the aged-state snapshot store
 /// ([`age_chip_snapshotted`]): inside one run, EXP-8 has already walked
 /// the same silicon through the same step, so every intensity replays
-/// its wear instead of re-deriving it.
+/// its wear instead of re-deriving it. The chips fan out across
+/// `aro-par` workers and their tallies fold in chip order.
 fn run_trial_on(
     cfg: &SimConfig,
     bench: &KeyBench,
@@ -140,12 +151,10 @@ fn run_trial_on(
     let n_ros = design.n_ros();
     let chip_count = chips.len();
 
-    let mut recovered = 0;
-    let mut recovered_soft = 0;
-    let mut recovered_erasure_aware = 0;
-    let mut hard_faulted_ros = 0;
-    let mut helper_bits_erased = 0;
-    for (slot, (chip, golden)) in chips.iter_mut().enumerate() {
+    // One chip's trial; the chips are independent, so they fan out and
+    // their tallies fold in chip order.
+    let trial = |slot: usize, (chip, golden): &mut (Chip, BitString)| {
+        let mut tally = ChipTally::default();
         let id = slot as u64;
         // Factory: healthy silicon, nominal conditions, pristine NVM.
         chip.reset_to_fabricated();
@@ -158,9 +167,9 @@ fn run_trial_on(
         for (fault_slot, health) in inj.hard_faults(id, n_ros) {
             chip.set_ro_health(fault_slot, health);
         }
-        hard_faulted_ros += chip.faulted_ro_count();
+        tally.hard_faulted_ros = chip.faulted_ro_count();
         let erasures = inj.helper_erasures(id, &helper.block_lens());
-        helper_bits_erased += erasures.len();
+        tally.helper_bits_erased = erasures.len();
         let helper = helper.with_flipped_bits(&erasures);
 
         // What the device *knows* about its own damage: NVM integrity
@@ -184,30 +193,33 @@ fn run_trial_on(
             let (soft, _) = faulted_read(chip, design, env, pairs, Some(&inj), id, attempt);
             let noisy: BitString = soft.iter().map(|s| s.value).collect();
             if generator.reconstruct(&noisy, &helper) == Some(key.clone()) {
-                recovered += 1;
+                tally.recovered += 1;
             }
             if generator.reconstruct_soft(&soft, &helper, &Erasures::none()) == Some(key.clone()) {
-                recovered_soft += 1;
+                tally.recovered_soft += 1;
             }
             if generator.reconstruct_soft(&soft, &helper, &known) == Some(key.clone()) {
-                recovered_erasure_aware += 1;
+                tally.recovered_erasure_aware += 1;
             }
         }
         // The attempts warmed kernels at the aged state; donate them so
         // the next intensity point's replay preloads instead of
         // rebuilding.
-        crate::popcache::harvest_kernel_hints(chip, design, &cursor);
-    }
+        harvest_kernel_hints(chip, design, &cursor);
+        tally
+    };
+    let tallies = par_map_chips(chips, |(chip, _)| chip.id(), trial);
+    let total = |count: fn(&ChipTally) -> usize| tallies.iter().map(count).sum::<usize>();
     FaultedKeyTrial {
         style,
         intensity,
         chips: chip_count,
         attempts_per_chip,
-        recovered,
-        recovered_soft,
-        recovered_erasure_aware,
-        hard_faulted_ros,
-        helper_bits_erased,
+        recovered: total(|t| t.recovered),
+        recovered_soft: total(|t| t.recovered_soft),
+        recovered_erasure_aware: total(|t| t.recovered_erasure_aware),
+        hard_faulted_ros: total(|t| t.hard_faulted_ros),
+        helper_bits_erased: total(|t| t.helper_bits_erased),
     }
 }
 

@@ -47,7 +47,7 @@ use aro_serve::faulted_read;
 
 use crate::config::SimConfig;
 use crate::keybench::{provision, KeyBench};
-use crate::popcache::{age_chip_snapshotted, AgeCursor};
+use crate::popcache::{age_chip_snapshotted, harvest_kernel_hints, par_map_chips, AgeCursor};
 use crate::report::Report;
 use crate::runner::pct;
 use crate::table::Table;
@@ -133,6 +133,19 @@ pub struct ReplicatedLifecycleTrial {
     pub impostor_accepts: usize,
 }
 
+/// One chip's maintained mission: its tallies, and the stored state
+/// (per-replica eroded helper and erasure flags, plus the current key)
+/// the impostor pass attacks.
+struct ChipMission {
+    recovered: usize,
+    refreshes_scheduled: usize,
+    refreshes_succeeded: usize,
+    helper_bits_eroded: usize,
+    replica_fallbacks: usize,
+    stored: Vec<(HelperData, Erasures)>,
+    key: BitString,
+}
+
 /// Rebuilds the device's own damage knowledge in place: the dedup'd
 /// erosion backlog replaces the helper flags while the BIST response
 /// flags (constant for the whole mission) stay put — no per-window
@@ -156,7 +169,9 @@ fn refresh_known(known: &mut Erasures, accumulated: &[(usize, usize)]) {
 /// *i+1 mod n*'s final enrollment to measure the false-accept side.
 ///
 /// Deterministic in its arguments: the injector is coordinate-addressed
-/// and every measurement event has a stable id. Aging goes through the
+/// and every measurement event has a stable id, so the chips' missions,
+/// then their impostor attacks, fan out across `aro-par` workers and
+/// fold in chip order at any thread count. Aging goes through the
 /// aged-state snapshot store ([`age_chip_snapshotted`]): every intensity
 /// walks the same per-interval aging prefixes, so only the first trial to
 /// reach a given window pays the wear physics.
@@ -187,16 +202,14 @@ pub(crate) fn run_replicated_trial_on(
     let n_ros = design.n_ros();
     let chip_count = chips.len();
 
-    let mut recovered = 0;
-    let mut refreshes_scheduled = 0;
-    let mut refreshes_succeeded = 0;
-    let mut helper_bits_eroded = 0;
-    let mut replica_fallbacks = 0;
-    // Each chip's end-of-mission stored state — per-replica (eroded
-    // helper, erasure flags) plus the current key — kept for the
-    // impostor pass below.
-    let mut finals: Vec<(Vec<(HelperData, Erasures)>, BitString)> = Vec::with_capacity(chip_count);
-    for (slot, (chip, golden)) in chips.iter_mut().enumerate() {
+    // One chip's maintained mission. The chips' missions are
+    // independent: they fan out, and their tallies fold in chip order.
+    let mission = |slot: usize, (chip, golden): &mut (Chip, BitString)| {
+        let mut recovered = 0;
+        let mut refreshes_scheduled = 0;
+        let mut refreshes_succeeded = 0;
+        let mut helper_bits_eroded = 0;
+        let mut replica_fallbacks = 0;
         let id = slot as u64;
         chip.reset_to_fabricated();
         let mut cursor = AgeCursor::new();
@@ -304,39 +317,52 @@ pub(crate) fn run_replicated_trial_on(
                 }
             }
         }
-        finals.push((stored, key));
         // The mission's reads warmed this chip's kernels at its final
         // aged state; donate them so the next trial to replay the same
         // aging prefix preloads instead of rebuilding.
-        crate::popcache::harvest_kernel_hints(chip, design, &cursor);
-    }
+        harvest_kernel_hints(chip, design, &cursor);
+        ChipMission {
+            recovered,
+            refreshes_scheduled,
+            refreshes_succeeded,
+            helper_bits_eroded,
+            replica_fallbacks,
+            stored,
+            key,
+        }
+    };
+    let missions = par_map_chips(chips, |(chip, _)| chip.id(), mission);
+    let total = |count: fn(&ChipMission) -> usize| missions.iter().map(count).sum::<usize>();
 
     // False-accept probe: chip i attacks chip i+1 (mod n)'s stored
     // enrollment with its own silicon — every replica of the victim's
     // helper is fair game, and any reconstruction of the victim's key
-    // is a false accept.
+    // is a false accept. The attackers fan out too.
     let mut impostor_attempts = 0;
     let mut impostor_accepts = 0;
     if impostor_attempts_per_chip > 0 && chip_count >= 2 {
-        for (slot, (chip, _)) in chips.iter_mut().enumerate() {
-            let (victim_stored, victim_key) = &finals[(slot + 1) % chip_count];
+        let accepts = aro_par::par_map_mut(chips, |slot, (chip, _)| {
+            let victim = &missions[(slot + 1) % chip_count];
+            let mut accepts = 0;
             for attempt in 0..impostor_attempts_per_chip as u64 {
-                impostor_attempts += 1;
                 'probe: for retry in 0..READ_RETRIES as u64 {
                     let event = IMPOSTOR_EVENT_BASE + attempt * READ_RETRIES as u64 + retry;
                     let (soft, _) =
                         faulted_read(chip, design, env, pairs, Some(&inj), slot as u64, event);
-                    for (eroded, flags) in victim_stored {
+                    for (eroded, flags) in &victim.stored {
                         if generator.reconstruct_soft(&soft, eroded, flags)
-                            == Some(victim_key.clone())
+                            == Some(victim.key.clone())
                         {
-                            impostor_accepts += 1;
+                            accepts += 1;
                             break 'probe;
                         }
                     }
                 }
             }
-        }
+            accepts
+        });
+        impostor_attempts = chip_count * impostor_attempts_per_chip;
+        impostor_accepts = accepts.iter().sum();
     }
 
     ReplicatedLifecycleTrial {
@@ -345,13 +371,13 @@ pub(crate) fn run_replicated_trial_on(
             interval_years,
             chips: chip_count,
             attempts_per_chip,
-            recovered,
-            refreshes_scheduled,
-            refreshes_succeeded,
-            helper_bits_eroded,
+            recovered: total(|m| m.recovered),
+            refreshes_scheduled: total(|m| m.refreshes_scheduled),
+            refreshes_succeeded: total(|m| m.refreshes_succeeded),
+            helper_bits_eroded: total(|m| m.helper_bits_eroded),
         },
         replicas,
-        replica_fallbacks,
+        replica_fallbacks: total(|m| m.replica_fallbacks),
         impostor_attempts,
         impostor_accepts,
     }

@@ -115,7 +115,8 @@ fn code_label(provisioned_for: f64) -> String {
 
 /// Runs the full search: for each storm intensity, trials in ascending
 /// (area, refreshes, replicas) order until one survives. Deterministic
-/// in `cfg` at any thread count — trials are sequential and every
+/// in `cfg` at any thread count — trials run one at a time, each fans
+/// its chips out and folds their tallies in chip order, and every
 /// measurement event is coordinate-addressed.
 #[must_use]
 pub fn sweep(cfg: &SimConfig) -> Vec<IntensityOutcome> {

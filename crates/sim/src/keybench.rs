@@ -12,7 +12,8 @@
 //! The bench holds no chips. Single-pass experiments stream one
 //! [`KeyBench::chip`] at a time, which keeps paper-scale memory flat;
 //! sweeps collect [`KeyBench::chips`] once and rewind them per trial with
-//! [`Chip::reset_to_fabricated`].
+//! [`Chip::reset_to_fabricated`]. A sweep's per-chip passes fan out
+//! through `crate::popcache::par_map_chips`.
 
 use aro_circuit::ring::RoStyle;
 use aro_device::environment::Environment;
@@ -67,10 +68,11 @@ impl KeyBench {
         (chip, golden)
     }
 
-    /// Chips `0..n` with their goldens, for sweeps that rewind them.
+    /// Chips `0..n` with their goldens, for sweeps that rewind them,
+    /// fabricated and read on the `aro-par` workers.
     #[must_use]
     pub(crate) fn chips(&self, n: usize) -> Vec<(Chip, BitString)> {
-        (0..n as u64).map(|id| self.chip(id)).collect()
+        aro_par::par_build(n, |id| self.chip(id as u64))
     }
 }
 

@@ -8,14 +8,14 @@
 //!
 //! Every cached result lives in one `Memo`: `(key, value)` pairs in
 //! least-recently-used order with a capacity and a hit and a miss
-//! counter. A scope holds four of them:
+//! counter. A scope holds four kinds of them:
 //!
 //! | memo | key (cheap fields first) | capacity | counters |
 //! |---|---|---|---|
 //! | populations | chip count, design | [`CAPACITY`] | `sim.popcache_*` |
 //! | flip timelines | style, config (fault plan included) | unbounded | `sim.popcache_timeline_*` |
 //! | ECC specs | BER, key bits, failure target, area params | unbounded | `sim.provision_*` |
-//! | aged-step snapshots | chip id, step prefix, design | [`SNAPSHOT_CAPACITY`] | `sim.snapshot_*` |
+//! | aged-step snapshots, one partition per chip id | step prefix, design | [`SNAPSHOT_CAPACITY`] per partition | `sim.snapshot_*` |
 //!
 //! Golden responses are not memoized: every key bench reads them
 //! directly (`crate::keybench`).
@@ -31,12 +31,19 @@
 //! `repro` binary's experiment loop) and is dropped when the outermost
 //! scope exits. Every run therefore starts cold, which keeps repeated
 //! runs — and the observability suite's thread-count determinism
-//! comparison — byte-identical. It is also thread-local; worker threads
-//! inside `par_map_mut` never touch it. Outside a scope every function
-//! here is exactly the computation it wraps.
+//! comparison — byte-identical.
+//!
+//! The scope is thread-local. Per-chip loops reach it from `aro-par`
+//! workers through [`par_map_chips`]: each item runs with a scope of its
+//! own that holds only its chip's snapshot partition, and the partitions
+//! come back when the loop joins. A partition only ever sees its own
+//! chip's steps, in that chip's order, so its LRU order, its hits and
+//! its misses are the same at any thread count. Outside a scope every
+//! function here is exactly the computation it wraps.
 
 use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use aro_circuit::ring::RoStyle;
 use aro_ecc::area::{search_design, KeyGenSpec, PufAreaParams};
@@ -52,11 +59,11 @@ use crate::runner::{design_for, measure_flip_timeline, FlipTimeline};
 /// temperature-sweep populations.
 pub const CAPACITY: usize = 8;
 
-/// Maximum retained aged-step snapshots per scope. The lifecycle sweeps'
-/// shared ten-year timeline needs ~160 live entries (15 distinct aging
-/// prefixes × 8 chips for EXP-16, plus the single ten-year step of the
-/// EXP-8/15 population); an entry is ~20 KB of wear plus its telemetry
-/// tape (empty on un-instrumented runs).
+/// Maximum retained aged-step snapshots per chip-id partition. One chip
+/// id walks EXP-16's 15 distinct aging prefixes, EXP-19's for each of
+/// its candidate codes, and the single ten-year step of EXP-8/15 and of
+/// each serve fleet; an entry is ~20 KB of wear plus its telemetry tape
+/// (empty on un-instrumented runs).
 pub const SNAPSHOT_CAPACITY: usize = 256;
 
 /// `(key, value)` pairs, least recently used first, holding at most
@@ -111,20 +118,24 @@ impl<K: PartialEq, V: Clone> Memo<K, V> {
 /// in the last ulp are legitimately different problems.
 type ProvisionKey = (u64, usize, u64, PufAreaParams);
 
+/// One chip id's aged-step snapshots. Keyed by the **full step-prefix
+/// sequence** and the design — BTI equivalent-time accumulation is not
+/// additive, so two different partitions of the same calendar time are
+/// different wear histories. Fault plans are deliberately *not* part of
+/// the key: a snapshot records per-ring coverage, and replay ages any
+/// ring the recording and replaying trials disagree on live (see
+/// `aro_puf::snapshot`).
+type SnapshotMemo = Memo<(Vec<MissionStepKey>, PufDesign), Arc<AgedStepSnapshot>>;
+
 struct Scope {
     populations: Memo<(usize, PufDesign), Population>,
     /// The config carries the exact fault plan; off plans never attach,
     /// so zero-intensity runs share the fault-free entries.
     timelines: Memo<(RoStyle, SimConfig), FlipTimeline>,
     specs: Memo<ProvisionKey, Option<KeyGenSpec>>,
-    /// Keyed by the silicon identity *(chip id, design)* plus the **full
-    /// step-prefix sequence** — BTI equivalent-time accumulation is not
-    /// additive, so two different partitions of the same calendar time
-    /// are different wear histories. Fault plans are deliberately *not*
-    /// part of the key: a snapshot records per-ring coverage, and replay
-    /// ages any ring the recording and replaying trials disagree on live
-    /// (see `aro_puf::snapshot`).
-    snapshots: Memo<(u64, Vec<MissionStepKey>, PufDesign), Rc<AgedStepSnapshot>>,
+    /// Aged-step snapshots partitioned by chip id, the silicon identity
+    /// every snapshot key starts with.
+    snapshots: BTreeMap<u64, SnapshotMemo>,
 }
 
 impl Scope {
@@ -137,12 +148,19 @@ impl Scope {
                 "sim.popcache_timeline_misses",
             ),
             specs: Memo::new(usize::MAX, "sim.provision_hits", "sim.provision_misses"),
-            snapshots: Memo::new(
+            snapshots: BTreeMap::new(),
+        }
+    }
+
+    /// The snapshot partition of chip `id`, created empty on first use.
+    fn snapshots_of(&mut self, id: u64) -> &mut SnapshotMemo {
+        self.snapshots.entry(id).or_insert_with(|| {
+            Memo::new(
                 SNAPSHOT_CAPACITY,
                 "sim.snapshot_hits",
                 "sim.snapshot_misses",
-            ),
-        }
+            )
+        })
     }
 }
 
@@ -156,7 +174,7 @@ thread_local! {
 /// The cache borrow is released while building, so a build may itself
 /// use the cache.
 fn memoized<K: PartialEq, V: Clone>(
-    select: fn(&mut Scope) -> &mut Memo<K, V>,
+    select: impl Fn(&mut Scope) -> &mut Memo<K, V>,
     key: K,
     build: impl FnOnce() -> V,
 ) -> V {
@@ -210,6 +228,67 @@ pub fn scoped<R>(f: impl FnOnce() -> R) -> R {
 #[must_use]
 pub fn is_active() -> bool {
     CACHE.with(|cache| cache.borrow().is_some())
+}
+
+/// [`aro_par::par_map_mut`] for per-chip work that ages through the
+/// snapshot store: `f(i, item)` runs with a scope of its own holding the
+/// snapshot partition of `chip_id(item)` taken from this thread's scope,
+/// and every partition goes back when the loop joins. Each item's chip
+/// id must differ from the others'. The scope an item runs in is the
+/// same at any thread count, so its hits, misses and LRU order are too.
+///
+/// The lane scope holds nothing but that partition: `f` must not use the
+/// population, timeline or spec memos. When this thread's snapshot
+/// store is not live (no scope, or [`snapshots_enabled`] off) the items
+/// run with no scope at all, so a cold caller ages cold on every worker.
+pub fn par_map_chips<T, R>(
+    items: &mut [T],
+    chip_id: impl Fn(&T) -> u64,
+    f: impl Fn(usize, &mut T) -> R + Sync,
+) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+{
+    let live = is_active() && snapshots_enabled();
+    let mut lanes: Vec<(&mut T, Option<Scope>)> = items
+        .iter_mut()
+        .map(|item| {
+            let lane = live.then(|| {
+                let id = chip_id(item);
+                let mut lane = Scope::new();
+                let taken = CACHE.with(|cache| cache.borrow_mut().as_mut()?.snapshots.remove(&id));
+                lane.snapshots
+                    .extend(taken.map(|partition| (id, partition)));
+                lane
+            });
+            (item, lane)
+        })
+        .collect();
+    let results = aro_par::par_map_mut(&mut lanes, |i, (item, lane)| {
+        // Restores the thread's own scope even if `f` panics.
+        struct Installed<'a>(&'a mut Option<Scope>, Option<Scope>);
+        impl Drop for Installed<'_> {
+            fn drop(&mut self) {
+                *self.0 = CACHE.replace(self.1.take());
+            }
+        }
+        let previous = CACHE.replace(lane.take());
+        let _installed = Installed(lane, previous);
+        f(i, item)
+    });
+    if live {
+        CACHE.with(|cache| {
+            if let Some(scope) = cache.borrow_mut().as_mut() {
+                for (_, lane) in lanes {
+                    scope
+                        .snapshots
+                        .extend(lane.into_iter().flat_map(|l| l.snapshots));
+                }
+            }
+        });
+    }
+    results
 }
 
 /// Fabricates (or re-uses) the population of `design` with `n_chips`
@@ -320,12 +399,13 @@ pub fn age_chip_snapshotted(
     // Counters stay outside the recorded tape: the tap only runs inside
     // `age_step_recorded`, and the miss is counted after it returns.
     let mut recorded = false;
+    let id = chip.id();
     let snapshot = memoized(
-        |scope| &mut scope.snapshots,
-        (chip.id(), cursor.steps.clone(), design.clone()),
+        |scope| scope.snapshots_of(id),
+        (cursor.steps.clone(), design.clone()),
         || {
             recorded = true;
-            Rc::new(age_step_recorded(chip, design, profile, duration_s))
+            Arc::new(age_step_recorded(chip, design, profile, duration_s))
         },
     );
     if !recorded {
@@ -336,10 +416,11 @@ pub fn age_chip_snapshotted(
 /// Offers a chip's warm kernels to the snapshot stored for `steps`
 /// (no-op when no such snapshot exists or its hints are already filled).
 fn offer_kernel_hints(chip: &Chip, design: &PufDesign, steps: &[MissionStepKey]) {
-    let key = (chip.id(), steps.to_vec(), design.clone());
+    let key = (steps.to_vec(), design.clone());
     let snapshot = CACHE.with(|cache| {
         let slot = cache.borrow();
-        slot.as_ref()?.snapshots.peek(&key).map(Rc::clone)
+        let partition = slot.as_ref()?.snapshots.get(&chip.id())?;
+        partition.peek(&key).map(Arc::clone)
     });
     if let Some(snapshot) = snapshot {
         snapshot.harvest_kernel_hints(chip);
@@ -439,7 +520,7 @@ mod tests {
             cache
                 .borrow()
                 .as_ref()
-                .map_or(0, |s| s.snapshots.entries.len())
+                .map_or(0, |s| s.snapshots.values().map(|p| p.entries.len()).sum())
         })
     }
 

@@ -24,7 +24,7 @@ use aro_serve::{
 
 use crate::config::SimConfig;
 use crate::keybench::{provision, KeyBench};
-use crate::popcache::{age_chip_snapshotted, AgeCursor};
+use crate::popcache::{age_chip_snapshotted, harvest_kernel_hints, par_map_chips, AgeCursor};
 use crate::report::Report;
 use crate::runner::pct;
 use crate::table::Table;
@@ -68,18 +68,16 @@ impl FleetWorkspace {
     pub fn new(cfg: &SimConfig, generator: &KeyGenerator, style: RoStyle, fleet: usize) -> Self {
         let _span = aro_obs::span("serve.workspace");
         let bench = KeyBench::new(cfg, style, generator, 0xe18);
-        let (chips, key_goldens): (Vec<Chip>, Vec<BitString>) =
+        let (mut chips, key_goldens): (Vec<Chip>, Vec<BitString>) =
             bench.chips(fleet).into_iter().unzip();
         let n_ros = bench.design.n_ros();
         let crp_bits = CRP_BITS.min(n_ros / 2);
         let challenge_pairs: Vec<Vec<(usize, usize)>> = (0..fleet as u64)
             .map(|id| Challenge(cfg.seed ^ (0x5e7e << 16) ^ id).pairs(n_ros, crp_bits))
             .collect();
-        let crp_goldens: Vec<BitString> = chips
-            .iter()
-            .zip(&challenge_pairs)
-            .map(|(chip, pairs)| chip.golden_response(&bench.design, &bench.env, pairs))
-            .collect();
+        let crp_goldens = aro_par::par_map_mut(&mut chips, |slot, chip| {
+            chip.golden_response(&bench.design, &bench.env, &challenge_pairs[slot])
+        });
         Self {
             bench,
             chips,
@@ -134,14 +132,18 @@ impl FleetWorkspace {
         let mut service = AuthService::new(policy, self.chips.len(), N_SHARDS, cfg.seed);
         // Factory enrollment on fresh silicon: golden CRP reference plus
         // the key/helper record, sealed into its fixed store shard.
+        // The key derivations fan out; the store writes follow in slot
+        // order.
         let enroll_span = aro_obs::span("serve.enroll_fleet");
-        for (slot, chip) in self.chips.iter_mut().enumerate() {
-            let id = slot as u64;
+        let key_goldens = &self.key_goldens;
+        let enrolled = aro_par::par_map_mut(&mut self.chips, |slot, chip| {
             chip.reset_to_fabricated();
-            let mut rng = design.seed_domain().child("serve-enroll").rng(id);
-            let (key, helper) = generator.enroll(&self.key_goldens[slot], &mut rng);
+            let mut rng = design.seed_domain().child("serve-enroll").rng(slot as u64);
+            generator.enroll(&key_goldens[slot], &mut rng)
+        });
+        for (slot, (key, helper)) in enrolled.into_iter().enumerate() {
             service.enroll(StoredRecord::new(
-                id,
+                slot as u64,
                 self.challenge_pairs[slot].clone(),
                 self.crp_goldens[slot].clone(),
                 helper,
@@ -169,9 +171,14 @@ impl FleetWorkspace {
         let mut cursors: Vec<AgeCursor> = (0..self.chips.len()).map(|_| AgeCursor::new()).collect();
         if age_years > 0.0 {
             let _age_span = aro_obs::span("serve.age_fleet");
-            for (chip, cursor) in self.chips.iter_mut().zip(&mut cursors) {
-                age_chip_snapshotted(chip, design, profile, age_years * YEAR, cursor);
-            }
+            let mut fleet: Vec<_> = self.chips.iter_mut().zip(&mut cursors).collect();
+            par_map_chips(
+                &mut fleet,
+                |(chip, _)| chip.id(),
+                |_, (chip, cursor)| {
+                    age_chip_snapshotted(chip, design, profile, age_years * YEAR, cursor);
+                },
+            );
         }
         let ctx = FleetContext {
             design,
@@ -183,9 +190,14 @@ impl FleetWorkspace {
         let stats = run_bench(&mut service, &mut self.chips, &ctx, plan, inj);
         drop(bench_span);
         if age_years > 0.0 {
-            for (chip, cursor) in self.chips.iter().zip(&cursors) {
-                crate::popcache::harvest_kernel_hints(chip, design, cursor);
-            }
+            let mut fleet: Vec<_> = self.chips.iter_mut().zip(&cursors).collect();
+            par_map_chips(
+                &mut fleet,
+                |(chip, _)| chip.id(),
+                |_, (chip, cursor)| {
+                    harvest_kernel_hints(chip, design, cursor);
+                },
+            );
         }
         stats
     }

@@ -34,8 +34,11 @@ impl Drop for Cleanup {
 /// replays and preloaded phantom kernels. A change to the cache key, its
 /// eviction rule or the phantom bookkeeping moves these. exp8 and exp15
 /// pin the key bench: each fabricates, enrolls, ages and reads its own
-/// chips when run alone.
-const PINNED_WORK: [(&str, [(&str, u64); 3]); 4] = [
+/// chips when run alone. exp18 and exp19 fan their per-chip work out
+/// (fleet enrollment, aging, re-enrollment reads, lifecycle missions and
+/// impostor passes): a fan-out that skipped or repeated a read would
+/// move their counts.
+const PINNED_WORK: [(&str, [(&str, u64); 3]); 6] = [
     (
         "exp8",
         [
@@ -66,6 +69,22 @@ const PINNED_WORK: [(&str, [(&str, u64); 3]); 4] = [
             ("circuit.kernel_rebuilds", 2_125_374),
             ("device.bti_applies", 18_436_800),
             ("device.hci_applies", 9_001_950),
+        ],
+    ),
+    (
+        "exp18",
+        [
+            ("circuit.kernel_rebuilds", 5_036_507),
+            ("device.bti_applies", 22_105_200),
+            ("device.hci_applies", 14_231_060),
+        ],
+    ),
+    (
+        "exp19",
+        [
+            ("circuit.kernel_rebuilds", 953_370),
+            ("device.bti_applies", 5_534_400),
+            ("device.hci_applies", 2_689_230),
         ],
     ),
 ];

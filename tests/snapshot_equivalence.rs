@@ -8,6 +8,7 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use aro_obs::Registry;
 use aro_puf_repro::circuit::ring::{RoHealth, RoStyle};
 use aro_puf_repro::device::environment::Environment;
 use aro_puf_repro::device::units::YEAR;
@@ -45,13 +46,21 @@ impl Drop for Cleanup {
 /// to differ between snapshot modes — they observe the cache itself, not
 /// the simulation.
 fn dump_sans_snapshot_counters() -> String {
-    aro_obs::take_scratch()
+    sans_snapshot_counters(&aro_obs::take_scratch())
+}
+
+fn sans_snapshot_counters(registry: &Registry) -> String {
+    registry
         .dump()
         .lines()
         .filter(|line| !line.contains("sim.snapshot_"))
         .map(|line| format!("{line}\n"))
         .collect()
 }
+
+/// One experiment run: the rendered report, the registry dump without
+/// the snapshot counters, and those counters as `[hits, misses]`.
+type ExperimentRun = (String, String, [u64; 2]);
 
 /// A small lifecycle config: EXP-16 at 4 chips over a 32-bit key keeps
 /// the sweep representative (hard faults, refresh gates, soft decoding)
@@ -63,16 +72,14 @@ fn small_cfg() -> SimConfig {
     cfg
 }
 
-/// Runs one experiment with the snapshot layer forced on or off and
-/// returns the rendered report plus the registry dump (snapshot counters
-/// stripped).
+/// Runs one experiment with the snapshot layer forced on or off.
 fn experiment_run(
     id: &str,
     cfg: &SimConfig,
     plan: FaultPlan,
     threads: usize,
     snapshots: bool,
-) -> (String, String) {
+) -> ExperimentRun {
     set_thread_override(threads);
     popcache::set_snapshots_enabled(snapshots);
     aro_obs::reset();
@@ -80,16 +87,27 @@ fn experiment_run(
     let cfg = cfg.clone().with_faults(plan);
     let report = popcache::scoped(|| run_by_id(id, &cfg).expect("experiment exists"));
     aro_obs::set_enabled(false);
-    let dump = dump_sans_snapshot_counters();
+    let registry = aro_obs::take_scratch();
+    let counters = [
+        registry.counter("sim.snapshot_hits"),
+        registry.counter("sim.snapshot_misses"),
+    ];
     set_thread_override(0);
     popcache::set_snapshots_enabled(true);
-    (format!("{report}"), dump)
+    (
+        format!("{report}"),
+        sans_snapshot_counters(&registry),
+        counters,
+    )
 }
 
 /// The tentpole contract on the real lifecycle sweep: EXP-16 through the
 /// snapshot store is byte-identical to EXP-16 aging every trial from
 /// scratch — report and health sketches both — at 1, 2, and 8 worker
 /// threads, under a fault-free plan and under a half-intensity storm.
+/// Its chips age on `aro-par` workers, so the cold run must stay cold
+/// there too (no snapshot lookups at all), and the warm run's hits and
+/// misses must not depend on the thread count.
 #[test]
 fn exp16_snapshotted_matches_cold_at_every_thread_count_and_plan() {
     let _guard = lock();
@@ -98,10 +116,19 @@ fn exp16_snapshotted_matches_cold_at_every_thread_count_and_plan() {
 
     for plan_text in ["off", "storm@0.5"] {
         let plan = FaultPlan::parse(plan_text).unwrap();
-        let mut reference: Option<(String, String)> = None;
+        let mut reference: Option<ExperimentRun> = None;
         for threads in [1usize, 2, 8] {
             let cold = experiment_run("exp16", &cfg, plan, threads, false);
             let warm = experiment_run("exp16", &cfg, plan, threads, true);
+            assert_eq!(
+                cold.2,
+                [0, 0],
+                "a cold run looked up snapshots ({plan_text}, {threads} threads)"
+            );
+            assert!(
+                warm.2[0] > 0,
+                "a warm run replayed no snapshot ({plan_text}, {threads} threads)"
+            );
             assert_eq!(
                 warm.0, cold.0,
                 "report differs between snapshot modes ({plan_text}, {threads} threads)"
@@ -110,8 +137,8 @@ fn exp16_snapshotted_matches_cold_at_every_thread_count_and_plan() {
                 warm.1, cold.1,
                 "health sketches differ between snapshot modes ({plan_text}, {threads} threads)"
             );
-            // And across thread counts, in both modes.
-            let reference = reference.get_or_insert(cold.clone());
+            // And across thread counts, snapshot counters included.
+            let reference = reference.get_or_insert(warm.clone());
             assert_eq!(
                 &warm, reference,
                 "outputs differ across thread counts ({plan_text}, {threads} threads)"
