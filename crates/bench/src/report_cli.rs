@@ -78,18 +78,54 @@ fn usage() -> String {
         .to_string()
 }
 
-/// Prints one line to stdout, exiting with the conventional SIGPIPE
-/// status when the consumer closed the pipe (mirrors the run-mode `emit`).
-fn emit(text: impl std::fmt::Display) {
+/// Prints one line to stdout and returns exit code 0, exiting with the
+/// conventional SIGPIPE status when the consumer closed the pipe
+/// (mirrors the run-mode `emit`).
+fn emit(text: impl std::fmt::Display) -> i32 {
     use std::io::Write as _;
     if writeln!(std::io::stdout(), "{text}").is_err() {
         std::process::exit(141);
     }
+    0
 }
 
 fn fail_usage(msg: &str) -> i32 {
     eprintln!("repro report: {msg}\n\n{}", usage());
     2
+}
+
+/// The one path every subcommand ends in: render a loaded analysis into
+/// the exit code, or print the load error and exit 1.
+fn show<T>(loaded: Result<T, String>, render: impl FnOnce(T) -> i32) -> i32 {
+    loaded.map_or_else(
+        |e| {
+            eprintln!("repro report: {e}");
+            1
+        },
+        render,
+    )
+}
+
+/// Reads the value after `flag`: a usage error when it is missing
+/// (`{flag} expects {noun}`) or not `valid` (`{flag} expects {what}, got …`).
+fn flag_value<T: std::str::FromStr>(
+    args: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    noun: &str,
+    what: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let value = args
+        .next()
+        .ok_or_else(|| format!("{flag} expects {noun}"))?;
+    match value.parse() {
+        Ok(v) if valid(&v) => Ok(v),
+        _ => Err(format!("{flag} expects {what}, got `{value}`")),
+    }
+}
+
+fn unexpected(arg: &str) -> String {
+    format!("unexpected argument `{arg}`")
 }
 
 /// Runs `repro report <args>`; returns the process exit code.
@@ -98,232 +134,151 @@ pub fn run(args: &[String]) -> i32 {
     let Some(sub) = args.first() else {
         return fail_usage("missing subcommand");
     };
-    match sub.as_str() {
-        "profile" => run_profile(&args[1..]),
-        "diff" => run_diff(&args[1..]),
-        "health" => run_health(&args[1..]),
-        "trace" => run_trace(&args[1..]),
-        "incidents" => run_incidents(&args[1..]),
-        "slo" => run_slo(&args[1..]),
-        "--help" | "-h" => {
-            emit(usage());
-            0
-        }
-        other => fail_usage(&format!("unknown subcommand `{other}`")),
-    }
+    let args = &args[1..];
+    let ran = match sub.as_str() {
+        "profile" => run_profile(args),
+        "diff" => run_diff(args),
+        "health" => run_health(args),
+        "trace" => one_path("trace", args)
+            .map(|path| show(trace::trace_file(path), |t| emit(t.to_chrome_json()))),
+        "incidents" => one_path("incidents", args)
+            .map(|path| show(incidents::incidents_file(path), |i| emit(i.to_markdown()))),
+        "slo" => run_slo(args),
+        "--help" | "-h" => Ok(emit(usage())),
+        other => Err(format!("unknown subcommand `{other}`")),
+    };
+    ran.unwrap_or_else(|usage_error| fail_usage(&usage_error))
 }
 
-fn run_profile(args: &[String]) -> i32 {
+/// The single telemetry path `trace` and `incidents` take.
+fn one_path<'a>(sub: &str, args: &'a [String]) -> Result<&'a Path, String> {
+    let [path] = args else {
+        return Err(format!("{sub} expects exactly one telemetry JSONL path"));
+    };
+    if path.starts_with('-') {
+        return Err(unexpected(path));
+    }
+    Ok(Path::new(path))
+}
+
+fn run_profile(args: &[String]) -> Result<i32, String> {
     let mut path: Option<PathBuf> = None;
     let mut top = 10usize;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--top" => {
-                let Some(value) = args.next() else {
-                    return fail_usage("--top expects a count");
-                };
-                match value.parse() {
-                    Ok(k) if k > 0 => top = k,
-                    _ => {
-                        return fail_usage(&format!(
-                            "--top expects a positive integer, got `{value}`"
-                        ))
-                    }
-                }
+                top = flag_value(&mut args, "--top", "a count", "a positive integer", |&k| {
+                    k > 0
+                })?;
             }
             other if !other.starts_with('-') && path.is_none() => {
                 path = Some(PathBuf::from(other));
             }
-            other => return fail_usage(&format!("unexpected argument `{other}`")),
+            other => return Err(unexpected(other)),
         }
     }
-    let Some(path) = path else {
-        return fail_usage("profile expects a telemetry JSONL path");
-    };
-    match profile::profile_file(&path) {
-        Ok(profile) => {
-            emit(profile.to_markdown(top));
-            0
-        }
-        Err(e) => {
-            eprintln!("repro report: {e}");
-            1
-        }
-    }
+    let path = path.ok_or("profile expects a telemetry JSONL path")?;
+    Ok(show(profile::profile_file(&path), |profile| {
+        emit(profile.to_markdown(top))
+    }))
 }
 
-fn run_diff(args: &[String]) -> i32 {
+fn run_diff(args: &[String]) -> Result<i32, String> {
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut threshold = 0.2f64;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--threshold" => {
-                let Some(value) = args.next() else {
-                    return fail_usage("--threshold expects a fraction");
-                };
-                match value.parse::<f64>() {
-                    Ok(f) if f.is_finite() && f >= 0.0 => threshold = f,
-                    _ => {
-                        return fail_usage(&format!(
-                            "--threshold expects a non-negative fraction, got `{value}`"
-                        ))
-                    }
-                }
+                threshold = flag_value(
+                    &mut args,
+                    "--threshold",
+                    "a fraction",
+                    "a non-negative fraction",
+                    |f: &f64| f.is_finite() && *f >= 0.0,
+                )?;
             }
             other if !other.starts_with('-') && paths.len() < 2 => {
                 paths.push(PathBuf::from(other));
             }
-            other => return fail_usage(&format!("unexpected argument `{other}`")),
+            other => return Err(unexpected(other)),
         }
     }
     let [old, new] = paths.as_slice() else {
-        return fail_usage("diff expects exactly two inputs: OLD NEW");
+        return Err("diff expects exactly two inputs: OLD NEW".to_string());
     };
-    match diff::diff_files(old, new, threshold) {
-        Ok(report) => {
-            emit(report.to_markdown());
-            // Health degradations are advisory: warn loudly, exit cleanly.
-            // A noisy BER percentile must never fail CI on its own.
-            for delta in report.health_degradations() {
-                eprintln!("repro report: health DEGRADED — {}", delta.describe());
-            }
-            if report.has_regression() {
-                eprintln!(
-                    "repro report: wall-time regression past +{:.0} % in: {}",
-                    threshold * 100.0,
-                    report.regressed_ids().join(", ")
-                );
-                EXIT_REGRESSION
-            } else {
-                0
-            }
+    Ok(show(diff::diff_files(old, new, threshold), |report| {
+        emit(report.to_markdown());
+        // Health degradations are advisory: warn loudly, exit cleanly.
+        // A noisy BER percentile must never fail CI on its own.
+        for delta in report.health_degradations() {
+            eprintln!("repro report: health DEGRADED — {}", delta.describe());
         }
-        Err(e) => {
-            eprintln!("repro report: {e}");
-            1
+        if report.has_regression() {
+            eprintln!(
+                "repro report: wall-time regression past +{:.0} % in: {}",
+                threshold * 100.0,
+                report.regressed_ids().join(", ")
+            );
+            EXIT_REGRESSION
+        } else {
+            0
         }
-    }
+    }))
 }
 
-fn run_health(args: &[String]) -> i32 {
+fn run_health(args: &[String]) -> Result<i32, String> {
     if args.is_empty() || args.iter().any(|a| a.starts_with('-')) {
-        return fail_usage("health expects one or more telemetry/ledger paths");
+        return Err("health expects one or more telemetry/ledger paths".to_string());
     }
     let paths: Vec<PathBuf> = args.iter().map(PathBuf::from).collect();
-    match health::health_files(&paths) {
-        Ok(report) => {
-            emit(report.to_markdown());
-            0
-        }
-        Err(e) => {
-            eprintln!("repro report: {e}");
-            1
-        }
-    }
+    Ok(show(health::health_files(&paths), |report| {
+        emit(report.to_markdown())
+    }))
 }
 
-fn run_trace(args: &[String]) -> i32 {
-    let [path] = args else {
-        return fail_usage("trace expects exactly one telemetry JSONL path");
-    };
-    if path.starts_with('-') {
-        return fail_usage(&format!("unexpected argument `{path}`"));
-    }
-    match trace::trace_file(Path::new(path)) {
-        Ok(trace) => {
-            emit(trace.to_chrome_json());
-            0
-        }
-        Err(e) => {
-            eprintln!("repro report: {e}");
-            1
-        }
-    }
-}
-
-fn run_incidents(args: &[String]) -> i32 {
-    let [path] = args else {
-        return fail_usage("incidents expects exactly one telemetry JSONL path");
-    };
-    if path.starts_with('-') {
-        return fail_usage(&format!("unexpected argument `{path}`"));
-    }
-    match incidents::incidents_file(Path::new(path)) {
-        Ok(report) => {
-            emit(report.to_markdown());
-            0
-        }
-        Err(e) => {
-            eprintln!("repro report: {e}");
-            1
-        }
-    }
-}
-
-fn run_slo(args: &[String]) -> i32 {
+fn run_slo(args: &[String]) -> Result<i32, String> {
     let mut path: Option<PathBuf> = None;
     let mut policy = slo::SloPolicy::default();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--window" => {
-                let Some(value) = args.next() else {
-                    return fail_usage("--window expects a request count");
-                };
-                match value.parse() {
-                    Ok(n) if n > 0 => policy.window = n,
-                    _ => {
-                        return fail_usage(&format!(
-                            "--window expects a positive integer, got `{value}`"
-                        ))
-                    }
-                }
+                policy.window = flag_value(
+                    &mut args,
+                    "--window",
+                    "a request count",
+                    "a positive integer",
+                    |&n| n > 0,
+                )?;
             }
             "--availability-slo" => {
-                let Some(value) = args.next() else {
-                    return fail_usage("--availability-slo expects a fraction");
-                };
-                match value.parse::<f64>() {
-                    Ok(f) if f > 0.0 && f < 1.0 => policy.availability = f,
-                    _ => {
-                        return fail_usage(&format!(
-                            "--availability-slo expects a fraction in (0, 1), got `{value}`"
-                        ))
-                    }
-                }
+                policy.availability = flag_value(
+                    &mut args,
+                    "--availability-slo",
+                    "a fraction",
+                    "a fraction in (0, 1)",
+                    |&f| f > 0.0 && f < 1.0,
+                )?;
             }
             "--latency-slo-us" => {
-                let Some(value) = args.next() else {
-                    return fail_usage("--latency-slo-us expects a duration in µs");
-                };
-                match value.parse() {
-                    Ok(us) if us > 0 => policy.latency_p99_us = us,
-                    _ => {
-                        return fail_usage(&format!(
-                            "--latency-slo-us expects a positive integer, got `{value}`"
-                        ))
-                    }
-                }
+                policy.latency_p99_us = flag_value(
+                    &mut args,
+                    "--latency-slo-us",
+                    "a duration in µs",
+                    "a positive integer",
+                    |&us| us > 0,
+                )?;
             }
             other if !other.starts_with('-') && path.is_none() => {
                 path = Some(PathBuf::from(other));
             }
-            other => return fail_usage(&format!("unexpected argument `{other}`")),
+            other => return Err(unexpected(other)),
         }
     }
-    let Some(path) = path else {
-        return fail_usage("slo expects a telemetry JSONL path");
-    };
-    match slo::slo_file(&path) {
-        Ok(report) => {
-            emit(report.to_markdown(&policy));
-            0
-        }
-        Err(e) => {
-            eprintln!("repro report: {e}");
-            1
-        }
-    }
+    let path = path.ok_or("slo expects a telemetry JSONL path")?;
+    Ok(show(slo::slo_file(&path), |report| {
+        emit(report.to_markdown(&policy))
+    }))
 }

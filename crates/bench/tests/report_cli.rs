@@ -1,8 +1,9 @@
 //! End-to-end tests for `repro report`: the fleet-health table must be
 //! byte-identical at any `--threads N` and across reruns, the trace
-//! export must be valid Chrome-trace JSON, and the serve audit capture
+//! export must be valid Chrome-trace JSON, the serve audit capture
 //! behind `incidents`/`slo` must hold its schema invariants and render
-//! identically at any thread count.
+//! identically at any thread count, and every analysis must read a
+//! damaged capture as it reads the intact one.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -425,4 +426,140 @@ fn report_health_and_trace_reject_bad_inputs() {
     let out = repro(&["report", "slo", "a", "--window", "0"]);
     assert_eq!(out.status.code(), Some(2), "--window 0 is a usage error");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// The first half of `line`, cut at a character boundary, as a crash
+/// mid-write leaves it.
+fn torn(line: &str) -> &str {
+    let mut cut = line.len() / 2;
+    while !line.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    &line[..cut]
+}
+
+/// Writes `text` into `dir` under `name` with non-JSON debris lines
+/// inserted between its lines and a torn copy of one line appended
+/// without a newline, as a crash leaves it; returns the number of
+/// damaged lines.
+fn write_damaged(dir: &std::path::Path, name: &str, text: &str) -> usize {
+    let lines: Vec<&str> = text.lines().collect();
+    let stride = (lines.len() / 3).max(1);
+    let mut damaged = Vec::new();
+    let mut debris = 0;
+    for (i, line) in lines.iter().enumerate() {
+        if i % stride == 1 {
+            damaged.push(format!("crash debris {i} {{"));
+            debris += 1;
+        }
+        damaged.push((*line).to_string());
+    }
+    damaged.push(torn(lines[lines.len() / 2]).to_string());
+    std::fs::write(dir.join(name), damaged.join("\n")).expect("write damaged copy");
+    debris + 1
+}
+
+/// Every analysis reads a damaged copy of a capture, and `diff` a ledger
+/// with a torn trailing record, exactly as it reads the intact file: the
+/// outputs differ only by the note that counts the skipped lines.
+#[test]
+fn damaged_captures_read_like_intact_ones_but_for_the_skip_note() {
+    let clean = scratch_dir("damage_clean");
+    let noisy = scratch_dir("damage_noisy");
+    let (telemetry, ledger) = (clean.join("t.jsonl"), clean.join("l.jsonl"));
+    let run = repro(&[
+        "--quick",
+        "exp2",
+        "exp18",
+        "--faults",
+        "storm@0.25",
+        "--audit",
+        "--telemetry",
+        telemetry.to_str().unwrap(),
+        "--ledger",
+        ledger.to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert!(
+        matches!(run.status.code(), Some(0 | 3)),
+        "audited run failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let read = |path: &PathBuf| std::fs::read_to_string(path).expect("capture");
+    let skipped_t = write_damaged(&noisy, "t.jsonl", &read(&telemetry));
+    let ledger_text = read(&ledger);
+    let record = ledger_text
+        .lines()
+        .find(|line| line.contains("\"event\":\"experiment\""))
+        .expect("an experiment record");
+    std::fs::write(
+        noisy.join("l.jsonl"),
+        format!("{ledger_text}{}", torn(record)),
+    )
+    .unwrap();
+
+    let report = |sub: &str, dir: &std::path::Path, with_ledger: bool| -> String {
+        let (t, l) = (dir.join("t.jsonl"), dir.join("l.jsonl"));
+        let mut argv = vec!["report", sub, t.to_str().unwrap()];
+        if with_ledger {
+            argv.push(l.to_str().unwrap());
+        }
+        let out = repro(&argv);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "report {sub}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("UTF-8 report")
+    };
+    let audit_note = format!("- {skipped_t} non-JSON line(s) skipped\n");
+    let cases = [
+        (
+            "profile",
+            false,
+            format!(" ({skipped_t} unparsable lines skipped)"),
+        ),
+        (
+            "health",
+            true,
+            format!(
+                "\nskipped {} non-JSON line(s) (crash debris)\n",
+                skipped_t + 1
+            ),
+        ),
+        ("trace", false, String::new()),
+        ("incidents", false, audit_note.clone()),
+        ("slo", false, audit_note),
+    ];
+    for (sub, with_ledger, note) in cases {
+        let intact = report(sub, &clean, with_ledger);
+        let damaged = report(sub, &noisy, with_ledger);
+        if !note.is_empty() {
+            assert!(!intact.contains(&note), "report {sub}: {intact}");
+            assert_eq!(damaged.matches(&note).count(), 1, "report {sub}: {damaged}");
+        }
+        assert_eq!(damaged.replacen(&note, "", 1), intact, "report {sub}");
+    }
+
+    let diff = |new: &PathBuf| {
+        let out = repro(&[
+            "report",
+            "diff",
+            ledger.to_str().unwrap(),
+            new.to_str().unwrap(),
+        ]);
+        (out.status.code(), out.stdout, out.stderr)
+    };
+    let intact = diff(&ledger);
+    assert_eq!(intact.0, Some(0), "{}", String::from_utf8_lossy(&intact.2));
+    assert_eq!(
+        diff(&noisy.join("l.jsonl")),
+        intact,
+        "a torn record changes no diff byte"
+    );
+
+    for dir in [clean, noisy] {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -10,10 +10,10 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
+use crate::capture::{self, Fold, Line};
 use crate::health::{fmt_stat, HealthStat};
-use crate::journal::parse_records;
 use crate::md::{ms, pct_delta, MdTable};
-use crate::record::RecordStatus;
+use crate::record::{LedgerRecord, RecordStatus};
 
 /// One side of a diff: per-experiment wall times (order preserved),
 /// metric aggregates and health summaries.
@@ -27,6 +27,8 @@ pub struct WallSet {
     pub metrics: BTreeMap<String, BTreeMap<String, u64>>,
     /// Per-experiment health summaries (records that carry health only).
     pub health: BTreeMap<String, BTreeMap<String, HealthStat>>,
+    /// Experiment records read, failures included.
+    pub(crate) records: usize,
 }
 
 impl WallSet {
@@ -44,47 +46,48 @@ impl WallSet {
     }
 }
 
-/// Loads one diff side: a ledger JSONL, tolerating crash debris like
-/// resume does.
+impl Fold for WallSet {
+    /// Reads `experiment` records; failures have no comparable wall-time
+    /// semantics, and the latest record of an experiment wins, keeping
+    /// first-seen order (a resumed run may append a re-run of an
+    /// experiment recorded earlier).
+    fn line(&mut self, line: &Line) {
+        let Some(record) = LedgerRecord::from_json(line.value()) else {
+            return;
+        };
+        self.records += 1;
+        if record.status != RecordStatus::Success {
+            return;
+        }
+        if let Some(slot) = self.experiments.iter_mut().find(|(id, _)| *id == record.id) {
+            slot.1 = record.wall_ns;
+        } else {
+            self.experiments.push((record.id.clone(), record.wall_ns));
+        }
+        self.metrics.insert(record.id.clone(), record.metrics);
+        if !record.health.is_empty() {
+            self.health.insert(record.id, record.health);
+        }
+    }
+
+    /// Crash debris is tolerated as resume tolerates it, and not shown.
+    fn skipped(&mut self, _lines: usize) {}
+}
+
+/// Loads one diff side: a ledger JSONL.
 ///
 /// # Errors
 /// Returns a description when the file is unreadable or holds no
 /// experiment record.
 pub fn load_wall_set(path: &Path) -> Result<WallSet, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let label = path.file_name().map_or_else(
-        || path.display().to_string(),
-        |n| n.to_string_lossy().into_owned(),
-    );
-    let (records, _skipped) = parse_records(&text);
-    if records.is_empty() {
+    let (set, label) = capture::load::<WallSet>(&[path])?;
+    if set.records == 0 {
         return Err(format!(
             "{}: not a run ledger (no experiment records)",
             path.display()
         ));
     }
-    let mut set = WallSet {
-        label,
-        ..WallSet::default()
-    };
-    for record in records {
-        if record.status != RecordStatus::Success {
-            continue; // failures have no comparable wall-time semantics
-        }
-        // Latest record wins, keeping first-seen order (a resumed run may
-        // append a re-run of an experiment recorded earlier).
-        if let Some(slot) = set.experiments.iter_mut().find(|(id, _)| *id == record.id) {
-            slot.1 = record.wall_ns;
-        } else {
-            set.experiments.push((record.id.clone(), record.wall_ns));
-        }
-        set.metrics.insert(record.id.clone(), record.metrics);
-        if !record.health.is_empty() {
-            set.health.insert(record.id.clone(), record.health);
-        }
-    }
-    Ok(set)
+    Ok(WallSet { label, ..set })
 }
 
 /// The wall-time verdict for one experiment.

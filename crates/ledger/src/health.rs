@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use aro_obs::json::{self, Value};
 use aro_obs::Sketch;
 
+use crate::capture::{self, Fold, Line};
 use crate::md::MdTable;
 use crate::record::LedgerRecord;
 
@@ -100,20 +101,13 @@ pub struct HealthReport {
     pub skipped_lines: usize,
 }
 
-impl HealthReport {
-    /// Feeds one JSONL line; only `sketch`, `counter` and ledger
-    /// `experiment` events carry health inputs.
-    pub fn feed_line(&mut self, line: &str) {
-        if line.trim().is_empty() {
-            return;
-        }
-        let Ok(value) = json::parse(line) else {
-            self.skipped_lines += 1;
-            return;
-        };
-        match value.get("event").and_then(Value::as_str) {
-            Some("sketch") => {
-                if let Some((name, sketch)) = Sketch::from_json(&value) {
+impl Fold for HealthReport {
+    /// Only `sketch`, `counter` and ledger `experiment` events carry
+    /// health inputs.
+    fn line(&mut self, line: &Line) {
+        match line.event() {
+            "sketch" => {
+                if let Some((name, sketch)) = Sketch::from_json(line.value()) {
                     // Re-flushed captures concatenate: merge, don't clobber.
                     if let Some(existing) = self.sketches.get_mut(&name) {
                         existing.merge(&sketch);
@@ -122,16 +116,13 @@ impl HealthReport {
                     }
                 }
             }
-            Some("counter") => {
-                if let (Some(name), Some(v)) = (
-                    value.get("name").and_then(Value::as_str),
-                    value.get("value").and_then(Value::as_u64),
-                ) {
+            "counter" => {
+                if let (Some(name), Some(v)) = (line.str("name"), line.u64("value")) {
                     *self.counters.entry(name.to_string()).or_insert(0) += v;
                 }
             }
-            Some("experiment") => {
-                if let Some(record) = LedgerRecord::from_json(&value) {
+            "experiment" => {
+                if let Some(record) = LedgerRecord::from_json(line.value()) {
                     for (name, v) in &record.metrics {
                         *self.counters.entry(name.clone()).or_insert(0) += v;
                     }
@@ -150,6 +141,12 @@ impl HealthReport {
         }
     }
 
+    fn skipped(&mut self, lines: usize) {
+        self.skipped_lines = lines;
+    }
+}
+
+impl HealthReport {
     /// Whether the file carried anything health-shaped.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -328,20 +325,8 @@ pub(crate) fn fmt_stat(v: f64) -> String {
 /// set carries no health inputs.
 pub fn health_files(paths: &[std::path::PathBuf]) -> Result<HealthReport, String> {
     assert!(!paths.is_empty(), "health_files needs at least one path");
-    let mut report = HealthReport::default();
-    let mut labels = Vec::with_capacity(paths.len());
-    for path in paths {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        labels.push(path.file_name().map_or_else(
-            || path.display().to_string(),
-            |n| n.to_string_lossy().into_owned(),
-        ));
-        for line in text.lines() {
-            report.feed_line(line);
-        }
-    }
-    report.label = labels.join(" + ");
+    let (mut report, label) = capture::load::<HealthReport>(paths)?;
+    report.label = label;
     if report.is_empty() {
         return Err(format!(
             "{}: no sketch/counter events or experiment records — capture with \
@@ -357,14 +342,10 @@ mod tests {
     use super::*;
 
     fn parse_health(text: &str, label: &str) -> HealthReport {
-        let mut report = HealthReport {
+        HealthReport {
             label: label.to_string(),
-            ..HealthReport::default()
-        };
-        for line in text.lines() {
-            report.feed_line(line);
+            ..capture::parse(text)
         }
-        report
     }
 
     fn sample_sketch(values: &[f64]) -> Sketch {

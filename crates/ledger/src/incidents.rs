@@ -24,8 +24,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use aro_obs::json::{self, Value};
-
+use crate::capture::{self, Fold, Line};
 use crate::md::MdTable;
 
 /// One verification attempt, reconstructed.
@@ -50,7 +49,7 @@ pub struct Attempt {
 }
 
 /// One request's reconstructed causal chain.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Request {
     /// Seed-derived request id (16 hex digits).
     pub req: String,
@@ -189,176 +188,135 @@ pub struct Incidents {
     open: BTreeMap<String, usize>,
 }
 
-impl Incidents {
-    /// Feeds one telemetry line.
-    pub fn feed_line(&mut self, line: &str) {
-        if line.trim().is_empty() {
-            return;
-        }
-        let Ok(value) = json::parse(line) else {
-            self.skipped_lines += 1;
-            return;
-        };
-        match value.get("event").and_then(Value::as_str) {
-            Some("fault") => {
-                let kind = value.get("kind").and_then(Value::as_str).map(String::from);
-                let chip = value.get("chip").and_then(Value::as_u64);
-                let (Some(kind), Some(chip)) = (kind, chip) else {
+impl Fold for Incidents {
+    /// Reads `fault` lines (a missing `count` counts as 1) and every
+    /// audit stage; audit lines before any `scope` line fall under an
+    /// implicit `(no scope)` scope.
+    fn line(&mut self, line: &Line) {
+        match (line.event(), line.str("stage")) {
+            ("fault", _) => {
+                let (Some(kind), Some(chip)) = (line.str("kind"), line.u64("chip")) else {
                     return;
                 };
-                let count = value.get("count").and_then(Value::as_u64).unwrap_or(1);
-                *self.fault_totals.entry(kind.clone()).or_insert(0) += count;
-                *self.device_faults.entry((chip, kind)).or_insert(0) += count;
+                let count = line.u64("count").unwrap_or(1);
+                *self.fault_totals.entry(kind.to_string()).or_insert(0) += count;
+                *self
+                    .device_faults
+                    .entry((chip, kind.to_string()))
+                    .or_insert(0) += count;
             }
-            Some("audit") => {
-                let Some(stage) = value.get("stage").and_then(Value::as_str) else {
-                    return;
-                };
-                if stage == "scope" {
-                    self.open.clear();
-                    self.scopes.push(Scope {
-                        label: value
-                            .get("label")
-                            .and_then(Value::as_str)
-                            .unwrap_or_default()
-                            .to_string(),
-                        ..Scope::default()
-                    });
-                    return;
-                }
+            ("audit", Some("scope")) => {
+                self.open.clear();
+                self.scopes.push(Scope {
+                    label: line.str("label").unwrap_or_default().to_string(),
+                    ..Scope::default()
+                });
+            }
+            ("audit", Some(stage)) => {
                 if self.scopes.is_empty() {
-                    // Audit events before any scope (unit-level use):
-                    // collect them under an implicit scope.
                     self.scopes.push(Scope {
                         label: "(no scope)".to_string(),
                         ..Scope::default()
                     });
                 }
-                self.feed_stage(stage, &value);
+                self.fold_stage(stage, line);
             }
             _ => {}
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn feed_stage(&mut self, stage: &str, value: &Value) {
-        let str_of = |key: &str| value.get(key).and_then(Value::as_str).map(String::from);
-        let u64_of = |key: &str| value.get(key).and_then(Value::as_u64);
-        let f64_of = |key: &str| value.get(key).and_then(Value::as_f64);
-        let bool_of = |key: &str| match value.get(key) {
-            Some(Value::Bool(b)) => Some(*b),
-            _ => None,
-        };
+    fn skipped(&mut self, lines: usize) {
+        self.skipped_lines = lines;
+    }
+}
+
+impl Incidents {
+    /// Folds one audit line into the current scope.
+    fn fold_stage(&mut self, stage: &str, line: &Line) {
         let Some(scope) = self.scopes.last_mut() else {
             return;
         };
+        let str_of = |key: &str| line.str(key).unwrap_or_default().to_string();
+        let u64_of = |key: &str| line.u64(key).unwrap_or(0);
         match stage {
             "request" => {
                 let (Some(req), Some(device), Some(target)) =
-                    (str_of("req"), u64_of("device"), u64_of("target"))
+                    (line.str("req"), line.u64("device"), line.u64("target"))
                 else {
                     return;
                 };
-                self.open.insert(req.clone(), scope.requests.len());
+                self.open.insert(req.to_string(), scope.requests.len());
                 scope.requests.push(Request {
-                    req,
+                    req: req.to_string(),
                     device,
                     target,
-                    kind: str_of("kind").unwrap_or_default(),
-                    store: String::new(),
-                    shard: None,
-                    flagged: None,
-                    replica: None,
-                    replicas_lost: None,
-                    replicas_wiped: None,
-                    attempts: Vec::new(),
-                    verdict: String::new(),
-                    distance: None,
-                    quarantined: false,
-                    latency_us: 0,
-                    at_us: 0,
+                    kind: str_of("kind"),
+                    ..Request::default()
                 });
             }
-            "store_read" => {
-                let Some(request) = str_of("req")
-                    .and_then(|req| self.open.get(&req).copied())
-                    .and_then(|at| scope.requests.get_mut(at))
+            "store_read" | "attempt" | "verdict" => {
+                let Some(request) = line
+                    .str("req")
+                    .and_then(|req| self.open.get(req))
+                    .and_then(|&at| scope.requests.get_mut(at))
                 else {
                     return;
                 };
-                request.store = str_of("outcome").unwrap_or_default();
-                request.shard = u64_of("shard");
-                request.flagged = u64_of("flagged");
-                request.replica = u64_of("replica");
-                request.replicas_lost = u64_of("replicas_lost");
-                request.replicas_wiped = u64_of("replicas_wiped");
-            }
-            "attempt" => {
-                let Some(request) = str_of("req")
-                    .and_then(|req| self.open.get(&req).copied())
-                    .and_then(|at| scope.requests.get_mut(at))
-                else {
-                    return;
-                };
-                request.attempts.push(Attempt {
-                    attempt: u64_of("attempt").unwrap_or(0),
-                    latency_us: u64_of("latency_us").unwrap_or(0),
-                    timed_out: bool_of("timeout").unwrap_or(false),
-                    backoff_us: u64_of("backoff_us").unwrap_or(0),
-                    distance: f64_of("distance"),
-                    excursion: bool_of("excursion").unwrap_or(false),
-                    burst: bool_of("burst").unwrap_or(false),
-                    glitches: u64_of("glitches").unwrap_or(0),
-                });
-            }
-            "verdict" => {
-                let Some(request) = str_of("req")
-                    .and_then(|req| self.open.get(&req).copied())
-                    .and_then(|at| scope.requests.get_mut(at))
-                else {
-                    return;
-                };
-                request.verdict = str_of("verdict").unwrap_or_default();
-                request.distance = f64_of("distance");
-                request.quarantined = bool_of("quarantined").unwrap_or(false);
-                request.latency_us = u64_of("latency_us").unwrap_or(0);
-                request.at_us = u64_of("at_us").unwrap_or(0);
+                match stage {
+                    "store_read" => {
+                        request.store = str_of("outcome");
+                        request.shard = line.u64("shard");
+                        request.flagged = line.u64("flagged");
+                        request.replica = line.u64("replica");
+                        request.replicas_lost = line.u64("replicas_lost");
+                        request.replicas_wiped = line.u64("replicas_wiped");
+                    }
+                    "attempt" => request.attempts.push(Attempt {
+                        attempt: u64_of("attempt"),
+                        latency_us: u64_of("latency_us"),
+                        timed_out: line.bool("timeout").unwrap_or(false),
+                        backoff_us: u64_of("backoff_us"),
+                        distance: line.f64("distance"),
+                        excursion: line.bool("excursion").unwrap_or(false),
+                        burst: line.bool("burst").unwrap_or(false),
+                        glitches: u64_of("glitches"),
+                    }),
+                    _ => {
+                        request.verdict = str_of("verdict");
+                        request.distance = line.f64("distance");
+                        request.quarantined = line.bool("quarantined").unwrap_or(false);
+                        request.latency_us = u64_of("latency_us");
+                        request.at_us = u64_of("at_us");
+                    }
+                }
             }
             "shed" => scope.sheds += 1,
-            "health" => {
-                scope.health.push((
-                    str_of("from").unwrap_or_default(),
-                    str_of("to").unwrap_or_default(),
-                    f64_of("error_rate").unwrap_or(0.0),
-                    u64_of("at_us").unwrap_or(0),
-                ));
-            }
-            "store_health" => {
-                scope.store_health.push((
-                    str_of("from").unwrap_or_default(),
-                    str_of("to").unwrap_or_default(),
-                    u64_of("unrecoverable").unwrap_or(0),
-                    u64_of("at_us").unwrap_or(0),
-                ));
-            }
-            "scrub" => {
-                scope.scrubs.push(Scrub {
-                    device: u64_of("device").unwrap_or(0),
-                    replica: u64_of("replica").unwrap_or(0),
-                    generation: u64_of("generation").unwrap_or(0),
-                    outcome: str_of("outcome").unwrap_or_default(),
-                    at_us: u64_of("at_us").unwrap_or(0),
-                });
-            }
-            "reenroll" => {
-                scope.reenrolls.push(Reenroll {
-                    device: u64_of("device").unwrap_or(0),
-                    outcome: str_of("outcome").unwrap_or_default(),
-                    attempts: u64_of("attempts").unwrap_or(0),
-                    generation: u64_of("generation").unwrap_or(0),
-                    at_us: u64_of("at_us").unwrap_or(0),
-                });
-            }
+            "health" => scope.health.push((
+                str_of("from"),
+                str_of("to"),
+                line.f64("error_rate").unwrap_or(0.0),
+                u64_of("at_us"),
+            )),
+            "store_health" => scope.store_health.push((
+                str_of("from"),
+                str_of("to"),
+                u64_of("unrecoverable"),
+                u64_of("at_us"),
+            )),
+            "scrub" => scope.scrubs.push(Scrub {
+                device: u64_of("device"),
+                replica: u64_of("replica"),
+                generation: u64_of("generation"),
+                outcome: str_of("outcome"),
+                at_us: u64_of("at_us"),
+            }),
+            "reenroll" => scope.reenrolls.push(Reenroll {
+                device: u64_of("device"),
+                outcome: str_of("outcome"),
+                attempts: u64_of("attempts"),
+                generation: u64_of("generation"),
+                at_us: u64_of("at_us"),
+            }),
             _ => {}
         }
     }
@@ -692,25 +650,13 @@ impl Incidents {
     }
 }
 
-/// Parses a whole capture.
-#[must_use]
-pub fn parse_incidents(text: &str) -> Incidents {
-    let mut incidents = Incidents::default();
-    for line in text.lines() {
-        incidents.feed_line(line);
-    }
-    incidents
-}
-
 /// Loads a capture and reconstructs its incidents.
 ///
 /// # Errors
 /// Returns a description when the file is unreadable or carries no audit
 /// events (nothing to reconstruct).
 pub fn incidents_file(path: &Path) -> Result<Incidents, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let incidents = parse_incidents(&text);
+    let (incidents, _) = capture::load::<Incidents>(&[path])?;
     if incidents.is_empty() {
         return Err(format!(
             "{}: no audit events — capture with `repro --audit --telemetry <file>`",
@@ -754,7 +700,7 @@ mod tests {
 
     #[test]
     fn reconstructs_the_causal_chain() {
-        let incidents = parse_incidents(CAPTURE);
+        let incidents: Incidents = capture::parse(CAPTURE);
         assert_eq!(incidents.scopes.len(), 1);
         assert_eq!(incidents.skipped_lines, 1);
         let scope = &incidents.scopes[0];
@@ -795,7 +741,7 @@ mod tests {
 
     #[test]
     fn markdown_carries_post_mortem_and_timeline() {
-        let md = parse_incidents(CAPTURE).to_markdown();
+        let md = capture::parse::<Incidents>(CAPTURE).to_markdown();
         assert!(md.contains("Quarantine post-mortem — device 3"), "{md}");
         assert!(md.contains("root cause: margin erosion"), "{md}");
         assert!(md.contains("healthy → degraded"), "{md}");
@@ -820,6 +766,8 @@ mod tests {
 
     #[test]
     fn rejects_an_auditless_capture() {
-        assert!(parse_incidents(r#"{"event":"counter","name":"c","value":1}"#).is_empty());
+        assert!(
+            capture::parse::<Incidents>(r#"{"event":"counter","name":"c","value":1}"#).is_empty()
+        );
     }
 }

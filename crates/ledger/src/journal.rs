@@ -16,8 +16,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
-use aro_obs::json;
-
+use crate::capture::{self, Fold, Line};
 use crate::record::{LedgerRecord, RecordStatus};
 
 /// A run ledger: in-memory index of every parsed record plus an
@@ -143,31 +142,35 @@ impl Ledger {
     }
 }
 
-/// Parses journal text into records, skipping non-record events
-/// (header/summary lines) silently and counting unparsable lines.
-#[must_use]
-pub fn parse_records(text: &str) -> (Vec<LedgerRecord>, usize) {
-    let mut records = Vec::new();
-    let mut skipped = 0;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match json::parse(line) {
-            Ok(value) => {
-                if let Some(record) = LedgerRecord::from_json(&value) {
-                    records.push(record);
-                } else if value.get("event").and_then(json::Value::as_str) == Some("experiment") {
-                    // An experiment line missing required fields: debris.
-                    skipped += 1;
-                }
-                // Other well-formed events (ledger_open, run_summary) are
-                // journal metadata, not records.
-            }
-            Err(_) => skipped += 1,
+/// The records of a journal, and the lines that were not records.
+#[derive(Default)]
+struct Journal {
+    records: Vec<LedgerRecord>,
+    skipped: usize,
+}
+
+impl Fold for Journal {
+    /// Non-record events (header/summary lines) are journal metadata and
+    /// pass silently; an `experiment` line missing required fields is
+    /// debris, like a non-JSON line.
+    fn line(&mut self, line: &Line) {
+        match LedgerRecord::from_json(line.value()) {
+            Some(record) => self.records.push(record),
+            None if line.event() == "experiment" => self.skipped += 1,
+            None => {}
         }
     }
-    (records, skipped)
+
+    fn skipped(&mut self, lines: usize) {
+        self.skipped += lines;
+    }
+}
+
+/// Parses journal text into records, counting the lines skipped.
+#[must_use]
+pub fn parse_records(text: &str) -> (Vec<LedgerRecord>, usize) {
+    let journal: Journal = capture::parse(text);
+    (journal.records, journal.skipped)
 }
 
 #[cfg(test)]

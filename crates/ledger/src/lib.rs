@@ -1,9 +1,15 @@
 //! `aro-ledger` — the read side of observability: a durable run ledger
 //! and the analyses that consume it.
 //!
-//! PR 1 made the engine *emit* telemetry (spans, metrics, JSONL); this
-//! crate makes runs *durable and analyzable*:
+//! `aro-obs` makes the engine *emit* telemetry (spans, metrics, JSONL);
+//! this crate makes runs *durable and analyzable*:
 //!
+//! - **Capture** ([`capture`]): the one reader. It loads one or more
+//!   JSONL files, ignores blank lines, skips and counts each non-JSON
+//!   line once, and folds every parsed line, in file order, into an
+//!   analysis ([`capture::Fold`]). The journal, the diff and every
+//!   analysis below read through it; each keeps its own field defaults
+//!   and its own message for a capture that carries nothing it reads.
 //! - **Journal** ([`journal::Ledger`]): an append-only, crash-safe JSONL
 //!   file holding one [`record::LedgerRecord`] per completed experiment,
 //!   keyed by a config+faults+seed fingerprint. The experiment harness
@@ -32,6 +38,7 @@
 //! resume", "Analysis (`repro report`)", and "Serve audit trail &
 //! incident forensics").
 
+pub mod capture;
 pub mod diff;
 pub mod health;
 pub mod incidents;

@@ -2,16 +2,16 @@
 //! capture: per-phase wall time, self vs child time, and the top-k hot
 //! spans ranked by self time.
 //!
-//! The parser is deliberately tolerant: a capture from a killed run ends
-//! mid-line, and lines from foreign events (metrics, faults) interleave
-//! with the span stream. Anything that is not a well-formed
-//! `span_open`/`span_close` event is skipped and counted.
+//! Only well-formed `span_open`/`span_close` events are read: the metric
+//! and fault lines that interleave with the span stream are ignored, and
+//! the torn last line of a killed run's capture is skipped by the reader.
 
+use std::collections::BTreeMap;
 use std::path::Path;
 
-use aro_obs::json::{self, Value};
 use aro_obs::span::{ProfileStats, SpanAgg};
 
+use crate::capture::{self, Fold, Line};
 use crate::md::{ms, MdTable};
 
 /// The aggregated profile of one telemetry capture.
@@ -24,47 +24,38 @@ pub struct Profile {
     pub skipped_lines: usize,
 }
 
-impl Profile {
-    /// Feeds one telemetry line (ignores non-span events).
-    pub fn feed_line(&mut self, line: &str) {
-        if line.trim().is_empty() {
-            return;
-        }
-        let Ok(value) = json::parse(line) else {
-            self.skipped_lines += 1;
+impl Fold for Profile {
+    fn line(&mut self, line: &Line) {
+        let (Some(thread), Some(name)) = (line.u64("thread"), line.str("name")) else {
             return;
         };
-        let event = value.get("event").and_then(Value::as_str);
-        let fields = || -> Option<(u64, &str)> {
-            Some((
-                value.get("thread").and_then(Value::as_u64)?,
-                value.get("name").and_then(Value::as_str)?,
-            ))
-        };
-        match event {
-            Some("span_open") => {
-                if let Some((thread, name)) = fields() {
-                    self.agg.open(thread, name);
-                }
+        match line.event() {
+            "span_open" => self.agg.open(thread, name),
+            "span_close" => {
+                let dur_ns = line.u64("dur_ns").unwrap_or(0);
+                self.agg.close(thread, name, u128::from(dur_ns));
+                self.closes += 1;
             }
-            Some("span_close") => {
-                if let Some((thread, name)) = fields() {
-                    let dur_ns = value.get("dur_ns").and_then(Value::as_u64).unwrap_or(0);
-                    self.agg.close(thread, name, u128::from(dur_ns));
-                    self.closes += 1;
-                }
-            }
-            _ => {} // metrics / fault / ledger events: not ours
+            _ => {}
         }
     }
 
+    fn skipped(&mut self, lines: usize) {
+        self.skipped_lines = lines;
+    }
+}
+
+impl Profile {
     /// Per-span-name statistics.
     #[must_use]
-    pub fn stats(&self) -> &std::collections::BTreeMap<String, ProfileStats> {
+    pub fn stats(&self) -> &BTreeMap<String, ProfileStats> {
         self.agg.stats()
     }
 
     /// Renders the per-phase table plus the top-`k` hot-span ranking.
+    /// A span's share is its self time over the traced root time; a span
+    /// that closed on an `aro-par` worker reads `worker` instead, since
+    /// its self time is CPU time spent inside a first-thread span.
     #[must_use]
     pub fn to_markdown(&self, top_k: usize) -> String {
         let mut phases = MdTable::new(
@@ -89,16 +80,15 @@ impl Profile {
             format!("Hot spans — top {top_k} by self time"),
             &["rank", "span", "self ms", "share"],
         );
-        let total_self: u128 = self.stats().values().map(ProfileStats::self_ns).sum();
+        let root_ns = self.agg.root_total_ns();
         for (rank, (name, stats)) in hot.iter().enumerate() {
             #[allow(clippy::cast_precision_loss)]
-            let share = if total_self == 0 {
+            let share = if self.agg.closed_on_worker(name) {
+                "worker".to_string()
+            } else if root_ns == 0 {
                 "n/a".to_string()
             } else {
-                format!(
-                    "{:.1} %",
-                    stats.self_ns() as f64 / total_self as f64 * 100.0
-                )
+                format!("{:.1} %", stats.self_ns() as f64 / root_ns as f64 * 100.0)
             };
             ranking.push_row(vec![
                 (rank + 1).to_string(),
@@ -111,7 +101,7 @@ impl Profile {
         out.push_str(&ranking.to_markdown());
         out.push_str(&format!(
             "\ntraced root time: {} ms over {} span closes",
-            ms(self.agg.root_total_ns()),
+            ms(root_ns),
             self.closes
         ));
         if self.skipped_lines > 0 {
@@ -131,12 +121,7 @@ impl Profile {
 /// Returns a description when the file is unreadable or holds no span
 /// events at all (the wrong file, or a run without `--telemetry`).
 pub fn profile_file(path: &Path) -> Result<Profile, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let mut profile = Profile::default();
-    for line in text.lines() {
-        profile.feed_line(line);
-    }
+    let (profile, _) = capture::load::<Profile>(&[path])?;
     if profile.closes == 0 {
         return Err(format!(
             "{}: no span_close events — not a telemetry capture, or spans were disabled",
@@ -162,17 +147,17 @@ mod tests {
 
     #[test]
     fn aggregates_a_span_stream_with_interleaved_noise() {
-        let mut profile = Profile::default();
-        for line in [
-            open("run").as_str(),
-            r#"{"event":"metric","name":"sim.chips_simulated","value":10}"#,
-            open("aging").as_str(),
-            close("aging", 400).as_str(),
-            "garbage line",
-            close("run", 1000).as_str(),
-        ] {
-            profile.feed_line(line);
-        }
+        let profile: Profile = capture::parse(
+            &[
+                open("run").as_str(),
+                r#"{"event":"metric","name":"sim.chips_simulated","value":10}"#,
+                open("aging").as_str(),
+                close("aging", 400).as_str(),
+                "garbage line",
+                close("run", 1000).as_str(),
+            ]
+            .join("\n"),
+        );
         assert_eq!(profile.closes, 2);
         assert_eq!(profile.skipped_lines, 1);
         assert_eq!(profile.stats()["run"].self_ns(), 600);
@@ -184,12 +169,10 @@ mod tests {
 
     #[test]
     fn top_k_ranks_by_self_time() {
-        let mut profile = Profile::default();
-        for (name, dur) in [("cold", 10), ("warm", 500), ("hot", 2000)] {
-            profile.feed_line(&open(name));
-            profile.feed_line(&close(name, dur));
-        }
-        let md = profile.to_markdown(2);
+        let text: String = [("cold", 10), ("warm", 500), ("hot", 2000)]
+            .map(|(name, dur)| format!("{}\n{}\n", open(name), close(name, dur)))
+            .concat();
+        let md = capture::parse::<Profile>(&text).to_markdown(2);
         let ranking = md.split("Hot spans").nth(1).expect("ranking table present");
         assert!(ranking.contains("top 2"));
         assert!(ranking.contains("| 1    | hot"), "{ranking}");
@@ -198,6 +181,30 @@ mod tests {
             !ranking.contains("cold"),
             "cold is cut by top-k in the ranking"
         );
+    }
+
+    #[test]
+    fn shares_are_of_the_root_time_and_worker_spans_have_none() {
+        let text = [
+            open("run"),
+            r#"{"event":"span_open","name":"serve.reenroll","thread":1,"depth":1,"ts_ns":0}"#
+                .to_string(),
+            r#"{"event":"span_close","name":"serve.reenroll","thread":1,"depth":1,"ts_ns":0,"dur_ns":600}"#
+                .to_string(),
+            close("run", 1000),
+        ]
+        .join("\n");
+        let md = capture::parse::<Profile>(&text).to_markdown(5);
+        let ranking = md.split("Hot spans").nth(1).expect("ranking table present");
+        let share = |span: &str| {
+            ranking
+                .lines()
+                .map(|l| l.split('|').map(str::trim).collect::<Vec<_>>())
+                .find(|cells| cells.get(2) == Some(&span))
+                .map(|cells| cells[4].to_string())
+        };
+        assert_eq!(share("run").as_deref(), Some("100.0 %"), "{md}");
+        assert_eq!(share("serve.reenroll").as_deref(), Some("worker"), "{md}");
     }
 
     #[test]

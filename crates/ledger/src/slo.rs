@@ -23,8 +23,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
-use aro_obs::json::{self, Value};
-
+use crate::capture::{self, Fold, Line};
 use crate::md::MdTable;
 
 /// SLO targets and windowing.
@@ -118,41 +117,28 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
     sorted[((sorted.len() - 1) as u64 * p / 100) as usize]
 }
 
-impl SloReport {
-    /// Feeds one telemetry line (only audit `scope`/`verdict`/`shed`
-    /// events matter here).
-    pub fn feed_line(&mut self, line: &str) {
-        if line.trim().is_empty() {
+impl Fold for SloReport {
+    /// Reads audit `scope`, `verdict` and `shed` lines; a verdict without
+    /// a `request` line still counts.
+    fn line(&mut self, line: &Line) {
+        if line.event() != "audit" {
             return;
         }
-        let Ok(value) = json::parse(line) else {
-            self.skipped_lines += 1;
-            return;
-        };
-        if value.get("event").and_then(Value::as_str) != Some("audit") {
-            return;
-        }
-        let stage = value.get("stage").and_then(Value::as_str);
-        if stage == Some("scope") {
-            self.scopes.push(ScopeEvents {
-                label: value
-                    .get("label")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                events: Vec::new(),
-            });
-            return;
-        }
-        let event = match stage {
-            Some("verdict") => {
-                let latency = value.get("latency_us").and_then(Value::as_u64).unwrap_or(0);
-                let failed = matches!(
-                    value.get("verdict").and_then(Value::as_str),
-                    Some("timed_out" | "corrupt_record" | "missing" | "malformed")
-                );
-                Event::Served(latency, failed)
+        let event = match line.str("stage") {
+            Some("scope") => {
+                self.scopes.push(ScopeEvents {
+                    label: line.str("label").unwrap_or_default().to_string(),
+                    events: Vec::new(),
+                });
+                return;
             }
+            Some("verdict") => Event::Served(
+                line.u64("latency_us").unwrap_or(0),
+                matches!(
+                    line.str("verdict"),
+                    Some("timed_out" | "corrupt_record" | "missing" | "malformed")
+                ),
+            ),
             Some("shed") => Event::Shed,
             _ => return,
         };
@@ -169,6 +155,12 @@ impl SloReport {
             .push(event);
     }
 
+    fn skipped(&mut self, lines: usize) {
+        self.skipped_lines = lines;
+    }
+}
+
+impl SloReport {
     /// Whether the capture carried any scoreable events.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -266,25 +258,13 @@ impl SloReport {
     }
 }
 
-/// Parses a whole capture.
-#[must_use]
-pub fn parse_slo(text: &str) -> SloReport {
-    let mut report = SloReport::default();
-    for line in text.lines() {
-        report.feed_line(line);
-    }
-    report
-}
-
 /// Loads a capture and scores it.
 ///
 /// # Errors
 /// Returns a description when the file is unreadable or carries no
 /// audit verdict/shed events.
 pub fn slo_file(path: &Path) -> Result<SloReport, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let report = parse_slo(&text);
+    let (report, _) = capture::load::<SloReport>(&[path])?;
     if report.is_empty() {
         return Err(format!(
             "{}: no audit verdict events — capture with `repro --audit --telemetry <file>`",
@@ -338,7 +318,7 @@ mod tests {
             ],
             1,
         );
-        let report = parse_slo(&text);
+        let report: SloReport = capture::parse(&text);
         let policy = SloPolicy {
             window: 8,
             availability: 0.99,
@@ -367,7 +347,7 @@ mod tests {
     #[test]
     fn clean_traffic_sits_inside_the_budget() {
         let text = capture(&[("accepted", 100); 10], 0);
-        let report = parse_slo(&text);
+        let report: SloReport = capture::parse(&text);
         let policy = SloPolicy::default();
         let windows = report.windows(&policy);
         assert_eq!(windows.len(), 1, "10 events, one 64-wide window");
@@ -379,7 +359,7 @@ mod tests {
     fn windows_cut_per_scope_and_per_size() {
         let mut text = capture(&[("accepted", 100); 5], 0);
         text.push_str(&capture(&[("accepted", 100); 3], 0));
-        let report = parse_slo(&text);
+        let report: SloReport = capture::parse(&text);
         let policy = SloPolicy {
             window: 2,
             ..SloPolicy::default()
@@ -390,6 +370,6 @@ mod tests {
 
     #[test]
     fn empty_capture_is_detected() {
-        assert!(parse_slo("{\"event\":\"counter\"}\n").is_empty());
+        assert!(capture::parse::<SloReport>("{\"event\":\"counter\"}\n").is_empty());
     }
 }

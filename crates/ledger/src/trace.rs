@@ -14,13 +14,15 @@
 //! the request's simulated latency; `scope` and `health` lines become
 //! instants marking trial boundaries and state transitions.
 //!
-//! Like the profiler, the parser tolerates crash debris: non-JSON lines
-//! are skipped and counted, foreign events ignored.
+//! Metric and ledger events are not part of the timeline, and a
+//! `fault` line without a `count` is dropped.
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-use aro_obs::json::{self, Value};
+use aro_obs::json;
+
+use crate::capture::{self, Fold, Line};
 
 /// One parsed telemetry capture, ready to serialize as a Chrome trace.
 #[derive(Debug, Default)]
@@ -39,78 +41,69 @@ pub struct Trace {
     pub skipped_lines: usize,
 }
 
-impl Trace {
-    /// Feeds one telemetry line (ignores metric and `span_open` events —
-    /// a span's full extent is recoverable from its close alone).
-    pub fn feed_line(&mut self, line: &str) {
-        if line.trim().is_empty() {
-            return;
-        }
-        let Ok(value) = json::parse(line) else {
-            self.skipped_lines += 1;
-            return;
-        };
-        match value.get("event").and_then(Value::as_str) {
-            Some("span_close") => {
-                let parsed = || -> Option<(String, u64, u64, u64)> {
-                    let name = value.get("name").and_then(Value::as_str)?.to_string();
-                    let thread = value.get("thread").and_then(Value::as_u64)?;
-                    let ts_ns = value.get("ts_ns").and_then(Value::as_u64)?;
-                    let dur_ns = value.get("dur_ns").and_then(Value::as_u64)?;
-                    Some((name, thread, ts_ns.saturating_sub(dur_ns), dur_ns))
-                };
-                if let Some(span) = parsed() {
-                    self.spans.push(span);
+impl Fold for Trace {
+    /// Reads `span_close`, `fault` and audit `verdict`/`scope`/`health`
+    /// lines (a span's full extent is recoverable from its close alone).
+    fn line(&mut self, line: &Line) {
+        match (line.event(), line.str("stage")) {
+            ("span_close", _) => {
+                if let (Some(name), Some(thread), Some(ts_ns), Some(dur_ns)) = (
+                    line.str("name"),
+                    line.u64("thread"),
+                    line.u64("ts_ns"),
+                    line.u64("dur_ns"),
+                ) {
+                    let start_ns = ts_ns.saturating_sub(dur_ns);
+                    self.spans
+                        .push((name.to_string(), thread, start_ns, dur_ns));
                 }
             }
-            Some("fault") => {
-                let parsed = || -> Option<(String, u64, u64, u64)> {
-                    Some((
-                        value.get("kind").and_then(Value::as_str)?.to_string(),
-                        value.get("chip").and_then(Value::as_u64)?,
-                        value.get("count").and_then(Value::as_u64)?,
-                        value.get("ts_ns").and_then(Value::as_u64)?,
-                    ))
-                };
-                if let Some(fault) = parsed() {
-                    self.faults.push(fault);
+            ("fault", _) => {
+                if let (Some(kind), Some(chip), Some(count), Some(ts_ns)) = (
+                    line.str("kind"),
+                    line.u64("chip"),
+                    line.u64("count"),
+                    line.u64("ts_ns"),
+                ) {
+                    self.faults.push((kind.to_string(), chip, count, ts_ns));
                 }
             }
-            Some("audit") => match value.get("stage").and_then(Value::as_str) {
-                Some("verdict") => {
-                    let parsed = || -> Option<(String, u64, u64, u64)> {
-                        let verdict = value.get("verdict").and_then(Value::as_str)?.to_string();
-                        let device = value.get("device").and_then(Value::as_u64)?;
-                        let at_us = value.get("at_us").and_then(Value::as_u64)?;
-                        let dur_us = value.get("latency_us").and_then(Value::as_u64)?;
-                        Some((verdict, device, at_us.saturating_sub(dur_us), dur_us))
-                    };
-                    if let Some(span) = parsed() {
-                        self.audit_spans.push(span);
-                    }
+            ("audit", Some("verdict")) => {
+                if let (Some(verdict), Some(device), Some(at_us), Some(dur_us)) = (
+                    line.str("verdict"),
+                    line.u64("device"),
+                    line.u64("at_us"),
+                    line.u64("latency_us"),
+                ) {
+                    let start_us = at_us.saturating_sub(dur_us);
+                    self.audit_spans
+                        .push((verdict.to_string(), device, start_us, dur_us));
                 }
-                Some("scope") => {
-                    if let Some(label) = value.get("label").and_then(Value::as_str) {
-                        self.audit_marks.push((format!("scope:{label}"), 0));
-                    }
+            }
+            ("audit", Some("scope")) => {
+                if let Some(label) = line.str("label") {
+                    self.audit_marks.push((format!("scope:{label}"), 0));
                 }
-                Some("health") => {
-                    let parsed = || -> Option<(String, u64)> {
-                        let from = value.get("from").and_then(Value::as_str)?;
-                        let to = value.get("to").and_then(Value::as_str)?;
-                        let at_us = value.get("at_us").and_then(Value::as_u64)?;
-                        Some((format!("health:{from}→{to}"), at_us))
-                    };
-                    if let Some(mark) = parsed() {
-                        self.audit_marks.push(mark);
-                    }
+            }
+            ("audit", Some("health")) => {
+                if let (Some(from), Some(to), Some(at_us)) =
+                    (line.str("from"), line.str("to"), line.u64("at_us"))
+                {
+                    self.audit_marks
+                        .push((format!("health:{from}→{to}"), at_us));
                 }
-                _ => {} // request/attempt detail belongs to `report incidents`
-            },
-            _ => {} // metrics / ledger events: not part of the timeline
+            }
+            // Request and attempt detail belongs to `report incidents`.
+            _ => {}
         }
     }
 
+    fn skipped(&mut self, lines: usize) {
+        self.skipped_lines = lines;
+    }
+}
+
+impl Trace {
     /// Whether the capture carried any timeline events at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -187,25 +180,13 @@ impl Trace {
     }
 }
 
-/// Parses a whole capture.
-#[must_use]
-pub fn parse_trace(text: &str) -> Trace {
-    let mut trace = Trace::default();
-    for line in text.lines() {
-        trace.feed_line(line);
-    }
-    trace
-}
-
 /// Loads a capture and exports it.
 ///
 /// # Errors
 /// Returns a description when the file is unreadable or carries no span
 /// or fault events (nothing to draw).
 pub fn trace_file(path: &Path) -> Result<Trace, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let trace = parse_trace(&text);
+    let (trace, _) = capture::load::<Trace>(&[path])?;
     if trace.is_empty() {
         return Err(format!(
             "{}: no span or fault events — capture with `repro --telemetry <file>`",
@@ -218,6 +199,7 @@ pub fn trace_file(path: &Path) -> Result<Trace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aro_obs::json::Value;
 
     const CAPTURE: &str = concat!(
         r#"{"event":"span_open","name":"run","thread":1,"depth":1,"ts_ns":1000}"#,
@@ -233,7 +215,7 @@ mod tests {
 
     #[test]
     fn exports_complete_events_and_instants() {
-        let trace = parse_trace(CAPTURE);
+        let trace: Trace = capture::parse(CAPTURE);
         assert_eq!(trace.spans.len(), 2);
         assert_eq!(trace.faults.len(), 1);
         assert_eq!(trace.skipped_lines, 1);
@@ -271,7 +253,7 @@ mod tests {
 
     #[test]
     fn audit_events_get_their_own_simulated_track() {
-        let capture = concat!(
+        let text = concat!(
             r#"{"event":"audit","stage":"scope","seq":0,"trial":1,"label":"ARO age=10y"}"#,
             "\n",
             r#"{"event":"audit","stage":"verdict","seq":1,"trial":1,"req":"00000000000000aa","device":3,"verdict":"rejected","distance":0.375,"attempts":2,"latency_us":595,"quarantined":true,"at_us":700}"#,
@@ -279,7 +261,7 @@ mod tests {
             r#"{"event":"audit","stage":"health","seq":2,"trial":1,"from":"healthy","to":"degraded","error_rate":0.28,"at_us":700}"#,
             "\n",
         );
-        let trace = parse_trace(capture);
+        let trace: Trace = capture::parse(text);
         assert_eq!(trace.audit_spans.len(), 1);
         assert_eq!(trace.audit_marks.len(), 2);
         // Verdict at t=700 µs with 595 µs latency → starts at 105 µs.

@@ -4,9 +4,10 @@
 //! noise — never panic a parser or its renderer, and never cost the valid
 //! lines around them.
 
-use aro_ledger::incidents::parse_incidents;
-use aro_ledger::slo::{parse_slo, SloPolicy};
-use aro_ledger::trace::parse_trace;
+use aro_ledger::capture;
+use aro_ledger::incidents::Incidents;
+use aro_ledger::slo::{SloPolicy, SloReport};
+use aro_ledger::trace::Trace;
 use aro_obs::json;
 use proptest::prelude::*;
 
@@ -47,7 +48,7 @@ const SENTINEL: [&str; 4] = [
 /// fails the calling test with `text` in the message.
 fn read_all_and_find_the_sentinel(text: &str) {
     let text = format!("{text}\n{}\n", SENTINEL.join("\n"));
-    let incidents = parse_incidents(&text);
+    let incidents = capture::parse::<Incidents>(&text);
     let _ = incidents.to_markdown();
     let sentinel = incidents
         .scopes
@@ -59,7 +60,7 @@ fn read_all_and_find_the_sentinel(text: &str) {
         "incidents lost the sentinel:\n{text}"
     );
 
-    let slo = parse_slo(&text);
+    let slo = capture::parse::<SloReport>(&text);
     let windows = slo.windows(&SloPolicy::default());
     assert!(
         windows
@@ -69,7 +70,7 @@ fn read_all_and_find_the_sentinel(text: &str) {
     );
     let _ = slo.to_markdown(&SloPolicy::default());
 
-    let trace = parse_trace(&text);
+    let trace = capture::parse::<Trace>(&text);
     assert!(
         trace.spans.iter().any(|s| s.0 == "sentinel-span")
             && trace.audit_spans.iter().any(|s| s.1 == 9),
@@ -203,17 +204,17 @@ fn boundary_values_in_every_field_read_cleanly() {
 #[test]
 fn the_intact_capture_reads_every_line() {
     let text = LINES.join("\n");
-    let incidents = parse_incidents(&text);
+    let incidents = capture::parse::<Incidents>(&text);
     assert_eq!(incidents.skipped_lines, 0);
     assert_eq!(incidents.n_requests(), 1);
     assert_eq!(incidents.scopes[0].requests[0].attempts.len(), 2);
-    let slo = parse_slo(&text);
+    let slo = capture::parse::<SloReport>(&text);
     let windows = slo.windows(&SloPolicy::default());
     assert_eq!(
         (windows.len(), windows[0].requests, windows[0].errors),
         (1, 3, 2)
     );
-    let trace = parse_trace(&text);
+    let trace = capture::parse::<Trace>(&text);
     assert_eq!(
         (
             trace.spans.len(),
@@ -260,16 +261,16 @@ proptest! {
         read_all_and_find_the_sentinel(&noisy);
 
         let clean = LINES.join("\n");
-        let (a, b) = (parse_trace(&noisy), parse_trace(&clean));
+        let (a, b) = (capture::parse::<Trace>(&noisy), capture::parse::<Trace>(&clean));
         prop_assert_eq!(
             (&a.spans, &a.faults, &a.audit_spans, &a.audit_marks),
             (&b.spans, &b.faults, &b.audit_spans, &b.audit_marks)
         );
-        let (a, b) = (parse_incidents(&noisy), parse_incidents(&clean));
+        let (a, b) = (capture::parse::<Incidents>(&noisy), capture::parse::<Incidents>(&clean));
         prop_assert_eq!(a.n_requests(), b.n_requests());
         prop_assert_eq!(&a.fault_totals, &b.fault_totals);
         let policy = SloPolicy::default();
-        let (a, b) = (parse_slo(&noisy).windows(&policy), parse_slo(&clean).windows(&policy));
+        let (a, b) = (capture::parse::<SloReport>(&noisy).windows(&policy), capture::parse::<SloReport>(&clean).windows(&policy));
         prop_assert_eq!(a, b);
     }
 }

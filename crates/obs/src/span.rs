@@ -11,7 +11,7 @@
 //! open/close events per thread form a well-formed bracket sequence.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -172,7 +172,8 @@ struct AggFrame {
 /// Root time is counted on the capture's first thread only: that thread
 /// drives the run, and a worker thread only ever runs inside one of its
 /// spans, so a worker span that closes on its own empty stack adds no
-/// wall time.
+/// wall time. [`SpanAgg::closed_on_worker`] names the spans that closed
+/// on any other thread.
 ///
 /// Tolerant of truncated streams (a killed run): opens that never close
 /// simply contribute nothing, and a close whose open was lost before the
@@ -184,6 +185,8 @@ pub struct SpanAgg {
     /// The thread of the first span event fed in.
     first_thread: Option<u64>,
     root_ns: u128,
+    /// Names of spans that closed away from the first thread.
+    on_workers: BTreeSet<String>,
 }
 
 impl std::fmt::Debug for AggFrame {
@@ -233,6 +236,9 @@ impl SpanAgg {
             None if thread == first_thread => self.root_ns += dur_ns,
             None => {}
         }
+        if thread != first_thread && !self.on_workers.contains(name) {
+            self.on_workers.insert(name.to_string());
+        }
     }
 
     /// Per-name statistics, sorted by name.
@@ -246,6 +252,14 @@ impl SpanAgg {
     #[must_use]
     pub fn root_total_ns(&self) -> u128 {
         self.root_ns
+    }
+
+    /// Whether any span named `name` closed away from the capture's
+    /// first thread: its self time is worker CPU time, not a share of
+    /// the traced wall time.
+    #[must_use]
+    pub fn closed_on_worker(&self, name: &str) -> bool {
+        self.on_workers.contains(name)
     }
 }
 
@@ -293,6 +307,8 @@ mod agg_tests {
         agg.close(0, "run", 1000);
         assert_eq!(agg.root_total_ns(), 1000);
         assert_eq!(agg.stats()["serve.reenroll"].self_ns(), 600);
+        assert!(agg.closed_on_worker("serve.reenroll"));
+        assert!(!agg.closed_on_worker("run"));
     }
 
     #[test]

@@ -132,6 +132,89 @@ fn percentile(sorted: &[u64], p: u64) -> u64 {
     sorted[((sorted.len() - 1) as u64 * p / 100) as usize]
 }
 
+/// What the rounds served so far.
+#[derive(Default)]
+struct Traffic {
+    latencies: Vec<u64>,
+    wall_us: u64,
+    genuine_served: u64,
+    genuine_denied: u64,
+    impostor_served: u64,
+    impostor_accepted: u64,
+}
+
+impl Traffic {
+    /// Runs one round: plans an action per device, fans the probes out
+    /// and admits the outcomes in index order. A genuine round skips
+    /// quarantined devices and has device `i` answer its own record; an
+    /// impostor round has it answer record `i+1 (mod n)`, from its own
+    /// event range, and counts accepts where a genuine round counts
+    /// denials.
+    fn round(
+        &mut self,
+        service: &mut AuthService,
+        fleet: &mut [Chip],
+        ctx: &FleetContext<'_>,
+        inj: Option<&FaultInjector>,
+        round: u64,
+        genuine: bool,
+    ) {
+        let n = fleet.len();
+        let base = if genuine { 0 } else { IMPOSTOR_EVENT_BASE };
+        let actions: Vec<Action> = (0..n)
+            .map(|i| {
+                let order = round * n as u64 + i as u64;
+                if genuine && service.is_quarantined(i as u64) {
+                    Action::Skip
+                } else if let Some(after) = service.should_shed(order) {
+                    Action::Shed(after)
+                } else {
+                    Action::Probe(base + order * EVENT_STRIDE)
+                }
+            })
+            .collect();
+        let svc: &AuthService = service;
+        let outcomes: Vec<Option<RequestOutcome>> =
+            aro_par::par_map_mut(fleet, |i, chip| match actions[i] {
+                Action::Probe(event_base) => {
+                    let target = if genuine { i } else { (i + 1) % n };
+                    Some(svc.probe(
+                        chip,
+                        i as u64,
+                        target as u64,
+                        event_base,
+                        ctx.design,
+                        ctx.env,
+                        inj,
+                    ))
+                }
+                _ => None,
+            });
+        let (served, negative) = if genuine {
+            (&mut self.genuine_served, &mut self.genuine_denied)
+        } else {
+            (&mut self.impostor_served, &mut self.impostor_accepted)
+        };
+        let mut shard_us = vec![0u64; service.store().n_shards()];
+        for (device, (action, outcome)) in actions.iter().zip(&outcomes).enumerate() {
+            match (action, outcome) {
+                (Action::Shed(after), _) => service.admit_shed(device as u64, *after),
+                (_, Some(outcome)) => {
+                    *served += 1;
+                    if genuine != outcome.verdict.is_accept() {
+                        *negative += 1;
+                    }
+                    self.latencies.push(outcome.latency_us);
+                    shard_us[service.store().shard_of(outcome.target_id)] += outcome.latency_us;
+                    service.admit(outcome, genuine);
+                }
+                _ => {}
+            }
+        }
+        self.wall_us += shard_us.into_iter().max().unwrap_or(0);
+    }
+}
+
 /// Runs the benchmark: `plan.genuine_rounds` rounds of own-record
 /// traffic with maintenance between rounds, then `plan.impostor_rounds`
 /// rounds of cross-record traffic. Device `i` of `fleet` owns record id
@@ -144,72 +227,14 @@ pub fn run_bench(
     inj: Option<&FaultInjector>,
 ) -> BenchStats {
     let n = fleet.len();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut wall_us = 0u64;
-    let mut genuine_served = 0u64;
-    let mut genuine_denied = 0u64;
-    let mut impostor_served = 0u64;
-    let mut impostor_accepted = 0u64;
+    let mut traffic = Traffic::default();
     // Maintenance backoff ledger: device id → (next eligible round,
     // consecutive failures). Deterministic — a pure function of the
     // device's failure history, independent of thread count.
     let mut retry_after: BTreeMap<u64, (u64, u32)> = BTreeMap::new();
 
-    // Folds one round's outcomes in index order. `genuine` flips the
-    // meaning of the `negative` tally: denials for genuine traffic,
-    // accepts for impostor traffic.
-    let admit_round = |service: &mut AuthService,
-                       actions: &[Action],
-                       outcomes: &[Option<RequestOutcome>],
-                       latencies: &mut Vec<u64>,
-                       genuine: bool| {
-        let mut shard_us = vec![0u64; service.store().n_shards()];
-        let mut served = 0u64;
-        let mut negative = 0u64;
-        for (device, (action, outcome)) in actions.iter().zip(outcomes).enumerate() {
-            match (action, outcome) {
-                (Action::Shed(after), _) => service.admit_shed(device as u64, *after),
-                (_, Some(outcome)) => {
-                    served += 1;
-                    if genuine != outcome.verdict.is_accept() {
-                        negative += 1;
-                    }
-                    latencies.push(outcome.latency_us);
-                    shard_us[service.store().shard_of(outcome.target_id)] += outcome.latency_us;
-                    service.admit(outcome, genuine);
-                }
-                _ => {}
-            }
-        }
-        (served, negative, shard_us.into_iter().max().unwrap_or(0))
-    };
-
     for round in 0..u64::from(plan.genuine_rounds) {
-        let actions: Vec<Action> = (0..n)
-            .map(|i| {
-                let order = round * n as u64 + i as u64;
-                if service.is_quarantined(i as u64) {
-                    Action::Skip
-                } else if let Some(after) = service.should_shed(order) {
-                    Action::Shed(after)
-                } else {
-                    Action::Probe(order * EVENT_STRIDE)
-                }
-            })
-            .collect();
-        let svc: &AuthService = service;
-        let outcomes: Vec<Option<RequestOutcome>> =
-            aro_par::par_map_mut(fleet, |i, chip| match actions[i] {
-                Action::Probe(event_base) => Some(svc.probe(
-                    chip, i as u64, i as u64, event_base, ctx.design, ctx.env, inj,
-                )),
-                _ => None,
-            });
-        let (served, denied, round_wall) =
-            admit_round(service, &actions, &outcomes, &mut latencies, true);
-        genuine_served += served;
-        genuine_denied += denied;
-        wall_us += round_wall;
+        traffic.round(service, fleet, ctx, inj, round, true);
         // Maintenance: quarantined devices come in for re-enrollment,
         // skipping any still inside their failure backoff window. Their
         // device-side reads fan out; the store writes, tallies and audit
@@ -254,47 +279,20 @@ pub fn run_bench(
 
     if n >= 2 {
         for round in 0..u64::from(plan.impostor_rounds) {
-            let actions: Vec<Action> = (0..n)
-                .map(|i| {
-                    let order = round * n as u64 + i as u64;
-                    match service.should_shed(order) {
-                        Some(after) => Action::Shed(after),
-                        None => Action::Probe(IMPOSTOR_EVENT_BASE + order * EVENT_STRIDE),
-                    }
-                })
-                .collect();
-            let svc: &AuthService = service;
-            let outcomes: Vec<Option<RequestOutcome>> =
-                aro_par::par_map_mut(fleet, |i, chip| match actions[i] {
-                    Action::Probe(event_base) => Some(svc.probe(
-                        chip,
-                        i as u64,
-                        ((i + 1) % n) as u64,
-                        event_base,
-                        ctx.design,
-                        ctx.env,
-                        inj,
-                    )),
-                    _ => None,
-                });
-            let (served, accepted, round_wall) =
-                admit_round(service, &actions, &outcomes, &mut latencies, false);
-            impostor_served += served;
-            impostor_accepted += accepted;
-            wall_us += round_wall;
+            traffic.round(service, fleet, ctx, inj, round, false);
         }
     }
 
-    latencies.sort_unstable();
+    traffic.latencies.sort_unstable();
     BenchStats {
         tallies: *service.tallies(),
-        genuine_served,
-        genuine_denied,
-        impostor_served,
-        impostor_accepted,
-        p50_us: percentile(&latencies, 50),
-        p99_us: percentile(&latencies, 99),
-        wall_us,
+        genuine_served: traffic.genuine_served,
+        genuine_denied: traffic.genuine_denied,
+        impostor_served: traffic.impostor_served,
+        impostor_accepted: traffic.impostor_accepted,
+        p50_us: percentile(&traffic.latencies, 50),
+        p99_us: percentile(&traffic.latencies, 99),
+        wall_us: traffic.wall_us,
         final_state: service.state(),
         final_store_health: service.store_health(),
         scrub_repairs: service.tallies().scrub_repairs,

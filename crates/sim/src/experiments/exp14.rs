@@ -275,12 +275,7 @@ pub fn run(cfg: &SimConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
+    use crate::testutil::tiny_cfg;
 
     #[test]
     fn soft_never_fails_more_than_hard_and_flips_are_low_confidence() {

@@ -350,16 +350,7 @@ pub fn run(cfg: &SimConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
-
-    fn tiny_generator(cfg: &SimConfig) -> KeyGenerator {
-        provision(cfg, RoStyle::AgingResistant).1.expect("feasible")
-    }
+    use crate::testutil::{tiny_cfg, tiny_generator};
 
     #[test]
     fn zero_intensity_matches_the_fault_free_flow() {

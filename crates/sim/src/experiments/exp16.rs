@@ -504,16 +504,7 @@ pub fn run(cfg: &SimConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
-
-    fn tiny_generator(cfg: &SimConfig) -> KeyGenerator {
-        provision(cfg, RoStyle::AgingResistant).1.expect("feasible")
-    }
+    use crate::testutil::{tiny_cfg, tiny_generator};
 
     /// One trial on `chips` fresh bench chips, two attempts per chip.
     fn fresh_trial(

@@ -167,12 +167,7 @@ pub fn run(cfg: &SimConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
+    use crate::testutil::tiny_cfg;
 
     #[test]
     fn zero_intensity_matches_the_fault_free_provisioning() {

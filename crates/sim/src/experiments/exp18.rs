@@ -99,12 +99,7 @@ pub fn run(cfg: &SimConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
+    use crate::testutil::tiny_cfg;
 
     #[test]
     fn report_sweeps_all_points_and_never_false_accepts() {

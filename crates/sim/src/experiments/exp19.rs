@@ -324,12 +324,7 @@ pub fn run(cfg: &SimConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
+    use crate::testutil::tiny_cfg;
 
     #[test]
     fn search_finds_a_surviving_triple_at_every_intensity() {

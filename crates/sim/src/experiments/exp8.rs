@@ -162,21 +162,12 @@ pub fn run(cfg: &SimConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_cfg() -> SimConfig {
-        // Small key keeps the raw-bit budget (and thus the array) small in
-        // debug-mode tests; the physics is unchanged.
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
+    use crate::testutil::{tiny_cfg, tiny_generator};
 
     #[test]
     fn aro_keys_survive_ten_years_and_the_control_fails() {
         let cfg = tiny_cfg();
-        let generator = provision(&cfg, RoStyle::AgingResistant)
-            .1
-            .expect("feasible");
+        let generator = tiny_generator(&cfg);
 
         let aro = run_trial(&cfg, RoStyle::AgingResistant, &generator, 4, 2);
         assert_eq!(

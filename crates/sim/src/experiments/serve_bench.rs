@@ -86,13 +86,8 @@ pub fn run(cfg: &SimConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::tiny_cfg;
     use aro_faults::FaultPlan;
-
-    fn tiny_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
 
     #[test]
     fn fault_free_bench_stays_healthy_with_no_marker() {

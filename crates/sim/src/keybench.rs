@@ -92,18 +92,12 @@ pub(crate) fn provision(cfg: &SimConfig, style: RoStyle) -> (f64, Option<KeyGene
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
+    use crate::testutil::{tiny_cfg, tiny_generator};
 
     #[test]
     fn a_bench_chip_is_fresh_silicon_with_its_golden() {
         let cfg = tiny_cfg();
-        let (_, generator) = provision(&cfg, RoStyle::AgingResistant);
-        let generator = generator.expect("feasible");
+        let generator = tiny_generator(&cfg);
         let bench = KeyBench::new(&cfg, RoStyle::AgingResistant, &generator, 0xe2e);
         assert_eq!(bench.design.n_ros(), 2 * generator.response_bits());
         assert_eq!(bench.pairs.len(), generator.response_bits());

@@ -42,6 +42,8 @@ pub mod report;
 pub mod runner;
 pub mod servefleet;
 pub mod table;
+#[cfg(test)]
+mod testutil;
 
 pub use config::SimConfig;
 pub use report::Report;

@@ -294,17 +294,8 @@ fn stats_row(style: RoStyle, age_years: f64, faults: &str, stats: &BenchStats) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{tiny_cfg, tiny_generator};
     use aro_serve::HealthState;
-
-    fn tiny_cfg() -> SimConfig {
-        let mut cfg = SimConfig::quick();
-        cfg.key_bits = 32;
-        cfg
-    }
-
-    fn tiny_generator(cfg: &SimConfig) -> KeyGenerator {
-        provision(cfg, RoStyle::AgingResistant).1.expect("feasible")
-    }
 
     #[test]
     fn fault_free_fresh_fleet_serves_cleanly() {
