@@ -1,5 +1,6 @@
 //! End-to-end tests for `repro report`: the fleet-health table must be
-//! byte-identical at any `--threads N` and across reruns, the trace
+//! byte-identical at any `--threads N` and across reruns, a run's counter
+//! totals must read the same from its capture, its ledger or both, the trace
 //! export must be valid Chrome-trace JSON, the serve audit capture
 //! behind `incidents`/`slo` must hold its schema invariants and render
 //! identically at any thread count, and every analysis must read a
@@ -106,6 +107,66 @@ fn report_health_is_byte_identical_across_thread_counts_and_reruns() {
     for dir in [dir1, dir2, dir8] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// The body rows of the markdown table headed `### {title}…`.
+fn table_rows(md: &str, title: &str) -> Vec<String> {
+    let section = md
+        .split("### ")
+        .find(|section| section.starts_with(title))
+        .unwrap_or_else(|| panic!("no `{title}` table in:\n{md}"));
+    section
+        .lines()
+        .filter(|line| line.starts_with('|'))
+        .skip(2)
+        .map(str::to_string)
+        .collect()
+}
+
+/// A capture's final counter flush and its run's ledger records count the
+/// same work: read alone or together, they give one set of run totals.
+#[test]
+fn report_health_counts_a_run_once_from_its_capture_its_ledger_or_both() {
+    let dir = scratch_dir("counted_once");
+    let (telemetry, ledger) = (dir.join("t.jsonl"), dir.join("l.jsonl"));
+    let run = repro(&[
+        "--quick",
+        "exp2",
+        "exp8",
+        "--telemetry",
+        telemetry.to_str().unwrap(),
+        "--ledger",
+        ledger.to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert_eq!(
+        run.status.code(),
+        Some(0),
+        "run failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let health = |paths: &[&PathBuf]| -> String {
+        let mut argv = vec!["report", "health"];
+        argv.extend(paths.iter().map(|p| p.to_str().unwrap()));
+        let out = repro(&argv);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "report health {paths:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("UTF-8 report")
+    };
+    let both = health(&[&telemetry, &ledger]);
+    let capture_alone = health(&[&telemetry]);
+    let ledger_alone = health(&[&ledger]);
+    for title in ["Counters — run totals", "Cache effectiveness"] {
+        let rows = table_rows(&both, title);
+        assert!(!rows.is_empty(), "{title}:\n{both}");
+        assert_eq!(rows, table_rows(&capture_alone, title), "{title}");
+        assert_eq!(rows, table_rows(&ledger_alone, title), "{title}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]

@@ -2,12 +2,14 @@
 //! ledger: a capture is one or more JSONL files, and an analysis is a
 //! [`Fold`] over their parsed lines.
 //!
-//! The reading rule lives here and nowhere else: blank lines are ignored;
-//! every other line is parsed once, and one that is not JSON is skipped
-//! and counted once; every parsed line reaches the analysis, in file
-//! order. Which events an analysis reads, and the default of every field
-//! it reads, belong to the analysis. Only one line's parse tree is alive
-//! at a time.
+//! The reading rule lives here and nowhere else: a capture is read as
+//! bytes and split at newlines; blank lines are ignored; every other line
+//! is parsed once, and one that is not UTF-8 or not JSON is skipped and
+//! counted once, so a crash that tears a line inside a multi-byte
+//! character costs that line and nothing else; every parsed line reaches
+//! the analysis, in file order. Which events an analysis reads, and the
+//! default of every field it reads, belong to the analysis. Only one
+//! line's parse tree is alive at a time.
 
 use std::path::Path;
 
@@ -68,11 +70,19 @@ pub trait Fold: Default {
     fn skipped(&mut self, lines: usize);
 }
 
-/// Passes every parsed line of `text` to `each`, in order, and returns
-/// the number of non-JSON lines skipped.
-fn fold(text: &str, mut each: impl FnMut(&Line)) -> usize {
+/// Passes every parsed line of `bytes` to `each`, in order, and returns
+/// the number of lines skipped for not being UTF-8 or not being JSON.
+fn fold(bytes: &[u8], mut each: impl FnMut(&Line)) -> usize {
     let mut skipped = 0;
-    for line in text.lines().filter(|line| !line.trim().is_empty()) {
+    for line in bytes.split(|&b| b == b'\n') {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let Ok(line) = std::str::from_utf8(line) else {
+            skipped += 1;
+            continue;
+        };
+        if line.trim().is_empty() {
+            continue;
+        }
         match json::parse(line) {
             Ok(value) => each(&Line(value)),
             Err(_) => skipped += 1,
@@ -81,11 +91,11 @@ fn fold(text: &str, mut each: impl FnMut(&Line)) -> usize {
     skipped
 }
 
-/// Folds capture text into a fresh analysis.
+/// Folds a capture's bytes into a fresh analysis.
 #[must_use]
-pub fn parse<F: Fold>(text: &str) -> F {
+pub fn parse<F: Fold>(capture: &(impl AsRef<[u8]> + ?Sized)) -> F {
     let mut analysis = F::default();
-    let skipped = fold(text, |line| analysis.line(line));
+    let skipped = fold(capture.as_ref(), |line| analysis.line(line));
     analysis.skipped(skipped);
     analysis
 }
@@ -95,19 +105,19 @@ pub fn parse<F: Fold>(text: &str) -> F {
 /// ` + `.
 ///
 /// # Errors
-/// `cannot read PATH: …` for the first file that cannot be read as text.
+/// `cannot read PATH: …` for the first file that cannot be read.
 pub fn load<F: Fold>(paths: &[impl AsRef<Path>]) -> Result<(F, String), String> {
     let mut analysis = F::default();
     let mut skipped = 0;
     let mut labels = Vec::with_capacity(paths.len());
     for path in paths.iter().map(AsRef::as_ref) {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         labels.push(path.file_name().map_or_else(
             || path.display().to_string(),
             |name| name.to_string_lossy().into_owned(),
         ));
-        skipped += fold(&text, |line| analysis.line(line));
+        skipped += fold(&bytes, |line| analysis.line(line));
     }
     analysis.skipped(skipped);
     Ok((analysis, labels.join(" + ")))
@@ -142,9 +152,29 @@ mod tests {
     }
 
     #[test]
+    fn a_line_torn_inside_a_character_is_debris() {
+        let record = "{\"event\":\"a\",\"note\":\"µs ≥ 1\"}";
+        let cut = record.find('µ').unwrap() + 1;
+        let mut bytes = format!("{record}\r\n").into_bytes();
+        bytes.extend_from_slice(&record.as_bytes()[..cut]);
+        bytes.extend_from_slice(b"\n\xff\xfe\n{\"event\":\"b\"}");
+        let path =
+            std::env::temp_dir().join(format!("aro-capture-torn-{}.jsonl", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let (events, _) = load::<Events>(&[&path]).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(
+            events.names,
+            ["a", "b"],
+            "the lines around the tear survive"
+        );
+        assert_eq!(events.skipped, 2, "the torn line and the stray bytes");
+    }
+
+    #[test]
     fn fields_read_by_type_and_a_missing_event_reads_empty() {
         let mut lines = Vec::new();
-        fold(r#"{"s":"x","n":7,"f":0.5,"b":true}"#, |line| {
+        fold(br#"{"s":"x","n":7,"f":0.5,"b":true}"#, |line| {
             lines.push((
                 line.event().to_string(),
                 line.str("s").map(str::to_string),

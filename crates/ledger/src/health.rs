@@ -11,6 +11,7 @@
 //! with fixed formatting, so the output is byte-identical across
 //! `--threads N` and across reruns (enforced by a CLI test).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -82,18 +83,23 @@ impl HealthStat {
     }
 }
 
-/// Everything `report health` extracts from one input file. A telemetry
-/// capture populates `sketches` + `counters`; a run ledger populates
-/// `per_experiment` (+ `counters` aggregated across records). A file may
-/// carry both (telemetry and ledger events share the JSONL framing).
+/// Everything `report health` extracts from its input files. A telemetry
+/// capture populates `sketches` + `flushed_counters`; a run ledger
+/// populates `per_experiment` + `record_counters`. A file may carry both
+/// (telemetry and ledger events share the JSONL framing), and so may a
+/// capture read together with its run's ledger.
 #[derive(Debug, Default)]
 pub struct HealthReport {
     /// Display label (the file name).
     pub label: String,
     /// Fleet-wide sketches from the final metrics flush, by name.
     pub sketches: BTreeMap<String, Sketch>,
-    /// Counters: the final flush values plus per-record deltas summed.
-    pub counters: BTreeMap<String, u64>,
+    /// Counter values of the final metrics flush (summed when several
+    /// captures are read together).
+    flushed_counters: BTreeMap<String, u64>,
+    /// Per-experiment counter deltas from ledger records, by experiment
+    /// id (latest record per id wins, matching resume semantics).
+    record_counters: BTreeMap<String, BTreeMap<String, u64>>,
     /// Per-experiment health stats from ledger records, first-seen order
     /// (latest record per id wins, matching resume semantics).
     pub per_experiment: Vec<(String, BTreeMap<String, HealthStat>)>,
@@ -118,14 +124,13 @@ impl Fold for HealthReport {
             }
             "counter" => {
                 if let (Some(name), Some(v)) = (line.str("name"), line.u64("value")) {
-                    *self.counters.entry(name.to_string()).or_insert(0) += v;
+                    *self.flushed_counters.entry(name.to_string()).or_insert(0) += v;
                 }
             }
             "experiment" => {
                 if let Some(record) = LedgerRecord::from_json(line.value()) {
-                    for (name, v) in &record.metrics {
-                        *self.counters.entry(name.clone()).or_insert(0) += v;
-                    }
+                    self.record_counters
+                        .insert(record.id.clone(), record.metrics);
                     if let Some(slot) = self
                         .per_experiment
                         .iter_mut()
@@ -150,7 +155,25 @@ impl HealthReport {
     /// Whether the file carried anything health-shaped.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.sketches.is_empty() && self.counters.is_empty() && self.per_experiment.is_empty()
+        self.sketches.is_empty()
+            && self.flushed_counters.is_empty()
+            && self.per_experiment.is_empty()
+    }
+
+    /// Counter run totals. A capture's final flush already counts the
+    /// work of every experiment its process ran, so when the inputs carry
+    /// one it is the total, and the same run's ledger records add
+    /// nothing; otherwise the latest record of each experiment
+    /// contributes its deltas.
+    fn counters(&self) -> Cow<'_, BTreeMap<String, u64>> {
+        if !self.flushed_counters.is_empty() {
+            return Cow::Borrowed(&self.flushed_counters);
+        }
+        let mut totals = BTreeMap::new();
+        for (name, v) in self.record_counters.values().flatten() {
+            *totals.entry(name.clone()).or_insert(0) += v;
+        }
+        Cow::Owned(totals)
     }
 
     /// Renders the fleet-health tables as markdown.
@@ -178,15 +201,16 @@ impl HealthReport {
             }
             tables.push(fleet);
         }
-        if !self.counters.is_empty() {
-            let mut counters = MdTable::new(
+        let counters = self.counters();
+        if !counters.is_empty() {
+            let mut table = MdTable::new(
                 format!("Counters — run totals ({})", self.label),
                 &["counter", "value"],
             );
-            for (name, v) in &self.counters {
-                counters.push_row(vec![name.clone(), v.to_string()]);
+            for (name, v) in counters.iter() {
+                table.push_row(vec![name.clone(), v.to_string()]);
             }
-            tables.push(counters);
+            tables.push(table);
         }
         if !self.per_experiment.is_empty() {
             let mut per_exp = MdTable::new(
@@ -210,8 +234,8 @@ impl HealthReport {
                 tables.push(per_exp);
             }
         }
-        tables.extend(self.cache_table());
-        tables.extend(self.serve_table());
+        tables.extend(Self::cache_table(&counters));
+        tables.extend(Self::serve_table(&counters));
         let mut out: String = tables
             .iter()
             .map(MdTable::to_markdown)
@@ -228,7 +252,7 @@ impl HealthReport {
     }
 
     /// The cache-effectiveness table, when any cache counter is present.
-    fn cache_table(&self) -> Option<MdTable> {
+    fn cache_table(counters: &BTreeMap<String, u64>) -> Option<MdTable> {
         let caches = [
             (
                 "population cache",
@@ -251,8 +275,8 @@ impl HealthReport {
             &["cache", "hits", "misses", "hit rate"],
         );
         for (label, hits_key, misses_key) in caches {
-            let hits = self.counters.get(hits_key).copied().unwrap_or(0);
-            let misses = self.counters.get(misses_key).copied().unwrap_or(0);
+            let hits = counters.get(hits_key).copied().unwrap_or(0);
+            let misses = counters.get(misses_key).copied().unwrap_or(0);
             if hits + misses == 0 {
                 continue;
             }
@@ -271,7 +295,7 @@ impl HealthReport {
     /// The serve fail-closed/maintenance summary, when any serve counter
     /// is present (pairs with the per-state `serve.*` sketches in the
     /// fleet table above).
-    fn serve_table(&self) -> Option<MdTable> {
+    fn serve_table(counters: &BTreeMap<String, u64>) -> Option<MdTable> {
         let rows = [
             ("requests served", "serve.requests"),
             ("accepted", "serve.accepted"),
@@ -290,12 +314,12 @@ impl HealthReport {
             ("re-enroll gate failures", "serve.reenroll_failures"),
             ("re-enroll refused (read-only)", "serve.reenroll_refused"),
         ];
-        if !self.counters.contains_key("serve.requests") {
+        if !counters.contains_key("serve.requests") {
             return None;
         }
         let mut table = MdTable::new("Serve fail-closed & maintenance", &["event", "count"]);
         for (label, key) in rows {
-            let Some(count) = self.counters.get(key) else {
+            let Some(count) = counters.get(key) else {
                 continue;
             };
             table.push_row(vec![label.to_string(), count.to_string()]);
@@ -400,6 +424,29 @@ mod tests {
             "{md}"
         );
         assert!(md.contains("skipped 1 non-JSON line(s)"));
+    }
+
+    #[test]
+    fn a_flush_and_its_runs_ledger_count_each_counter_once() {
+        let record = |chips: u64| {
+            LedgerRecord::success(
+                1,
+                "exp2",
+                5,
+                String::new(),
+                vec![],
+                BTreeMap::from([("sim.chips_simulated".to_string(), chips)]),
+            )
+            .to_jsonl()
+        };
+        let flush = r#"{"event":"counter","name":"sim.chips_simulated","value":120}"#;
+        // A resumed ledger journals exp2 twice; the latest record counts.
+        let ledger = format!("{}\n{}\n", record(7), record(120));
+        let totals = |text: &str| parse_health(text, "x").counters().into_owned();
+        let expected = BTreeMap::from([("sim.chips_simulated".to_string(), 120)]);
+        assert_eq!(totals(&format!("{flush}\n")), expected);
+        assert_eq!(totals(&ledger), expected);
+        assert_eq!(totals(&format!("{flush}\n{ledger}")), expected);
     }
 
     #[test]

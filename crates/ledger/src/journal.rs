@@ -55,15 +55,15 @@ impl Ledger {
     /// Propagates file read/open errors (a missing file is *not* an
     /// error: resuming with no prior ledger starts a fresh one).
     pub fn open(path: &Path) -> std::io::Result<Self> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let (records, skipped_lines) = parse_records(&text);
+        let (records, skipped_lines) = parse_records(&bytes);
         let file = OpenOptions::new().create(true).append(true).open(path)?;
         let mut writer = BufWriter::new(file);
-        if !text.is_empty() && !text.ends_with('\n') {
+        if !bytes.is_empty() && !bytes.ends_with(b"\n") {
             // Seal the crash-truncated tail (already counted by
             // parse_records) so the next append starts on a fresh line.
             writer.write_all(b"\n")?;
@@ -166,10 +166,10 @@ impl Fold for Journal {
     }
 }
 
-/// Parses journal text into records, counting the lines skipped.
+/// Parses a journal's bytes into records, counting the lines skipped.
 #[must_use]
-pub fn parse_records(text: &str) -> (Vec<LedgerRecord>, usize) {
-    let journal: Journal = capture::parse(text);
+pub fn parse_records(journal: &(impl AsRef<[u8]> + ?Sized)) -> (Vec<LedgerRecord>, usize) {
+    let journal: Journal = capture::parse(journal);
     (journal.records, journal.skipped)
 }
 

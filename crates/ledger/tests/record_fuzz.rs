@@ -1,13 +1,16 @@
-//! Fuzz property for the ledger journal parser: a record line with any
+//! Fuzz properties for the ledger journal parser: a record line with any
 //! one field overwritten by any JSON value never panics the parser and
 //! never costs the valid record journalled after it. The corrupted line
 //! either parses into a record that round-trips through `to_jsonl`, or
-//! is counted as skipped.
+//! is counted as skipped. Arbitrary bytes between records, invalid UTF-8
+//! and records torn inside a multi-byte character included, never stop a
+//! journal from opening and never cost an intact record.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use aro_ledger::journal::parse_records;
-use aro_ledger::{HealthStat, LedgerRecord};
+use aro_ledger::{HealthStat, Ledger, LedgerRecord};
 use aro_obs::json;
 use proptest::prelude::*;
 
@@ -101,5 +104,64 @@ proptest! {
             }
             n => panic!("{n} records from two lines: {bad}"),
         }
+    }
+}
+
+/// A record whose report carries multi-byte characters, as real reports do.
+fn non_ascii_record() -> LedgerRecord {
+    let mut record = valid_record();
+    record.report_md = Some("## EXP-2 — 12 µs, p ≥ 0.95\n".to_string());
+    record
+}
+
+/// Junk a crash or a foreign writer can leave between two records: raw
+/// bytes (mostly invalid UTF-8), or a record line torn at any byte,
+/// inside a multi-byte character or not.
+fn arb_junk(record_line: &[u8]) -> impl Strategy<Value = Vec<u8>> {
+    let line = record_line.to_vec();
+    prop_oneof![
+        prop::collection::vec(any::<u8>(), 0..48),
+        (0..line.len()).prop_map(move |cut| line[..cut].to_vec()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_between_records_never_cost_an_intact_record(
+        junk in prop::collection::vec(arb_junk(non_ascii_record().to_jsonl().as_bytes()), 1..4),
+    ) {
+        let valid = non_ascii_record();
+        let line = valid.to_jsonl();
+        let mut journal = Vec::new();
+        for chunk in &junk {
+            journal.extend_from_slice(line.as_bytes());
+            journal.push(b'\n');
+            journal.extend_from_slice(chunk);
+            journal.push(b'\n');
+        }
+        journal.extend_from_slice(line.as_bytes());
+        let junk_lines: usize = junk.iter().map(|chunk| chunk.split(|&b| b == b'\n').count()).sum();
+
+        let (records, skipped) = parse_records(&journal);
+        prop_assert_eq!(records.len(), junk.len() + 1, "{:?}", junk);
+        prop_assert!(records.iter().all(|r| *r == valid), "{:?}", junk);
+        prop_assert!(skipped <= junk_lines, "{} skips from {} junk lines", skipped, junk_lines);
+
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "aro-record-fuzz-{}-{}.jsonl",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, &journal).unwrap();
+        let opened = Ledger::open(&path);
+        std::fs::remove_file(&path).unwrap();
+        let opened = opened.map_err(|e| e.to_string());
+        prop_assert!(opened.is_ok(), "{:?}", opened.err());
+        let ledger = opened.unwrap();
+        prop_assert_eq!(ledger.records(), records.as_slice());
+        prop_assert_eq!(ledger.skipped_lines(), skipped);
     }
 }

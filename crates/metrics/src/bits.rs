@@ -152,13 +152,23 @@ impl BitString {
     }
 
     /// Packs the bits into bytes, LSB-first within each byte, zero-padded.
+    ///
+    /// Bit `i` sits at bit `i % 64` of word `i / 64`, so a word's
+    /// little-endian bytes are already its eight packed bytes: the packing
+    /// copies whole words, keeps the first `len.div_ceil(8)` bytes and
+    /// masks the bits past `len` out of the last one. The verifier store's
+    /// record seals hash these bytes on every read.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut bytes = vec![0u8; self.len.div_ceil(8)];
-        for i in 0..self.len {
-            if self.get(i) {
-                bytes[i / 8] |= 1 << (i % 8);
-            }
+        let mut bytes = Vec::with_capacity(self.words.len() * 8);
+        for word in &self.words {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes.truncate(self.len.div_ceil(8));
+        let tail = self.len % 8;
+        if tail > 0 {
+            let last = bytes.len() - 1;
+            bytes[last] &= (1 << tail) - 1;
         }
         bytes
     }

@@ -11,6 +11,18 @@ fn arb_bits(len: std::ops::Range<usize>) -> impl Strategy<Value = BitString> {
     prop::collection::vec(any::<bool>(), len).prop_map(|v| BitString::from_bools(&v))
 }
 
+/// The bit-by-bit packing `BitString::to_bytes` must reproduce: bit `i`
+/// is bit `i % 8` of byte `i / 8`, the last byte zero-padded.
+fn to_bytes_bitwise(bits: &BitString) -> Vec<u8> {
+    let mut bytes = vec![0u8; bits.len().div_ceil(8)];
+    for i in 0..bits.len() {
+        if bits.get(i) {
+            bytes[i / 8] |= 1 << (i % 8);
+        }
+    }
+    bytes
+}
+
 proptest! {
     /// Hamming distance is a metric: identity, symmetry, triangle
     /// inequality.
@@ -34,6 +46,23 @@ proptest! {
         flipped.flip(i);
         prop_assert_eq!(other.hamming_distance(&flipped), 1);
         prop_assert_eq!(flipped.xor(&other).count_ones(), 1);
+    }
+
+    /// Word packing yields the bitwise packing's bytes at every length
+    /// up to the drawn one, so every residue mod 8 and mod 64 is checked;
+    /// so do strings built by `xor`, as helper offsets are.
+    #[test]
+    fn to_bytes_equals_the_bitwise_packing(
+        v in prop::collection::vec(any::<(bool, bool)>(), 0..=300)
+    ) {
+        let a: BitString = v.iter().map(|t| t.0).collect();
+        let b: BitString = v.iter().map(|t| t.1).collect();
+        for len in 0..=v.len() {
+            let prefix = a.slice(0, len);
+            prop_assert_eq!(prefix.to_bytes(), to_bytes_bitwise(&prefix), "len {}", len);
+        }
+        let mixed = a.xor(&b);
+        prop_assert_eq!(mixed.to_bytes(), to_bytes_bitwise(&mixed));
     }
 
     /// Uniformity and bit-aliasing are always in [0, 1] and consistent:

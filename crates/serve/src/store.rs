@@ -337,6 +337,11 @@ impl ShardedStore {
             .map(|at| &shard[at])
     }
 
+    fn record(&self, device_id: u64, replica: u32) -> Option<&StoredRecord> {
+        self.slot(device_id, replica)
+            .and_then(|slot| slot.record.as_ref())
+    }
+
     fn put_slot(&mut self, device_id: u64, replica: u32, record: Option<StoredRecord>) {
         let idx = self.replica_shard(device_id, replica);
         let shard = &mut self.shards[idx];
@@ -519,29 +524,30 @@ impl ShardedStore {
         let mut report = ScrubReport::default();
         for device_id in self.device_ids() {
             report.groups += 1;
-            let source = (0..self.n_replicas).find_map(|replica| {
-                self.slot(device_id, replica)
-                    .and_then(|slot| slot.record.as_ref())
-                    .filter(|record| record.is_intact())
-                    .cloned()
+            let source = (0..self.n_replicas).find(|&replica| {
+                self.record(device_id, replica)
+                    .is_some_and(StoredRecord::is_intact)
             });
             let Some(source) = source else {
                 report.unrecoverable.push(device_id);
                 continue;
             };
             for replica in 0..self.n_replicas {
-                let healthy = self
-                    .slot(device_id, replica)
-                    .is_some_and(|slot| slot.record.as_ref() == Some(&source));
-                if healthy {
+                if replica == source
+                    || self.record(device_id, replica) == self.record(device_id, source)
+                {
                     continue;
                 }
-                self.put_slot(device_id, replica, Some(source.clone()));
+                let copy = self
+                    .record(device_id, source)
+                    .cloned()
+                    .expect("the source replica holds an intact record");
                 report.repairs.push(ScrubRepair {
                     device_id,
                     replica,
-                    generation: source.repair_generation(),
+                    generation: copy.repair_generation(),
                 });
+                self.put_slot(device_id, replica, Some(copy));
             }
         }
         if !report.repairs.is_empty() {
@@ -566,8 +572,7 @@ impl ShardedStore {
         aro_obs::counter("serve.store_repairs", 1);
         let prior = (0..self.n_replicas)
             .filter_map(|replica| {
-                self.slot(record.device_id(), replica)
-                    .and_then(|slot| slot.record.as_ref())
+                self.record(record.device_id(), replica)
                     .map(StoredRecord::repair_generation)
             })
             .max();
@@ -605,6 +610,110 @@ mod tests {
         let (key, helper) = generator.enroll(&response, &mut rng);
         let reference = BitString::from_fn(16, |i| i.is_multiple_of(2));
         StoredRecord::new(id, vec![(0, 1), (2, 3)], reference, helper, key)
+    }
+
+    /// A record whose reference crosses a word boundary and whose every
+    /// bit string ends mid-byte.
+    fn odd_record() -> StoredRecord {
+        let base = record(7);
+        let reference = BitString::from_fn(67, |i| (i * 5) % 7 < 3);
+        StoredRecord::new(
+            7,
+            vec![(0, 1), (2, 3), (64, 1_000)],
+            reference,
+            base.helper,
+            base.key.slice(0, 29),
+        )
+    }
+
+    #[test]
+    fn the_seal_of_a_fixed_record_is_pinned() {
+        let record = odd_record();
+        assert_eq!(
+            record.helper.block_lens(),
+            [315],
+            "the offset ends mid-byte"
+        );
+        assert_eq!(record.checksum, 0x2cfc_4b43_8ed1_e77b);
+        assert_eq!(
+            record.with_repair_generation(3).checksum,
+            0xd00b_f628_6e04_0918
+        );
+    }
+
+    #[test]
+    fn any_single_bit_flip_breaks_the_seal() {
+        let sealed = odd_record();
+        assert!(sealed.is_intact());
+        let broken = |mutate: &dyn Fn(&mut StoredRecord)| {
+            let mut record = sealed.clone();
+            mutate(&mut record);
+            !record.is_intact()
+        };
+        for i in 0..sealed.reference.len() {
+            assert!(broken(&|r| r.reference.flip(i)), "reference bit {i}");
+        }
+        for i in 0..sealed.key.len() {
+            assert!(broken(&|r| r.key.flip(i)), "key bit {i}");
+        }
+        for pair in 0..sealed.challenge_pairs.len() {
+            for bit in 0..usize::BITS {
+                assert!(
+                    broken(&|r| r.challenge_pairs[pair].0 ^= 1 << bit),
+                    "pair {pair} first index bit {bit}"
+                );
+                assert!(
+                    broken(&|r| r.challenge_pairs[pair].1 ^= 1 << bit),
+                    "pair {pair} second index bit {bit}"
+                );
+            }
+        }
+        for (block, len) in sealed.helper.block_lens().into_iter().enumerate() {
+            for bit in 0..len {
+                assert!(
+                    broken(&|r| r.helper = r.helper.with_flipped_bits(&[(block, bit)])),
+                    "helper block {block} bit {bit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scrub_repairs_one_eroded_replica_and_leaves_intact_groups_alone() {
+        let mut store = ShardedStore::for_fleet_replicated(6, 3, 2);
+        for id in 0..6 {
+            store.insert(record(id));
+        }
+        let snapshot = |store: &ShardedStore| -> Vec<Option<StoredRecord>> {
+            (0..6)
+                .flat_map(|id| (0..2).map(move |replica| (id, replica)))
+                .map(|(id, replica)| store.record(id, replica).cloned())
+                .collect()
+        };
+        let before = snapshot(&store);
+        // Erode one helper bit of device 4's replica 1 without resealing.
+        let mut eroded = before[4 * 2 + 1].clone().expect("enrolled");
+        eroded.helper = eroded.helper.with_flipped_bits(&[(0, 200)]);
+        store.put_slot(4, 1, Some(eroded));
+        let summary = store.read_with_replicas(4).1;
+        assert_eq!((summary.intact, summary.corrupt), (1, 1));
+
+        let report = store.scrub();
+        assert_eq!(report.groups, 6);
+        assert!(report.unrecoverable.is_empty());
+        assert_eq!(
+            report.repairs,
+            [ScrubRepair {
+                device_id: 4,
+                replica: 1,
+                generation: 0
+            }]
+        );
+        assert_eq!(
+            snapshot(&store),
+            before,
+            "the eroded copy is restored, every other slot is untouched"
+        );
     }
 
     #[test]

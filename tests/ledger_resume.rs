@@ -251,6 +251,53 @@ fn a_crash_truncated_trailing_line_does_not_poison_resume() {
 }
 
 #[test]
+fn a_tail_torn_inside_a_multi_byte_character_does_not_poison_resume() {
+    let path = temp_ledger("torn-utf8");
+    let cfg = SimConfig::quick();
+    let fresh = {
+        let mut ledger = Ledger::create(&path).unwrap();
+        run_experiments(&cfg, &["exp2"], &[], Some(&mut ledger))
+    };
+    // A kill mid-append that cuts the next record inside its first
+    // non-ASCII character (reports carry `—`, `µ`, `≥`).
+    let journal = std::fs::read_to_string(&path).unwrap();
+    let record = journal
+        .lines()
+        .find(|line| line.contains("\"event\":\"experiment\""))
+        .expect("an experiment record");
+    let wide = record
+        .char_indices()
+        .find(|(_, c)| !c.is_ascii())
+        .expect("the record carries a multi-byte character");
+    let cut = wide.0 + 1;
+    {
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        file.write_all(&record.as_bytes()[..cut]).unwrap();
+    }
+
+    let mut reopened = Ledger::open(&path).expect("a torn character is debris, not an error");
+    assert_eq!(reopened.skipped_lines(), 1, "the torn line is counted");
+    let resumed = run_experiments(&cfg, &["exp2"], &[], Some(&mut reopened));
+    drop(reopened);
+    assert!(!resumed.is_degraded(), "the resumed run exits 0");
+    assert!(resumed.successes[0].report.is_replayed(), "exp2 replays");
+    assert_eq!(
+        resumed.successes[0].report.to_string(),
+        fresh.successes[0].report.to_string(),
+        "the replay is byte-identical"
+    );
+    // The sealed journal reopens with the record and the one skip.
+    let again = Ledger::open(&path).unwrap();
+    assert_eq!(again.records().len(), 1);
+    assert_eq!(again.skipped_lines(), 1);
+    drop(again);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn failure_records_reconstruct_a_degraded_run() {
     // Expected panics would spam the test log; silence the hook.
     let _ = std::panic::take_hook();
