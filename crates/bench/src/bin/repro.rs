@@ -17,8 +17,8 @@
 //! repro --resume run.ledger      # resume: replay completed experiments
 //!                                # from the journal, run only the rest
 //! repro report profile run.jsonl # span-tree profile of a telemetry file
-//! repro report diff OLD NEW      # ledger wall-time/metric deltas, exit 5
-//!                                # on regression past --threshold
+//! repro report diff OLD NEW      # per-experiment ledger diff, exit 5
+//!                                # when outputs drifted
 //! repro report incidents run.jsonl  # serve-audit forensics (root causes,
 //!                                # quarantine post-mortems, timelines)
 //! repro report slo run.jsonl     # windowed availability & latency burn
@@ -135,8 +135,8 @@ fn usage() -> String {
          \n\
          analysis (see `repro report --help`):\n\
          \x20 report profile PATH [--top K]     span-tree telemetry profile\n\
-         \x20 report diff OLD NEW [--threshold F]  ledger wall-time/metric\n\
-         \x20                                   deltas\n\
+         \x20 report diff OLD NEW               per-experiment ledger diff:\n\
+         \x20                                   report bytes, counters, health\n\
          \x20 report health PATH...             deterministic fleet-health\n\
          \x20                                   tables (BER / decode-margin /\n\
          \x20                                   HD percentiles, counter totals,\n\
@@ -156,7 +156,7 @@ fn usage() -> String {
          \x20    reported together with a failure table (degraded mode);\n\
          \x20    also: `serve-bench` ended with the service degraded\n\
          \x20 4  total failure: no requested experiment completed\n\
-         \x20 5  `report diff` found a wall-time regression\n\
+         \x20 5  `report diff` found an experiment whose outputs drifted\n\
          \x20 141 output pipe closed by the consumer"
     )
 }

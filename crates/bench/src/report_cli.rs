@@ -3,18 +3,19 @@
 //!
 //! ```text
 //! repro report profile run.jsonl [--top K]
-//! repro report diff OLD NEW [--threshold F]
+//! repro report diff OLD NEW
 //! repro report health PATH...
 //! repro report trace run.jsonl
 //! repro report incidents run.jsonl
 //! repro report slo run.jsonl [--window N] [--availability-slo F] [--latency-slo-us N]
 //! ```
 //!
-//! `diff` compares two run ledgers: it exits 5 when any experiment's wall
-//! time regressed past the threshold (default +20 %), and it also lists
-//! per-experiment metric drift and, when both sides carry summaries,
-//! health drift (degradations warn on stderr — the exit code stays
-//! wall-time-driven). A non-ledger input exits 1.
+//! `diff` compares two run ledgers per experiment: it exits 5 when an
+//! experiment recorded under one fingerprint on both sides changed its
+//! status or report bytes, or a counter or health stat while both records
+//! share their process prefix, and names the drifted ids on stderr.
+//! Different fingerprints read `not comparable`; wall time is an advisory
+//! column (`aro-perf compare` judges time). A non-ledger input exits 1.
 //!
 //! `health` folds telemetry captures and/or ledgers into the fleet-health
 //! tables (streaming percentiles, counter run totals, per-experiment
@@ -34,8 +35,8 @@ use std::path::{Path, PathBuf};
 
 use aro_ledger::{diff, health, incidents, profile, slo, trace};
 
-/// Exit code `repro report diff` uses for "regression past threshold".
-pub const EXIT_REGRESSION: i32 = 5;
+/// Exit code `repro report diff` uses for "outputs drifted".
+const EXIT_DRIFT: i32 = 5;
 
 fn usage() -> String {
     "usage: repro report <SUBCOMMAND>\n\
@@ -45,11 +46,12 @@ fn usage() -> String {
      \x20                               JSONL capture: per-phase wall time,\n\
      \x20                               self vs child time, top-K hot spans\n\
      \x20                               (default K = 10)\n\
-     \x20 diff OLD NEW [--threshold F]  per-experiment wall-time and metric\n\
-     \x20                               deltas between two run ledgers.\n\
-     \x20                               Exits 5 when any experiment's wall\n\
-     \x20                               time exceeds OLD * (1 + F)\n\
-     \x20                               (default F = 0.2)\n\
+     \x20 diff OLD NEW                  per-experiment outputs of two run\n\
+     \x20                               ledgers. Exits 5 when an experiment\n\
+     \x20                               under one fingerprint changed its\n\
+     \x20                               status or report bytes, or under one\n\
+     \x20                               process prefix a counter or health\n\
+     \x20                               stat; wall time is advisory\n\
      \x20 health PATH...                deterministic fleet-health tables\n\
      \x20                               (BER / decode-margin / HD\n\
      \x20                               percentiles, counter totals, cache\n\
@@ -70,10 +72,10 @@ fn usage() -> String {
      \x20                               availability 0.99, p99 1250 us)\n\
      \n\
      exit codes:\n\
-     \x20 0  analysis completed (no regression, for diff)\n\
+     \x20 0  analysis completed (no drift, for diff)\n\
      \x20 1  unreadable or unparseable input\n\
      \x20 2  usage error\n\
-     \x20 5  diff found a wall-time regression past the threshold\n\
+     \x20 5  diff found an experiment whose outputs drifted\n\
      \x20 141 output pipe closed by the consumer"
         .to_string()
 }
@@ -185,47 +187,27 @@ fn run_profile(args: &[String]) -> Result<i32, String> {
 }
 
 fn run_diff(args: &[String]) -> Result<i32, String> {
-    let mut paths: Vec<PathBuf> = Vec::new();
-    let mut threshold = 0.2f64;
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--threshold" => {
-                threshold = flag_value(
-                    &mut args,
-                    "--threshold",
-                    "a fraction",
-                    "a non-negative fraction",
-                    |f: &f64| f.is_finite() && *f >= 0.0,
-                )?;
-            }
-            other if !other.starts_with('-') && paths.len() < 2 => {
-                paths.push(PathBuf::from(other));
-            }
-            other => return Err(unexpected(other)),
-        }
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        return Err(unexpected(flag));
     }
-    let [old, new] = paths.as_slice() else {
-        return Err("diff expects exactly two inputs: OLD NEW".to_string());
+    let [old, new] = args else {
+        return Err("diff expects exactly two ledger paths: OLD NEW".to_string());
     };
-    Ok(show(diff::diff_files(old, new, threshold), |report| {
-        emit(report.to_markdown());
-        // Health degradations are advisory: warn loudly, exit cleanly.
-        // A noisy BER percentile must never fail CI on its own.
-        for delta in report.health_degradations() {
-            eprintln!("repro report: health DEGRADED — {}", delta.describe());
-        }
-        if report.has_regression() {
+    Ok(show(
+        diff::diff_files(Path::new(old), Path::new(new)),
+        |report| {
+            emit(report.to_markdown());
+            let drifted = report.drifted_ids();
+            if drifted.is_empty() {
+                return 0;
+            }
             eprintln!(
-                "repro report: wall-time regression past +{:.0} % in: {}",
-                threshold * 100.0,
-                report.regressed_ids().join(", ")
+                "repro report: outputs drifted under an unchanged fingerprint in: {}",
+                drifted.join(", ")
             );
-            EXIT_REGRESSION
-        } else {
-            0
-        }
-    }))
+            EXIT_DRIFT
+        },
+    ))
 }
 
 fn run_health(args: &[String]) -> Result<i32, String> {

@@ -16,9 +16,10 @@ use std::process::{Command, Output};
 use aro_sim::experiments::REGISTRY;
 use proptest::prelude::*;
 
-/// Every run-mode flag; `report`, its subcommands and their flags;
-/// numbers at and past the numeric bounds; fault-plan specs, valid and
-/// not. The experiment ids come from the registry.
+/// Every run-mode flag; `report`, its subcommands and their flags, and
+/// `diff`'s removed `--threshold`; numbers at and past the numeric
+/// bounds; fault-plan specs, valid and not. The experiment ids come from
+/// the registry.
 const WORDS: &str = "--quick --seed --csv --telemetry --audit --threads --replicas --faults \
     --fail --ledger --resume --quiet --list --help -h \
     report profile diff health trace incidents slo --top --threshold --window \

@@ -3,12 +3,14 @@
 //! totals must read the same from its capture, its ledger or both, the trace
 //! export must be valid Chrome-trace JSON, the serve audit capture
 //! behind `incidents`/`slo` must hold its schema invariants and render
-//! identically at any thread count, and every analysis must read a
-//! damaged capture as it reads the intact one.
+//! identically at any thread count, every analysis must read a damaged
+//! capture as it reads the intact one, and `diff` must fail on output
+//! drift and never on wall time.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use aro_ledger::LedgerRecord;
 use aro_obs::json::{self, Value};
 
 fn repro(args: &[&str]) -> Output {
@@ -623,4 +625,129 @@ fn damaged_captures_read_like_intact_ones_but_for_the_skip_note() {
     for dir in [clean, noisy] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// A copy of the ledger at `from`, written to `to`, with `edit` applied
+/// to the record of experiment `id` (its fingerprint kept).
+fn edited_ledger(from: &Path, to: &Path, id: &str, edit: impl Fn(&mut LedgerRecord)) {
+    let text = std::fs::read_to_string(from).expect("ledger");
+    let lines: Vec<String> = text
+        .lines()
+        .map(|line| {
+            let value = json::parse(line).expect("ledger line");
+            match LedgerRecord::from_json(&value) {
+                Some(mut record) if record.id == id => {
+                    edit(&mut record);
+                    record.to_jsonl()
+                }
+                _ => line.to_string(),
+            }
+        })
+        .collect();
+    std::fs::write(to, lines.join("\n") + "\n").expect("write edited ledger");
+}
+
+/// `report diff` judges outputs, never time: reruns and thread counts
+/// never fail it, a same-fingerprint change of report bytes or of a
+/// counter does, and counter drift that only follows from what the
+/// process ran before (`exp5` after `exp2`, a resumed split run) is
+/// shown without failing.
+#[test]
+fn report_diff_fails_on_output_drift_and_never_on_wall_time() {
+    let dir = scratch_dir("diff_drift");
+    let path = |name: &str| dir.join(name);
+    let run = |flag: &str, ledger: &str, args: &[&str]| {
+        let ledger = path(ledger);
+        let mut argv = vec!["--quick", "--quiet", flag, ledger.to_str().unwrap()];
+        argv.extend(args);
+        let out = repro(&argv);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{argv:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    let diff = |old: &str, new: &str| -> (Option<i32>, String, String) {
+        let out = repro(&[
+            "report",
+            "diff",
+            path(old).to_str().unwrap(),
+            path(new).to_str().unwrap(),
+        ]);
+        let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("UTF-8");
+        (out.status.code(), text(out.stdout), text(out.stderr))
+    };
+    let four = ["exp2", "exp5", "exp8", "exp15"];
+    for (ledger, threads) in [("t1.jsonl", "1"), ("t2.jsonl", "2"), ("again.jsonl", "2")] {
+        let mut args = vec!["--threads", threads];
+        args.extend(four);
+        run("--ledger", ledger, &args);
+    }
+    for (old, new) in [("t2.jsonl", "again.jsonl"), ("t1.jsonl", "t2.jsonl")] {
+        let (code, stdout, stderr) = diff(old, new);
+        assert_eq!(code, Some(0), "{old} → {new}: {stderr}\n{stdout}");
+        assert_eq!(stdout.matches("| same ").count(), 4, "{stdout}");
+    }
+
+    edited_ledger(&path("t1.jsonl"), &path("bytes.jsonl"), "exp8", |r| {
+        r.report_md = r
+            .report_md
+            .as_ref()
+            .map(|md| md.replacen("EXP-8", "EXP-8 ", 1));
+    });
+    edited_ledger(&path("t1.jsonl"), &path("counter.jsonl"), "exp2", |r| {
+        *r.metrics
+            .get_mut("sim.chips_simulated")
+            .expect("exp2 counts chips") += 1;
+    });
+    for (edited, id) in [("bytes.jsonl", "exp8"), ("counter.jsonl", "exp2")] {
+        let (code, stdout, stderr) = diff("t1.jsonl", edited);
+        assert_eq!(code, Some(5), "{edited}: {stderr}\n{stdout}");
+        assert!(
+            stderr.contains(&format!(
+                "drifted under an unchanged fingerprint in: {id}\n"
+            )),
+            "{stderr}"
+        );
+        assert_eq!(stdout.matches("DRIFTED").count(), 1, "{stdout}");
+    }
+
+    // exp5 books its flip timelines itself when it runs alone and reads
+    // them from exp2's memo after it; a resumed split run books exp8 and
+    // exp15 in a second process. Their report bytes are equal.
+    run("--ledger", "exp5.jsonl", &["exp5"]);
+    run("--ledger", "split.jsonl", &["exp2", "exp5"]);
+    std::fs::copy(path("split.jsonl"), path("exp2_exp5.jsonl")).expect("copy ledger");
+    run("--resume", "split.jsonl", &["exp8", "exp15"]);
+    for (old, new, moved) in [
+        ("exp5.jsonl", "exp2_exp5.jsonl", "| exp5 "),
+        ("t1.jsonl", "split.jsonl", "| exp8 "),
+    ] {
+        let (code, stdout, stderr) = diff(old, new);
+        assert_eq!(code, Some(0), "{old} → {new}: {stderr}\n{stdout}");
+        assert!(stdout.contains("same output"), "{stdout}");
+        let counters = table_rows(&stdout, "Counter drift");
+        assert!(
+            counters.iter().any(|row| row.starts_with(moved)),
+            "{stdout}"
+        );
+    }
+
+    run("--ledger", "seed7.jsonl", &["--seed", "7", "exp5"]);
+    let (code, stdout, stderr) = diff("exp5.jsonl", "seed7.jsonl");
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("| not comparable |"), "{stdout}");
+    assert!(!stdout.contains("Counter drift"), "{stdout}");
+
+    let out = repro(&[
+        "report",
+        "diff",
+        path("t1.jsonl").to_str().unwrap(),
+        path("t2.jsonl").to_str().unwrap(),
+        "--threshold",
+        "0.2",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "--threshold is gone");
+    let _ = std::fs::remove_dir_all(dir);
 }

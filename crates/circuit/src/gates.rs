@@ -73,7 +73,7 @@ impl TransistorInst {
             + self.aging.dvth_hci_with(hci)
     }
 
-    /// [`Mosfet::dvth_total`] with the raw HCI power law memoized through
+    /// [`Self::dvth_total`] with the raw HCI power law memoized through
     /// `memo` (see [`TransistorAging::dvth_hci_memoized`]). Every device of
     /// a ring accumulates the same equivalent cycle count, so a kernel
     /// rebuild shares one memo across all its stages. The sum order is

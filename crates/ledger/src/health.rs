@@ -22,23 +22,21 @@ use crate::capture::{self, Fold, Line};
 use crate::md::MdTable;
 use crate::record::LedgerRecord;
 
-/// A compact per-experiment summary of one sketch: the five numbers
-/// `report diff` needs to flag a health regression. Stored in ledger
-/// records (see [`LedgerRecord::health`]) so a ledger alone — no
-/// telemetry capture — carries the health history of a run.
+/// A compact per-experiment summary of one sketch: count, mean and three
+/// percentiles. Stored in ledger records (see [`LedgerRecord::health`])
+/// so a ledger alone — no telemetry capture — carries the health history
+/// of a run, which `report health` tables and `report diff` compares.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthStat {
     /// Observations in the window.
     pub count: u64,
     /// Exact fixed-point mean.
     pub mean: f64,
-    /// 1st percentile (nearest rank) — the early-warning edge for
-    /// lower-is-death metrics like `ecc.decode_margin`.
+    /// 1st percentile (nearest rank).
     pub p01: f64,
     /// Median.
     pub p50: f64,
-    /// 99th percentile — the early-warning edge for higher-is-worse
-    /// metrics like `puf.ber`.
+    /// 99th percentile.
     pub p99: f64,
 }
 

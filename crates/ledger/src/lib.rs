@@ -20,9 +20,10 @@
 //! - **Profile** ([`profile`]): span-tree aggregation over a telemetry
 //!   JSONL stream — per-phase wall time, self-time vs child-time, top-k
 //!   hot spans.
-//! - **Diff** ([`diff`]): two ledgers compared per experiment, with a
-//!   configurable wall-time regression threshold, machine-checked metric
-//!   drift and advisory health drift.
+//! - **Diff** ([`diff`]): two ledgers compared per experiment under one
+//!   exact verdict: report bytes under one fingerprint, and counters and
+//!   health summaries under one process prefix. Wall time is shown,
+//!   never judged.
 //! - **Health** ([`health`]): fleet-health tables from the streaming
 //!   sketches — BER / decode-margin / HD percentiles and cache hit
 //!   rates, deterministic at any `--threads N`.

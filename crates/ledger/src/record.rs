@@ -54,10 +54,10 @@ pub struct LedgerRecord {
     /// including the `faults.*` injection tallies.
     pub metrics: BTreeMap<String, u64>,
     /// Per-experiment health summaries (sketch deltas over the
-    /// experiment): count/mean/p1/p50/p99 per sketch name, so `report
-    /// diff` can flag health regressions — decode-margin p1 collapse,
-    /// BER p99 creep — alongside wall-time ones. Empty on ledgers
-    /// written before this field existed (parsing tolerates absence).
+    /// experiment): count/mean/p1/p50/p99 per sketch name. Deterministic
+    /// like the counters, so `report diff` compares them exactly. Empty
+    /// on ledgers written before this field existed (parsing tolerates
+    /// absence).
     pub health: BTreeMap<String, HealthStat>,
 }
 

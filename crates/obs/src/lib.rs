@@ -2,9 +2,10 @@
 //!
 //! Three pieces, all opt-in at runtime:
 //!
-//! - **Spans** ([`span`]): RAII guards with monotonic timing and a
-//!   per-thread span stack, emitted as `span_open`/`span_close` telemetry
-//!   events; [`span::SpanAgg`] replays a capture into a profile.
+//! - **Spans** ([`span`](mod@span)): RAII guards with monotonic timing
+//!   and a per-thread span stack, emitted as `span_open`/`span_close`
+//!   telemetry events; [`span::SpanAgg`] replays a capture into a
+//!   profile.
 //! - **Metrics** ([`metrics::Registry`]): counters and streaming
 //!   [`sketch::Sketch`] accumulators (mean / variance / quantiles over
 //!   unbounded streams, one fixed bucket layout) recorded into a
@@ -70,7 +71,7 @@ thread_local! {
 
 /// One hot-path metric emission teed off by an active tap recording.
 ///
-/// Only the literal-name fast paths ([`counter`] and [`sketch`]) are
+/// Only the literal-name fast paths ([`counter`] and [`sketch()`]) are
 /// tapped: they are the ones the per-device aging/readout loops drive, and
 /// the aged-state snapshot layer needs to replay exactly those emissions
 /// when it restores a chip instead of re-aging it.
@@ -78,7 +79,7 @@ thread_local! {
 pub enum TapEvent {
     /// A [`counter`] call: `(name, delta)`.
     Counter(&'static str, u64),
-    /// A [`sketch`] observation: `(name, value)`.
+    /// A [`sketch()`] observation: `(name, value)`.
     Sketch(&'static str, f64),
 }
 
@@ -90,7 +91,7 @@ thread_local! {
 }
 
 /// Starts (or restarts) a tap recording on this thread: every subsequent
-/// [`counter`]/[`sketch`] call is both emitted normally *and* appended to
+/// [`counter`]/[`sketch()`] call is both emitted normally *and* appended to
 /// the tape, until [`tap_take`] collects it. While instrumentation is
 /// disabled nothing is emitted and therefore nothing is taped — replaying
 /// such a tape is a no-op, exactly matching what the recorded code would
@@ -233,7 +234,7 @@ pub fn sketch(name: &'static str, value: f64) {
 
 /// Records an observation into a sketch whose name is built at runtime
 /// (e.g. the per-age `puf.ber.y…` family). Goes straight to the scratch
-/// registry's name-keyed map — prefer [`sketch`] for literal names on
+/// registry's name-keyed map — prefer [`sketch()`] for literal names on
 /// hot paths.
 #[inline]
 pub fn sketch_dyn(name: &str, value: f64) {
@@ -266,35 +267,6 @@ pub fn fault_event(kind: &str, chip_id: u64, count: u64, fields: &[(&str, f64)])
         json::number_into(&mut line, *value);
     }
     let _ = write!(line, ",\"ts_ns\":{}}}", span::now_ns());
-    sink::write_line(&line);
-}
-
-/// Emits one structured serve fail-closed event to the telemetry sink:
-/// `{"event":"serve_fail","kind":…,"device":…,<fields…>}`.
-///
-/// The `aro-serve` admit path calls this at every fail-closed site
-/// (timeout, corrupt record, missing record, malformed answer) alongside
-/// its `serve.*` counters — the serve-side mirror of [`fault_event`], so
-/// incident forensics can link a fail-closed verdict to the injected
-/// faults that caused it. Unlike `fault_event` there is **no wall-clock
-/// timestamp**: serve time is simulated (callers pass `at_us` in
-/// `fields`), and emission happens on the sequential admit path, so the
-/// stream is byte-identical at any thread count.
-pub fn serve_fail_event(kind: &str, device: u64, fields: &[(&str, f64)]) {
-    if !enabled() || !sink::installed() {
-        return;
-    }
-    use std::fmt::Write as _;
-    let mut line = String::from("{\"event\":\"serve_fail\",\"kind\":");
-    json::escape_into(&mut line, kind);
-    let _ = write!(line, ",\"device\":{device}");
-    for (name, value) in fields {
-        line.push(',');
-        json::escape_into(&mut line, name);
-        line.push(':');
-        json::number_into(&mut line, *value);
-    }
-    line.push('}');
     sink::write_line(&line);
 }
 

@@ -6,12 +6,12 @@
 //!
 //! - counters are `u64` sums;
 //! - sketches share one bucket layout and merge field by field (see
-//!   [`crate::sketch`]); none holds a raw `f64` running sum, whose value
-//!   would depend on addition order.
+//!   [`crate::sketch`](mod@crate::sketch)); none holds a raw `f64`
+//!   running sum, whose value would depend on addition order.
 //!
 //! Wall-clock span durations are deliberately **not** part of the registry
-//! (see [`crate::span`]) so a registry snapshot can be compared bit-for-bit
-//! across runs and thread counts.
+//! (see [`crate::span`](mod@crate::span)) so a registry snapshot can be
+//! compared bit-for-bit across runs and thread counts.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -52,7 +52,7 @@ struct ActiveSpan {
 
 /// RAII guard for a scoped span; closes (and reports) on drop.
 ///
-/// Obtain via [`crate::span`]. When telemetry is disabled the guard is
+/// Obtain via [`crate::span()`]. When telemetry is disabled the guard is
 /// inert and costs one branch.
 pub struct Span {
     active: Option<ActiveSpan>,

@@ -230,7 +230,7 @@ pub mod collection {
     use super::{StdRng, Strategy};
     use rand::Rng;
 
-    /// Element-count specification for [`vec`]: an exact length or a
+    /// Element-count specification for [`vec()`]: an exact length or a
     /// half-open / inclusive range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {

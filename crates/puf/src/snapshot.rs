@@ -9,16 +9,17 @@
 //!
 //! * the **wear state** of every healthy ring after the step (BTI
 //!   accumulators per device, HCI equivalent cycles, wear epoch), stored
-//!   compactly — see [`WearStore`];
+//!   compactly — see `WearStore`;
 //! * the **telemetry tape** the step emitted (counters and sketches, per
 //!   ring and phase), so an instrumented replay reproduces the
 //!   observability streams byte for byte (see `aro_obs::tap_replay`).
 //!
 //! Replay is *incremental*: the chip must already hold the state the
 //! recording chip held just before the step (the snapshot store keys
-//! entries by the full step-prefix sequence, [`MissionStepKey`], because
-//! BTI equivalent-time accumulation is not additive across different
-//! step partitions of the same calendar time).
+//! entries by the full step-prefix sequence,
+//! [`MissionStepKey`](crate::MissionStepKey), because BTI equivalent-time
+//! accumulation is not additive across different step partitions of the
+//! same calendar time).
 //!
 //! # Hard faults
 //!

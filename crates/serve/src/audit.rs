@@ -42,6 +42,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use aro_obs::json;
 
+use crate::store::{fnv_u64, FNV_OFFSET};
+
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Monotonic line sequence (resets when audit is (re-)enabled).
 static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -81,16 +83,6 @@ fn next_seq() -> u64 {
 
 fn trial() -> u64 {
     TRIAL.load(Ordering::Relaxed)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_u64(mut hash: u64, value: u64) -> u64 {
-    for b in value.to_le_bytes() {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
 }
 
 /// The seed-derived request id: a pure function of `(trial, device,

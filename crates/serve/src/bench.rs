@@ -92,10 +92,6 @@ pub struct BenchStats {
     pub final_state: HealthState,
     /// Final replica-health axis of the store.
     pub final_store_health: StoreHealth,
-    /// Replicas rewritten by the maintenance cycle's anti-entropy scrub.
-    pub scrub_repairs: u64,
-    /// Record groups some scrub pass found with no intact replica left.
-    pub scrub_unrecoverable: u64,
 }
 
 impl BenchStats {
@@ -295,7 +291,5 @@ pub fn run_bench(
         wall_us: traffic.wall_us,
         final_state: service.state(),
         final_store_health: service.store_health(),
-        scrub_repairs: service.tallies().scrub_repairs,
-        scrub_unrecoverable: service.tallies().scrub_unrecoverable,
     }
 }

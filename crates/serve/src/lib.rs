@@ -23,7 +23,7 @@
 //!   quarantine → `ecc::refresh` continuity-gated re-enrollment →
 //!   re-admission path for devices whose distance margin degrades past
 //!   the watermark.
-//! * [`bench`] — the round-based fleet driver behind EXP-18 and
+//! * [`bench`](mod@bench) — the round-based fleet driver behind EXP-18 and
 //!   `repro serve-bench`: plan a round deterministically, fan probes
 //!   and re-enrollment reads out through `aro-par`, fold outcomes in
 //!   device-index order.

@@ -20,8 +20,7 @@
 //!    captures each request's causal chain (store read, per-attempt
 //!    faults/latency/timeouts, decode margin) on the outcome, and the
 //!    sequential admit path emits it — plus shed/health/re-enrollment
-//!    events and a structured `serve_fail` event at every fail-closed
-//!    site — in device-index order on the simulated service clock.
+//!    events — in device-index order on the simulated service clock.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -598,8 +597,8 @@ impl AuthService {
             if answer.len() != reference.len() {
                 // Fail closed on malformed input: no distance is ever
                 // computed against a length-mismatched answer. (The
-                // `serve.malformed` counter and its `serve_fail` event
-                // are emitted by the sequential admit step.)
+                // `serve.malformed` counter is booked by the sequential
+                // admit step.)
                 if capture {
                     trail.push(AttemptAudit {
                         attempt: attempt + 1,
@@ -710,8 +709,6 @@ impl AuthService {
             self.tallies.replica_fallbacks += 1;
             aro_obs::counter("serve.replica_fallbacks", 1);
         }
-        let at_us = self.clock_us as f64;
-        let attempts = f64::from(outcome.attempts);
         let mut quarantine = false;
         match outcome.verdict {
             Verdict::Accepted { distance } => {
@@ -729,31 +726,19 @@ impl AuthService {
             Verdict::TimedOut => {
                 self.tallies.timed_out += 1;
                 aro_obs::counter("serve.timeouts", 1);
-                aro_obs::serve_fail_event(
-                    "timeout",
-                    outcome.target_id,
-                    &[("attempts", attempts), ("at_us", at_us)],
-                );
             }
             Verdict::CorruptRecord => {
                 self.tallies.corrupt_reads += 1;
                 aro_obs::counter("serve.corrupt_reads", 1);
-                aro_obs::serve_fail_event("corrupt_record", outcome.target_id, &[("at_us", at_us)]);
                 quarantine = true;
             }
             Verdict::Missing => {
                 self.tallies.missing += 1;
                 aro_obs::counter("serve.missing", 1);
-                aro_obs::serve_fail_event("missing", outcome.target_id, &[("at_us", at_us)]);
             }
             Verdict::Malformed => {
                 self.tallies.malformed += 1;
                 aro_obs::counter("serve.malformed", 1);
-                aro_obs::serve_fail_event(
-                    "malformed",
-                    outcome.target_id,
-                    &[("attempts", attempts), ("at_us", at_us)],
-                );
                 quarantine = true;
             }
         }

@@ -50,7 +50,9 @@ pub const STORE_WINDOW_BASE: u64 = 1 << 40;
 /// replica 0 reproduces the pre-replication store byte-for-byte.
 pub const REPLICA_WINDOW_STRIDE: u64 = 1 << 20;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis. FNV-1a is the crate's one hash, behind record
+/// seals and audit request ids.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -60,7 +62,8 @@ fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-fn fnv_u64(hash: u64, value: u64) -> u64 {
+/// Folds `value`'s little-endian bytes into an FNV-1a `hash`.
+pub(crate) fn fnv_u64(hash: u64, value: u64) -> u64 {
     fnv(hash, &value.to_le_bytes())
 }
 

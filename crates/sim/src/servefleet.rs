@@ -49,7 +49,7 @@ pub const DEFAULT_REPLICAS: usize = 2;
 /// Mission length the store-erosion fraction is normalized against.
 const MISSION_YEARS: f64 = 10.0;
 
-/// The reusable fleet for one cell style: a [`KeyBench`] (salt `0xe18`)
+/// The reusable fleet for one cell style: a `KeyBench` (salt `0xe18`)
 /// with its chips and key goldens, plus each device's CRP challenge and
 /// golden reference. Each trial rewinds the silicon with
 /// [`Chip::reset_to_fabricated`] instead of re-fabricating.
@@ -286,7 +286,7 @@ fn stats_row(style: RoStyle, age_years: f64, faults: &str, stats: &BenchStats) -
         format!(
             "{} ({})",
             stats.final_store_health.label(),
-            stats.scrub_repairs
+            stats.tallies.scrub_repairs
         ),
     ]
 }

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification for the ARO-PUF reproduction workspace.
 #
-# Runs the rustfmt check, the release build, the full test suite, and
-# clippy with warnings denied. Every gate is a cargo command: the
-# end-to-end smokes of the `repro` binary (chaos, key lifecycle, ledger
-# resume) are tests in crates/bench/tests/repro_cli.rs, which
-# `cargo test --workspace` runs.
+# Runs the rustfmt check, the release build, the full test suite,
+# clippy and the doc-link check with warnings denied. Every gate is a
+# cargo command: the end-to-end smokes of the `repro` binary (chaos, key
+# lifecycle, ledger resume) are tests in crates/bench/tests/repro_cli.rs,
+# which `cargo test --workspace` runs.
 # The workspace has no network dependencies (rand / proptest /
 # criterion resolve to vendored path crates), so everything is forced
 # offline to fail fast if a registry dependency ever sneaks back in.
@@ -25,6 +25,11 @@ cargo test -q --workspace
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Doc links: a deleted or renamed item must not leave a dangling
+# intra-doc link, and public docs must not link private items.
+echo "==> cargo doc --no-deps --workspace (warnings denied)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # The benchmark package (benchmark/, its own workspace) calls into the
 # crates' public API; its tests fail when a crate change breaks a call.
