@@ -1,12 +1,19 @@
 //! Transistor instances and CMOS stage delay.
 //!
-//! A [`TransistorInst`] is one *physical* transistor: the nominal device
-//! plus its fabrication-sampled mismatch and its accumulated wear-out. An
-//! [`InverterStage`] is a complementary pair driving the next stage's load;
-//! its pull-up/pull-down delays come straight from the alpha-power drive
-//! currents, so every effect in the device layer (mismatch, BTI, HCI,
-//! temperature, supply droop) propagates into ring frequency with no extra
-//! fitting.
+//! A [`TransistorInst`] is one *physical* transistor: its
+//! fabrication-sampled mismatch and its accumulated wear-out, and nothing
+//! else. The nominal device it deviates from is the same for every
+//! transistor of one polarity, because every ring is drawn at
+//! [`Geometry::default()`], so a read builds it once per polarity
+//! ([`FreqContext`](crate::kernel::FreqContext)) instead of every
+//! transistor storing a copy.
+//!
+//! An [`InverterStage`] is a complementary pair driving the next stage's
+//! load; its topology follows from its index in the ring
+//! ([`StageKind::of_stage`]). Its pull-up/pull-down delays come straight
+//! from the alpha-power drive currents, so every effect in the device layer
+//! (mismatch, BTI, HCI, temperature, supply droop) propagates into ring
+//! frequency with no extra fitting.
 
 use aro_device::aging::{HciModel, TransistorAging};
 use aro_device::environment::Environment;
@@ -15,35 +22,29 @@ use aro_device::params::TechParams;
 use aro_device::process::DeviceVariation;
 use rand::Rng;
 
-/// One physical transistor: nominal device + sampled mismatch + wear state.
+/// The nominal device of polarity `mos_type` that every ring transistor is
+/// drawn at: [`Geometry::default()`] in `tech`. It draws no randomness, so
+/// a read builds it on demand.
+#[must_use]
+pub(crate) fn nominal_device(mos_type: MosType, tech: &TechParams) -> Mosfet {
+    Mosfet::new(mos_type, Geometry::default(), tech)
+}
+
+/// One physical transistor: sampled mismatch + wear state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransistorInst {
-    device: Mosfet,
     variation: DeviceVariation,
     aging: TransistorAging,
 }
 
 impl TransistorInst {
-    /// Fabricates a transistor of the given polarity and geometry:
-    /// samples its Pelgrom mismatch and its aging-variability multipliers
-    /// from `rng`.
-    pub fn fabricate<R: Rng + ?Sized>(
-        mos_type: MosType,
-        geometry: Geometry,
-        tech: &TechParams,
-        rng: &mut R,
-    ) -> Self {
+    /// Fabricates a transistor at the ring geometry: samples its Pelgrom
+    /// mismatch and its aging-variability multipliers from `rng`.
+    pub fn fabricate<R: Rng + ?Sized>(tech: &TechParams, rng: &mut R) -> Self {
         Self {
-            device: Mosfet::new(mos_type, geometry, tech),
-            variation: DeviceVariation::sample(tech, geometry, rng),
+            variation: DeviceVariation::sample(tech, Geometry::default(), rng),
             aging: TransistorAging::with_variability(rng, tech.sigma_aging_rel),
         }
-    }
-
-    /// The nominal device.
-    #[must_use]
-    pub fn device(&self) -> &Mosfet {
-        &self.device
     }
 
     /// This transistor's fabrication-time mismatch.
@@ -91,14 +92,16 @@ impl TransistorInst {
             + self.aging.dvth_hci_memoized(hci, memo)
     }
 
-    /// Drive current in amperes under `env`, including every variation and
-    /// wear source. `interdie_dvth`/`interdie_dbeta_rel` are the die
-    /// common-mode shifts, `systematic_dvth` the within-die surface value
-    /// at this transistor's location.
+    /// Drive current in amperes under `env` of this transistor as a
+    /// `mos_type` device, including every variation and wear source.
+    /// `interdie_dvth`/`interdie_dbeta_rel` are the die common-mode shifts,
+    /// `systematic_dvth` the within-die surface value at this transistor's
+    /// location.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn drive_current(
         &self,
+        mos_type: MosType,
         tech: &TechParams,
         env: &Environment,
         hci: &HciModel,
@@ -108,8 +111,7 @@ impl TransistorInst {
     ) -> f64 {
         let dvth = interdie_dvth + self.dvth_total(systematic_dvth, hci);
         let dbeta = self.variation.dbeta_rel + interdie_dbeta_rel;
-        self.device
-            .drive_current_with_mismatch(tech, env, dvth, dbeta)
+        nominal_device(mos_type, tech).drive_current_with_mismatch(tech, env, dvth, dbeta)
     }
 }
 
@@ -125,6 +127,17 @@ pub enum StageKind {
 }
 
 impl StageKind {
+    /// The topology of stage `index` of a ring: stage 0 is the enable NAND,
+    /// the rest are inverters.
+    #[must_use]
+    pub fn of_stage(index: usize) -> Self {
+        if index == 0 {
+            Self::EnableNand
+        } else {
+            Self::Inverter
+        }
+    }
+
     /// Pull-down delay penalty of the stage topology (series NMOS stack).
     #[must_use]
     pub fn pulldown_penalty(self) -> f64 {
@@ -144,33 +157,21 @@ impl StageKind {
     }
 }
 
-/// One ring stage: a complementary transistor pair of a given topology.
+/// One ring stage: a complementary transistor pair. Its topology is not
+/// stored; it follows from the stage's index ([`StageKind::of_stage`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct InverterStage {
-    kind: StageKind,
     pmos: TransistorInst,
     nmos: TransistorInst,
 }
 
 impl InverterStage {
     /// Fabricates a stage, sampling both transistors' mismatch from `rng`.
-    pub fn fabricate<R: Rng + ?Sized>(
-        kind: StageKind,
-        geometry: Geometry,
-        tech: &TechParams,
-        rng: &mut R,
-    ) -> Self {
+    pub fn fabricate<R: Rng + ?Sized>(tech: &TechParams, rng: &mut R) -> Self {
         Self {
-            kind,
-            pmos: TransistorInst::fabricate(MosType::Pmos, geometry, tech, rng),
-            nmos: TransistorInst::fabricate(MosType::Nmos, geometry, tech, rng),
+            pmos: TransistorInst::fabricate(tech, rng),
+            nmos: TransistorInst::fabricate(tech, rng),
         }
-    }
-
-    /// The stage topology.
-    #[must_use]
-    pub fn kind(&self) -> StageKind {
-        self.kind
     }
 
     /// The pull-up transistor.
@@ -195,14 +196,16 @@ impl InverterStage {
         &mut self.nmos
     }
 
-    /// The time this stage contributes to one full oscillation period, in
-    /// seconds: one pull-up plus one pull-down of the load `c_load`.
+    /// The time this stage, built as a `kind` stage, contributes to one
+    /// full oscillation period, in seconds: one pull-up plus one pull-down
+    /// of the load `c_load`.
     ///
     /// `t = C·Vdd/(2·I_p) + penalty·C·Vdd/(2·I_n)`.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn period_contribution(
         &self,
+        kind: StageKind,
         tech: &TechParams,
         env: &Environment,
         hci: &HciModel,
@@ -213,6 +216,7 @@ impl InverterStage {
         systematic_dvth: f64,
     ) -> f64 {
         let i_p = self.pmos.drive_current(
+            MosType::Pmos,
             tech,
             env,
             hci,
@@ -221,6 +225,7 @@ impl InverterStage {
             systematic_dvth,
         );
         let i_n = self.nmos.drive_current(
+            MosType::Nmos,
             tech,
             env,
             hci,
@@ -229,7 +234,7 @@ impl InverterStage {
             systematic_dvth,
         );
         let half_swing = c_load * env.vdd() / 2.0;
-        half_swing / i_p + self.kind.pulldown_penalty() * half_swing / i_n
+        half_swing / i_p + kind.pulldown_penalty() * half_swing / i_n
     }
 }
 
@@ -250,8 +255,8 @@ mod tests {
     fn fabricated_transistors_differ() {
         let (tech, ..) = setup();
         let mut rng = SeedDomain::new(21).rng(0);
-        let a = TransistorInst::fabricate(MosType::Nmos, Geometry::default(), &tech, &mut rng);
-        let b = TransistorInst::fabricate(MosType::Nmos, Geometry::default(), &tech, &mut rng);
+        let a = TransistorInst::fabricate(&tech, &mut rng);
+        let b = TransistorInst::fabricate(&tech, &mut rng);
         assert_ne!(
             a.variation(),
             b.variation(),
@@ -263,13 +268,13 @@ mod tests {
     fn drive_current_includes_mismatch_and_aging() {
         let (tech, env, hci) = setup();
         let mut rng = SeedDomain::new(22).rng(0);
-        let mut t = TransistorInst::fabricate(MosType::Pmos, Geometry::default(), &tech, &mut rng);
-        let fresh = t.drive_current(&tech, &env, &hci, 0.0, 0.0, 0.0);
+        let mut t = TransistorInst::fabricate(&tech, &mut rng);
+        let fresh = t.drive_current(MosType::Pmos, &tech, &env, &hci, 0.0, 0.0, 0.0);
         t.aging_mut().apply_bti(
             &BtiModel::nbti(&tech),
             &StressInterval::static_dc(3.15e8, 25.0, tech.vdd_nominal),
         );
-        let aged = t.drive_current(&tech, &env, &hci, 0.0, 0.0, 0.0);
+        let aged = t.drive_current(MosType::Pmos, &tech, &env, &hci, 0.0, 0.0, 0.0);
         assert!(aged < fresh);
     }
 
@@ -277,10 +282,10 @@ mod tests {
     fn hci_slows_the_stage() {
         let (tech, env, hci) = setup();
         let mut rng = SeedDomain::new(24).rng(0);
-        let mut t = TransistorInst::fabricate(MosType::Nmos, Geometry::default(), &tech, &mut rng);
-        let fresh = t.drive_current(&tech, &env, &hci, 0.0, 0.0, 0.0);
+        let mut t = TransistorInst::fabricate(&tech, &mut rng);
+        let fresh = t.drive_current(MosType::Nmos, &tech, &env, &hci, 0.0, 0.0, 0.0);
         t.aging_mut().apply_hci(&hci, 1e12, tech.vdd_nominal);
-        assert!(t.drive_current(&tech, &env, &hci, 0.0, 0.0, 0.0) < fresh);
+        assert!(t.drive_current(MosType::Nmos, &tech, &env, &hci, 0.0, 0.0, 0.0) < fresh);
     }
 
     #[test]
@@ -288,16 +293,12 @@ mod tests {
         let (tech, env, hci) = setup();
         let mut rng = SeedDomain::new(25).rng(0);
         // Same devices, different topology: compare delay penalty only.
-        let inv =
-            InverterStage::fabricate(StageKind::Inverter, Geometry::default(), &tech, &mut rng);
-        let mut nand = inv.clone();
-        // Rebuild as NAND kind with identical transistors.
-        nand = InverterStage {
-            kind: StageKind::EnableNand,
-            ..nand
+        let stage = InverterStage::fabricate(&tech, &mut rng);
+        let delay = |kind| {
+            stage.period_contribution(kind, &tech, &env, &hci, tech.c_stage, 0.0, 0.0, 0.0, 0.0)
         };
-        let d_inv = inv.period_contribution(&tech, &env, &hci, tech.c_stage, 0.0, 0.0, 0.0, 0.0);
-        let d_nand = nand.period_contribution(&tech, &env, &hci, tech.c_stage, 0.0, 0.0, 0.0, 0.0);
+        let d_inv = delay(StageKind::Inverter);
+        let d_nand = delay(StageKind::EnableNand);
         assert!(d_nand > d_inv);
     }
 
@@ -305,9 +306,18 @@ mod tests {
     fn stage_delay_is_tens_of_picoseconds() {
         let (tech, env, hci) = setup();
         let mut rng = SeedDomain::new(26).rng(0);
-        let stage =
-            InverterStage::fabricate(StageKind::Inverter, Geometry::default(), &tech, &mut rng);
-        let d = stage.period_contribution(&tech, &env, &hci, tech.c_stage, 0.0, 0.0, 0.0, 0.0);
+        let stage = InverterStage::fabricate(&tech, &mut rng);
+        let d = stage.period_contribution(
+            StageKind::Inverter,
+            &tech,
+            &env,
+            &hci,
+            tech.c_stage,
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+        );
         assert!(d > 1e-11 && d < 1e-9, "period contribution {d} s");
     }
 
@@ -315,5 +325,22 @@ mod tests {
     fn transistor_counts_match_topologies() {
         assert_eq!(StageKind::Inverter.transistor_count(), 2);
         assert_eq!(StageKind::EnableNand.transistor_count(), 4);
+    }
+
+    #[test]
+    fn per_device_state_stays_small() {
+        // Every stage of every ring of every chip pays these: a field added
+        // back to each transistor is multiplied by two per stage, five to
+        // seven stages per ring and up to 57 630 rings per chip.
+        assert!(
+            size_of::<TransistorInst>() <= 48,
+            "{}",
+            size_of::<TransistorInst>()
+        );
+        assert!(
+            size_of::<InverterStage>() <= 96,
+            "{}",
+            size_of::<InverterStage>()
+        );
     }
 }

@@ -5,8 +5,11 @@
 //! ring's die position, and — per stage, per polarity — the effective
 //! threshold, overdrive, drive factor and the `powf` of the alpha-power
 //! law. A [`FreqContext`] holds what every ring of one die shares under
-//! one read — the `HciModel`, the mobility factor and the switched load —
-//! so a chip-wide read derives them once instead of once per ring.
+//! one read — the PMOS and NMOS nominal devices, the `HciModel`, the
+//! mobility factor and the switched load — so a chip-wide read derives
+//! them once instead of once per ring. The nominal devices live here, not
+//! in the rings: a transistor stores only its mismatch and wear (see
+//! [`crate::gates`]), and `tech` stays their one source.
 //!
 //! The context does not cache results. The chip that owns a ring array
 //! and its die process keeps the per-ring results (`aro_puf::Chip`, see
@@ -16,16 +19,19 @@
 //! **Bit-identity contract:** [`FreqContext::derive`] evaluates the *same
 //! floating-point expression chain, in the same order*, as the per-stage
 //! path (`InverterStage::period_contribution` →
-//! `Mosfet::drive_current_with_mismatch`), so a cached result is bitwise
-//! equal to what a cold computation would produce. A unit test below
-//! compares the two bit for bit; the golden-output regression test in the
-//! workspace root pins the end-to-end bytes.
+//! `Mosfet::drive_current_with_mismatch`, which builds its own nominal
+//! devices), so a cached result is bitwise equal to what a cold
+//! computation would produce. A unit test below compares the two bit for
+//! bit; the golden-output regression test in the workspace root pins the
+//! end-to-end bytes.
 
 use aro_device::aging::HciModel;
 use aro_device::environment::Environment;
+use aro_device::mosfet::{MosType, Mosfet};
 use aro_device::params::TechParams;
 use aro_device::process::ChipProcess;
 
+use crate::gates::{nominal_device, StageKind};
 use crate::ring::{RingOscillator, RoStyle};
 
 /// Everything a frequency derivation shares across the rings of one die
@@ -36,6 +42,8 @@ pub struct FreqContext<'a> {
     tech: &'a TechParams,
     env: Environment,
     chip: ChipProcess,
+    pmos: Mosfet,
+    nmos: Mosfet,
     hci: HciModel,
     mobility: f64,
     c_load: f64,
@@ -55,6 +63,8 @@ impl<'a> FreqContext<'a> {
             tech,
             env: *env,
             chip: *chip,
+            pmos: nominal_device(MosType::Pmos, tech),
+            nmos: nominal_device(MosType::Nmos, tech),
             hci: HciModel::new(tech),
             mobility: env.mobility_factor(tech),
             c_load: tech.c_stage * style.load_factor(tech),
@@ -84,13 +94,13 @@ impl<'a> FreqContext<'a> {
         // and replayed for the other stages (bit-exact: same input → same
         // memoized output).
         let mut hci_memo: Option<(f64, f64)> = None;
-        for stage in ring.stages() {
+        for (index, stage) in ring.stages().iter().enumerate() {
             let pmos = stage.pmos();
             let dvth_p = chip.dvth_interdie_p()
                 + pmos.dvth_total_memoized(systematic, &self.hci, &mut hci_memo);
-            let vth_p = pmos.device().vth_effective(tech, env, dvth_p);
+            let vth_p = self.pmos.vth_effective(tech, env, dvth_p);
             let od_p = tech.overdrive(env.vdd(), vth_p);
-            let b_p = pmos.device().beta0()
+            let b_p = self.pmos.beta0()
                 * (1.0 + (pmos.variation().dbeta_rel + chip.dbeta_interdie_rel()))
                 * self.mobility;
             let cur_p = b_p * od_p.powf(tech.alpha);
@@ -98,15 +108,16 @@ impl<'a> FreqContext<'a> {
             let nmos = stage.nmos();
             let dvth_n = chip.dvth_interdie_n()
                 + nmos.dvth_total_memoized(systematic, &self.hci, &mut hci_memo);
-            let vth_n = nmos.device().vth_effective(tech, env, dvth_n);
+            let vth_n = self.nmos.vth_effective(tech, env, dvth_n);
             let od_n = tech.overdrive(env.vdd(), vth_n);
-            let b_n = nmos.device().beta0()
+            let b_n = self.nmos.beta0()
                 * (1.0 + (nmos.variation().dbeta_rel + chip.dbeta_interdie_rel()))
                 * self.mobility;
             let cur_n = b_n * od_n.powf(tech.alpha);
 
             let half_swing = self.c_load * env.vdd() / 2.0;
-            period_s += half_swing / cur_p + stage.kind().pulldown_penalty() * half_swing / cur_n;
+            let penalty = StageKind::of_stage(index).pulldown_penalty();
+            period_s += half_swing / cur_p + penalty * half_swing / cur_n;
         }
         (1.0 / period_s) * (1.0 + ring.freq_bias_rel())
     }
@@ -122,7 +133,10 @@ mod tests {
 
     /// The bit-identity contract: `derive` equals the per-stage path
     /// summed stage by stage, to the last bit, on a sampled die, fresh
-    /// and after idle BTI plus oscillation (HCI), cool and hot.
+    /// and after idle BTI plus oscillation (HCI), cool and hot, for a
+    /// 5- and a 7-stage ring. The reference builds its own nominal
+    /// devices and states the topology rule itself: stage 0 is the enable
+    /// NAND, as `RingOscillator::new` builds it.
     #[test]
     fn derive_is_bitwise_the_per_stage_path() {
         let tech = TechParams::default();
@@ -130,33 +144,48 @@ mod tests {
         let hci = HciModel::new(&tech);
         let nominal = Environment::nominal(&tech);
         let hot = Environment::new(85.0, tech.vdd_nominal);
-        for (style, seed) in [(RoStyle::Conventional, 90), (RoStyle::AgingResistant, 91)] {
+        for (style, n_stages, seed) in [
+            (RoStyle::Conventional, 5, 90),
+            (RoStyle::AgingResistant, 5, 91),
+            (RoStyle::Conventional, 7, 92),
+            (RoStyle::AgingResistant, 7, 93),
+        ] {
             let mut rng = SeedDomain::new(seed).rng(0);
             let chip = ChipProcess::sample(&tech, &mut rng);
             let position = DiePosition::new(0.3, 0.7);
-            let mut ring = RingOscillator::new(style, 5, position, &tech, &mut rng);
+            let mut ring = RingOscillator::new(style, n_stages, position, &tech, &mut rng);
             ring.set_freq_bias_rel(0.003);
             ring.set_correlated_dvth(0.002);
             for _ in 0..3 {
                 for env in [nominal, hot] {
                     let systematic = chip.systematic_dvth(position) + ring.correlated_dvth();
                     let c_load = tech.c_stage * style.load_factor(&tech);
-                    let period = ring.stages().iter().fold(0.0f64, |period, stage| {
-                        period
-                            + stage.period_contribution(
-                                &tech,
-                                &env,
-                                &hci,
-                                c_load,
-                                chip.dvth_interdie_p(),
-                                chip.dvth_interdie_n(),
-                                chip.dbeta_interdie_rel(),
-                                systematic,
-                            )
-                    });
+                    let mut period = 0.0f64;
+                    for (i, stage) in ring.stages().iter().enumerate() {
+                        let kind = if i == 0 {
+                            StageKind::EnableNand
+                        } else {
+                            StageKind::Inverter
+                        };
+                        period += stage.period_contribution(
+                            kind,
+                            &tech,
+                            &env,
+                            &hci,
+                            c_load,
+                            chip.dvth_interdie_p(),
+                            chip.dvth_interdie_n(),
+                            chip.dbeta_interdie_rel(),
+                            systematic,
+                        );
+                    }
                     let reference = (1.0 / period) * (1.0 + ring.freq_bias_rel());
                     let derived = FreqContext::new(style, &tech, &env, &chip).derive(&ring);
-                    assert_eq!(derived.to_bits(), reference.to_bits(), "{style:?} at {env}");
+                    assert_eq!(
+                        derived.to_bits(),
+                        reference.to_bits(),
+                        "{style:?} with {n_stages} stages at {env}"
+                    );
                 }
                 ring.stress_idle(&tech, &models, 45.0, tech.vdd_nominal, YEAR);
                 ring.stress_active(&tech, &models, &hot, &chip, 1.0);

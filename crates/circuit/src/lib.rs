@@ -3,8 +3,9 @@
 //! Builds on [`aro_device`] to model the circuits the paper simulates in
 //! HSPICE:
 //!
-//! * [`gates`] — transistor instances (nominal device + sampled mismatch +
-//!   wear-out state) and CMOS stage delay from the alpha-power law.
+//! * [`gates`] — transistor instances (sampled mismatch + wear-out state;
+//!   the nominal device is per polarity and built by the read) and CMOS
+//!   stage delay from the alpha-power law.
 //! * [`ring`] — the ring oscillator itself, in two flavours:
 //!   [`ring::RoStyle::Conventional`] (enable-NAND + inverter chain, whose
 //!   *idle* state holds static DC stress on alternating stages) and

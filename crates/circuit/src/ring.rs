@@ -22,12 +22,11 @@
 
 use aro_device::aging::{BtiBatch, BtiModel, HciModel, StressInterval, WearLevel};
 use aro_device::environment::Environment;
-use aro_device::mosfet::Geometry;
 use aro_device::params::TechParams;
 use aro_device::process::{ChipProcess, DiePosition};
 use rand::Rng;
 
-use crate::gates::{InverterStage, StageKind};
+use crate::gates::InverterStage;
 use crate::kernel::FreqContext;
 
 /// The three wear-out models bundled, so callers don't rebuild them per
@@ -259,7 +258,8 @@ impl PartialEq for RingOscillator {
 impl RingOscillator {
     /// Fabricates a ring of `n_stages` at die position `position`,
     /// sampling all per-device randomness from `rng`. Stage 0 is the
-    /// enable NAND; the rest are inverters.
+    /// enable NAND; the rest are inverters
+    /// ([`StageKind::of_stage`](crate::gates::StageKind::of_stage)).
     ///
     /// # Panics
     /// Panics if `n_stages` is even or less than 3 (an even ring does not
@@ -275,16 +275,8 @@ impl RingOscillator {
             n_stages >= 3 && n_stages % 2 == 1,
             "ring needs an odd stage count >= 3"
         );
-        let geometry = Geometry::default();
         let stages = (0..n_stages)
-            .map(|i| {
-                let kind = if i == 0 {
-                    StageKind::EnableNand
-                } else {
-                    StageKind::Inverter
-                };
-                InverterStage::fabricate(kind, geometry, tech, rng)
-            })
+            .map(|_| InverterStage::fabricate(tech, rng))
             .collect();
         Self {
             style,

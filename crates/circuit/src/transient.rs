@@ -16,8 +16,10 @@
 //! percent.
 
 use aro_device::environment::Environment;
+use aro_device::mosfet::MosType;
 use aro_device::params::TechParams;
 
+use crate::gates::{nominal_device, StageKind};
 use crate::ring::RingOscillator;
 
 /// Result of a transient run.
@@ -74,6 +76,10 @@ pub fn simulate_ring(
     let vdd = env.vdd();
     let c_load = tech.c_stage * ro.style().load_factor(tech);
     let hci = aro_device::aging::HciModel::new(tech);
+    let (pmos, nmos) = (
+        nominal_device(MosType::Pmos, tech),
+        nominal_device(MosType::Nmos, tech),
+    );
     let systematic = chip.systematic_dvth(ro.position()) + ro.correlated_dvth();
 
     // Per-stage effective parameters (match the analytic model's inputs).
@@ -88,29 +94,30 @@ pub fn simulate_ring(
     let stages: Vec<StageParams> = ro
         .stages()
         .iter()
-        .map(|s| {
+        .enumerate()
+        .map(|(i, s)| {
             let mob = env.mobility_factor(tech);
-            let vth_p = s.pmos().device().vth_effective(
+            let vth_p = pmos.vth_effective(
                 tech,
                 env,
                 chip.dvth_interdie_p() + s.pmos().dvth_total(systematic, &hci),
             );
-            let vth_n = s.nmos().device().vth_effective(
+            let vth_n = nmos.vth_effective(
                 tech,
                 env,
                 chip.dvth_interdie_n() + s.nmos().dvth_total(systematic, &hci),
             );
             StageParams {
-                beta_p: s.pmos().device().beta0()
+                beta_p: pmos.beta0()
                     * (1.0 + s.pmos().variation().dbeta_rel + chip.dbeta_interdie_rel())
                     * mob,
-                beta_n: s.nmos().device().beta0()
+                beta_n: nmos.beta0()
                     * (1.0 + s.nmos().variation().dbeta_rel + chip.dbeta_interdie_rel())
                     * mob,
                 od_p: tech.overdrive(vdd, vth_p),
                 od_n: tech.overdrive(vdd, vth_n),
                 alpha: tech.alpha,
-                pulldown_penalty: s.kind().pulldown_penalty(),
+                pulldown_penalty: StageKind::of_stage(i).pulldown_penalty(),
             }
         })
         .collect();

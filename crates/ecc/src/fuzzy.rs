@@ -18,7 +18,7 @@ use aro_metrics::bits::BitString;
 use rand::Rng;
 
 use crate::code::Code;
-use crate::hash::sha256;
+use crate::hash::{fnv1a, fnv1a_u64, sha256, FNV_OFFSET};
 
 /// Public helper data produced at enrollment (stores no secret by itself).
 #[derive(Debug, Clone, PartialEq)]
@@ -91,20 +91,12 @@ impl HelperData {
     /// routing mismatches to recovery instead of handing out a wrong key.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash = (hash ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
+        let mut hash = FNV_OFFSET;
         for offset in &self.offsets {
-            eat(&(offset.len() as u64).to_le_bytes());
-            eat(&offset.to_bytes());
+            hash = fnv1a_u64(hash, offset.len() as u64);
+            hash = fnv1a(hash, &offset.to_bytes());
         }
-        eat(&self.salt);
-        hash
+        fnv1a(hash, &self.salt)
     }
 
     /// Re-derives the key from a recovered enrollment response — the

@@ -1,9 +1,12 @@
-//! SHA-256 (FIPS 180-4), implemented from scratch.
+//! SHA-256 (FIPS 180-4) and 64-bit FNV-1a, implemented from scratch.
 //!
 //! The fuzzy extractor derives the final key as `SHA-256(w ‖ salt)`; no
 //! cryptography crate is in the offline dependency allowlist, and the
 //! algorithm is 80 lines, so it lives here. Verified against the FIPS
 //! test vectors below.
+//!
+//! FNV-1a is the integrity checksum, not a key derivation: the helper-data
+//! digest and, in `aro-serve`, the record seals and audit request ids.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -19,6 +22,25 @@ const K: [u32; 64] = [
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// The 64-bit FNV-1a offset basis: the state before any byte is folded.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the 64-bit FNV-1a state `hash`.
+#[must_use]
+pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// Folds `value`'s little-endian bytes into the FNV-1a state `hash`.
+#[must_use]
+pub fn fnv1a_u64(hash: u64, value: u64) -> u64 {
+    fnv1a(hash, &value.to_le_bytes())
+}
 
 /// Computes the SHA-256 digest of `data`.
 #[must_use]
@@ -90,6 +112,17 @@ mod tests {
 
     fn to_hex(digest: &[u8]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a_u64(FNV_OFFSET, 1),
+            fnv1a(FNV_OFFSET, &[1, 0, 0, 0, 0, 0, 0, 0])
+        );
     }
 
     #[test]

@@ -40,9 +40,8 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use aro_ecc::hash::{fnv1a_u64, FNV_OFFSET};
 use aro_obs::json;
-
-use crate::store::{fnv_u64, FNV_OFFSET};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 /// Monotonic line sequence (resets when audit is (re-)enabled).
@@ -91,10 +90,10 @@ fn trial() -> u64 {
 /// (event bases are unique per request).
 #[must_use]
 pub fn request_id(trial: u64, device: u64, target: u64, event_base: u64) -> u64 {
-    let mut hash = fnv_u64(FNV_OFFSET, trial);
-    hash = fnv_u64(hash, device);
-    hash = fnv_u64(hash, target);
-    fnv_u64(hash, event_base)
+    let mut hash = fnv1a_u64(FNV_OFFSET, trial);
+    hash = fnv1a_u64(hash, device);
+    hash = fnv1a_u64(hash, target);
+    fnv1a_u64(hash, event_base)
 }
 
 /// Which faults the injector landed on one verification attempt —

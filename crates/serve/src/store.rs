@@ -35,6 +35,7 @@
 //! streams, all byte-deterministic under one injector.
 
 use aro_ecc::fuzzy::HelperData;
+use aro_ecc::hash::{fnv1a, fnv1a_u64, FNV_OFFSET};
 use aro_faults::FaultInjector;
 use aro_metrics::bits::BitString;
 
@@ -49,23 +50,6 @@ pub const STORE_WINDOW_BASE: u64 = 1 << 40;
 /// REPLICA_WINDOW_STRIDE`, so each copy takes independent damage while
 /// replica 0 reproduces the pre-replication store byte-for-byte.
 pub const REPLICA_WINDOW_STRIDE: u64 = 1 << 20;
-
-/// The FNV-1a offset basis. FNV-1a is the crate's one hash, behind record
-/// seals and audit request ids.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// Folds `value`'s little-endian bytes into an FNV-1a `hash`.
-pub(crate) fn fnv_u64(hash: u64, value: u64) -> u64 {
-    fnv(hash, &value.to_le_bytes())
-}
 
 /// One device's verifier-side enrollment, integrity-sealed.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,17 +97,17 @@ impl StoredRecord {
     }
 
     fn digest(&self) -> u64 {
-        let mut hash = fnv_u64(FNV_OFFSET, self.device_id);
+        let mut hash = fnv1a_u64(FNV_OFFSET, self.device_id);
         for &(a, b) in &self.challenge_pairs {
-            hash = fnv_u64(hash, a as u64);
-            hash = fnv_u64(hash, b as u64);
+            hash = fnv1a_u64(hash, a as u64);
+            hash = fnv1a_u64(hash, b as u64);
         }
-        hash = fnv_u64(hash, self.reference.len() as u64);
-        hash = fnv(hash, &self.reference.to_bytes());
-        hash = fnv_u64(hash, self.helper.digest());
-        hash = fnv_u64(hash, self.key.len() as u64);
-        hash = fnv(hash, &self.key.to_bytes());
-        fnv_u64(hash, self.repair_generation)
+        hash = fnv1a_u64(hash, self.reference.len() as u64);
+        hash = fnv1a(hash, &self.reference.to_bytes());
+        hash = fnv1a_u64(hash, self.helper.digest());
+        hash = fnv1a_u64(hash, self.key.len() as u64);
+        hash = fnv1a(hash, &self.key.to_bytes());
+        fnv1a_u64(hash, self.repair_generation)
     }
 
     /// Whether the stored bytes still match the checksum sealed at

@@ -2,7 +2,8 @@
 # Tier-1 verification for the ARO-PUF reproduction workspace.
 #
 # Runs the rustfmt check, the release build, the full test suite,
-# clippy and the doc-link check with warnings denied. Every gate is a
+# clippy and the doc-link check with warnings denied, the benchmark
+# package's tests and one pass of its workloads. Every gate is a
 # cargo command: the end-to-end smokes of the `repro` binary (chaos, key
 # lifecycle, ledger resume) are tests in crates/bench/tests/repro_cli.rs,
 # which `cargo test --workspace` runs.
@@ -35,6 +36,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # crates' public API; its tests fail when a crate change breaks a call.
 echo "==> cargo test (benchmark package)"
 cargo test --offline --manifest-path benchmark/Cargo.toml
+
+# Benchmark smoke: every workload once through its own output checks.
+# `aro-perf run` exits 1 when a rep cannot be set up or an output check
+# fails (an impostor accepted, a rep's tallies digest differing from rep
+# 0's); `--trace 1` adds the second rep the digest check compares.
+echo "==> aro-perf run (every workload, output checks)"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --seconds 1 --trace 1
 
 # Bench smoke: run each microbenchmark once (the vendored criterion runs a
 # single iteration when invoked without `--bench`), proving the bench
