@@ -15,7 +15,7 @@
 //! (mismatch, BTI, HCI, temperature, supply droop) propagates into ring
 //! frequency with no extra fitting.
 
-use aro_device::aging::{HciModel, TransistorAging};
+use aro_device::aging::TransistorAging;
 use aro_device::environment::Environment;
 use aro_device::mosfet::{Geometry, MosType, Mosfet};
 use aro_device::params::TechParams;
@@ -65,36 +65,23 @@ impl TransistorInst {
     }
 
     /// Total threshold shift of this instance in volts: mismatch +
-    /// chip-systematic component + BTI + HCI.
+    /// chip-systematic component + BTI + HCI. `hci_dvth` is the ring's raw
+    /// HCI shift
+    /// ([`HciModel::dvth_equivalent`](aro_device::aging::HciModel::dvth_equivalent)
+    /// of its equivalent cycles), which this device scales by its own
+    /// multiplier.
     #[must_use]
-    pub fn dvth_total(&self, systematic_dvth: f64, hci: &HciModel) -> f64 {
+    pub fn dvth_total(&self, systematic_dvth: f64, hci_dvth: f64) -> f64 {
         self.variation.dvth
             + systematic_dvth
             + self.aging.dvth_bti()
-            + self.aging.dvth_hci_with(hci)
-    }
-
-    /// [`Self::dvth_total`] with the raw HCI power law memoized through
-    /// `memo` (see [`TransistorAging::dvth_hci_memoized`]). Every device of
-    /// a ring accumulates the same equivalent cycle count, so a kernel
-    /// rebuild shares one memo across all its stages. The sum order is
-    /// identical to `dvth_total`, keeping the result bitwise equal.
-    #[must_use]
-    pub fn dvth_total_memoized(
-        &self,
-        systematic_dvth: f64,
-        hci: &HciModel,
-        memo: &mut Option<(f64, f64)>,
-    ) -> f64 {
-        self.variation.dvth
-            + systematic_dvth
-            + self.aging.dvth_bti()
-            + self.aging.dvth_hci_memoized(hci, memo)
+            + self.aging.dvth_hci(hci_dvth)
     }
 
     /// Drive current in amperes under `env` of this transistor as a
     /// `mos_type` device, including every variation and wear source.
-    /// `interdie_dvth`/`interdie_dbeta_rel` are the die common-mode shifts,
+    /// `hci_dvth` is the ring's raw HCI shift (see [`Self::dvth_total`]),
+    /// `interdie_dvth`/`interdie_dbeta_rel` the die common-mode shifts and
     /// `systematic_dvth` the within-die surface value at this transistor's
     /// location.
     #[must_use]
@@ -104,12 +91,12 @@ impl TransistorInst {
         mos_type: MosType,
         tech: &TechParams,
         env: &Environment,
-        hci: &HciModel,
+        hci_dvth: f64,
         interdie_dvth: f64,
         interdie_dbeta_rel: f64,
         systematic_dvth: f64,
     ) -> f64 {
-        let dvth = interdie_dvth + self.dvth_total(systematic_dvth, hci);
+        let dvth = interdie_dvth + self.dvth_total(systematic_dvth, hci_dvth);
         let dbeta = self.variation.dbeta_rel + interdie_dbeta_rel;
         nominal_device(mos_type, tech).drive_current_with_mismatch(tech, env, dvth, dbeta)
     }
@@ -198,7 +185,7 @@ impl InverterStage {
 
     /// The time this stage, built as a `kind` stage, contributes to one
     /// full oscillation period, in seconds: one pull-up plus one pull-down
-    /// of the load `c_load`.
+    /// of the load `c_load`. `hci_dvth` is the ring's raw HCI shift.
     ///
     /// `t = C·Vdd/(2·I_p) + penalty·C·Vdd/(2·I_n)`.
     #[must_use]
@@ -208,7 +195,7 @@ impl InverterStage {
         kind: StageKind,
         tech: &TechParams,
         env: &Environment,
-        hci: &HciModel,
+        hci_dvth: f64,
         c_load: f64,
         interdie_dvth_p: f64,
         interdie_dvth_n: f64,
@@ -219,7 +206,7 @@ impl InverterStage {
             MosType::Pmos,
             tech,
             env,
-            hci,
+            hci_dvth,
             interdie_dvth_p,
             interdie_dbeta_rel,
             systematic_dvth,
@@ -228,7 +215,7 @@ impl InverterStage {
             MosType::Nmos,
             tech,
             env,
-            hci,
+            hci_dvth,
             interdie_dvth_n,
             interdie_dbeta_rel,
             systematic_dvth,
@@ -241,19 +228,18 @@ impl InverterStage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aro_device::aging::{BtiModel, StressInterval};
+    use aro_device::aging::{BtiBatch, BtiModel, HciModel, StressInterval};
     use aro_device::rng::SeedDomain;
 
-    fn setup() -> (TechParams, Environment, HciModel) {
+    fn setup() -> (TechParams, Environment) {
         let tech = TechParams::default();
         let env = Environment::nominal(&tech);
-        let hci = HciModel::new(&tech);
-        (tech, env, hci)
+        (tech, env)
     }
 
     #[test]
     fn fabricated_transistors_differ() {
-        let (tech, ..) = setup();
+        let (tech, _) = setup();
         let mut rng = SeedDomain::new(21).rng(0);
         let a = TransistorInst::fabricate(&tech, &mut rng);
         let b = TransistorInst::fabricate(&tech, &mut rng);
@@ -266,36 +252,36 @@ mod tests {
 
     #[test]
     fn drive_current_includes_mismatch_and_aging() {
-        let (tech, env, hci) = setup();
+        let (tech, env) = setup();
         let mut rng = SeedDomain::new(22).rng(0);
         let mut t = TransistorInst::fabricate(&tech, &mut rng);
-        let fresh = t.drive_current(MosType::Pmos, &tech, &env, &hci, 0.0, 0.0, 0.0);
-        t.aging_mut().apply_bti(
-            &BtiModel::nbti(&tech),
-            &StressInterval::static_dc(3.15e8, 25.0, tech.vdd_nominal),
-        );
-        let aged = t.drive_current(MosType::Pmos, &tech, &env, &hci, 0.0, 0.0, 0.0);
+        let fresh = t.drive_current(MosType::Pmos, &tech, &env, 0.0, 0.0, 0.0, 0.0);
+        let nbti = BtiModel::nbti(&tech);
+        let stress = StressInterval::static_dc(3.15e8, 25.0, tech.vdd_nominal);
+        BtiBatch::new(nbti.time_exp(), nbti.k_eff(&stress), stress.duration_s).apply(t.aging_mut());
+        let aged = t.drive_current(MosType::Pmos, &tech, &env, 0.0, 0.0, 0.0, 0.0);
         assert!(aged < fresh);
     }
 
     #[test]
     fn hci_slows_the_stage() {
-        let (tech, env, hci) = setup();
+        let (tech, env) = setup();
+        let hci = HciModel::new(&tech);
         let mut rng = SeedDomain::new(24).rng(0);
-        let mut t = TransistorInst::fabricate(&tech, &mut rng);
-        let fresh = t.drive_current(MosType::Nmos, &tech, &env, &hci, 0.0, 0.0, 0.0);
-        t.aging_mut().apply_hci(&hci, 1e12, tech.vdd_nominal);
-        assert!(t.drive_current(MosType::Nmos, &tech, &env, &hci, 0.0, 0.0, 0.0) < fresh);
+        let t = TransistorInst::fabricate(&tech, &mut rng);
+        let fresh = t.drive_current(MosType::Nmos, &tech, &env, 0.0, 0.0, 0.0, 0.0);
+        let raw = hci.dvth_equivalent(1e12 * hci.equivalent_cycle_factor(tech.vdd_nominal));
+        assert!(t.drive_current(MosType::Nmos, &tech, &env, raw, 0.0, 0.0, 0.0) < fresh);
     }
 
     #[test]
     fn nand_stage_is_slower_than_inverter() {
-        let (tech, env, hci) = setup();
+        let (tech, env) = setup();
         let mut rng = SeedDomain::new(25).rng(0);
         // Same devices, different topology: compare delay penalty only.
         let stage = InverterStage::fabricate(&tech, &mut rng);
         let delay = |kind| {
-            stage.period_contribution(kind, &tech, &env, &hci, tech.c_stage, 0.0, 0.0, 0.0, 0.0)
+            stage.period_contribution(kind, &tech, &env, 0.0, tech.c_stage, 0.0, 0.0, 0.0, 0.0)
         };
         let d_inv = delay(StageKind::Inverter);
         let d_nand = delay(StageKind::EnableNand);
@@ -304,14 +290,14 @@ mod tests {
 
     #[test]
     fn stage_delay_is_tens_of_picoseconds() {
-        let (tech, env, hci) = setup();
+        let (tech, env) = setup();
         let mut rng = SeedDomain::new(26).rng(0);
         let stage = InverterStage::fabricate(&tech, &mut rng);
         let d = stage.period_contribution(
             StageKind::Inverter,
             &tech,
             &env,
-            &hci,
+            0.0,
             tech.c_stage,
             0.0,
             0.0,
@@ -333,12 +319,12 @@ mod tests {
         // back to each transistor is multiplied by two per stage, five to
         // seven stages per ring and up to 57 630 rings per chip.
         assert!(
-            size_of::<TransistorInst>() <= 48,
+            size_of::<TransistorInst>() <= 40,
             "{}",
             size_of::<TransistorInst>()
         );
         assert!(
-            size_of::<InverterStage>() <= 96,
+            size_of::<InverterStage>() <= 80,
             "{}",
             size_of::<InverterStage>()
         );

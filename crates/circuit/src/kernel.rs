@@ -88,16 +88,14 @@ impl<'a> FreqContext<'a> {
         let (tech, env, chip) = (self.tech, &self.env, &self.chip);
         let systematic = chip.systematic_dvth(ring.position()) + ring.correlated_dvth();
 
+        // The ring keeps one HCI equivalent-cycle count for all its
+        // devices, so the raw HCI power law is evaluated once per ring.
+        let hci_dvth = self.hci.dvth_equivalent(ring.hci_eq_cycles());
+
         let mut period_s = 0.0f64;
-        // Every device of the ring has accumulated the same HCI cycle
-        // count, so the raw HCI power law is evaluated once per derivation
-        // and replayed for the other stages (bit-exact: same input → same
-        // memoized output).
-        let mut hci_memo: Option<(f64, f64)> = None;
         for (index, stage) in ring.stages().iter().enumerate() {
             let pmos = stage.pmos();
-            let dvth_p = chip.dvth_interdie_p()
-                + pmos.dvth_total_memoized(systematic, &self.hci, &mut hci_memo);
+            let dvth_p = chip.dvth_interdie_p() + pmos.dvth_total(systematic, hci_dvth);
             let vth_p = self.pmos.vth_effective(tech, env, dvth_p);
             let od_p = tech.overdrive(env.vdd(), vth_p);
             let b_p = self.pmos.beta0()
@@ -106,8 +104,7 @@ impl<'a> FreqContext<'a> {
             let cur_p = b_p * od_p.powf(tech.alpha);
 
             let nmos = stage.nmos();
-            let dvth_n = chip.dvth_interdie_n()
-                + nmos.dvth_total_memoized(systematic, &self.hci, &mut hci_memo);
+            let dvth_n = chip.dvth_interdie_n() + nmos.dvth_total(systematic, hci_dvth);
             let vth_n = self.nmos.vth_effective(tech, env, dvth_n);
             let od_n = tech.overdrive(env.vdd(), vth_n);
             let b_n = self.nmos.beta0()
@@ -126,7 +123,7 @@ impl<'a> FreqContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::AgingModels;
+    use crate::ring::{ActiveStressBatch, AgingModels, IdleStressBatch};
     use aro_device::process::DiePosition;
     use aro_device::rng::SeedDomain;
     use aro_device::units::YEAR;
@@ -135,8 +132,9 @@ mod tests {
     /// summed stage by stage, to the last bit, on a sampled die, fresh
     /// and after idle BTI plus oscillation (HCI), cool and hot, for a
     /// 5- and a 7-stage ring. The reference builds its own nominal
-    /// devices and states the topology rule itself: stage 0 is the enable
-    /// NAND, as `RingOscillator::new` builds it.
+    /// devices, evaluates the ring's raw HCI shift with its own model and
+    /// states the topology rule itself: stage 0 is the enable NAND, as
+    /// `RingOscillator::new` builds it.
     #[test]
     fn derive_is_bitwise_the_per_stage_path() {
         let tech = TechParams::default();
@@ -160,6 +158,7 @@ mod tests {
                 for env in [nominal, hot] {
                     let systematic = chip.systematic_dvth(position) + ring.correlated_dvth();
                     let c_load = tech.c_stage * style.load_factor(&tech);
+                    let hci_dvth = hci.dvth(ring.hci_eq_cycles(), tech.vdd_nominal);
                     let mut period = 0.0f64;
                     for (i, stage) in ring.stages().iter().enumerate() {
                         let kind = if i == 0 {
@@ -171,7 +170,7 @@ mod tests {
                             kind,
                             &tech,
                             &env,
-                            &hci,
+                            hci_dvth,
                             c_load,
                             chip.dvth_interdie_p(),
                             chip.dvth_interdie_n(),
@@ -187,8 +186,17 @@ mod tests {
                         "{style:?} with {n_stages} stages at {env}"
                     );
                 }
-                ring.stress_idle(&tech, &models, 45.0, tech.vdd_nominal, YEAR);
-                ring.stress_active(&tech, &models, &hot, &chip, 1.0);
+                ring.stress_idle(&mut IdleStressBatch::new(
+                    style,
+                    &tech,
+                    &models,
+                    45.0,
+                    tech.vdd_nominal,
+                    YEAR,
+                ));
+                ring.stress_active(&mut ActiveStressBatch::new(&models, &hot, 1.0), |ro| {
+                    ro.frequency(&tech, &hot, &chip)
+                });
             }
         }
     }

@@ -26,7 +26,7 @@
 //! A fresh conventional RO and its frequency after ten idle years:
 //!
 //! ```
-//! use aro_circuit::ring::{AgingModels, RingOscillator, RoStyle};
+//! use aro_circuit::ring::{AgingModels, IdleStressBatch, RingOscillator, RoStyle};
 //! use aro_device::environment::Environment;
 //! use aro_device::params::TechParams;
 //! use aro_device::process::{ChipProcess, DiePosition};
@@ -43,7 +43,8 @@
 //! let fresh = ro.frequency(&tech, &env, &chip);
 //! assert!(fresh > 1e8, "a 5-stage 90 nm ring runs near a gigahertz");
 //!
-//! ro.stress_idle(&tech, &models, 25.0, tech.vdd_nominal, 10.0 * YEAR);
+//! let style = RoStyle::Conventional;
+//! ro.stress_idle(&mut IdleStressBatch::new(style, &tech, &models, 25.0, tech.vdd_nominal, 10.0 * YEAR));
 //! let aged = ro.frequency(&tech, &env, &chip);
 //! assert!(aged < fresh, "static idle stress slows the conventional ring");
 //! ```

@@ -9,6 +9,8 @@
 //! NAND) so the ratios survive a technology retarget; the µm² conversion
 //! below is the usual 90 nm figure.
 
+use crate::gates::StageKind;
+
 /// Area of one gate equivalent (2-input NAND) at the 90 nm node, in µm².
 pub const GE_AREA_UM2: f64 = 3.1;
 
@@ -50,7 +52,8 @@ pub struct RoCell {
 }
 
 impl RoCell {
-    /// A conventional cell: enable NAND (4 T) + `n_stages − 1` inverters
+    /// A conventional cell: the ring's stages as [`StageKind::of_stage`]
+    /// lays them out, an enable NAND (4 T) then `n_stages − 1` inverters
     /// (2 T each).
     ///
     /// # Panics
@@ -97,10 +100,13 @@ impl RoCell {
         self.is_aging_resistant
     }
 
-    /// Transistor count of the cell.
+    /// Transistor count of the cell: its stages' topologies
+    /// ([`StageKind::transistor_count`]), plus the ARO gating and driver.
     #[must_use]
     pub fn transistor_count(&self) -> usize {
-        let base = 4 + (self.n_stages - 1) * 2;
+        let base: usize = (0..self.n_stages)
+            .map(|i| StageKind::of_stage(i).transistor_count())
+            .sum();
         if self.is_aging_resistant {
             base + 2 * self.n_stages + 4
         } else {

@@ -20,7 +20,7 @@
 //! with it also suppresses the per-position bias that hurts the
 //! conventional array's uniqueness.
 
-use aro_device::aging::{BtiBatch, BtiModel, HciModel, StressInterval, WearLevel};
+use aro_device::aging::{BtiBatch, BtiModel, HciModel, StressInterval};
 use aro_device::environment::Environment;
 use aro_device::params::TechParams;
 use aro_device::process::{ChipProcess, DiePosition};
@@ -59,7 +59,7 @@ impl AgingModels {
 /// The Arrhenius/voltage acceleration of an interval depends only on the
 /// interval itself — never on the device — so a chip evaluates it once and
 /// hands the same batch to all of its rings via
-/// [`RingOscillator::stress_idle_with`]. The embedded [`BtiBatch`] memos
+/// [`RingOscillator::stress_idle`]. The embedded [`BtiBatch`] memos
 /// then collapse the per-device BTI power law: devices that share a stress
 /// history (all same-polarity devices of an ARO chip; each idle-level group
 /// of a conventional chip) replay one memoized, bitwise-identical
@@ -115,8 +115,8 @@ impl IdleStressBatch {
 /// across every ring of a chip (see [`IdleStressBatch`]).
 ///
 /// BTI under oscillation depends only on the interval, so its transitions
-/// are shared; HCI depends on each ring's own cycle count and is *not*
-/// memoized here — only its voltage acceleration factor is hoisted.
+/// are shared; HCI depends on each ring's own cycle count, so only its
+/// voltage acceleration factor is hoisted.
 #[derive(Debug, Clone)]
 pub struct ActiveStressBatch {
     duration_s: f64,
@@ -229,6 +229,12 @@ impl RoHealth {
 /// the frequency on every call. The chip that owns a ring array and its
 /// die process caches the results per ring (`aro_puf::Chip`), keyed by the
 /// ring's [`wear epoch`](RingOscillator::wear_epoch).
+///
+/// Wear lives in two places: each device holds its own BTI accumulator,
+/// and the ring holds the one HCI equivalent-cycle count all its devices
+/// share — every device switches at the ring's frequency, so their HCI
+/// histories are the same, and they differ only in their fabrication-time
+/// multipliers.
 #[derive(Debug, Clone)]
 pub struct RingOscillator {
     style: RoStyle,
@@ -237,6 +243,9 @@ pub struct RingOscillator {
     freq_bias_rel: f64,
     correlated_dvth: f64,
     health: RoHealth,
+    /// Accumulated HCI wear of every device of the ring, in
+    /// reference-condition equivalent cycles.
+    hci_eq_cycles: f64,
     /// Bumped by every wear mutation, so a cached result keyed by the
     /// epoch it was derived at goes stale without being touched.
     wear_epoch: u64,
@@ -245,13 +254,14 @@ pub struct RingOscillator {
 impl PartialEq for RingOscillator {
     fn eq(&self, other: &Self) -> bool {
         // The epoch counter is cache-invalidation state, not silicon:
-        // `stages` already carries the full wear history.
+        // `stages` and `hci_eq_cycles` already carry the full wear history.
         self.style == other.style
             && self.stages == other.stages
             && self.position == other.position
             && self.freq_bias_rel == other.freq_bias_rel
             && self.correlated_dvth == other.correlated_dvth
             && self.health == other.health
+            && self.hci_eq_cycles == other.hci_eq_cycles
     }
 }
 
@@ -285,6 +295,7 @@ impl RingOscillator {
             freq_bias_rel: 0.0,
             correlated_dvth: 0.0,
             health: RoHealth::Healthy,
+            hci_eq_cycles: 0.0,
             wear_epoch: 0,
         }
     }
@@ -294,8 +305,9 @@ impl RingOscillator {
         self.wear_epoch = self.wear_epoch.wrapping_add(1);
     }
 
-    /// The current wear epoch: increments on every stress application and
-    /// wear reset. Frequency caches key on it.
+    /// The current wear epoch: increments on every stress application; a
+    /// wear restore pins it and a return to fabricated state zeroes it.
+    /// Frequency caches key on it.
     #[must_use]
     pub fn wear_epoch(&self) -> u64 {
         self.wear_epoch
@@ -323,6 +335,14 @@ impl RingOscillator {
     #[must_use]
     pub fn stages(&self) -> &[InverterStage] {
         &self.stages
+    }
+
+    /// Accumulated HCI wear shared by every device of this ring, in
+    /// reference-condition equivalent cycles; a read turns it into the raw
+    /// shift with [`HciModel::dvth_equivalent`].
+    #[must_use]
+    pub(crate) fn hci_eq_cycles(&self) -> f64 {
+        self.hci_eq_cycles
     }
 
     /// Deterministic relative frequency offset of this ring's array slot
@@ -407,8 +427,8 @@ impl RingOscillator {
         z & 0xF == 0
     }
 
-    /// Ages the ring through `duration_s` seconds of *idle* time at die
-    /// temperature `temp_celsius` and supply `vdd`.
+    /// Ages the ring through one *idle* interval, driven by a prebuilt,
+    /// possibly shared [`IdleStressBatch`].
     ///
     /// * `Conventional`: the disabled chain holds alternating static
     ///   levels — stage inputs are 1 for the NAND (its feedback rests
@@ -416,27 +436,14 @@ impl RingOscillator {
     ///   full DC PBTI on the NMOS; input 0 puts full DC NBTI on the PMOS.
     /// * `AgingResistant`: every device sees only the leakage-level
     ///   residual duty [`TechParams::aro_idle_stress_fraction`].
-    pub fn stress_idle(
-        &mut self,
-        tech: &TechParams,
-        models: &AgingModels,
-        temp_celsius: f64,
-        vdd: f64,
-        duration_s: f64,
-    ) {
-        let mut batch =
-            IdleStressBatch::new(self.style, tech, models, temp_celsius, vdd, duration_s);
-        self.stress_idle_with(&mut batch);
-    }
-
-    /// [`RingOscillator::stress_idle`] driven by a prebuilt, possibly
-    /// shared [`IdleStressBatch`]. A chip passes one batch across all of
-    /// its rings: the interval acceleration is evaluated once per chip, and
-    /// the batch's transition memo collapses the per-device BTI power law
-    /// to one evaluation per distinct stress history (see
-    /// [`BtiBatch::apply`] for why replaying a memoized transition is
-    /// bit-exact). The batch must have been built for this ring's style.
-    pub fn stress_idle_with(&mut self, batch: &mut IdleStressBatch) {
+    ///
+    /// A chip passes one batch across all of its rings: the interval
+    /// acceleration is evaluated once per chip, and the batch's transition
+    /// memo collapses the per-device BTI power law to one evaluation per
+    /// distinct stress history (see [`BtiBatch::apply`] for why replaying
+    /// a memoized transition is bit-exact). The batch must have been built
+    /// for this ring's style.
+    pub fn stress_idle(&mut self, batch: &mut IdleStressBatch) {
         debug_assert_eq!(batch.style, self.style, "batch built for another style");
         if batch.duration_s <= 0.0 {
             return;
@@ -472,32 +479,19 @@ impl RingOscillator {
         }
     }
 
-    /// Ages the ring through `duration_s` seconds of *oscillation* (a
-    /// measurement window) under `env` on die `chip`: 50 %-duty AC BTI on
-    /// every device plus HCI proportional to the number of transitions.
-    pub fn stress_active(
-        &mut self,
-        tech: &TechParams,
-        models: &AgingModels,
-        env: &Environment,
-        chip: &ChipProcess,
-        duration_s: f64,
-    ) {
-        let mut batch = ActiveStressBatch::new(models, env, duration_s);
-        self.stress_active_with(&mut batch, |ro| ro.frequency(tech, env, chip));
-    }
-
-    /// [`RingOscillator::stress_active`] driven by a prebuilt, possibly
-    /// shared [`ActiveStressBatch`]. A chip passes one batch across all of
-    /// its rings (see [`RingOscillator::stress_idle_with`]); the HCI cycle
-    /// count still depends on this ring's own frequency, so only the BTI
-    /// transitions and the acceleration prefactors are shared.
+    /// Ages the ring through one *oscillation* interval (a measurement
+    /// window), driven by a prebuilt, possibly shared
+    /// [`ActiveStressBatch`]: 50 %-duty AC BTI on every device plus HCI
+    /// proportional to the number of transitions. A chip passes one batch
+    /// across all of its rings (see [`RingOscillator::stress_idle`]); the
+    /// HCI cycle count still depends on this ring's own frequency, so only
+    /// the BTI transitions and the acceleration prefactors are shared.
     ///
     /// `frequency` supplies the ring's frequency under the interval's
     /// environment — a chip reads it through its kernel cache. It is
     /// called once, before the wear epoch moves, and not at all for an
     /// empty interval.
-    pub fn stress_active_with(
+    pub fn stress_active(
         &mut self,
         batch: &mut ActiveStressBatch,
         frequency: impl FnOnce(&Self) -> f64,
@@ -509,32 +503,23 @@ impl RingOscillator {
         self.bump_wear_epoch();
         let cycles = freq * batch.duration_s;
         // Tally applies locally; one counter bump per interval (see
-        // `stress_idle_with`).
+        // `stress_idle`).
         let mut bti_applies: u64 = 0;
-        let mut hci_applies: u64 = 0;
         for stage in &mut self.stages {
             bti_applies += u64::from(batch.nbti.apply(stage.pmos_mut().aging_mut()));
             bti_applies += u64::from(batch.pbti.apply(stage.nmos_mut().aging_mut()));
-            hci_applies += u64::from(
-                stage
-                    .pmos_mut()
-                    .aging_mut()
-                    .apply_hci_equivalent(cycles, batch.hci_factor),
-            );
-            hci_applies += u64::from(
-                stage
-                    .nmos_mut()
-                    .aging_mut()
-                    .apply_hci_equivalent(cycles, batch.hci_factor),
-            );
         }
         if bti_applies > 0 {
             aro_obs::counter("device.bti_applies", bti_applies);
             self.sketch_bti_drift();
         }
-        if hci_applies > 0 {
-            aro_obs::counter("device.hci_applies", hci_applies);
+        if cycles <= 0.0 {
+            return;
         }
+        self.hci_eq_cycles += cycles * batch.hci_factor;
+        // `device.hci_applies` counts device-intervals: every device of
+        // the ring took this interval's HCI wear.
+        aro_obs::counter("device.hci_applies", 2 * self.stages.len() as u64);
     }
 
     /// Streams this ring's mean accumulated BTI threshold shift (mV,
@@ -555,44 +540,37 @@ impl RingOscillator {
         aro_obs::sketch("device.bti_dvth_mv", dvth_sum / n_devices * 1e3);
     }
 
-    /// Clears all accumulated wear (keeps fabrication randomness).
-    pub fn reset_wear(&mut self) {
-        self.bump_wear_epoch();
-        for stage in &mut self.stages {
-            stage.pmos_mut().aging_mut().reset_wear();
-            stage.nmos_mut().aging_mut().reset_wear();
-        }
-    }
-
-    /// Appends this ring's per-device wear accumulators to `out` in the
-    /// canonical device order (per stage: PMOS then NMOS) — the layout
-    /// [`RingOscillator::restore_wear_levels`] consumes.
-    pub fn capture_wear_levels(&self, out: &mut Vec<WearLevel>) {
+    /// Appends this ring's per-device BTI accumulators to `bti` in the
+    /// canonical device order (per stage: PMOS then NMOS) and returns its
+    /// HCI equivalent cycles — the wear [`RingOscillator::restore_wear`]
+    /// consumes.
+    pub fn capture_wear(&self, bti: &mut Vec<f64>) -> f64 {
         for stage in &self.stages {
-            out.push(stage.pmos().aging().wear());
-            out.push(stage.nmos().aging().wear());
+            bti.push(stage.pmos().aging().wear());
+            bti.push(stage.nmos().aging().wear());
         }
+        self.hci_eq_cycles
     }
 
-    /// Restores per-device wear captured by
-    /// [`RingOscillator::capture_wear_levels`] and pins the wear epoch.
-    /// A caller that caches this ring's frequency must drop the ring's
-    /// entries: the epoch counter alone cannot distinguish two histories
-    /// that happen to share an epoch value, e.g. across reused workspace
-    /// chips.
+    /// Restores wear captured by [`RingOscillator::capture_wear`] and pins
+    /// the wear epoch. A caller that caches this ring's frequency must
+    /// drop the ring's entries: the epoch counter alone cannot distinguish
+    /// two histories that happen to share an epoch value, e.g. across
+    /// reused workspace chips.
     ///
     /// # Panics
-    /// Panics if `levels` does not hold exactly two entries per stage.
-    pub fn restore_wear_levels(&mut self, levels: &[WearLevel], wear_epoch: u64) {
+    /// Panics if `bti` does not hold exactly two entries per stage.
+    pub fn restore_wear(&mut self, bti: &[f64], hci_eq_cycles: f64, wear_epoch: u64) {
         assert_eq!(
-            levels.len(),
+            bti.len(),
             2 * self.stages.len(),
             "wear snapshot layout mismatch"
         );
-        for (i, stage) in self.stages.iter_mut().enumerate() {
-            stage.pmos_mut().aging_mut().set_wear(levels[2 * i]);
-            stage.nmos_mut().aging_mut().set_wear(levels[2 * i + 1]);
+        for (stage, pair) in self.stages.iter_mut().zip(bti.chunks_exact(2)) {
+            stage.pmos_mut().aging_mut().set_wear(pair[0]);
+            stage.nmos_mut().aging_mut().set_wear(pair[1]);
         }
+        self.hci_eq_cycles = hci_eq_cycles;
         self.wear_epoch = wear_epoch;
     }
 
@@ -607,6 +585,7 @@ impl RingOscillator {
             stage.pmos_mut().aging_mut().reset_wear();
             stage.nmos_mut().aging_mut().reset_wear();
         }
+        self.hci_eq_cycles = 0.0;
         self.health = RoHealth::Healthy;
         self.wear_epoch = 0;
     }
@@ -627,6 +606,40 @@ mod tests {
             ChipProcess::typical(),
             AgingModels::new(&tech),
         )
+    }
+
+    /// One idle interval at nominal supply through its own batch.
+    fn idle(
+        ro: &mut RingOscillator,
+        tech: &TechParams,
+        models: &AgingModels,
+        temp_celsius: f64,
+        duration_s: f64,
+    ) {
+        let style = ro.style();
+        ro.stress_idle(&mut IdleStressBatch::new(
+            style,
+            tech,
+            models,
+            temp_celsius,
+            tech.vdd_nominal,
+            duration_s,
+        ));
+    }
+
+    /// One oscillation interval through its own batch, at the ring's
+    /// uncached frequency.
+    fn active(
+        ro: &mut RingOscillator,
+        tech: &TechParams,
+        models: &AgingModels,
+        env: &Environment,
+        chip: &ChipProcess,
+        duration_s: f64,
+    ) {
+        ro.stress_active(&mut ActiveStressBatch::new(models, env, duration_s), |ro| {
+            ro.frequency(tech, env, chip)
+        });
     }
 
     fn make_ring(style: RoStyle, seed: u64) -> (RingOscillator, TechParams) {
@@ -721,7 +734,7 @@ mod tests {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 34);
         let fresh = ro.frequency(&tech, &env, &chip);
-        ro.stress_idle(&tech, &models, 25.0, tech.vdd_nominal, 10.0 * YEAR);
+        idle(&mut ro, &tech, &models, 25.0, 10.0 * YEAR);
         let aged = ro.frequency(&tech, &env, &chip);
         assert!(aged < fresh);
         let degradation = (fresh - aged) / fresh;
@@ -738,8 +751,8 @@ mod tests {
         let (mut aro, _) = make_ring(RoStyle::AgingResistant, 35);
         let f_conv = conv.frequency(&tech, &env, &chip);
         let f_aro = aro.frequency(&tech, &env, &chip);
-        conv.stress_idle(&tech, &models, 25.0, tech.vdd_nominal, 10.0 * YEAR);
-        aro.stress_idle(&tech, &models, 25.0, tech.vdd_nominal, 10.0 * YEAR);
+        idle(&mut conv, &tech, &models, 25.0, 10.0 * YEAR);
+        idle(&mut aro, &tech, &models, 25.0, 10.0 * YEAR);
         let d_conv = (f_conv - conv.frequency(&tech, &env, &chip)) / f_conv;
         let d_aro = (f_aro - aro.frequency(&tech, &env, &chip)) / f_aro;
         assert!(
@@ -752,7 +765,7 @@ mod tests {
     fn conventional_idle_stresses_alternating_devices() {
         let (tech, _, _, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 36);
-        ro.stress_idle(&tech, &models, 25.0, tech.vdd_nominal, YEAR);
+        idle(&mut ro, &tech, &models, 25.0, YEAR);
         for (i, stage) in ro.stages().iter().enumerate() {
             let input_high = i == 0 || i % 2 == 1;
             if input_high {
@@ -783,11 +796,12 @@ mod tests {
     fn active_stress_applies_hci_and_ac_bti_to_everything() {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::AgingResistant, 37);
-        ro.stress_active(&tech, &models, &env, &chip, 1.0);
+        active(&mut ro, &tech, &models, &env, &chip, 1.0);
+        let hci_dvth = models.hci.dvth_equivalent(ro.hci_eq_cycles());
         for stage in ro.stages() {
             assert!(stage.pmos().aging().dvth_bti() > 0.0);
             assert!(stage.nmos().aging().dvth_bti() > 0.0);
-            assert!(stage.pmos().aging().dvth_hci_with(&models.hci) > 0.0);
+            assert!(stage.pmos().aging().dvth_hci(hci_dvth) > 0.0);
         }
     }
 
@@ -796,20 +810,9 @@ mod tests {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 38);
         let before = ro.clone();
-        ro.stress_idle(&tech, &models, 25.0, tech.vdd_nominal, 0.0);
-        ro.stress_active(&tech, &models, &env, &chip, 0.0);
+        idle(&mut ro, &tech, &models, 25.0, 0.0);
+        active(&mut ro, &tech, &models, &env, &chip, 0.0);
         assert_eq!(ro, before);
-    }
-
-    #[test]
-    fn reset_wear_restores_fresh_frequency() {
-        let (tech, env, chip, models) = setup();
-        let (mut ro, _) = make_ring(RoStyle::Conventional, 39);
-        let fresh = ro.frequency(&tech, &env, &chip);
-        ro.stress_idle(&tech, &models, 85.0, tech.vdd_nominal, 10.0 * YEAR);
-        assert!(ro.frequency(&tech, &env, &chip) < fresh);
-        ro.reset_wear();
-        assert_eq!(ro.frequency(&tech, &env, &chip), fresh);
     }
 
     #[test]
@@ -864,7 +867,7 @@ mod tests {
         let (mut ro, _) = make_ring(RoStyle::Conventional, 51);
         ro.set_health(RoHealth::Stuck(1.0e9));
         assert_eq!(ro.frequency(&tech, &env, &chip), 1.0e9);
-        ro.stress_idle(&tech, &models, 85.0, tech.vdd_nominal, YEAR);
+        idle(&mut ro, &tech, &models, 85.0, YEAR);
         assert_eq!(
             ro.frequency(&tech, &Environment::new(85.0, env.vdd()), &chip),
             1.0e9
@@ -889,7 +892,7 @@ mod tests {
         let first = ro.frequency(&tech, &env, &chip);
         assert_eq!(first.to_bits(), ro.frequency(&tech, &env, &chip).to_bits());
         let epoch = ro.wear_epoch();
-        ro.stress_idle(&tech, &models, 85.0, tech.vdd_nominal, YEAR);
+        idle(&mut ro, &tech, &models, 85.0, YEAR);
         assert!(ro.wear_epoch() > epoch, "stress must bump the wear epoch");
         assert!(ro.frequency(&tech, &env, &chip) < first);
     }
@@ -898,19 +901,19 @@ mod tests {
     fn wear_snapshot_roundtrip_is_bitwise_exact() {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 60);
-        ro.stress_active(&tech, &models, &env, &chip, 30.0);
-        ro.stress_idle(&tech, &models, 45.0, tech.vdd_nominal, YEAR);
+        active(&mut ro, &tech, &models, &env, &chip, 30.0);
+        idle(&mut ro, &tech, &models, 45.0, YEAR);
         let aged_freq = ro.frequency(&tech, &env, &chip);
         let epoch = ro.wear_epoch();
-        let mut levels = Vec::new();
-        ro.capture_wear_levels(&mut levels);
-        assert_eq!(levels.len(), 2 * ro.n_stages());
+        let mut bti = Vec::new();
+        let hci = ro.capture_wear(&mut bti);
+        assert_eq!(bti.len(), 2 * ro.n_stages());
 
         // Diverge, then restore: silicon, frequency, and epoch all return.
         let pristine = ro.clone();
-        ro.stress_idle(&tech, &models, 85.0, tech.vdd_nominal, YEAR);
+        idle(&mut ro, &tech, &models, 85.0, YEAR);
         assert_ne!(ro, pristine);
-        ro.restore_wear_levels(&levels, epoch);
+        ro.restore_wear(&bti, hci, epoch);
         assert_eq!(ro, pristine);
         assert_eq!(ro.wear_epoch(), epoch);
         assert_eq!(
@@ -924,7 +927,9 @@ mod tests {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 61);
         let (fresh, _) = make_ring(RoStyle::Conventional, 61);
-        ro.stress_active(&tech, &models, &env, &chip, 30.0);
+        active(&mut ro, &tech, &models, &env, &chip, 30.0);
+        idle(&mut ro, &tech, &models, 85.0, 10.0 * YEAR);
+        assert!(ro.frequency(&tech, &env, &chip) < fresh.frequency(&tech, &env, &chip));
         ro.set_health(RoHealth::Dead);
         ro.reset_to_fabricated();
         assert_eq!(ro, fresh);
@@ -953,17 +958,17 @@ mod tests {
             let mut batched = make(&mut rng_b);
 
             for ro in &mut solo {
-                ro.stress_active(&tech, &models, &env, &chip, 30.0);
-                ro.stress_idle(&tech, &models, 45.0, tech.vdd_nominal, YEAR);
+                active(ro, &tech, &models, &env, &chip, 30.0);
+                idle(ro, &tech, &models, 45.0, YEAR);
             }
-            let mut active = ActiveStressBatch::new(&models, &env, 30.0);
+            let mut shared_active = ActiveStressBatch::new(&models, &env, 30.0);
             for ro in &mut batched {
-                ro.stress_active_with(&mut active, |ro| ro.frequency(&tech, &env, &chip));
+                ro.stress_active(&mut shared_active, |ro| ro.frequency(&tech, &env, &chip));
             }
-            let mut idle =
+            let mut shared_idle =
                 IdleStressBatch::new(style, &tech, &models, 45.0, tech.vdd_nominal, YEAR);
             for ro in &mut batched {
-                ro.stress_idle_with(&mut idle);
+                ro.stress_idle(&mut shared_idle);
             }
 
             for (a, b) in solo.iter().zip(&batched) {
@@ -974,5 +979,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn hci_wear_participates_in_equality() {
+        // Two rings with the same BTI and a different HCI count are
+        // different silicon states: equality must see the ring's HCI
+        // field, or every chip comparison stops checking HCI.
+        let (tech, env, chip, models) = setup();
+        let (mut ro, _) = make_ring(RoStyle::AgingResistant, 62);
+        active(&mut ro, &tech, &models, &env, &chip, 30.0);
+        let mut bti = Vec::new();
+        let hci = ro.capture_wear(&mut bti);
+        assert!(hci > 0.0, "oscillation accumulates HCI cycles");
+        let mut twin = ro.clone();
+        twin.restore_wear(&bti, 2.0 * hci, ro.wear_epoch());
+        assert_ne!(twin, ro, "the HCI count is part of the ring's state");
+        assert!(twin.frequency(&tech, &env, &chip) < ro.frequency(&tech, &env, &chip));
+        twin.restore_wear(&bti, hci, ro.wear_epoch());
+        assert_eq!(twin, ro);
+    }
+
+    #[test]
+    fn ring_state_stays_small() {
+        // Every ring of every chip pays this, up to 57 630 rings per
+        // chip: a field added back per device costs ten times over.
+        assert!(
+            size_of::<RingOscillator>() <= 96,
+            "{}",
+            size_of::<RingOscillator>()
+        );
     }
 }

@@ -75,7 +75,7 @@ pub fn simulate_ring(
     let n = ro.n_stages();
     let vdd = env.vdd();
     let c_load = tech.c_stage * ro.style().load_factor(tech);
-    let hci = aro_device::aging::HciModel::new(tech);
+    let hci_dvth = aro_device::aging::HciModel::new(tech).dvth_equivalent(ro.hci_eq_cycles());
     let (pmos, nmos) = (
         nominal_device(MosType::Pmos, tech),
         nominal_device(MosType::Nmos, tech),
@@ -100,12 +100,12 @@ pub fn simulate_ring(
             let vth_p = pmos.vth_effective(
                 tech,
                 env,
-                chip.dvth_interdie_p() + s.pmos().dvth_total(systematic, &hci),
+                chip.dvth_interdie_p() + s.pmos().dvth_total(systematic, hci_dvth),
             );
             let vth_n = nmos.vth_effective(
                 tech,
                 env,
-                chip.dvth_interdie_n() + s.nmos().dvth_total(systematic, &hci),
+                chip.dvth_interdie_n() + s.nmos().dvth_total(systematic, hci_dvth),
             );
             StageParams {
                 beta_p: pmos.beta0()
@@ -184,7 +184,7 @@ pub fn simulate_ring(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::{AgingModels, RoStyle};
+    use crate::ring::{AgingModels, IdleStressBatch, RoStyle};
     use aro_device::process::{ChipProcess, DiePosition};
     use aro_device::rng::SeedDomain;
     use aro_device::units::YEAR;
@@ -243,13 +243,20 @@ mod tests {
         let (tech, env, chip, mut ro) = setup(74);
         let fresh = simulate_ring(&ro, &tech, &env, &chip, 10, 300).frequency_hz;
         let models = AgingModels::new(&tech);
-        ro.stress_idle(&tech, &models, 25.0, tech.vdd_nominal, 10.0 * YEAR);
+        ro.stress_idle(&mut IdleStressBatch::new(
+            ro.style(),
+            &tech,
+            &models,
+            25.0,
+            tech.vdd_nominal,
+            10.0 * YEAR,
+        ));
         let aged = simulate_ring(&ro, &tech, &env, &chip, 10, 300).frequency_hz;
         assert!(aged < fresh, "aged {aged} vs fresh {fresh}");
         let analytic_drop = 1.0
             - ro.frequency(&tech, &env, &chip) / {
                 let mut fresh_ro = ro.clone();
-                fresh_ro.reset_wear();
+                fresh_ro.reset_to_fabricated();
                 fresh_ro.frequency(&tech, &env, &chip)
             };
         let transient_drop = 1.0 - aged / fresh;

@@ -2,7 +2,7 @@
 
 use aro_circuit::logic::{GateLevelRing, RippleCounter};
 use aro_circuit::readout::{Measurement, ReadoutConfig};
-use aro_circuit::ring::{AgingModels, RingOscillator, RoStyle};
+use aro_circuit::ring::{AgingModels, IdleStressBatch, RingOscillator, RoStyle};
 use aro_device::environment::Environment;
 use aro_device::params::TechParams;
 use aro_device::process::{ChipProcess, DiePosition};
@@ -58,7 +58,7 @@ proptest! {
         let mut rng = SeedDomain::new(seed).rng(0);
         let mut ro = RingOscillator::new(style, 5, DiePosition::new(0.5, 0.5), &tech, &mut rng);
         let fresh = ro.frequency(&tech, &env, &chip);
-        ro.stress_idle(&tech, &models, temp, tech.vdd_nominal, years * 3.156e7);
+        ro.stress_idle(&mut IdleStressBatch::new(style, &tech, &models, temp, tech.vdd_nominal, years * 3.156e7));
         prop_assert!(ro.frequency(&tech, &env, &chip) <= fresh);
     }
 
@@ -74,7 +74,7 @@ proptest! {
             let mut rng = SeedDomain::new(seed).rng(0);
             let mut ro = RingOscillator::new(style, 5, DiePosition::new(0.5, 0.5), &tech, &mut rng);
             let fresh = ro.frequency(&tech, &env, &chip);
-            ro.stress_idle(&tech, &models, 25.0, tech.vdd_nominal, years * 3.156e7);
+            ro.stress_idle(&mut IdleStressBatch::new(style, &tech, &models, 25.0, tech.vdd_nominal, years * 3.156e7));
             (fresh - ro.frequency(&tech, &env, &chip)) / fresh
         };
         prop_assert!(degradation(RoStyle::AgingResistant) <= degradation(RoStyle::Conventional));

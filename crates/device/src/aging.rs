@@ -197,10 +197,21 @@ impl HciModel {
         self.prefactor_v * accel * (cycles / HCI_REF_CYCLES).powf(self.cycle_exp)
     }
 
+    /// Threshold shift in volts after `eq_cycles` reference-condition
+    /// equivalent cycles: [`HciModel::dvth`] at the reference supply. Every
+    /// device of a ring switches at the ring's frequency, so the ring keeps
+    /// one equivalent-cycle count and a read evaluates this once per ring;
+    /// each device then scales it by its own multiplier
+    /// ([`TransistorAging::dvth_hci`]).
+    #[must_use]
+    pub fn dvth_equivalent(&self, eq_cycles: f64) -> f64 {
+        self.dvth(eq_cycles, self.vdd_ref)
+    }
+
     /// Conversion factor from transitions at supply `vdd` to
-    /// reference-condition equivalent cycles. Depends only on the supply,
-    /// so stress loops hoist it once per interval (see
-    /// [`TransistorAging::apply_hci_equivalent`]).
+    /// reference-condition equivalent cycles, so that HCI wear accumulated
+    /// under varying supplies composes. Depends only on the supply, so a
+    /// stress batch hoists it once per interval.
     #[must_use]
     pub fn equivalent_cycle_factor(&self, vdd: f64) -> f64 {
         let accel = (vdd / self.vdd_ref).powf(self.vdd_exp);
@@ -214,27 +225,16 @@ impl HciModel {
     }
 }
 
-/// The mutable wear accumulators of one transistor, detached from its
-/// fabrication-time variability multipliers: exactly the state that a
-/// stress history writes and an aged-state snapshot must capture. Both
-/// fields are pure functions of the stress-interval sequence applied so
-/// far, so saving and restoring them is bitwise-exact.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WearLevel {
-    /// Raw (multiplier-free) accumulated BTI threshold shift in volts.
-    pub bti_dvth: f64,
-    /// Accumulated HCI wear in reference-condition equivalent cycles.
-    pub hci_eq_cycles: f64,
-}
-
 /// Accumulated wear-out state of one transistor.
 ///
-/// Tracks BTI and HCI separately (they have different time laws) and carries
-/// the device's fabrication-time aging-variability multipliers.
+/// Holds the device's BTI accumulator and its fabrication-time
+/// aging-variability multipliers. HCI wear is not stored here: every device
+/// of a ring switches at the ring's frequency, so the ring keeps one
+/// equivalent-cycle count and hands each device the raw shift it implies
+/// ([`TransistorAging::dvth_hci`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransistorAging {
     bti_dvth: f64,
-    hci_eq_cycles: f64,
     bti_multiplier: f64,
     hci_multiplier: f64,
 }
@@ -252,7 +252,6 @@ impl TransistorAging {
     pub fn new() -> Self {
         Self {
             bti_dvth: 0.0,
-            hci_eq_cycles: 0.0,
             bti_multiplier: 1.0,
             hci_multiplier: 1.0,
         }
@@ -265,7 +264,6 @@ impl TransistorAging {
     pub fn with_variability<R: Rng + ?Sized>(rng: &mut R, sigma_rel: f64) -> Self {
         Self {
             bti_dvth: 0.0,
-            hci_eq_cycles: 0.0,
             bti_multiplier: lognormal_multiplier(rng, sigma_rel),
             hci_multiplier: lognormal_multiplier(rng, sigma_rel),
         }
@@ -273,18 +271,10 @@ impl TransistorAging {
 
     /// Applies one BTI stress interval using equivalent-time accumulation,
     /// so heterogeneous histories (different temperature / duty / Vgs per
-    /// interval) compose correctly.
-    pub fn apply_bti(&mut self, model: &BtiModel, interval: &StressInterval) {
-        if self.apply_bti_prefactored(model.time_exp(), model.k_eff(interval), interval.duration_s)
-        {
-            aro_obs::counter("device.bti_applies", 1);
-        }
-    }
-
-    /// [`TransistorAging::apply_bti`] with the interval's accelerated
-    /// prefactor already computed ([`BtiModel::k_eff`]). A ring applies one
-    /// interval to every device it owns; hoisting the prefactor turns ten
-    /// Arrhenius evaluations per ring into one.
+    /// interval) compose correctly. Takes the interval's accelerated
+    /// prefactor already computed ([`BtiModel::k_eff`]): a ring applies one
+    /// interval to every device it owns, and hoisting the prefactor turns
+    /// ten Arrhenius evaluations per ring into one.
     ///
     /// Returns whether the stress was applied (false for the degenerate
     /// zero-duration / zero-prefactor cases), so bulk callers can report
@@ -304,30 +294,6 @@ impl TransistorAging {
         true
     }
 
-    /// Applies HCI wear for `cycles` transitions at supply `vdd`,
-    /// accumulating equivalent cycles so that varying supplies compose.
-    pub fn apply_hci(&mut self, model: &HciModel, cycles: f64, vdd: f64) {
-        if self.apply_hci_equivalent(cycles, model.equivalent_cycle_factor(vdd)) {
-            aro_obs::counter("device.hci_applies", 1);
-        }
-    }
-
-    /// [`TransistorAging::apply_hci`] with the supply-to-reference
-    /// conversion already computed ([`HciModel::equivalent_cycle_factor`]),
-    /// so stress loops pay its two `powf`s once per interval instead of per
-    /// device.
-    ///
-    /// Returns whether wear was accumulated, for the same aggregated
-    /// `device.hci_applies` accounting as
-    /// [`TransistorAging::apply_bti_prefactored`].
-    pub fn apply_hci_equivalent(&mut self, cycles: f64, factor: f64) -> bool {
-        if cycles <= 0.0 {
-            return false;
-        }
-        self.hci_eq_cycles += cycles * factor;
-        true
-    }
-
     /// BTI component of the threshold shift, in volts (includes this
     /// device's variability multiplier).
     #[must_use]
@@ -335,55 +301,34 @@ impl TransistorAging {
         self.bti_dvth * self.bti_multiplier
     }
 
-    /// [`TransistorAging::dvth_hci_with`] routed through a caller-held
-    /// *(equivalent cycles → raw shift)* memo. Every device of a ring
-    /// accumulates the same equivalent cycles (variability enters only
-    /// through the per-device multiplier applied afterwards), so one
-    /// `powf` evaluation serves the whole ring; equal inputs to the pure
-    /// model give bitwise-equal outputs, so the memo cannot change a bit.
+    /// HCI component of the threshold shift, in volts: the ring's raw
+    /// shift ([`HciModel::dvth_equivalent`] of its equivalent cycles)
+    /// scaled by this device's variability multiplier.
     #[must_use]
-    pub fn dvth_hci_memoized(&self, model: &HciModel, memo: &mut Option<(f64, f64)>) -> f64 {
-        let raw = match *memo {
-            Some((cycles, raw)) if cycles == self.hci_eq_cycles => raw,
-            _ => {
-                let raw = model.dvth(self.hci_eq_cycles, model.vdd_ref);
-                *memo = Some((self.hci_eq_cycles, raw));
-                raw
-            }
-        };
-        raw * self.hci_multiplier
-    }
-
-    /// HCI component of the threshold shift for a given model, in volts
-    /// (includes this device's variability multiplier).
-    #[must_use]
-    pub fn dvth_hci_with(&self, model: &HciModel) -> f64 {
-        model.dvth(self.hci_eq_cycles, model.vdd_ref) * self.hci_multiplier
+    pub fn dvth_hci(&self, raw_dvth: f64) -> f64 {
+        raw_dvth * self.hci_multiplier
     }
 
     /// Clears accumulated wear (not the variability multipliers): the
-    /// "fresh silicon" state for what-if re-runs.
+    /// "fresh silicon" state.
     pub fn reset_wear(&mut self) {
         self.bti_dvth = 0.0;
-        self.hci_eq_cycles = 0.0;
     }
 
-    /// The wear accumulators alone (no multipliers), for aged-state
-    /// snapshots.
+    /// The raw (multiplier-free) BTI accumulator in volts: the state a
+    /// stress history writes into this device and an aged-state snapshot
+    /// captures. It is a pure function of the intervals applied so far, so
+    /// saving and restoring it is bitwise-exact.
     #[must_use]
-    pub fn wear(&self) -> WearLevel {
-        WearLevel {
-            bti_dvth: self.bti_dvth,
-            hci_eq_cycles: self.hci_eq_cycles,
-        }
+    pub fn wear(&self) -> f64 {
+        self.bti_dvth
     }
 
-    /// Restores wear accumulators captured by [`TransistorAging::wear`].
+    /// Restores a BTI accumulator captured by [`TransistorAging::wear`].
     /// The variability multipliers are untouched, so restoring onto the
     /// same fabricated device reproduces its aged state bitwise.
-    pub fn set_wear(&mut self, wear: WearLevel) {
-        self.bti_dvth = wear.bti_dvth;
-        self.hci_eq_cycles = wear.hci_eq_cycles;
+    pub fn set_wear(&mut self, bti_dvth: f64) {
+        self.bti_dvth = bti_dvth;
     }
 
     /// This device's BTI variability multiplier.
@@ -468,6 +413,11 @@ mod tests {
         TechParams::default()
     }
 
+    /// One interval through the production per-device step.
+    fn apply_bti(aging: &mut TransistorAging, model: &BtiModel, interval: &StressInterval) {
+        aging.apply_bti_prefactored(model.time_exp(), model.k_eff(interval), interval.duration_s);
+    }
+
     #[test]
     fn ten_year_static_nbti_is_around_100_mv() {
         let t = tech();
@@ -522,13 +472,15 @@ mod tests {
         let model = BtiModel::nbti(&t);
         let mut split = TransistorAging::new();
         for _ in 0..100 {
-            split.apply_bti(
+            apply_bti(
+                &mut split,
                 &model,
                 &StressInterval::static_dc(YEAR / 10.0, 25.0, t.vdd_nominal),
             );
         }
         let mut single = TransistorAging::new();
-        single.apply_bti(
+        apply_bti(
+            &mut single,
             &model,
             &StressInterval::static_dc(10.0 * YEAR, 25.0, t.vdd_nominal),
         );
@@ -541,12 +493,14 @@ mod tests {
         let t = tech();
         let model = BtiModel::nbti(&t);
         let mut dc = TransistorAging::new();
-        dc.apply_bti(
+        apply_bti(
+            &mut dc,
             &model,
             &StressInterval::static_dc(YEAR, 25.0, t.vdd_nominal),
         );
         let mut quarter = TransistorAging::new();
-        quarter.apply_bti(
+        apply_bti(
+            &mut quarter,
             &model,
             &StressInterval::duty_cycled(YEAR, 25.0, t.vdd_nominal, 0.25),
         );
@@ -558,12 +512,14 @@ mod tests {
         let t = tech();
         let model = BtiModel::nbti(&t);
         let mut conventional = TransistorAging::new();
-        conventional.apply_bti(
+        apply_bti(
+            &mut conventional,
             &model,
             &StressInterval::static_dc(10.0 * YEAR, 25.0, t.vdd_nominal),
         );
         let mut aro = TransistorAging::new();
-        aro.apply_bti(
+        apply_bti(
+            &mut aro,
             &model,
             &StressInterval::duty_cycled(
                 10.0 * YEAR,
@@ -595,13 +551,11 @@ mod tests {
     fn hci_equivalent_cycle_accumulation_composes() {
         let t = tech();
         let model = HciModel::new(&t);
-        let mut split = TransistorAging::new();
-        split.apply_hci(&model, 5e8, t.vdd_nominal);
-        split.apply_hci(&model, 5e8, t.vdd_nominal);
-        let mut single = TransistorAging::new();
-        single.apply_hci(&model, 1e9, t.vdd_nominal);
-        let rel = (split.dvth_hci_with(&model) - single.dvth_hci_with(&model)).abs()
-            / single.dvth_hci_with(&model);
+        let factor = model.equivalent_cycle_factor(t.vdd_nominal);
+        let split = 5e8 * factor + 5e8 * factor;
+        let single = 1e9 * factor;
+        let rel = (model.dvth_equivalent(split) - model.dvth_equivalent(single)).abs()
+            / model.dvth_equivalent(single);
         assert!(rel < 1e-9);
     }
 
@@ -614,7 +568,7 @@ mod tests {
         let shifts: Vec<f64> = (0..2000)
             .map(|_| {
                 let mut a = TransistorAging::with_variability(&mut rng, t.sigma_aging_rel);
-                a.apply_bti(&model, &stress);
+                apply_bti(&mut a, &model, &stress);
                 a.dvth_bti()
             })
             .collect();
@@ -633,7 +587,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         let mut a = TransistorAging::with_variability(&mut rng, 0.5);
         let mult = a.bti_multiplier();
-        a.apply_bti(&model, &StressInterval::static_dc(YEAR, 25.0, 1.2));
+        apply_bti(&mut a, &model, &StressInterval::static_dc(YEAR, 25.0, 1.2));
         assert!(a.dvth_bti() > 0.0);
         a.reset_wear();
         assert_eq!(a.dvth_bti(), 0.0);
@@ -660,7 +614,7 @@ mod tests {
         // Group A gets a head start so the two groups diverge.
         for (i, aging) in direct.iter_mut().enumerate() {
             if i % 2 == 0 {
-                aging.apply_bti(&model, &interval);
+                apply_bti(aging, &model, &interval);
             }
         }
         let mut batched = direct.clone();
@@ -687,34 +641,5 @@ mod tests {
         assert!(!BtiBatch::new(6.0, 0.0, YEAR).apply(&mut aging));
         assert!(!BtiBatch::new(6.0, 1e-3, 0.0).apply(&mut aging));
         assert_eq!(aging.dvth_bti(), 0.0);
-    }
-
-    #[test]
-    fn memoized_hci_readout_matches_direct() {
-        let t = tech();
-        let model = HciModel::new(&t);
-        let mut rng = StdRng::seed_from_u64(7);
-        // Same cycle count, distinct per-device multipliers — the memo
-        // caches the raw power law only, so each device still reads its
-        // own dispersed shift.
-        let mut devices: Vec<TransistorAging> = (0..6)
-            .map(|_| TransistorAging::with_variability(&mut rng, t.sigma_aging_rel))
-            .collect();
-        for aging in &mut devices {
-            aging.apply_hci(&model, 1e12, t.vdd_nominal);
-        }
-        let mut memo = None;
-        for aging in &devices {
-            assert_eq!(
-                aging.dvth_hci_with(&model).to_bits(),
-                aging.dvth_hci_memoized(&model, &mut memo).to_bits()
-            );
-        }
-        // The fresh-device case (cycles back to zero) must refresh the memo.
-        let fresh = TransistorAging::new();
-        assert_eq!(
-            fresh.dvth_hci_with(&model).to_bits(),
-            fresh.dvth_hci_memoized(&model, &mut memo).to_bits()
-        );
     }
 }

@@ -36,7 +36,7 @@
 //! years, and what that does to its drive current:
 //!
 //! ```
-//! use aro_device::aging::{BtiModel, StressInterval, TransistorAging};
+//! use aro_device::aging::{BtiBatch, BtiModel, StressInterval, TransistorAging};
 //! use aro_device::environment::Environment;
 //! use aro_device::mosfet::{Geometry, MosType, Mosfet};
 //! use aro_device::params::TechParams;
@@ -49,7 +49,7 @@
 //! // Ten years of continuous DC stress at 25 C and nominal Vdd — the fate of
 //! // a PMOS inside an idle *conventional* RO.
 //! let stress = StressInterval::static_dc(10.0 * YEAR, 25.0, tech.vdd_nominal);
-//! aging.apply_bti(&nbti, &stress);
+//! BtiBatch::new(nbti.time_exp(), nbti.k_eff(&stress), stress.duration_s).apply(&mut aging);
 //! assert!(aging.dvth_bti() > 0.01, "ten-year NBTI should exceed 10 mV");
 //!
 //! let env = Environment::nominal(&tech);

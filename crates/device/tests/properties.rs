@@ -1,7 +1,7 @@
 //! Property-based tests for the device substrate: physical invariants that
 //! must hold for *any* valid input, not just the calibrated operating point.
 
-use aro_device::aging::{BtiModel, HciModel, StressInterval, TransistorAging};
+use aro_device::aging::{BtiBatch, BtiModel, HciModel, StressInterval, TransistorAging};
 use aro_device::environment::Environment;
 use aro_device::mosfet::{Geometry, MosType, Mosfet};
 use aro_device::params::TechParams;
@@ -20,6 +20,11 @@ prop_compose! {
     fn arb_geometry()(w in 120.0..2000.0f64, l in 80.0..400.0f64) -> Geometry {
         Geometry::new(w, l)
     }
+}
+
+/// One interval through the production path, a batch of one.
+fn apply_bti(aging: &mut TransistorAging, model: &BtiModel, interval: &StressInterval) {
+    BtiBatch::new(model.time_exp(), model.k_eff(interval), interval.duration_s).apply(aging);
 }
 
 proptest! {
@@ -66,7 +71,7 @@ proptest! {
         let mut aging = TransistorAging::new();
         let mut last = 0.0;
         for dt in chunks {
-            aging.apply_bti(&model, &StressInterval::static_dc(dt, temp, tech.vdd_nominal));
+            apply_bti(&mut aging, &model, &StressInterval::static_dc(dt, temp, tech.vdd_nominal));
             prop_assert!(aging.dvth_bti() >= last);
             last = aging.dvth_bti();
         }
@@ -80,10 +85,10 @@ proptest! {
         let tech = TechParams::default();
         let model = BtiModel::nbti(&tech);
         let mut split = TransistorAging::new();
-        split.apply_bti(&model, &StressInterval::duty_cycled(a, temp, 1.2, duty));
-        split.apply_bti(&model, &StressInterval::duty_cycled(b, temp, 1.2, duty));
+        apply_bti(&mut split, &model, &StressInterval::duty_cycled(a, temp, 1.2, duty));
+        apply_bti(&mut split, &model, &StressInterval::duty_cycled(b, temp, 1.2, duty));
         let mut combined = TransistorAging::new();
-        combined.apply_bti(&model, &StressInterval::duty_cycled(a + b, temp, 1.2, duty));
+        apply_bti(&mut combined, &model, &StressInterval::duty_cycled(a + b, temp, 1.2, duty));
         let rel = (split.dvth_bti() - combined.dvth_bti()).abs() / combined.dvth_bti().max(1e-18);
         prop_assert!(rel < 1e-6, "relative error {rel}");
     }
@@ -96,24 +101,21 @@ proptest! {
         let (lo, hi) = if d1 <= d2 { (d1, d2) } else { (d2, d1) };
         let run = |duty: f64| {
             let mut a = TransistorAging::new();
-            a.apply_bti(&model, &StressInterval::duty_cycled(YEAR, 25.0, 1.2, duty));
+            apply_bti(&mut a, &model, &StressInterval::duty_cycled(YEAR, 25.0, 1.2, duty));
             a.dvth_bti()
         };
         prop_assert!(run(lo) <= run(hi));
     }
 
-    /// HCI accumulation is monotone and split-consistent.
+    /// HCI equivalent-cycle accumulation is split-consistent.
     #[test]
     fn hci_split_equals_combined(a in 1e6..1e12f64, b in 1e6..1e12f64, vdd in 1.0..1.4f64) {
         let tech = TechParams::default();
         let model = HciModel::new(&tech);
-        let mut split = TransistorAging::new();
-        split.apply_hci(&model, a, vdd);
-        split.apply_hci(&model, b, vdd);
-        let mut combined = TransistorAging::new();
-        combined.apply_hci(&model, a + b, vdd);
-        let rel = (split.dvth_hci_with(&model) - combined.dvth_hci_with(&model)).abs()
-            / combined.dvth_hci_with(&model).max(1e-18);
+        let factor = model.equivalent_cycle_factor(vdd);
+        let split = model.dvth_equivalent(a * factor + b * factor);
+        let combined = model.dvth_equivalent((a + b) * factor);
+        let rel = (split - combined).abs() / combined.max(1e-18);
         prop_assert!(rel < 1e-6);
     }
 

@@ -2,7 +2,6 @@
 
 use aro_circuit::readout::Measurement;
 use aro_circuit::ring::{ActiveStressBatch, AgingModels, IdleStressBatch, RingOscillator};
-use aro_device::aging::WearLevel;
 use aro_device::environment::Environment;
 use aro_device::process::{ChipProcess, DiePosition};
 use aro_device::rng::SeedDomain;
@@ -217,21 +216,6 @@ impl Chip {
         rng
     }
 
-    /// Runs ring `index` through the counter for one gate window and
-    /// returns the (noisy, quantized) measurement.
-    ///
-    /// # Panics
-    /// Panics if `index` is out of range.
-    pub fn measure_ro(
-        &mut self,
-        design: &PufDesign,
-        env: &Environment,
-        index: usize,
-    ) -> Measurement {
-        let read = self.kernel_read(design, env);
-        self.measure_with(&read, design, index)
-    }
-
     /// Measures every ring once, in index order — one enrollment read of
     /// the whole array.
     pub fn measure_all(&mut self, design: &PufDesign, env: &Environment) -> Vec<Measurement> {
@@ -241,7 +225,9 @@ impl Chip {
             .collect()
     }
 
-    /// [`Chip::measure_ro`] under an already resolved read.
+    /// Runs ring `index` through the counter for one gate window under an
+    /// already resolved read and returns the (noisy, quantized)
+    /// measurement.
     fn measure_with(&mut self, read: &KernelRead, design: &PufDesign, index: usize) -> Measurement {
         let f_true = self.kernels.frequency(read, index, &self.ros[index]);
         let mut rng = self.next_noise_rng();
@@ -364,14 +350,6 @@ impl Chip {
         pairs.iter().map(|&(a, b)| freqs[a] > freqs[b]).collect()
     }
 
-    /// Clears all wear on every ring (fresh-silicon what-if).
-    pub fn reset_wear(&mut self) {
-        for ro in &mut self.ros {
-            ro.reset_wear();
-        }
-        self.age_s = 0.0;
-    }
-
     /// Applies idle-state stress to every ring for `duration_s` seconds at
     /// the given die conditions (the style decides what "idle" means).
     pub fn stress_idle(
@@ -395,7 +373,7 @@ impl Chip {
             duration_s,
         );
         for ro in &mut self.ros {
-            ro.stress_idle_with(&mut batch);
+            ro.stress_idle(&mut batch);
         }
     }
 
@@ -418,7 +396,7 @@ impl Chip {
 
     /// Idle stress on ring `index` through a shared batch.
     pub(crate) fn stress_idle_ring(&mut self, index: usize, batch: &mut IdleStressBatch) {
-        self.ros[index].stress_idle_with(batch);
+        self.ros[index].stress_idle(batch);
     }
 
     /// Oscillation stress on ring `index` through a shared batch: the HCI
@@ -431,18 +409,20 @@ impl Chip {
         batch: &mut ActiveStressBatch,
     ) {
         let kernels = &self.kernels;
-        self.ros[index].stress_active_with(batch, |ro| kernels.frequency(read, index, ro));
+        self.ros[index].stress_active(batch, |ro| kernels.frequency(read, index, ro));
     }
 
-    /// Restores ring `index`'s wear and wear epoch from a snapshot,
-    /// dropping its cached frequencies (the epoch may rewind).
+    /// Restores ring `index`'s wear (per-device BTI, the ring's HCI
+    /// cycles) and wear epoch from a snapshot, dropping its cached
+    /// frequencies (the epoch may rewind).
     pub(crate) fn restore_ring_wear(
         &mut self,
         index: usize,
-        levels: &[WearLevel],
+        bti: &[f64],
+        hci_eq_cycles: f64,
         wear_epoch: u64,
     ) {
-        self.ros[index].restore_wear_levels(levels, wear_epoch);
+        self.ros[index].restore_wear(bti, hci_eq_cycles, wear_epoch);
         self.kernels.forget(index);
     }
 }
@@ -511,11 +491,11 @@ mod tests {
         let design = small_design(RoStyle::Conventional);
         let env = Environment::nominal(design.tech());
         let mut chip = Chip::fabricate(&design, 2);
-        let a = chip.measure_ro(&design, &env, 0);
-        let b = chip.measure_ro(&design, &env, 0);
+        let a = chip.measure_all(&design, &env)[0];
+        let b = chip.measure_all(&design, &env)[0];
         // Same true frequency, but counts may differ; at minimum the noise
         // stream must advance (no frozen RNG).
-        let c = chip.measure_ro(&design, &env, 0);
+        let c = chip.measure_all(&design, &env)[0];
         assert!(a != b || b != c || a.count() > 0);
     }
 
@@ -538,14 +518,14 @@ mod tests {
     }
 
     #[test]
-    fn reset_wear_restores_fresh_state() {
+    fn reset_to_fabricated_restores_fresh_state() {
         let design = small_design(RoStyle::Conventional);
         let env = Environment::nominal(design.tech());
         let models = AgingModels::new(design.tech());
         let mut chip = Chip::fabricate(&design, 6);
         let fresh = chip.frequencies(&design, &env);
         chip.stress_idle(&design, &models, 85.0, design.tech().vdd_nominal, YEAR);
-        chip.reset_wear();
+        chip.reset_to_fabricated();
         assert_eq!(chip.frequencies(&design, &env), fresh);
         assert_eq!(chip.age_s(), 0.0);
     }
@@ -625,7 +605,7 @@ mod tests {
         assert!(!faulted.get(0));
         assert_eq!(chip.frequency(&design, &env, 0), 0.0);
         // A measurement of the dead ring counts zero instead of panicking.
-        assert_eq!(chip.measure_ro(&design, &env, 0).count(), 0);
+        assert_eq!(chip.measure_all(&design, &env)[0].count(), 0);
         chip.set_ro_health(0, RoHealth::Healthy);
         assert_eq!(chip.golden_response(&design, &env, &pairs), golden);
     }

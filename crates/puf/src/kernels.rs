@@ -18,9 +18,9 @@
 //! keys only what can vary:
 //!
 //! * the **environment**, by full value;
-//! * the ring's **wear epoch**, bumped by every stress application and
-//!   wear reset. The two operations that rewind an epoch — a wear restore
-//!   and a return to fabricated state — drop the ring's slots;
+//! * the ring's **wear epoch**, bumped by every stress application. The
+//!   two operations that rewind an epoch — a wear restore and a return to
+//!   fabricated state — drop the ring's slots;
 //! * a **technology index** into the `TechParams` values this chip has
 //!   been read under. Each read compares the technology by full value
 //!   once ([`KernelCache::read`]) instead of on every ring query.
@@ -341,9 +341,9 @@ mod tests {
         assert!(aged < fresh, "a stale slot must not survive an aging step");
         assert_eq!(slots(&chip, 0), vec![(env, 1), (env, 0)]);
 
-        let mut levels = Vec::new();
-        chip.ros()[0].capture_wear_levels(&mut levels);
-        chip.restore_ring_wear(0, &levels, 1);
+        let mut bti = Vec::new();
+        let hci = chip.ros()[0].capture_wear(&mut bti);
+        chip.restore_ring_wear(0, &bti, hci, 1);
         assert!(
             slots(&chip, 0).is_empty(),
             "a wear restore drops the ring's slots"

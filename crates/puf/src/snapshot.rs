@@ -8,8 +8,8 @@
 //! does to a chip:
 //!
 //! * the **wear state** of every healthy ring after the step (BTI
-//!   accumulators per device, HCI equivalent cycles, wear epoch), stored
-//!   compactly — see `WearStore`;
+//!   accumulators per device, the ring's HCI equivalent cycles, wear
+//!   epoch), stored compactly — see `WearStore`;
 //! * the **telemetry tape** the step emitted (counters and sketches, per
 //!   ring and phase), so an instrumented replay reproduces the
 //!   observability streams byte for byte (see `aro_obs::tap_replay`).
@@ -38,7 +38,6 @@
 use std::sync::OnceLock;
 
 use aro_circuit::ring::{ActiveStressBatch, IdleStressBatch};
-use aro_device::aging::WearLevel;
 use aro_device::environment::Environment;
 use aro_device::params::TechParams;
 use aro_obs::TapEvent;
@@ -124,79 +123,77 @@ impl StepTape {
     }
 }
 
-/// Post-step wear of the covered rings.
+/// Post-step wear of the covered rings: one HCI equivalent-cycle count
+/// per ring, and the per-device BTI accumulators.
 ///
-/// The structural common case collapses hard: BTI transitions are driven
-/// by chip-wide batches whose per-device value depends only on the
-/// device's own stress history, and every covered ring's device `d` has
-/// the *same* history as device `d` of every other covered ring — so one
-/// per-device BTI vector serves the whole array. HCI equivalent cycles
-/// are identical for all devices of a ring (same frequency, same
-/// factor), leaving one scalar per ring. [`WearStore::capture`] verifies
-/// both collapses bitwise while sweeping and falls back to a dense
-/// per-device copy if the physics ever stops cooperating.
+/// The BTI collapses hard in the structural common case: BTI transitions
+/// are driven by chip-wide batches whose per-device value depends only on
+/// the device's own stress history, and every covered ring's device `d`
+/// has the *same* history as device `d` of every other covered ring — so
+/// one per-device vector serves the whole array. [`WearStore::capture`]
+/// verifies that bitwise while sweeping and falls back to a dense
+/// per-ring copy if the physics ever stops cooperating.
 #[derive(Debug, Clone)]
-enum WearStore {
-    Uniform {
-        /// Per-device BTI accumulators shared by every covered ring
-        /// (canonical order: per stage, PMOS then NMOS).
-        bti: Vec<f64>,
-        /// Per-ring HCI equivalent cycles (uncovered slots are zero).
-        hci: Vec<f64>,
-    },
-    /// Per-ring, per-device wear of covered rings (uncovered slots are
-    /// zero), flattened as `ring * devices_per_ring + device`.
-    Dense(Vec<WearLevel>),
+struct WearStore {
+    /// BTI accumulators in canonical device order (per stage, PMOS then
+    /// NMOS): one vector shared by every covered ring if `uniform`, else
+    /// one per ring, flattened as `ring * devices + device` (uncovered
+    /// slots are zero).
+    bti: Vec<f64>,
+    uniform: bool,
+    /// Devices per ring of the recording design.
+    devices: usize,
+    /// Per-ring HCI equivalent cycles (uncovered slots are zero).
+    hci: Vec<f64>,
 }
 
 impl WearStore {
     fn capture(chip: &Chip, covered: &[bool]) -> Self {
-        let mut scratch: Vec<WearLevel> = Vec::new();
-        let mut bti: Option<Vec<f64>> = None;
-        let mut hci = vec![0.0_f64; covered.len()];
+        let devices = chip.ros().first().map_or(0, |ro| 2 * ro.n_stages());
+        let mut store = Self {
+            bti: Vec::with_capacity(devices),
+            uniform: true,
+            devices,
+            hci: vec![0.0; covered.len()],
+        };
+        let mut scratch: Vec<f64> = Vec::with_capacity(devices);
         for (i, ro) in chip.ros().iter().enumerate() {
             if !covered[i] {
                 continue;
             }
             scratch.clear();
-            ro.capture_wear_levels(&mut scratch);
-            let ring_hci = scratch[0].hci_eq_cycles;
-            let uniform_hci = scratch.iter().all(|w| w.hci_eq_cycles == ring_hci);
-            let uniform_bti = match &bti {
-                None => {
-                    bti = Some(scratch.iter().map(|w| w.bti_dvth).collect());
-                    true
-                }
-                Some(template) => template.iter().zip(&scratch).all(|(t, w)| *t == w.bti_dvth),
-            };
-            if !(uniform_hci && uniform_bti) {
-                return Self::capture_dense(chip, covered);
+            store.hci[i] = ro.capture_wear(&mut scratch);
+            if store.bti.is_empty() {
+                store.bti.extend_from_slice(&scratch);
+            } else if store.bti != scratch {
+                return Self::capture_dense(chip, covered, devices);
             }
-            hci[i] = ring_hci;
         }
-        Self::Uniform {
-            bti: bti.unwrap_or_default(),
+        store
+    }
+
+    fn capture_dense(chip: &Chip, covered: &[bool], devices: usize) -> Self {
+        let mut bti: Vec<f64> = Vec::with_capacity(covered.len() * devices);
+        let mut hci = vec![0.0; covered.len()];
+        for (i, ro) in chip.ros().iter().enumerate() {
+            if covered[i] {
+                hci[i] = ro.capture_wear(&mut bti);
+            } else {
+                bti.resize(bti.len() + devices, 0.0);
+            }
+        }
+        Self {
+            bti,
+            uniform: false,
+            devices,
             hci,
         }
     }
 
-    fn capture_dense(chip: &Chip, covered: &[bool]) -> Self {
-        let devices = 2 * chip.ros().first().map_or(0, |ro| ro.n_stages());
-        let zero = WearLevel {
-            bti_dvth: 0.0,
-            hci_eq_cycles: 0.0,
-        };
-        let mut levels = vec![zero; covered.len() * devices];
-        let mut scratch: Vec<WearLevel> = Vec::new();
-        for (i, ro) in chip.ros().iter().enumerate() {
-            if !covered[i] {
-                continue;
-            }
-            scratch.clear();
-            ro.capture_wear_levels(&mut scratch);
-            levels[i * devices..(i + 1) * devices].copy_from_slice(&scratch);
-        }
-        Self::Dense(levels)
+    /// The post-step BTI accumulators of covered ring `ring`.
+    fn bti(&self, ring: usize) -> &[f64] {
+        let start = if self.uniform { 0 } else { ring * self.devices };
+        &self.bti[start..start + self.devices]
     }
 }
 
@@ -207,8 +204,6 @@ impl WearStore {
 pub struct AgedStepSnapshot {
     tape: StepTape,
     wear: WearStore,
-    /// `devices_per_ring` of the recording design (for `Dense` slicing).
-    devices: usize,
     /// Rings that were healthy when the step was recorded.
     covered: Vec<bool>,
     /// Uniform wear epoch of the array after the step.
@@ -285,7 +280,6 @@ pub fn age_step_recorded(
     AgedStepSnapshot {
         tape: StepTape::new(events, active_spans, idle_spans),
         wear: WearStore::capture(chip, &covered),
-        devices: chip.ros().first().map_or(0, |ro| 2 * ro.n_stages()),
         covered,
         epoch_after,
         hints: OnceLock::new(),
@@ -331,10 +325,8 @@ pub fn age_step_replayed(
         // commutatively, sketches keep emission order), and the wear
         // restore below is the same loop the mixed path runs.
         snapshot.tape.replay_all();
-        let mut scratch: Vec<WearLevel> = Vec::with_capacity(snapshot.devices);
         for i in 0..n {
-            snapshot.wear_levels_for(i, &mut scratch);
-            chip.restore_ring_wear(i, &scratch, snapshot.epoch_after);
+            snapshot.restore_ring(chip, i);
         }
         chip.add_age(step.duration_s);
         snapshot.preload_kernel_hints(chip);
@@ -368,11 +360,9 @@ pub fn age_step_replayed(
             }
         }
     }
-    let mut scratch: Vec<WearLevel> = Vec::with_capacity(snapshot.devices);
     for (i, &fast) in fast.iter().enumerate() {
         if fast {
-            snapshot.wear_levels_for(i, &mut scratch);
-            chip.restore_ring_wear(i, &scratch, snapshot.epoch_after);
+            snapshot.restore_ring(chip, i);
         }
     }
     chip.add_age(step.duration_s);
@@ -432,26 +422,18 @@ impl AgedStepSnapshot {
         }
     }
 
-    fn wear_levels_for(&self, ring: usize, out: &mut Vec<WearLevel>) {
-        out.clear();
-        match &self.wear {
-            WearStore::Uniform { bti, hci } => {
-                out.extend(bti.iter().map(|&b| WearLevel {
-                    bti_dvth: b,
-                    hci_eq_cycles: hci[ring],
-                }));
-            }
-            WearStore::Dense(levels) => {
-                out.extend_from_slice(&levels[ring * self.devices..(ring + 1) * self.devices]);
-            }
-        }
+    /// Restores covered ring `ring` of `chip` to its recorded post-step
+    /// wear and epoch.
+    fn restore_ring(&self, chip: &mut Chip, ring: usize) {
+        let wear = &self.wear;
+        chip.restore_ring_wear(ring, wear.bti(ring), wear.hci[ring], self.epoch_after);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aro_circuit::ring::{RoHealth, RoStyle};
+    use aro_circuit::ring::{AgingModels, RoHealth, RoStyle};
     use aro_device::environment::Environment;
     use aro_device::units::YEAR;
 
@@ -529,6 +511,48 @@ mod tests {
         assert!(chips_equal(&cold, &replayed));
         cold.set_ro_health(7, RoHealth::Healthy);
         replayed.set_ro_health(7, RoHealth::Healthy);
+        let env = Environment::nominal(design.tech());
+        assert_eq!(
+            cold.frequencies(&design, &env),
+            replayed.frequencies(&design, &env)
+        );
+    }
+
+    #[test]
+    fn rings_with_different_histories_replay_from_the_dense_store() {
+        let design = design(RoStyle::Conventional);
+        let profile = MissionProfile::typical(design.tech());
+        let models = AgingModels::new(design.tech());
+        // Ring 0 idles one year and the others two, one interval each, so
+        // their BTI differs while their wear epochs agree.
+        let diverge = |chip: &mut Chip| {
+            for (ring, years) in (0..chip.ros().len()).map(|i| (i, if i == 0 { 1.0 } else { 2.0 }))
+            {
+                let mut batch = IdleStressBatch::new(
+                    design.style(),
+                    design.tech(),
+                    &models,
+                    45.0,
+                    design.tech().vdd_nominal,
+                    years * YEAR,
+                );
+                chip.stress_idle_ring(ring, &mut batch);
+            }
+        };
+        let mut donor = Chip::fabricate(&design, 3);
+        diverge(&mut donor);
+        let snapshot = age_step_recorded(&mut donor, &design, &profile, 2.0 * YEAR);
+        assert!(
+            !snapshot.wear.uniform,
+            "diverged rings need one BTI vector each"
+        );
+        let mut cold = Chip::fabricate(&design, 3);
+        diverge(&mut cold);
+        profile.age_chip(&mut cold, &design, 2.0 * YEAR);
+        let mut replayed = Chip::fabricate(&design, 3);
+        diverge(&mut replayed);
+        age_step_replayed(&mut replayed, &design, &profile, 2.0 * YEAR, &snapshot);
+        assert!(chips_equal(&cold, &replayed));
         let env = Environment::nominal(design.tech());
         assert_eq!(
             cold.frequencies(&design, &env),

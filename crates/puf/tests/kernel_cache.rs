@@ -1,8 +1,8 @@
 //! Property test of the chip's frequency-kernel cache: random operation
 //! sequences on a small chip — reads under nominal, hot, cold and fresh
 //! excursion environments and under a second technology, idle and active
-//! stress, wear resets, returns to fabricated state, ring faults, clones,
-//! and aged-state snapshot record/replay with kernel-hint preload.
+//! stress, returns to fabricated state, ring faults, clones, and aged-state
+//! snapshot record/replay with kernel-hint preload.
 //!
 //! Two things must hold after every operation:
 //!
@@ -41,7 +41,8 @@ enum Read {
     Frequencies,
     Frequency(usize),
     Golden,
-    MeasureRo(usize),
+    /// A soft read of the one pair `(ring, ring + 1)`.
+    Pair(usize),
     MeasureAll,
     Response,
     Soft,
@@ -55,7 +56,6 @@ enum Op {
     ReadSecondTech(EnvKind),
     StressIdle,
     StressActive(EnvKind),
-    ResetWear,
     ResetToFabricated,
     /// `(ring, 0 healthy | 1 dead | 2 stuck)`.
     SetHealth(usize, u8),
@@ -81,7 +81,7 @@ prop_compose! {
             0 => Read::Frequencies,
             1 => Read::Frequency(ring),
             2 => Read::Golden,
-            3 => Read::MeasureRo(ring),
+            3 => Read::Pair(ring),
             4 => Read::MeasureAll,
             5 => Read::Response,
             6 => Read::Soft,
@@ -103,8 +103,7 @@ prop_compose! {
             6 => Op::ReadSecondTech(env),
             7 => Op::StressIdle,
             8 | 9 => Op::StressActive(env),
-            10 => Op::ResetWear,
-            11 => Op::ResetToFabricated,
+            10 | 11 => Op::ResetToFabricated,
             12 => Op::SetHealth(ring, health),
             13 | 14 => Op::Snapshot(env),
             _ => Op::Clone,
@@ -199,7 +198,8 @@ fn touches(read: Read) -> Vec<usize> {
     let pair_rings = || PAIRS.iter().flat_map(|&(i, j)| [i, j]).collect::<Vec<_>>();
     match read {
         Read::Frequencies | Read::Golden | Read::MeasureAll => (0..N_ROS).collect(),
-        Read::Frequency(i) | Read::MeasureRo(i) => vec![i],
+        Read::Frequency(i) => vec![i],
+        Read::Pair(i) => vec![i, pair_of(i).1],
         Read::Response | Read::Soft => pair_rings(),
         Read::Voted => {
             let mut rings = pair_rings();
@@ -212,6 +212,10 @@ fn touches(read: Read) -> Vec<usize> {
 
 fn rebuilds() -> u64 {
     aro_obs::snapshot().counter("circuit.kernel_rebuilds")
+}
+
+fn pair_of(ring: usize) -> (usize, usize) {
+    (ring, (ring + 1) % N_ROS)
 }
 
 /// The uncached reference frequencies of every ring.
@@ -233,11 +237,18 @@ enum Output {
 
 fn perform(chip: &mut Chip, design: &PufDesign, env: &Environment, read: Read) -> Output {
     let bits = |v: Vec<f64>| Output::Bits(v.into_iter().map(f64::to_bits).collect());
+    let soft = |v: Vec<(bool, f64)>| {
+        Output::Soft(
+            v.into_iter()
+                .map(|(bit, confidence)| (bit, confidence.to_bits()))
+                .collect(),
+        )
+    };
     match read {
         Read::Frequencies => bits(chip.frequencies(design, env)),
         Read::Frequency(i) => bits(vec![chip.frequency(design, env, i)]),
         Read::Golden => Output::Bools(chip.golden_response(design, env, &PAIRS).iter().collect()),
-        Read::MeasureRo(i) => Output::Counts(vec![chip.measure_ro(design, env, i).count()]),
+        Read::Pair(i) => soft(chip.response_soft(design, env, &[pair_of(i)])),
         Read::MeasureAll => Output::Counts(
             chip.measure_all(design, env)
                 .iter()
@@ -245,12 +256,7 @@ fn perform(chip: &mut Chip, design: &PufDesign, env: &Environment, read: Read) -
                 .collect(),
         ),
         Read::Response => Output::Bools(chip.response(design, env, &PAIRS).iter().collect()),
-        Read::Soft => Output::Soft(
-            chip.response_soft(design, env, &PAIRS)
-                .into_iter()
-                .map(|(bit, confidence)| (bit, confidence.to_bits()))
-                .collect(),
-        ),
+        Read::Soft => soft(chip.response_soft(design, env, &PAIRS)),
         Read::Voted => Output::Bools(chip.response_voted(design, env, &PAIRS, 3).iter().collect()),
     }
 }
@@ -318,10 +324,6 @@ fn step(
             let expected = model_read(model, chip, tech, &env, &touches(Read::Frequencies));
             chip.stress_active(design, &models, &env, 60.0);
             expected
-        }
-        Op::ResetWear => {
-            chip.reset_wear();
-            0
         }
         Op::ResetToFabricated => {
             chip.reset_to_fabricated();

@@ -18,6 +18,8 @@ use aro_puf_repro::sim::{popcache, SimConfig};
 use std::fmt::Write;
 
 const FIXTURE: &str = include_str!("fixtures/golden_quick.md");
+/// The committed stdout of a full paper-scale `repro`.
+const PAPER_SCALE: &str = include_str!("../repro_paper_scale.md");
 
 /// Renders the quick run exactly as the `repro` binary prints it: the
 /// header line, then every report's `Display` output, each followed by a
@@ -113,5 +115,21 @@ fn interrupted_then_resumed_run_matches_the_fixture_byte_for_byte() {
     assert_eq!(
         resumed, FIXTURE,
         "resumed run must be byte-identical to the uninterrupted fixture"
+    );
+}
+
+/// EXP-18 at paper scale fabricates, ages and serves its fleets, rebuilding
+/// the wear of every ring it reads; nothing else in tier-1 compares its
+/// paper-scale report. Its report, as `repro` prints it, must appear
+/// verbatim in the committed paper-scale run (the check the benchmark's
+/// paper workloads apply to their experiments).
+#[test]
+fn paper_scale_exp18_matches_the_committed_report() {
+    let cfg = SimConfig::paper();
+    let report = popcache::scoped(|| run_by_id("exp18", &cfg).expect("exp18 is registered"));
+    let rendered = format!("{report}\n");
+    assert!(
+        PAPER_SCALE.contains(&rendered),
+        "EXP-18 differs from repro_paper_scale.md:\n{rendered}"
     );
 }
