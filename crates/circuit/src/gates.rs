@@ -1,12 +1,15 @@
 //! Transistor instances and CMOS stage delay.
 //!
 //! A [`TransistorInst`] is one *physical* transistor: its
-//! fabrication-sampled mismatch and its accumulated wear-out, and nothing
-//! else. The nominal device it deviates from is the same for every
+//! fabrication-sampled mismatch and aging-variability multipliers, and
+//! nothing else. The nominal device it deviates from is the same for every
 //! transistor of one polarity, because every ring is drawn at
 //! [`Geometry::default()`], so a read builds it once per polarity
 //! ([`FreqContext`](crate::kernel::FreqContext)) instead of every
-//! transistor storing a copy.
+//! transistor storing a copy. Its wear is the same for every transistor of
+//! one stress class of a ring, so the ring holds it
+//! ([`RingOscillator`](crate::ring::RingOscillator)) and hands each device
+//! the raw shifts to scale.
 //!
 //! An [`InverterStage`] is a complementary pair driving the next stage's
 //! load; its topology follows from its index in the ring
@@ -30,7 +33,7 @@ pub(crate) fn nominal_device(mos_type: MosType, tech: &TechParams) -> Mosfet {
     Mosfet::new(mos_type, Geometry::default(), tech)
 }
 
-/// One physical transistor: sampled mismatch + wear state.
+/// One physical transistor: sampled mismatch + aging variability.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransistorInst {
     variation: DeviceVariation,
@@ -53,37 +56,33 @@ impl TransistorInst {
         self.variation
     }
 
-    /// Immutable view of the wear-out state.
+    /// This transistor's aging-variability multipliers.
     #[must_use]
     pub fn aging(&self) -> &TransistorAging {
         &self.aging
     }
 
-    /// Mutable access to the wear-out state (the ring applies stress).
-    pub fn aging_mut(&mut self) -> &mut TransistorAging {
-        &mut self.aging
-    }
-
     /// Total threshold shift of this instance in volts: mismatch +
-    /// chip-systematic component + BTI + HCI. `hci_dvth` is the ring's raw
+    /// chip-systematic component + BTI + HCI. `bti_dvth` is the raw BTI
+    /// shift of this device's stress class and `hci_dvth` the ring's raw
     /// HCI shift
     /// ([`HciModel::dvth_equivalent`](aro_device::aging::HciModel::dvth_equivalent)
-    /// of its equivalent cycles), which this device scales by its own
+    /// of its equivalent cycles); this device scales each by its own
     /// multiplier.
     #[must_use]
-    pub fn dvth_total(&self, systematic_dvth: f64, hci_dvth: f64) -> f64 {
+    pub fn dvth_total(&self, systematic_dvth: f64, bti_dvth: f64, hci_dvth: f64) -> f64 {
         self.variation.dvth
             + systematic_dvth
-            + self.aging.dvth_bti()
+            + self.aging.dvth_bti(bti_dvth)
             + self.aging.dvth_hci(hci_dvth)
     }
 
     /// Drive current in amperes under `env` of this transistor as a
     /// `mos_type` device, including every variation and wear source.
-    /// `hci_dvth` is the ring's raw HCI shift (see [`Self::dvth_total`]),
-    /// `interdie_dvth`/`interdie_dbeta_rel` the die common-mode shifts and
-    /// `systematic_dvth` the within-die surface value at this transistor's
-    /// location.
+    /// `bti_dvth` and `hci_dvth` are the raw wear shifts (see
+    /// [`Self::dvth_total`]), `interdie_dvth`/`interdie_dbeta_rel` the die
+    /// common-mode shifts and `systematic_dvth` the within-die surface value
+    /// at this transistor's location.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn drive_current(
@@ -91,12 +90,13 @@ impl TransistorInst {
         mos_type: MosType,
         tech: &TechParams,
         env: &Environment,
+        bti_dvth: f64,
         hci_dvth: f64,
         interdie_dvth: f64,
         interdie_dbeta_rel: f64,
         systematic_dvth: f64,
     ) -> f64 {
-        let dvth = interdie_dvth + self.dvth_total(systematic_dvth, hci_dvth);
+        let dvth = interdie_dvth + self.dvth_total(systematic_dvth, bti_dvth, hci_dvth);
         let dbeta = self.variation.dbeta_rel + interdie_dbeta_rel;
         nominal_device(mos_type, tech).drive_current_with_mismatch(tech, env, dvth, dbeta)
     }
@@ -173,19 +173,11 @@ impl InverterStage {
         &self.nmos
     }
 
-    /// Mutable pull-up transistor.
-    pub fn pmos_mut(&mut self) -> &mut TransistorInst {
-        &mut self.pmos
-    }
-
-    /// Mutable pull-down transistor.
-    pub fn nmos_mut(&mut self) -> &mut TransistorInst {
-        &mut self.nmos
-    }
-
     /// The time this stage, built as a `kind` stage, contributes to one
     /// full oscillation period, in seconds: one pull-up plus one pull-down
-    /// of the load `c_load`. `hci_dvth` is the ring's raw HCI shift.
+    /// of the load `c_load`. `bti_dvth` holds the raw BTI shifts of the
+    /// PMOS's and the NMOS's stress classes, `hci_dvth` the ring's raw HCI
+    /// shift.
     ///
     /// `t = C·Vdd/(2·I_p) + penalty·C·Vdd/(2·I_n)`.
     #[must_use]
@@ -195,6 +187,7 @@ impl InverterStage {
         kind: StageKind,
         tech: &TechParams,
         env: &Environment,
+        bti_dvth: (f64, f64),
         hci_dvth: f64,
         c_load: f64,
         interdie_dvth_p: f64,
@@ -206,6 +199,7 @@ impl InverterStage {
             MosType::Pmos,
             tech,
             env,
+            bti_dvth.0,
             hci_dvth,
             interdie_dvth_p,
             interdie_dbeta_rel,
@@ -215,6 +209,7 @@ impl InverterStage {
             MosType::Nmos,
             tech,
             env,
+            bti_dvth.1,
             hci_dvth,
             interdie_dvth_n,
             interdie_dbeta_rel,
@@ -254,12 +249,13 @@ mod tests {
     fn drive_current_includes_mismatch_and_aging() {
         let (tech, env) = setup();
         let mut rng = SeedDomain::new(22).rng(0);
-        let mut t = TransistorInst::fabricate(&tech, &mut rng);
-        let fresh = t.drive_current(MosType::Pmos, &tech, &env, 0.0, 0.0, 0.0, 0.0);
+        let t = TransistorInst::fabricate(&tech, &mut rng);
+        let fresh = t.drive_current(MosType::Pmos, &tech, &env, 0.0, 0.0, 0.0, 0.0, 0.0);
         let nbti = BtiModel::nbti(&tech);
         let stress = StressInterval::static_dc(3.15e8, 25.0, tech.vdd_nominal);
-        BtiBatch::new(nbti.time_exp(), nbti.k_eff(&stress), stress.duration_s).apply(t.aging_mut());
-        let aged = t.drive_current(MosType::Pmos, &tech, &env, 0.0, 0.0, 0.0, 0.0);
+        let mut raw = 0.0;
+        BtiBatch::new(nbti.time_exp(), nbti.k_eff(&stress), stress.duration_s).apply(&mut raw);
+        let aged = t.drive_current(MosType::Pmos, &tech, &env, raw, 0.0, 0.0, 0.0, 0.0);
         assert!(aged < fresh);
     }
 
@@ -269,9 +265,9 @@ mod tests {
         let hci = HciModel::new(&tech);
         let mut rng = SeedDomain::new(24).rng(0);
         let t = TransistorInst::fabricate(&tech, &mut rng);
-        let fresh = t.drive_current(MosType::Nmos, &tech, &env, 0.0, 0.0, 0.0, 0.0);
+        let fresh = t.drive_current(MosType::Nmos, &tech, &env, 0.0, 0.0, 0.0, 0.0, 0.0);
         let raw = hci.dvth_equivalent(1e12 * hci.equivalent_cycle_factor(tech.vdd_nominal));
-        assert!(t.drive_current(MosType::Nmos, &tech, &env, raw, 0.0, 0.0, 0.0) < fresh);
+        assert!(t.drive_current(MosType::Nmos, &tech, &env, 0.0, raw, 0.0, 0.0, 0.0) < fresh);
     }
 
     #[test]
@@ -281,7 +277,18 @@ mod tests {
         // Same devices, different topology: compare delay penalty only.
         let stage = InverterStage::fabricate(&tech, &mut rng);
         let delay = |kind| {
-            stage.period_contribution(kind, &tech, &env, 0.0, tech.c_stage, 0.0, 0.0, 0.0, 0.0)
+            stage.period_contribution(
+                kind,
+                &tech,
+                &env,
+                (0.0, 0.0),
+                0.0,
+                tech.c_stage,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+            )
         };
         let d_inv = delay(StageKind::Inverter);
         let d_nand = delay(StageKind::EnableNand);
@@ -297,6 +304,7 @@ mod tests {
             StageKind::Inverter,
             &tech,
             &env,
+            (0.0, 0.0),
             0.0,
             tech.c_stage,
             0.0,
@@ -317,14 +325,15 @@ mod tests {
     fn per_device_state_stays_small() {
         // Every stage of every ring of every chip pays these: a field added
         // back to each transistor is multiplied by two per stage, five to
-        // seven stages per ring and up to 57 630 rings per chip.
+        // seven stages per ring and up to 57 630 rings per chip. A
+        // transistor is its mismatch (16 B) and its two multipliers (16 B).
         assert!(
-            size_of::<TransistorInst>() <= 40,
+            size_of::<TransistorInst>() <= 32,
             "{}",
             size_of::<TransistorInst>()
         );
         assert!(
-            size_of::<InverterStage>() <= 80,
+            size_of::<InverterStage>() <= 64,
             "{}",
             size_of::<InverterStage>()
         );

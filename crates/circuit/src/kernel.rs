@@ -8,8 +8,10 @@
 //! one read — the PMOS and NMOS nominal devices, the `HciModel`, the
 //! mobility factor and the switched load — so a chip-wide read derives
 //! them once instead of once per ring. The nominal devices live here, not
-//! in the rings: a transistor stores only its mismatch and wear (see
-//! [`crate::gates`]), and `tech` stays their one source.
+//! in the rings: a transistor stores only its mismatch and aging
+//! multipliers (see [`crate::gates`]), and `tech` stays their one source.
+//! Wear lives in the ring: each stage reads the raw BTI shift of its
+//! devices' stress classes, and each ring one raw HCI shift.
 //!
 //! The context does not cache results. The chip that owns a ring array
 //! and its die process keeps the per-ring results (`aro_puf::Chip`, see
@@ -94,8 +96,9 @@ impl<'a> FreqContext<'a> {
 
         let mut period_s = 0.0f64;
         for (index, stage) in ring.stages().iter().enumerate() {
+            let (bti_p, bti_n) = ring.stage_bti(index);
             let pmos = stage.pmos();
-            let dvth_p = chip.dvth_interdie_p() + pmos.dvth_total(systematic, hci_dvth);
+            let dvth_p = chip.dvth_interdie_p() + pmos.dvth_total(systematic, bti_p, hci_dvth);
             let vth_p = self.pmos.vth_effective(tech, env, dvth_p);
             let od_p = tech.overdrive(env.vdd(), vth_p);
             let b_p = self.pmos.beta0()
@@ -104,7 +107,7 @@ impl<'a> FreqContext<'a> {
             let cur_p = b_p * od_p.powf(tech.alpha);
 
             let nmos = stage.nmos();
-            let dvth_n = chip.dvth_interdie_n() + nmos.dvth_total(systematic, hci_dvth);
+            let dvth_n = chip.dvth_interdie_n() + nmos.dvth_total(systematic, bti_n, hci_dvth);
             let vth_n = self.nmos.vth_effective(tech, env, dvth_n);
             let od_n = tech.overdrive(env.vdd(), vth_n);
             let b_n = self.nmos.beta0()
@@ -134,7 +137,8 @@ mod tests {
     /// 5- and a 7-stage ring. The reference builds its own nominal
     /// devices, evaluates the ring's raw HCI shift with its own model and
     /// states the topology rule itself: stage 0 is the enable NAND, as
-    /// `RingOscillator::new` builds it.
+    /// `RingOscillator::new` builds it. It reads each stage's class BTI
+    /// like `derive` does; `ring::tests` checks the class rule.
     #[test]
     fn derive_is_bitwise_the_per_stage_path() {
         let tech = TechParams::default();
@@ -170,6 +174,7 @@ mod tests {
                             kind,
                             &tech,
                             &env,
+                            ring.stage_bti(i),
                             hci_dvth,
                             c_load,
                             chip.dvth_interdie_p(),

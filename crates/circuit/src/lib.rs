@@ -3,10 +3,12 @@
 //! Builds on [`aro_device`] to model the circuits the paper simulates in
 //! HSPICE:
 //!
-//! * [`gates`] — transistor instances (sampled mismatch + wear-out state;
-//!   the nominal device is per polarity and built by the read) and CMOS
-//!   stage delay from the alpha-power law.
-//! * [`ring`] — the ring oscillator itself, in two flavours:
+//! * [`gates`] — transistor instances (sampled mismatch + aging
+//!   multipliers; the nominal device is per polarity and built by the
+//!   read) and CMOS stage delay from the alpha-power law.
+//! * [`ring`] — the ring oscillator itself, holding its devices' wear (one
+//!   raw BTI accumulator per stress class, one HCI cycle count), in two
+//!   flavours:
 //!   [`ring::RoStyle::Conventional`] (enable-NAND + inverter chain, whose
 //!   *idle* state holds static DC stress on alternating stages) and
 //!   [`ring::RoStyle::AgingResistant`] (the paper's ARO cell: gating
@@ -47,6 +49,12 @@
 //! ro.stress_idle(&mut IdleStressBatch::new(style, &tech, &models, 25.0, tech.vdd_nominal, 10.0 * YEAR));
 //! let aged = ro.frequency(&tech, &env, &chip);
 //! assert!(aged < fresh, "static idle stress slows the conventional ring");
+//!
+//! // The ring holds its devices' wear: one raw BTI shift per stress class.
+//! // Idling stresses two of the four: the input-high stages' NMOS and the
+//! // input-low stages' PMOS.
+//! let (bti, _hci_eq_cycles) = ro.capture_wear();
+//! assert_eq!(bti.iter().filter(|&&dvth| dvth > 0.0).count(), 2);
 //! ```
 
 pub mod gates;

@@ -19,6 +19,18 @@
 //! ([`TechParams::aro_load_factor`]) — and the symmetric layout that comes
 //! with it also suppresses the per-position bias that hurts the
 //! conventional array's uniqueness.
+//!
+//! # Stress classes
+//!
+//! The disabled conventional chain rests at fixed levels: the input of
+//! stage 0 (the NAND, whose feedback input rests high) and of every odd
+//! stage is 1, the input of every other even stage is 0. A device's raw
+//! BTI shift is a pure function of its stress history — its own
+//! fabrication-time multiplier scales it only when read — so all devices
+//! of one polarity at one idle input level share one raw shift: a
+//! conventional ring has four *stress classes*, and an ARO ring, whose
+//! idle state treats every stage alike, two (one per polarity). The ring
+//! keeps one raw accumulator per class instead of one per device.
 
 use aro_device::aging::{BtiBatch, BtiModel, HciModel, StressInterval};
 use aro_device::environment::Environment;
@@ -60,17 +72,16 @@ impl AgingModels {
 /// interval itself — never on the device — so a chip evaluates it once and
 /// hands the same batch to all of its rings via
 /// [`RingOscillator::stress_idle`]. The embedded [`BtiBatch`] memos
-/// then collapse the per-device BTI power law: devices that share a stress
-/// history (all same-polarity devices of an ARO chip; each idle-level group
-/// of a conventional chip) replay one memoized, bitwise-identical
-/// transition instead of re-running `powf`.
+/// then collapse the per-class BTI power law: a stress class has the same
+/// history on every ring of the chip, so all but the first ring replay one
+/// memoized, bitwise-identical transition instead of re-running `powf`.
 #[derive(Debug, Clone)]
 pub struct IdleStressBatch {
     style: RoStyle,
     duration_s: f64,
-    /// NBTI transitions for PMOS devices under idle stress.
+    /// NBTI transitions for PMOS classes under idle stress.
     nbti: BtiBatch,
-    /// PBTI transitions for NMOS devices under idle stress.
+    /// PBTI transitions for NMOS classes under idle stress.
     pbti: BtiBatch,
 }
 
@@ -120,9 +131,9 @@ impl IdleStressBatch {
 #[derive(Debug, Clone)]
 pub struct ActiveStressBatch {
     duration_s: f64,
-    /// NBTI transitions for PMOS devices under 50 %-duty AC stress.
+    /// NBTI transitions for PMOS classes under 50 %-duty AC stress.
     nbti: BtiBatch,
-    /// PBTI transitions for NMOS devices under 50 %-duty AC stress.
+    /// PBTI transitions for NMOS classes under 50 %-duty AC stress.
     pbti: BtiBatch,
     /// Per-cycle HCI equivalence factor at the interval's supply.
     hci_factor: f64,
@@ -223,6 +234,25 @@ impl RoHealth {
     }
 }
 
+/// Offsets of the PMOS and the NMOS classes in a ring's BTI accumulators:
+/// a device's class is its polarity's offset plus its stage's
+/// [`idle_level`].
+const PMOS: usize = 0;
+const NMOS: usize = 2;
+/// The idle level of a conventional stage whose input rests high; the
+/// other stages, and every ARO stage, are at level 0.
+const HIGH: usize = 1;
+
+/// The stress class of stage `index` within each polarity: for a
+/// conventional ring the stage's idle input level (module docs), for an
+/// ARO ring 0, since its idle state treats every stage alike.
+fn idle_level(style: RoStyle, index: usize) -> usize {
+    match style {
+        RoStyle::Conventional if index == 0 || index % 2 == 1 => HIGH,
+        RoStyle::Conventional | RoStyle::AgingResistant => 0,
+    }
+}
+
 /// One fabricated ring oscillator.
 ///
 /// A ring keeps no derived state: [`RingOscillator::frequency`] rederives
@@ -230,11 +260,10 @@ impl RoHealth {
 /// die process caches the results per ring (`aro_puf::Chip`), keyed by the
 /// ring's [`wear epoch`](RingOscillator::wear_epoch).
 ///
-/// Wear lives in two places: each device holds its own BTI accumulator,
-/// and the ring holds the one HCI equivalent-cycle count all its devices
-/// share — every device switches at the ring's frequency, so their HCI
-/// histories are the same, and they differ only in their fabrication-time
-/// multipliers.
+/// The ring, not its devices, holds the wear: one raw BTI accumulator per
+/// stress class (module docs) and one HCI equivalent-cycle count, since
+/// every device switches at the ring's frequency. Devices of one class
+/// differ only in their fabrication-time multipliers.
 #[derive(Debug, Clone)]
 pub struct RingOscillator {
     style: RoStyle,
@@ -243,6 +272,9 @@ pub struct RingOscillator {
     freq_bias_rel: f64,
     correlated_dvth: f64,
     health: RoHealth,
+    /// Raw BTI shift of each stress class in volts, indexed by polarity
+    /// offset plus idle level ([`PMOS`], [`NMOS`], [`idle_level`]).
+    bti: [f64; 4],
     /// Accumulated HCI wear of every device of the ring, in
     /// reference-condition equivalent cycles.
     hci_eq_cycles: f64,
@@ -254,13 +286,14 @@ pub struct RingOscillator {
 impl PartialEq for RingOscillator {
     fn eq(&self, other: &Self) -> bool {
         // The epoch counter is cache-invalidation state, not silicon:
-        // `stages` and `hci_eq_cycles` already carry the full wear history.
+        // `bti` and `hci_eq_cycles` already carry the full wear history.
         self.style == other.style
             && self.stages == other.stages
             && self.position == other.position
             && self.freq_bias_rel == other.freq_bias_rel
             && self.correlated_dvth == other.correlated_dvth
             && self.health == other.health
+            && self.bti == other.bti
             && self.hci_eq_cycles == other.hci_eq_cycles
     }
 }
@@ -295,6 +328,7 @@ impl RingOscillator {
             freq_bias_rel: 0.0,
             correlated_dvth: 0.0,
             health: RoHealth::Healthy,
+            bti: [0.0; 4],
             hci_eq_cycles: 0.0,
             wear_epoch: 0,
         }
@@ -335,6 +369,14 @@ impl RingOscillator {
     #[must_use]
     pub fn stages(&self) -> &[InverterStage] {
         &self.stages
+    }
+
+    /// The raw BTI shifts in volts of stage `index`'s PMOS and NMOS: the
+    /// accumulators of their stress classes.
+    #[must_use]
+    pub(crate) fn stage_bti(&self, index: usize) -> (f64, f64) {
+        let level = idle_level(self.style, index);
+        (self.bti[PMOS + level], self.bti[NMOS + level])
     }
 
     /// Accumulated HCI wear shared by every device of this ring, in
@@ -430,49 +472,39 @@ impl RingOscillator {
     /// Ages the ring through one *idle* interval, driven by a prebuilt,
     /// possibly shared [`IdleStressBatch`].
     ///
-    /// * `Conventional`: the disabled chain holds alternating static
-    ///   levels — stage inputs are 1 for the NAND (its feedback rests
-    ///   high) and for odd inverters, 0 for even inverters. Input 1 puts
-    ///   full DC PBTI on the NMOS; input 0 puts full DC NBTI on the PMOS.
+    /// * `Conventional`: the disabled chain holds its idle levels (module
+    ///   docs). Input 1 puts full DC PBTI on the NMOS; input 0 puts full DC
+    ///   NBTI on the PMOS.
     /// * `AgingResistant`: every device sees only the leakage-level
     ///   residual duty [`TechParams::aro_idle_stress_fraction`].
     ///
-    /// A chip passes one batch across all of its rings: the interval
-    /// acceleration is evaluated once per chip, and the batch's transition
-    /// memo collapses the per-device BTI power law to one evaluation per
-    /// distinct stress history (see [`BtiBatch::apply`] for why replaying
-    /// a memoized transition is bit-exact). The batch must have been built
-    /// for this ring's style.
+    /// Each stressed class advances once. A chip passes one batch across
+    /// all of its rings: the interval acceleration is evaluated once per
+    /// chip, and the batch's transition memo collapses the BTI power law
+    /// to one evaluation per distinct class history (see [`BtiBatch`] for
+    /// why replaying a memoized transition is bit-exact). The batch must
+    /// have been built for this ring's style.
     pub fn stress_idle(&mut self, batch: &mut IdleStressBatch) {
         debug_assert_eq!(batch.style, self.style, "batch built for another style");
         if batch.duration_s <= 0.0 {
             return;
         }
         self.bump_wear_epoch();
-        // Applies are tallied locally and reported as one aggregated
-        // counter bump per interval, keeping registry traffic off the
-        // per-device path.
-        let mut bti_applies: u64 = 0;
-        match self.style {
+        // An applied class books its device count in one aggregated
+        // counter bump per interval: `device.bti_applies` counts
+        // device-intervals. Stage 0 and the n / 2 odd stages of a
+        // conventional ring (n is odd) idle high, the other n / 2 low.
+        let n = self.stages.len() as u64;
+        let bti_applies = match self.style {
             RoStyle::Conventional => {
-                for (i, stage) in self.stages.iter_mut().enumerate() {
-                    // Idle node pattern of the disabled ring (see module docs).
-                    let input_high = i == 0 || i % 2 == 1;
-                    let applied = if input_high {
-                        batch.pbti.apply(stage.nmos_mut().aging_mut())
-                    } else {
-                        batch.nbti.apply(stage.pmos_mut().aging_mut())
-                    };
-                    bti_applies += u64::from(applied);
-                }
+                (n / 2 + 1) * u64::from(batch.pbti.apply(&mut self.bti[NMOS + HIGH]))
+                    + n / 2 * u64::from(batch.nbti.apply(&mut self.bti[PMOS]))
             }
             RoStyle::AgingResistant => {
-                for stage in &mut self.stages {
-                    bti_applies += u64::from(batch.nbti.apply(stage.pmos_mut().aging_mut()));
-                    bti_applies += u64::from(batch.pbti.apply(stage.nmos_mut().aging_mut()));
-                }
+                n * u64::from(batch.nbti.apply(&mut self.bti[PMOS]))
+                    + n * u64::from(batch.pbti.apply(&mut self.bti[NMOS]))
             }
-        }
+        };
         if bti_applies > 0 {
             aro_obs::counter("device.bti_applies", bti_applies);
             self.sketch_bti_drift();
@@ -481,7 +513,7 @@ impl RingOscillator {
 
     /// Ages the ring through one *oscillation* interval (a measurement
     /// window), driven by a prebuilt, possibly shared
-    /// [`ActiveStressBatch`]: 50 %-duty AC BTI on every device plus HCI
+    /// [`ActiveStressBatch`]: 50 %-duty AC BTI on every class plus HCI
     /// proportional to the number of transitions. A chip passes one batch
     /// across all of its rings (see [`RingOscillator::stress_idle`]); the
     /// HCI cycle count still depends on this ring's own frequency, so only
@@ -502,13 +534,24 @@ impl RingOscillator {
         let freq = frequency(self);
         self.bump_wear_epoch();
         let cycles = freq * batch.duration_s;
-        // Tally applies locally; one counter bump per interval (see
+        // Device-intervals, one counter bump per interval (see
         // `stress_idle`).
-        let mut bti_applies: u64 = 0;
-        for stage in &mut self.stages {
-            bti_applies += u64::from(batch.nbti.apply(stage.pmos_mut().aging_mut()));
-            bti_applies += u64::from(batch.pbti.apply(stage.nmos_mut().aging_mut()));
-        }
+        let n = self.stages.len() as u64;
+        let bti_applies = match self.style {
+            // Both idle levels of each polarity, in turn: the batch's
+            // two-slot memo holds both transitions.
+            RoStyle::Conventional => {
+                let (high, low) = (n / 2 + 1, n / 2);
+                high * u64::from(batch.nbti.apply(&mut self.bti[PMOS + HIGH]))
+                    + high * u64::from(batch.pbti.apply(&mut self.bti[NMOS + HIGH]))
+                    + low * u64::from(batch.nbti.apply(&mut self.bti[PMOS]))
+                    + low * u64::from(batch.pbti.apply(&mut self.bti[NMOS]))
+            }
+            RoStyle::AgingResistant => {
+                n * u64::from(batch.nbti.apply(&mut self.bti[PMOS]))
+                    + n * u64::from(batch.pbti.apply(&mut self.bti[NMOS]))
+            }
+        };
         if bti_applies > 0 {
             aro_obs::counter("device.bti_applies", bti_applies);
             self.sketch_bti_drift();
@@ -519,37 +562,34 @@ impl RingOscillator {
         self.hci_eq_cycles += cycles * batch.hci_factor;
         // `device.hci_applies` counts device-intervals: every device of
         // the ring took this interval's HCI wear.
-        aro_obs::counter("device.hci_applies", 2 * self.stages.len() as u64);
+        aro_obs::counter("device.hci_applies", 2 * n);
     }
 
-    /// Streams this ring's mean accumulated BTI threshold shift (mV,
-    /// across all devices) into the drift-vs-age sketch — one point per
-    /// *sampled* stress interval (see `obs_sampled`), so the sketch traces
-    /// how hard the fleet has aged without paying the per-device sum on
-    /// every batch.
+    /// Streams this ring's mean BTI threshold shift (mV, across all
+    /// devices, each its class's raw shift times its own multiplier) into
+    /// the drift-vs-age sketch — one point per *sampled* stress interval
+    /// (see `obs_sampled`), so the sketch traces how hard the fleet has
+    /// aged without paying the per-device sum on every batch.
     fn sketch_bti_drift(&self) {
         if !self.obs_sampled() {
             return;
         }
         let mut dvth_sum = 0.0;
-        for stage in &self.stages {
-            dvth_sum += stage.pmos().aging().dvth_bti() + stage.nmos().aging().dvth_bti();
+        for (index, stage) in self.stages.iter().enumerate() {
+            let (bti_p, bti_n) = self.stage_bti(index);
+            dvth_sum += stage.pmos().aging().dvth_bti(bti_p) + stage.nmos().aging().dvth_bti(bti_n);
         }
         #[allow(clippy::cast_precision_loss)]
         let n_devices = (2 * self.stages.len()) as f64;
         aro_obs::sketch("device.bti_dvth_mv", dvth_sum / n_devices * 1e3);
     }
 
-    /// Appends this ring's per-device BTI accumulators to `bti` in the
-    /// canonical device order (per stage: PMOS then NMOS) and returns its
-    /// HCI equivalent cycles — the wear [`RingOscillator::restore_wear`]
-    /// consumes.
-    pub fn capture_wear(&self, bti: &mut Vec<f64>) -> f64 {
-        for stage in &self.stages {
-            bti.push(stage.pmos().aging().wear());
-            bti.push(stage.nmos().aging().wear());
-        }
-        self.hci_eq_cycles
+    /// This ring's wear: the raw BTI accumulator of each stress class and
+    /// the HCI equivalent cycles, as [`RingOscillator::restore_wear`]
+    /// consumes them.
+    #[must_use]
+    pub fn capture_wear(&self) -> ([f64; 4], f64) {
+        (self.bti, self.hci_eq_cycles)
     }
 
     /// Restores wear captured by [`RingOscillator::capture_wear`] and pins
@@ -557,19 +597,8 @@ impl RingOscillator {
     /// drop the ring's entries: the epoch counter alone cannot distinguish
     /// two histories that happen to share an epoch value, e.g. across
     /// reused workspace chips.
-    ///
-    /// # Panics
-    /// Panics if `bti` does not hold exactly two entries per stage.
-    pub fn restore_wear(&mut self, bti: &[f64], hci_eq_cycles: f64, wear_epoch: u64) {
-        assert_eq!(
-            bti.len(),
-            2 * self.stages.len(),
-            "wear snapshot layout mismatch"
-        );
-        for (stage, pair) in self.stages.iter_mut().zip(bti.chunks_exact(2)) {
-            stage.pmos_mut().aging_mut().set_wear(pair[0]);
-            stage.nmos_mut().aging_mut().set_wear(pair[1]);
-        }
+    pub fn restore_wear(&mut self, bti: [f64; 4], hci_eq_cycles: f64, wear_epoch: u64) {
+        self.bti = bti;
         self.hci_eq_cycles = hci_eq_cycles;
         self.wear_epoch = wear_epoch;
     }
@@ -577,14 +606,11 @@ impl RingOscillator {
     /// Returns the ring to its exact post-fabrication state: zero wear,
     /// epoch 0, healthy. Like a wear restore, this rewinds the epoch, so a
     /// frequency cache must drop the ring's entries. The fabricated silicon
-    /// (variation, bias, correlated offset) is untouched, so a reused
-    /// workspace ring is bitwise indistinguishable from a fresh
+    /// (variation, multipliers, bias, correlated offset) is untouched, so a
+    /// reused workspace ring is bitwise indistinguishable from a fresh
     /// fabrication of the same design and id.
     pub fn reset_to_fabricated(&mut self) {
-        for stage in &mut self.stages {
-            stage.pmos_mut().aging_mut().reset_wear();
-            stage.nmos_mut().aging_mut().reset_wear();
-        }
+        self.bti = [0.0; 4];
         self.hci_eq_cycles = 0.0;
         self.health = RoHealth::Healthy;
         self.wear_epoch = 0;
@@ -768,26 +794,14 @@ mod tests {
         idle(&mut ro, &tech, &models, 25.0, YEAR);
         for (i, stage) in ro.stages().iter().enumerate() {
             let input_high = i == 0 || i % 2 == 1;
+            let (bti_p, bti_n) = ro.stage_bti(i);
+            let (pmos, nmos) = (stage.pmos().aging(), stage.nmos().aging());
             if input_high {
-                assert!(
-                    stage.nmos().aging().dvth_bti() > 0.0,
-                    "stage {i} NMOS stressed"
-                );
-                assert_eq!(
-                    stage.pmos().aging().dvth_bti(),
-                    0.0,
-                    "stage {i} PMOS spared"
-                );
+                assert!(nmos.dvth_bti(bti_n) > 0.0, "stage {i} NMOS stressed");
+                assert_eq!(pmos.dvth_bti(bti_p), 0.0, "stage {i} PMOS spared");
             } else {
-                assert!(
-                    stage.pmos().aging().dvth_bti() > 0.0,
-                    "stage {i} PMOS stressed"
-                );
-                assert_eq!(
-                    stage.nmos().aging().dvth_bti(),
-                    0.0,
-                    "stage {i} NMOS spared"
-                );
+                assert!(pmos.dvth_bti(bti_p) > 0.0, "stage {i} PMOS stressed");
+                assert_eq!(nmos.dvth_bti(bti_n), 0.0, "stage {i} NMOS spared");
             }
         }
     }
@@ -798,9 +812,10 @@ mod tests {
         let (mut ro, _) = make_ring(RoStyle::AgingResistant, 37);
         active(&mut ro, &tech, &models, &env, &chip, 1.0);
         let hci_dvth = models.hci.dvth_equivalent(ro.hci_eq_cycles());
-        for stage in ro.stages() {
-            assert!(stage.pmos().aging().dvth_bti() > 0.0);
-            assert!(stage.nmos().aging().dvth_bti() > 0.0);
+        for (i, stage) in ro.stages().iter().enumerate() {
+            let (bti_p, bti_n) = ro.stage_bti(i);
+            assert!(stage.pmos().aging().dvth_bti(bti_p) > 0.0);
+            assert!(stage.nmos().aging().dvth_bti(bti_n) > 0.0);
             assert!(stage.pmos().aging().dvth_hci(hci_dvth) > 0.0);
         }
     }
@@ -905,15 +920,13 @@ mod tests {
         idle(&mut ro, &tech, &models, 45.0, YEAR);
         let aged_freq = ro.frequency(&tech, &env, &chip);
         let epoch = ro.wear_epoch();
-        let mut bti = Vec::new();
-        let hci = ro.capture_wear(&mut bti);
-        assert_eq!(bti.len(), 2 * ro.n_stages());
+        let (bti, hci) = ro.capture_wear();
 
         // Diverge, then restore: silicon, frequency, and epoch all return.
         let pristine = ro.clone();
         idle(&mut ro, &tech, &models, 85.0, YEAR);
         assert_ne!(ro, pristine);
-        ro.restore_wear(&bti, hci, epoch);
+        ro.restore_wear(bti, hci, epoch);
         assert_eq!(ro, pristine);
         assert_eq!(ro.wear_epoch(), epoch);
         assert_eq!(
@@ -989,25 +1002,131 @@ mod tests {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::AgingResistant, 62);
         active(&mut ro, &tech, &models, &env, &chip, 30.0);
-        let mut bti = Vec::new();
-        let hci = ro.capture_wear(&mut bti);
+        let (bti, hci) = ro.capture_wear();
         assert!(hci > 0.0, "oscillation accumulates HCI cycles");
         let mut twin = ro.clone();
-        twin.restore_wear(&bti, 2.0 * hci, ro.wear_epoch());
+        twin.restore_wear(bti, 2.0 * hci, ro.wear_epoch());
         assert_ne!(twin, ro, "the HCI count is part of the ring's state");
         assert!(twin.frequency(&tech, &env, &chip) < ro.frequency(&tech, &env, &chip));
-        twin.restore_wear(&bti, hci, ro.wear_epoch());
+        twin.restore_wear(bti, hci, ro.wear_epoch());
         assert_eq!(twin, ro);
     }
 
     #[test]
+    fn stress_classes_match_a_per_device_reference() {
+        // Every device's raw BTI shift, read through its stress class,
+        // against a reference that keeps one accumulator per device and
+        // states the idle node pattern itself (module docs): a disabled
+        // conventional ring holds stage 0 and the odd stages at input 1
+        // (NMOS under PBTI), the other even stages at input 0 (PMOS under
+        // NBTI); an ARO ring stresses every device at the residual duty.
+        // It also counts the stressed device-intervals that
+        // `device.bti_applies` must book. One idle interval runs in a
+        // technology without PBTI, so only its PMOS classes advance and
+        // the two polarities book different counts.
+        let (tech, env, chip, models) = setup();
+        let hot = Environment::new(85.0, tech.vdd_nominal);
+        let no_pbti = TechParams {
+            pbti_a: 0.0,
+            ..tech.clone()
+        };
+        aro_obs::set_enabled(true);
+        for style in [RoStyle::Conventional, RoStyle::AgingResistant] {
+            for n_stages in [5, 7] {
+                let mut rng = SeedDomain::new(70 + n_stages as u64).rng(0);
+                let mut ro = RingOscillator::new(
+                    style,
+                    n_stages,
+                    DiePosition::new(0.4, 0.6),
+                    &tech,
+                    &mut rng,
+                );
+                // Per stage: (PMOS, NMOS) raw shift.
+                let mut reference = vec![(0.0f64, 0.0f64); n_stages];
+                let mut stressed: u64 = 0;
+                let mut apply = |raw: &mut f64, model: &BtiModel, interval: &StressInterval| {
+                    let (n, k) = (model.time_exp(), model.k_eff(interval));
+                    if k <= 0.0 || interval.duration_s <= 0.0 {
+                        return;
+                    }
+                    let t_eq = if *raw == 0.0 {
+                        0.0
+                    } else {
+                        (*raw / k).powf(1.0 / n)
+                    };
+                    *raw = k * (t_eq + interval.duration_s).powf(n);
+                    stressed += 1;
+                };
+                let applies_before = aro_obs::snapshot().counter("device.bti_applies");
+                for (idle_tech, temp, years, active_env, active_s) in [
+                    (&tech, 25.0, 1.0, env, 30.0),
+                    (&tech, 85.0, 2.0, hot, 10.0),
+                    (&no_pbti, 45.0, 1.0, env, 0.0),
+                    (&tech, 25.0, 0.5, env, 5.0),
+                ] {
+                    let idle_models = AgingModels::new(idle_tech);
+                    idle(&mut ro, idle_tech, &idle_models, temp, years * YEAR);
+                    let interval = match style {
+                        RoStyle::Conventional => {
+                            StressInterval::static_dc(years * YEAR, temp, tech.vdd_nominal)
+                        }
+                        RoStyle::AgingResistant => StressInterval::duty_cycled(
+                            years * YEAR,
+                            temp,
+                            tech.vdd_nominal,
+                            tech.aro_idle_stress_fraction,
+                        ),
+                    };
+                    for (i, (pmos, nmos)) in reference.iter_mut().enumerate() {
+                        let input_high = i == 0 || i % 2 == 1;
+                        if style == RoStyle::AgingResistant || !input_high {
+                            apply(pmos, &idle_models.nbti, &interval);
+                        }
+                        if style == RoStyle::AgingResistant || input_high {
+                            apply(nmos, &idle_models.pbti, &interval);
+                        }
+                    }
+
+                    active(&mut ro, &tech, &models, &active_env, &chip, active_s);
+                    let interval = StressInterval::oscillating(
+                        active_s,
+                        active_env.temp_celsius(),
+                        active_env.vdd(),
+                    );
+                    for (pmos, nmos) in &mut reference {
+                        apply(pmos, &models.nbti, &interval);
+                        apply(nmos, &models.pbti, &interval);
+                    }
+                }
+                for (i, &(pmos, nmos)) in reference.iter().enumerate() {
+                    let (bti_p, bti_n) = ro.stage_bti(i);
+                    assert_eq!(
+                        bti_p.to_bits(),
+                        pmos.to_bits(),
+                        "{style:?}/{n_stages}: stage {i} PMOS"
+                    );
+                    assert_eq!(
+                        bti_n.to_bits(),
+                        nmos.to_bits(),
+                        "{style:?}/{n_stages}: stage {i} NMOS"
+                    );
+                }
+                assert_eq!(
+                    aro_obs::snapshot().counter("device.bti_applies") - applies_before,
+                    stressed,
+                    "{style:?}/{n_stages}: device-intervals booked"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn ring_state_stays_small() {
-        // Every ring of every chip pays this, up to 57 630 rings per
-        // chip: a field added back per device costs ten times over.
-        assert!(
-            size_of::<RingOscillator>() <= 96,
-            "{}",
-            size_of::<RingOscillator>()
-        );
+        // Every ring of every chip pays for itself and its stages, up to
+        // 57 630 rings per chip: a field added back per device costs ten
+        // times over. A 5-stage ring is its 128-byte array slot (four BTI
+        // classes, one HCI count) and five 64-byte stages.
+        let ring = size_of::<RingOscillator>() + 5 * size_of::<InverterStage>();
+        assert!(ring <= 448, "{ring}");
     }
 }

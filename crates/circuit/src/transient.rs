@@ -97,15 +97,16 @@ pub fn simulate_ring(
         .enumerate()
         .map(|(i, s)| {
             let mob = env.mobility_factor(tech);
+            let (bti_p, bti_n) = ro.stage_bti(i);
             let vth_p = pmos.vth_effective(
                 tech,
                 env,
-                chip.dvth_interdie_p() + s.pmos().dvth_total(systematic, hci_dvth),
+                chip.dvth_interdie_p() + s.pmos().dvth_total(systematic, bti_p, hci_dvth),
             );
             let vth_n = nmos.vth_effective(
                 tech,
                 env,
-                chip.dvth_interdie_n() + s.nmos().dvth_total(systematic, hci_dvth),
+                chip.dvth_interdie_n() + s.nmos().dvth_total(systematic, bti_n, hci_dvth),
             );
             StageParams {
                 beta_p: pmos.beta0()

@@ -141,8 +141,8 @@ impl BtiModel {
     /// Effective accelerated prefactor of an interval, `K(T, Vgs)·sqrt(duty)`
     /// in volts per second^n. It depends only on the interval's conditions —
     /// never on device state — so stress loops hoist it once per interval
-    /// instead of paying its `exp`/`powf` per transistor (see
-    /// [`TransistorAging::apply_bti_prefactored`]).
+    /// instead of paying its `exp`/`powf` per accumulator (see
+    /// [`BtiBatch`]).
     #[must_use]
     pub fn k_eff(&self, interval: &StressInterval) -> f64 {
         self.prefactor(interval.temp_celsius, interval.vgs) * interval.duty.sqrt()
@@ -217,88 +217,42 @@ impl HciModel {
         let accel = (vdd / self.vdd_ref).powf(self.vdd_exp);
         accel.powf(1.0 / self.cycle_exp)
     }
-
-    /// The cycle exponent `m`.
-    #[must_use]
-    pub fn cycle_exp(&self) -> f64 {
-        self.cycle_exp
-    }
 }
 
-/// Accumulated wear-out state of one transistor.
+/// The aging variability of one transistor: its fabrication-time BTI and
+/// HCI multipliers.
 ///
-/// Holds the device's BTI accumulator and its fabrication-time
-/// aging-variability multipliers. HCI wear is not stored here: every device
-/// of a ring switches at the ring's frequency, so the ring keeps one
-/// equivalent-cycle count and hands each device the raw shift it implies
-/// ([`TransistorAging::dvth_hci`]).
+/// Wear itself is not stored here. A transistor's raw BTI shift is a pure
+/// function of its stress history, and every device of one stress class of
+/// a ring (one polarity at one idle level) lives through the same history,
+/// so the ring keeps one raw BTI accumulator per class; likewise every
+/// device of a ring switches at the ring's frequency, so the ring keeps one
+/// HCI equivalent-cycle count. A device scales the ring's raw shifts by its
+/// own multipliers ([`TransistorAging::dvth_bti`],
+/// [`TransistorAging::dvth_hci`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransistorAging {
-    bti_dvth: f64,
     bti_multiplier: f64,
     hci_multiplier: f64,
 }
 
-impl Default for TransistorAging {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl TransistorAging {
-    /// A fresh transistor with no wear and nominal (unit) aging
-    /// variability.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            bti_dvth: 0.0,
-            bti_multiplier: 1.0,
-            hci_multiplier: 1.0,
-        }
-    }
-
-    /// A fresh transistor with log-normal aging-variability multipliers of
-    /// relative sigma `sigma_rel` sampled from `rng` (done once, at
-    /// "fabrication").
+    /// Log-normal aging-variability multipliers of relative sigma
+    /// `sigma_rel` sampled from `rng` (done once, at "fabrication").
     #[must_use]
     pub fn with_variability<R: Rng + ?Sized>(rng: &mut R, sigma_rel: f64) -> Self {
         Self {
-            bti_dvth: 0.0,
             bti_multiplier: lognormal_multiplier(rng, sigma_rel),
             hci_multiplier: lognormal_multiplier(rng, sigma_rel),
         }
     }
 
-    /// Applies one BTI stress interval using equivalent-time accumulation,
-    /// so heterogeneous histories (different temperature / duty / Vgs per
-    /// interval) compose correctly. Takes the interval's accelerated
-    /// prefactor already computed ([`BtiModel::k_eff`]): a ring applies one
-    /// interval to every device it owns, and hoisting the prefactor turns
-    /// ten Arrhenius evaluations per ring into one.
-    ///
-    /// Returns whether the stress was applied (false for the degenerate
-    /// zero-duration / zero-prefactor cases), so bulk callers can report
-    /// one aggregated `device.bti_applies` increment per interval instead
-    /// of paying the metrics registry per transistor.
-    pub fn apply_bti_prefactored(&mut self, time_exp: f64, k_eff: f64, duration_s: f64) -> bool {
-        if k_eff <= 0.0 || duration_s <= 0.0 {
-            return false;
-        }
-        // Fresh device: (0/k)^(1/n) is exactly +0.0, skip the powf.
-        let t_equivalent = if self.bti_dvth == 0.0 {
-            0.0
-        } else {
-            (self.bti_dvth / k_eff).powf(1.0 / time_exp)
-        };
-        self.bti_dvth = k_eff * (t_equivalent + duration_s).powf(time_exp);
-        true
-    }
-
-    /// BTI component of the threshold shift, in volts (includes this
-    /// device's variability multiplier).
+    /// BTI component of the threshold shift, in volts: the raw shift of
+    /// this device's stress class (a [`BtiBatch`] accumulator) scaled by
+    /// this device's variability multiplier.
     #[must_use]
-    pub fn dvth_bti(&self) -> f64 {
-        self.bti_dvth * self.bti_multiplier
+    pub fn dvth_bti(&self, raw_dvth: f64) -> f64 {
+        raw_dvth * self.bti_multiplier
     }
 
     /// HCI component of the threshold shift, in volts: the ring's raw
@@ -308,56 +262,27 @@ impl TransistorAging {
     pub fn dvth_hci(&self, raw_dvth: f64) -> f64 {
         raw_dvth * self.hci_multiplier
     }
-
-    /// Clears accumulated wear (not the variability multipliers): the
-    /// "fresh silicon" state.
-    pub fn reset_wear(&mut self) {
-        self.bti_dvth = 0.0;
-    }
-
-    /// The raw (multiplier-free) BTI accumulator in volts: the state a
-    /// stress history writes into this device and an aged-state snapshot
-    /// captures. It is a pure function of the intervals applied so far, so
-    /// saving and restoring it is bitwise-exact.
-    #[must_use]
-    pub fn wear(&self) -> f64 {
-        self.bti_dvth
-    }
-
-    /// Restores a BTI accumulator captured by [`TransistorAging::wear`].
-    /// The variability multipliers are untouched, so restoring onto the
-    /// same fabricated device reproduces its aged state bitwise.
-    pub fn set_wear(&mut self, bti_dvth: f64) {
-        self.bti_dvth = bti_dvth;
-    }
-
-    /// This device's BTI variability multiplier.
-    #[must_use]
-    pub fn bti_multiplier(&self) -> f64 {
-        self.bti_multiplier
-    }
 }
 
-/// One BTI stress interval applied to a *batch* of devices, with the
-/// state transition memoized.
+/// One BTI stress interval applied to raw (multiplier-free) BTI
+/// accumulators, with the state transition memoized.
 ///
-/// The accumulated `bti_dvth` of a device is a pure function of its stress
-/// history alone — per-device variability enters only through the read-time
-/// multiplier — so every device that has lived through the same interval
-/// sequence carries bitwise-identical state. A chip ages all of its rings
-/// through the same intervals, which makes that the common case by far:
-/// one `powf` pair per *distinct incoming state* serves thousands of
-/// devices, and replaying a memoized transition is exact (equal inputs to
-/// a pure function, equal outputs).
+/// An accumulator advances by the equivalent-time method (module docs),
+/// a pure function of its incoming value, so every accumulator that has
+/// lived through the same interval sequence carries bitwise-identical
+/// state. A chip ages all of its rings through the same intervals, which
+/// makes that the common case by far: one `powf` pair per *distinct
+/// incoming state* serves every ring of the chip, and replaying a memoized
+/// transition is exact (equal inputs to a pure function, equal outputs).
 #[derive(Debug, Clone)]
 pub struct BtiBatch {
     time_exp: f64,
     k_eff: f64,
     duration_s: f64,
-    /// Observed `(incoming bti_dvth, outgoing bti_dvth)` transitions. Two
-    /// slots: a conventional ring's devices split into two stress-history
-    /// groups (stages idling high vs low), and an active interval walks
-    /// both groups interleaved — a single slot would thrash.
+    /// Observed `(incoming, outgoing)` accumulator transitions. Two slots:
+    /// a conventional ring has two stress classes per polarity (stages
+    /// idling high vs low), and an active interval advances both in turn
+    /// on every ring — a single slot would thrash.
     memo: [Option<(f64, f64)>; 2],
     /// Index of the most recently hit/filled memo slot.
     mru: usize,
@@ -377,28 +302,36 @@ impl BtiBatch {
         }
     }
 
-    /// Applies the interval to one device; returns whether stress was
-    /// applied (same contract as
-    /// [`TransistorAging::apply_bti_prefactored`]).
-    pub fn apply(&mut self, aging: &mut TransistorAging) -> bool {
+    /// Advances the raw BTI accumulator `raw_dvth` (volts) through the
+    /// interval. Returns whether stress was applied: false, leaving the
+    /// accumulator untouched, for the degenerate zero-duration and
+    /// zero-prefactor intervals, so bulk callers can book one aggregated
+    /// `device.bti_applies` increment per interval.
+    pub fn apply(&mut self, raw_dvth: &mut f64) -> bool {
         if self.k_eff <= 0.0 || self.duration_s <= 0.0 {
             return false;
         }
-        let input = aging.bti_dvth;
+        let input = *raw_dvth;
         for slot in [self.mru, 1 - self.mru] {
             if let Some((seen, output)) = self.memo[slot] {
                 if seen == input {
-                    aging.bti_dvth = output;
+                    *raw_dvth = output;
                     self.mru = slot;
                     return true;
                 }
             }
         }
-        let applied = aging.apply_bti_prefactored(self.time_exp, self.k_eff, self.duration_s);
+        // Fresh accumulator: (0/k)^(1/n) is exactly +0.0, skip the powf.
+        let t_equivalent = if input == 0.0 {
+            0.0
+        } else {
+            (input / self.k_eff).powf(1.0 / self.time_exp)
+        };
+        *raw_dvth = self.k_eff * (t_equivalent + self.duration_s).powf(self.time_exp);
         let slot = 1 - self.mru;
-        self.memo[slot] = Some((input, aging.bti_dvth));
+        self.memo[slot] = Some((input, *raw_dvth));
         self.mru = slot;
-        applied
+        true
     }
 }
 
@@ -413,9 +346,9 @@ mod tests {
         TechParams::default()
     }
 
-    /// One interval through the production per-device step.
-    fn apply_bti(aging: &mut TransistorAging, model: &BtiModel, interval: &StressInterval) {
-        aging.apply_bti_prefactored(model.time_exp(), model.k_eff(interval), interval.duration_s);
+    /// One interval through its own batch: the production step, memo cold.
+    fn apply_bti(raw_dvth: &mut f64, model: &BtiModel, interval: &StressInterval) {
+        BtiBatch::new(model.time_exp(), model.k_eff(interval), interval.duration_s).apply(raw_dvth);
     }
 
     #[test]
@@ -470,7 +403,7 @@ mod tests {
         // additive, the equivalent-time method is what fixes that).
         let t = tech();
         let model = BtiModel::nbti(&t);
-        let mut split = TransistorAging::new();
+        let mut split = 0.0;
         for _ in 0..100 {
             apply_bti(
                 &mut split,
@@ -478,13 +411,13 @@ mod tests {
                 &StressInterval::static_dc(YEAR / 10.0, 25.0, t.vdd_nominal),
             );
         }
-        let mut single = TransistorAging::new();
+        let mut single = 0.0;
         apply_bti(
             &mut single,
             &model,
             &StressInterval::static_dc(10.0 * YEAR, 25.0, t.vdd_nominal),
         );
-        let rel = (split.dvth_bti() - single.dvth_bti()).abs() / single.dvth_bti();
+        let rel = (split - single).abs() / single;
         assert!(rel < 1e-9, "relative error {rel}");
     }
 
@@ -492,32 +425,32 @@ mod tests {
     fn duty_cycling_recovers_as_sqrt_duty() {
         let t = tech();
         let model = BtiModel::nbti(&t);
-        let mut dc = TransistorAging::new();
+        let mut dc = 0.0;
         apply_bti(
             &mut dc,
             &model,
             &StressInterval::static_dc(YEAR, 25.0, t.vdd_nominal),
         );
-        let mut quarter = TransistorAging::new();
+        let mut quarter = 0.0;
         apply_bti(
             &mut quarter,
             &model,
             &StressInterval::duty_cycled(YEAR, 25.0, t.vdd_nominal, 0.25),
         );
-        assert!((quarter.dvth_bti() / dc.dvth_bti() - 0.5).abs() < 1e-9);
+        assert!((quarter / dc - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn aro_style_idle_ages_far_less_than_conventional_idle() {
         let t = tech();
         let model = BtiModel::nbti(&t);
-        let mut conventional = TransistorAging::new();
+        let mut conventional = 0.0;
         apply_bti(
             &mut conventional,
             &model,
             &StressInterval::static_dc(10.0 * YEAR, 25.0, t.vdd_nominal),
         );
-        let mut aro = TransistorAging::new();
+        let mut aro = 0.0;
         apply_bti(
             &mut aro,
             &model,
@@ -529,10 +462,8 @@ mod tests {
             ),
         );
         assert!(
-            aro.dvth_bti() < 0.15 * conventional.dvth_bti(),
-            "aro {} vs conventional {}",
-            aro.dvth_bti(),
-            conventional.dvth_bti()
+            aro < 0.15 * conventional,
+            "aro {aro} vs conventional {conventional}"
         );
     }
 
@@ -564,13 +495,14 @@ mod tests {
         let t = tech();
         let model = BtiModel::nbti(&t);
         let mut rng = StdRng::seed_from_u64(5);
-        let stress = StressInterval::static_dc(10.0 * YEAR, 25.0, t.vdd_nominal);
+        let mut raw = 0.0;
+        apply_bti(
+            &mut raw,
+            &model,
+            &StressInterval::static_dc(10.0 * YEAR, 25.0, t.vdd_nominal),
+        );
         let shifts: Vec<f64> = (0..2000)
-            .map(|_| {
-                let mut a = TransistorAging::with_variability(&mut rng, t.sigma_aging_rel);
-                apply_bti(&mut a, &model, &stress);
-                a.dvth_bti()
-            })
+            .map(|_| TransistorAging::with_variability(&mut rng, t.sigma_aging_rel).dvth_bti(raw))
             .collect();
         let mean = shifts.iter().sum::<f64>() / shifts.len() as f64;
         let sd = (shifts.iter().map(|x| (x - mean).powi(2)).sum::<f64>()
@@ -581,20 +513,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_wear_keeps_multipliers() {
-        let t = tech();
-        let model = BtiModel::nbti(&t);
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut a = TransistorAging::with_variability(&mut rng, 0.5);
-        let mult = a.bti_multiplier();
-        apply_bti(&mut a, &model, &StressInterval::static_dc(YEAR, 25.0, 1.2));
-        assert!(a.dvth_bti() > 0.0);
-        a.reset_wear();
-        assert_eq!(a.dvth_bti(), 0.0);
-        assert_eq!(a.bti_multiplier(), mult);
-    }
-
-    #[test]
     #[should_panic(expected = "duty must be in [0, 1]")]
     fn invalid_duty_panics() {
         let _ = StressInterval::duty_cycled(1.0, 25.0, 1.2, 1.5);
@@ -602,34 +520,33 @@ mod tests {
 
     #[test]
     fn bti_batch_replays_transitions_bitwise() {
-        // Devices in two distinct stress-history groups, visited
-        // interleaved (the conventional-ring active pattern): the two-slot
-        // memo must reproduce the direct path bitwise for every device.
+        // Accumulators in two distinct stress-history groups, visited
+        // interleaved (a conventional ring's two classes per polarity
+        // under an active interval): the shared batch's two-slot memo must
+        // reproduce a cold batch per accumulator bitwise.
         let t = tech();
         let model = BtiModel::nbti(&t);
         let interval = StressInterval::static_dc(YEAR, 45.0, t.vdd_nominal);
         let k_eff = model.k_eff(&interval);
 
-        let mut direct: Vec<TransistorAging> = (0..8).map(|_| TransistorAging::new()).collect();
+        let mut direct = [0.0f64; 8];
         // Group A gets a head start so the two groups diverge.
-        for (i, aging) in direct.iter_mut().enumerate() {
-            if i % 2 == 0 {
-                apply_bti(aging, &model, &interval);
-            }
+        for raw in direct.iter_mut().step_by(2) {
+            apply_bti(raw, &model, &interval);
         }
-        let mut batched = direct.clone();
+        let mut batched = direct;
 
-        for aging in &mut direct {
-            assert!(aging.apply_bti_prefactored(model.time_exp(), k_eff, YEAR));
+        for raw in &mut direct {
+            assert!(BtiBatch::new(model.time_exp(), k_eff, YEAR).apply(raw));
         }
         let mut batch = BtiBatch::new(model.time_exp(), k_eff, YEAR);
-        for aging in &mut batched {
-            assert!(batch.apply(aging));
+        for raw in &mut batched {
+            assert!(batch.apply(raw));
         }
         for (a, b) in direct.iter().zip(&batched) {
             assert_eq!(
-                a.dvth_bti().to_bits(),
-                b.dvth_bti().to_bits(),
+                a.to_bits(),
+                b.to_bits(),
                 "memoized transition must be bitwise equal"
             );
         }
@@ -637,9 +554,9 @@ mod tests {
 
     #[test]
     fn bti_batch_honors_no_stress_guards() {
-        let mut aging = TransistorAging::new();
-        assert!(!BtiBatch::new(6.0, 0.0, YEAR).apply(&mut aging));
-        assert!(!BtiBatch::new(6.0, 1e-3, 0.0).apply(&mut aging));
-        assert_eq!(aging.dvth_bti(), 0.0);
+        let mut raw = 0.0;
+        assert!(!BtiBatch::new(6.0, 0.0, YEAR).apply(&mut raw));
+        assert!(!BtiBatch::new(6.0, 1e-3, 0.0).apply(&mut raw));
+        assert_eq!(raw, 0.0);
     }
 }

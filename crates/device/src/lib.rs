@@ -40,22 +40,27 @@
 //! use aro_device::environment::Environment;
 //! use aro_device::mosfet::{Geometry, MosType, Mosfet};
 //! use aro_device::params::TechParams;
+//! use aro_device::rng::SeedDomain;
 //! use aro_device::units::YEAR;
 //!
 //! let tech = TechParams::default();
 //! let nbti = BtiModel::nbti(&tech);
-//! let mut aging = TransistorAging::new();
 //!
 //! // Ten years of continuous DC stress at 25 C and nominal Vdd — the fate of
-//! // a PMOS inside an idle *conventional* RO.
+//! // a PMOS inside an idle *conventional* RO. The raw shift is shared by
+//! // every device with this stress history.
 //! let stress = StressInterval::static_dc(10.0 * YEAR, 25.0, tech.vdd_nominal);
-//! BtiBatch::new(nbti.time_exp(), nbti.k_eff(&stress), stress.duration_s).apply(&mut aging);
-//! assert!(aging.dvth_bti() > 0.01, "ten-year NBTI should exceed 10 mV");
+//! let mut raw_dvth = 0.0;
+//! BtiBatch::new(nbti.time_exp(), nbti.k_eff(&stress), stress.duration_s).apply(&mut raw_dvth);
+//! assert!(raw_dvth > 0.01, "ten-year NBTI should exceed 10 mV");
 //!
+//! // One device scales it by its fabrication-time multiplier.
+//! let mut rng = SeedDomain::new(1).rng(0);
+//! let aging = TransistorAging::with_variability(&mut rng, tech.sigma_aging_rel);
 //! let env = Environment::nominal(&tech);
 //! let pmos = Mosfet::new(MosType::Pmos, Geometry::default(), &tech);
 //! let fresh = pmos.drive_current(&tech, &env, 0.0);
-//! let aged = pmos.drive_current(&tech, &env, aging.dvth_bti());
+//! let aged = pmos.drive_current(&tech, &env, aging.dvth_bti(raw_dvth));
 //! assert!(aged < fresh, "aging reduces drive current");
 //! ```
 

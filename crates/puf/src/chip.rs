@@ -412,13 +412,13 @@ impl Chip {
         self.ros[index].stress_active(batch, |ro| kernels.frequency(read, index, ro));
     }
 
-    /// Restores ring `index`'s wear (per-device BTI, the ring's HCI
-    /// cycles) and wear epoch from a snapshot, dropping its cached
+    /// Restores ring `index`'s wear (its BTI stress-class accumulators and
+    /// HCI cycles) and wear epoch from a snapshot, dropping its cached
     /// frequencies (the epoch may rewind).
     pub(crate) fn restore_ring_wear(
         &mut self,
         index: usize,
-        bti: &[f64],
+        bti: [f64; 4],
         hci_eq_cycles: f64,
         wear_epoch: u64,
     ) {

@@ -341,9 +341,8 @@ mod tests {
         assert!(aged < fresh, "a stale slot must not survive an aging step");
         assert_eq!(slots(&chip, 0), vec![(env, 1), (env, 0)]);
 
-        let mut bti = Vec::new();
-        let hci = chip.ros()[0].capture_wear(&mut bti);
-        chip.restore_ring_wear(0, &bti, hci, 1);
+        let (bti, hci) = chip.ros()[0].capture_wear();
+        chip.restore_ring_wear(0, bti, hci, 1);
         assert!(
             slots(&chip, 0).is_empty(),
             "a wear restore drops the ring's slots"

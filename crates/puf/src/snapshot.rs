@@ -7,9 +7,9 @@
 //! [`AgedStepSnapshot`] captures everything one [`MissionProfile::step`]
 //! does to a chip:
 //!
-//! * the **wear state** of every healthy ring after the step (BTI
-//!   accumulators per device, the ring's HCI equivalent cycles, wear
-//!   epoch), stored compactly — see `WearStore`;
+//! * the **wear state** of every healthy ring after the step (the BTI
+//!   stress-class accumulators all covered rings share, each ring's HCI
+//!   equivalent cycles, the wear epoch) — see `WearStore`;
 //! * the **telemetry tape** the step emitted (counters and sketches, per
 //!   ring and phase), so an instrumented replay reproduces the
 //!   observability streams byte for byte (see `aro_obs::tap_replay`).
@@ -28,9 +28,10 @@
 //! frequency (zero for a dead ring, the stuck value for a stuck one).
 //! Snapshots therefore carry **no fault-plan identity** at all. Instead
 //! each snapshot records which rings were healthy when it was recorded
-//! (its *coverage*), and replay uses the recorded fast path only for
-//! rings that are covered **and** currently healthy — every other ring
-//! is aged live through the exact cold-path batches. A trial under a
+//! (its *coverage*, which a ring whose wear differs from the others' also
+//! loses — see `WearStore`), and replay uses the recorded fast path only
+//! for rings that are covered **and** currently healthy — every other
+//! ring is aged live through the exact cold-path batches. A trial under a
 //! different fault plan than the recording trial thus reuses the shared
 //! healthy-ring work and recomputes precisely the rings the plans
 //! disagree on, staying byte-identical to a cold run under its own plan.
@@ -123,77 +124,42 @@ impl StepTape {
     }
 }
 
-/// Post-step wear of the covered rings: one HCI equivalent-cycle count
-/// per ring, and the per-device BTI accumulators.
+/// Post-step wear of the covered rings: the BTI stress-class
+/// accumulators they share, and one HCI equivalent-cycle count per ring.
 ///
-/// The BTI collapses hard in the structural common case: BTI transitions
-/// are driven by chip-wide batches whose per-device value depends only on
-/// the device's own stress history, and every covered ring's device `d`
-/// has the *same* history as device `d` of every other covered ring — so
-/// one per-device vector serves the whole array. [`WearStore::capture`]
-/// verifies that bitwise while sweeping and falls back to a dense
-/// per-ring copy if the physics ever stops cooperating.
+/// BTI stress consults neither a ring's frequency nor its health, and a
+/// chip drives every ring through the same batches, so the rings of a chip
+/// hold equal class accumulators unless one was stressed on its own.
+/// [`WearStore::capture`] keeps the first covered ring's classes and takes
+/// coverage away from any covered ring whose classes differ, so replay
+/// ages that ring live like a faulted one.
 #[derive(Debug, Clone)]
 struct WearStore {
-    /// BTI accumulators in canonical device order (per stage, PMOS then
-    /// NMOS): one vector shared by every covered ring if `uniform`, else
-    /// one per ring, flattened as `ring * devices + device` (uncovered
-    /// slots are zero).
-    bti: Vec<f64>,
-    uniform: bool,
-    /// Devices per ring of the recording design.
-    devices: usize,
+    /// The class accumulators of every covered ring.
+    bti: [f64; 4],
     /// Per-ring HCI equivalent cycles (uncovered slots are zero).
     hci: Vec<f64>,
 }
 
 impl WearStore {
-    fn capture(chip: &Chip, covered: &[bool]) -> Self {
-        let devices = chip.ros().first().map_or(0, |ro| 2 * ro.n_stages());
-        let mut store = Self {
-            bti: Vec::with_capacity(devices),
-            uniform: true,
-            devices,
-            hci: vec![0.0; covered.len()],
-        };
-        let mut scratch: Vec<f64> = Vec::with_capacity(devices);
+    fn capture(chip: &Chip, covered: &mut [bool]) -> Self {
+        let mut bti = None;
+        let mut hci = vec![0.0; covered.len()];
         for (i, ro) in chip.ros().iter().enumerate() {
             if !covered[i] {
                 continue;
             }
-            scratch.clear();
-            store.hci[i] = ro.capture_wear(&mut scratch);
-            if store.bti.is_empty() {
-                store.bti.extend_from_slice(&scratch);
-            } else if store.bti != scratch {
-                return Self::capture_dense(chip, covered, devices);
-            }
-        }
-        store
-    }
-
-    fn capture_dense(chip: &Chip, covered: &[bool], devices: usize) -> Self {
-        let mut bti: Vec<f64> = Vec::with_capacity(covered.len() * devices);
-        let mut hci = vec![0.0; covered.len()];
-        for (i, ro) in chip.ros().iter().enumerate() {
-            if covered[i] {
-                hci[i] = ro.capture_wear(&mut bti);
+            let (ring_bti, ring_hci) = ro.capture_wear();
+            if *bti.get_or_insert(ring_bti) == ring_bti {
+                hci[i] = ring_hci;
             } else {
-                bti.resize(bti.len() + devices, 0.0);
+                covered[i] = false;
             }
         }
         Self {
-            bti,
-            uniform: false,
-            devices,
+            bti: bti.unwrap_or_default(),
             hci,
         }
-    }
-
-    /// The post-step BTI accumulators of covered ring `ring`.
-    fn bti(&self, ring: usize) -> &[f64] {
-        let start = if self.uniform { 0 } else { ring * self.devices };
-        &self.bti[start..start + self.devices]
     }
 }
 
@@ -204,7 +170,8 @@ impl WearStore {
 pub struct AgedStepSnapshot {
     tape: StepTape,
     wear: WearStore,
-    /// Rings that were healthy when the step was recorded.
+    /// Rings that were healthy when the step was recorded and whose wear
+    /// `wear` holds.
     covered: Vec<bool>,
     /// Uniform wear epoch of the array after the step.
     epoch_after: u64,
@@ -238,7 +205,7 @@ pub fn age_step_recorded(
 ) -> AgedStepSnapshot {
     let step = profile.step(design, duration_s);
     let n = chip.ros().len();
-    let covered: Vec<bool> = chip
+    let mut covered: Vec<bool> = chip
         .ros()
         .iter()
         .map(|ro| ro.health().is_healthy())
@@ -279,7 +246,7 @@ pub fn age_step_recorded(
     );
     AgedStepSnapshot {
         tape: StepTape::new(events, active_spans, idle_spans),
-        wear: WearStore::capture(chip, &covered),
+        wear: WearStore::capture(chip, &mut covered),
         covered,
         epoch_after,
         hints: OnceLock::new(),
@@ -426,7 +393,7 @@ impl AgedStepSnapshot {
     /// wear and epoch.
     fn restore_ring(&self, chip: &mut Chip, ring: usize) {
         let wear = &self.wear;
-        chip.restore_ring_wear(ring, wear.bti(ring), wear.hci[ring], self.epoch_after);
+        chip.restore_ring_wear(ring, wear.bti, wear.hci[ring], self.epoch_after);
     }
 }
 
@@ -519,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn rings_with_different_histories_replay_from_the_dense_store() {
+    fn rings_with_different_histories_lose_coverage_and_age_live() {
         let design = design(RoStyle::Conventional);
         let profile = MissionProfile::typical(design.tech());
         let models = AgingModels::new(design.tech());
@@ -542,10 +509,16 @@ mod tests {
         let mut donor = Chip::fabricate(&design, 3);
         diverge(&mut donor);
         let snapshot = age_step_recorded(&mut donor, &design, &profile, 2.0 * YEAR);
-        assert!(
-            !snapshot.wear.uniform,
-            "diverged rings need one BTI vector each"
-        );
+        // The snapshot keeps ring 0's classes, so it covers exactly the
+        // rings whose classes equal ring 0's: ring 0 alone.
+        let first = donor.ros()[0].capture_wear().0;
+        let same_classes: Vec<bool> = donor
+            .ros()
+            .iter()
+            .map(|ro| ro.capture_wear().0 == first)
+            .collect();
+        assert_eq!(snapshot.covered, same_classes);
+        assert_eq!(snapshot.covered.iter().filter(|&&c| c).count(), 1);
         let mut cold = Chip::fabricate(&design, 3);
         diverge(&mut cold);
         profile.age_chip(&mut cold, &design, 2.0 * YEAR);

@@ -44,6 +44,15 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 echo "==> aro-perf run (every workload, output checks)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --seconds 1 --trace 1
 
+# `serve-heal` again at two more seeds. Its seed draws the service streams
+# and the fault schedule, so each seed damages, ages and heals the fleet
+# differently, under the same output checks.
+for seed in 7 31; do
+  echo "==> aro-perf run --workload serve-heal --seed $seed"
+  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    run --workload serve-heal --seed "$seed" --seconds 1 --trace 1
+done
+
 # Bench smoke: run each microbenchmark once (the vendored criterion runs a
 # single iteration when invoked without `--bench`), proving the bench
 # harness still compiles and executes. End-to-end timing and its verdict
