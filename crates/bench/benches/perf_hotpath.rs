@@ -2,8 +2,8 @@
 //! chip's frequency-kernel cache (an all-hit read of the array, an
 //! all-rebuild read, and a soft read of a serve-size chip under a fresh
 //! excursion), parallel population fabrication, one aging-timeline
-//! checkpoint, and the verifier store's record seal (packing a helper
-//! block, a sealed replica read, a scrub pass).
+//! checkpoint, the verifier store's record seal (packing a helper block,
+//! a sealed replica read, a scrub pass) and one authentication probe.
 //!
 //! Run with `cargo bench -p aro-bench --bench perf_hotpath`. These time
 //! unit operations; end-to-end wall, CPU and memory come from the
@@ -15,8 +15,9 @@ use aro_device::units::YEAR;
 use aro_ecc::area::PufAreaParams;
 use aro_ecc::keygen::KeyGenerator;
 use aro_metrics::bits::BitString;
-use aro_puf::{Chip, MissionProfile, PairingStrategy, Population, PufDesign};
+use aro_puf::{Challenge, Chip, MissionProfile, PairingStrategy, Population, PufDesign};
 use aro_serve::store::{ReadOutcome, ShardedStore, StoredRecord};
+use aro_serve::{AuthService, ServicePolicy};
 use aro_sim::runner::measure_flip_timeline;
 use aro_sim::servefleet::{CRP_BITS, DEFAULT_REPLICAS, N_SHARDS};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -27,11 +28,9 @@ use std::hint::black_box;
 /// Devices in the `serve-steady` fleet.
 const FLEET: u64 = 64;
 
-/// A `serve-steady`-shaped store: 64 groups of `DEFAULT_REPLICAS`
-/// copies across `N_SHARDS` shards, each record a 64-pair challenge, its
-/// 64-bit reference, a 128-bit key and a 1 778-bit helper in two blocks.
-/// Every device draws its own bits, so no two seals hash the same bytes.
-fn serve_store() -> ShardedStore {
+/// The serve fleet's key generator: a 128-bit key from 1 778 response
+/// bits, so a device has 3 556 rings.
+fn serve_generator() -> KeyGenerator {
     let generator = KeyGenerator::for_bit_error_rate(
         0.14,
         128,
@@ -45,6 +44,15 @@ fn serve_store() -> ShardedStore {
     )
     .expect("feasible");
     assert_eq!(generator.response_bits(), 1_778);
+    generator
+}
+
+/// A `serve-steady`-shaped store: 64 groups of `DEFAULT_REPLICAS`
+/// copies across `N_SHARDS` shards, each record a 64-pair challenge, its
+/// 64-bit reference, a 128-bit key and a 1 778-bit helper in two blocks.
+/// Every device draws its own bits, so no two seals hash the same bytes.
+fn serve_store() -> ShardedStore {
+    let generator = serve_generator();
     let n_ros = 2 * generator.response_bits();
     let mut store = ShardedStore::for_fleet_replicated(FLEET as usize, N_SHARDS, DEFAULT_REPLICAS);
     for id in 0..FLEET {
@@ -58,6 +66,40 @@ fn serve_store() -> ShardedStore {
         store.insert(StoredRecord::new(id, pairs, reference, helper, key));
     }
     store
+}
+
+/// A `serve-steady`-shaped fleet: 64 ARO chips of 3 556 rings, each
+/// enrolled on its golden reads (a 64-pair challenge record and a key)
+/// and then aged 10 years, behind a replicated service.
+fn serve_fleet() -> (AuthService, Vec<Chip>, PufDesign) {
+    let generator = serve_generator();
+    let n_ros = 2 * generator.response_bits();
+    let design = PufDesign::builder(RoStyle::AgingResistant)
+        .n_ros(n_ros)
+        .seed(2014 ^ 0xe18)
+        .build();
+    let env = Environment::nominal(design.tech());
+    let profile = MissionProfile::typical(design.tech());
+    let key_pairs = PairingStrategy::Neighbor.pairs(n_ros);
+    let policy = ServicePolicy {
+        replicas: DEFAULT_REPLICAS,
+        ..ServicePolicy::default()
+    };
+    let mut service = AuthService::new(policy, FLEET as usize, N_SHARDS, 2014);
+    let chips = (0..FLEET)
+        .map(|id| {
+            let mut chip = Chip::fabricate(&design, id);
+            let pairs = Challenge(id).pairs(n_ros, CRP_BITS);
+            let reference = chip.golden_response(&design, &env, &pairs);
+            let mut rng = design.seed_domain().child("serve-enroll").rng(id);
+            let key_golden = chip.golden_response(&design, &env, &key_pairs);
+            let (key, helper) = generator.enroll(&key_golden, &mut rng);
+            service.enroll(StoredRecord::new(id, pairs, reference, helper, key));
+            profile.age_chip(&mut chip, &design, 10.0 * YEAR);
+            chip
+        })
+        .collect();
+    (service, chips, design)
 }
 
 fn bench(c: &mut Criterion) {
@@ -144,6 +186,36 @@ fn bench(c: &mut Criterion) {
             let report = store.scrub();
             assert!(report.repairs.is_empty());
             black_box(report.groups)
+        })
+    });
+
+    // The unit operation of `serve-steady`: one probe, a quorum read of
+    // the record and a 64-pair soft read of the device, on the next
+    // device each call, as the traffic does. One probe per device first
+    // warms every challenge ring's kernel.
+    let (service, mut chips, fleet_design) = serve_fleet();
+    let fleet_env = Environment::nominal(fleet_design.tech());
+    let mut event_base = 0;
+    let mut probe = |device: u64| {
+        event_base += 8;
+        service.probe(
+            &mut chips[device as usize],
+            device,
+            device,
+            event_base,
+            &fleet_design,
+            &fleet_env,
+            None,
+        )
+    };
+    for device in 0..FLEET {
+        assert!(probe(device).verdict.is_accept());
+    }
+    c.bench_function("serve_probe", |b| {
+        let mut device = 0;
+        b.iter(|| {
+            device = (device + 1) % FLEET;
+            black_box(probe(black_box(device)).verdict)
         })
     });
 

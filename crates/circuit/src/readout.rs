@@ -91,17 +91,57 @@ impl ReadoutConfig {
     /// Counts `f_true` through the gate window, adding jitter noise and
     /// quantizing. A dead ring (`f_true == 0`) legitimately counts zero —
     /// the counter simply never advances.
+    ///
+    /// # Panics
+    /// Panics if `f_true` is negative or NaN.
     pub fn measure<R: Rng + ?Sized>(&self, f_true: f64, rng: &mut R) -> Measurement {
+        self.draw(&self.resolve(f_true), rng)
+    }
+
+    /// The noise-free half of [`ReadoutConfig::measure`]: a ring running at
+    /// `f_true` hertz with its noise sigma, ready for any number of
+    /// [`ReadoutConfig::draw`]s.
+    ///
+    /// # Panics
+    /// Panics if `f_true` is negative or NaN.
+    #[must_use]
+    pub fn resolve(&self, f_true: f64) -> ResolvedRing {
         assert!(f_true >= 0.0, "frequency must be non-negative");
-        if f_true == 0.0 {
+        ResolvedRing {
+            f_true,
+            sigma_rel: self.sigma_rel_at(f_true),
+        }
+    }
+
+    /// The noisy half of [`ReadoutConfig::measure`]: one gated count of a
+    /// resolved ring. A dead ring counts zero without drawing.
+    pub fn draw<R: Rng + ?Sized>(&self, ring: &ResolvedRing, rng: &mut R) -> Measurement {
+        if ring.f_true == 0.0 {
             return Measurement::new(0, self.gate_time_s);
         }
-        let sigma = self.sigma_rel_at(f_true);
-        let f_noisy = f_true * (1.0 + sigma * standard_normal(rng));
+        let f_noisy = ring.f_true * (1.0 + ring.sigma_rel * standard_normal(rng));
         let phase: f64 = rng.gen_range(0.0..1.0);
-        let count = (f_noisy * self.gate_time_s + phase).floor().max(0.0) as u64;
-        Measurement::new(count, self.gate_time_s)
+        Measurement::new(
+            gated_count(f_noisy * self.gate_time_s + phase),
+            self.gate_time_s,
+        )
     }
+}
+
+/// The counter value for `cycles` counted edges: `floor(cycles)`, clamped
+/// at 0. `as` truncates toward zero and saturates negatives and NaN to 0,
+/// so it equals `cycles.floor().max(0.0) as u64` for every input, ±∞
+/// included, without the libm `floor` call.
+fn gated_count(cycles: f64) -> u64 {
+    cycles as u64
+}
+
+/// A ring resolved for the readout: its true frequency and its relative
+/// noise sigma (see [`ReadoutConfig::resolve`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ResolvedRing {
+    f_true: f64,
+    sigma_rel: f64,
 }
 
 /// One gated count of one ring.
@@ -156,6 +196,25 @@ mod tests {
         let m = cfg.measure(f, &mut rng);
         let err = (m.frequency() - f).abs();
         assert!(err <= 1.0 / cfg.gate_time_s, "error {err} Hz within 1 LSB");
+    }
+
+    #[test]
+    fn the_count_conversion_equals_floor_clamped_at_zero() {
+        let inputs = [
+            -1.5,
+            -0.0,
+            0.0,
+            0.5,
+            1.0,
+            2f64.powi(53) + 0.5,
+            1e20,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for x in inputs {
+            assert_eq!(gated_count(x), x.floor().max(0.0) as u64, "{x}");
+        }
     }
 
     #[test]

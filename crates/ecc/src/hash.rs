@@ -27,6 +27,17 @@ const H0: [u32; 8] = [
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// `FNV_PRIME_POWERS[k]` is the FNV prime to the `k`-th power (wrapping).
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 /// Folds `bytes` into the 64-bit FNV-1a state `hash`.
 #[must_use]
 pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
@@ -37,9 +48,17 @@ pub fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Folds `value`'s little-endian bytes into the FNV-1a state `hash`.
+///
+/// The same function as `fnv1a(hash, &value.to_le_bytes())`, computed
+/// faster for small values: folding a zero byte is a bare multiply by the
+/// prime, and wrapping multiplication is associative, so the run of zero
+/// high bytes folds as one multiply by the matching power. A value below
+/// 2^16 takes 3 dependent steps instead of 8.
 #[must_use]
 pub fn fnv1a_u64(hash: u64, value: u64) -> u64 {
-    fnv1a(hash, &value.to_le_bytes())
+    let significant = (u64::BITS - value.leading_zeros()).div_ceil(8) as usize;
+    let hash = fnv1a(hash, &value.to_le_bytes()[..significant]);
+    hash.wrapping_mul(FNV_PRIME_POWERS[8 - significant])
 }
 
 /// Computes the SHA-256 digest of `data`.
@@ -123,6 +142,38 @@ mod tests {
             fnv1a_u64(FNV_OFFSET, 1),
             fnv1a(FNV_OFFSET, &[1, 0, 0, 0, 0, 0, 0, 0])
         );
+    }
+
+    #[test]
+    fn the_zero_run_fold_is_the_bytewise_fold() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xf17);
+        // Every significant-byte length 0..=8, with the 2^k ± 1 boundaries
+        // around each byte edge.
+        let mut values = vec![0, 1, u64::MAX];
+        for k in 1..64 {
+            let edge = 1u64 << k;
+            values.extend([edge - 1, edge, edge + 1]);
+        }
+        for len in 0..=8u32 {
+            for _ in 0..64 {
+                let v = match len {
+                    0 => 0,
+                    8 => rng.gen::<u64>() | 1 << 63,
+                    _ => (rng.gen::<u64>() >> (64 - 8 * len)) | 1 << (8 * len - 1),
+                };
+                values.push(v);
+            }
+        }
+        for value in values {
+            let hash = rng.gen::<u64>();
+            assert_eq!(
+                fnv1a_u64(hash, value),
+                fnv1a(hash, &value.to_le_bytes()),
+                "value {value:#x}"
+            );
+        }
     }
 
     #[test]

@@ -144,16 +144,11 @@ impl KeyGenerator {
         helper: &HelperData,
         erasures: &crate::soft::Erasures,
     ) -> Option<BitString> {
-        let decoder = crate::soft::SoftConcatDecoder::new(
-            BchCode::new(self.spec.bch_m, self.spec.bch_t),
-            RepetitionCode::new(self.spec.rep_r),
-        );
         aro_obs::counter("ecc.key_reconstructions_soft", 1);
         if !erasures.is_empty() {
             aro_obs::counter("ecc.erasure_aware_reconstructions", 1);
         }
-        let key = decoder
-            .reproduce_soft(response, helper, erasures)
+        let key = crate::soft::reproduce_soft(self.extractor.code(), response, helper, erasures)
             .map(|key: Key| key.truncated(self.key_bits));
         if key.is_none() {
             aro_obs::counter("ecc.key_failures", 1);

@@ -160,29 +160,7 @@ impl SoftConcatDecoder {
     /// channel data).
     #[must_use]
     pub fn decode_soft(&self, received: &[SoftBit]) -> Option<BitString> {
-        use crate::code::Code;
-        if received.len() != self.code.n() {
-            return None;
-        }
-        let r = self.code.inner().r();
-        if aro_obs::enabled() {
-            // Weakest inner vote of this codeword: |Σ signed weights| of
-            // the most contested repetition group. Trends toward 0 as
-            // aging erodes confidence, before any outer-decode failure.
-            let min_margin = received
-                .chunks(r)
-                .map(|g| g.iter().map(SoftBit::signed).sum::<f64>().abs())
-                .fold(f64::INFINITY, f64::min);
-            if min_margin.is_finite() {
-                aro_obs::sketch("ecc.soft_vote_margin", min_margin);
-            }
-        }
-        let outer_received: BitString = received.chunks(r).map(soft_majority).collect();
-        let outer_corrected = self.code.outer().decode(&outer_received)?;
-        Some(
-            self.code
-                .encode(&self.code.outer().extract_message(&outer_corrected)),
-        )
+        decode_soft(&self.code, received)
     }
 
     /// Soft-decision key reconstruction through a code-offset helper: the
@@ -218,46 +196,90 @@ impl SoftConcatDecoder {
         helper: &HelperData,
         erasures: &Erasures,
     ) -> Option<Key> {
-        use crate::code::Code;
-        let n = self.code.n();
-        if response.len() < helper.blocks() * n {
-            return None;
-        }
-        let helper_erased: std::collections::HashSet<(usize, usize)> =
-            erasures.helper.iter().copied().collect();
-        let response_erased: std::collections::HashSet<usize> =
-            erasures.response.iter().copied().collect();
-        let mut w = BitString::zeros(0);
-        for (block_index, offset) in helper.offsets().iter().enumerate() {
-            let base = block_index * n;
-            let shifted: Vec<SoftBit> = response[base..base + n]
-                .iter()
-                .enumerate()
-                .map(|(i, soft)| {
-                    let s = if offset.get(i) { soft.flipped() } else { *soft };
-                    if helper_erased.contains(&(block_index, i))
-                        || response_erased.contains(&(base + i))
-                    {
-                        SoftBit::erasure(s.value)
-                    } else {
-                        s
-                    }
-                })
-                .collect();
-            let codeword = self.decode_soft(&shifted)?;
-            let recovered: BitString = (0..n)
-                .map(|i| {
-                    if helper_erased.contains(&(block_index, i)) {
-                        response[base + i].value
-                    } else {
-                        codeword.get(i) ^ offset.get(i)
-                    }
-                })
-                .collect();
-            w = w.concat(&recovered);
-        }
-        Some(helper.derive_key_for(&w))
+        reproduce_soft(&self.code, response, helper, erasures)
     }
+}
+
+/// [`SoftConcatDecoder::decode_soft`] through a borrowed code.
+fn decode_soft(code: &ConcatenatedCode, received: &[SoftBit]) -> Option<BitString> {
+    use crate::code::Code;
+    if received.len() != code.n() {
+        return None;
+    }
+    let r = code.inner().r();
+    if aro_obs::enabled() {
+        // Weakest inner vote of this codeword: |Σ signed weights| of
+        // the most contested repetition group. Trends toward 0 as
+        // aging erodes confidence, before any outer-decode failure.
+        let min_margin = received
+            .chunks(r)
+            .map(|g| g.iter().map(SoftBit::signed).sum::<f64>().abs())
+            .fold(f64::INFINITY, f64::min);
+        if min_margin.is_finite() {
+            aro_obs::sketch("ecc.soft_vote_margin", min_margin);
+        }
+    }
+    let outer_received: BitString = received.chunks(r).map(soft_majority).collect();
+    let outer_corrected = code.outer().decode(&outer_received)?;
+    Some(code.encode(&code.outer().extract_message(&outer_corrected)))
+}
+
+/// [`SoftConcatDecoder::reproduce_soft`] through a borrowed code: a key
+/// generator decodes through the code its fuzzy extractor holds.
+pub(crate) fn reproduce_soft(
+    code: &ConcatenatedCode,
+    response: &[SoftBit],
+    helper: &HelperData,
+    erasures: &Erasures,
+) -> Option<Key> {
+    use crate::code::Code;
+    let n = code.n();
+    let blocks = helper.blocks();
+    if response.len() < blocks * n {
+        return None;
+    }
+    // Position masks over the `blocks · n` decoded bits; flags outside
+    // that range match no position and are ignored.
+    let mut helper_erased = vec![false; blocks * n];
+    for &(block, bit) in &erasures.helper {
+        if block < blocks && bit < n {
+            helper_erased[block * n + bit] = true;
+        }
+    }
+    let mut response_erased = vec![false; blocks * n];
+    for &position in &erasures.response {
+        if let Some(erased) = response_erased.get_mut(position) {
+            *erased = true;
+        }
+    }
+    let mut w = BitString::zeros(0);
+    for (block_index, offset) in helper.offsets().iter().enumerate() {
+        let base = block_index * n;
+        let shifted: Vec<SoftBit> = response[base..base + n]
+            .iter()
+            .enumerate()
+            .map(|(i, soft)| {
+                let s = if offset.get(i) { soft.flipped() } else { *soft };
+                if helper_erased[base + i] || response_erased[base + i] {
+                    SoftBit::erasure(s.value)
+                } else {
+                    s
+                }
+            })
+            .collect();
+        let codeword = decode_soft(code, &shifted)?;
+        let recovered: BitString = (0..n)
+            .map(|i| {
+                if helper_erased[base + i] {
+                    response[base + i].value
+                } else {
+                    codeword.get(i) ^ offset.get(i)
+                }
+            })
+            .collect();
+        w = w.concat(&recovered);
+    }
+    Some(helper.derive_key_for(&w))
 }
 
 #[cfg(test)]
@@ -477,6 +499,42 @@ mod tests {
         };
         assert_eq!(
             decoder.reproduce_soft(&reading, &helper, &erasures),
+            Some(key)
+        );
+    }
+
+    #[test]
+    fn duplicate_and_out_of_range_flags_act_as_the_in_range_set() {
+        let decoder = SoftConcatDecoder::new(BchCode::new(5, 2), RepetitionCode::new(3));
+        let fe = FuzzyExtractor::new(decoder.code().clone(), 2);
+        let n = decoder.code().n();
+        let mut rng = StdRng::seed_from_u64(19);
+        let w: BitString = (0..fe.response_bits()).map(|_| rng.gen::<bool>()).collect();
+        let (key, helper) = fe.generate(&w, &mut rng);
+        let eroded = helper.with_flipped_bits(&[(0, 4)]);
+        // Block 1's first bit reads wrong, but faintly: the decoder
+        // corrects it, unless it were taken for a helper erasure, whose
+        // recovered bit is the wrong reading. `(0, n)` would land there if
+        // flags were flattened without checking the bit index.
+        let reading: Vec<SoftBit> = w
+            .iter()
+            .enumerate()
+            .map(|(i, bit)| SoftBit::new(bit != (i == n), if i == n { 0.1 } else { 1.0 }))
+            .collect();
+        let in_range = Erasures {
+            helper: vec![(0, 4)],
+            response: vec![1],
+        };
+        let flagged = Erasures {
+            helper: vec![(0, 4), (0, 4), (0, n), (2, 0), (usize::MAX, usize::MAX)],
+            response: vec![1, 1, 2 * n, usize::MAX],
+        };
+        assert_eq!(
+            decoder.reproduce_soft(&reading, &eroded, &in_range),
+            Some(key)
+        );
+        assert_eq!(
+            decoder.reproduce_soft(&reading, &eroded, &flagged),
             Some(key)
         );
     }

@@ -1,15 +1,18 @@
 //! One fabricated chip: a process realization plus its RO array.
 
-use aro_circuit::readout::Measurement;
+use aro_circuit::readout::{Measurement, ReadoutConfig, ResolvedRing};
 use aro_circuit::ring::{ActiveStressBatch, AgingModels, IdleStressBatch, RingOscillator};
 use aro_device::environment::Environment;
 use aro_device::process::{ChipProcess, DiePosition};
 use aro_device::rng::SeedDomain;
 use aro_metrics::bits::BitString;
-use rand::rngs::StdRng;
 
 use crate::design::PufDesign;
 use crate::kernels::{KernelCache, KernelRead};
+
+/// Rings per resolve pass of a noisy read: a serve challenge's 64 pairs
+/// resolve in one.
+const RESOLVE_CHUNK: usize = 128;
 
 /// One fabricated chip of a [`PufDesign`].
 ///
@@ -18,6 +21,14 @@ use crate::kernels::{KernelCache, KernelRead};
 /// noise from a per-chip nonce stream, so re-running an experiment
 /// reproduces it bit for bit while repeated measurements still see fresh
 /// noise.
+///
+/// Every noisy read runs in two passes, per chunk of up to 128 rings (a
+/// 64-pair challenge is one chunk). The *resolve pass* looks up the true
+/// frequency of each ring the read touches, in measurement order, through
+/// one borrow of the kernel cache, and resolves its readout noise. The
+/// *draw pass* then takes each measurement from the noise stream at the
+/// next nonce: one nonce per measurement, a dead ring's zero count
+/// included.
 ///
 /// The chip caches its rings' derived frequencies (see
 /// `crate::kernels`): every read resolves its technology and environment
@@ -200,38 +211,91 @@ impl Chip {
     /// [`Chip::frequencies`] for tight timeline loops.
     pub fn frequencies_into(&self, design: &PufDesign, env: &Environment, buf: &mut Vec<f64>) {
         let read = self.kernel_read(design, env);
+        let mut lookup = self.kernels.lookup(&read);
         buf.clear();
         buf.extend(
             self.ros
                 .iter()
                 .enumerate()
-                .map(|(i, ro)| self.kernels.frequency(&read, i, ro)),
+                .map(|(i, ro)| lookup.frequency(i, ro)),
         );
     }
 
-    /// A fresh deterministic noise stream for the next measurement.
-    fn next_noise_rng(&mut self) -> StdRng {
-        let rng = self.noise_domain.rng(self.measure_nonce);
+    /// A noisy read in two passes per chunk of up to [`RESOLVE_CHUNK`]
+    /// rings. The resolve pass looks up each ring of `rings`, in order,
+    /// through one borrow of the kernel cache and resolves its readout
+    /// noise; it draws nothing. The draw pass then hands each group of
+    /// `group` resolved rings to `draw`, in order. Lookups touch only the
+    /// kernel slots and draws only the nonce, so neither the passes nor
+    /// the chunking move a bit; the chunk bounds what a whole-array read
+    /// holds.
+    fn read<T, C: FromIterator<T>>(
+        &mut self,
+        design: &PufDesign,
+        env: &Environment,
+        mut rings: impl Iterator<Item = usize>,
+        group: usize,
+        mut draw: impl FnMut(&mut Self, &[ResolvedRing]) -> T,
+    ) -> C {
+        let read = self.kernel_read(design, env);
+        let mut resolved = Vec::with_capacity(RESOLVE_CHUNK);
+        let mut out = Vec::with_capacity(rings.size_hint().0 / group);
+        loop {
+            let mut lookup = self.kernels.lookup(&read);
+            resolved.extend(
+                rings
+                    .by_ref()
+                    .take(RESOLVE_CHUNK)
+                    .map(|i| design.readout().resolve(lookup.frequency(i, &self.ros[i]))),
+            );
+            drop(lookup);
+            if resolved.is_empty() {
+                return out.into_iter().collect();
+            }
+            out.extend(resolved.chunks_exact(group).map(|rings| draw(self, rings)));
+            resolved.clear();
+        }
+    }
+
+    /// One step of the draw pass: a gated count of `ring` from the noise
+    /// stream at the next nonce.
+    fn draw(&mut self, readout: &ReadoutConfig, ring: &ResolvedRing) -> Measurement {
+        let mut rng = self.noise_domain.rng(self.measure_nonce);
         self.measure_nonce += 1;
-        rng
+        readout.draw(ring, &mut rng)
+    }
+
+    /// A noisy read of `pairs`, both rings of a pair resolved `i` before
+    /// `j`: `per_pair` draws each pair's measurements, in pair order.
+    fn read_pairs<T, C: FromIterator<T>>(
+        &mut self,
+        design: &PufDesign,
+        env: &Environment,
+        pairs: &[(usize, usize)],
+        mut per_pair: impl FnMut(&mut Self, &ResolvedRing, &ResolvedRing) -> T,
+    ) -> C {
+        let rings = pairs.iter().flat_map(|&(i, j)| [i, j]);
+        self.read(design, env, rings, 2, |chip, pair| {
+            per_pair(chip, &pair[0], &pair[1])
+        })
+    }
+
+    /// One measurement of each ring of a pair, `i` first.
+    fn draw_pair(
+        &mut self,
+        readout: &ReadoutConfig,
+        i: &ResolvedRing,
+        j: &ResolvedRing,
+    ) -> (Measurement, Measurement) {
+        (self.draw(readout, i), self.draw(readout, j))
     }
 
     /// Measures every ring once, in index order — one enrollment read of
     /// the whole array.
     pub fn measure_all(&mut self, design: &PufDesign, env: &Environment) -> Vec<Measurement> {
-        let read = self.kernel_read(design, env);
-        (0..self.ros.len())
-            .map(|i| self.measure_with(&read, design, i))
-            .collect()
-    }
-
-    /// Runs ring `index` through the counter for one gate window under an
-    /// already resolved read and returns the (noisy, quantized)
-    /// measurement.
-    fn measure_with(&mut self, read: &KernelRead, design: &PufDesign, index: usize) -> Measurement {
-        let f_true = self.kernels.frequency(read, index, &self.ros[index]);
-        let mut rng = self.next_noise_rng();
-        design.readout().measure(f_true, &mut rng)
+        self.read(design, env, 0..self.ros.len(), 1, |chip, ring| {
+            chip.draw(design.readout(), &ring[0])
+        })
     }
 
     /// Generates the response for a list of pairs with real measurement
@@ -242,15 +306,10 @@ impl Chip {
         env: &Environment,
         pairs: &[(usize, usize)],
     ) -> BitString {
-        let read = self.kernel_read(design, env);
-        pairs
-            .iter()
-            .map(|&(i, j)| {
-                let a = self.measure_with(&read, design, i);
-                let b = self.measure_with(&read, design, j);
-                a.bit_against(&b)
-            })
-            .collect()
+        self.read_pairs(design, env, pairs, |chip, i, j| {
+            let (a, b) = chip.draw_pair(design.readout(), i, j);
+            a.bit_against(&b)
+        })
     }
 
     /// Generates the response with **soft information**: each bit comes
@@ -264,16 +323,11 @@ impl Chip {
         env: &Environment,
         pairs: &[(usize, usize)],
     ) -> Vec<(bool, f64)> {
-        let read = self.kernel_read(design, env);
-        pairs
-            .iter()
-            .map(|&(i, j)| {
-                let a = self.measure_with(&read, design, i);
-                let b = self.measure_with(&read, design, j);
-                let confidence = a.count().abs_diff(b.count()) as f64;
-                (a.bit_against(&b), confidence)
-            })
-            .collect()
+        self.read_pairs(design, env, pairs, |chip, i, j| {
+            let (a, b) = chip.draw_pair(design.readout(), i, j);
+            let confidence = a.count().abs_diff(b.count()) as f64;
+            (a.bit_against(&b), confidence)
+        })
     }
 
     /// Generates the response with **temporal majority voting**: each
@@ -292,48 +346,31 @@ impl Chip {
         votes: usize,
     ) -> BitString {
         assert!(votes >= 1 && votes % 2 == 1, "votes must be odd");
-        // True frequencies are vote-invariant (noise enters at the
-        // readout), so resolve each ring once per call instead of
-        // re-walking the kernel cache `2 * votes` times per pair. The
-        // noise-draw order and count are unchanged, and the cache emits
-        // only on kernel rebuilds — first touch per ring, exactly as in
-        // the unhoisted loop — so responses and telemetry are
-        // byte-identical.
-        let read = self.kernel_read(design, env);
-        let mut freqs: Vec<Option<f64>> = vec![None; self.ros.len()];
-        let mut freq_of = |chip: &Self, index: usize| -> f64 {
-            *freqs[index]
-                .get_or_insert_with(|| chip.kernels.frequency(&read, index, &chip.ros[index]))
-        };
+        // True frequencies and noise sigmas are vote-invariant (noise
+        // enters at the draw), so the resolve pass serves every vote.
         let majority = votes / 2 + 1;
-        pairs
-            .iter()
-            .map(|&(i, j)| {
-                // Early-majority cut: once either side holds a strict
-                // majority of the vote budget, the remaining measurements
-                // cannot change the bit. Each skipped measurement's noise
-                // came from its own discarded per-measurement RNG, so
-                // advancing the nonce stream by the skipped count leaves
-                // every later draw — and thus every response bit — exactly
-                // where the full loop would have put it.
-                let mut ones = 0usize;
-                for vote in 0..votes {
-                    let f_i = freq_of(self, i);
-                    let f_j = freq_of(self, j);
-                    let a = design.readout().measure(f_i, &mut self.next_noise_rng());
-                    let b = design.readout().measure(f_j, &mut self.next_noise_rng());
-                    if a.bit_against(&b) {
-                        ones += 1;
-                    }
-                    let zeros = vote + 1 - ones;
-                    if ones >= majority || zeros >= majority {
-                        self.measure_nonce += 2 * (votes - vote - 1) as u64;
-                        break;
-                    }
+        self.read_pairs(design, env, pairs, |chip, i, j| {
+            // Early-majority cut: once either side holds a strict
+            // majority of the vote budget, the remaining measurements
+            // cannot change the bit. Each skipped measurement's noise
+            // came from its own discarded per-measurement RNG, so
+            // advancing the nonce stream by the skipped count leaves
+            // every later draw — and thus every response bit — exactly
+            // where the full loop would have put it.
+            let mut ones = 0usize;
+            for vote in 0..votes {
+                let (a, b) = chip.draw_pair(design.readout(), i, j);
+                if a.bit_against(&b) {
+                    ones += 1;
                 }
-                ones >= majority
-            })
-            .collect()
+                let zeros = vote + 1 - ones;
+                if ones >= majority || zeros >= majority {
+                    chip.measure_nonce += 2 * (votes - vote - 1) as u64;
+                    break;
+                }
+            }
+            ones >= majority
+        })
     }
 
     /// The *golden* (noiseless) response: the comparison of true

@@ -39,7 +39,7 @@
 //! sequence. Sampled and faulted rings refuse preloads, so the sketch
 //! stream never misses a point.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 
 use aro_circuit::kernel::FreqContext;
 use aro_circuit::ring::{RingOscillator, RoHealth, RoStyle};
@@ -103,6 +103,14 @@ pub(crate) struct KernelRead<'a> {
     tech: u32,
 }
 
+/// The lookups of one read through one borrow of the cache's tables
+/// ([`KernelCache::lookup`]).
+pub(crate) struct Lookup<'c, 'a> {
+    n_rings: usize,
+    tables: RefMut<'c, Tables>,
+    read: &'c KernelRead<'a>,
+}
+
 impl KernelCache {
     /// An empty cache for an array of `n_rings` rings.
     pub(crate) fn new(n_rings: usize) -> Self {
@@ -141,52 +149,20 @@ impl KernelCache {
         }
     }
 
+    /// Opens the lookups of one read: the tables stay borrowed until the
+    /// returned [`Lookup`] drops.
+    pub(crate) fn lookup<'c, 'a>(&'c self, read: &'c KernelRead<'a>) -> Lookup<'c, 'a> {
+        Lookup {
+            n_rings: self.n_rings,
+            tables: self.tables.borrow_mut(),
+            read,
+        }
+    }
+
     /// The frequency of ring `index` of the holder's array under `read`:
-    /// a slot hit, or a derivation that becomes the ring's MRU slot.
-    /// Faulted rings short-circuit before the cache.
+    /// one [`Lookup::frequency`].
     pub(crate) fn frequency(&self, read: &KernelRead, index: usize, ring: &RingOscillator) -> f64 {
-        match ring.health() {
-            RoHealth::Healthy => {}
-            RoHealth::Dead => return 0.0,
-            RoHealth::Stuck(freq_hz) => return freq_hz,
-        }
-        let mut tables = self.tables.borrow_mut();
-        let slots = tables.slots(self.n_rings, index);
-        let (env, wear_epoch) = (*read.ctx.env(), ring.wear_epoch());
-        for pos in 0..2 {
-            let Some(slot) = &mut slots[pos] else {
-                continue;
-            };
-            if slot.wear_epoch == wear_epoch && slot.tech == read.tech && slot.env == env {
-                if std::mem::take(&mut slot.phantom) {
-                    // Preloaded slot, first use: book the rebuild the
-                    // preload skipped, where the cold path performs it.
-                    aro_obs::counter("circuit.kernel_rebuilds", 1);
-                }
-                let freq_hz = slot.freq_hz;
-                slots.swap(0, pos);
-                return freq_hz;
-            }
-        }
-        let freq_hz = read.ctx.derive(ring);
-        aro_obs::counter("circuit.kernel_rebuilds", 1);
-        install(
-            slots,
-            Slot {
-                env,
-                wear_epoch,
-                freq_hz,
-                tech: read.tech,
-                phantom: false,
-            },
-        );
-        // Sketch points come from derivations only (distinct physical
-        // states, unweighted by cache re-reads), thinned through the
-        // deterministic 1-in-16 gate.
-        if ring.obs_sampled() {
-            aro_obs::sketch("circuit.ring_freq_ghz", freq_hz * 1e-9);
-        }
-        freq_hz
+        self.lookup(read).frequency(index, ring)
     }
 
     /// Ring `index`'s most recent slot that describes its present wear —
@@ -265,6 +241,55 @@ impl KernelCache {
         let mut tables = self.tables.borrow_mut();
         tables.rings.clear();
         tables.techs.clear();
+    }
+}
+
+impl Lookup<'_, '_> {
+    /// The frequency of ring `index` of the holder's array under the
+    /// read: a slot hit, or a derivation that becomes the ring's MRU slot.
+    /// Faulted rings short-circuit before the cache.
+    pub(crate) fn frequency(&mut self, index: usize, ring: &RingOscillator) -> f64 {
+        match ring.health() {
+            RoHealth::Healthy => {}
+            RoHealth::Dead => return 0.0,
+            RoHealth::Stuck(freq_hz) => return freq_hz,
+        }
+        let slots = self.tables.slots(self.n_rings, index);
+        let (env, wear_epoch) = (*self.read.ctx.env(), ring.wear_epoch());
+        for pos in 0..2 {
+            let Some(slot) = &mut slots[pos] else {
+                continue;
+            };
+            if slot.wear_epoch == wear_epoch && slot.tech == self.read.tech && slot.env == env {
+                if std::mem::take(&mut slot.phantom) {
+                    // Preloaded slot, first use: book the rebuild the
+                    // preload skipped, where the cold path performs it.
+                    aro_obs::counter("circuit.kernel_rebuilds", 1);
+                }
+                let freq_hz = slot.freq_hz;
+                slots.swap(0, pos);
+                return freq_hz;
+            }
+        }
+        let freq_hz = self.read.ctx.derive(ring);
+        aro_obs::counter("circuit.kernel_rebuilds", 1);
+        install(
+            slots,
+            Slot {
+                env,
+                wear_epoch,
+                freq_hz,
+                tech: self.read.tech,
+                phantom: false,
+            },
+        );
+        // Sketch points come from derivations only (distinct physical
+        // states, unweighted by cache re-reads), thinned through the
+        // deterministic 1-in-16 gate.
+        if ring.obs_sampled() {
+            aro_obs::sketch("circuit.ring_freq_ghz", freq_hz * 1e-9);
+        }
+        freq_hz
     }
 }
 

@@ -49,14 +49,19 @@ pub trait SeedableRng: Sized {
         let mut seed = Self::Seed::default();
         let mut sm = state;
         for chunk in seed.as_mut().chunks_mut(8) {
-            sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let out = splitmix_finalize(sm);
+            let out = splitmix_next(&mut sm);
             for (b, byte) in chunk.iter_mut().zip(out.to_le_bytes()) {
                 *b = byte;
             }
         }
         Self::from_seed(seed)
     }
+}
+
+/// The next output of the SplitMix64 stream whose state is `sm`.
+fn splitmix_next(sm: &mut u64) -> u64 {
+    *sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    splitmix_finalize(*sm)
 }
 
 /// SplitMix64 finalizer.
@@ -273,7 +278,7 @@ impl<R: RngCore + ?Sized> Rng for R {}
 pub mod rngs {
     //! Concrete generators.
 
-    use super::{splitmix_finalize, RngCore, SeedableRng};
+    use super::{splitmix_finalize, splitmix_next, RngCore, SeedableRng};
 
     /// The workspace's standard deterministic generator: xoshiro256**.
     ///
@@ -318,6 +323,21 @@ pub mod rngs {
             for (word, chunk) in s.iter_mut().zip(seed.chunks(8)) {
                 *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
             }
+            Self::from_state(s)
+        }
+
+        /// The trait default's SplitMix64 expansion, word for word: each
+        /// output becomes its state word directly, where the default packs
+        /// it into the little-endian seed bytes that `from_seed` unpacks
+        /// into the same word.
+        fn seed_from_u64(state: u64) -> Self {
+            let mut sm = state;
+            Self::from_state(std::array::from_fn(|_| splitmix_next(&mut sm)))
+        }
+    }
+
+    impl StdRng {
+        fn from_state(mut s: [u64; 4]) -> Self {
             // The all-zero state is a fixed point; remix it away.
             if s == [0; 4] {
                 s = [
@@ -347,6 +367,33 @@ mod tests {
         let zs: Vec<u64> = (0..8).map(|_| c.next_u64()).collect();
         assert_eq!(xs, ys);
         assert_ne!(xs, zs);
+    }
+
+    /// `SeedableRng`'s provided `seed_from_u64`, the byte-packed SplitMix64
+    /// expansion, as `StdRng` would have it without its override.
+    struct ByteSeeded(StdRng);
+
+    impl SeedableRng for ByteSeeded {
+        type Seed = [u8; 32];
+
+        fn from_seed(seed: [u8; 32]) -> Self {
+            Self(StdRng::from_seed(seed))
+        }
+    }
+
+    #[test]
+    fn word_seeding_equals_the_byte_packed_expansion() {
+        let mut sm = StdRng::seed_from_u64(0x5eed);
+        let seeds = [0, 1, u64::MAX, u64::MAX - 1, 1 << 63]
+            .into_iter()
+            .chain((0..10_000).map(|_| sm.next_u64()));
+        for seed in seeds {
+            assert_eq!(
+                StdRng::seed_from_u64(seed),
+                ByteSeeded::seed_from_u64(seed).0,
+                "seed {seed:#x}"
+            );
+        }
     }
 
     #[test]

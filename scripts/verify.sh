@@ -44,13 +44,16 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 echo "==> aro-perf run (every workload, output checks)"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- run --seconds 1 --trace 1
 
-# `serve-heal` again at two more seeds. Its seed draws the service streams
-# and the fault schedule, so each seed damages, ages and heals the fleet
-# differently, under the same output checks.
-for seed in 7 31; do
-  echo "==> aro-perf run --workload serve-heal --seed $seed"
-  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-    run --workload serve-heal --seed "$seed" --seconds 1 --trace 1
+# The serve workloads again at two more seeds. The seed draws the service
+# streams (and, for `serve-heal`, the fault schedule), so each seed
+# retries, damages, ages and heals the fleet differently, under the same
+# output checks.
+for workload in serve-steady serve-heal; do
+  for seed in 7 31; do
+    echo "==> aro-perf run --workload $workload --seed $seed"
+    cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+      run --workload "$workload" --seed "$seed" --seconds 1 --trace 1
+  done
 done
 
 # Bench smoke: run each microbenchmark once (the vendored criterion runs a
