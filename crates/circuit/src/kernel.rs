@@ -6,12 +6,14 @@
 //! threshold, overdrive, drive factor and the `powf` of the alpha-power
 //! law. A [`FreqContext`] holds what every ring of one die shares under
 //! one read — the PMOS and NMOS nominal devices, the `HciModel`, the
-//! mobility factor and the switched load — so a chip-wide read derives
-//! them once instead of once per ring. The nominal devices live here, not
-//! in the rings: a transistor stores only its mismatch and aging
-//! multipliers (see [`crate::gates`]), and `tech` stays their one source.
-//! Wear lives in the ring: each stage reads the raw BTI shift of its
-//! devices' stress classes, and each ring one raw HCI shift.
+//! mobility factor, the switched load and the die's BTI stress classes —
+//! so a chip-wide read derives them once instead of once per ring. The
+//! nominal devices live here, not in the rings: a transistor stores only
+//! its mismatch and aging multipliers (see [`crate::gates`]), and `tech`
+//! stays their one source. BTI wear is the chip's: each stage reads the
+//! raw shift of its devices' stress classes from the context, fixed when
+//! the read is resolved. HCI wear is the ring's: each ring reads one raw
+//! HCI shift.
 //!
 //! The context does not cache results. The chip that owns a ring array
 //! and its die process keeps the per-ring results (`aro_puf::Chip`, see
@@ -44,6 +46,7 @@ pub struct FreqContext<'a> {
     tech: &'a TechParams,
     env: Environment,
     chip: ChipProcess,
+    bti: [f64; 4],
     pmos: Mosfet,
     nmos: Mosfet,
     hci: HciModel,
@@ -52,19 +55,22 @@ pub struct FreqContext<'a> {
 }
 
 impl<'a> FreqContext<'a> {
-    /// Resolves the read context for rings of `style` on die `chip`.
+    /// Resolves the read context for rings of `style` on die `chip`, whose
+    /// BTI stress classes hold `bti` (`crate::ring` module docs).
     #[must_use]
     pub fn new(
         style: RoStyle,
         tech: &'a TechParams,
         env: &Environment,
         chip: &ChipProcess,
+        bti: &[f64; 4],
     ) -> Self {
         Self {
             style,
             tech,
             env: *env,
             chip: *chip,
+            bti: *bti,
             pmos: nominal_device(MosType::Pmos, tech),
             nmos: nominal_device(MosType::Nmos, tech),
             hci: HciModel::new(tech),
@@ -96,7 +102,7 @@ impl<'a> FreqContext<'a> {
 
         let mut period_s = 0.0f64;
         for (index, stage) in ring.stages().iter().enumerate() {
-            let (bti_p, bti_n) = ring.stage_bti(index);
+            let (bti_p, bti_n) = ring.stage_bti(&self.bti, index);
             let pmos = stage.pmos();
             let dvth_p = chip.dvth_interdie_p() + pmos.dvth_total(systematic, bti_p, hci_dvth);
             let vth_p = self.pmos.vth_effective(tech, env, dvth_p);
@@ -138,7 +144,7 @@ mod tests {
     /// devices, evaluates the ring's raw HCI shift with its own model and
     /// states the topology rule itself: stage 0 is the enable NAND, as
     /// `RingOscillator::new` builds it. It reads each stage's class BTI
-    /// like `derive` does; `ring::tests` checks the class rule.
+    /// like `derive` does; `aro_puf`'s chip tests check the class rule.
     #[test]
     fn derive_is_bitwise_the_per_stage_path() {
         let tech = TechParams::default();
@@ -156,6 +162,7 @@ mod tests {
             let chip = ChipProcess::sample(&tech, &mut rng);
             let position = DiePosition::new(0.3, 0.7);
             let mut ring = RingOscillator::new(style, n_stages, position, &tech, &mut rng);
+            let mut bti = [0.0; 4];
             ring.set_freq_bias_rel(0.003);
             ring.set_correlated_dvth(0.002);
             for _ in 0..3 {
@@ -174,7 +181,7 @@ mod tests {
                             kind,
                             &tech,
                             &env,
-                            ring.stage_bti(i),
+                            ring.stage_bti(&bti, i),
                             hci_dvth,
                             c_load,
                             chip.dvth_interdie_p(),
@@ -184,24 +191,21 @@ mod tests {
                         );
                     }
                     let reference = (1.0 / period) * (1.0 + ring.freq_bias_rel());
-                    let derived = FreqContext::new(style, &tech, &env, &chip).derive(&ring);
+                    let derived = FreqContext::new(style, &tech, &env, &chip, &bti).derive(&ring);
                     assert_eq!(
                         derived.to_bits(),
                         reference.to_bits(),
                         "{style:?} with {n_stages} stages at {env}"
                     );
                 }
-                ring.stress_idle(&mut IdleStressBatch::new(
-                    style,
-                    &tech,
-                    &models,
-                    45.0,
-                    tech.vdd_nominal,
-                    YEAR,
-                ));
-                ring.stress_active(&mut ActiveStressBatch::new(&models, &hot, 1.0), |ro| {
-                    ro.frequency(&tech, &hot, &chip)
-                });
+                let idle =
+                    IdleStressBatch::new(style, &tech, &models, 45.0, tech.vdd_nominal, YEAR);
+                let applies = idle.advance(&mut bti, n_stages);
+                ring.stress_idle(&idle, &bti, applies);
+                let freq = ring.frequency(&tech, &hot, &chip, &bti);
+                let active = ActiveStressBatch::new(style, &models, &hot, 1.0);
+                let applies = active.advance(&mut bti, n_stages);
+                ring.stress_active(&active, &bti, applies, |_| freq);
             }
         }
     }

@@ -6,9 +6,9 @@
 //! * [`gates`] — transistor instances (sampled mismatch + aging
 //!   multipliers; the nominal device is per polarity and built by the
 //!   read) and CMOS stage delay from the alpha-power law.
-//! * [`ring`] — the ring oscillator itself, holding its devices' wear (one
-//!   raw BTI accumulator per stress class, one HCI cycle count), in two
-//!   flavours:
+//! * [`ring`] — the ring oscillator itself, holding its devices' HCI wear
+//!   (one cycle count; the BTI stress classes its devices read are its
+//!   chip's, advanced by the stress batches), in two flavours:
 //!   [`ring::RoStyle::Conventional`] (enable-NAND + inverter chain, whose
 //!   *idle* state holds static DC stress on alternating stages) and
 //!   [`ring::RoStyle::AgingResistant`] (the paper's ARO cell: gating
@@ -25,7 +25,8 @@
 //!
 //! # Example
 //!
-//! A fresh conventional RO and its frequency after ten idle years:
+//! A fresh conventional RO and its frequency after ten idle years, alone
+//! on its chip:
 //!
 //! ```
 //! use aro_circuit::ring::{AgingModels, IdleStressBatch, RingOscillator, RoStyle};
@@ -42,19 +43,22 @@
 //! let mut rng = SeedDomain::new(1).rng(0);
 //!
 //! let mut ro = RingOscillator::new(RoStyle::Conventional, 5, DiePosition::new(0.5, 0.5), &tech, &mut rng);
-//! let fresh = ro.frequency(&tech, &env, &chip);
+//! // The chip holds its rings' BTI wear: one raw shift per stress class.
+//! let mut bti = [0.0; 4];
+//! let fresh = ro.frequency(&tech, &env, &chip, &bti);
 //! assert!(fresh > 1e8, "a 5-stage 90 nm ring runs near a gigahertz");
 //!
 //! let style = RoStyle::Conventional;
-//! ro.stress_idle(&mut IdleStressBatch::new(style, &tech, &models, 25.0, tech.vdd_nominal, 10.0 * YEAR));
-//! let aged = ro.frequency(&tech, &env, &chip);
+//! let batch = IdleStressBatch::new(style, &tech, &models, 25.0, tech.vdd_nominal, 10.0 * YEAR);
+//! let applies = batch.advance(&mut bti, ro.n_stages());
+//! ro.stress_idle(&batch, &bti, applies);
+//! let aged = ro.frequency(&tech, &env, &chip, &bti);
 //! assert!(aged < fresh, "static idle stress slows the conventional ring");
 //!
-//! // The ring holds its devices' wear: one raw BTI shift per stress class.
-//! // Idling stresses two of the four: the input-high stages' NMOS and the
-//! // input-low stages' PMOS.
-//! let (bti, _hci_eq_cycles) = ro.capture_wear();
+//! // Idling stresses two of the four classes: the input-high stages'
+//! // NMOS and the input-low stages' PMOS, five devices in all.
 //! assert_eq!(bti.iter().filter(|&&dvth| dvth > 0.0).count(), 2);
+//! assert_eq!(applies, 5);
 //! ```
 
 pub mod gates;

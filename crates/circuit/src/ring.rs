@@ -29,8 +29,12 @@
 //! fabrication-time multiplier scales it only when read — so all devices
 //! of one polarity at one idle input level share one raw shift: a
 //! conventional ring has four *stress classes*, and an ARO ring, whose
-//! idle state treats every stage alike, two (one per polarity). The ring
-//! keeps one raw accumulator per class instead of one per device.
+//! idle state treats every stage alike, two (one per polarity). A chip
+//! drives all of its rings, of one style and stage count, through the same
+//! intervals, so the chip keeps one raw accumulator per class for all of
+//! them: a stress batch advances that array once per interval
+//! ([`IdleStressBatch::advance`]), and a ring reads it through
+//! [`RingOscillator::frequency`].
 
 use aro_device::aging::{BtiBatch, BtiModel, HciModel, StressInterval};
 use aro_device::environment::Environment;
@@ -65,16 +69,13 @@ impl AgingModels {
     }
 }
 
-/// One idle-stress interval, prefactored and memoized, shareable across
-/// every ring of a chip.
+/// One idle-stress interval, prefactored once per chip.
 ///
 /// The Arrhenius/voltage acceleration of an interval depends only on the
-/// interval itself — never on the device — so a chip evaluates it once and
-/// hands the same batch to all of its rings via
-/// [`RingOscillator::stress_idle`]. The embedded [`BtiBatch`] memos
-/// then collapse the per-class BTI power law: a stress class has the same
-/// history on every ring of the chip, so all but the first ring replay one
-/// memoized, bitwise-identical transition instead of re-running `powf`.
+/// interval itself — never on the device — so a chip evaluates it once,
+/// advances its stress classes through it once
+/// ([`IdleStressBatch::advance`]) and hands the same batch to all of its
+/// rings via [`RingOscillator::stress_idle`].
 #[derive(Debug, Clone)]
 pub struct IdleStressBatch {
     style: RoStyle,
@@ -120,16 +121,38 @@ impl IdleStressBatch {
             ),
         }
     }
+
+    /// Advances a chip's stress classes `bti` through the interval
+    /// (module docs) and returns the device-intervals it stresses on each
+    /// of the chip's `n_stages`-stage rings. The disabled conventional
+    /// chain puts full DC PBTI on the NMOS of its input-high stages (stage
+    /// 0 and the `n / 2` odd ones; `n` is odd) and full DC NBTI on the PMOS
+    /// of the other `n / 2`; the ARO cell stresses every device at the
+    /// leakage-level residual duty [`TechParams::aro_idle_stress_fraction`].
+    pub fn advance(&self, bti: &mut [f64; 4], n_stages: usize) -> u64 {
+        let n = n_stages as u64;
+        match self.style {
+            RoStyle::Conventional => {
+                (n / 2 + 1) * u64::from(self.pbti.apply(&mut bti[NMOS + HIGH]))
+                    + n / 2 * u64::from(self.nbti.apply(&mut bti[PMOS]))
+            }
+            RoStyle::AgingResistant => {
+                n * u64::from(self.nbti.apply(&mut bti[PMOS]))
+                    + n * u64::from(self.pbti.apply(&mut bti[NMOS]))
+            }
+        }
+    }
 }
 
-/// One oscillation-stress interval, prefactored and memoized, shareable
-/// across every ring of a chip (see [`IdleStressBatch`]).
+/// One oscillation-stress interval, prefactored once per chip (see
+/// [`IdleStressBatch`]).
 ///
-/// BTI under oscillation depends only on the interval, so its transitions
-/// are shared; HCI depends on each ring's own cycle count, so only its
-/// voltage acceleration factor is hoisted.
+/// BTI under oscillation depends only on the interval, so a chip advances
+/// its stress classes once; HCI depends on each ring's own cycle count, so
+/// only its voltage acceleration factor is hoisted.
 #[derive(Debug, Clone)]
 pub struct ActiveStressBatch {
+    style: RoStyle,
     duration_s: f64,
     /// NBTI transitions for PMOS classes under 50 %-duty AC stress.
     nbti: BtiBatch,
@@ -140,11 +163,13 @@ pub struct ActiveStressBatch {
 }
 
 impl ActiveStressBatch {
-    /// Prefactors one oscillation interval under `env`.
+    /// Prefactors one oscillation interval under `env` for rings of
+    /// `style`.
     #[must_use]
-    pub fn new(models: &AgingModels, env: &Environment, duration_s: f64) -> Self {
+    pub fn new(style: RoStyle, models: &AgingModels, env: &Environment, duration_s: f64) -> Self {
         let interval = StressInterval::oscillating(duration_s, env.temp_celsius(), env.vdd());
         Self {
+            style,
             duration_s,
             nbti: BtiBatch::new(
                 models.nbti.time_exp(),
@@ -157,6 +182,26 @@ impl ActiveStressBatch {
                 duration_s,
             ),
             hci_factor: models.hci.equivalent_cycle_factor(env.vdd()),
+        }
+    }
+
+    /// Advances a chip's stress classes `bti` through the interval and
+    /// returns the device-intervals it stresses on each of the chip's
+    /// `n_stages`-stage rings: 50 %-duty AC BTI on every class.
+    pub fn advance(&self, bti: &mut [f64; 4], n_stages: usize) -> u64 {
+        let n = n_stages as u64;
+        match self.style {
+            RoStyle::Conventional => {
+                let (high, low) = (n / 2 + 1, n / 2);
+                high * u64::from(self.nbti.apply(&mut bti[PMOS + HIGH]))
+                    + high * u64::from(self.pbti.apply(&mut bti[NMOS + HIGH]))
+                    + low * u64::from(self.nbti.apply(&mut bti[PMOS]))
+                    + low * u64::from(self.pbti.apply(&mut bti[NMOS]))
+            }
+            RoStyle::AgingResistant => {
+                n * u64::from(self.nbti.apply(&mut bti[PMOS]))
+                    + n * u64::from(self.pbti.apply(&mut bti[NMOS]))
+            }
         }
     }
 }
@@ -234,7 +279,7 @@ impl RoHealth {
     }
 }
 
-/// Offsets of the PMOS and the NMOS classes in a ring's BTI accumulators:
+/// Offsets of the PMOS and the NMOS classes in a chip's BTI accumulators:
 /// a device's class is its polarity's offset plus its stage's
 /// [`idle_level`].
 const PMOS: usize = 0;
@@ -260,10 +305,10 @@ fn idle_level(style: RoStyle, index: usize) -> usize {
 /// die process caches the results per ring (`aro_puf::Chip`), keyed by the
 /// ring's [`wear epoch`](RingOscillator::wear_epoch).
 ///
-/// The ring, not its devices, holds the wear: one raw BTI accumulator per
-/// stress class (module docs) and one HCI equivalent-cycle count, since
-/// every device switches at the ring's frequency. Devices of one class
-/// differ only in their fabrication-time multipliers.
+/// The ring holds only the wear that differs between rings: one HCI
+/// equivalent-cycle count, since every device switches at the ring's
+/// frequency. Its BTI wear is the chip's stress classes (module docs), which
+/// its devices scale by their fabrication-time multipliers.
 #[derive(Debug, Clone)]
 pub struct RingOscillator {
     style: RoStyle,
@@ -272,9 +317,6 @@ pub struct RingOscillator {
     freq_bias_rel: f64,
     correlated_dvth: f64,
     health: RoHealth,
-    /// Raw BTI shift of each stress class in volts, indexed by polarity
-    /// offset plus idle level ([`PMOS`], [`NMOS`], [`idle_level`]).
-    bti: [f64; 4],
     /// Accumulated HCI wear of every device of the ring, in
     /// reference-condition equivalent cycles.
     hci_eq_cycles: f64,
@@ -286,14 +328,13 @@ pub struct RingOscillator {
 impl PartialEq for RingOscillator {
     fn eq(&self, other: &Self) -> bool {
         // The epoch counter is cache-invalidation state, not silicon:
-        // `bti` and `hci_eq_cycles` already carry the full wear history.
+        // `hci_eq_cycles` and the chip's classes carry the wear history.
         self.style == other.style
             && self.stages == other.stages
             && self.position == other.position
             && self.freq_bias_rel == other.freq_bias_rel
             && self.correlated_dvth == other.correlated_dvth
             && self.health == other.health
-            && self.bti == other.bti
             && self.hci_eq_cycles == other.hci_eq_cycles
     }
 }
@@ -328,7 +369,6 @@ impl RingOscillator {
             freq_bias_rel: 0.0,
             correlated_dvth: 0.0,
             health: RoHealth::Healthy,
-            bti: [0.0; 4],
             hci_eq_cycles: 0.0,
             wear_epoch: 0,
         }
@@ -372,18 +412,18 @@ impl RingOscillator {
     }
 
     /// The raw BTI shifts in volts of stage `index`'s PMOS and NMOS: the
-    /// accumulators of their stress classes.
+    /// accumulators of their stress classes among the chip's `bti`.
     #[must_use]
-    pub(crate) fn stage_bti(&self, index: usize) -> (f64, f64) {
+    pub fn stage_bti(&self, bti: &[f64; 4], index: usize) -> (f64, f64) {
         let level = idle_level(self.style, index);
-        (self.bti[PMOS + level], self.bti[NMOS + level])
+        (bti[PMOS + level], bti[NMOS + level])
     }
 
     /// Accumulated HCI wear shared by every device of this ring, in
     /// reference-condition equivalent cycles; a read turns it into the raw
     /// shift with [`HciModel::dvth_equivalent`].
     #[must_use]
-    pub(crate) fn hci_eq_cycles(&self) -> f64 {
+    pub fn hci_eq_cycles(&self) -> f64 {
         self.hci_eq_cycles
     }
 
@@ -427,16 +467,23 @@ impl RingOscillator {
     }
 
     /// The oscillation frequency in hertz under environment `env` on a die
-    /// with process realization `chip`, including mismatch, systematic
-    /// variation, layout bias, and all accumulated wear — the uncached
-    /// reference derivation (see [`FreqContext`]). It books no telemetry.
+    /// with process realization `chip` and BTI stress classes `bti`,
+    /// including mismatch, systematic variation, layout bias, and all
+    /// accumulated wear — the uncached reference derivation (see
+    /// [`FreqContext`]). It books no telemetry.
     ///
     /// A hard-faulted ring short-circuits the physical model: `Dead` reads
     /// 0 Hz, `Stuck` reads its fixed frequency.
     #[must_use]
-    pub fn frequency(&self, tech: &TechParams, env: &Environment, chip: &ChipProcess) -> f64 {
+    pub fn frequency(
+        &self,
+        tech: &TechParams,
+        env: &Environment,
+        chip: &ChipProcess,
+        bti: &[f64; 4],
+    ) -> f64 {
         match self.health {
-            RoHealth::Healthy => FreqContext::new(self.style, tech, env, chip).derive(self),
+            RoHealth::Healthy => FreqContext::new(self.style, tech, env, chip, bti).derive(self),
             RoHealth::Dead => 0.0,
             RoHealth::Stuck(freq_hz) => freq_hz,
         }
@@ -469,114 +516,71 @@ impl RingOscillator {
         z & 0xF == 0
     }
 
-    /// Ages the ring through one *idle* interval, driven by a prebuilt,
-    /// possibly shared [`IdleStressBatch`].
-    ///
-    /// * `Conventional`: the disabled chain holds its idle levels (module
-    ///   docs). Input 1 puts full DC PBTI on the NMOS; input 0 puts full DC
-    ///   NBTI on the PMOS.
-    /// * `AgingResistant`: every device sees only the leakage-level
-    ///   residual duty [`TechParams::aro_idle_stress_fraction`].
-    ///
-    /// Each stressed class advances once. A chip passes one batch across
-    /// all of its rings: the interval acceleration is evaluated once per
-    /// chip, and the batch's transition memo collapses the BTI power law
-    /// to one evaluation per distinct class history (see [`BtiBatch`] for
-    /// why replaying a memoized transition is bit-exact). The batch must
-    /// have been built for this ring's style.
-    pub fn stress_idle(&mut self, batch: &mut IdleStressBatch) {
+    /// This ring's share of one *idle* interval whose batch advanced the
+    /// chip's stress classes to `bti`, stressing `bti_applies` devices of
+    /// each ring ([`IdleStressBatch::advance`]): the ring bumps its wear
+    /// epoch, books the devices in one `device.bti_applies` bump
+    /// (device-intervals) and streams its drift point. The batch must have
+    /// been built for this ring's style.
+    pub fn stress_idle(&mut self, batch: &IdleStressBatch, bti: &[f64; 4], bti_applies: u64) {
         debug_assert_eq!(batch.style, self.style, "batch built for another style");
         if batch.duration_s <= 0.0 {
             return;
         }
         self.bump_wear_epoch();
-        // An applied class books its device count in one aggregated
-        // counter bump per interval: `device.bti_applies` counts
-        // device-intervals. Stage 0 and the n / 2 odd stages of a
-        // conventional ring (n is odd) idle high, the other n / 2 low.
-        let n = self.stages.len() as u64;
-        let bti_applies = match self.style {
-            RoStyle::Conventional => {
-                (n / 2 + 1) * u64::from(batch.pbti.apply(&mut self.bti[NMOS + HIGH]))
-                    + n / 2 * u64::from(batch.nbti.apply(&mut self.bti[PMOS]))
-            }
-            RoStyle::AgingResistant => {
-                n * u64::from(batch.nbti.apply(&mut self.bti[PMOS]))
-                    + n * u64::from(batch.pbti.apply(&mut self.bti[NMOS]))
-            }
-        };
-        if bti_applies > 0 {
-            aro_obs::counter("device.bti_applies", bti_applies);
-            self.sketch_bti_drift();
-        }
+        self.book_bti(bti, bti_applies);
     }
 
-    /// Ages the ring through one *oscillation* interval (a measurement
-    /// window), driven by a prebuilt, possibly shared
-    /// [`ActiveStressBatch`]: 50 %-duty AC BTI on every class plus HCI
-    /// proportional to the number of transitions. A chip passes one batch
-    /// across all of its rings (see [`RingOscillator::stress_idle`]); the
-    /// HCI cycle count still depends on this ring's own frequency, so only
-    /// the BTI transitions and the acceleration prefactors are shared.
+    /// This ring's share of one *oscillation* interval (a measurement
+    /// window), as [`RingOscillator::stress_idle`] for the chip's
+    /// post-interval classes `bti`, plus HCI proportional to the ring's
+    /// own number of transitions.
     ///
     /// `frequency` supplies the ring's frequency under the interval's
-    /// environment — a chip reads it through its kernel cache. It is
-    /// called once, before the wear epoch moves, and not at all for an
-    /// empty interval.
+    /// environment and the chip's *pre*-interval classes — a chip reads it
+    /// through its kernel cache. It is called once, before the wear epoch
+    /// moves, and not at all for an empty interval.
     pub fn stress_active(
         &mut self,
-        batch: &mut ActiveStressBatch,
+        batch: &ActiveStressBatch,
+        bti: &[f64; 4],
+        bti_applies: u64,
         frequency: impl FnOnce(&Self) -> f64,
     ) {
+        debug_assert_eq!(batch.style, self.style, "batch built for another style");
         if batch.duration_s <= 0.0 {
             return;
         }
         let freq = frequency(self);
         self.bump_wear_epoch();
+        self.book_bti(bti, bti_applies);
         let cycles = freq * batch.duration_s;
-        // Device-intervals, one counter bump per interval (see
-        // `stress_idle`).
-        let n = self.stages.len() as u64;
-        let bti_applies = match self.style {
-            // Both idle levels of each polarity, in turn: the batch's
-            // two-slot memo holds both transitions.
-            RoStyle::Conventional => {
-                let (high, low) = (n / 2 + 1, n / 2);
-                high * u64::from(batch.nbti.apply(&mut self.bti[PMOS + HIGH]))
-                    + high * u64::from(batch.pbti.apply(&mut self.bti[NMOS + HIGH]))
-                    + low * u64::from(batch.nbti.apply(&mut self.bti[PMOS]))
-                    + low * u64::from(batch.pbti.apply(&mut self.bti[NMOS]))
-            }
-            RoStyle::AgingResistant => {
-                n * u64::from(batch.nbti.apply(&mut self.bti[PMOS]))
-                    + n * u64::from(batch.pbti.apply(&mut self.bti[NMOS]))
-            }
-        };
-        if bti_applies > 0 {
-            aro_obs::counter("device.bti_applies", bti_applies);
-            self.sketch_bti_drift();
-        }
         if cycles <= 0.0 {
             return;
         }
         self.hci_eq_cycles += cycles * batch.hci_factor;
         // `device.hci_applies` counts device-intervals: every device of
         // the ring took this interval's HCI wear.
-        aro_obs::counter("device.hci_applies", 2 * n);
+        aro_obs::counter("device.hci_applies", 2 * self.stages.len() as u64);
     }
 
-    /// Streams this ring's mean BTI threshold shift (mV, across all
-    /// devices, each its class's raw shift times its own multiplier) into
-    /// the drift-vs-age sketch — one point per *sampled* stress interval
-    /// (see `obs_sampled`), so the sketch traces how hard the fleet has
-    /// aged without paying the per-device sum on every batch.
-    fn sketch_bti_drift(&self) {
+    /// Books `bti_applies` stressed device-intervals and streams this
+    /// ring's mean BTI threshold shift (mV, across all devices, each its
+    /// class's raw shift in `bti` times its own multiplier) into the
+    /// drift-vs-age sketch — one point per *sampled* stress interval (see
+    /// `obs_sampled`), so the sketch traces how hard the fleet has aged
+    /// without paying the per-device sum on every batch.
+    fn book_bti(&self, bti: &[f64; 4], bti_applies: u64) {
+        if bti_applies == 0 {
+            return;
+        }
+        aro_obs::counter("device.bti_applies", bti_applies);
         if !self.obs_sampled() {
             return;
         }
         let mut dvth_sum = 0.0;
         for (index, stage) in self.stages.iter().enumerate() {
-            let (bti_p, bti_n) = self.stage_bti(index);
+            let (bti_p, bti_n) = self.stage_bti(bti, index);
             dvth_sum += stage.pmos().aging().dvth_bti(bti_p) + stage.nmos().aging().dvth_bti(bti_n);
         }
         #[allow(clippy::cast_precision_loss)]
@@ -584,21 +588,13 @@ impl RingOscillator {
         aro_obs::sketch("device.bti_dvth_mv", dvth_sum / n_devices * 1e3);
     }
 
-    /// This ring's wear: the raw BTI accumulator of each stress class and
-    /// the HCI equivalent cycles, as [`RingOscillator::restore_wear`]
-    /// consumes them.
-    #[must_use]
-    pub fn capture_wear(&self) -> ([f64; 4], f64) {
-        (self.bti, self.hci_eq_cycles)
-    }
-
-    /// Restores wear captured by [`RingOscillator::capture_wear`] and pins
-    /// the wear epoch. A caller that caches this ring's frequency must
+    /// Restores this ring's own wear, its HCI equivalent cycles as
+    /// [`RingOscillator::hci_eq_cycles`] read them, and pins the wear
+    /// epoch. A caller that caches this ring's frequency must
     /// drop the ring's entries: the epoch counter alone cannot distinguish
     /// two histories that happen to share an epoch value, e.g. across
     /// reused workspace chips.
-    pub fn restore_wear(&mut self, bti: [f64; 4], hci_eq_cycles: f64, wear_epoch: u64) {
-        self.bti = bti;
+    pub fn restore_wear(&mut self, hci_eq_cycles: f64, wear_epoch: u64) {
         self.hci_eq_cycles = hci_eq_cycles;
         self.wear_epoch = wear_epoch;
     }
@@ -610,7 +606,6 @@ impl RingOscillator {
     /// reused workspace ring is bitwise indistinguishable from a fresh
     /// fabrication of the same design and id.
     pub fn reset_to_fabricated(&mut self) {
-        self.bti = [0.0; 4];
         self.hci_eq_cycles = 0.0;
         self.health = RoHealth::Healthy;
         self.wear_epoch = 0;
@@ -634,38 +629,46 @@ mod tests {
         )
     }
 
-    /// One idle interval at nominal supply through its own batch.
+    /// The stress classes of a chip that has not aged.
+    const FRESH: [f64; 4] = [0.0; 4];
+
+    /// One idle interval at nominal supply on a ring alone on its chip,
+    /// whose stress classes are `bti`.
     fn idle(
         ro: &mut RingOscillator,
+        bti: &mut [f64; 4],
         tech: &TechParams,
         models: &AgingModels,
         temp_celsius: f64,
         duration_s: f64,
     ) {
-        let style = ro.style();
-        ro.stress_idle(&mut IdleStressBatch::new(
-            style,
+        let batch = IdleStressBatch::new(
+            ro.style(),
             tech,
             models,
             temp_celsius,
             tech.vdd_nominal,
             duration_s,
-        ));
+        );
+        let applies = batch.advance(bti, ro.n_stages());
+        ro.stress_idle(&batch, bti, applies);
     }
 
-    /// One oscillation interval through its own batch, at the ring's
-    /// uncached frequency.
+    /// One oscillation interval on a ring alone on its chip, at the ring's
+    /// uncached frequency under the pre-interval classes.
     fn active(
         ro: &mut RingOscillator,
+        bti: &mut [f64; 4],
         tech: &TechParams,
         models: &AgingModels,
         env: &Environment,
         chip: &ChipProcess,
         duration_s: f64,
     ) {
-        ro.stress_active(&mut ActiveStressBatch::new(models, env, duration_s), |ro| {
-            ro.frequency(tech, env, chip)
-        });
+        let batch = ActiveStressBatch::new(ro.style(), models, env, duration_s);
+        let freq = ro.frequency(tech, env, chip, bti);
+        let applies = batch.advance(bti, ro.n_stages());
+        ro.stress_active(&batch, bti, applies, |_| freq);
     }
 
     fn make_ring(style: RoStyle, seed: u64) -> (RingOscillator, TechParams) {
@@ -695,7 +698,7 @@ mod tests {
     fn nominal_frequency_is_in_the_gigahertz_range() {
         let (tech, env, chip, _) = setup();
         let (ro, _) = make_ring(RoStyle::Conventional, 31);
-        let f = ro.frequency(&tech, &env, &chip);
+        let f = ro.frequency(&tech, &env, &chip, &FRESH);
         assert!(f > 2e8 && f < 2e10, "f = {f} Hz");
     }
 
@@ -718,8 +721,8 @@ mod tests {
             &tech,
             &mut rng_b,
         );
-        let fc = conv.frequency(&tech, &env, &chip);
-        let fa = aro.frequency(&tech, &env, &chip);
+        let fc = conv.frequency(&tech, &env, &chip, &FRESH);
+        let fa = aro.frequency(&tech, &env, &chip, &FRESH);
         assert!(fa < fc);
         assert!(
             (fc / fa - tech.aro_load_factor).abs() < 1e-9,
@@ -747,8 +750,8 @@ mod tests {
             &tech,
             &mut rng,
         );
-        let fa = a.frequency(&tech, &env, &chip);
-        let fb = b.frequency(&tech, &env, &chip);
+        let fa = a.frequency(&tech, &env, &chip, &FRESH);
+        let fb = b.frequency(&tech, &env, &chip, &FRESH);
         assert!(
             (fa - fb).abs() / fa > 1e-4,
             "mismatch must separate rings: {fa} vs {fb}"
@@ -759,9 +762,10 @@ mod tests {
     fn conventional_idle_stress_slows_the_ring() {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 34);
-        let fresh = ro.frequency(&tech, &env, &chip);
-        idle(&mut ro, &tech, &models, 25.0, 10.0 * YEAR);
-        let aged = ro.frequency(&tech, &env, &chip);
+        let fresh = ro.frequency(&tech, &env, &chip, &FRESH);
+        let mut bti = FRESH;
+        idle(&mut ro, &mut bti, &tech, &models, 25.0, 10.0 * YEAR);
+        let aged = ro.frequency(&tech, &env, &chip, &bti);
         assert!(aged < fresh);
         let degradation = (fresh - aged) / fresh;
         assert!(
@@ -775,12 +779,13 @@ mod tests {
         let (tech, env, chip, models) = setup();
         let (mut conv, _) = make_ring(RoStyle::Conventional, 35);
         let (mut aro, _) = make_ring(RoStyle::AgingResistant, 35);
-        let f_conv = conv.frequency(&tech, &env, &chip);
-        let f_aro = aro.frequency(&tech, &env, &chip);
-        idle(&mut conv, &tech, &models, 25.0, 10.0 * YEAR);
-        idle(&mut aro, &tech, &models, 25.0, 10.0 * YEAR);
-        let d_conv = (f_conv - conv.frequency(&tech, &env, &chip)) / f_conv;
-        let d_aro = (f_aro - aro.frequency(&tech, &env, &chip)) / f_aro;
+        let f_conv = conv.frequency(&tech, &env, &chip, &FRESH);
+        let f_aro = aro.frequency(&tech, &env, &chip, &FRESH);
+        let (mut bti_conv, mut bti_aro) = (FRESH, FRESH);
+        idle(&mut conv, &mut bti_conv, &tech, &models, 25.0, 10.0 * YEAR);
+        idle(&mut aro, &mut bti_aro, &tech, &models, 25.0, 10.0 * YEAR);
+        let d_conv = (f_conv - conv.frequency(&tech, &env, &chip, &bti_conv)) / f_conv;
+        let d_aro = (f_aro - aro.frequency(&tech, &env, &chip, &bti_aro)) / f_aro;
         assert!(
             d_aro < 0.25 * d_conv,
             "ARO degradation {d_aro} must be well under conventional {d_conv}"
@@ -791,10 +796,11 @@ mod tests {
     fn conventional_idle_stresses_alternating_devices() {
         let (tech, _, _, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 36);
-        idle(&mut ro, &tech, &models, 25.0, YEAR);
+        let mut bti = FRESH;
+        idle(&mut ro, &mut bti, &tech, &models, 25.0, YEAR);
         for (i, stage) in ro.stages().iter().enumerate() {
             let input_high = i == 0 || i % 2 == 1;
-            let (bti_p, bti_n) = ro.stage_bti(i);
+            let (bti_p, bti_n) = ro.stage_bti(&bti, i);
             let (pmos, nmos) = (stage.pmos().aging(), stage.nmos().aging());
             if input_high {
                 assert!(nmos.dvth_bti(bti_n) > 0.0, "stage {i} NMOS stressed");
@@ -810,10 +816,11 @@ mod tests {
     fn active_stress_applies_hci_and_ac_bti_to_everything() {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::AgingResistant, 37);
-        active(&mut ro, &tech, &models, &env, &chip, 1.0);
+        let mut bti = FRESH;
+        active(&mut ro, &mut bti, &tech, &models, &env, &chip, 1.0);
         let hci_dvth = models.hci.dvth_equivalent(ro.hci_eq_cycles());
         for (i, stage) in ro.stages().iter().enumerate() {
-            let (bti_p, bti_n) = ro.stage_bti(i);
+            let (bti_p, bti_n) = ro.stage_bti(&bti, i);
             assert!(stage.pmos().aging().dvth_bti(bti_p) > 0.0);
             assert!(stage.nmos().aging().dvth_bti(bti_n) > 0.0);
             assert!(stage.pmos().aging().dvth_hci(hci_dvth) > 0.0);
@@ -825,30 +832,34 @@ mod tests {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 38);
         let before = ro.clone();
-        idle(&mut ro, &tech, &models, 25.0, 0.0);
-        active(&mut ro, &tech, &models, &env, &chip, 0.0);
+        let mut bti = FRESH;
+        idle(&mut ro, &mut bti, &tech, &models, 25.0, 0.0);
+        active(&mut ro, &mut bti, &tech, &models, &env, &chip, 0.0);
         assert_eq!(ro, before);
+        assert_eq!(ro.wear_epoch(), 0);
+        assert_eq!(bti, FRESH);
     }
 
     #[test]
     fn layout_bias_scales_frequency() {
         let (tech, env, chip, _) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 40);
-        let base = ro.frequency(&tech, &env, &chip);
+        let base = ro.frequency(&tech, &env, &chip, &FRESH);
         ro.set_freq_bias_rel(0.01);
-        assert!((ro.frequency(&tech, &env, &chip) / base - 1.01).abs() < 1e-12);
+        assert!((ro.frequency(&tech, &env, &chip, &FRESH) / base - 1.01).abs() < 1e-12);
     }
 
     #[test]
     fn hot_and_low_vdd_environment_slows_ring() {
         let (tech, env, chip, _) = setup();
         let (ro, _) = make_ring(RoStyle::Conventional, 41);
-        let nominal = ro.frequency(&tech, &env, &chip);
-        let hot = ro.frequency(&tech, &Environment::new(85.0, env.vdd()), &chip);
+        let nominal = ro.frequency(&tech, &env, &chip, &FRESH);
+        let hot = ro.frequency(&tech, &Environment::new(85.0, env.vdd()), &chip, &FRESH);
         let droop = ro.frequency(
             &tech,
             &Environment::new(env.temp_celsius(), tech.vdd_nominal * 0.9),
             &chip,
+            &FRESH,
         );
         assert!(hot < nominal);
         assert!(droop < nominal);
@@ -864,13 +875,13 @@ mod tests {
     fn dead_ring_reads_zero_and_recovers_on_repair() {
         let (tech, env, chip, _) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 50);
-        let fresh = ro.frequency(&tech, &env, &chip);
+        let fresh = ro.frequency(&tech, &env, &chip, &FRESH);
         assert!(ro.health().is_healthy());
         ro.set_health(RoHealth::Dead);
-        assert_eq!(ro.frequency(&tech, &env, &chip), 0.0);
+        assert_eq!(ro.frequency(&tech, &env, &chip, &FRESH), 0.0);
         ro.set_health(RoHealth::Healthy);
         assert_eq!(
-            ro.frequency(&tech, &env, &chip).to_bits(),
+            ro.frequency(&tech, &env, &chip, &FRESH).to_bits(),
             fresh.to_bits(),
             "repairing a fault must restore the physical model exactly"
         );
@@ -881,10 +892,11 @@ mod tests {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 51);
         ro.set_health(RoHealth::Stuck(1.0e9));
-        assert_eq!(ro.frequency(&tech, &env, &chip), 1.0e9);
-        idle(&mut ro, &tech, &models, 85.0, YEAR);
+        assert_eq!(ro.frequency(&tech, &env, &chip, &FRESH), 1.0e9);
+        let mut bti = FRESH;
+        idle(&mut ro, &mut bti, &tech, &models, 85.0, YEAR);
         assert_eq!(
-            ro.frequency(&tech, &Environment::new(85.0, env.vdd()), &chip),
+            ro.frequency(&tech, &Environment::new(85.0, env.vdd()), &chip, &bti),
             1.0e9
         );
     }
@@ -904,33 +916,37 @@ mod tests {
     fn frequency_is_a_pure_function_of_ring_and_conditions() {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 43);
-        let first = ro.frequency(&tech, &env, &chip);
-        assert_eq!(first.to_bits(), ro.frequency(&tech, &env, &chip).to_bits());
+        let first = ro.frequency(&tech, &env, &chip, &FRESH);
+        assert_eq!(
+            first.to_bits(),
+            ro.frequency(&tech, &env, &chip, &FRESH).to_bits()
+        );
         let epoch = ro.wear_epoch();
-        idle(&mut ro, &tech, &models, 85.0, YEAR);
+        let mut bti = FRESH;
+        idle(&mut ro, &mut bti, &tech, &models, 85.0, YEAR);
         assert!(ro.wear_epoch() > epoch, "stress must bump the wear epoch");
-        assert!(ro.frequency(&tech, &env, &chip) < first);
+        assert!(ro.frequency(&tech, &env, &chip, &bti) < first);
     }
 
     #[test]
     fn wear_snapshot_roundtrip_is_bitwise_exact() {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 60);
-        active(&mut ro, &tech, &models, &env, &chip, 30.0);
-        idle(&mut ro, &tech, &models, 45.0, YEAR);
-        let aged_freq = ro.frequency(&tech, &env, &chip);
-        let epoch = ro.wear_epoch();
-        let (bti, hci) = ro.capture_wear();
+        let mut bti = FRESH;
+        active(&mut ro, &mut bti, &tech, &models, &env, &chip, 30.0);
+        idle(&mut ro, &mut bti, &tech, &models, 45.0, YEAR);
+        let aged_freq = ro.frequency(&tech, &env, &chip, &bti);
+        let (hci, epoch) = (ro.hci_eq_cycles(), ro.wear_epoch());
 
         // Diverge, then restore: silicon, frequency, and epoch all return.
         let pristine = ro.clone();
-        idle(&mut ro, &tech, &models, 85.0, YEAR);
+        active(&mut ro, &mut bti.clone(), &tech, &models, &env, &chip, 30.0);
         assert_ne!(ro, pristine);
-        ro.restore_wear(bti, hci, epoch);
+        ro.restore_wear(hci, epoch);
         assert_eq!(ro, pristine);
         assert_eq!(ro.wear_epoch(), epoch);
         assert_eq!(
-            ro.frequency(&tech, &env, &chip).to_bits(),
+            ro.frequency(&tech, &env, &chip, &bti).to_bits(),
             aged_freq.to_bits()
         );
     }
@@ -940,193 +956,48 @@ mod tests {
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::Conventional, 61);
         let (fresh, _) = make_ring(RoStyle::Conventional, 61);
-        active(&mut ro, &tech, &models, &env, &chip, 30.0);
-        idle(&mut ro, &tech, &models, 85.0, 10.0 * YEAR);
-        assert!(ro.frequency(&tech, &env, &chip) < fresh.frequency(&tech, &env, &chip));
+        let mut bti = FRESH;
+        active(&mut ro, &mut bti, &tech, &models, &env, &chip, 30.0);
+        idle(&mut ro, &mut bti, &tech, &models, 85.0, 10.0 * YEAR);
+        assert!(
+            ro.frequency(&tech, &env, &chip, &bti) < fresh.frequency(&tech, &env, &chip, &FRESH)
+        );
         ro.set_health(RoHealth::Dead);
         ro.reset_to_fabricated();
         assert_eq!(ro, fresh);
         assert_eq!(ro.wear_epoch(), 0);
         assert_eq!(
-            ro.frequency(&tech, &env, &chip).to_bits(),
-            fresh.frequency(&tech, &env, &chip).to_bits()
+            ro.frequency(&tech, &env, &chip, &FRESH).to_bits(),
+            fresh.frequency(&tech, &env, &chip, &FRESH).to_bits()
         );
     }
 
     #[test]
-    fn shared_stress_batches_match_per_ring_stress_bitwise() {
-        // A chip drives many rings through ONE IdleStressBatch /
-        // ActiveStressBatch; the memoized transitions must leave every
-        // device bitwise identical to the unshared per-ring path.
-        for style in [RoStyle::Conventional, RoStyle::AgingResistant] {
-            let (tech, env, chip, models) = setup();
-            let mut rng_a = SeedDomain::new(46).rng(0);
-            let mut rng_b = SeedDomain::new(46).rng(0);
-            let make = |rng: &mut _| {
-                (0..4)
-                    .map(|_| RingOscillator::new(style, 5, DiePosition::new(0.5, 0.5), &tech, rng))
-                    .collect::<Vec<_>>()
-            };
-            let mut solo = make(&mut rng_a);
-            let mut batched = make(&mut rng_b);
-
-            for ro in &mut solo {
-                active(ro, &tech, &models, &env, &chip, 30.0);
-                idle(ro, &tech, &models, 45.0, YEAR);
-            }
-            let mut shared_active = ActiveStressBatch::new(&models, &env, 30.0);
-            for ro in &mut batched {
-                ro.stress_active(&mut shared_active, |ro| ro.frequency(&tech, &env, &chip));
-            }
-            let mut shared_idle =
-                IdleStressBatch::new(style, &tech, &models, 45.0, tech.vdd_nominal, YEAR);
-            for ro in &mut batched {
-                ro.stress_idle(&mut shared_idle);
-            }
-
-            for (a, b) in solo.iter().zip(&batched) {
-                assert_eq!(a, b, "{style:?}: shared batch diverged from solo stress");
-                assert_eq!(
-                    a.frequency(&tech, &env, &chip).to_bits(),
-                    b.frequency(&tech, &env, &chip).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn hci_wear_participates_in_equality() {
-        // Two rings with the same BTI and a different HCI count are
+        // Two rings with the same classes and a different HCI count are
         // different silicon states: equality must see the ring's HCI
         // field, or every chip comparison stops checking HCI.
         let (tech, env, chip, models) = setup();
         let (mut ro, _) = make_ring(RoStyle::AgingResistant, 62);
-        active(&mut ro, &tech, &models, &env, &chip, 30.0);
-        let (bti, hci) = ro.capture_wear();
+        let mut bti = FRESH;
+        active(&mut ro, &mut bti, &tech, &models, &env, &chip, 30.0);
+        let hci = ro.hci_eq_cycles();
         assert!(hci > 0.0, "oscillation accumulates HCI cycles");
         let mut twin = ro.clone();
-        twin.restore_wear(bti, 2.0 * hci, ro.wear_epoch());
+        twin.restore_wear(2.0 * hci, ro.wear_epoch());
         assert_ne!(twin, ro, "the HCI count is part of the ring's state");
-        assert!(twin.frequency(&tech, &env, &chip) < ro.frequency(&tech, &env, &chip));
-        twin.restore_wear(bti, hci, ro.wear_epoch());
+        assert!(twin.frequency(&tech, &env, &chip, &bti) < ro.frequency(&tech, &env, &chip, &bti));
+        twin.restore_wear(hci, ro.wear_epoch());
         assert_eq!(twin, ro);
-    }
-
-    #[test]
-    fn stress_classes_match_a_per_device_reference() {
-        // Every device's raw BTI shift, read through its stress class,
-        // against a reference that keeps one accumulator per device and
-        // states the idle node pattern itself (module docs): a disabled
-        // conventional ring holds stage 0 and the odd stages at input 1
-        // (NMOS under PBTI), the other even stages at input 0 (PMOS under
-        // NBTI); an ARO ring stresses every device at the residual duty.
-        // It also counts the stressed device-intervals that
-        // `device.bti_applies` must book. One idle interval runs in a
-        // technology without PBTI, so only its PMOS classes advance and
-        // the two polarities book different counts.
-        let (tech, env, chip, models) = setup();
-        let hot = Environment::new(85.0, tech.vdd_nominal);
-        let no_pbti = TechParams {
-            pbti_a: 0.0,
-            ..tech.clone()
-        };
-        aro_obs::set_enabled(true);
-        for style in [RoStyle::Conventional, RoStyle::AgingResistant] {
-            for n_stages in [5, 7] {
-                let mut rng = SeedDomain::new(70 + n_stages as u64).rng(0);
-                let mut ro = RingOscillator::new(
-                    style,
-                    n_stages,
-                    DiePosition::new(0.4, 0.6),
-                    &tech,
-                    &mut rng,
-                );
-                // Per stage: (PMOS, NMOS) raw shift.
-                let mut reference = vec![(0.0f64, 0.0f64); n_stages];
-                let mut stressed: u64 = 0;
-                let mut apply = |raw: &mut f64, model: &BtiModel, interval: &StressInterval| {
-                    let (n, k) = (model.time_exp(), model.k_eff(interval));
-                    if k <= 0.0 || interval.duration_s <= 0.0 {
-                        return;
-                    }
-                    let t_eq = if *raw == 0.0 {
-                        0.0
-                    } else {
-                        (*raw / k).powf(1.0 / n)
-                    };
-                    *raw = k * (t_eq + interval.duration_s).powf(n);
-                    stressed += 1;
-                };
-                let applies_before = aro_obs::snapshot().counter("device.bti_applies");
-                for (idle_tech, temp, years, active_env, active_s) in [
-                    (&tech, 25.0, 1.0, env, 30.0),
-                    (&tech, 85.0, 2.0, hot, 10.0),
-                    (&no_pbti, 45.0, 1.0, env, 0.0),
-                    (&tech, 25.0, 0.5, env, 5.0),
-                ] {
-                    let idle_models = AgingModels::new(idle_tech);
-                    idle(&mut ro, idle_tech, &idle_models, temp, years * YEAR);
-                    let interval = match style {
-                        RoStyle::Conventional => {
-                            StressInterval::static_dc(years * YEAR, temp, tech.vdd_nominal)
-                        }
-                        RoStyle::AgingResistant => StressInterval::duty_cycled(
-                            years * YEAR,
-                            temp,
-                            tech.vdd_nominal,
-                            tech.aro_idle_stress_fraction,
-                        ),
-                    };
-                    for (i, (pmos, nmos)) in reference.iter_mut().enumerate() {
-                        let input_high = i == 0 || i % 2 == 1;
-                        if style == RoStyle::AgingResistant || !input_high {
-                            apply(pmos, &idle_models.nbti, &interval);
-                        }
-                        if style == RoStyle::AgingResistant || input_high {
-                            apply(nmos, &idle_models.pbti, &interval);
-                        }
-                    }
-
-                    active(&mut ro, &tech, &models, &active_env, &chip, active_s);
-                    let interval = StressInterval::oscillating(
-                        active_s,
-                        active_env.temp_celsius(),
-                        active_env.vdd(),
-                    );
-                    for (pmos, nmos) in &mut reference {
-                        apply(pmos, &models.nbti, &interval);
-                        apply(nmos, &models.pbti, &interval);
-                    }
-                }
-                for (i, &(pmos, nmos)) in reference.iter().enumerate() {
-                    let (bti_p, bti_n) = ro.stage_bti(i);
-                    assert_eq!(
-                        bti_p.to_bits(),
-                        pmos.to_bits(),
-                        "{style:?}/{n_stages}: stage {i} PMOS"
-                    );
-                    assert_eq!(
-                        bti_n.to_bits(),
-                        nmos.to_bits(),
-                        "{style:?}/{n_stages}: stage {i} NMOS"
-                    );
-                }
-                assert_eq!(
-                    aro_obs::snapshot().counter("device.bti_applies") - applies_before,
-                    stressed,
-                    "{style:?}/{n_stages}: device-intervals booked"
-                );
-            }
-        }
     }
 
     #[test]
     fn ring_state_stays_small() {
         // Every ring of every chip pays for itself and its stages, up to
         // 57 630 rings per chip: a field added back per device costs ten
-        // times over. A 5-stage ring is its 128-byte array slot (four BTI
-        // classes, one HCI count) and five 64-byte stages.
+        // times over. A 5-stage ring is its 96-byte array slot (one HCI
+        // count; the BTI classes are the chip's) and five 64-byte stages.
         let ring = size_of::<RingOscillator>() + 5 * size_of::<InverterStage>();
-        assert!(ring <= 448, "{ring}");
+        assert!(ring <= 416, "{ring}");
     }
 }

@@ -48,7 +48,8 @@ fn drain_current(beta: f64, alpha: f64, overdrive: f64, vds: f64) -> f64 {
     }
 }
 
-/// Integrates the node voltages of a ring and extracts its frequency.
+/// Integrates the node voltages of a ring, on a die with BTI stress classes
+/// `bti`, and extracts its frequency.
 ///
 /// Every stage drives the next stage's input node through its
 /// complementary pair; the input threshold is `Vdd/2`. Integration is
@@ -65,6 +66,7 @@ pub fn simulate_ring(
     tech: &TechParams,
     env: &Environment,
     chip: &aro_device::process::ChipProcess,
+    bti: &[f64; 4],
     periods: usize,
     steps_per_period: usize,
 ) -> TransientResult {
@@ -97,7 +99,7 @@ pub fn simulate_ring(
         .enumerate()
         .map(|(i, s)| {
             let mob = env.mobility_factor(tech);
-            let (bti_p, bti_n) = ro.stage_bti(i);
+            let (bti_p, bti_n) = ro.stage_bti(bti, i);
             let vth_p = pmos.vth_effective(
                 tech,
                 env,
@@ -128,7 +130,7 @@ pub fn simulate_ring(
     let mut v: Vec<f64> = (0..n).map(|i| if i % 2 == 0 { vdd } else { 0.0 }).collect();
     v[0] = 0.51 * vdd;
 
-    let expected_period = 1.0 / ro.frequency(tech, env, chip);
+    let expected_period = 1.0 / ro.frequency(tech, env, chip, bti);
     let dt = expected_period / steps_per_period as f64;
     let total_steps = (periods + 4) * steps_per_period; // settle + measure
 
@@ -190,6 +192,9 @@ mod tests {
     use aro_device::rng::SeedDomain;
     use aro_device::units::YEAR;
 
+    /// The stress classes of a chip that has not aged.
+    const FRESH: [f64; 4] = [0.0; 4];
+
     fn setup(seed: u64) -> (TechParams, Environment, ChipProcess, RingOscillator) {
         let tech = TechParams::default();
         let env = Environment::nominal(&tech);
@@ -208,8 +213,8 @@ mod tests {
     #[test]
     fn transient_frequency_tracks_the_analytic_model() {
         let (tech, env, chip, ro) = setup(71);
-        let analytic = ro.frequency(&tech, &env, &chip);
-        let transient = simulate_ring(&ro, &tech, &env, &chip, 12, 400);
+        let analytic = ro.frequency(&tech, &env, &chip, &FRESH);
+        let transient = simulate_ring(&ro, &tech, &env, &chip, &FRESH, 12, 400);
         let ratio = transient.frequency_hz / analytic;
         // The waveform-shape factor between constant-current and
         // two-region charging is bounded and near one.
@@ -229,9 +234,9 @@ mod tests {
         let (tech, env, chip, ro_a) = setup(72);
         let (.., ro_b) = setup(73);
         let analytic_ratio =
-            ro_a.frequency(&tech, &env, &chip) / ro_b.frequency(&tech, &env, &chip);
-        let t_a = simulate_ring(&ro_a, &tech, &env, &chip, 12, 400);
-        let t_b = simulate_ring(&ro_b, &tech, &env, &chip, 12, 400);
+            ro_a.frequency(&tech, &env, &chip, &FRESH) / ro_b.frequency(&tech, &env, &chip, &FRESH);
+        let t_a = simulate_ring(&ro_a, &tech, &env, &chip, &FRESH, 12, 400);
+        let t_b = simulate_ring(&ro_b, &tech, &env, &chip, &FRESH, 12, 400);
         let transient_ratio = t_a.frequency_hz / t_b.frequency_hz;
         assert!(
             (transient_ratio / analytic_ratio - 1.0).abs() < 0.01,
@@ -241,25 +246,23 @@ mod tests {
 
     #[test]
     fn transient_sees_aging_slowdown_too() {
-        let (tech, env, chip, mut ro) = setup(74);
-        let fresh = simulate_ring(&ro, &tech, &env, &chip, 10, 300).frequency_hz;
+        let (tech, env, chip, ro) = setup(74);
+        let fresh = simulate_ring(&ro, &tech, &env, &chip, &FRESH, 10, 300).frequency_hz;
         let models = AgingModels::new(&tech);
-        ro.stress_idle(&mut IdleStressBatch::new(
+        let mut bti = FRESH;
+        IdleStressBatch::new(
             ro.style(),
             &tech,
             &models,
             25.0,
             tech.vdd_nominal,
             10.0 * YEAR,
-        ));
-        let aged = simulate_ring(&ro, &tech, &env, &chip, 10, 300).frequency_hz;
+        )
+        .advance(&mut bti, ro.n_stages());
+        let aged = simulate_ring(&ro, &tech, &env, &chip, &bti, 10, 300).frequency_hz;
         assert!(aged < fresh, "aged {aged} vs fresh {fresh}");
-        let analytic_drop = 1.0
-            - ro.frequency(&tech, &env, &chip) / {
-                let mut fresh_ro = ro.clone();
-                fresh_ro.reset_to_fabricated();
-                fresh_ro.frequency(&tech, &env, &chip)
-            };
+        let analytic_drop =
+            1.0 - ro.frequency(&tech, &env, &chip, &bti) / ro.frequency(&tech, &env, &chip, &FRESH);
         let transient_drop = 1.0 - aged / fresh;
         assert!(
             (transient_drop - analytic_drop).abs() < 0.03,
@@ -270,9 +273,9 @@ mod tests {
     #[test]
     fn supply_droop_slows_the_transient_ring() {
         let (tech, env, chip, ro) = setup(75);
-        let nominal = simulate_ring(&ro, &tech, &env, &chip, 10, 300).frequency_hz;
+        let nominal = simulate_ring(&ro, &tech, &env, &chip, &FRESH, 10, 300).frequency_hz;
         let low = Environment::new(env.temp_celsius(), 1.08);
-        let droop = simulate_ring(&ro, &tech, &low, &chip, 10, 300).frequency_hz;
+        let droop = simulate_ring(&ro, &tech, &low, &chip, &FRESH, 10, 300).frequency_hz;
         assert!(droop < nominal);
     }
 
@@ -280,6 +283,6 @@ mod tests {
     #[should_panic(expected = "sensible resolution")]
     fn zero_periods_panics() {
         let (tech, env, chip, ro) = setup(76);
-        let _ = simulate_ring(&ro, &tech, &env, &chip, 0, 300);
+        let _ = simulate_ring(&ro, &tech, &env, &chip, &FRESH, 0, 300);
     }
 }

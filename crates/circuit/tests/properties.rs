@@ -24,7 +24,7 @@ proptest! {
         let mut rng = SeedDomain::new(seed).rng(0);
         let ro = RingOscillator::new(style, stages, DiePosition::new(0.5, 0.5), &tech, &mut rng);
         let chip = ChipProcess::sample(&tech, &mut rng);
-        let f = ro.frequency(&tech, &Environment::new(temp, vdd), &chip);
+        let f = ro.frequency(&tech, &Environment::new(temp, vdd), &chip, &[0.0; 4]);
         prop_assert!(f.is_finite() && f > 0.0);
     }
 
@@ -37,7 +37,7 @@ proptest! {
         let f_of = |stages: usize| {
             let mut rng = SeedDomain::new(seed).rng(0);
             RingOscillator::new(RoStyle::Conventional, stages, DiePosition::new(0.5, 0.5), &tech, &mut rng)
-                .frequency(&tech, &env, &chip)
+                .frequency(&tech, &env, &chip, &[0.0; 4])
         };
         // Different stage counts consume different amounts of randomness, so
         // compare typical-chip rings built from the same seed: the mismatch
@@ -56,10 +56,11 @@ proptest! {
         let chip = ChipProcess::typical();
         let models = AgingModels::new(&tech);
         let mut rng = SeedDomain::new(seed).rng(0);
-        let mut ro = RingOscillator::new(style, 5, DiePosition::new(0.5, 0.5), &tech, &mut rng);
-        let fresh = ro.frequency(&tech, &env, &chip);
-        ro.stress_idle(&mut IdleStressBatch::new(style, &tech, &models, temp, tech.vdd_nominal, years * 3.156e7));
-        prop_assert!(ro.frequency(&tech, &env, &chip) <= fresh);
+        let ro = RingOscillator::new(style, 5, DiePosition::new(0.5, 0.5), &tech, &mut rng);
+        let mut bti = [0.0; 4];
+        let fresh = ro.frequency(&tech, &env, &chip, &bti);
+        IdleStressBatch::new(style, &tech, &models, temp, tech.vdd_nominal, years * 3.156e7).advance(&mut bti, 5);
+        prop_assert!(ro.frequency(&tech, &env, &chip, &bti) <= fresh);
     }
 
     /// For equal idle time, the ARO ring never degrades more than the
@@ -72,10 +73,11 @@ proptest! {
         let models = AgingModels::new(&tech);
         let degradation = |style: RoStyle| {
             let mut rng = SeedDomain::new(seed).rng(0);
-            let mut ro = RingOscillator::new(style, 5, DiePosition::new(0.5, 0.5), &tech, &mut rng);
-            let fresh = ro.frequency(&tech, &env, &chip);
-            ro.stress_idle(&mut IdleStressBatch::new(style, &tech, &models, 25.0, tech.vdd_nominal, years * 3.156e7));
-            (fresh - ro.frequency(&tech, &env, &chip)) / fresh
+            let ro = RingOscillator::new(style, 5, DiePosition::new(0.5, 0.5), &tech, &mut rng);
+            let mut bti = [0.0; 4];
+            let fresh = ro.frequency(&tech, &env, &chip, &bti);
+            IdleStressBatch::new(style, &tech, &models, 25.0, tech.vdd_nominal, years * 3.156e7).advance(&mut bti, 5);
+            (fresh - ro.frequency(&tech, &env, &chip, &bti)) / fresh
         };
         prop_assert!(degradation(RoStyle::AgingResistant) <= degradation(RoStyle::Conventional));
     }

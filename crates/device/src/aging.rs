@@ -141,8 +141,7 @@ impl BtiModel {
     /// Effective accelerated prefactor of an interval, `K(T, Vgs)·sqrt(duty)`
     /// in volts per second^n. It depends only on the interval's conditions —
     /// never on device state — so stress loops hoist it once per interval
-    /// instead of paying its `exp`/`powf` per accumulator (see
-    /// [`BtiBatch`]).
+    /// instead of paying its `exp`/`powf` per accumulator ([`BtiBatch`]).
     #[must_use]
     pub fn k_eff(&self, interval: &StressInterval) -> f64 {
         self.prefactor(interval.temp_celsius, interval.vgs) * interval.duty.sqrt()
@@ -224,11 +223,11 @@ impl HciModel {
 ///
 /// Wear itself is not stored here. A transistor's raw BTI shift is a pure
 /// function of its stress history, and every device of one stress class of
-/// a ring (one polarity at one idle level) lives through the same history,
-/// so the ring keeps one raw BTI accumulator per class; likewise every
-/// device of a ring switches at the ring's frequency, so the ring keeps one
-/// HCI equivalent-cycle count. A device scales the ring's raw shifts by its
-/// own multipliers ([`TransistorAging::dvth_bti`],
+/// a chip (one polarity at one idle level, on any of its rings) lives
+/// through the same history, so the chip keeps one raw BTI accumulator per
+/// class; every device of a ring switches at the ring's frequency, so the
+/// ring keeps one HCI equivalent-cycle count. A device scales those raw
+/// shifts by its own multipliers ([`TransistorAging::dvth_bti`],
 /// [`TransistorAging::dvth_hci`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransistorAging {
@@ -264,28 +263,18 @@ impl TransistorAging {
     }
 }
 
-/// One BTI stress interval applied to raw (multiplier-free) BTI
-/// accumulators, with the state transition memoized.
+/// One BTI stress interval, prefactored, applied to raw (multiplier-free)
+/// BTI accumulators.
 ///
-/// An accumulator advances by the equivalent-time method (module docs),
-/// a pure function of its incoming value, so every accumulator that has
-/// lived through the same interval sequence carries bitwise-identical
-/// state. A chip ages all of its rings through the same intervals, which
-/// makes that the common case by far: one `powf` pair per *distinct
-/// incoming state* serves every ring of the chip, and replaying a memoized
-/// transition is exact (equal inputs to a pure function, equal outputs).
+/// An accumulator advances by the equivalent-time method (module docs), a
+/// pure function of its incoming value. Every ring of a chip lives through
+/// the same intervals, so the chip keeps one accumulator per stress class
+/// for all of its rings and applies each interval to it once.
 #[derive(Debug, Clone)]
 pub struct BtiBatch {
     time_exp: f64,
     k_eff: f64,
     duration_s: f64,
-    /// Observed `(incoming, outgoing)` accumulator transitions. Two slots:
-    /// a conventional ring has two stress classes per polarity (stages
-    /// idling high vs low), and an active interval advances both in turn
-    /// on every ring — a single slot would thrash.
-    memo: [Option<(f64, f64)>; 2],
-    /// Index of the most recently hit/filled memo slot.
-    mru: usize,
 }
 
 impl BtiBatch {
@@ -297,8 +286,6 @@ impl BtiBatch {
             time_exp,
             k_eff,
             duration_s,
-            memo: [None; 2],
-            mru: 0,
         }
     }
 
@@ -307,30 +294,17 @@ impl BtiBatch {
     /// accumulator untouched, for the degenerate zero-duration and
     /// zero-prefactor intervals, so bulk callers can book one aggregated
     /// `device.bti_applies` increment per interval.
-    pub fn apply(&mut self, raw_dvth: &mut f64) -> bool {
+    pub fn apply(&self, raw_dvth: &mut f64) -> bool {
         if self.k_eff <= 0.0 || self.duration_s <= 0.0 {
             return false;
         }
-        let input = *raw_dvth;
-        for slot in [self.mru, 1 - self.mru] {
-            if let Some((seen, output)) = self.memo[slot] {
-                if seen == input {
-                    *raw_dvth = output;
-                    self.mru = slot;
-                    return true;
-                }
-            }
-        }
         // Fresh accumulator: (0/k)^(1/n) is exactly +0.0, skip the powf.
-        let t_equivalent = if input == 0.0 {
+        let t_equivalent = if *raw_dvth == 0.0 {
             0.0
         } else {
-            (input / self.k_eff).powf(1.0 / self.time_exp)
+            (*raw_dvth / self.k_eff).powf(1.0 / self.time_exp)
         };
         *raw_dvth = self.k_eff * (t_equivalent + self.duration_s).powf(self.time_exp);
-        let slot = 1 - self.mru;
-        self.memo[slot] = Some((input, *raw_dvth));
-        self.mru = slot;
         true
     }
 }
@@ -346,7 +320,7 @@ mod tests {
         TechParams::default()
     }
 
-    /// One interval through its own batch: the production step, memo cold.
+    /// One interval through its own batch: the production step.
     fn apply_bti(raw_dvth: &mut f64, model: &BtiModel, interval: &StressInterval) {
         BtiBatch::new(model.time_exp(), model.k_eff(interval), interval.duration_s).apply(raw_dvth);
     }
@@ -516,40 +490,6 @@ mod tests {
     #[should_panic(expected = "duty must be in [0, 1]")]
     fn invalid_duty_panics() {
         let _ = StressInterval::duty_cycled(1.0, 25.0, 1.2, 1.5);
-    }
-
-    #[test]
-    fn bti_batch_replays_transitions_bitwise() {
-        // Accumulators in two distinct stress-history groups, visited
-        // interleaved (a conventional ring's two classes per polarity
-        // under an active interval): the shared batch's two-slot memo must
-        // reproduce a cold batch per accumulator bitwise.
-        let t = tech();
-        let model = BtiModel::nbti(&t);
-        let interval = StressInterval::static_dc(YEAR, 45.0, t.vdd_nominal);
-        let k_eff = model.k_eff(&interval);
-
-        let mut direct = [0.0f64; 8];
-        // Group A gets a head start so the two groups diverge.
-        for raw in direct.iter_mut().step_by(2) {
-            apply_bti(raw, &model, &interval);
-        }
-        let mut batched = direct;
-
-        for raw in &mut direct {
-            assert!(BtiBatch::new(model.time_exp(), k_eff, YEAR).apply(raw));
-        }
-        let mut batch = BtiBatch::new(model.time_exp(), k_eff, YEAR);
-        for raw in &mut batched {
-            assert!(batch.apply(raw));
-        }
-        for (a, b) in direct.iter().zip(&batched) {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "memoized transition must be bitwise equal"
-            );
-        }
     }
 
     #[test]

@@ -132,8 +132,7 @@ impl KeyGenerator {
     /// hard reading at the same silicon would lose. Feed it the readout's
     /// `(bit, |Δcount|)` pairs. Positions the caller knows to be
     /// unreliable (NVM-flagged helper bits, BIST-flagged rings) decode as
-    /// zero-confidence erasures — see
-    /// [`crate::soft::SoftConcatDecoder::reproduce_soft`]; pass
+    /// zero-confidence erasures — see `soft::reproduce_soft`; pass
     /// [`Erasures::none`](crate::soft::Erasures::none) to decode blind.
     /// `None` on a key failure, including a response shorter than
     /// [`Self::response_bits`].

@@ -63,4 +63,4 @@ pub use concat::ConcatenatedCode;
 pub use fuzzy::FuzzyExtractor;
 pub use refresh::{continuity_gate, refresh_enrollment, RefreshSchedule};
 pub use repetition::RepetitionCode;
-pub use soft::{Erasures, SoftBit, SoftConcatDecoder};
+pub use soft::{Erasures, SoftBit};

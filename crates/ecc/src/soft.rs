@@ -11,10 +11,8 @@
 
 use aro_metrics::bits::BitString;
 
-use crate::bch::BchCode;
 use crate::concat::ConcatenatedCode;
 use crate::fuzzy::{HelperData, Key};
-use crate::repetition::RepetitionCode;
 
 /// One response bit with its measurement confidence (any non-negative
 /// monotone reliability score; the readout's |Δcount| works directly).
@@ -94,8 +92,9 @@ pub fn soft_majority(group: &[SoftBit]) -> bool {
 /// knowledge a fielded key generator actually has about its own damage:
 /// NVM integrity checks flag corrupted stored helper bits, and ring BIST
 /// flags dead/stuck oscillators behind response bits. Feeding these to
-/// [`SoftConcatDecoder::reproduce_soft`] turns a guaranteed
-/// key loss (a surviving offset flip) into an ordinary correctable error.
+/// [`KeyGenerator::reconstruct_soft`](crate::keygen::KeyGenerator::reconstruct_soft)
+/// turns a guaranteed key loss (a surviving offset flip) into an ordinary
+/// correctable error.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Erasures {
     /// `(block, bit)` stored helper-data positions flagged as unreliable
@@ -131,76 +130,12 @@ impl Erasures {
     }
 }
 
-/// Soft-decision decoder for the concatenated (repetition ⊗ BCH) code:
-/// weighted inner majority, then hard outer BCH.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SoftConcatDecoder {
-    code: ConcatenatedCode,
-}
-
-impl SoftConcatDecoder {
-    /// Wraps a concatenated code.
-    #[must_use]
-    pub fn new(outer: BchCode, inner: RepetitionCode) -> Self {
-        Self {
-            code: ConcatenatedCode::new(outer, inner),
-        }
-    }
-
-    /// The wrapped code.
-    #[must_use]
-    pub fn code(&self) -> &ConcatenatedCode {
-        &self.code
-    }
-
-    /// Decodes `n` soft bits into the corrected concatenated codeword, or
-    /// `None` beyond the outer code's capability — or when `received` is
-    /// not exactly `n` soft bits (a malformed word fails closed, matching
-    /// the fuzzy-extractor convention that decoding never panics on bad
-    /// channel data).
-    #[must_use]
-    pub fn decode_soft(&self, received: &[SoftBit]) -> Option<BitString> {
-        decode_soft(&self.code, received)
-    }
-
-    /// Soft-decision key reconstruction through a code-offset helper: the
-    /// offset flips hard values (weights are unaffected), the soft
-    /// decoder recovers each block's codeword, and the enrollment
-    /// response and key are re-derived exactly as in
-    /// [`crate::fuzzy::FuzzyExtractor::reproduce`]. Positions the caller
-    /// *knows* to be unreliable are decoded as zero-confidence erasures
-    /// instead of poisoning the weighted vote; with
-    /// [`Erasures::none`] this is plain soft decoding.
-    ///
-    /// Two erasure kinds, matching where the knowledge comes from:
-    ///
-    /// * **Helper erasures** `(block, bit)` — stored offset bits flagged
-    ///   by NVM integrity checks. The corrupted offset makes the shifted
-    ///   soft bit's *value* meaningless, so it votes with weight 0; and
-    ///   because the stored bit cannot be trusted when re-applying the
-    ///   offset, the recovered enrollment bit falls back to the measured
-    ///   response bit (correct unless the response itself flipped there —
-    ///   a per-bit risk instead of a guaranteed key loss).
-    /// * **Response erasures** (flat response positions) — bits whose
-    ///   pair involves a BIST-flagged dead/stuck ring. They vote with
-    ///   weight 0; the stored offset there is fine, so the decoded
-    ///   codeword recovers the enrollment bit as usual.
-    ///
-    /// Returns `None` when a block still decodes beyond the outer code's
-    /// capability, or when the response is shorter than `blocks · n`
-    /// (fails closed, like [`Self::decode_soft`]).
-    #[must_use]
-    pub fn reproduce_soft(
-        &self,
-        response: &[SoftBit],
-        helper: &HelperData,
-        erasures: &Erasures,
-    ) -> Option<Key> {
-        reproduce_soft(&self.code, response, helper, erasures)
-    }
-}
-
-/// [`SoftConcatDecoder::decode_soft`] through a borrowed code.
+/// Soft-decision decoding of the concatenated (repetition ⊗ BCH) `code`:
+/// weighted inner majority, then hard outer BCH. Decodes `n` soft bits
+/// into the corrected concatenated codeword, or `None` beyond the outer
+/// code's capability — or when `received` is not exactly `n` soft bits (a
+/// malformed word fails closed, matching the fuzzy-extractor convention
+/// that decoding never panics on bad channel data).
 fn decode_soft(code: &ConcatenatedCode, received: &[SoftBit]) -> Option<BitString> {
     use crate::code::Code;
     if received.len() != code.n() {
@@ -224,8 +159,33 @@ fn decode_soft(code: &ConcatenatedCode, received: &[SoftBit]) -> Option<BitStrin
     Some(code.encode(&code.outer().extract_message(&outer_corrected)))
 }
 
-/// [`SoftConcatDecoder::reproduce_soft`] through a borrowed code: a key
-/// generator decodes through the code its fuzzy extractor holds.
+/// Soft-decision key reconstruction through a code-offset helper, decoded
+/// with `code` (a key generator passes the code its fuzzy extractor
+/// holds): the offset flips hard values (weights are unaffected),
+/// [`decode_soft`] recovers each block's codeword, and the enrollment
+/// response and key are re-derived exactly as in
+/// [`crate::fuzzy::FuzzyExtractor::reproduce`]. Positions the caller
+/// *knows* to be unreliable are decoded as zero-confidence erasures
+/// instead of poisoning the weighted vote; with [`Erasures::none`] this is
+/// plain soft decoding.
+///
+/// Two erasure kinds, matching where the knowledge comes from:
+///
+/// * **Helper erasures** `(block, bit)` — stored offset bits flagged by
+///   NVM integrity checks. The corrupted offset makes the shifted soft
+///   bit's *value* meaningless, so it votes with weight 0; and because
+///   the stored bit cannot be trusted when re-applying the offset, the
+///   recovered enrollment bit falls back to the measured response bit
+///   (correct unless the response itself flipped there — a per-bit risk
+///   instead of a guaranteed key loss).
+/// * **Response erasures** (flat response positions) — bits whose pair
+///   involves a BIST-flagged dead/stuck ring. They vote with weight 0;
+///   the stored offset there is fine, so the decoded codeword recovers
+///   the enrollment bit as usual.
+///
+/// Returns `None` when a block still decodes beyond the outer code's
+/// capability, or when the response is shorter than `blocks · n` (fails
+/// closed, like [`decode_soft`]).
 pub(crate) fn reproduce_soft(
     code: &ConcatenatedCode,
     response: &[SoftBit],
@@ -285,8 +245,10 @@ pub(crate) fn reproduce_soft(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bch::BchCode;
     use crate::code::Code;
     use crate::fuzzy::FuzzyExtractor;
+    use crate::repetition::RepetitionCode;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -317,12 +279,12 @@ mod tests {
 
     #[test]
     fn soft_decoder_matches_hard_decoder_on_confident_input() {
-        let decoder = SoftConcatDecoder::new(BchCode::new(4, 2), RepetitionCode::new(3));
+        let code = ConcatenatedCode::new(BchCode::new(4, 2), RepetitionCode::new(3));
         let mut rng = StdRng::seed_from_u64(1);
-        let msg: BitString = (0..decoder.code().k()).map(|_| rng.gen::<bool>()).collect();
-        let word = decoder.code().encode(&msg);
+        let msg: BitString = (0..code.k()).map(|_| rng.gen::<bool>()).collect();
+        let word = code.encode(&msg);
         let soft_word: Vec<SoftBit> = word.iter().map(|b| SoftBit::new(b, 1.0)).collect();
-        assert_eq!(decoder.decode_soft(&soft_word), Some(word));
+        assert_eq!(decode_soft(&code, &soft_word), Some(word));
     }
 
     #[test]
@@ -330,10 +292,10 @@ mod tests {
         // Per group: two wrong reads with tiny confidence, one right read
         // with high confidence. Hard majority gets every symbol wrong;
         // soft majority gets every symbol right.
-        let decoder = SoftConcatDecoder::new(BchCode::new(4, 2), RepetitionCode::new(3));
+        let code = ConcatenatedCode::new(BchCode::new(4, 2), RepetitionCode::new(3));
         let mut rng = StdRng::seed_from_u64(2);
-        let msg: BitString = (0..decoder.code().k()).map(|_| rng.gen::<bool>()).collect();
-        let word = decoder.code().encode(&msg);
+        let msg: BitString = (0..code.k()).map(|_| rng.gen::<bool>()).collect();
+        let word = code.encode(&msg);
         let corrupted: Vec<SoftBit> = word
             .iter()
             .enumerate()
@@ -346,7 +308,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            decoder.decode_soft(&corrupted),
+            decode_soft(&code, &corrupted),
             Some(word.clone()),
             "soft succeeds"
         );
@@ -363,8 +325,8 @@ mod tests {
 
     #[test]
     fn soft_reproduction_recovers_the_enrolled_key() {
-        let decoder = SoftConcatDecoder::new(BchCode::new(5, 2), RepetitionCode::new(3));
-        let fe = FuzzyExtractor::new(decoder.code().clone(), 2);
+        let code = ConcatenatedCode::new(BchCode::new(5, 2), RepetitionCode::new(3));
+        let fe = FuzzyExtractor::new(code.clone(), 2);
         let mut rng = StdRng::seed_from_u64(3);
         let w: BitString = (0..fe.response_bits()).map(|_| rng.gen::<bool>()).collect();
         let (key, helper) = fe.generate(&w, &mut rng);
@@ -382,7 +344,7 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            decoder.reproduce_soft(&soft_reading, &helper, &Erasures::none()),
+            reproduce_soft(&code, &soft_reading, &helper, &Erasures::none()),
             Some(key)
         );
     }
@@ -421,23 +383,23 @@ mod tests {
 
     #[test]
     fn wrong_length_soft_word_fails_closed() {
-        let decoder = SoftConcatDecoder::new(BchCode::new(4, 2), RepetitionCode::new(3));
-        let short = vec![SoftBit::new(true, 1.0); decoder.code().n() - 1];
-        let long = vec![SoftBit::new(true, 1.0); decoder.code().n() + 1];
-        assert_eq!(decoder.decode_soft(&short), None);
-        assert_eq!(decoder.decode_soft(&long), None);
+        let code = ConcatenatedCode::new(BchCode::new(4, 2), RepetitionCode::new(3));
+        let short = vec![SoftBit::new(true, 1.0); code.n() - 1];
+        let long = vec![SoftBit::new(true, 1.0); code.n() + 1];
+        assert_eq!(decode_soft(&code, &short), None);
+        assert_eq!(decode_soft(&code, &long), None);
     }
 
     #[test]
     fn empty_erasures_match_plain_soft_reproduction() {
-        let decoder = SoftConcatDecoder::new(BchCode::new(5, 2), RepetitionCode::new(3));
-        let fe = FuzzyExtractor::new(decoder.code().clone(), 2);
+        let code = ConcatenatedCode::new(BchCode::new(5, 2), RepetitionCode::new(3));
+        let fe = FuzzyExtractor::new(code.clone(), 2);
         let mut rng = StdRng::seed_from_u64(7);
         let w: BitString = (0..fe.response_bits()).map(|_| rng.gen::<bool>()).collect();
         let (key, helper) = fe.generate(&w, &mut rng);
         let reading: Vec<SoftBit> = w.iter().map(|bit| SoftBit::new(bit, 1.0)).collect();
         assert_eq!(
-            decoder.reproduce_soft(&reading, &helper, &Erasures::none()),
+            reproduce_soft(&code, &reading, &helper, &Erasures::none()),
             Some(key)
         );
     }
@@ -449,8 +411,8 @@ mod tests {
         // re-applies the corrupted offset — guaranteed wrong w, lost key.
         // Flagging the position as a helper erasure substitutes the
         // measured response bit there, recovering the key.
-        let decoder = SoftConcatDecoder::new(BchCode::new(5, 2), RepetitionCode::new(3));
-        let fe = FuzzyExtractor::new(decoder.code().clone(), 2);
+        let code = ConcatenatedCode::new(BchCode::new(5, 2), RepetitionCode::new(3));
+        let fe = FuzzyExtractor::new(code.clone(), 2);
         let mut rng = StdRng::seed_from_u64(11);
         let w: BitString = (0..fe.response_bits()).map(|_| rng.gen::<bool>()).collect();
         let (key, helper) = fe.generate(&w, &mut rng);
@@ -460,12 +422,17 @@ mod tests {
         let reading: Vec<SoftBit> = w.iter().map(|bit| SoftBit::new(bit, 1.0)).collect();
 
         assert_ne!(
-            decoder.reproduce_soft(&reading, &eroded, &Erasures::none()),
+            reproduce_soft(&code, &reading, &eroded, &Erasures::none()),
             Some(key),
             "a surviving offset flip must defeat blind decoding"
         );
         assert_eq!(
-            decoder.reproduce_soft(&reading, &eroded, &Erasures::from_helper(eroded_positions)),
+            reproduce_soft(
+                &code,
+                &reading,
+                &eroded,
+                &Erasures::from_helper(eroded_positions)
+            ),
             Some(key)
         );
     }
@@ -475,8 +442,8 @@ mod tests {
         // A dead ring reads garbage with misleading confidence. Blindly it
         // can push a repetition group the wrong way; flagged as a response
         // erasure it votes with weight 0 and the offset stays trusted.
-        let decoder = SoftConcatDecoder::new(BchCode::new(5, 2), RepetitionCode::new(3));
-        let fe = FuzzyExtractor::new(decoder.code().clone(), 2);
+        let code = ConcatenatedCode::new(BchCode::new(5, 2), RepetitionCode::new(3));
+        let fe = FuzzyExtractor::new(code.clone(), 2);
         let mut rng = StdRng::seed_from_u64(13);
         let w: BitString = (0..fe.response_bits()).map(|_| rng.gen::<bool>()).collect();
         let (key, helper) = fe.generate(&w, &mut rng);
@@ -498,16 +465,16 @@ mod tests {
             response: vec![0, 1],
         };
         assert_eq!(
-            decoder.reproduce_soft(&reading, &helper, &erasures),
+            reproduce_soft(&code, &reading, &helper, &erasures),
             Some(key)
         );
     }
 
     #[test]
     fn duplicate_and_out_of_range_flags_act_as_the_in_range_set() {
-        let decoder = SoftConcatDecoder::new(BchCode::new(5, 2), RepetitionCode::new(3));
-        let fe = FuzzyExtractor::new(decoder.code().clone(), 2);
-        let n = decoder.code().n();
+        let code = ConcatenatedCode::new(BchCode::new(5, 2), RepetitionCode::new(3));
+        let fe = FuzzyExtractor::new(code.clone(), 2);
+        let n = code.n();
         let mut rng = StdRng::seed_from_u64(19);
         let w: BitString = (0..fe.response_bits()).map(|_| rng.gen::<bool>()).collect();
         let (key, helper) = fe.generate(&w, &mut rng);
@@ -530,25 +497,25 @@ mod tests {
             response: vec![1, 1, 2 * n, usize::MAX],
         };
         assert_eq!(
-            decoder.reproduce_soft(&reading, &eroded, &in_range),
+            reproduce_soft(&code, &reading, &eroded, &in_range),
             Some(key)
         );
         assert_eq!(
-            decoder.reproduce_soft(&reading, &eroded, &flagged),
+            reproduce_soft(&code, &reading, &eroded, &flagged),
             Some(key)
         );
     }
 
     #[test]
     fn short_response_fails_closed_in_erasure_aware_path() {
-        let decoder = SoftConcatDecoder::new(BchCode::new(4, 2), RepetitionCode::new(3));
-        let fe = FuzzyExtractor::new(decoder.code().clone(), 2);
+        let code = ConcatenatedCode::new(BchCode::new(4, 2), RepetitionCode::new(3));
+        let fe = FuzzyExtractor::new(code.clone(), 2);
         let mut rng = StdRng::seed_from_u64(17);
         let w: BitString = (0..fe.response_bits()).map(|_| rng.gen::<bool>()).collect();
         let (_, helper) = fe.generate(&w, &mut rng);
         let short = vec![SoftBit::new(true, 1.0); fe.response_bits() - 1];
         assert_eq!(
-            decoder.reproduce_soft(&short, &helper, &Erasures::none()),
+            reproduce_soft(&code, &short, &helper, &Erasures::none()),
             None
         );
     }

@@ -3,8 +3,9 @@
 //! Format" with a `traceEvents` wrapper).
 //!
 //! Each `span_close` becomes one complete (`"ph":"X"`) event: start
-//! timestamp recovered as `ts_ns − dur_ns`, per-thread lanes from the
-//! dense `aro-obs` thread ids. Each `fault` event becomes a process-scoped
+//! timestamp recovered as `ts_ns − dur_ns`, one lane per `aro-obs`
+//! telemetry thread id (one id per thread, stable across runs at one
+//! thread count). Each `fault` event becomes a process-scoped
 //! instant (`"ph":"i"`), so injection storms appear as markers over the
 //! span timeline. Timestamps are microseconds, as the format requires.
 //!

@@ -10,7 +10,7 @@
 //! guards close in LIFO order by construction, so a telemetry stream's
 //! open/close events per thread form a well-formed bracket sequence.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,13 +31,34 @@ pub(crate) fn now_ns() -> u128 {
     epoch().elapsed().as_nanos()
 }
 
-/// Small dense thread ids for telemetry (`std::thread::ThreadId` is opaque).
+/// The next unassigned telemetry thread id.
+static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static THREAD_ID: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// This thread's telemetry id (`std::thread::ThreadId` is opaque): the id
+/// [`assign_thread_id`] gave it, else the next unassigned one, taken at
+/// its first span event.
 fn thread_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static ID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    ID.with(|id| *id)
+    THREAD_ID.with(|id| {
+        id.get().unwrap_or_else(|| {
+            let next = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+            id.set(Some(next));
+            next
+        })
+    })
+}
+
+/// Takes the next telemetry thread id for a worker about to be spawned:
+/// the returned closure, run first on the worker, makes the id that
+/// worker's. A fan-out that takes its workers' ids on the spawning thread,
+/// in chunk order, numbers them alike on every run, whichever worker
+/// emits first (`aro-par` does).
+pub fn assign_thread_id() -> impl FnOnce() + Send {
+    let assigned = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+    move || THREAD_ID.with(|id| id.set(Some(assigned)))
 }
 
 thread_local! {

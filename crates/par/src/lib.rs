@@ -9,6 +9,9 @@
 //! `aro-obs` scratch registry; after the scope joins, the harvested
 //! registries are folded into the calling thread **in worker-index order**,
 //! so metric aggregates are byte-identical regardless of thread count.
+//! Each worker's telemetry thread id is assigned on the spawning thread,
+//! in chunk order, before the worker starts, so span events carry the same
+//! thread ids on every run at one thread count.
 //!
 //! This crate sits below `aro-puf` in the dependency graph so that
 //! `Population::fabricate` can fan out without `aro-puf` depending on the
@@ -48,7 +51,8 @@ fn pool_size(n: usize) -> usize {
 /// one chunk per available core), collecting results in input order.
 ///
 /// Falls back to a sequential loop for small inputs where spawn overhead
-/// would dominate.
+/// would dominate. This is the crate's one fan-out: [`par_build`] runs
+/// through it.
 pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
@@ -74,7 +78,9 @@ where
             .zip(results.chunks_mut(chunk_size))
             .enumerate()
             .map(|(chunk_index, (item_chunk, result_chunk))| {
+                let adopt_thread_id = aro_obs::span::assign_thread_id();
                 scope.spawn(move || {
+                    adopt_thread_id();
                     let base = chunk_index * chunk_size;
                     for (offset, (item, slot)) in item_chunk
                         .iter_mut()
@@ -116,46 +122,22 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let forced = thread_override();
-    let threads = pool_size(n);
-    if threads <= 1 || (forced == 0 && n < 4) {
-        return (0..n).map(f).collect();
-    }
-    let chunk_size = n.div_ceil(threads);
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let f = &f;
-        let workers: Vec<_> = results
-            .chunks_mut(chunk_size)
-            .enumerate()
-            .map(|(chunk_index, result_chunk)| {
-                scope.spawn(move || {
-                    let base = chunk_index * chunk_size;
-                    for (offset, slot) in result_chunk.iter_mut().enumerate() {
-                        *slot = Some(f(base + offset));
-                    }
-                    if aro_obs::enabled() {
-                        aro_obs::take_scratch()
-                    } else {
-                        aro_obs::Registry::new()
-                    }
-                })
-            })
-            .collect();
-        for worker in workers {
-            let harvested = worker.join().expect("parallel worker panicked");
-            aro_obs::merge_scratch(&harvested);
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("every slot filled"))
-        .collect()
+    // A `Vec<()>` allocates nothing: the units only carry the indices.
+    par_map_mut(&mut vec![(); n], |i, ()| f(i))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// Serializes the tests that set the process-global thread override:
+    /// a concurrent reset changes their worker count mid-test.
+    fn override_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn results_are_in_input_order() {
@@ -199,6 +181,7 @@ mod tests {
 
     #[test]
     fn thread_override_preserves_results() {
+        let _guard = override_lock();
         let base: Vec<u64> = (0..40).collect();
         let expected: Vec<u64> = base.iter().map(|x| x * 3).collect();
         for t in [1, 2, 8] {
@@ -220,6 +203,7 @@ mod tests {
 
     #[test]
     fn par_build_matches_sequential_build() {
+        let _guard = override_lock();
         let seq: Vec<u64> = (0..97)
             .map(|i| (i as u64).wrapping_mul(0x9e3779b9))
             .collect();
@@ -235,5 +219,39 @@ mod tests {
     fn par_build_empty_and_tiny() {
         assert!(par_build(0, |i| i).is_empty());
         assert_eq!(par_build(2, |i| i * 5), vec![0, 5]);
+    }
+
+    #[test]
+    fn worker_thread_ids_follow_chunk_order() {
+        // Chunk 1 closes a span before chunk 0 opens one, so a thread
+        // numbered at its first span event would give chunk 1 the lower
+        // telemetry id. Two workers need the override: chunk 0 waits for
+        // chunk 1's Release store with an Acquire load.
+        let _guard = override_lock();
+        set_thread_override(2);
+        aro_obs::set_enabled(true);
+        let capture = aro_obs::sink::install_memory();
+        let chunk1_closed = AtomicBool::new(false);
+        par_map_mut(&mut [0, 1], |i, _| {
+            if i == 0 {
+                while !chunk1_closed.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            drop(aro_obs::span(if i == 0 { "chunk0" } else { "chunk1" }));
+            chunk1_closed.store(true, Ordering::Release);
+        });
+        aro_obs::sink::close();
+        aro_obs::set_enabled(false);
+        set_thread_override(0);
+        let text = String::from_utf8(capture.lock().unwrap().clone()).unwrap();
+        let thread_of = |name: &str| {
+            text.lines()
+                .map(|line| aro_obs::json::parse(line).unwrap())
+                .find(|event| event.get("name").and_then(|n| n.as_str()) == Some(name))
+                .and_then(|event| event.get("thread").and_then(|t| t.as_u64()))
+                .expect("span event captured")
+        };
+        assert!(thread_of("chunk0") < thread_of("chunk1"), "{text}");
     }
 }

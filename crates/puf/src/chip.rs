@@ -30,6 +30,10 @@ const RESOLVE_CHUNK: usize = 128;
 /// next nonce: one nonce per measurement, a dead ring's zero count
 /// included.
 ///
+/// The chip holds its rings' BTI wear: one raw accumulator per stress class
+/// (`aro_circuit::ring` module docs), since every ring of the chip lives
+/// through the same stress intervals. Each ring holds its own HCI wear.
+///
 /// The chip caches its rings' derived frequencies (see
 /// `crate::kernels`): every read resolves its technology and environment
 /// once and hits or fills each ring's slots. The cache is interior state —
@@ -40,6 +44,8 @@ pub struct Chip {
     id: u64,
     process: ChipProcess,
     ros: Vec<RingOscillator>,
+    /// Raw BTI shift of each stress class in volts.
+    bti: [f64; 4],
     /// Read by the snapshot layer's kernel-hint harvest and preload.
     pub(crate) kernels: KernelCache,
     noise_domain: SeedDomain,
@@ -52,6 +58,7 @@ impl PartialEq for Chip {
         self.id == other.id
             && self.process == other.process
             && self.ros == other.ros
+            && self.bti == other.bti
             && self.noise_domain == other.noise_domain
             && self.measure_nonce == other.measure_nonce
             && self.age_s == other.age_s
@@ -94,6 +101,7 @@ impl Chip {
             process,
             kernels: KernelCache::new(ros.len()),
             ros,
+            bti: [0.0; 4],
             noise_domain: chip_domain.child("noise"),
             measure_nonce: id << 32,
             age_s: 0.0,
@@ -124,6 +132,14 @@ impl Chip {
         &self.ros
     }
 
+    /// The raw BTI shift in volts of each stress class of the rings: the
+    /// chip's share of a ring's wear, as [`RingOscillator::frequency`]
+    /// reads it.
+    #[must_use]
+    pub fn bti_classes(&self) -> &[f64; 4] {
+        &self.bti
+    }
+
     pub(crate) fn add_age(&mut self, seconds: f64) {
         self.age_s += seconds;
     }
@@ -138,6 +154,7 @@ impl Chip {
         for ro in &mut self.ros {
             ro.reset_to_fabricated();
         }
+        self.bti = [0.0; 4];
         self.kernels.clear();
         self.measure_nonce = self.id << 32;
         self.age_s = 0.0;
@@ -178,14 +195,15 @@ impl Chip {
             .collect()
     }
 
-    /// Resolves one read of this chip under `(design.tech(), env)`.
+    /// Resolves one read of this chip under `(design.tech(), env)` and its
+    /// present stress classes.
     pub(crate) fn kernel_read<'d>(
         &self,
         design: &'d PufDesign,
         env: &Environment,
     ) -> KernelRead<'d> {
         self.kernels
-            .read(design.style(), design.tech(), env, &self.process)
+            .read(design.style(), design.tech(), env, &self.process, &self.bti)
     }
 
     /// The *true* (noiseless) frequency of ring `index` under `env`.
@@ -397,11 +415,7 @@ impl Chip {
         vdd: f64,
         duration_s: f64,
     ) {
-        // One batch for the whole chip: interval acceleration is evaluated
-        // once, and devices sharing a stress history across rings replay
-        // memoized (bit-identical) BTI transitions instead of re-running
-        // the power law per device.
-        let mut batch = IdleStressBatch::new(
+        let batch = IdleStressBatch::new(
             design.style(),
             design.tech(),
             models,
@@ -409,9 +423,7 @@ impl Chip {
             vdd,
             duration_s,
         );
-        for ro in &mut self.ros {
-            ro.stress_idle(&mut batch);
-        }
+        self.idle_phase(design, &batch, |_, age| age());
     }
 
     /// Applies oscillation (measurement) stress to every ring for
@@ -423,44 +435,68 @@ impl Chip {
         env: &Environment,
         duration_s: f64,
     ) {
-        let read = self.kernel_read(design, env);
-        // Chip-wide batch, as in `stress_idle`.
-        let mut batch = ActiveStressBatch::new(models, env, duration_s);
-        for index in 0..self.ros.len() {
-            self.stress_active_ring(&read, index, &mut batch);
+        let batch = ActiveStressBatch::new(design.style(), models, env, duration_s);
+        self.active_phase(design, env, &batch, |_, age| age());
+    }
+
+    /// One idle interval: the stress classes advance once for the whole
+    /// chip, then `visit(index, age)` runs for each ring in array order,
+    /// where `age` is the ring's own share of the interval
+    /// ([`RingOscillator::stress_idle`]). The cold path calls `age`; the
+    /// snapshot layer records around it or replays a recorded share.
+    pub(crate) fn idle_phase(
+        &mut self,
+        design: &PufDesign,
+        batch: &IdleStressBatch,
+        mut visit: impl FnMut(usize, &mut dyn FnMut()),
+    ) {
+        let applies = batch.advance(&mut self.bti, design.n_stages());
+        for (index, ro) in self.ros.iter_mut().enumerate() {
+            visit(index, &mut || ro.stress_idle(batch, &self.bti, applies));
         }
     }
 
-    /// Idle stress on ring `index` through a shared batch.
-    pub(crate) fn stress_idle_ring(&mut self, index: usize, batch: &mut IdleStressBatch) {
-        self.ros[index].stress_idle(batch);
-    }
-
-    /// Oscillation stress on ring `index` through a shared batch: the HCI
-    /// cycle count comes from the ring's frequency under `read`, read
-    /// through the cache before the wear epoch moves.
-    pub(crate) fn stress_active_ring(
+    /// One oscillation interval under `env`, visited like
+    /// [`Chip::idle_phase`]. The read is resolved before the classes
+    /// advance, so every ring's HCI cycle count comes from its frequency
+    /// under the pre-interval classes, read through the kernel cache.
+    pub(crate) fn active_phase(
         &mut self,
-        read: &KernelRead,
-        index: usize,
-        batch: &mut ActiveStressBatch,
+        design: &PufDesign,
+        env: &Environment,
+        batch: &ActiveStressBatch,
+        mut visit: impl FnMut(usize, &mut dyn FnMut()),
     ) {
+        let read = self.kernel_read(design, env);
+        let applies = batch.advance(&mut self.bti, design.n_stages());
         let kernels = &self.kernels;
-        self.ros[index].stress_active(batch, |ro| kernels.frequency(read, index, ro));
+        for (index, ro) in self.ros.iter_mut().enumerate() {
+            visit(index, &mut || {
+                ro.stress_active(batch, &self.bti, applies, |ro| {
+                    kernels.frequency(&read, index, ro)
+                });
+            });
+        }
     }
 
-    /// Restores ring `index`'s wear (its BTI stress-class accumulators and
-    /// HCI cycles) and wear epoch from a snapshot, dropping its cached
-    /// frequencies (the epoch may rewind).
-    pub(crate) fn restore_ring_wear(
+    /// Restores the wear of a recorded step: the stress classes `bti`,
+    /// and for every ring `restore` selects its HCI cycles from `hci` and
+    /// the wear epoch, dropping its cached frequencies (the epoch may
+    /// rewind).
+    pub(crate) fn restore_wear(
         &mut self,
-        index: usize,
         bti: [f64; 4],
-        hci_eq_cycles: f64,
+        hci: &[f64],
         wear_epoch: u64,
+        restore: &[bool],
     ) {
-        self.ros[index].restore_wear(bti, hci_eq_cycles, wear_epoch);
-        self.kernels.forget(index);
+        self.bti = bti;
+        for (index, ro) in self.ros.iter_mut().enumerate() {
+            if restore[index] {
+                ro.restore_wear(hci[index], wear_epoch);
+                self.kernels.forget(index);
+            }
+        }
     }
 }
 
@@ -468,6 +504,8 @@ impl Chip {
 mod tests {
     use super::*;
     use aro_circuit::ring::RoStyle;
+    use aro_device::aging::{BtiModel, StressInterval};
+    use aro_device::params::TechParams;
     use aro_device::units::YEAR;
 
     fn small_design(style: RoStyle) -> PufDesign {
@@ -565,6 +603,153 @@ mod tests {
         chip.reset_to_fabricated();
         assert_eq!(chip.frequencies(&design, &env), fresh);
         assert_eq!(chip.age_s(), 0.0);
+    }
+
+    #[test]
+    fn bti_classes_participate_in_equality() {
+        // Idle stress leaves every ring's own state alike at any
+        // temperature: only the chip's stress classes tell a cool year
+        // from a hot one, so equality must compare them.
+        let design = small_design(RoStyle::Conventional);
+        let models = AgingModels::new(design.tech());
+        let vdd = design.tech().vdd_nominal;
+        let mut cool = Chip::fabricate(&design, 4);
+        let mut hot = cool.clone();
+        cool.stress_idle(&design, &models, 25.0, vdd, YEAR);
+        hot.stress_idle(&design, &models, 85.0, vdd, YEAR);
+        assert_eq!(cool.ros(), hot.ros());
+        assert_ne!(cool, hot);
+    }
+
+    #[test]
+    fn stress_classes_match_a_per_device_reference() {
+        // Every device's BTI shift, read through the chip's stress
+        // classes, against a reference that keeps one raw accumulator per
+        // device of every ring and states the idle node pattern itself
+        // (`aro_circuit::ring` module docs): a disabled conventional ring
+        // holds stage 0 and the odd stages at input 1 (NMOS under PBTI),
+        // the other even stages at input 0 (PMOS under NBTI); an ARO ring
+        // stresses every device at the residual duty. It also counts the
+        // stressed device-intervals that `device.bti_applies` must book,
+        // and accumulates each ring's HCI cycles from its uncached
+        // frequency under the pre-interval classes. One idle interval
+        // runs with the models of a technology without PBTI, so only the
+        // PMOS classes advance and the two polarities book different
+        // counts.
+        aro_obs::set_enabled(true);
+        for style in [RoStyle::Conventional, RoStyle::AgingResistant] {
+            for n_stages in [5, 7] {
+                let design = PufDesign::builder(style)
+                    .n_ros(4)
+                    .n_stages(n_stages)
+                    .seed(70 + n_stages as u64)
+                    .build();
+                let tech = design.tech();
+                let models = AgingModels::new(tech);
+                let no_pbti = AgingModels::new(&TechParams {
+                    pbti_a: 0.0,
+                    ..tech.clone()
+                });
+                let env = Environment::nominal(tech);
+                let hot = Environment::new(85.0, tech.vdd_nominal);
+                let mut chip = Chip::fabricate(&design, 1);
+                // Per ring and stage: (PMOS, NMOS) raw shift.
+                let mut reference = vec![vec![(0.0f64, 0.0f64); n_stages]; 4];
+                let mut hci = [0.0f64; 4];
+                let mut stressed: u64 = 0;
+                let mut apply = |raw: &mut f64, model: &BtiModel, interval: &StressInterval| {
+                    let (n, k) = (model.time_exp(), model.k_eff(interval));
+                    if k <= 0.0 || interval.duration_s <= 0.0 {
+                        return;
+                    }
+                    let t_eq = if *raw == 0.0 {
+                        0.0
+                    } else {
+                        (*raw / k).powf(1.0 / n)
+                    };
+                    *raw = k * (t_eq + interval.duration_s).powf(n);
+                    stressed += 1;
+                };
+                let applies_before = aro_obs::snapshot().counter("device.bti_applies");
+                for (idle_models, temp, years, active_env, active_s) in [
+                    (&models, 25.0, 1.0, env, 30.0),
+                    (&models, 85.0, 2.0, hot, 10.0),
+                    (&no_pbti, 45.0, 1.0, env, 0.0),
+                    (&models, 25.0, 0.5, env, 5.0),
+                ] {
+                    chip.stress_idle(&design, idle_models, temp, tech.vdd_nominal, years * YEAR);
+                    let interval = match style {
+                        RoStyle::Conventional => {
+                            StressInterval::static_dc(years * YEAR, temp, tech.vdd_nominal)
+                        }
+                        RoStyle::AgingResistant => StressInterval::duty_cycled(
+                            years * YEAR,
+                            temp,
+                            tech.vdd_nominal,
+                            tech.aro_idle_stress_fraction,
+                        ),
+                    };
+                    for ring in &mut reference {
+                        for (i, (pmos, nmos)) in ring.iter_mut().enumerate() {
+                            let input_high = i == 0 || i % 2 == 1;
+                            if style == RoStyle::AgingResistant || !input_high {
+                                apply(pmos, &idle_models.nbti, &interval);
+                            }
+                            if style == RoStyle::AgingResistant || input_high {
+                                apply(nmos, &idle_models.pbti, &interval);
+                            }
+                        }
+                    }
+
+                    if active_s > 0.0 {
+                        let factor = models.hci.equivalent_cycle_factor(active_env.vdd());
+                        for (ro, hci) in chip.ros().iter().zip(&mut hci) {
+                            let freq =
+                                ro.frequency(tech, &active_env, chip.process(), chip.bti_classes());
+                            *hci += freq * active_s * factor;
+                        }
+                    }
+                    chip.stress_active(&design, &models, &active_env, active_s);
+                    let interval = StressInterval::oscillating(
+                        active_s,
+                        active_env.temp_celsius(),
+                        active_env.vdd(),
+                    );
+                    for (pmos, nmos) in reference.iter_mut().flatten() {
+                        apply(pmos, &models.nbti, &interval);
+                        apply(nmos, &models.pbti, &interval);
+                    }
+                }
+                let label = format!("{style:?}/{n_stages}");
+                for (r, ro) in chip.ros().iter().enumerate() {
+                    assert_eq!(
+                        ro.hci_eq_cycles().to_bits(),
+                        hci[r].to_bits(),
+                        "{label}: ring {r} HCI"
+                    );
+                    for (i, stage) in ro.stages().iter().enumerate() {
+                        let (bti_p, bti_n) = ro.stage_bti(chip.bti_classes(), i);
+                        let (pmos, nmos) = reference[r][i];
+                        let (p, n) = (stage.pmos().aging(), stage.nmos().aging());
+                        assert_eq!(
+                            p.dvth_bti(bti_p).to_bits(),
+                            p.dvth_bti(pmos).to_bits(),
+                            "{label}: ring {r} stage {i} PMOS"
+                        );
+                        assert_eq!(
+                            n.dvth_bti(bti_n).to_bits(),
+                            n.dvth_bti(nmos).to_bits(),
+                            "{label}: ring {r} stage {i} NMOS"
+                        );
+                    }
+                }
+                assert_eq!(
+                    aro_obs::snapshot().counter("device.bti_applies") - applies_before,
+                    stressed,
+                    "{label}: device-intervals booked"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! keys only what can vary:
 //!
 //! * the **environment**, by full value;
-//! * the ring's **wear epoch**, bumped by every stress application. The
-//!   two operations that rewind an epoch — a wear restore and a return to
-//!   fabricated state — drop the ring's slots;
+//! * the ring's **wear epoch**, bumped by every stress application — an
+//!   interval that moves the chip's BTI stress classes bumps every ring's
+//!   epoch. The two operations that rewind an epoch — a wear restore and a
+//!   return to fabricated state — drop the ring's slots;
 //! * a **technology index** into the `TechParams` values this chip has
 //!   been read under. Each read compares the technology by full value
 //!   once ([`KernelCache::read`]) instead of on every ring query.
@@ -135,17 +136,18 @@ impl KernelCache {
     }
 
     /// Resolves one read of rings of `style` under `(tech, env)` on die
-    /// `chip` — the die the holder owns.
+    /// `chip` with BTI stress classes `bti` — the die the holder owns.
     pub(crate) fn read<'a>(
         &self,
         style: RoStyle,
         tech: &'a TechParams,
         env: &Environment,
         chip: &ChipProcess,
+        bti: &[f64; 4],
     ) -> KernelRead<'a> {
         KernelRead {
             tech: self.tech_index(tech),
-            ctx: FreqContext::new(style, tech, env, chip),
+            ctx: FreqContext::new(style, tech, env, chip, bti),
         }
     }
 
@@ -366,8 +368,9 @@ mod tests {
         assert!(aged < fresh, "a stale slot must not survive an aging step");
         assert_eq!(slots(&chip, 0), vec![(env, 1), (env, 0)]);
 
-        let (bti, hci) = chip.ros()[0].capture_wear();
-        chip.restore_ring_wear(0, bti, hci, 1);
+        let hci: Vec<f64> = chip.ros().iter().map(|ro| ro.hci_eq_cycles()).collect();
+        let restore: Vec<bool> = (0..8).map(|ring| ring == 0).collect();
+        chip.restore_wear(*chip.bti_classes(), &hci, 1, &restore);
         assert!(
             slots(&chip, 0).is_empty(),
             "a wear restore drops the ring's slots"

@@ -7,9 +7,8 @@
 //! [`AgedStepSnapshot`] captures everything one [`MissionProfile::step`]
 //! does to a chip:
 //!
-//! * the **wear state** of every healthy ring after the step (the BTI
-//!   stress-class accumulators all covered rings share, each ring's HCI
-//!   equivalent cycles, the wear epoch) — see `WearStore`;
+//! * the **wear state** after the step: the chip's BTI stress classes,
+//!   each healthy ring's HCI equivalent cycles and the wear epoch;
 //! * the **telemetry tape** the step emitted (counters and sketches, per
 //!   ring and phase), so an instrumented replay reproduces the
 //!   observability streams byte for byte (see `aro_obs::tap_replay`).
@@ -28,10 +27,9 @@
 //! frequency (zero for a dead ring, the stuck value for a stuck one).
 //! Snapshots therefore carry **no fault-plan identity** at all. Instead
 //! each snapshot records which rings were healthy when it was recorded
-//! (its *coverage*, which a ring whose wear differs from the others' also
-//! loses — see `WearStore`), and replay uses the recorded fast path only
-//! for rings that are covered **and** currently healthy — every other
-//! ring is aged live through the exact cold-path batches. A trial under a
+//! (its *coverage*), and replay uses the recorded fast path only for rings
+//! that are covered **and** currently healthy — every other ring is aged
+//! live through the exact cold-path batches. A trial under a
 //! different fault plan than the recording trial thus reuses the shared
 //! healthy-ring work and recomputes precisely the rings the plans
 //! disagree on, staying byte-identical to a cold run under its own plan.
@@ -45,19 +43,18 @@ use aro_obs::TapEvent;
 
 use crate::chip::Chip;
 use crate::design::PufDesign;
-use crate::lifetime::MissionProfile;
+use crate::lifetime::{MissionProfile, MissionStep};
 
 /// The telemetry a recorded step emitted, with per-ring spans so replay
 /// can interleave taped (covered) and live (uncovered) rings in the
-/// exact cold emission order: the active phase visits every ring in
-/// array order, then the idle phase does.
+/// exact cold emission order.
 #[derive(Debug, Clone)]
 struct StepTape {
     events: Vec<TapEvent>,
-    /// Half-open `events` range each ring emitted during the active phase.
-    active_spans: Vec<(u32, u32)>,
-    /// Half-open `events` range each ring emitted during the idle phase.
-    idle_spans: Vec<(u32, u32)>,
+    /// Per phase, in the order the cold path runs them (the active phase
+    /// visits every ring in array order, then the idle phase does), the
+    /// half-open `events` range each ring emitted.
+    spans: [Vec<(u32, u32)>; 2],
     /// Whole-step aggregate of the spanned events (active phase in ring
     /// order, then idle phase): counter totals, plus every sketch
     /// observation in emission order. Counters fold commutatively and
@@ -69,42 +66,35 @@ struct StepTape {
 }
 
 impl StepTape {
-    fn new(
-        events: Vec<TapEvent>,
-        active_spans: Vec<(u32, u32)>,
-        idle_spans: Vec<(u32, u32)>,
-    ) -> Self {
+    fn new(events: Vec<TapEvent>, spans: [Vec<(u32, u32)>; 2]) -> Self {
         let mut agg_counters: Vec<(&'static str, u64)> = Vec::new();
         let mut agg_sketches: Vec<(&'static str, f64)> = Vec::new();
-        for spans in [&active_spans, &idle_spans] {
-            for &(start, end) in spans.iter() {
-                for event in &events[start as usize..end as usize] {
-                    match *event {
-                        TapEvent::Counter(name, delta) => {
-                            match agg_counters
-                                .iter_mut()
-                                .find(|(n, _)| n.as_ptr() == name.as_ptr() && n.len() == name.len())
-                            {
-                                Some(slot) => slot.1 += delta,
-                                None => agg_counters.push((name, delta)),
-                            }
+        for &(start, end) in spans.iter().flatten() {
+            for event in &events[start as usize..end as usize] {
+                match *event {
+                    TapEvent::Counter(name, delta) => {
+                        match agg_counters
+                            .iter_mut()
+                            .find(|(n, _)| n.as_ptr() == name.as_ptr() && n.len() == name.len())
+                        {
+                            Some(slot) => slot.1 += delta,
+                            None => agg_counters.push((name, delta)),
                         }
-                        TapEvent::Sketch(name, value) => agg_sketches.push((name, value)),
                     }
+                    TapEvent::Sketch(name, value) => agg_sketches.push((name, value)),
                 }
             }
         }
         Self {
             events,
-            active_spans,
-            idle_spans,
+            spans,
             agg_counters,
             agg_sketches,
         }
     }
 
-    fn replay(&self, spans: &[(u32, u32)], ring: usize) {
-        let (start, end) = spans[ring];
+    fn replay(&self, phase: usize, ring: usize) {
+        let (start, end) = self.spans[phase][ring];
         aro_obs::tap_replay(&self.events[start as usize..end as usize]);
     }
 
@@ -124,54 +114,17 @@ impl StepTape {
     }
 }
 
-/// Post-step wear of the covered rings: the BTI stress-class
-/// accumulators they share, and one HCI equivalent-cycle count per ring.
-///
-/// BTI stress consults neither a ring's frequency nor its health, and a
-/// chip drives every ring through the same batches, so the rings of a chip
-/// hold equal class accumulators unless one was stressed on its own.
-/// [`WearStore::capture`] keeps the first covered ring's classes and takes
-/// coverage away from any covered ring whose classes differ, so replay
-/// ages that ring live like a faulted one.
-#[derive(Debug, Clone)]
-struct WearStore {
-    /// The class accumulators of every covered ring.
-    bti: [f64; 4],
-    /// Per-ring HCI equivalent cycles (uncovered slots are zero).
-    hci: Vec<f64>,
-}
-
-impl WearStore {
-    fn capture(chip: &Chip, covered: &mut [bool]) -> Self {
-        let mut bti = None;
-        let mut hci = vec![0.0; covered.len()];
-        for (i, ro) in chip.ros().iter().enumerate() {
-            if !covered[i] {
-                continue;
-            }
-            let (ring_bti, ring_hci) = ro.capture_wear();
-            if *bti.get_or_insert(ring_bti) == ring_bti {
-                hci[i] = ring_hci;
-            } else {
-                covered[i] = false;
-            }
-        }
-        Self {
-            bti: bti.unwrap_or_default(),
-            hci,
-        }
-    }
-}
-
 /// One recorded aging step: everything needed to bring a chip that holds
 /// the pre-step state to the exact post-step state — wear, wear epoch,
 /// and the telemetry the step emitted.
 #[derive(Debug, Clone)]
 pub struct AgedStepSnapshot {
     tape: StepTape,
-    wear: WearStore,
-    /// Rings that were healthy when the step was recorded and whose wear
-    /// `wear` holds.
+    /// The chip's BTI stress classes after the step.
+    bti: [f64; 4],
+    /// Per-ring HCI equivalent cycles after the step.
+    hci: Vec<f64>,
+    /// Rings that were healthy when the step was recorded.
     covered: Vec<bool>,
     /// Uniform wear epoch of the array after the step.
     epoch_after: u64,
@@ -193,6 +146,28 @@ struct KernelHints {
     results: Vec<Option<f64>>,
 }
 
+/// Runs one mission step's two phases on `chip` through the cold-path
+/// batches, handing each ring's share of each phase to
+/// `visit(phase, ring, age)` in cold order (see [`Chip::idle_phase`]).
+fn age_step(
+    chip: &mut Chip,
+    design: &PufDesign,
+    step: &MissionStep,
+    mut visit: impl FnMut(usize, usize, &mut dyn FnMut()),
+) {
+    let active = ActiveStressBatch::new(design.style(), &step.models, &step.env, step.active_s);
+    chip.active_phase(design, &step.env, &active, |ring, age| visit(0, ring, age));
+    let idle = IdleStressBatch::new(
+        design.style(),
+        design.tech(),
+        &step.models,
+        step.temp_celsius,
+        step.vdd,
+        step.idle_s,
+    );
+    chip.idle_phase(design, &idle, |ring, age| visit(1, ring, age));
+}
+
 /// Ages `chip` through one mission step exactly as
 /// [`MissionProfile::age_chip`] would — same batches, same per-ring
 /// order, bit-identical wear and telemetry — while recording a snapshot
@@ -205,38 +180,13 @@ pub fn age_step_recorded(
 ) -> AgedStepSnapshot {
     let step = profile.step(design, duration_s);
     let n = chip.ros().len();
-    let mut covered: Vec<bool> = chip
-        .ros()
-        .iter()
-        .map(|ro| ro.health().is_healthy())
-        .collect();
     aro_obs::tap_begin();
-    let mut active_spans = Vec::with_capacity(n);
-    {
-        let read = chip.kernel_read(design, &step.env);
-        let mut batch = ActiveStressBatch::new(&step.models, &step.env, step.active_s);
-        for i in 0..n {
-            let start = aro_obs::tap_position() as u32;
-            chip.stress_active_ring(&read, i, &mut batch);
-            active_spans.push((start, aro_obs::tap_position() as u32));
-        }
-    }
-    let mut idle_spans = Vec::with_capacity(n);
-    {
-        let mut batch = IdleStressBatch::new(
-            design.style(),
-            design.tech(),
-            &step.models,
-            step.temp_celsius,
-            step.vdd,
-            step.idle_s,
-        );
-        for i in 0..n {
-            let start = aro_obs::tap_position() as u32;
-            chip.stress_idle_ring(i, &mut batch);
-            idle_spans.push((start, aro_obs::tap_position() as u32));
-        }
-    }
+    let mut spans = [Vec::with_capacity(n), Vec::with_capacity(n)];
+    age_step(chip, design, &step, |phase, _, age| {
+        let start = aro_obs::tap_position() as u32;
+        age();
+        spans[phase].push((start, aro_obs::tap_position() as u32));
+    });
     chip.add_age(step.duration_s);
     let events = aro_obs::tap_take();
     let epoch_after = chip.ros().first().map_or(0, |ro| ro.wear_epoch());
@@ -245,9 +195,14 @@ pub fn age_step_recorded(
         "wear epochs diverged across the array"
     );
     AgedStepSnapshot {
-        tape: StepTape::new(events, active_spans, idle_spans),
-        wear: WearStore::capture(chip, &mut covered),
-        covered,
+        tape: StepTape::new(events, spans),
+        bti: *chip.bti_classes(),
+        hci: chip.ros().iter().map(|ro| ro.hci_eq_cycles()).collect(),
+        covered: chip
+            .ros()
+            .iter()
+            .map(|ro| ro.health().is_healthy())
+            .collect(),
         epoch_after,
         hints: OnceLock::new(),
     }
@@ -273,10 +228,9 @@ pub fn age_step_replayed(
     snapshot: &AgedStepSnapshot,
 ) {
     let step = profile.step(design, duration_s);
-    let n = chip.ros().len();
     assert_eq!(
         snapshot.covered.len(),
-        n,
+        chip.ros().len(),
         "snapshot recorded for another array"
     );
     let fast: Vec<bool> = chip
@@ -289,49 +243,20 @@ pub fn age_step_replayed(
         // Every ring takes the recorded fast path: skip the per-ring
         // batch/tape interleave entirely. The aggregated tape leaves the
         // registry bitwise where per-ring replay would (counters fold
-        // commutatively, sketches keep emission order), and the wear
-        // restore below is the same loop the mixed path runs.
+        // commutatively, sketches keep emission order).
         snapshot.tape.replay_all();
-        for i in 0..n {
-            snapshot.restore_ring(chip, i);
-        }
-        chip.add_age(step.duration_s);
-        snapshot.preload_kernel_hints(chip);
-        return;
-    }
-    {
-        let read = chip.kernel_read(design, &step.env);
-        let mut batch = ActiveStressBatch::new(&step.models, &step.env, step.active_s);
-        for (i, &fast) in fast.iter().enumerate() {
-            if fast {
-                snapshot.tape.replay(&snapshot.tape.active_spans, i);
+    } else {
+        // The live rings advance the classes exactly as the recording
+        // chip did, so the restore below rewrites them with equal bits.
+        age_step(chip, design, &step, |phase, ring, age| {
+            if fast[ring] {
+                snapshot.tape.replay(phase, ring);
             } else {
-                chip.stress_active_ring(&read, i, &mut batch);
+                age();
             }
-        }
+        });
     }
-    {
-        let mut batch = IdleStressBatch::new(
-            design.style(),
-            design.tech(),
-            &step.models,
-            step.temp_celsius,
-            step.vdd,
-            step.idle_s,
-        );
-        for (i, &fast) in fast.iter().enumerate() {
-            if fast {
-                snapshot.tape.replay(&snapshot.tape.idle_spans, i);
-            } else {
-                chip.stress_idle_ring(i, &mut batch);
-            }
-        }
-    }
-    for (i, &fast) in fast.iter().enumerate() {
-        if fast {
-            snapshot.restore_ring(chip, i);
-        }
-    }
+    chip.restore_wear(snapshot.bti, &snapshot.hci, snapshot.epoch_after, &fast);
     chip.add_age(step.duration_s);
     snapshot.preload_kernel_hints(chip);
 }
@@ -388,19 +313,12 @@ impl AgedStepSnapshot {
                 .preload(&hints.tech, &hints.env, &hints.results, chip.ros());
         }
     }
-
-    /// Restores covered ring `ring` of `chip` to its recorded post-step
-    /// wear and epoch.
-    fn restore_ring(&self, chip: &mut Chip, ring: usize) {
-        let wear = &self.wear;
-        chip.restore_ring_wear(ring, wear.bti, wear.hci[ring], self.epoch_after);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aro_circuit::ring::{AgingModels, RoHealth, RoStyle};
+    use aro_circuit::ring::{RoHealth, RoStyle};
     use aro_device::environment::Environment;
     use aro_device::units::YEAR;
 
@@ -478,54 +396,6 @@ mod tests {
         assert!(chips_equal(&cold, &replayed));
         cold.set_ro_health(7, RoHealth::Healthy);
         replayed.set_ro_health(7, RoHealth::Healthy);
-        let env = Environment::nominal(design.tech());
-        assert_eq!(
-            cold.frequencies(&design, &env),
-            replayed.frequencies(&design, &env)
-        );
-    }
-
-    #[test]
-    fn rings_with_different_histories_lose_coverage_and_age_live() {
-        let design = design(RoStyle::Conventional);
-        let profile = MissionProfile::typical(design.tech());
-        let models = AgingModels::new(design.tech());
-        // Ring 0 idles one year and the others two, one interval each, so
-        // their BTI differs while their wear epochs agree.
-        let diverge = |chip: &mut Chip| {
-            for (ring, years) in (0..chip.ros().len()).map(|i| (i, if i == 0 { 1.0 } else { 2.0 }))
-            {
-                let mut batch = IdleStressBatch::new(
-                    design.style(),
-                    design.tech(),
-                    &models,
-                    45.0,
-                    design.tech().vdd_nominal,
-                    years * YEAR,
-                );
-                chip.stress_idle_ring(ring, &mut batch);
-            }
-        };
-        let mut donor = Chip::fabricate(&design, 3);
-        diverge(&mut donor);
-        let snapshot = age_step_recorded(&mut donor, &design, &profile, 2.0 * YEAR);
-        // The snapshot keeps ring 0's classes, so it covers exactly the
-        // rings whose classes equal ring 0's: ring 0 alone.
-        let first = donor.ros()[0].capture_wear().0;
-        let same_classes: Vec<bool> = donor
-            .ros()
-            .iter()
-            .map(|ro| ro.capture_wear().0 == first)
-            .collect();
-        assert_eq!(snapshot.covered, same_classes);
-        assert_eq!(snapshot.covered.iter().filter(|&&c| c).count(), 1);
-        let mut cold = Chip::fabricate(&design, 3);
-        diverge(&mut cold);
-        profile.age_chip(&mut cold, &design, 2.0 * YEAR);
-        let mut replayed = Chip::fabricate(&design, 3);
-        diverge(&mut replayed);
-        age_step_replayed(&mut replayed, &design, &profile, 2.0 * YEAR, &snapshot);
-        assert!(chips_equal(&cold, &replayed));
         let env = Environment::nominal(design.tech());
         assert_eq!(
             cold.frequencies(&design, &env),

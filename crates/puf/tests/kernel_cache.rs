@@ -222,7 +222,10 @@ fn pair_of(ring: usize) -> (usize, usize) {
 fn reference(chip: &Chip, tech: &TechParams, env: &Environment) -> Vec<u64> {
     chip.ros()
         .iter()
-        .map(|ro| ro.frequency(tech, env, chip.process()).to_bits())
+        .map(|ro| {
+            ro.frequency(tech, env, chip.process(), chip.bti_classes())
+                .to_bits()
+        })
         .collect()
 }
 

@@ -3,10 +3,10 @@
 #
 # Runs the rustfmt check, the release build, the full test suite,
 # clippy and the doc-link check with warnings denied, the benchmark
-# package's tests and one pass of its workloads. Every gate is a
-# cargo command: the end-to-end smokes of the `repro` binary (chaos, key
-# lifecycle, ledger resume) are tests in crates/bench/tests/repro_cli.rs,
-# which `cargo test --workspace` runs.
+# package's rustfmt check, clippy and tests, and one pass of its
+# workloads. Every gate is a cargo command: the end-to-end smokes of the
+# `repro` binary (chaos, key lifecycle, ledger resume) are tests in
+# crates/bench/tests/repro_cli.rs, which `cargo test --workspace` runs.
 # The workspace has no network dependencies (rand / proptest /
 # criterion resolve to vendored path crates), so everything is forced
 # offline to fail fast if a registry dependency ever sneaks back in.
@@ -34,6 +34,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # The benchmark package (benchmark/, its own workspace) calls into the
 # crates' public API; its tests fail when a crate change breaks a call.
+# It is formatted and linted like the workspace.
+echo "==> cargo fmt --check (benchmark package)"
+cargo fmt --manifest-path benchmark/Cargo.toml -- --check
+
+echo "==> cargo clippy (benchmark package, warnings denied)"
+cargo clippy --offline --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
+
 echo "==> cargo test (benchmark package)"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
