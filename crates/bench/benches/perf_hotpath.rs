@@ -1,7 +1,8 @@
 //! Microbenches pinning the hot paths the performance work targets: the
 //! chip's frequency-kernel cache (an all-hit read of the array, an
 //! all-rebuild read, and a soft read of a serve-size chip under a fresh
-//! excursion), parallel population fabrication, one aging-timeline
+//! excursion), a warm 5-vote read of that chip, parallel population
+//! fabrication, one aging-timeline
 //! checkpoint, the verifier store's record seal (packing a helper block,
 //! a sealed replica read, a scrub pass) and one authentication probe.
 //!
@@ -154,6 +155,14 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // EXP-18's anchor read: a warm 5-vote read of the same chip's 28 815
+    // neighbour pairs at nominal conditions. Pairs the readout's noise
+    // envelope decides take their nonces without drawing.
+    serve_chip.response_voted(&serve, &serve_nominal, &pairs, 5);
+    c.bench_function("chip_voted_read", |b| {
+        b.iter(|| black_box(serve_chip.response_voted(&serve, &serve_nominal, &pairs, 5)))
+    });
+
     c.bench_function("population_fabricate_8_chips", |b| {
         b.iter(|| black_box(Population::fabricate(black_box(&design), 8)))
     });
@@ -190,7 +199,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // The unit operation of `serve-steady`: one probe, a quorum read of
-    // the record and a 64-pair soft read of the device, on the next
+    // the record and a 64-pair hard read of the device, on the next
     // device each call, as the traffic does. One probe per device first
     // warms every challenge ring's kernel.
     let (service, mut chips, fleet_design) = serve_fleet();

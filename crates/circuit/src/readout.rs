@@ -15,10 +15,22 @@
 //! behind muxes, so a ring only oscillates — and only *ages by HCI* —
 //! during its own measurement windows: one gate time per readout, which is
 //! what the mission-profile scheduler charges.
+//!
+//! The noise is bounded: a standard-normal draw never exceeds
+//! [`STANDARD_NORMAL_BOUND`], so every count a ring can take lies in a
+//! known envelope, and a pair whose envelopes do not overlap gives the
+//! same bit on every read ([`ReadoutConfig::decided_bit`]).
 
 use rand::Rng;
 
-use aro_device::rng::standard_normal;
+use aro_device::rng::{standard_normal, STANDARD_NORMAL_BOUND};
+
+/// Relative widening of a count envelope for floating-point rounding.
+/// A count and its envelope bound are each a handful of `f64` operations
+/// (a product, a sum, a floor), whose rounding stays within 2⁻⁵⁰ of the
+/// magnitude; 10⁻¹² covers that a thousandfold and costs under a
+/// millionth of a count at any realistic gate time.
+const ROUNDING_SLACK_REL: f64 = 1e-12;
 
 /// Configuration of the counter-based readout path.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +128,7 @@ impl ReadoutConfig {
     /// The noisy half of [`ReadoutConfig::measure`]: one gated count of a
     /// resolved ring. A dead ring counts zero without drawing.
     pub fn draw<R: Rng + ?Sized>(&self, ring: &ResolvedRing, rng: &mut R) -> Measurement {
-        if ring.f_true == 0.0 {
+        if ring.is_dead() {
             return Measurement::new(0, self.gate_time_s);
         }
         let f_noisy = ring.f_true * (1.0 + ring.sigma_rel * standard_normal(rng));
@@ -125,6 +137,43 @@ impl ReadoutConfig {
             gated_count(f_noisy * self.gate_time_s + phase),
             self.gate_time_s,
         )
+    }
+
+    /// The bit every read of the pair `(a, b)` gives, when noise cannot
+    /// flip it: `Some(bit)` iff every count [`ReadoutConfig::draw`] can
+    /// return for `a`, against every count it can return for `b`, gives
+    /// `bit` ([`Measurement::bit_against`]); `None` when some draws give
+    /// each bit.
+    ///
+    /// A ring at `f` hertz with noise sigma `σ` counts
+    /// `floor(f·(1 + σz)·T + phase)` over the gate time `T`, with
+    /// `|z| ≤ STANDARD_NORMAL_BOUND` and `0 ≤ phase < 1`, so every count
+    /// lies within `f·(1 ± Zσ)·T`, widened by one count for the floor and
+    /// one for the phase, plus a relative 10⁻¹² for rounding. A dead ring
+    /// counts exactly 0 (two dead rings tie: bit 0).
+    #[must_use]
+    pub fn decided_bit(&self, a: &ResolvedRing, b: &ResolvedRing) -> Option<bool> {
+        let (a_lo, a_hi) = self.count_envelope(a);
+        let (b_lo, b_hi) = self.count_envelope(b);
+        if a_lo > b_hi {
+            Some(true)
+        } else if a_hi <= b_lo {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// `(lo, hi)` with `lo ≤ count ≤ hi` for every count
+    /// [`ReadoutConfig::draw`] can return for `ring`.
+    fn count_envelope(&self, ring: &ResolvedRing) -> (f64, f64) {
+        if ring.is_dead() {
+            return (0.0, 0.0);
+        }
+        let cycles = ring.f_true * self.gate_time_s;
+        let spread = cycles * ring.sigma_rel * STANDARD_NORMAL_BOUND;
+        let widen = 1.0 + ROUNDING_SLACK_REL * (cycles + spread);
+        (cycles - spread - widen, cycles + spread + widen)
     }
 }
 
@@ -142,6 +191,14 @@ fn gated_count(cycles: f64) -> u64 {
 pub struct ResolvedRing {
     f_true: f64,
     sigma_rel: f64,
+}
+
+impl ResolvedRing {
+    /// Whether the ring is dead: it counts 0 and its draws take no noise.
+    #[must_use]
+    pub fn is_dead(&self) -> bool {
+        self.f_true == 0.0
+    }
 }
 
 /// One gated count of one ring.
@@ -187,6 +244,102 @@ impl Measurement {
 mod tests {
     use super::*;
     use aro_device::rng::SeedDomain;
+    use rand::RngCore;
+
+    /// Yields the three words of one draw: `u` and `v` of the polar
+    /// method, then the phase.
+    struct Scripted {
+        words: [u64; 3],
+        next: usize,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("a draw takes 64-bit words")
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.next += 1;
+            self.words[self.next - 1]
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unreachable!("a draw takes 64-bit words")
+        }
+    }
+
+    /// The word that makes `gen_range(-1.0..1.0)` return `k · 2⁻⁵²`.
+    fn grid_word(k: i64) -> u64 {
+        ((1u64 << 52).wrapping_add_signed(k)) << 11
+    }
+
+    /// The counts a ring takes at its noise extremes: `z = ±12.00727`
+    /// (`u = ±2⁻⁵²`, `v = 0`), phase 0 or `1 − 2⁻⁵³`.
+    fn extreme_counts(cfg: &ReadoutConfig, ring: &ResolvedRing) -> [u64; 4] {
+        let mut counts = [0; 4];
+        for (slot, (k, phase)) in [(-1, 0), (-1, u64::MAX), (1, 0), (1, u64::MAX)]
+            .into_iter()
+            .enumerate()
+        {
+            let mut rng = Scripted {
+                words: [grid_word(k), grid_word(0), phase],
+                next: 0,
+            };
+            counts[slot] = cfg.draw(ring, &mut rng).count();
+        }
+        counts
+    }
+
+    #[test]
+    fn a_decided_bit_holds_at_every_noise_extreme() {
+        let f = 1e9;
+        for cfg in [
+            ReadoutConfig::default(),
+            ReadoutConfig::default().with_noise_burst(8.0),
+        ] {
+            let sigma = cfg.sigma_rel_at(f);
+            let slow = cfg.resolve(f);
+            let slow_counts = extreme_counts(&cfg, &slow);
+            let mut decided = 0;
+            // Margins from 0 to 40 σ in steps of σ/1000.
+            for step in 0..=40_000 {
+                let margin = f64::from(step) / 1000.0;
+                let fast = cfg.resolve(f * (1.0 + margin * sigma));
+                let fast_counts = extreme_counts(&cfg, &fast);
+                for (a, b, a_counts, b_counts) in [
+                    (&fast, &slow, &fast_counts, &slow_counts),
+                    (&slow, &fast, &slow_counts, &fast_counts),
+                ] {
+                    let Some(bit) = cfg.decided_bit(a, b) else {
+                        assert!(margin < 25.0, "{margin} σ undecided at {cfg:?}");
+                        continue;
+                    };
+                    decided += 1;
+                    for a_count in a_counts {
+                        for b_count in b_counts {
+                            assert_eq!(
+                                a_count > b_count,
+                                bit,
+                                "{margin} σ at {cfg:?}: counts {a_count} vs {b_count}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(decided > 0);
+        }
+    }
+
+    #[test]
+    fn a_dead_ring_counts_exactly_zero_in_the_envelope() {
+        let cfg = ReadoutConfig::default();
+        let dead = cfg.resolve(0.0);
+        let live = cfg.resolve(1e9);
+        assert_eq!(cfg.decided_bit(&live, &dead), Some(true));
+        assert_eq!(cfg.decided_bit(&dead, &live), Some(false));
+        assert_eq!(cfg.decided_bit(&dead, &dead), Some(false));
+        // A ring slow enough to reach a count of 0 cannot be told apart.
+        let crawling = cfg.resolve(1.0 / cfg.gate_time_s);
+        assert_eq!(cfg.decided_bit(&crawling, &dead), None);
+    }
 
     #[test]
     fn ideal_readout_recovers_frequency_to_one_lsb() {

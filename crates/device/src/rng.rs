@@ -13,8 +13,32 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Largest |z| [`standard_normal`] can return, rounded up: just above
+/// √(208 ln 2) = 12.00727….
+///
+/// The polar method returns `z = u·√(−2 ln s / s)` with `s = u² + v²`, so
+/// `|z| ≤ √s · √(−2 ln s / s) = √(−2 ln s)`, which grows as `s` shrinks.
+/// The vendored `rand` draws `u` and `v` from `gen_range(-1.0..1.0)`,
+/// which is `−1 + k·2⁻⁵²` for a 53-bit `k`: a grid whose smallest nonzero
+/// magnitude is 2⁻⁵², held exactly in an `f64`. The acceptance test
+/// `0 < s < 1` rejects `u = v = 0`, so every accepted pair has
+/// `s ≥ 2⁻¹⁰⁴` and `|z| ≤ √(−2 ln 2⁻¹⁰⁴) = √(208 ln 2)`. The bound is
+/// reached at `u = ±2⁻⁵², v = 0`, where `s = 2⁻¹⁰⁴` exactly; a brute
+/// force over the grid's smallest values finds nothing larger, and the
+/// next candidates (`u = ±2⁻⁵¹` alone, or `u = v = ±2⁻⁵²`) give 11.89
+/// and 8.45. The margin above 12.00727 covers the rounding of `ln`, the
+/// division and the square root, a few ulps.
+pub const STANDARD_NORMAL_BOUND: f64 = 12.0073;
+
 /// Draws a standard-normal variate (mean 0, sigma 1) using the Marsaglia
 /// polar method.
+///
+/// Never returns `|z| > 12.00727…` ([`STANDARD_NORMAL_BOUND`]). The bound
+/// rests on two facts: `rng.gen_range(-1.0..1.0)` draws `u` and `v` from a
+/// grid of spacing 2⁻⁵² (the vendored `rand`'s 53-bit unit interval), and
+/// the `0 < s < 1` acceptance test rejects the one point `s = 0`. A change
+/// to either moves the bound, and the readout's noise envelope with it
+/// (`aro_circuit::readout::ReadoutConfig::decided_bit`).
 ///
 /// # Example
 /// ```
@@ -165,6 +189,48 @@ mod tests {
     fn lognormal_with_zero_sigma_is_identity() {
         let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(lognormal_multiplier(&mut rng, 0.0), 1.0);
+    }
+
+    /// Yields scripted words, then panics: a draw that takes one word
+    /// more than scripted fails loudly.
+    struct Scripted(Vec<u64>);
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            unreachable!("standard_normal draws 64-bit words")
+        }
+        fn next_u64(&mut self) -> u64 {
+            assert!(!self.0.is_empty(), "draw took more words than scripted");
+            self.0.remove(0)
+        }
+        fn fill_bytes(&mut self, _: &mut [u8]) {
+            unreachable!("standard_normal draws 64-bit words")
+        }
+    }
+
+    /// The word that makes `gen_range(-1.0..1.0)` return `k · 2⁻⁵²`.
+    fn grid_word(k: i64) -> u64 {
+        ((1u64 << 52).wrapping_add_signed(k)) << 11
+    }
+
+    #[test]
+    fn standard_normal_peaks_at_the_smallest_grid_step() {
+        let sqrt_208_ln2 = (208.0 * std::f64::consts::LN_2).sqrt();
+        for (k, sign) in [(1, 1.0), (-1, -1.0)] {
+            let z = standard_normal(&mut Scripted(vec![grid_word(k), grid_word(0)]));
+            assert_eq!(z, sign * sqrt_208_ln2, "u = {k}·2⁻⁵², v = 0");
+            assert!((z.abs() - 12.007_27).abs() < 1e-5, "z = {z}");
+            assert!(z.abs() < STANDARD_NORMAL_BOUND);
+        }
+        // Every accepted pair of the grid's smallest values stays within
+        // the peak; u = v = 0 is rejected and draws a second pair.
+        for k in -64..=64 {
+            for l in -64..=64 {
+                let words = vec![grid_word(k), grid_word(l), grid_word(1), grid_word(0)];
+                let z = standard_normal(&mut Scripted(words));
+                assert!(z.abs() <= sqrt_208_ln2, "u = {k}·2⁻⁵², v = {l}·2⁻⁵²: {z}");
+            }
+        }
     }
 
     #[test]

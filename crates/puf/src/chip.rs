@@ -28,7 +28,12 @@ const RESOLVE_CHUNK: usize = 128;
 /// one borrow of the kernel cache, and resolves its readout noise. The
 /// *draw pass* then takes each measurement from the noise stream at the
 /// next nonce: one nonce per measurement, a dead ring's zero count
-/// included.
+/// included. Reads that return only bits ([`Chip::response`],
+/// [`Chip::response_voted`]) skip the draws of a pair whose bit noise
+/// cannot flip (`ReadoutConfig::decided_bit`), advancing the nonce by
+/// its measurements; reads that return counts ([`Chip::response_soft`],
+/// [`Chip::measure_all`]) draw every measurement. Each measurement seeds
+/// its own RNG from its nonce, so a skip moves no later bit.
 ///
 /// The chip holds its rings' BTI wear: one raw accumulator per stress class
 /// (`aro_circuit::ring` module docs), since every ring of the chip lives
@@ -243,19 +248,25 @@ impl Chip {
     /// rings. The resolve pass looks up each ring of `rings`, in order,
     /// through one borrow of the kernel cache and resolves its readout
     /// noise; it draws nothing. The draw pass then hands each group of
-    /// `group` resolved rings to `draw`, in order. Lookups touch only the
-    /// kernel slots and draws only the nonce, so neither the passes nor
-    /// the chunking move a bit; the chunk bounds what a whole-array read
-    /// holds.
+    /// `group` resolved rings to `draw`, in order, with the chip's noise
+    /// stream. Lookups touch only the kernel slots and draws only the
+    /// nonce, so neither the passes nor the chunking move a bit; the chunk
+    /// bounds what a whole-array read holds. The read books its noise
+    /// draws once, as `circuit.noise_draws`.
     fn read<T, C: FromIterator<T>>(
         &mut self,
         design: &PufDesign,
         env: &Environment,
         mut rings: impl Iterator<Item = usize>,
         group: usize,
-        mut draw: impl FnMut(&mut Self, &[ResolvedRing]) -> T,
+        mut draw: impl FnMut(&mut NoiseStream, &[ResolvedRing]) -> T,
     ) -> C {
         let read = self.kernel_read(design, env);
+        let mut noise = NoiseStream {
+            domain: &self.noise_domain,
+            nonce: &mut self.measure_nonce,
+            draws: 0,
+        };
         let mut resolved = Vec::with_capacity(RESOLVE_CHUNK);
         let mut out = Vec::with_capacity(rings.size_hint().0 / group);
         loop {
@@ -268,19 +279,16 @@ impl Chip {
             );
             drop(lookup);
             if resolved.is_empty() {
+                aro_obs::counter("circuit.noise_draws", noise.draws);
                 return out.into_iter().collect();
             }
-            out.extend(resolved.chunks_exact(group).map(|rings| draw(self, rings)));
+            out.extend(
+                resolved
+                    .chunks_exact(group)
+                    .map(|rings| draw(&mut noise, rings)),
+            );
             resolved.clear();
         }
-    }
-
-    /// One step of the draw pass: a gated count of `ring` from the noise
-    /// stream at the next nonce.
-    fn draw(&mut self, readout: &ReadoutConfig, ring: &ResolvedRing) -> Measurement {
-        let mut rng = self.noise_domain.rng(self.measure_nonce);
-        self.measure_nonce += 1;
-        readout.draw(ring, &mut rng)
     }
 
     /// A noisy read of `pairs`, both rings of a pair resolved `i` before
@@ -290,43 +298,38 @@ impl Chip {
         design: &PufDesign,
         env: &Environment,
         pairs: &[(usize, usize)],
-        mut per_pair: impl FnMut(&mut Self, &ResolvedRing, &ResolvedRing) -> T,
+        mut per_pair: impl FnMut(&mut NoiseStream, &ResolvedRing, &ResolvedRing) -> T,
     ) -> C {
         let rings = pairs.iter().flat_map(|&(i, j)| [i, j]);
-        self.read(design, env, rings, 2, |chip, pair| {
-            per_pair(chip, &pair[0], &pair[1])
+        self.read(design, env, rings, 2, |noise, pair| {
+            per_pair(noise, &pair[0], &pair[1])
         })
-    }
-
-    /// One measurement of each ring of a pair, `i` first.
-    fn draw_pair(
-        &mut self,
-        readout: &ReadoutConfig,
-        i: &ResolvedRing,
-        j: &ResolvedRing,
-    ) -> (Measurement, Measurement) {
-        (self.draw(readout, i), self.draw(readout, j))
     }
 
     /// Measures every ring once, in index order — one enrollment read of
     /// the whole array.
     pub fn measure_all(&mut self, design: &PufDesign, env: &Environment) -> Vec<Measurement> {
-        self.read(design, env, 0..self.ros.len(), 1, |chip, ring| {
-            chip.draw(design.readout(), &ring[0])
+        self.read(design, env, 0..self.ros.len(), 1, |noise, ring| {
+            noise.draw(design.readout(), &ring[0])
         })
     }
 
     /// Generates the response for a list of pairs with real measurement
-    /// noise.
+    /// noise. A pair whose bit noise cannot flip
+    /// ([`ReadoutConfig::decided_bit`]) takes its two nonces without
+    /// drawing.
     pub fn response(
         &mut self,
         design: &PufDesign,
         env: &Environment,
         pairs: &[(usize, usize)],
     ) -> BitString {
-        self.read_pairs(design, env, pairs, |chip, i, j| {
-            let (a, b) = chip.draw_pair(design.readout(), i, j);
-            a.bit_against(&b)
+        let readout = design.readout();
+        self.read_pairs(design, env, pairs, |noise, i, j| {
+            noise.decided(readout, i, j, 1).unwrap_or_else(|| {
+                let (a, b) = noise.draw_pair(readout, i, j);
+                a.bit_against(&b)
+            })
         })
     }
 
@@ -334,15 +337,16 @@ impl Chip {
     /// with the magnitude of its pair's count difference — the
     /// reliability score a soft-decision decoder
     /// (`aro_ecc::soft`) consumes. A hard response is just the `bool`
-    /// halves of this.
+    /// halves of this. The counts are the output, so every measurement
+    /// draws, decided pairs included.
     pub fn response_soft(
         &mut self,
         design: &PufDesign,
         env: &Environment,
         pairs: &[(usize, usize)],
     ) -> Vec<(bool, f64)> {
-        self.read_pairs(design, env, pairs, |chip, i, j| {
-            let (a, b) = chip.draw_pair(design.readout(), i, j);
+        self.read_pairs(design, env, pairs, |noise, i, j| {
+            let (a, b) = noise.draw_pair(design.readout(), i, j);
             let confidence = a.count().abs_diff(b.count()) as f64;
             (a.bit_against(&b), confidence)
         })
@@ -352,7 +356,8 @@ impl Chip {
     /// pair is measured `votes` times and the majority bit wins. TMV is
     /// the standard architectural defence against *measurement noise*; it
     /// cannot repair *aging* flips, whose sign error is persistent — the
-    /// EXP-9 ablation quantifies exactly that.
+    /// EXP-9 ablation quantifies exactly that. A pair whose bit noise
+    /// cannot flip takes its `2 × votes` nonces without drawing.
     ///
     /// # Panics
     /// Panics if `votes` is even or zero.
@@ -366,8 +371,12 @@ impl Chip {
         assert!(votes >= 1 && votes % 2 == 1, "votes must be odd");
         // True frequencies and noise sigmas are vote-invariant (noise
         // enters at the draw), so the resolve pass serves every vote.
+        let readout = design.readout();
         let majority = votes / 2 + 1;
-        self.read_pairs(design, env, pairs, |chip, i, j| {
+        self.read_pairs(design, env, pairs, |noise, i, j| {
+            if let Some(bit) = noise.decided(readout, i, j, votes) {
+                return bit;
+            }
             // Early-majority cut: once either side holds a strict
             // majority of the vote budget, the remaining measurements
             // cannot change the bit. Each skipped measurement's noise
@@ -377,13 +386,13 @@ impl Chip {
             // where the full loop would have put it.
             let mut ones = 0usize;
             for vote in 0..votes {
-                let (a, b) = chip.draw_pair(design.readout(), i, j);
+                let (a, b) = noise.draw_pair(readout, i, j);
                 if a.bit_against(&b) {
                     ones += 1;
                 }
                 let zeros = vote + 1 - ones;
                 if ones >= majority || zeros >= majority {
-                    chip.measure_nonce += 2 * (votes - vote - 1) as u64;
+                    noise.skip(2 * (votes - vote - 1));
                     break;
                 }
             }
@@ -497,6 +506,58 @@ impl Chip {
                 self.kernels.forget(index);
             }
         }
+    }
+}
+
+/// The draw pass's view of a chip: its noise stream at the next nonce,
+/// one nonce per measurement, and the measurements that drew.
+struct NoiseStream<'c> {
+    domain: &'c SeedDomain,
+    nonce: &'c mut u64,
+    /// Measurements that took a draw: not a dead ring's, a decided
+    /// pair's or a skipped vote's.
+    draws: u64,
+}
+
+impl NoiseStream<'_> {
+    /// A gated count of `ring` from the noise stream at the next nonce.
+    fn draw(&mut self, readout: &ReadoutConfig, ring: &ResolvedRing) -> Measurement {
+        let mut rng = self.domain.rng(*self.nonce);
+        *self.nonce += 1;
+        self.draws += u64::from(!ring.is_dead());
+        readout.draw(ring, &mut rng)
+    }
+
+    /// One measurement of each ring of a pair, `i` first.
+    fn draw_pair(
+        &mut self,
+        readout: &ReadoutConfig,
+        i: &ResolvedRing,
+        j: &ResolvedRing,
+    ) -> (Measurement, Measurement) {
+        (self.draw(readout, i), self.draw(readout, j))
+    }
+
+    /// Advances past `measurements` nonces without drawing. Every
+    /// measurement seeds its own RNG from its nonce, so a skipped
+    /// measurement leaves every later draw where it was.
+    fn skip(&mut self, measurements: usize) {
+        *self.nonce += measurements as u64;
+    }
+
+    /// The bit of the pair `(i, j)` when noise cannot flip it
+    /// ([`ReadoutConfig::decided_bit`]): then its `votes` measurements of
+    /// each ring are skipped.
+    fn decided(
+        &mut self,
+        readout: &ReadoutConfig,
+        i: &ResolvedRing,
+        j: &ResolvedRing,
+        votes: usize,
+    ) -> Option<bool> {
+        let bit = readout.decided_bit(i, j)?;
+        self.skip(2 * votes);
+        Some(bit)
     }
 }
 

@@ -331,13 +331,100 @@ fn slot(device: u64, event: u64) -> u64 {
         .wrapping_add(event)
 }
 
-/// One (possibly faulted) field read: the fault plan's environment
-/// excursion, then a noise-burst readout, then counter glitches, applied
-/// to a soft measurement. Returns the soft bits and which faults fired —
-/// the audit trail's link from a verdict back to its injected causes.
-/// Without an injector this is a plain soft read. The bit values are the
-/// hard [`Chip::response`] of the same read: both draw the same noise
-/// nonces.
+/// The output of one field read: soft bits for the decoders, hard bits
+/// for a probe's Hamming-distance check.
+trait FieldBits {
+    /// A read of `pairs` under `design`'s readout at `env`.
+    fn read(
+        chip: &mut Chip,
+        design: &PufDesign,
+        env: &Environment,
+        pairs: &[(usize, usize)],
+    ) -> Self;
+    /// Inverts bit `bit`: a counter glitch.
+    fn flip(&mut self, bit: usize);
+}
+
+impl FieldBits for Vec<SoftBit> {
+    fn read(
+        chip: &mut Chip,
+        design: &PufDesign,
+        env: &Environment,
+        pairs: &[(usize, usize)],
+    ) -> Self {
+        chip.response_soft(design, env, pairs)
+            .into_iter()
+            .map(|(bit, confidence)| SoftBit::new(bit, confidence))
+            .collect()
+    }
+
+    fn flip(&mut self, bit: usize) {
+        self[bit].value = !self[bit].value;
+    }
+}
+
+impl FieldBits for BitString {
+    fn read(
+        chip: &mut Chip,
+        design: &PufDesign,
+        env: &Environment,
+        pairs: &[(usize, usize)],
+    ) -> Self {
+        chip.response(design, env, pairs)
+    }
+
+    fn flip(&mut self, bit: usize) {
+        BitString::flip(self, bit);
+    }
+}
+
+/// One (possibly faulted) field read of either shape: the fault plan's
+/// environment excursion, then a noise-burst readout, then counter
+/// glitches. Returns the bits and which faults fired — the audit trail's
+/// link from a verdict back to its injected causes. Without an injector
+/// this is a plain read. Both shapes take the same noise nonces, so the
+/// hard read's bits are the soft read's values.
+fn field_read<B: FieldBits>(
+    chip: &mut Chip,
+    design: &PufDesign,
+    env: &Environment,
+    pairs: &[(usize, usize)],
+    inj: Option<&FaultInjector>,
+    chip_id: u64,
+    event: u64,
+) -> (B, AttemptFaults) {
+    let Some(inj) = inj else {
+        return (B::read(chip, design, env, pairs), AttemptFaults::default());
+    };
+    let meas_env = inj.measurement_env(chip_id, event, env);
+    let burst = inj.noise_burst(chip_id, event);
+    let burst_design =
+        burst.map(|factor| design.with_readout(design.readout().with_noise_burst(factor)));
+    let mut bits = B::read(
+        chip,
+        burst_design.as_ref().unwrap_or(design),
+        &meas_env,
+        pairs,
+    );
+    let glitches = inj.response_glitches(chip_id, event, pairs.len());
+    for &bit in &glitches {
+        bits.flip(bit);
+    }
+    let faults = AttemptFaults {
+        excursion: meas_env != *env,
+        burst: burst.is_some(),
+        glitches: glitches.len() as u64,
+    };
+    (bits, faults)
+}
+
+/// One (possibly faulted) soft field read: [`Chip::response_soft`]
+/// through the fault plan's environment excursion, noise burst and
+/// counter glitches, the steps a probe's hard read takes. Returns the
+/// soft bits and which faults fired. Without an injector this is a plain
+/// soft read. Its bit values are the probe's hard bits for the same
+/// read: both take the same noise nonces. The re-enrollment gate and the
+/// key-recovery experiments decode its weights.
 pub fn faulted_read(
     chip: &mut Chip,
     design: &PufDesign,
@@ -347,30 +434,7 @@ pub fn faulted_read(
     chip_id: u64,
     event: u64,
 ) -> (Vec<SoftBit>, AttemptFaults) {
-    let read = |chip: &mut Chip, design: &PufDesign, env: &Environment| -> Vec<SoftBit> {
-        chip.response_soft(design, env, pairs)
-            .into_iter()
-            .map(|(bit, confidence)| SoftBit::new(bit, confidence))
-            .collect()
-    };
-    let Some(inj) = inj else {
-        return (read(chip, design, env), AttemptFaults::default());
-    };
-    let meas_env = inj.measurement_env(chip_id, event, env);
-    let burst = inj.noise_burst(chip_id, event);
-    let burst_design =
-        burst.map(|factor| design.with_readout(design.readout().with_noise_burst(factor)));
-    let mut soft = read(chip, burst_design.as_ref().unwrap_or(design), &meas_env);
-    let glitches = inj.response_glitches(chip_id, event, soft.len());
-    for &bit in &glitches {
-        soft[bit].value = !soft[bit].value;
-    }
-    let faults = AttemptFaults {
-        excursion: meas_env != *env,
-        burst: burst.is_some(),
-        glitches: glitches.len() as u64,
-    };
-    (soft, faults)
+    field_read(chip, design, env, pairs, inj, chip_id, event)
 }
 
 impl AuthService {
@@ -563,7 +627,7 @@ impl AuthService {
         for attempt in 0..self.policy.retry.max_attempts {
             let event = event_base + u64::from(attempt);
             let mut rng = self.domain.child("request").rng(slot(target_id, event));
-            let (soft, faults) = faulted_read(
+            let (answer, faults): (BitString, _) = field_read(
                 chip,
                 design,
                 env,
@@ -572,7 +636,6 @@ impl AuthService {
                 probe_id,
                 event,
             );
-            let answer: BitString = soft.iter().map(|s| s.value).collect();
             let cost = self
                 .policy
                 .latency
@@ -1039,5 +1102,49 @@ impl AuthService {
             self.clock_us,
         );
         readmitted
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aro_circuit::ring::RoStyle;
+    use aro_device::units::YEAR;
+    use aro_faults::FaultPlan;
+    use aro_puf::{MissionProfile, PairingStrategy};
+
+    #[test]
+    fn a_hard_field_read_gives_the_soft_reads_values() {
+        let design = PufDesign::builder(RoStyle::AgingResistant)
+            .n_ros(256)
+            .seed(2014)
+            .build();
+        let env = Environment::nominal(design.tech());
+        let inj = FaultInjector::new(FaultPlan::parse("storm@1.0").unwrap(), 7);
+        let mut chip = Chip::fabricate(&design, 3);
+        for (ring, health) in inj.hard_faults(3, design.n_ros()) {
+            chip.set_ro_health(ring, health);
+        }
+        MissionProfile::typical(design.tech()).age_chip(&mut chip, &design, 10.0 * YEAR);
+        let pairs = PairingStrategy::Neighbor.pairs(design.n_ros());
+
+        let (mut excursions, mut bursts, mut glitches) = (0, 0, 0);
+        for event in 0..200 {
+            let mut soft_chip = chip.clone();
+            let (hard, faults): (BitString, _) =
+                field_read(&mut chip, &design, &env, &pairs, Some(&inj), 3, event);
+            let (soft, soft_faults) =
+                faulted_read(&mut soft_chip, &design, &env, &pairs, Some(&inj), 3, event);
+            assert_eq!(faults, soft_faults, "event {event}");
+            let values: BitString = soft.iter().map(|s| s.value).collect();
+            assert_eq!(hard, values, "event {event}");
+            // Both reads leave the chip at the same nonce.
+            assert_eq!(chip, soft_chip, "event {event}");
+            excursions += u64::from(faults.excursion);
+            bursts += u64::from(faults.burst);
+            glitches += faults.glitches;
+        }
+        assert!(chip.faulted_ro_count() > 0);
+        assert!(excursions > 0 && bursts > 0 && glitches > 0);
     }
 }

@@ -29,22 +29,26 @@ impl Drop for Cleanup {
 }
 
 /// The work counters each experiment books at quick scale: kernel
-/// rebuilds (real and phantom), BTI applies, HCI applies. exp16 exercises
-/// every kernel-cache path: faulted soft reads under excursions, snapshot
-/// replays and preloaded phantom kernels. A change to the cache key, its
-/// eviction rule or the phantom bookkeeping moves these. exp8 and exp15
+/// rebuilds (real and phantom), BTI applies, HCI applies and readout
+/// noise draws. A decided pair of a hard or voted read draws nothing, so
+/// an envelope that decides more or fewer pairs moves the draws. exp16
+/// exercises every kernel-cache path: faulted soft reads under
+/// excursions, snapshot replays and preloaded phantom kernels. A change
+/// to the cache key, its eviction rule or the phantom bookkeeping moves
+/// these. exp8 and exp15
 /// pin the key bench: each fabricates, enrolls, ages and reads its own
 /// chips when run alone. exp18 and exp19 fan their per-chip work out
 /// (fleet enrollment, aging, re-enrollment reads, lifecycle missions and
 /// impostor passes): a fan-out that skipped or repeated a read would
 /// move their counts.
-const PINNED_WORK: [(&str, [(&str, u64); 3]); 6] = [
+const PINNED_WORK: [(&str, [(&str, u64); 4]); 6] = [
     (
         "exp8",
         [
             ("circuit.kernel_rebuilds", 161_320),
             ("device.bti_applies", 969_300),
             ("device.hci_applies", 548_400),
+            ("circuit.noise_draws", 32_812),
         ],
     ),
     (
@@ -53,6 +57,7 @@ const PINNED_WORK: [(&str, [(&str, u64); 3]); 6] = [
             ("circuit.kernel_rebuilds", 405_626),
             ("device.bti_applies", 2_932_800),
             ("device.hci_applies", 1_641_540),
+            ("circuit.noise_draws", 324_664),
         ],
     ),
     (
@@ -61,6 +66,7 @@ const PINNED_WORK: [(&str, [(&str, u64); 3]); 6] = [
             ("circuit.kernel_rebuilds", 16_640),
             ("device.bti_applies", 134_400),
             ("device.hci_applies", 76_800),
+            ("circuit.noise_draws", 7_598),
         ],
     ),
     (
@@ -69,6 +75,7 @@ const PINNED_WORK: [(&str, [(&str, u64); 3]); 6] = [
             ("circuit.kernel_rebuilds", 2_125_374),
             ("device.bti_applies", 18_436_800),
             ("device.hci_applies", 9_001_950),
+            ("circuit.noise_draws", 1_631_678),
         ],
     ),
     (
@@ -77,6 +84,7 @@ const PINNED_WORK: [(&str, [(&str, u64); 3]); 6] = [
             ("circuit.kernel_rebuilds", 5_036_507),
             ("device.bti_applies", 22_105_200),
             ("device.hci_applies", 14_231_060),
+            ("circuit.noise_draws", 6_172_579),
         ],
     ),
     (
@@ -85,6 +93,7 @@ const PINNED_WORK: [(&str, [(&str, u64); 3]); 6] = [
             ("circuit.kernel_rebuilds", 953_370),
             ("device.bti_applies", 5_534_400),
             ("device.hci_applies", 2_689_230),
+            ("circuit.noise_draws", 1_424_664),
         ],
     ),
 ];

@@ -118,18 +118,24 @@ fn interrupted_then_resumed_run_matches_the_fixture_byte_for_byte() {
     );
 }
 
-/// EXP-18 at paper scale fabricates, ages and serves its fleets, rebuilding
-/// the wear of every ring it reads; nothing else in tier-1 compares its
-/// paper-scale report. Its report, as `repro` prints it, must appear
-/// verbatim in the committed paper-scale run (the check the benchmark's
-/// paper workloads apply to their experiments).
+/// The paper-scale reads whose draws the readout's noise envelope skips:
+/// EXP-8's hard reads, EXP-9's voted reads, EXP-16's 5-vote anchors, and
+/// EXP-18, which fabricates, ages and serves its fleets (hard probes,
+/// soft gate reads and 5-vote anchors), rebuilding the wear of every ring
+/// it reads. Each report, as `repro` prints it, must appear verbatim in
+/// the committed paper-scale run (the check the benchmark's paper
+/// workloads apply to their experiments).
 #[test]
-fn paper_scale_exp18_matches_the_committed_report() {
+fn paper_scale_reads_match_the_committed_report() {
     let cfg = SimConfig::paper();
-    let report = popcache::scoped(|| run_by_id("exp18", &cfg).expect("exp18 is registered"));
-    let rendered = format!("{report}\n");
-    assert!(
-        PAPER_SCALE.contains(&rendered),
-        "EXP-18 differs from repro_paper_scale.md:\n{rendered}"
-    );
+    popcache::scoped(|| {
+        for id in ["exp8", "exp9", "exp16", "exp18"] {
+            let report = run_by_id(id, &cfg).expect("the experiment is registered");
+            let rendered = format!("{report}\n");
+            assert!(
+                PAPER_SCALE.contains(&rendered),
+                "{id} differs from repro_paper_scale.md:\n{rendered}"
+            );
+        }
+    });
 }
